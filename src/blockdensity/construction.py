@@ -91,6 +91,21 @@ class StageRecord:
             "M_after": self.m_after,
         }
 
+    def same_json(self, other: "StageRecord") -> bool:
+        """Whether both records give the same to_json text, without encoding them.
+
+        Equal fields are not enough: 3.0 or true read from a file compare
+        equal to 3 or 1 but encode differently, so the fields written as JSON
+        integers must hold exactly int. The witness fields hold ints or None
+        and are written as their decimal strings, so equal values give equal
+        text.
+        """
+        return self == other and all(
+            type(getattr(r, name)) is int
+            for r in (self, other)
+            for name in ("stage", "e", "i", "j", "k", "budget", "m_after")
+        )
+
     @staticmethod
     def from_json(obj: dict) -> "StageRecord":
         def num(v):
@@ -191,13 +206,26 @@ def domination_search(
     *,
     max_candidates: int = 10**6,
 ) -> int:
-    """Least selected block past the frontier longer than the opposing prefix."""
+    """Least selected block past the frontier longer than the opposing prefix.
+
+    The selector is strictly increasing, so s(t) >= t and the first candidate
+    past the frontier has index at most frontier + 1; bisection finds it, and
+    the scan goes forward from there. Candidate indices count from t = 0
+    against max_candidates.
+    """
     src_i = coded.source(i)
     src_j = coded.source(j)
-    for t in range(max_candidates):
+    lo, hi = 0, min(frontier + 1, max_candidates)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cert.s(i, j, mid) > frontier:
+            hi = mid
+        else:
+            lo = mid + 1
+    for t in range(lo, max_candidates):
         k = cert.s(i, j, t)
         if k <= frontier:
-            continue
+            raise AssertionError("selector not strictly increasing")
         if src_i.length(k) > src_j.endpoint(k + 1):
             return k
     raise DominationCeilingError(

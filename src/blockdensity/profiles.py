@@ -49,7 +49,13 @@ class ProfileFamily:
 
 
 class GapCertificate:
-    """Scheduled pairs with their gap and witness-block selector."""
+    """Scheduled pairs with their gap and witness-block selector.
+
+    For every scheduled pair the selector t -> s(i, j, t) must be strictly
+    increasing on the naturals, so s(i, j, t) >= t. The domination search
+    relies on this to find the first selected block past a frontier by
+    bisection.
+    """
 
     def __init__(
         self,

@@ -43,6 +43,7 @@ from .verify import (
     check_diag_witness,
     check_embedding_matrix,
     check_positive_reduction,
+    check_transcript_replay,
 )
 
 KINDS = ("rationals", "antichain", "combined", "poset", "universal")
@@ -205,6 +206,14 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
     """The certificate suite for one run, derived from the transcript alone."""
     state = reconstruct_state(transcript.records)
     certs: list[Certificate] = []
+    # Each diagonal witness is checked once; defeat bundles reuse the verdicts
+    # and the certificates follow the rest of the report.
+    diag_certs = {
+        n: check_diag_witness(coded, state, record)
+        for n, record in enumerate(transcript.records)
+        if record.branch == BRANCH_DIAGONALIZED
+    }
+    diag_verdicts = {n: c.verdict for n, c in diag_certs.items()}
 
     if config.kind == "poset":
         poset = FinitePoset.from_rows(config.poset_rows)
@@ -219,6 +228,7 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
                 k_max=config.k_max,
                 element_scan=config.element_scan,
                 run=(coded, gap_cert, schedule, transcript, state),
+                diag_verdicts=diag_verdicts,
             )
         )
     else:
@@ -253,7 +263,8 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
         for a, b in _scheduled_pairs(config, gap_cert):
             certs.append(
                 check_defeat_bundle(
-                    coded, state, transcript, schedule, a, b, config.e_bound
+                    coded, state, transcript, schedule, a, b, config.e_bound,
+                    diag_verdicts,
                 )
             )
         for i in indices:
@@ -267,9 +278,7 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
             certs.append(_identity_device_certificate(config, transcript, state))
             certs.append(_collapse_certificate(config, coded, state))
 
-    for record in transcript.records:
-        if record.branch == BRANCH_DIAGONALIZED:
-            certs.append(check_diag_witness(coded, state, record))
+    certs.extend(diag_certs.values())
     return certs
 
 
@@ -376,16 +385,11 @@ def verify_transcript(config: ScenarioConfig, transcript_path: str | Path):
     coded = CodedFamily(family)
     schedule = RequirementSchedule(gap_cert)
     transcript = Transcript.read_jsonl(transcript_path, config.to_json())
-    replay_cert = Certificate("TranscriptReplay", {"stages": len(transcript.records)})
-    replay, _ = run_construction(
-        coded, gap_cert, max(1, len(transcript.records)), config.budget,
-        scenario=config.to_json(), schedule=schedule,
-    )
-    if replay.to_jsonl() == transcript.to_jsonl():
-        replay_cert.ok("bit_exact")
-    else:
-        replay_cert.fail("bit_exact")
-    certs = [replay_cert]
+    certs = [
+        check_transcript_replay(
+            coded, gap_cert, transcript, config.budget, schedule=schedule
+        )
+    ]
     certs.extend(
         _construction_certificates(config, coded, gap_cert, schedule, transcript)
     )

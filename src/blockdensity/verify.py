@@ -12,6 +12,7 @@ records); FAIL means a check was run and refuted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .construction import (
     BRANCH_DIAGONALIZED,
@@ -270,9 +271,16 @@ def check_diag_witness(
 
 
 def _check_defeat_record(
-    coded: CodedFamily, state: ConstructionState, record: StageRecord
+    coded: CodedFamily,
+    state: ConstructionState,
+    record: StageRecord,
+    diag_verdict: str | None,
 ) -> tuple[bool, str]:
-    """Validate whichever branch a defeat record claims."""
+    """Validate whichever branch a defeat record claims.
+
+    A diagonalized record reuses diag_verdict, its DiagWitness verdict, when
+    the caller has already checked it.
+    """
     program = decode(record.e)
     if record.branch == BRANCH_NON_TOTAL:
         outcome = run_program(program, record.x, record.budget)
@@ -291,8 +299,9 @@ def _check_defeat_record(
             return False, "claimed collision reruns to distinct values"
         return True, ""
     if record.branch == BRANCH_DIAGONALIZED:
-        sub = check_diag_witness(coded, state, record)
-        return sub.verdict == PASS, "" if sub.verdict == PASS else "diagonal recheck failed"
+        if diag_verdict is None:
+            diag_verdict = check_diag_witness(coded, state, record).verdict
+        return diag_verdict == PASS, "" if diag_verdict == PASS else "diagonal recheck failed"
     return False, "unknown branch"
 
 
@@ -304,11 +313,15 @@ def check_defeat_bundle(
     i: int,
     j: int,
     e_bound: int,
+    diag_verdicts: Mapping[int, str] | None = None,
 ) -> Certificate:
     """One defeat record per program index below the bound, each revalidated.
 
     The conclusion is bounded: no program with index below e_bound is a total
     injective reduction on the constructed prefix within the recorded budget.
+    diag_verdicts maps the position of each diagonalized record in the
+    transcript to its DiagWitness verdict; without it those records are
+    rechecked here.
     """
     cert = Certificate(
         "DefeatBundle",
@@ -333,7 +346,8 @@ def check_defeat_bundle(
         if (record.e, record.i, record.j) != (e, i, j):
             cert.fail("schedule_mismatch", {"stage": stage})
             continue
-        valid, reason = _check_defeat_record(coded, state, record)
+        diag_verdict = None if diag_verdicts is None else diag_verdicts.get(stage)
+        valid, reason = _check_defeat_record(coded, state, record, diag_verdict)
         if valid:
             defeated += 1
         else:
@@ -355,12 +369,14 @@ def check_embedding_matrix(
     k_max: int = 12,
     element_scan: int = 20_000,
     run=None,
+    diag_verdicts: Mapping[int, str] | None = None,
 ) -> Certificate:
     """Certify that reduction evidence reproduces the poset relation exactly.
 
     Cells with a relation get positive reduction certificates; cells without
     one get defeat bundles over the program-index window. The verdict matrix
-    must equal the input relation matrix cell for cell.
+    must equal the input relation matrix cell for cell. diag_verdicts is
+    passed on to the defeat bundles.
     """
     n = poset.n
     cert = Certificate(
@@ -400,7 +416,7 @@ def check_embedding_matrix(
                     cert.fail("positive_cell", {"a": a, "b": b, "verdict": sub.verdict})
             else:
                 sub = check_defeat_bundle(
-                    coded, state, transcript, schedule, a, b, e_bound
+                    coded, state, transcript, schedule, a, b, e_bound, diag_verdicts
                 )
                 verdict_matrix[a][b] = not (sub.verdict == PASS)
                 if sub.verdict != PASS:
@@ -423,19 +439,25 @@ def check_transcript_replay(
     gap_cert,
     transcript: Transcript,
     budget: int,
+    *,
+    schedule: RequirementSchedule | None = None,
 ) -> Certificate:
-    """Re-run the schedule and demand a bit-identical transcript."""
+    """Re-run the schedule and demand a bit-identical transcript.
+
+    The records are compared field by field, which decides exactly what
+    comparing their JSON Lines encodings would, without printing the
+    factorial-scale witnesses in decimal.
+    """
     cert = Certificate("TranscriptReplay", {"stages": len(transcript.records)})
+    if not transcript.records:
+        cert.fail("bit_exact", {"reason": "empty transcript"})
+        return cert
     replay, _ = run_construction(
-        coded, gap_cert, len(transcript.records), budget
+        coded, gap_cert, len(transcript.records), budget, schedule=schedule
     )
-    if replay.to_jsonl() == transcript.to_jsonl():
-        cert.ok("bit_exact")
-    else:
-        for idx, (a, b) in enumerate(zip(replay.records, transcript.records)):
-            if a != b:
-                cert.fail("bit_exact", {"first_divergence_stage": idx})
-                break
-        else:
-            cert.fail("bit_exact", {"reason": "record count differs"})
+    for idx, (a, b) in enumerate(zip(replay.records, transcript.records)):
+        if not a.same_json(b):
+            cert.fail("bit_exact", {"first_divergence_stage": idx})
+            return cert
+    cert.ok("bit_exact")
     return cert

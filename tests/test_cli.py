@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from blockdensity.cli import main
 
 
@@ -118,3 +120,59 @@ def test_construct_then_verify_round_trip(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["scenario", "rationals", "--alpha", "9/4"]) == 3
     assert main(["nonsense"]) == 3
+
+
+def _set(index, key, change):
+    def edit(records):
+        records[index][key] = change(records[index][key])
+    return edit
+
+
+# name -> (edit of the parsed records, exit code, bit_exact, first divergence)
+TAMPERS = {
+    "stage_as_float": (_set(2, "stage", float), 1, False, 2),
+    "e_as_bool": (_set(1, "e", lambda e: e == 1), 1, False, 1),
+    "budget_as_float": (_set(3, "budget", float), 1, False, 3),
+    "m_after_plus_one": (_set(2, "M_after", lambda m: m + 1), 1, False, 2),
+    "y_plus_one": (_set(1, "y", lambda y: str(int(y) + 1)), 1, False, 1),
+    "last_record_dropped": (lambda records: records.pop(), 2, True, None),
+    "empty_file": (lambda records: records.clear(), 1, False, None),
+}
+
+
+@pytest.fixture(scope="module")
+def constructed(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tamper")
+    config = {
+        "kind": "rationals", "count": 2, "E": 3, "budget": 100000,
+        "k_max": 8, "element_scan": 2000,
+    }
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps(config))
+    transcript_path = root / "t.jsonl"
+    assert main(["construct", "--config", str(config_path),
+                 "--out", str(transcript_path)]) == 0
+    records = [json.loads(line) for line in transcript_path.read_text().splitlines()]
+    # Record 1 runs program 1, so true there equals the replayed e as a value.
+    assert len(records) == 4 and records[1]["e"] == 1
+    assert records[1]["branch"] == "diagonalized"
+    return config_path, records
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERS))
+def test_verify_rejects_tampered_records(name, constructed, tmp_path, capsys):
+    config_path, records = constructed
+    edit, want_code, want_bit_exact, divergence = TAMPERS[name]
+    records = [dict(r) for r in records]
+    edit(records)
+    transcript_path = tmp_path / "t.jsonl"
+    transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    report_path = tmp_path / "r.jsonl"
+    code, _ = run_cli(capsys, "verify", "--config", str(config_path),
+                      "--transcript", str(transcript_path),
+                      "--report", str(report_path))
+    replay = json.loads(report_path.read_text().splitlines()[0])
+    assert replay["kind"] == "TranscriptReplay"
+    check = replay["checks"][0]
+    assert (code, check["ok"]) == (want_code, want_bit_exact)
+    assert check.get("first_divergence_stage") == divergence

@@ -8,6 +8,7 @@ from blockdensity.construction import (
     BRANCH_NON_INJECTIVE,
     BRANCH_NON_TOTAL,
     ConstructionState,
+    DominationCeilingError,
     FrontierUndefined,
     Requirement,
     RequirementSchedule,
@@ -32,7 +33,13 @@ from blockdensity.machine import (
     run_program,
 )
 from blockdensity.maps import CodedFamily
-from blockdensity.profiles import constant_family, oscillating_family
+from blockdensity.posets import FinitePoset, PaddedFiniteOrder
+from blockdensity.profiles import (
+    GapCertificate,
+    constant_family,
+    oscillating_family,
+    poset_family,
+)
 
 from _oracles import domination_brute
 
@@ -95,6 +102,51 @@ def test_domination_search_matches_brute_force():
             family.profile(i), family.profile(j), lambda t: t, frontier
         )
         assert got == want
+
+
+def _selector_shapes():
+    """One family per selector shape: t, 2^n(2t+1) and (1<<i)(2t+1)."""
+    chain = PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"]))
+    return {
+        "constant": (constant_family(6), [(I_74, I_54), (I_32, I_43)]),
+        "oscillating": (oscillating_family(ALPHA, BETA), [(0, 1), (2, 0), (1, 3)]),
+        "poset": (poset_family(chain, ALPHA, BETA), [(1, 0), (2, 1), (0, 3)]),
+    }
+
+
+@pytest.mark.parametrize("shape", ["constant", "oscillating", "poset"])
+def test_domination_search_bisection_matches_brute_force(shape):
+    (family, cert), pairs = _selector_shapes()[shape]
+    coded = CodedFamily(family)
+    for i, j in pairs:
+        selected = [cert.s(i, j, t) for t in (0, 1, 2, 5, 9)]
+        # Frontiers exactly on selected blocks, one either side, and far out.
+        frontiers = {-1, 0, 7, 64, 150, 299, 300}
+        frontiers |= {k + d for k in selected for d in (-1, 0, 1) if k + d <= 300}
+        for frontier in sorted(frontiers):
+            got = domination_search(coded, cert, i, j, frontier)
+            want = domination_brute(
+                family.profile(i), family.profile(j),
+                lambda t: cert.s(i, j, t), frontier,
+            )
+            assert got == want, (shape, i, j, frontier)
+
+
+def test_domination_search_candidate_ceiling_counts_from_zero():
+    coded, cert = constant_setup()
+    # The selector is t, so the first candidate past frontier 10 is t = 11.
+    assert domination_search(coded, cert, I_74, I_54, 10, max_candidates=12) == 11
+    for ceiling in (1, 5, 11):
+        with pytest.raises(DominationCeilingError):
+            domination_search(coded, cert, I_74, I_54, 10, max_candidates=ceiling)
+
+
+def test_domination_search_rejects_selector_not_strictly_increasing():
+    coded, cert = constant_setup()
+    # s(t) = t // 2 repeats values and stays below t, breaking s(t) >= t.
+    broken = GapCertificate(cert.in_D, cert.delta, lambda i, j, t: t // 2)
+    with pytest.raises(AssertionError, match="strictly increasing"):
+        domination_search(coded, broken, I_74, I_54, 10)
 
 
 def test_run_stage_identity_diagonalizes():

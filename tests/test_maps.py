@@ -43,8 +43,13 @@ def test_h_fibers_examples(coded):
 def test_h_fibers_match_preimage_scan(coded):
     ends = target_endpoints(8)
     sends = source_endpoints(lambda k: Fraction(3, 2), 8)
+    # One pass over x collects every y's preimages in increasing order, the
+    # same lists a scan over all x per y gives.
+    preimages = {}
+    for x in range(sends[8]):
+        preimages.setdefault(coded.h_apply(I_32, x), []).append(x)
     for y in range(ends[8]):
-        scan = [x for x in range(sends[8]) if coded.h_apply(I_32, x) == y]
+        scan = preimages.get(y, [])
         assert coded.h_fibers(I_32, y) == scan
         assert 1 <= len(scan) <= 2
 
