@@ -1,16 +1,17 @@
 """Factorial block geometry.
 
 Target blocks partition the naturals into runs of length k!; each profile
-stretches them into source blocks of length floor(u(k) * k!). Endpoint caches
-grow on demand (the stage construction can reference very large block indices,
-so precomputing to a fixed bound would be wrong); block location is a binary
-search over the cached monotone endpoints. Cache extension is serialized by a
-lock; reads of an already materialized prefix are safe from concurrent callers.
+stretches them into source blocks of length floor(u(k) * k!). A coded family
+keeps one TargetBlocks, the only k! table: its source blocks read k! from it
+and cache nothing but their endpoints, so a source block's length is the
+difference of two endpoints. Endpoint caches grow on demand (the stage
+construction can reference very large block indices, so precomputing to a
+fixed bound would be wrong); block location is a binary search over the cached
+monotone endpoints.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable
@@ -18,32 +19,20 @@ from typing import Callable
 from .numerics import ONE, TWO
 
 
-def source_len(u_k: Fraction, k: int) -> int:
-    """floor(u_k * k!) for a density 1 < u_k < 2, computed exactly."""
-    if not ONE < u_k < TWO:
-        raise ValueError("profile value %s outside the open interval (1, 2)" % (u_k,))
-    fact = 1
-    for m in range(2, k + 1):
-        fact *= m
-    return (u_k.numerator * fact) // u_k.denominator
-
-
 class TargetBlocks:
     """Endpoints a_0 = 0, a_{k+1} = a_k + k! and the blocks [a_k, a_{k+1})."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._fact = [1]      # k! for each cached k
         self._ends = [0, 1]   # a_0 .. a_{K+1} with K = len(_fact) - 1
 
     def _extend(self, k: int | None = None, beyond: int | None = None) -> None:
-        with self._lock:
-            while (k is not None and len(self._ends) <= k + 1) or (
-                beyond is not None and self._ends[-1] <= beyond
-            ):
-                nxt = len(self._fact)
-                self._fact.append(self._fact[-1] * nxt)
-                self._ends.append(self._ends[-1] + self._fact[-1])
+        while (k is not None and len(self._ends) <= k + 1) or (
+            beyond is not None and self._ends[-1] <= beyond
+        ):
+            nxt = len(self._fact)
+            self._fact.append(self._fact[-1] * nxt)
+            self._ends.append(self._ends[-1] + self._fact[-1])
 
     def endpoint(self, k: int) -> int:
         if k >= len(self._ends):
@@ -70,37 +59,37 @@ class TargetBlocks:
 
 
 class SourceBlocks:
-    """Per-profile endpoints b_0 = 0, b_{k+1} = b_k + floor(u(k) * k!)."""
+    """Per-profile endpoints b_0 = 0, b_{k+1} = b_k + floor(u(k) * k!).
 
-    def __init__(self, profile: Callable[[int], Fraction]) -> None:
+    k! comes from targets, the family's shared TargetBlocks.
+    """
+
+    def __init__(
+        self, profile: Callable[[int], Fraction], targets: TargetBlocks
+    ) -> None:
         self._profile = profile
-        self._lock = threading.Lock()
-        self._fact = [1]
-        self._lens: list[int] = []
+        self._targets = targets
         self._ends = [0]
 
     def _extend(self, k: int | None = None, beyond: int | None = None) -> None:
-        with self._lock:
-            while (k is not None and len(self._lens) <= k) or (
-                beyond is not None and self._ends[-1] <= beyond
-            ):
-                m = len(self._lens)
-                if m >= len(self._fact):
-                    self._fact.append(self._fact[-1] * m)
-                u = self._profile(m)
-                if not ONE < u < TWO:
-                    raise ValueError(
-                        "profile value %s at block %d outside (1, 2)" % (u, m)
-                    )
-                ln = (u.numerator * self._fact[m]) // u.denominator
-                self._lens.append(ln)
-                self._ends.append(self._ends[-1] + ln)
+        ends = self._ends
+        while (k is not None and len(ends) <= k + 1) or (
+            beyond is not None and ends[-1] <= beyond
+        ):
+            m = len(ends) - 1
+            u = self._profile(m)
+            if not ONE < u < TWO:
+                raise ValueError(
+                    "profile value %s at block %d outside (1, 2)" % (u, m)
+                )
+            ln = (u.numerator * self._targets.size(m)) // u.denominator
+            ends.append(ends[-1] + ln)
 
     def length(self, k: int) -> int:
-        """|K_k| = floor(u(k) * k!)."""
-        if k >= len(self._lens):
+        """|K_k| = floor(u(k) * k!) = b_{k+1} - b_k."""
+        if k + 1 >= len(self._ends):
             self._extend(k=k)
-        return self._lens[k]
+        return self._ends[k + 1] - self._ends[k]
 
     def endpoint(self, k: int) -> int:
         if k >= len(self._ends):

@@ -18,11 +18,12 @@ from .construction import RequirementSchedule, run_construction
 from .machine import Halted, decode, program_text, run
 from .maps import CodedFamily
 from .numerics import rat_parse
-from .posets import FinitePoset, PaddedFiniteOrder, UniversalPoset, embed_finite
-from .profiles import combined_family, constant_family, oscillating_family, poset_family
+from .posets import FinitePoset, UniversalPoset, embed_finite
 from .scenarios import (
     ScenarioConfig,
+    build_family,
     report_exit_code,
+    required_stages,
     run_scenario,
     verify_transcript,
     write_report,
@@ -47,9 +48,18 @@ def _rat(text: str) -> Fraction:
         raise UsageError("bad rational %r: %s" % (text, exc))
 
 
+# Family kinds of the blocks and map commands, and the scenario kind that
+# builds the same family.
+FAMILY_KINDS = {
+    "constant": "rationals",
+    "oscillating": "antichain",
+    "combined": "combined",
+    "poset": "poset",
+}
+
+
 def _family_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", default="constant",
-                        choices=["constant", "oscillating", "combined", "poset"])
+    parser.add_argument("--kind", default="constant", choices=list(FAMILY_KINDS))
     parser.add_argument("--count", type=int, default=4)
     parser.add_argument("--alpha", default="5/4")
     parser.add_argument("--beta", default="7/4")
@@ -57,18 +67,17 @@ def _family_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated 0/1 rows for the poset kind")
 
 
-def _build_family(args):
+def _coded_family(args) -> CodedFamily:
     alpha, beta = _rat(args.alpha), _rat(args.beta)
-    if args.kind == "constant":
-        return constant_family(args.count)
-    if args.kind == "oscillating":
-        return oscillating_family(alpha, beta)
-    if args.kind == "combined":
-        return combined_family(args.count, alpha, beta)
     rows = [row for row in args.matrix.split(",") if row]
-    if not rows:
+    if args.kind == "poset" and not rows:
         raise UsageError("the poset kind needs --matrix")
-    return poset_family(PaddedFiniteOrder(FinitePoset.from_rows(rows)), alpha, beta)
+    config = ScenarioConfig(
+        kind=FAMILY_KINDS[args.kind], count=args.count, alpha=alpha, beta=beta,
+        poset_rows=rows,
+    )
+    family, _ = build_family(config)
+    return CodedFamily(family)
 
 
 def _out_stream(path: str | None):
@@ -76,8 +85,7 @@ def _out_stream(path: str | None):
 
 
 def _cmd_blocks(args) -> int:
-    family, _ = _build_family(args)
-    coded = CodedFamily(family)
+    coded = _coded_family(args)
     indices = [int(s) for s in args.i.split(",")] if args.i else list(range(args.count))
     out = _out_stream(args.out)
     header = ["k", "a_k", "k_factorial"]
@@ -95,8 +103,7 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    family, _ = _build_family(args)
-    coded = CodedFamily(family)
+    coded = _coded_family(args)
     if args.action == "apply":
         print(coded.h_apply(args.i, args.x))
     elif args.action == "fibers":
@@ -160,8 +167,6 @@ def _cmd_construct(args) -> int:
     config = _load_config(args.config)
     if config.kind == "universal":
         raise UsageError("universal scenarios run no construction")
-    from .scenarios import build_family, required_stages
-
     family, cert = build_family(config)
     coded = CodedFamily(family)
     schedule = RequirementSchedule(cert)

@@ -357,12 +357,20 @@ class Transcript:
 
     @staticmethod
     def read_jsonl(path, scenario: dict | None = None) -> "Transcript":
+        """Load records; a line that is no record raises ValueError naming it."""
         records = []
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     records.append(StageRecord.from_json(json.loads(line)))
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(
+                        "%s:%d: bad transcript record: %s: %s"
+                        % (path, number, type(exc).__name__, exc)
+                    ) from exc
         return Transcript(scenario or {}, records)
 
 

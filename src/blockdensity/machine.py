@@ -11,7 +11,7 @@ reported explicitly, never silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .numerics import cantor_pair, cantor_unpair
 
@@ -39,16 +39,6 @@ class OutOfBudget:
 
 
 Outcome = Union[Halted, OutOfBudget]
-
-
-@dataclass(frozen=True)
-class TotalTable:
-    values: dict
-
-
-@dataclass(frozen=True)
-class NotTotalWithinBudget:
-    witness: int
 
 
 @dataclass(frozen=True)
@@ -235,16 +225,3 @@ def run(e: int, x: int, budget: int) -> Outcome:
     """Run the e-th program on input x for at most budget steps."""
     return run_program(decode(e), x, budget)
 
-
-def eval_on_set(
-    e: int, xs: Iterable[int], budget: int
-) -> TotalTable | NotTotalWithinBudget:
-    """Value table over a finite set, or the least input that ran out of budget."""
-    program = decode(e)
-    table: dict[int, int] = {}
-    for x in sorted(set(xs)):
-        outcome = run_program(program, x, budget)
-        if isinstance(outcome, OutOfBudget):
-            return NotTotalWithinBudget(x)
-        table[x] = outcome.value
-    return TotalTable(table)

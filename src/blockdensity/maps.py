@@ -4,12 +4,11 @@ For each index the compression map sends the k-th source block onto the k-th
 target block by proportional rounding; its fibers are integer intervals of
 size one or two, computed analytically (no scanning). Pointwise dominated
 pairs get blockwise translations, and the block collapse map witnesses that a
-block-constant set reduces to itself nontrivially.
+block-constant set reduces to itself nontrivially. A family's source blocks
+all read k! from its one shared table of target blocks.
 """
 
 from __future__ import annotations
-
-import threading
 
 from .blocks import SourceBlocks, TargetBlocks
 from .profiles import ProfileFamily
@@ -39,16 +38,12 @@ class CodedFamily:
         self.family = family
         self.targets = TargetBlocks()
         self._sources: dict[int, SourceBlocks] = {}
-        self._lock = threading.Lock()
 
     def source(self, i: int) -> SourceBlocks:
         blocks = self._sources.get(i)
         if blocks is None:
-            with self._lock:
-                blocks = self._sources.get(i)
-                if blocks is None:
-                    blocks = SourceBlocks(self.family.profile(i))
-                    self._sources[i] = blocks
+            blocks = SourceBlocks(self.family.profile(i), self.targets)
+            self._sources[i] = blocks
         return blocks
 
     def h_apply(self, i: int, x: int) -> int:
@@ -92,11 +87,3 @@ class CodedFamily:
     def collapse(self, x: int) -> int:
         """The left endpoint of the target block containing x."""
         return self.targets.endpoint(self.targets.locate(x))
-
-
-_COLLAPSE_TARGETS = TargetBlocks()
-
-
-def collapse_map(x: int) -> int:
-    """Send every element of a target block to the block's left endpoint."""
-    return _COLLAPSE_TARGETS.endpoint(_COLLAPSE_TARGETS.locate(x))

@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: canonical rationals, factorials, Cantor pairing,
-and an injective enumeration of the rationals strictly between 1 and 2.
+"""Exact arithmetic substrate: canonical rationals, Cantor pairing, and an
+injective enumeration of the rationals strictly between 1 and 2.
 
 Everything is integer-exact. Block endpoints and lengths overflow 64-bit words
 near k = 21, so naturals are plain Python ints throughout.
@@ -35,16 +35,6 @@ def rat_parse(text: str) -> Rat:
         p, q = s.split("/", 1)
         return rat_make(int(p), int(q))
     return Fraction(int(s))
-
-
-def factorial(k: int) -> int:
-    """k! computed exactly; factorial(0) == 1."""
-    if k < 0:
-        raise ValueError("factorial of a negative argument")
-    out = 1
-    for m in range(2, k + 1):
-        out *= m
-    return out
 
 
 def cantor_pair(x: int, y: int) -> int:

@@ -11,7 +11,6 @@ append nodes; relations between existing nodes never change.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import product
 
@@ -70,12 +69,6 @@ class FinitePoset:
     def leq(self, a: int, b: int) -> bool:
         return self.rel[a][b]
 
-    def downset(self, i: int) -> set[int]:
-        """All elements below i, including i itself."""
-        if not 0 <= i < self.n:
-            raise IndexError("poset index %d out of range" % i)
-        return {a for a in range(self.n) if self.rel[a][i]}
-
     def topological_order(self) -> list[int]:
         """Minimal-index linear extension."""
         placed: list[int] = []
@@ -120,7 +113,6 @@ class UniversalPoset:
     """Deterministic staged generic order realizing every extension chain."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._parents: list[int] = []
         self._trits: list[tuple[int, ...]] = []
         self._levels: list[list[int]] = []          # node ids per depth, 1-based
@@ -170,25 +162,24 @@ class UniversalPoset:
         return True
 
     def _build_level(self) -> None:
-        with self._lock:
-            if not self._levels:
-                self._parents.append(-1)
-                self._trits.append(())
-                self._levels.append([0])
-                return
-            level: list[int] = []
-            depth = len(self._levels)
-            for parent in self._levels[-1]:
-                chain = self._chain(parent) + [parent]
-                for trits in product((BELOW, ABOVE, INCOMPARABLE), repeat=depth):
-                    if not self._consistent(chain, trits):
-                        continue
-                    node = len(self._parents)
-                    self._parents.append(parent)
-                    self._trits.append(trits)
-                    self._children[(parent, trits)] = node
-                    level.append(node)
-            self._levels.append(level)
+        if not self._levels:
+            self._parents.append(-1)
+            self._trits.append(())
+            self._levels.append([0])
+            return
+        level: list[int] = []
+        depth = len(self._levels)
+        for parent in self._levels[-1]:
+            chain = self._chain(parent) + [parent]
+            for trits in product((BELOW, ABOVE, INCOMPARABLE), repeat=depth):
+                if not self._consistent(chain, trits):
+                    continue
+                node = len(self._parents)
+                self._parents.append(parent)
+                self._trits.append(trits)
+                self._children[(parent, trits)] = node
+                level.append(node)
+        self._levels.append(level)
 
     def ensure_depth(self, depth: int) -> None:
         while len(self._levels) < depth:
@@ -234,11 +225,6 @@ class UniversalPoset:
     def matrix(self, size: int) -> list[list[bool]]:
         self.ensure_size(size)
         return [[self.leq(a, b) for b in range(size)] for a in range(size)]
-
-
-def universal_leq(a: int, b: int, universe: UniversalPoset | None = None) -> bool:
-    """Order decision in a (fresh or supplied) staged generic order."""
-    return (universe or UniversalPoset()).leq(a, b)
 
 
 def embed_finite(

@@ -189,18 +189,3 @@ def poset_family(
     )
     return family, cert
 
-
-def gap_check(
-    family: ProfileFamily, cert: GapCertificate, i: int, j: int, T: int
-) -> bool:
-    """Check the gap inequality at the first T selected blocks of pair (i, j)."""
-    delta = cert.delta(i, j)
-    prev = -1
-    for t in range(T):
-        k = cert.s(i, j, t)
-        if k <= prev:
-            return False
-        prev = k
-        if family.value(i, k) < family.value(j, k) + delta:
-            return False
-    return True

@@ -36,7 +36,6 @@ from .profiles import (
 from .verify import (
     FAIL,
     INCOMPLETE,
-    PASS,
     Certificate,
     check_bfo_equivalence,
     check_defeat_bundle,
@@ -136,16 +135,7 @@ def build_family(config: ScenarioConfig):
 
 def _scheduled_pairs(config: ScenarioConfig, cert) -> list[tuple[int, int]]:
     """Scheduled pairs the scenario certifies defeats for."""
-    if config.kind == "rationals":
-        span = range(config.count)
-    elif config.kind == "antichain":
-        span = range(config.count)
-    elif config.kind == "combined":
-        span = range(config.count)
-    elif config.kind == "poset":
-        span = range(len(config.poset_rows))
-    else:
-        return []
+    span = range(len(config.poset_rows) if config.kind == "poset" else config.count)
     return [(a, b) for a in span for b in span if a != b and cert.in_D(a, b)]
 
 
@@ -220,14 +210,11 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
         certs.append(
             check_embedding_matrix(
                 poset,
-                alpha=config.alpha,
-                beta=config.beta,
+                (coded, schedule, transcript, state),
                 e_bound=config.e_bound,
-                stages=len(transcript.records),
                 budget=config.budget,
                 k_max=config.k_max,
                 element_scan=config.element_scan,
-                run=(coded, gap_cert, schedule, transcript, state),
                 diag_verdicts=diag_verdicts,
             )
         )

@@ -30,8 +30,7 @@ from .construction import (
 )
 from .machine import Halted, OutOfBudget, decode, run_program
 from .maps import CodedFamily
-from .posets import FinitePoset, PaddedFiniteOrder
-from .profiles import poset_family
+from .posets import FinitePoset
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -360,48 +359,34 @@ def check_defeat_bundle(
 
 def check_embedding_matrix(
     poset: FinitePoset,
+    run: tuple[CodedFamily, RequirementSchedule, Transcript, ConstructionState],
     *,
-    alpha,
-    beta,
     e_bound: int,
-    stages: int | None,
     budget: int,
     k_max: int = 12,
     element_scan: int = 20_000,
-    run=None,
     diag_verdicts: Mapping[int, str] | None = None,
 ) -> Certificate:
     """Certify that reduction evidence reproduces the poset relation exactly.
 
-    Cells with a relation get positive reduction certificates; cells without
-    one get defeat bundles over the program-index window. The verdict matrix
-    must equal the input relation matrix cell for cell. diag_verdicts is
-    passed on to the defeat bundles.
+    run is the coded poset family, its schedule, the transcript and the state
+    reconstructed from it, as the poset scenario builds them. Cells with a
+    relation get positive reduction certificates; cells without one get
+    defeat bundles over the program-index window. The verdict matrix must
+    equal the input relation matrix cell for cell. diag_verdicts is passed on
+    to the defeat bundles.
     """
     n = poset.n
     cert = Certificate(
         "EmbeddingMatrix",
         {"n": n, "rows": poset.rows(), "e_bound": e_bound, "budget": budget},
     )
-    if run is None:
-        family, gap_cert = poset_family(PaddedFiniteOrder(poset), alpha, beta)
-        coded = CodedFamily(family)
-        schedule = RequirementSchedule(gap_cert)
-        negative = [(a, b) for a in range(n) for b in range(n) if not poset.leq(a, b)]
-        needed = window_stage_count(schedule, negative, e_bound) if negative else 1
-        total = max(stages or 0, needed)
-        transcript, state = run_construction(
-            coded, gap_cert, total, budget, schedule=schedule
-        )
-    else:
-        coded, gap_cert, schedule, transcript, state = run
-        negative = [(a, b) for a in range(n) for b in range(n) if not poset.leq(a, b)]
-        needed = window_stage_count(schedule, negative, e_bound) if negative else 1
-        if len(transcript.records) < needed:
-            cert.incomplete(
-                "stages", {"needed": needed, "run": len(transcript.records)}
-            )
-            return cert
+    coded, schedule, transcript, state = run
+    negative = [(a, b) for a in range(n) for b in range(n) if not poset.leq(a, b)]
+    needed = window_stage_count(schedule, negative, e_bound) if negative else 1
+    if len(transcript.records) < needed:
+        cert.incomplete("stages", {"needed": needed, "run": len(transcript.records)})
+        return cert
 
     verdict_matrix: list[list[bool | None]] = [[None] * n for _ in range(n)]
     for a in range(n):

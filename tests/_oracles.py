@@ -121,3 +121,17 @@ def random_poset_matrix(n: int, rng: random.Random) -> list[list[bool]]:
                     if rel[c][b]:
                         rel[a][b] = True
     return rel
+
+
+def gap_check(family, cert, i: int, j: int, T: int) -> bool:
+    """Check the gap inequality at the first T selected blocks of pair (i, j)."""
+    delta = cert.delta(i, j)
+    prev = -1
+    for t in range(T):
+        k = cert.s(i, j, t)
+        if k <= prev:
+            return False
+        prev = k
+        if family.value(i, k) < family.value(j, k) + delta:
+            return False
+    return True

@@ -34,11 +34,7 @@ from blockdensity.profiles import (
     poset_family,
 )
 from blockdensity.scenarios import ScenarioConfig, run_scenario
-from blockdensity.verify import (
-    PASS,
-    check_diag_witness,
-    check_embedding_matrix,
-)
+from blockdensity.verify import PASS, check_diag_witness
 
 from _oracles import domination_brute, random_poset_matrix
 
@@ -319,10 +315,12 @@ def test_criterion_07_poset_embedding(criterion):
     for trial in range(10):
         n = rng.randint(1, 4)
         poset = FinitePoset.from_matrix(random_poset_matrix(n, rng))
-        cert = check_embedding_matrix(
-            poset, alpha=ALPHA, beta=BETA, e_bound=15, stages=None,
-            budget=BUDGET, k_max=8, element_scan=2_000,
+        config = ScenarioConfig(
+            kind="poset", poset_rows=poset.rows(), alpha=ALPHA, beta=BETA,
+            e_bound=15, budget=BUDGET, k_max=8, element_scan=2_000,
         )
+        [cert] = [c for c in run_scenario(config).certificates
+                  if c.kind == "EmbeddingMatrix"]
         if cert.verdict != PASS:
             failures.append((trial, poset.rows(), cert.verdict))
     criterion(7, "poset embedding matrices, E=15", not failures)

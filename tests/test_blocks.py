@@ -2,13 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from blockdensity.blocks import SourceBlocks, TargetBlocks, source_len
+from blockdensity.blocks import SourceBlocks, TargetBlocks
 
 from _oracles import factorial, source_endpoints, target_endpoints
 
 
 def const(q):
     return lambda k: q
+
+
+def source(q):
+    """Source blocks of the constant profile q over fresh target blocks."""
+    return SourceBlocks(const(q), TargetBlocks())
 
 
 def test_target_block_examples():
@@ -19,19 +24,19 @@ def test_target_block_examples():
 
 
 def test_source_len_examples():
-    assert source_len(Fraction(3, 2), 2) == 3
-    assert source_len(Fraction(5, 4), 3) == 7
-    assert source_len(Fraction(7, 4), 4) == 42
+    assert source(Fraction(3, 2)).length(2) == 3
+    assert source(Fraction(5, 4)).length(3) == 7
+    assert source(Fraction(7, 4)).length(4) == 42
 
 
 def test_source_len_rejects_out_of_band_values():
     for bad in (Fraction(1), Fraction(2), Fraction(5, 2), Fraction(1, 2)):
         with pytest.raises(ValueError):
-            source_len(bad, 3)
+            source(bad).length(3)
 
 
 def test_source_block_examples_against_prefix_sums():
-    src = SourceBlocks(const(Fraction(3, 2)))
+    src = source(Fraction(3, 2))
     ends = source_endpoints(const(Fraction(3, 2)), 6)
     assert src.block(0) == (0, 1)
     assert src.block(2) == (2, 5) == (ends[2], ends[3])
@@ -42,14 +47,14 @@ def test_locate_examples():
     targets = TargetBlocks()
     assert targets.locate(10) == 4
     assert targets.locate(0) == 0
-    src = SourceBlocks(const(Fraction(3, 2)))
+    src = source(Fraction(3, 2))
     assert src.locate(4) == (2, 2)
 
 
 def test_block_sizes_and_length_band():
     targets = TargetBlocks()
     for q in (Fraction(3, 2), Fraction(5, 4), Fraction(7, 4), Fraction(9, 5)):
-        src = SourceBlocks(const(q))
+        src = SourceBlocks(const(q), targets)
         for k in range(13):
             lo, hi = targets.block(k)
             assert hi - lo == factorial(k) == targets.size(k)
@@ -60,7 +65,7 @@ def test_block_sizes_and_length_band():
 
 def test_blocks_tile_with_no_gaps():
     targets = TargetBlocks()
-    src = SourceBlocks(const(Fraction(4, 3)))
+    src = SourceBlocks(const(Fraction(4, 3)), targets)
     for k in range(12):
         assert targets.block(k)[1] == targets.block(k + 1)[0]
         assert src.block(k)[1] == src.block(k + 1)[0]
@@ -77,7 +82,7 @@ def test_locate_matches_linear_scan():
             k += 1
         assert targets.locate(x) == k
 
-    src = SourceBlocks(const(Fraction(5, 4)))
+    src = SourceBlocks(const(Fraction(5, 4)), targets)
     sends = source_endpoints(const(Fraction(5, 4)), 12)
     k = 0
     for x in range(100_000):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,30 @@ def test_blocks_table(capsys):
     assert rows[0][:3] == ["k", "a_k", "k_factorial"]
     a_column = [row[1] for row in rows[1:]]
     assert a_column == ["0", "1", "2", "4", "10", "34"]
+
+
+# sha256 of `blocks --kmax 12 --count 3` per family kind, pinned before the
+# CLI shared the scenario family registry.
+BLOCKS_DIGESTS = {
+    "constant": "c66c48e9de326ea1f20bd116429747ab61679c2cf0bd06a4f668f646eca01c29",
+    "oscillating": "73d3f2a66001ae6c9d5c7fedf298c971fa68c52c9ee56256f7571a3e900a2623",
+    "combined": "3b04807a5d35483e58729bcabf9005757a3a34984ea8af05dcec56f220a1ad13",
+    "poset": "6a4e8c578466baf913b4d6ea7d222227eabb625f5d68153c7547f1f85a75c2f4",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCKS_DIGESTS))
+def test_blocks_table_bytes_per_kind(kind, capsys):
+    extra = ["--matrix", "111,011,001"] if kind == "poset" else []
+    code, out = run_cli(capsys, "blocks", "--kmax", "12", "--count", "3",
+                        "--kind", kind, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BLOCKS_DIGESTS[kind]
+
+
+def test_blocks_poset_without_matrix_is_usage_error(capsys):
+    code, _ = run_cli(capsys, "blocks", "--kind", "poset")
+    assert code == 3
 
 
 def test_map_fibers(capsys):
@@ -176,3 +201,38 @@ def test_verify_rejects_tampered_records(name, constructed, tmp_path, capsys):
     check = replay["checks"][0]
     assert (code, check["ok"]) == (want_code, want_bit_exact)
     assert check.get("first_divergence_stage") == divergence
+
+
+def _drop_budget(records):
+    del records[1]["budget"]
+
+
+def _raw_line(text):
+    def edit(records):
+        records[1] = text
+    return edit
+
+
+# name -> edit of the parsed records; a string replaces a whole line
+MALFORMED = {
+    "missing_budget": _drop_budget,
+    "list_line": _raw_line("[1,2]"),
+    "bad_json": _raw_line("{bad"),
+    "x_not_integer": _set(1, "x", lambda x: "12abc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_verify_malformed_line_is_usage_error(name, constructed, tmp_path, capsys):
+    config_path, records = constructed
+    records = [dict(r) for r in records]
+    MALFORMED[name](records)
+    transcript_path = tmp_path / "t.jsonl"
+    transcript_path.write_text("".join(
+        (r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records
+    ))
+    code = main(["verify", "--config", str(config_path),
+                 "--transcript", str(transcript_path),
+                 "--report", str(tmp_path / "r.jsonl")])
+    assert code == 3
+    assert "%s:2" % transcript_path in capsys.readouterr().err

@@ -3,7 +3,7 @@
 A speed-up counts only if transcripts and reports stay byte-identical for a
 given config. The digests below were computed from the same commands before
 the bisecting domination search and the record-level replay comparison
-landed.
+landed; the combined digests before the block caches shared one k! table.
 """
 
 import hashlib
@@ -27,6 +27,16 @@ GOLDEN = {
             "transcript.jsonl": "ecfeafba5b615b261f09707dfc4667edbab61ec9f300366682f999858e6ac6c4",
             "report.jsonl": "2e835a9de57102457734b5d7852abc8c928f01bb8aae907eb6d8d29215766af8",
             "verify-report.jsonl": "f0c1f4e30c77ed9c89b4268ec54880a9b7fcb7386a46a56952fe1f9a0d0a0906",
+        },
+    ),
+    # Covers CodedFamily.collapse, the IdentityDevice certificate and the
+    # even/odd family.
+    "combined": (
+        ["scenario", "combined", "--count", "4", "--E", "4"],
+        {
+            "transcript.jsonl": "ec732ec187a5941cbe4955d426f657aeac06ac5b0f41c6dfb5a3385f3fd14256",
+            "report.jsonl": "5491b1a8be5ca1f13ffd10e0dd4caae80c99e02ab9963c8b9e1743f1df8396f4",
+            "verify-report.jsonl": "138e5721ee2fb5103bd0b70a65ce0ee8dbf53c8bc8ceae2b7a5e65b755f6136d",
         },
     ),
     "poset": (

@@ -7,13 +7,10 @@ from blockdensity.machine import (
     HALT,
     INC,
     Halted,
-    NotTotalWithinBudget,
     OutOfBudget,
-    TotalTable,
     _simulate,
     decode,
     encode,
-    eval_on_set,
     identity_index,
     program_text,
     run,
@@ -89,12 +86,6 @@ def test_reference_behaviors_on_small_inputs():
         out = run_program(CONST0, x, 200)
         assert isinstance(out, Halted) and out.value == 0
         assert isinstance(run_program(LOOP, x, 200), OutOfBudget)
-
-
-def test_eval_on_set_examples():
-    assert eval_on_set(identity_index(), {2, 3, 4}, 100) == TotalTable({2: 2, 3: 3, 4: 4})
-    assert eval_on_set(encode(LOOP), {0, 1}, 100) == NotTotalWithinBudget(0)
-    assert eval_on_set(encode(LOOP), set(), 1) == TotalTable({})
 
 
 def test_budget_precondition():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from blockdensity.maps import CodedFamily, ReductionPreconditionError, collapse_map
+from blockdensity.maps import CodedFamily, ReductionPreconditionError
 from blockdensity.profiles import constant_family
 
 from _oracles import compression_table, source_endpoints, target_endpoints
@@ -128,10 +128,10 @@ def test_commuting_square_for_block_constant_assignments(coded):
         assert member(coded.h_apply(I_54, x)) == member(coded.h_apply(I_32, fx))
 
 
-def test_collapse_examples():
-    assert collapse_map(5) == 4
-    assert collapse_map(4) == 4
-    assert collapse_map(33) == 10
+def test_collapse_examples(coded):
+    assert coded.collapse(5) == 4
+    assert coded.collapse(4) == 4
+    assert coded.collapse(33) == 10
 
 
 def test_collapse_fixes_block_constant_sets_but_moves_points(coded):

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ from blockdensity.numerics import (
     cantor_pair,
     cantor_unpair,
     enum_rationals_12,
-    factorial,
     rat_make,
     rat_parse,
     rat_str,
@@ -42,14 +40,6 @@ def test_rat_serialization_round_trip():
         assert rat_parse(rat_str(q)) == q
     assert rat_str(rat_make(6, 4)) == "3/2"
     assert rat_parse("7") == Fraction(7)
-
-
-def test_factorial_examples():
-    assert factorial(0) == 1
-    assert factorial(4) == 24
-    assert factorial(12) == 479001600
-    for k in range(30):
-        assert factorial(k) == math.factorial(k)
 
 
 def test_enum_rationals_examples():

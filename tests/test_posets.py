@@ -8,7 +8,6 @@ from blockdensity.posets import (
     UniversalPoset,
     embed_finite,
     is_partial_order,
-    universal_leq,
 )
 
 from _oracles import random_poset_matrix
@@ -25,14 +24,6 @@ def test_is_partial_order_examples():
     assert not is_partial_order([[True, True, False], [False, True, True],
                                  [False, False, True]])
     assert not is_partial_order([[False]])
-
-
-def test_downset_examples():
-    assert CHAIN3.downset(1) == {0, 1}
-    assert ANTICHAIN2.downset(1) == {1}
-    assert VEE.downset(2) == {0, 1, 2}
-    with pytest.raises(IndexError):
-        CHAIN3.downset(3)
 
 
 def test_from_rows_rejects_bad_input():
@@ -86,10 +77,6 @@ def test_universal_extension_is_monotone():
     before = universe.matrix(25)
     universe.ensure_size(400)
     assert universe.matrix(25) == before
-
-
-def test_universal_leq_convenience():
-    assert universal_leq(0, 0)
 
 
 def test_embed_examples():

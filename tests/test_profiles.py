@@ -7,12 +7,13 @@ from blockdensity.posets import FinitePoset, PaddedFiniteOrder
 from blockdensity.profiles import (
     combined_family,
     constant_family,
-    gap_check,
     in_Z,
     oscillating_family,
     poset_family,
     two_adic_valuation,
 )
+
+from _oracles import gap_check
 
 ALPHA = Fraction(5, 4)
 BETA = Fraction(7, 4)

@@ -9,8 +9,8 @@ from blockdensity.construction import (
     run_construction,
 )
 from blockdensity.maps import CodedFamily
-from blockdensity.posets import FinitePoset
 from blockdensity.profiles import combined_family, constant_family
+from blockdensity.scenarios import ScenarioConfig, run_scenario
 from blockdensity.verify import (
     FAIL,
     INCOMPLETE,
@@ -18,7 +18,6 @@ from blockdensity.verify import (
     check_bfo_equivalence,
     check_defeat_bundle,
     check_diag_witness,
-    check_embedding_matrix,
     check_positive_reduction,
     check_transcript_replay,
 )
@@ -122,26 +121,26 @@ def test_defeat_bundle_pass_and_incomplete(constant_run):
     assert too_wide.verdict == INCOMPLETE
 
 
+def embedding_matrix(rows, **params):
+    """The EmbeddingMatrix certificate of the poset scenario over rows."""
+    config = ScenarioConfig(kind="poset", poset_rows=rows, alpha=ALPHA, beta=BETA,
+                            **params)
+    [cert] = [c for c in run_scenario(config).certificates
+              if c.kind == "EmbeddingMatrix"]
+    return cert
+
+
 def test_embedding_matrix_small_posets():
-    chain = FinitePoset.from_rows(["11", "01"])
-    cert = check_embedding_matrix(
-        chain, alpha=ALPHA, beta=BETA, e_bound=4, stages=None, budget=10**5,
-        k_max=8, element_scan=2000,
-    )
+    cert = embedding_matrix(["11", "01"], e_bound=4, budget=10**5, k_max=8,
+                            element_scan=2000)
     assert cert.verdict == PASS
 
-    antichain = FinitePoset.from_rows(["10", "01"])
-    cert = check_embedding_matrix(
-        antichain, alpha=ALPHA, beta=BETA, e_bound=4, stages=None, budget=10**5,
-        k_max=8, element_scan=2000,
-    )
+    cert = embedding_matrix(["10", "01"], e_bound=4, budget=10**5, k_max=8,
+                            element_scan=2000)
     assert cert.verdict == PASS
 
-    single = FinitePoset.from_rows(["1"])
-    cert = check_embedding_matrix(
-        single, alpha=ALPHA, beta=BETA, e_bound=2, stages=None, budget=10**4,
-        k_max=6, element_scan=500,
-    )
+    cert = embedding_matrix(["1"], e_bound=2, budget=10**4, k_max=6,
+                            element_scan=500)
     assert cert.verdict == PASS
 
 
