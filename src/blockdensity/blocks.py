@@ -3,11 +3,14 @@
 Target blocks partition the naturals into runs of length k!; each profile
 stretches them into source blocks of length floor(u(k) * k!). A coded family
 keeps one TargetBlocks, the only k! table: its source blocks read k! from it
-and cache nothing but their endpoints, so a source block's length is the
-difference of two endpoints. Endpoint caches grow on demand (the stage
-construction can reference very large block indices, so precomputing to a
-fixed bound would be wrong); block location is a binary search over the cached
-monotone endpoints.
+and cache their endpoints, so a source block's length is the difference of two
+endpoints. Each source block also caches its exact ratio k!/|K_k| as a pair
+(n, d): where the profile value p/q has q | p * k!, the pair is (q, p), shared
+by every block with that value, so the compression maps multiply and divide by
+small integers instead of k!-wide ones; elsewhere it is (k!, |K_k|). Caches
+grow on demand (the stage construction can reference very large block indices,
+so precomputing to a fixed bound would be wrong); block location is a binary
+search over the cached monotone endpoints.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ class TargetBlocks:
 class SourceBlocks:
     """Per-profile endpoints b_0 = 0, b_{k+1} = b_k + floor(u(k) * k!).
 
-    k! comes from targets, the family's shared TargetBlocks.
+    k! comes from targets, the family's shared TargetBlocks. Each block also
+    keeps its exact ratio k!/|K_k|.
     """
 
     def __init__(
@@ -70,6 +74,8 @@ class SourceBlocks:
         self._profile = profile
         self._targets = targets
         self._ends = [0]
+        self._ratios: list[tuple[int, int]] = []
+        self._reduced: dict[Fraction, tuple[int, int]] = {}
 
     def _extend(self, k: int | None = None, beyond: int | None = None) -> None:
         ends = self._ends
@@ -82,14 +88,28 @@ class SourceBlocks:
                 raise ValueError(
                     "profile value %s at block %d outside (1, 2)" % (u, m)
                 )
-            ln = (u.numerator * self._targets.size(m)) // u.denominator
+            fact = self._targets.size(m)
+            ln, rem = divmod(u.numerator * fact, u.denominator)
+            if rem:
+                ratio = (fact, ln)
+            else:
+                ratio = self._reduced.get(u)
+                if ratio is None:
+                    ratio = self._reduced[u] = (u.denominator, u.numerator)
             ends.append(ends[-1] + ln)
+            self._ratios.append(ratio)
 
     def length(self, k: int) -> int:
         """|K_k| = floor(u(k) * k!) = b_{k+1} - b_k."""
         if k + 1 >= len(self._ends):
             self._extend(k=k)
         return self._ends[k + 1] - self._ends[k]
+
+    def ratio(self, k: int) -> tuple[int, int]:
+        """(n, d) with n / d = k! / |K_k| exactly; (q, p) when q | p * k!."""
+        if k >= len(self._ratios):
+            self._extend(k=k)
+        return self._ratios[k]
 
     def endpoint(self, k: int) -> int:
         if k >= len(self._ends):

@@ -357,14 +357,18 @@ class Transcript:
 
     @staticmethod
     def read_jsonl(path, scenario: dict | None = None) -> "Transcript":
-        """Load records; a line that is no record raises ValueError naming it."""
+        """Load records; a line that is no record raises ValueError naming it.
+
+        Lines are decoded one at a time, so a byte that is not UTF-8 is
+        reported with its line like any other bad line.
+        """
         records = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
+        with open(path, "rb") as handle:
+            for number, raw in enumerate(handle, 1):
                 try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     records.append(StageRecord.from_json(json.loads(line)))
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(

@@ -2,7 +2,10 @@
 
 For each index the compression map sends the k-th source block onto the k-th
 target block by proportional rounding; its fibers are integer intervals of
-size one or two, computed analytically (no scanning). Pointwise dominated
+size one or two, computed analytically (no scanning). All three maps scale by
+the exact ratio k!/|K_k| that each source block caches, which for the usual
+small-denominator profiles is q/p, so they cost time linear in the size of
+their arguments rather than a k!-wide multiply and divide. Pointwise dominated
 pairs get blockwise translations, and the block collapse map witnesses that a
 block-constant set reduces to itself nontrivially. A family's source blocks
 all read k! from its one shared table of target blocks.
@@ -50,25 +53,27 @@ class CodedFamily:
         """Image of x under the i-th compression map."""
         src = self.source(i)
         k, r = src.locate(x)
-        return self.targets.endpoint(k) + (r * self.targets.size(k)) // src.length(k)
+        n, d = src.ratio(k)
+        return self.targets.endpoint(k) + (r * n) // d
 
     def h_fibers(self, i: int, y: int) -> list[int]:
         """All preimages of y under the i-th compression map (one or two)."""
+        src = self.source(i)
         k = self.targets.locate(y)
         q = y - self.targets.endpoint(k)
-        m = self.targets.size(k)
-        ln = self.source(i).length(k)
-        b = self.source(i).endpoint(k)
-        lo = _ceil_div(q * ln, m)
-        hi = _ceil_div((q + 1) * ln, m)
+        n, d = src.ratio(k)
+        b = src.endpoint(k)
+        lo = _ceil_div(q * d, n)
+        hi = _ceil_div((q + 1) * d, n)
         return [b + r for r in range(lo, hi)]
 
     def least_preimage(self, i: int, y: int) -> int:
         """Smallest preimage of y; injective in y."""
+        src = self.source(i)
         k = self.targets.locate(y)
         q = y - self.targets.endpoint(k)
-        ln = self.source(i).length(k)
-        return self.source(i).endpoint(k) + _ceil_div(q * ln, self.targets.size(k))
+        n, d = src.ratio(k)
+        return src.endpoint(k) + _ceil_div(q * d, n)
 
     def positive_reduction(self, i: int, j: int, x: int) -> int:
         """Blockwise translation from the i-th to the j-th source partition.

@@ -227,6 +227,15 @@ def check_bfo_equivalence(
     return cert
 
 
+def _unnatural_witness(record: StageRecord, names: tuple[str, ...]) -> str | None:
+    """The first named witness field that is missing or negative, if any."""
+    for name in names:
+        value = getattr(record, name)
+        if value is None or value < 0:
+            return name
+    return None
+
+
 def check_diag_witness(
     coded: CodedFamily, state: ConstructionState, record: StageRecord
 ) -> Certificate:
@@ -237,6 +246,12 @@ def check_diag_witness(
         "DiagWitness",
         {"stage": record.stage, "e": record.e, "i": record.i, "j": record.j},
     )
+    bad = _unnatural_witness(record, ("x", "y", "ell"))
+    if bad is not None:
+        value = getattr(record, bad)
+        cert.fail("witness_fields",
+                  {"field": bad, "value": None if value is None else str(value)})
+        return cert
     src_i = coded.source(record.i)
     src_j = coded.source(record.j)
     k, _ = src_i.locate(record.x)
@@ -280,6 +295,10 @@ def _check_defeat_record(
     A diagonalized record reuses diag_verdict, its DiagWitness verdict, when
     the caller has already checked it.
     """
+    witnesses = {BRANCH_NON_TOTAL: ("x",), BRANCH_NON_INJECTIVE: ("x", "x2")}
+    bad = _unnatural_witness(record, witnesses.get(record.branch, ()))
+    if bad is not None:
+        return False, "witness %s is missing or negative" % bad
     program = decode(record.e)
     if record.branch == BRANCH_NON_TOTAL:
         outcome = run_program(program, record.x, record.budget)

@@ -80,11 +80,47 @@ def source_endpoints(u, k_max: int) -> list[int]:
 
 def compression_table(u, k: int) -> dict[int, int]:
     """Per-element images of the k-th source block under proportional rounding."""
-    ends = source_endpoints(u, k)
-    a = target_endpoints(k)
-    m = factorial(k)
-    ln = ends[k + 1] - ends[k]
-    return {ends[k] + r: a[k] + (r * m) // ln for r in range(ln)}
+    block = block_geometry(u, [k])[k]
+    _, b, _, ln = block
+    return {b + r: compression_image(block, r) for r in range(ln)}
+
+
+def block_geometry(u, ks) -> dict[int, tuple[int, int, int, int]]:
+    """(a_k, b_k, k!, |K_k|) for each k in ks, by one pass of running sums."""
+    wanted = set(ks)
+    out = {}
+    a = b = 0
+    fact = 1
+    for k in range(max(wanted) + 1):
+        if k:
+            fact *= k
+        ln = (u(k).numerator * fact) // u(k).denominator
+        if k in wanted:
+            out[k] = (a, b, fact, ln)
+        a += fact
+        b += ln
+    return out
+
+
+def compression_image(block, r: int) -> int:
+    """a_k + floor(r * k! / |K_k|) for source offset r of a block_geometry entry."""
+    a, _, fact, ln = block
+    return a + (r * fact) // ln
+
+
+def compression_fiber(block, q: int) -> list[int]:
+    """Source elements whose image is a_k + q, in increasing order.
+
+    The fiber lies in [q * |K_k| / k!, (q + 1) * |K_k| / k!), shorter than 2,
+    so the forward map is tested on every offset around its left end.
+    """
+    a, b, fact, ln = block
+    r0 = (q * ln) // fact
+    return [
+        b + r
+        for r in range(max(0, r0 - 1), min(ln, r0 + 3))
+        if compression_image(block, r) == a + q
+    ]
 
 
 def domination_brute(u_i, u_j, selector, frontier: int, limit: int = 4000) -> int:

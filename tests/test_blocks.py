@@ -96,3 +96,18 @@ def test_endpoint_cache_growth_is_consistent():
     far = targets.endpoint(40)
     fresh = TargetBlocks()
     assert fresh.endpoint(40) == far == target_endpoints(40)[40]
+
+
+def test_ratio_is_reduced_exactly_where_q_divides_p_k_factorial():
+    q = Fraction(1013, 1009)
+    src = source(q)
+    for k in (0, 1, 2, 1008, 1009, 1010):
+        fact = factorial(k)
+        if (q.numerator * fact) % q.denominator:
+            assert src.ratio(k) == (fact, src.length(k))
+        else:
+            assert src.ratio(k) == (1009, 1013)
+    # One shared pair per profile value, not one per block.
+    assert src.ratio(1009) is src.ratio(1010)
+    assert source(Fraction(5, 4)).ratio(3) == (6, 7)
+    assert source(Fraction(5, 4)).ratio(4) == (4, 5)

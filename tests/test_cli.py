@@ -203,6 +203,37 @@ def test_verify_rejects_tampered_records(name, constructed, tmp_path, capsys):
     assert check.get("first_divergence_stage") == divergence
 
 
+# name -> (field, tampered value); each must fail record 1's DiagWitness
+# certificate on its witness_fields check, never crash or read as a usage error.
+WITNESS_TAMPERS = {
+    "x_null": ("x", None),
+    "x_negative": ("x", "-3"),
+    "y_negative": ("y", "-3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_TAMPERS))
+def test_verify_bad_witness_fails_its_certificate(name, constructed, tmp_path, capsys):
+    config_path, records = constructed
+    field, value = WITNESS_TAMPERS[name]
+    records = [dict(r) for r in records]
+    records[1][field] = value
+    transcript_path = tmp_path / "t.jsonl"
+    transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    report_path = tmp_path / "r.jsonl"
+    code, _ = run_cli(capsys, "verify", "--config", str(config_path),
+                      "--transcript", str(transcript_path),
+                      "--report", str(report_path))
+    assert code == 1
+    report = [json.loads(line) for line in report_path.read_text().splitlines()]
+    [witness] = [c for c in report
+                 if c["kind"] == "DiagWitness" and c["subject"]["stage"] == 1]
+    assert witness["verdict"] == "FAIL"
+    assert witness["checks"] == [
+        {"check": "witness_fields", "ok": False, "field": field, "value": value}
+    ]
+
+
 def _drop_budget(records):
     del records[1]["budget"]
 
@@ -213,13 +244,27 @@ def _raw_line(text):
     return edit
 
 
-# name -> edit of the parsed records; a string replaces a whole line
+def _non_utf8(records):
+    records[1] = json.dumps(records[1]).encode().replace(b"diagonalized",
+                                                         b"diagonal\xffized")
+
+
+# name -> edit of the parsed records; a string or bytes replaces a whole line
 MALFORMED = {
     "missing_budget": _drop_budget,
     "list_line": _raw_line("[1,2]"),
     "bad_json": _raw_line("{bad"),
     "x_not_integer": _set(1, "x", lambda x: "12abc"),
+    "non_utf8": _non_utf8,
 }
+
+
+def _line(record):
+    if isinstance(record, dict):
+        record = json.dumps(record)
+    if isinstance(record, str):
+        record = record.encode()
+    return record + b"\n"
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -228,9 +273,7 @@ def test_verify_malformed_line_is_usage_error(name, constructed, tmp_path, capsy
     records = [dict(r) for r in records]
     MALFORMED[name](records)
     transcript_path = tmp_path / "t.jsonl"
-    transcript_path.write_text("".join(
-        (r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records
-    ))
+    transcript_path.write_bytes(b"".join(_line(r) for r in records))
     code = main(["verify", "--config", str(config_path),
                  "--transcript", str(transcript_path),
                  "--report", str(tmp_path / "r.jsonl")])

@@ -4,9 +4,22 @@ from fractions import Fraction
 import pytest
 
 from blockdensity.maps import CodedFamily, ReductionPreconditionError
-from blockdensity.profiles import constant_family
+from blockdensity.posets import FinitePoset, PaddedFiniteOrder
+from blockdensity.profiles import (
+    combined_family,
+    constant_family,
+    oscillating_family,
+    poset_family,
+)
 
-from _oracles import compression_table, source_endpoints, target_endpoints
+from _oracles import (
+    block_geometry,
+    compression_fiber,
+    compression_image,
+    compression_table,
+    source_endpoints,
+    target_endpoints,
+)
 
 # Constant enumeration indices: q_0 = 3/2, q_1 = 4/3, q_3 = 5/4, q_4 = 7/4.
 I_32 = 0
@@ -147,3 +160,48 @@ def test_collapse_fixes_block_constant_sets_but_moves_points(coded):
     for k in range(2, 9):
         lo, hi = coded.targets.block(k)
         assert any(coded.collapse(x) != x for x in range(lo, hi))
+
+
+# 1009 is prime, so a 1013/1009 block has 1009 | 1013 * k! only from k = 1009
+# on; below that the maps run on the unreduced ratio k!/|K_k|.
+PRIME_DEN = Fraction(1013, 1009)
+ALPHA, BETA = Fraction(5, 4), Fraction(7, 4)
+
+# kind -> (family, indices checked)
+FACTORIAL_FAMILIES = {
+    "constant": (constant_family(4)[0], (I_32, I_54)),
+    "oscillating": (oscillating_family(PRIME_DEN, Fraction(3, 2))[0], (0, 1)),
+    "combined": (combined_family(4, ALPHA, BETA)[0], (0, 1)),
+    "poset": (
+        poset_family(PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"])),
+                     ALPHA, BETA)[0],
+        (0, 2),
+    ),
+}
+
+
+def _offsets(size, rng):
+    """Both block edges, the middle and a few seeded interior offsets."""
+    picks = {0, 1, size // 2, size - 2, size - 1}
+    picks.update(rng.randrange(size) for _ in range(3))
+    return sorted(r for r in picks if 0 <= r < size)
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIAL_FAMILIES))
+def test_maps_match_oracle_at_factorial_scale(kind):
+    family, indices = FACTORIAL_FAMILIES[kind]
+    coded = CodedFamily(family)
+    rng = random.Random(2024)
+    ks = sorted({*range(9), 1007, 1008, 1009, 1010, 3000,
+                 *(rng.randrange(9, 3000) for _ in range(6))})
+    for i in indices:
+        geometry = block_geometry(family.profile(i), ks)
+        for k in ks:
+            block = geometry[k]
+            a, b, fact, ln = block
+            for r in _offsets(ln, rng):
+                assert coded.h_apply(i, b + r) == compression_image(block, r), (i, k, r)
+            for q in _offsets(fact, rng):
+                fiber = compression_fiber(block, q)
+                assert coded.h_fibers(i, a + q) == fiber, (i, k, q)
+                assert coded.least_preimage(i, a + q) == fiber[0], (i, k, q)

@@ -5,7 +5,10 @@ import pytest
 
 from blockdensity.construction import (
     BRANCH_DIAGONALIZED,
+    BRANCH_NON_INJECTIVE,
+    BRANCH_NON_TOTAL,
     RequirementSchedule,
+    Transcript,
     run_construction,
 )
 from blockdensity.maps import CodedFamily
@@ -119,6 +122,29 @@ def test_defeat_bundle_pass_and_incomplete(constant_run):
     assert bundle.diagnostics["defeated"] == 3
     too_wide = check_defeat_bundle(coded, state, transcript, schedule, 0, 1, 40)
     assert too_wide.verdict == INCOMPLETE
+
+
+@pytest.mark.parametrize("branch, field, value", [
+    (BRANCH_NON_TOTAL, "x", None),
+    (BRANCH_NON_TOTAL, "x", -3),
+    (BRANCH_NON_INJECTIVE, "x", None),
+    (BRANCH_NON_INJECTIVE, "x2", -3),
+])
+def test_defeat_record_without_natural_witness_fails(constant_run, branch, field, value):
+    coded, _, schedule, transcript, state = constant_run
+    stage = schedule.stage_of(0, 0, 1)
+    record = transcript.records[stage]
+    fields = {"branch": branch, "x": record.x, "x2": record.x + 1, field: value}
+    records = list(transcript.records)
+    records[stage] = dataclasses.replace(record, **fields)
+    bundle = check_defeat_bundle(
+        coded, state, Transcript({}, records), schedule, 0, 1, 1
+    )
+    assert bundle.verdict == FAIL
+    assert bundle.checks == [{
+        "check": "defeat_record", "ok": False, "e": 0, "stage": stage,
+        "reason": "witness %s is missing or negative" % field,
+    }]
 
 
 def embedding_matrix(rows, **params):
