@@ -14,19 +14,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .construction import RequirementSchedule, run_construction
 from .machine import Halted, decode, program_text, run
 from .maps import CodedFamily
 from .numerics import rat_parse
 from .posets import FinitePoset, UniversalPoset, embed_finite
 from .scenarios import (
-    ScenarioConfig,
-    build_family,
-    report_exit_code,
-    required_stages,
-    run_scenario,
-    verify_transcript,
-    write_report,
+    DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_BUDGET, DEFAULT_COUNT, DEFAULT_E,
+    DEFAULT_KMAX, KINDS, ScenarioConfig, construct, prepare, report_exit_code,
+    run_scenario, verify_transcript, write_report,
 )
 
 USAGE_ERROR = 3
@@ -60,24 +55,22 @@ FAMILY_KINDS = {
 
 def _family_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", default="constant", choices=list(FAMILY_KINDS))
-    parser.add_argument("--count", type=int, default=4)
-    parser.add_argument("--alpha", default="5/4")
-    parser.add_argument("--beta", default="7/4")
+    parser.add_argument("--count", type=int, default=DEFAULT_COUNT)
+    parser.add_argument("--alpha", type=_rat, default=DEFAULT_ALPHA)
+    parser.add_argument("--beta", type=_rat, default=DEFAULT_BETA)
     parser.add_argument("--matrix", default="",
                         help="comma-separated 0/1 rows for the poset kind")
 
 
 def _coded_family(args) -> CodedFamily:
-    alpha, beta = _rat(args.alpha), _rat(args.beta)
     rows = [row for row in args.matrix.split(",") if row]
     if args.kind == "poset" and not rows:
         raise UsageError("the poset kind needs --matrix")
     config = ScenarioConfig(
-        kind=FAMILY_KINDS[args.kind], count=args.count, alpha=alpha, beta=beta,
-        poset_rows=rows,
+        kind=FAMILY_KINDS[args.kind], count=args.count, alpha=args.alpha,
+        beta=args.beta, poset_rows=rows,
     )
-    family, _ = build_family(config)
-    return CodedFamily(family)
+    return prepare(config)[0]
 
 
 def _out_stream(path: str | None):
@@ -167,13 +160,7 @@ def _cmd_construct(args) -> int:
     config = _load_config(args.config)
     if config.kind == "universal":
         raise UsageError("universal scenarios run no construction")
-    family, cert = build_family(config)
-    coded = CodedFamily(family)
-    schedule = RequirementSchedule(cert)
-    stages = args.stages or required_stages(config, cert, schedule)
-    transcript, _ = run_construction(
-        coded, cert, stages, config.budget, scenario=config.to_json(), schedule=schedule
-    )
+    *_, transcript = construct(config, args.stages)
     transcript.write_jsonl(args.out)
     print("stages,%d" % len(transcript.records))
     return 0
@@ -195,8 +182,8 @@ def _cmd_scenario(args) -> int:
         config = ScenarioConfig(
             kind=args.scenario_kind,
             count=args.n if args.scenario_kind == "antichain" else args.count,
-            alpha=_rat(args.alpha),
-            beta=_rat(args.beta),
+            alpha=args.alpha,
+            beta=args.beta,
             poset_rows=rows,
             stages=args.stages,
             budget=args.budget,
@@ -260,16 +247,16 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("scenario", help="full pipeline: construct, certify, report")
-    p.add_argument("scenario_kind", choices=["rationals", "antichain", "combined", "poset", "universal"])
-    p.add_argument("--count", type=int, default=4)
+    p.add_argument("scenario_kind", choices=KINDS)
+    p.add_argument("--count", type=int, default=DEFAULT_COUNT)
     p.add_argument("--n", type=int, default=3, help="profile count for antichain")
-    p.add_argument("--alpha", default="5/4")
-    p.add_argument("--beta", default="7/4")
+    p.add_argument("--alpha", type=_rat, default=DEFAULT_ALPHA)
+    p.add_argument("--beta", type=_rat, default=DEFAULT_BETA)
     p.add_argument("--matrix", default="")
     p.add_argument("--stages", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10**5)
-    p.add_argument("--E", type=int, default=50)
-    p.add_argument("--kmax", type=int, default=12)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--E", type=int, default=DEFAULT_E)
+    p.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
     p.add_argument("--outdir", default=None)
     p.set_defaults(fn=_cmd_scenario)
     return parser

@@ -108,18 +108,32 @@ class StageRecord:
 
     @staticmethod
     def from_json(obj: dict) -> "StageRecord":
+        """The record a JSON object holds; a bad field raises ValueError.
+
+        e, i, j and k must be ints >= 0 (a JSON true is one). stage,
+        M_after and budget (>= 1) may also be integral floats, which replay
+        then fails.
+        """
         def num(v):
             return None if v is None else int(v)
 
+        def whole(name, least=0, floats=False):
+            v = obj[name]
+            if not (isinstance(v, int) or floats and isinstance(v, float)
+                    and v.is_integer()) or v < least:
+                raise ValueError("field %s must be %s >= %d, got %r" % (
+                    name, "an integral number" if floats else "an int", least, v))
+            return v
+
         return StageRecord(
-            stage=obj["stage"],
-            e=obj["e"],
-            i=obj["i"],
-            j=obj["j"],
-            k=obj["k"],
+            stage=whole("stage", floats=True),
+            e=whole("e"),
+            i=whole("i"),
+            j=whole("j"),
+            k=whole("k"),
             branch=obj["branch"],
-            budget=obj["budget"],
-            m_after=obj["M_after"],
+            budget=whole("budget", 1, floats=True),
+            m_after=whole("M_after", floats=True),
             x=num(obj.get("x")),
             x2=num(obj.get("x2")),
             y=num(obj.get("y")),
@@ -345,7 +359,6 @@ def run_stage(
 
 @dataclass
 class Transcript:
-    scenario: dict
     records: list[StageRecord] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
@@ -356,7 +369,7 @@ class Transcript:
             handle.write(self.to_jsonl())
 
     @staticmethod
-    def read_jsonl(path, scenario: dict | None = None) -> "Transcript":
+    def read_jsonl(path) -> "Transcript":
         """Load records; a line that is no record raises ValueError naming it.
 
         Lines are decoded one at a time, so a byte that is not UTF-8 is
@@ -375,7 +388,7 @@ class Transcript:
                         "%s:%d: bad transcript record: %s: %s"
                         % (path, number, type(exc).__name__, exc)
                     ) from exc
-        return Transcript(scenario or {}, records)
+        return Transcript(records)
 
 
 def run_construction(
@@ -384,7 +397,6 @@ def run_construction(
     stages: int,
     budget: int,
     *,
-    scenario: dict | None = None,
     schedule: RequirementSchedule | None = None,
 ) -> tuple[Transcript, ConstructionState]:
     """Run requirements 0..stages-1 in order and return the audit transcript."""
@@ -392,7 +404,7 @@ def run_construction(
         raise ValueError("need at least one stage")
     schedule = schedule or RequirementSchedule(cert)
     state = ConstructionState()
-    transcript = Transcript(scenario or {})
+    transcript = Transcript()
     for n in range(stages):
         req = schedule.requirement(n)
         before = state.frontier

@@ -121,9 +121,6 @@ class UniversalPoset:
     def size(self) -> int:
         return len(self._parents)
 
-    def depth(self) -> int:
-        return len(self._levels)
-
     def _chain(self, node: int) -> list[int]:
         """Ancestors of node, root end first, excluding the node itself."""
         chain: list[int] = []

@@ -25,7 +25,7 @@ from .construction import (
 )
 from .machine import identity_index
 from .maps import CodedFamily
-from .numerics import enum_rationals_12, rat_parse, rat_str
+from .numerics import rat_parse, rat_str
 from .posets import FinitePoset, PaddedFiniteOrder, UniversalPoset, embed_finite
 from .profiles import (
     combined_family,
@@ -47,17 +47,19 @@ from .verify import (
 
 KINDS = ("rationals", "antichain", "combined", "poset", "universal")
 
+DEFAULT_COUNT = 4
 DEFAULT_ALPHA = Fraction(5, 4)
 DEFAULT_BETA = Fraction(7, 4)
 DEFAULT_BUDGET = 10**5
 DEFAULT_E = 50
 DEFAULT_KMAX = 12
+DEFAULT_ELEMENT_SCAN = 20_000
 
 
 @dataclass
 class ScenarioConfig:
     kind: str
-    count: int = 4
+    count: int = DEFAULT_COUNT
     alpha: Fraction = DEFAULT_ALPHA
     beta: Fraction = DEFAULT_BETA
     poset_rows: list[str] = field(default_factory=list)
@@ -65,7 +67,7 @@ class ScenarioConfig:
     budget: int = DEFAULT_BUDGET
     e_bound: int = DEFAULT_E
     k_max: int = DEFAULT_KMAX
-    element_scan: int = 20_000
+    element_scan: int = DEFAULT_ELEMENT_SCAN
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -103,17 +105,19 @@ class ScenarioConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ScenarioConfig":
+        """The config a JSON object names; a missing key takes the field default."""
+        d = ScenarioConfig
         config = ScenarioConfig(
             kind=obj.get("kind", ""),
-            count=int(obj.get("count", 4)),
-            alpha=rat_parse(obj.get("alpha", "5/4")),
-            beta=rat_parse(obj.get("beta", "7/4")),
+            count=int(obj.get("count", d.count)),
+            alpha=rat_parse(obj["alpha"]) if "alpha" in obj else d.alpha,
+            beta=rat_parse(obj["beta"]) if "beta" in obj else d.beta,
             poset_rows=list(obj.get("poset", [])),
             stages=None if obj.get("stages") is None else int(obj["stages"]),
-            budget=int(obj.get("budget", DEFAULT_BUDGET)),
-            e_bound=int(obj.get("E", DEFAULT_E)),
-            k_max=int(obj.get("k_max", DEFAULT_KMAX)),
-            element_scan=int(obj.get("element_scan", 20_000)),
+            budget=int(obj.get("budget", d.budget)),
+            e_bound=int(obj.get("E", d.e_bound)),
+            k_max=int(obj.get("k_max", d.k_max)),
+            element_scan=int(obj.get("element_scan", d.element_scan)),
         )
         config.validate()
         return config
@@ -133,9 +137,34 @@ def build_family(config: ScenarioConfig):
     raise ValueError("scenario kind %r runs no construction" % config.kind)
 
 
+def prepare(config: ScenarioConfig):
+    """The coded family, gap certificate and requirement schedule of a config."""
+    family, gap_cert = build_family(config)
+    return CodedFamily(family), gap_cert, RequirementSchedule(gap_cert)
+
+
+def construct(config: ScenarioConfig, stages: int | None = None):
+    """(coded, gap_cert, schedule, transcript) of the run a config names.
+
+    A stages other than None or 0 overrides the window's count and
+    config.stages.
+    """
+    coded, gap_cert, schedule = prepare(config)
+    stages = stages or required_stages(config, gap_cert, schedule)
+    transcript, _ = run_construction(
+        coded, gap_cert, stages, config.budget, schedule=schedule
+    )
+    return coded, gap_cert, schedule, transcript
+
+
+def _span(config: ScenarioConfig) -> range:
+    """The profile indices a scenario certifies."""
+    return range(len(config.poset_rows) if config.kind == "poset" else config.count)
+
+
 def _scheduled_pairs(config: ScenarioConfig, cert) -> list[tuple[int, int]]:
     """Scheduled pairs the scenario certifies defeats for."""
-    span = range(len(config.poset_rows) if config.kind == "poset" else config.count)
+    span = _span(config)
     return [(a, b) for a in span for b in span if a != b and cert.in_D(a, b)]
 
 
@@ -145,7 +174,7 @@ def required_stages(config: ScenarioConfig, cert, schedule: RequirementSchedule)
     return max(config.stages or 0, needed)
 
 
-def _identity_device_certificate(config, transcript, state) -> Certificate:
+def _identity_device_certificate(transcript, state) -> Certificate:
     """Every identity-index stage must diagonalize, splitting the prefix."""
     e_id = identity_index()
     cert = Certificate("IdentityDevice", {"e_id": e_id})
@@ -167,7 +196,7 @@ def _identity_device_certificate(config, transcript, state) -> Certificate:
     return cert
 
 
-def _collapse_certificate(config, coded, state) -> Certificate:
+def _collapse_certificate(coded, state) -> Certificate:
     """Block collapse is a self-reduction of the constructed prefix."""
     k_hi = min(state.frontier, 9)
     cert = Certificate("CollapseAutoreduction", {"k_hi": k_hi})
@@ -219,27 +248,15 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
             )
         )
     else:
-        if config.kind == "rationals":
-            indices = list(range(config.count))
-            chain_pairs = [
-                (a, b)
-                for a in indices
-                for b in indices
-                if a != b and enum_rationals_12(a) < enum_rationals_12(b)
-            ]
-        elif config.kind == "combined":
-            indices = list(range(config.count))
-            evens = [i for i in indices if i % 2 == 0]
-            chain_pairs = [
-                (a, b)
-                for a in evens
-                for b in evens
-                if a != b and enum_rationals_12(a // 2) < enum_rationals_12(b // 2)
-            ]
-        else:
-            indices = list(range(config.count))
-            chain_pairs = []
-
+        # The gap certificate fixes the order: a pair (a, b) that D schedules
+        # only as (b, a) has a pointwise below b, so it gets a reduction.
+        span = _span(config)
+        chain_pairs = [
+            (a, b)
+            for a in span
+            for b in span
+            if a != b and gap_cert.in_D(b, a) and not gap_cert.in_D(a, b)
+        ]
         for a, b in chain_pairs:
             limit = coded.source(a).endpoint(config.k_max)
             certs.append(
@@ -254,7 +271,7 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
                     diag_verdicts,
                 )
             )
-        for i in indices:
+        for i in span:
             limit = coded.targets.endpoint(config.k_max)
             certs.append(
                 check_bfo_equivalence(
@@ -262,8 +279,8 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
                 )
             )
         if config.kind == "combined":
-            certs.append(_identity_device_certificate(config, transcript, state))
-            certs.append(_collapse_certificate(config, coded, state))
+            certs.append(_identity_device_certificate(transcript, state))
+            certs.append(_collapse_certificate(coded, state))
 
     certs.extend(diag_certs.values())
     return certs
@@ -331,18 +348,7 @@ def run_scenario(config: ScenarioConfig, outdir: str | Path | None = None) -> Sc
         certs = _universal_certificates(config)
         transcript = None
     else:
-        family, gap_cert = build_family(config)
-        coded = CodedFamily(family)
-        schedule = RequirementSchedule(gap_cert)
-        stages = required_stages(config, gap_cert, schedule)
-        transcript, _ = run_construction(
-            coded,
-            gap_cert,
-            stages,
-            config.budget,
-            scenario=config.to_json(),
-            schedule=schedule,
-        )
+        coded, gap_cert, schedule, transcript = construct(config)
         certs = _construction_certificates(config, coded, gap_cert, schedule, transcript)
     code = report_exit_code(certs)
     if outdir is not None:
@@ -366,12 +372,8 @@ def write_report(certs: list[Certificate], path: str | Path) -> None:
 def verify_transcript(config: ScenarioConfig, transcript_path: str | Path):
     """Replay a written transcript and recompute its certificate suite."""
     config.validate()
-    if config.kind == "universal":
-        raise ValueError("universal scenarios write no transcript")
-    family, gap_cert = build_family(config)
-    coded = CodedFamily(family)
-    schedule = RequirementSchedule(gap_cert)
-    transcript = Transcript.read_jsonl(transcript_path, config.to_json())
+    coded, gap_cert, schedule = prepare(config)
+    transcript = Transcript.read_jsonl(transcript_path)
     certs = [
         check_transcript_replay(
             coded, gap_cert, transcript, config.budget, schedule=schedule

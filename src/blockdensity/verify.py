@@ -67,10 +67,6 @@ class Certificate:
         }
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def check_positive_reduction(
     coded: CodedFamily,
     state: ConstructionState,
@@ -382,8 +378,8 @@ def check_embedding_matrix(
     *,
     e_bound: int,
     budget: int,
-    k_max: int = 12,
-    element_scan: int = 20_000,
+    k_max: int,
+    element_scan: int,
     diag_verdicts: Mapping[int, str] | None = None,
 ) -> Certificate:
     """Certify that reduction evidence reproduces the poset relation exactly.

@@ -142,6 +142,27 @@ def test_construct_then_verify_round_trip(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("extra", [[], ["--stages", "20"]])
+def test_construct_reproduces_scenario_transcript(extra, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    code, _ = run_cli(capsys, "scenario", "rationals", "--count", "3", "--E", "3",
+                      *extra, "--outdir", str(outdir))
+    assert code == 0
+    written = (outdir / "transcript.jsonl").read_bytes()
+    config_path = str(outdir / "config.json")
+    again = tmp_path / "again.jsonl"
+    code, out = run_cli(capsys, "construct", "--config", config_path,
+                        "--out", str(again))
+    assert (code, out) == (0, "stages,%d\n" % written.count(b"\n"))
+    assert again.read_bytes() == written
+
+    # --stages overrides the window rather than setting a floor.
+    code, _ = run_cli(capsys, "construct", "--config", config_path,
+                      "--out", str(again), "--stages", "5")
+    assert code == 0
+    assert again.read_bytes().splitlines() == written.splitlines()[:5]
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["scenario", "rationals", "--alpha", "9/4"]) == 3
     assert main(["nonsense"]) == 3
@@ -249,6 +270,10 @@ def _non_utf8(records):
                                                          b"diagonal\xffized")
 
 
+def _put(key, value):
+    return _set(1, key, lambda _: value)
+
+
 # name -> edit of the parsed records; a string or bytes replaces a whole line
 MALFORMED = {
     "missing_budget": _drop_budget,
@@ -256,6 +281,18 @@ MALFORMED = {
     "bad_json": _raw_line("{bad"),
     "x_not_integer": _set(1, "x", lambda x: "12abc"),
     "non_utf8": _non_utf8,
+    # e, i, j, k must be natural ints; stage, M_after and budget integral
+    # numbers, budget at least 1.
+    "e_string": _put("e", "1"),
+    "e_null": _put("e", None),
+    "i_null": _put("i", None),
+    "j_string": _put("j", "0"),
+    "e_float": _put("e", 1.0),
+    "e_fraction": _put("e", 1.5),
+    "budget_string": _put("budget", "100000"),
+    "e_negative": _put("e", -1),
+    "i_negative": _put("i", -1),
+    "budget_negative": _put("budget", -5),
 }
 
 

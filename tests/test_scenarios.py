@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from blockdensity.numerics import enum_rationals_12
 from blockdensity.scenarios import (
     ScenarioConfig,
+    build_family,
     report_exit_code,
     run_scenario,
     verify_transcript,
@@ -54,6 +56,39 @@ def test_universal_scenario_passes():
     assert result.transcript is None
     assert result.exit_code == 0
     assert all(c.kind == "UniversalEmbedding" for c in result.certificates)
+
+
+def _subjects(certs, kind):
+    return [(c.subject["i"], c.subject["j"]) for c in certs if c.kind == kind]
+
+
+@pytest.mark.parametrize("kind, count", [
+    ("rationals", 6), ("combined", 8), ("antichain", 3),
+])
+def test_certificate_pairs_follow_the_gap_certificate(kind, count):
+    """Reductions go up the rational order of the constant profiles, defeats
+    cover D and couplings every index."""
+    config = ScenarioConfig(kind=kind, count=count, e_bound=1, budget=10**4,
+                            k_max=4, element_scan=50)
+    certs = run_scenario(config).certificates
+    q = enum_rationals_12
+    if kind == "rationals":
+        span = range(count)
+        chain = [(a, b) for a in span for b in span if a != b and q(a) < q(b)]
+    elif kind == "combined":
+        evens = range(0, count, 2)
+        chain = [(a, b) for a in evens for b in evens
+                 if a != b and q(a // 2) < q(b // 2)]
+    else:
+        chain = []
+    assert _subjects(certs, "PositiveReduction") == chain
+    _, gap_cert = build_family(config)
+    span = range(count)
+    assert _subjects(certs, "DefeatBundle") == [
+        (a, b) for a in span for b in span if a != b and gap_cert.in_D(a, b)
+    ]
+    assert [c.subject["i"] for c in certs if c.kind == "BfoEquivalence"] == list(span)
+    assert all(c.verdict == PASS for c in certs)
 
 
 def test_incomplete_exit_code_when_window_exceeds_transcript(tmp_path):

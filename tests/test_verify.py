@@ -138,7 +138,7 @@ def test_defeat_record_without_natural_witness_fails(constant_run, branch, field
     records = list(transcript.records)
     records[stage] = dataclasses.replace(record, **fields)
     bundle = check_defeat_bundle(
-        coded, state, Transcript({}, records), schedule, 0, 1, 1
+        coded, state, Transcript(records), schedule, 0, 1, 1
     )
     assert bundle.verdict == FAIL
     assert bundle.checks == [{
