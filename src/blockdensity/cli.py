@@ -3,7 +3,7 @@ queries, poset tools, and certificate verification.
 
 All output is machine-readable (CSV or JSON Lines). Exit codes: 0 every
 certificate passed, 1 some check failed, 2 some check is incomplete (and none
-failed), 3 usage or config error.
+failed), 3 usage or config error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .scenarios import (
 )
 
 USAGE_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 class UsageError(Exception):
@@ -160,8 +161,8 @@ def _cmd_construct(args) -> int:
     config = _load_config(args.config)
     if config.kind == "universal":
         raise UsageError("universal scenarios run no construction")
-    *_, transcript = construct(config, args.stages)
-    transcript.write_jsonl(args.out)
+    coded, *_, transcript = construct(config, args.stages)
+    transcript.write_jsonl(args.out, coded)
     print("stages,%d" % len(transcript.records))
     return 0
 
@@ -273,6 +274,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

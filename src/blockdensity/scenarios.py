@@ -346,7 +346,7 @@ def run_scenario(config: ScenarioConfig, outdir: str | Path | None = None) -> Sc
     config.validate()
     if config.kind == "universal":
         certs = _universal_certificates(config)
-        transcript = None
+        coded = transcript = None
     else:
         coded, gap_cert, schedule, transcript = construct(config)
         certs = _construction_certificates(config, coded, gap_cert, schedule, transcript)
@@ -358,7 +358,7 @@ def run_scenario(config: ScenarioConfig, outdir: str | Path | None = None) -> Sc
             json.dumps(config.to_json(), indent=2) + "\n", encoding="utf-8"
         )
         if transcript is not None:
-            transcript.write_jsonl(outdir / "transcript.jsonl")
+            transcript.write_jsonl(outdir / "transcript.jsonl", coded)
         write_report(certs, outdir / "report.jsonl")
     return ScenarioResult(config, certs, transcript, code)
 

@@ -27,6 +27,7 @@ from .construction import (
     eval_C,
     run_construction,
     window_stage_count,
+    witness_decimals,
 )
 from .machine import Halted, OutOfBudget, decode, run_program
 from .maps import CodedFamily
@@ -444,9 +445,14 @@ def check_transcript_replay(
 ) -> Certificate:
     """Re-run the schedule and demand a bit-identical transcript.
 
-    The records are compared field by field, which decides exactly what
-    comparing their JSON Lines encodings would, without printing the
-    factorial-scale witnesses in decimal.
+    The replayed records go through witness_decimals, the pass that writes
+    transcripts, and each loaded record is compared with its replay: its
+    witnesses, Decimals of their canonical text, with the pass's Decimals (so
+    equal means the same text), the other fields as StageRecord.same_json
+    does. This decides exactly what comparing the JSON Lines encodings
+    would. Every loaded record is given int witnesses (resolve_witnesses)
+    for the other certificates; only a witness whose text differs from the
+    replay's goes through int().
     """
     cert = Certificate("TranscriptReplay", {"stages": len(transcript.records)})
     if not transcript.records:
@@ -455,9 +461,14 @@ def check_transcript_replay(
     replay, _ = run_construction(
         coded, gap_cert, len(transcript.records), budget, schedule=schedule
     )
-    for idx, (a, b) in enumerate(zip(replay.records, transcript.records)):
-        if not a.same_json(b):
-            cert.fail("bit_exact", {"first_divergence_stage": idx})
-            return cert
-    cert.ok("bit_exact")
+    divergence = None
+    records = transcript.records
+    for idx, (a, decimals) in enumerate(witness_decimals(coded, replay.records)):
+        records[idx] = records[idx].resolve_witnesses(a, decimals)
+        if divergence is None and not a.same_json(records[idx]):
+            divergence = idx
+    if divergence is not None:
+        cert.fail("bit_exact", {"first_divergence_stage": divergence})
+    else:
+        cert.ok("bit_exact")
     return cert

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from blockdensity import cli
 from blockdensity.cli import main
 
 
@@ -168,6 +169,23 @@ def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 3
 
 
+@pytest.mark.parametrize("fault", [
+    MemoryError(),
+    ArithmeticError("pigeonhole violated: a total injective map stayed inside "
+                    "the dominated range"),
+])
+def test_internal_fault_exits_4(fault, monkeypatch, tmp_path, capsys):
+    def run_scenario(config, outdir=None):
+        raise fault
+
+    monkeypatch.setattr(cli, "run_scenario", run_scenario)
+    code = main(["scenario", "rationals", "--outdir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "internal error: %s: %s\n" % (type(fault).__name__, fault)
+    assert captured.out == ""
+
+
 def _set(index, key, change):
     def edit(records):
         records[index][key] = change(records[index][key])
@@ -280,6 +298,20 @@ MALFORMED = {
     "list_line": _raw_line("[1,2]"),
     "bad_json": _raw_line("{bad"),
     "x_not_integer": _set(1, "x", lambda x: "12abc"),
+    # Witnesses are null or exactly the text str(int) writes.
+    "x_json_number": _set(1, "x", int),
+    "y_json_number": _set(1, "y", int),
+    "ell_json_number": _set(1, "ell", int),
+    "x2_json_number": _put("x2", 5),
+    "x_float": _put("x", 1.5),
+    "x_true": _put("x", True),
+    "x_underscore": _put("x", "1_000"),
+    "x_space": _put("x", " 12"),
+    "x_plus": _put("x", "+5"),
+    "x_leading_zero": _put("x", "007"),
+    "x_minus_zero": _put("x", "-0"),
+    "x_empty": _put("x", ""),
+    "x_unicode_digit": _put("x", "\u0661\u0662"),
     "non_utf8": _non_utf8,
     # e, i, j, k must be natural ints; stage, M_after and budget integral
     # numbers, budget at least 1.

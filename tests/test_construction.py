@@ -193,8 +193,9 @@ def test_run_construction_monotone_frontier_and_replay():
     assert frontiers == sorted(frontiers) and len(set(frontiers)) == 5
     assert state.frontier == frontiers[-1]
 
-    again, _ = run_construction(CodedFamily(constant_family(6)[0]), cert, 5, 10_000)
-    assert again.to_jsonl() == transcript.to_jsonl()
+    fresh = CodedFamily(constant_family(6)[0])
+    again, _ = run_construction(fresh, cert, 5, 10_000)
+    assert again.to_jsonl(fresh) == transcript.to_jsonl(coded)
 
     with pytest.raises(ValueError):
         run_construction(coded, cert, 0, 10_000)
@@ -278,7 +279,7 @@ def test_transcript_round_trip(tmp_path):
     coded, cert = constant_setup()
     transcript, _ = run_construction(coded, cert, 4, 10_000)
     path = tmp_path / "t.jsonl"
-    transcript.write_jsonl(path)
+    transcript.write_jsonl(path, coded)
     loaded = Transcript.read_jsonl(path)
     assert loaded.records == transcript.records
 

@@ -3,7 +3,9 @@
 A speed-up counts only if transcripts and reports stay byte-identical for a
 given config. The digests below were computed from the same commands before
 the bisecting domination search and the record-level replay comparison
-landed; the combined digests before the block caches shared one k! table.
+landed; the combined digests before the block caches shared one k! table;
+the two factorial-scale cases, whose witnesses run to about 2,600 and 2,700
+digits, before transcripts were written from running Decimal endpoints.
 """
 
 import hashlib
@@ -37,6 +39,23 @@ GOLDEN = {
             "transcript.jsonl": "ec732ec187a5941cbe4955d426f657aeac06ac5b0f41c6dfb5a3385f3fd14256",
             "report.jsonl": "5491b1a8be5ca1f13ffd10e0dd4caae80c99e02ab9963c8b9e1743f1df8396f4",
             "verify-report.jsonl": "138e5721ee2fb5103bd0b70a65ce0ee8dbf53c8bc8ceae2b7a5e65b755f6136d",
+        },
+    ),
+    # Witnesses at factorial scale, written from Decimal block endpoints.
+    "rationals_e25": (
+        ["scenario", "rationals", "--count", "4", "--E", "25"],
+        {
+            "transcript.jsonl": "f73a88633d857ed941d72e12cb0ff1b93cb41daceea097066d6bc009864135e5",
+            "report.jsonl": "b5219a1389460efe72b94ca5f74f4572050dd74bba1e3306391661baee9a70b7",
+            "verify-report.jsonl": "210b8aab1eca1a71ea94aee852cc640843f2ab092b76649fc90d770cfe52ccbd",
+        },
+    ),
+    "antichain_e12": (
+        ["scenario", "antichain", "--n", "3", "--E", "12"],
+        {
+            "transcript.jsonl": "1015d199d3ee8ba1fafd033dbc719a0a34d6bbfcf5bbfe2a950ecceb2e7d552c",
+            "report.jsonl": "8dc7a7617dde9f5902ed897c9313b56d39830c73c9248d62fe4073b547f05133",
+            "verify-report.jsonl": "718f73915a6d2ca71f37d491b6621096430f3bd58373c04181b590c802542a66",
         },
     ),
     "poset": (
