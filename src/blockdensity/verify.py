@@ -2,7 +2,14 @@
 
 Positive claims (reductions, equivalences) are certified exactly: per-block
 integer identities cover the whole requested range, and an element-by-element
-scan additionally covers a bounded prefix. Negative claims are explicitly
+scan additionally covers a bounded prefix. The element scans do not use the
+production geometry: they walk the blocks by running sums (block_walk: k!,
+a_k, b_k and |K_k| = floor(u(k) * k!) from the profile alone, nothing from
+blocks.py or maps.py) and do small-offset arithmetic inside each block. At
+every block they enter they compare the walk with the production endpoints
+and lengths, and at the block's first and last scanned element with the
+production maps, so the scans test that geometry instead of trusting it; a
+disagreement is a reference_geometry FAIL. Negative claims are explicitly
 budget-qualified: a defeat bundle says that no scheduled program below the
 index bound is a total injective reduction on the constructed prefix within
 the step budget, never more. INCOMPLETE names what is missing (stages or
@@ -12,7 +19,8 @@ records); FAIL means a check was run and refuted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from fractions import Fraction
+from typing import Callable, Iterator, Mapping
 
 from .construction import (
     BRANCH_DIAGONALIZED,
@@ -68,6 +76,59 @@ class Certificate:
         }
 
 
+def target_walk() -> Iterator[tuple[int, int, int]]:
+    """Target blocks k = 0, 1, ... by running sums: (k!, a_k, a_{k+1})."""
+    fact, a, k = 1, 0, 0
+    while True:
+        yield fact, a, a + fact
+        a += fact
+        k += 1
+        fact *= k
+
+
+def block_walk(
+    profile: Callable[[int], Fraction]
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """Blocks k = 0, 1, ... of one profile: (k!, a_k, a_{k+1}, b_k, |K_k|).
+
+    b_k and |K_k| = floor(u(k) * k!) are running sums over the profile's
+    values, independent of blocks.py. Inside block k, with 0 <= r < |K_k| and
+    0 <= q < k!, the maps are h(b_k + r) = a_k + floor(r * k! / |K_k|), the
+    fiber over a_k + q is b_k + [ceil(q * |K_k| / k!), ceil((q + 1) * |K_k| /
+    k!)) with its least element the least preimage, and the translation to
+    another profile's partition is b_k + r -> b'_k + r.
+    """
+    b = 0
+    for k, (fact, a, a_next) in enumerate(target_walk()):
+        u = profile(k)
+        ln = u.numerator * fact // u.denominator
+        yield fact, a, a_next, b, ln
+        b += ln
+
+
+def _target_block(y: int) -> int:
+    """The k with a_k <= y < a_{k+1}, by walking the target blocks."""
+    for k, (_, _, a_next) in enumerate(target_walk()):
+        if y < a_next:
+            return k
+
+
+def _geometry_mismatch(
+    coded: CodedFamily, i: int, k: int, fact: int, a: int, b: int, ln: int
+) -> str | None:
+    """The first production geometry value at block k that the walk refutes."""
+    src = coded.source(i)
+    for name, have, want in (
+        ("targets.endpoint", coded.targets.endpoint(k), a),
+        ("targets.size", coded.targets.size(k), fact),
+        ("source.endpoint", src.endpoint(k), b),
+        ("source.length", src.length(k), ln),
+    ):
+        if have != want:
+            return name
+    return None
+
+
 def check_positive_reduction(
     coded: CodedFamily,
     state: ConstructionState,
@@ -75,7 +136,7 @@ def check_positive_reduction(
     j: int,
     n_limit: int,
     *,
-    element_scan: int = 100_000,
+    element_scan: int,
 ) -> Certificate:
     """Certify the blockwise translation as a one-one reduction on [0, n_limit).
 
@@ -125,17 +186,46 @@ def check_positive_reduction(
                 return cert
     cert.ok("blockwise_exact", {"blocks": k_hi + 1})
 
+    scanned = min(n_limit, element_scan)
     prev = -1
-    for x in range(min(n_limit, element_scan)):
-        fx = coded.positive_reduction(i, j, x)
-        if fx <= prev:
-            cert.fail("element_injectivity", {"x": str(x)})
-            return cert
-        prev = fx
-        if eval_C(state, coded, i, x) != eval_C(state, coded, j, fx):
-            cert.fail("element_commutes", {"x": str(x)})
-            return cert
-    cert.ok("element_scan", {"scanned": min(n_limit, element_scan)})
+    walks = zip(block_walk(coded.family.profile(i)), block_walk(coded.family.profile(j)))
+    for k, ((fact, a, a_next, b_i, ln_i), (_, _, _, b_j, ln_j)) in enumerate(walks):
+        if b_i >= scanned:
+            break
+        for name in (
+            _geometry_mismatch(coded, i, k, fact, a, b_i, ln_i),
+            _geometry_mismatch(coded, j, k, fact, a, b_j, ln_j),
+        ):
+            if name is not None:
+                cert.fail("reference_geometry", {"k": k, "map": name})
+                return cert
+        n = min(ln_i, scanned - b_i)
+        for r in (0, n - 1):
+            x, fx = b_i + r, b_j + r
+            for name, have, want in (
+                ("positive_reduction", coded.positive_reduction(i, j, x), fx),
+                ("h_apply", coded.h_apply(i, x), a + r * fact // ln_i),
+                ("h_apply", coded.h_apply(j, fx), a + r * fact // ln_j),
+            ):
+                if have != want:
+                    cert.fail("reference_geometry", {"k": k, "map": name})
+                    return cert
+        bit = state.block_bit(k)
+        for r in range(n):
+            fx = b_j + r
+            if fx <= prev:
+                cert.fail("element_injectivity", {"x": str(b_i + r)})
+                return cert
+            prev = fx
+            # Each coded bit is the bit of the target block its image lies in.
+            hx = a + r * fact // ln_i
+            hfx = a + r * fact // ln_j
+            bit_x = bit if a <= hx < a_next else state.block_bit(_target_block(hx))
+            bit_fx = bit if a <= hfx < a_next else state.block_bit(_target_block(hfx))
+            if bit_x != bit_fx:
+                cert.fail("element_commutes", {"x": str(b_i + r)})
+                return cert
+    cert.ok("element_scan", {"scanned": scanned})
     return cert
 
 
@@ -145,7 +235,7 @@ def check_bfo_equivalence(
     i: int,
     n_limit: int,
     *,
-    element_scan: int = 100_000,
+    element_scan: int,
 ) -> Certificate:
     """Certify the two-way coupling between the base set and coded set i.
 
@@ -203,24 +293,53 @@ def check_bfo_equivalence(
                 return cert
     cert.ok("blockwise_exact", {"blocks": k_hi + 1})
 
+    scanned = min(n_limit, element_scan)
     prev = -1
-    for y in range(min(n_limit, element_scan)):
-        fiber = coded.h_fibers(i, y)
-        if not 1 <= len(fiber) <= 2:
-            cert.fail("element_fiber_bound", {"y": str(y)})
+    for k, (fact, a, a_next, b, ln) in enumerate(block_walk(coded.family.profile(i))):
+        if a >= scanned:
+            break
+        name = _geometry_mismatch(coded, i, k, fact, a, b, ln)
+        if name is not None:
+            cert.fail("reference_geometry", {"k": k, "map": name})
             return cert
-        r = coded.least_preimage(i, y)
-        if r != fiber[0] or r <= prev:
-            cert.fail("element_preimage_injective", {"y": str(y)})
-            return cert
-        prev = r
-        if coded.h_apply(i, r) != y:
-            cert.fail("element_preimage_section", {"y": str(y)})
-            return cert
-        if eval_A(state, coded, y) != eval_C(state, coded, i, r):
-            cert.fail("element_base_equals_coded", {"y": str(y)})
-            return cert
-    cert.ok("element_scan", {"scanned": min(n_limit, element_scan)})
+        n = min(fact, scanned - a)
+        for q in (0, n - 1):
+            lo = -(-q * ln // fact)
+            hi = -(-(q + 1) * ln // fact)
+            for name, have, want in (
+                ("least_preimage", coded.least_preimage(i, a + q), b + lo),
+                ("h_fibers", coded.h_fibers(i, a + q), list(range(b + lo, b + hi))),
+                ("h_apply", coded.h_apply(i, b + lo), a + lo * fact // ln),
+            ):
+                if have != want:
+                    cert.fail("reference_geometry", {"k": k, "map": name})
+                    return cert
+        bit = state.block_bit(k)
+        # The fiber over a + q starts at offset lo = ceil(q * ln / fact) and
+        # ends where the fiber over a + q + 1 starts.
+        lo = 0
+        for q in range(n):
+            hi = -(-(q + 1) * ln // fact)
+            if not 1 <= hi - lo <= 2:
+                cert.fail("element_fiber_bound", {"y": str(a + q)})
+                return cert
+            r = b + lo
+            if r <= prev:
+                cert.fail("element_preimage_injective", {"y": str(a + q)})
+                return cert
+            prev = r
+            hr = a + lo * fact // ln
+            if hr != a + q:
+                cert.fail("element_preimage_section", {"y": str(a + q)})
+                return cert
+            # The base bit at a + q is bit; the coded bit at r is the bit of
+            # the target block h(r) lies in.
+            bit_r = bit if a <= hr < a_next else state.block_bit(_target_block(hr))
+            if bit_r != bit:
+                cert.fail("element_base_equals_coded", {"y": str(a + q)})
+                return cert
+            lo = hi
+    cert.ok("element_scan", {"scanned": scanned})
     return cert
 
 

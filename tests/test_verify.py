@@ -53,14 +53,15 @@ def test_positive_reduction_pass(constant_run):
 
 def test_positive_reduction_identity_pair(constant_run):
     coded, _, _, _, state = constant_run
-    cert = check_positive_reduction(coded, state, 2, 2, 100)
+    cert = check_positive_reduction(coded, state, 2, 2, 100, element_scan=3000)
     assert cert.verdict == PASS
 
 
 def test_positive_reduction_swapped_fails(constant_run):
     coded, _, _, _, state = constant_run
     limit = coded.source(I_32).endpoint(8)
-    cert = check_positive_reduction(coded, state, I_32, I_54, limit)
+    cert = check_positive_reduction(coded, state, I_32, I_54, limit,
+                                    element_scan=3000)
     assert cert.verdict == FAIL
     failing = [c for c in cert.checks if not c["ok"]]
     assert failing[0]["check"] == "pointwise_domination"
@@ -70,7 +71,8 @@ def test_positive_reduction_swapped_fails(constant_run):
 def test_positive_reduction_incomplete_beyond_frontier(constant_run):
     coded, _, _, _, state = constant_run
     limit = coded.source(I_54).endpoint(60)
-    cert = check_positive_reduction(coded, state, I_54, I_32, limit)
+    cert = check_positive_reduction(coded, state, I_54, I_32, limit,
+                                    element_scan=3000)
     assert cert.verdict == INCOMPLETE
     note = [c for c in cert.checks if not c["ok"]][0]
     assert note["needed_block"] == 59
@@ -83,7 +85,9 @@ def test_bfo_equivalence_pass_and_incomplete(constant_run):
         cert = check_bfo_equivalence(coded, state, i, limit, element_scan=3000)
         assert cert.verdict == PASS
     far = coded.targets.endpoint(80)
-    assert check_bfo_equivalence(coded, state, 0, far).verdict == INCOMPLETE
+    assert check_bfo_equivalence(
+        coded, state, 0, far, element_scan=3000
+    ).verdict == INCOMPLETE
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,174 @@
+"""The verifier's running-sum block walk against the production geometry.
+
+verify.block_walk feeds the element scans without blocks.py or maps.py. These
+tests hold it to TargetBlocks and SourceBlocks at factorial scale and to
+CodedFamily's maps element by element, and inject faults into either side to
+show that the certificates notice them.
+"""
+
+from itertools import islice
+
+import pytest
+
+from blockdensity import verify
+from blockdensity.blocks import SourceBlocks
+from blockdensity.maps import CodedFamily
+from blockdensity.profiles import constant_family
+from blockdensity.scenarios import ScenarioConfig, run_scenario
+from blockdensity.verify import FAIL, PASS, block_walk, target_walk
+from test_witness_text import FAMILIES, KS
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_walk_matches_source_blocks(kind):
+    family, indices = FAMILIES[kind]
+    coded = CodedFamily(family)
+    targets = coded.targets
+    for s in indices:
+        src = coded.source(s)
+        blocks = list(islice(block_walk(family.profile(s)), max(KS) + 1))
+        for k in KS:
+            fact, a, a_next, b, ln = blocks[k]
+            assert (fact, a, a_next) == (
+                targets.size(k), targets.endpoint(k), targets.endpoint(k + 1)
+            ), (s, k)
+            assert (b, ln) == (src.endpoint(k), src.length(k)), (s, k)
+    assert [w[:3] for w in islice(block_walk(family.profile(0)), 13)] == list(
+        islice(target_walk(), 13)
+    )
+    ys = [*range(50), *range(targets.endpoint(9) - 3, targets.endpoint(9) + 3)]
+    assert [verify._target_block(y) for y in ys] == [targets.locate(y) for y in ys]
+
+
+LIMIT = 20_000
+
+
+def walk_maps(profile, limit=LIMIT):
+    """h, the fibers and the block offsets on [0, limit), from the walk alone."""
+    h, fibers, offsets = {}, {}, {}
+    for k, (fact, a, _, b, ln) in enumerate(block_walk(profile)):
+        if a >= limit and b >= limit:
+            return h, fibers, offsets
+        for r in range(min(ln, limit - b)):
+            h[b + r] = a + r * fact // ln
+            offsets[b + r] = (k, r)
+        for q in range(min(fact, limit - a)):
+            lo = -(-q * ln // fact)
+            hi = -(-(q + 1) * ln // fact)
+            fibers[a + q] = list(range(b + lo, b + hi))
+
+
+def test_walk_maps_match_coded_family():
+    family, cert = constant_family(4)
+    coded = CodedFamily(family)
+    maps = [walk_maps(family.profile(i)) for i in range(4)]
+    for i, (h, fibers, _) in enumerate(maps):
+        for x in range(LIMIT):
+            assert coded.h_apply(i, x) == h[x], (i, x)
+        for y in range(LIMIT):
+            fiber = coded.h_fibers(i, y)
+            assert fiber == fibers[y], (i, y)
+            assert coded.least_preimage(i, y) == fibers[y][0], (i, y)
+    # Translations run down the chain: i below j pointwise where D schedules
+    # only (j, i).
+    pairs = [(i, j) for i in range(4) for j in range(4)
+             if i != j and cert.in_D(j, i) and not cert.in_D(i, j)]
+    assert pairs
+    for i, j in pairs:
+        offsets = maps[i][2]
+        ends_j = [b for _, _, _, b, _ in islice(block_walk(family.profile(j)), 12)]
+        for x in range(LIMIT):
+            k, r = offsets[x]
+            assert coded.positive_reduction(i, j, x) == ends_j[k] + r, (i, j, x)
+
+
+# Fault injection: a small rationals run, whose certificates must all pass as
+# they are and some must fail under each mutation.
+GATE = ScenarioConfig(kind="rationals", count=3, e_bound=3, k_max=8, element_scan=2000)
+
+
+def failing_checks(certs):
+    return {
+        (cert.kind, check["check"])
+        for cert in certs
+        for check in cert.checks
+        if not check["ok"]
+    }
+
+
+def h_apply_ceil(self, i, x):
+    """CodedFamily.h_apply rounding up instead of down."""
+    src = self.source(i)
+    k, r = src.locate(x)
+    n, d = src.ratio(k)
+    return self.targets.endpoint(k) - (-(r * n) // d)
+
+
+def extend_long_from_5(self, k=None, beyond=None):
+    """SourceBlocks._extend with |K_m| one too long from m = 5 on."""
+    ends = self._ends
+    while (k is not None and len(ends) <= k + 1) or (
+        beyond is not None and ends[-1] <= beyond
+    ):
+        m = len(ends) - 1
+        u = self._profile(m)
+        fact = self._targets.size(m)
+        ln = u.numerator * fact // u.denominator + (m >= 5)
+        ends.append(ends[-1] + ln)
+        self._ratios.append((fact, ln))
+
+
+def positive_reduction_shifted(real):
+    def shifted(self, i, j, x):
+        return real(self, i, j, x) + 1
+    return shifted
+
+
+def walk_long_from_5(real):
+    def walk(profile):
+        shift = 0
+        for k, (fact, a, a_next, b, ln) in enumerate(real(profile)):
+            yield fact, a, a_next, b + shift, ln + (k >= 5)
+            shift += k >= 5
+    return walk
+
+
+MUTATIONS = {
+    "h_apply_rounding": (
+        lambda mp: mp.setattr(CodedFamily, "h_apply", h_apply_ceil),
+        {("BfoEquivalence", "fiber_membership"),
+         ("PositiveReduction", "reference_geometry")},
+    ),
+    "source_length_from_5": (
+        lambda mp: mp.setattr(SourceBlocks, "_extend", extend_long_from_5),
+        {("BfoEquivalence", "reference_geometry"),
+         ("PositiveReduction", "reference_geometry")},
+    ),
+    "positive_reduction_offset": (
+        lambda mp: mp.setattr(
+            CodedFamily, "positive_reduction",
+            positive_reduction_shifted(CodedFamily.positive_reduction),
+        ),
+        {("PositiveReduction", "reference_geometry")},
+    ),
+    "walk_floor_from_5": (
+        lambda mp: mp.setattr(verify, "block_walk", walk_long_from_5(block_walk)),
+        {("BfoEquivalence", "reference_geometry"),
+         ("PositiveReduction", "reference_geometry")},
+    ),
+}
+
+
+def test_gate_run_passes_unmutated():
+    certs = run_scenario(GATE).certificates
+    assert {c.kind for c in certs} >= {"PositiveReduction", "BfoEquivalence"}
+    assert all(c.verdict == PASS for c in certs)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutation_fails_a_certificate(name, monkeypatch):
+    mutate, caught_by = MUTATIONS[name]
+    mutate(monkeypatch)
+    certs = run_scenario(GATE).certificates
+    assert any(c.verdict == FAIL for c in certs)
+    assert failing_checks(certs) == caught_by
