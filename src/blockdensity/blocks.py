@@ -75,6 +75,7 @@ class SourceBlocks:
         self._targets = targets
         self._ends = [0]
         self._ratios: list[tuple[int, int]] = []
+        # (q, p) of each profile value p/q met so far, band-checked once.
         self._reduced: dict[Fraction, tuple[int, int]] = {}
 
     def _extend(self, k: int | None = None, beyond: int | None = None) -> None:
@@ -84,20 +85,18 @@ class SourceBlocks:
         ):
             m = len(ends) - 1
             u = self._profile(m)
-            if not ONE < u < TWO:
-                raise ValueError(
-                    "profile value %s at block %d outside (1, 2)" % (u, m)
-                )
+            reduced = self._reduced.get(u)
+            if reduced is None:
+                if not ONE < u < TWO:
+                    raise ValueError(
+                        "profile value %s at block %d outside (1, 2)" % (u, m)
+                    )
+                reduced = self._reduced[u] = (u.denominator, u.numerator)
+            q, p = reduced
             fact = self._targets.size(m)
-            ln, rem = divmod(u.numerator * fact, u.denominator)
-            if rem:
-                ratio = (fact, ln)
-            else:
-                ratio = self._reduced.get(u)
-                if ratio is None:
-                    ratio = self._reduced[u] = (u.denominator, u.numerator)
+            ln, rem = divmod(p * fact, q)
             ends.append(ends[-1] + ln)
-            self._ratios.append(ratio)
+            self._ratios.append((fact, ln) if rem else reduced)
 
     def length(self, k: int) -> int:
         """|K_k| = floor(u(k) * k!) = b_{k+1} - b_k."""

@@ -9,11 +9,13 @@ failed), 3 usage or config error, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+from .construction import Transcript
 from .machine import Halted, decode, program_text, run
 from .maps import CodedFamily
 from .numerics import rat_parse
@@ -72,6 +74,19 @@ def _coded_family(args) -> CodedFamily:
         beta=args.beta, poset_rows=rows,
     )
     return prepare(config)[0]
+
+
+def _usage_errors(cmd):
+    """cmd, whose ValueErrors can only come from its arguments, raising them
+    as UsageErrors; the other commands check their inputs where they read them.
+    """
+    @functools.wraps(cmd)
+    def checked(args) -> int:
+        try:
+            return cmd(args)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+    return checked
 
 
 def _out_stream(path: str | None):
@@ -153,7 +168,7 @@ def _load_config(path: str) -> ScenarioConfig:
         raise UsageError("cannot read config %s: %s" % (path, exc))
     try:
         return ScenarioConfig.from_json(payload)
-    except ValueError as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise UsageError("bad config: %s" % exc)
 
 
@@ -161,6 +176,8 @@ def _cmd_construct(args) -> int:
     config = _load_config(args.config)
     if config.kind == "universal":
         raise UsageError("universal scenarios run no construction")
+    if args.stages is not None and args.stages < 1:
+        raise UsageError("--stages must be at least 1")
     coded, *_, transcript = construct(config, args.stages)
     transcript.write_jsonl(args.out, coded)
     print("stages,%d" % len(transcript.records))
@@ -169,7 +186,11 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
-    certs = verify_transcript(config, args.transcript)
+    try:
+        transcript = Transcript.read_jsonl(args.transcript)
+    except (OSError, ValueError) as exc:
+        raise UsageError(str(exc))
+    certs = verify_transcript(config, transcript)
     write_report(certs, args.report)
     code = report_exit_code(certs)
     for cert in certs:
@@ -178,11 +199,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    kind = args.scenario_kind
+    # The one flag each kind takes its profile count from.
+    reads = {"antichain": "--n", "poset": "--matrix", "universal": "--matrix"}.get(
+        kind, "--count"
+    )
+    for flag, value in (("--count", args.count), ("--n", args.n)):
+        if value is not None and flag != reads:
+            raise UsageError("scenario %s reads %s, not %s" % (kind, reads, flag))
+    count = args.n if kind == "antichain" else args.count
+    if count is None:
+        count = 3 if kind == "antichain" else DEFAULT_COUNT
     rows = [row for row in (args.matrix or "").split(",") if row]
     try:
         config = ScenarioConfig(
-            kind=args.scenario_kind,
-            count=args.n if args.scenario_kind == "antichain" else args.count,
+            kind=kind,
+            count=count,
             alpha=args.alpha,
             beta=args.beta,
             poset_rows=rows,
@@ -211,7 +243,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kmax", type=int, default=12)
     p.add_argument("--i", default="", help="comma-separated profile indices")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_blocks)
+    p.set_defaults(fn=_usage_errors(_cmd_blocks))
 
     p = sub.add_parser("map", help="apply coded maps")
     p.add_argument("action", choices=["apply", "fibers", "preimage", "reduce", "collapse"])
@@ -220,20 +252,20 @@ def build_parser() -> _Parser:
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--x", type=int, default=0)
     p.add_argument("--y", type=int, default=0)
-    p.set_defaults(fn=_cmd_map)
+    p.set_defaults(fn=_usage_errors(_cmd_map))
 
     p = sub.add_parser("machine", help="decode or run enumerated programs")
     p.add_argument("action", choices=["decode", "run"])
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--x", type=int, default=0)
     p.add_argument("--budget", type=int, default=10**5)
-    p.set_defaults(fn=_cmd_machine)
+    p.set_defaults(fn=_usage_errors(_cmd_machine))
 
     p = sub.add_parser("poset", help="validate, embed, or dump the generic order")
     p.add_argument("action", choices=["validate", "embed", "dump-universal"])
     p.add_argument("--matrix", default="")
     p.add_argument("--size", type=int, default=20)
-    p.set_defaults(fn=_cmd_poset)
+    p.set_defaults(fn=_usage_errors(_cmd_poset))
 
     p = sub.add_parser("construct", help="run the stage construction from a config")
     p.add_argument("--config", required=True)
@@ -249,8 +281,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("scenario", help="full pipeline: construct, certify, report")
     p.add_argument("scenario_kind", choices=KINDS)
-    p.add_argument("--count", type=int, default=DEFAULT_COUNT)
-    p.add_argument("--n", type=int, default=3, help="profile count for antichain")
+    p.add_argument("--count", type=int, default=None,
+                   help="profile count for rationals and combined (default %d)"
+                   % DEFAULT_COUNT)
+    p.add_argument("--n", type=int, default=None,
+                   help="profile count for antichain (default 3)")
     p.add_argument("--alpha", type=_rat, default=DEFAULT_ALPHA)
     p.add_argument("--beta", type=_rat, default=DEFAULT_BETA)
     p.add_argument("--matrix", default="")
@@ -269,9 +304,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:

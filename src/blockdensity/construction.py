@@ -593,7 +593,3 @@ def eval_A(state: ConstructionState, coded: CodedFamily, n: int) -> int:
     """Membership bit of n in the constructed set (0/1), frontier permitting."""
     return state.block_bit(coded.targets.locate(n))
 
-
-def eval_C(state: ConstructionState, coded: CodedFamily, i: int, x: int) -> int:
-    """Membership bit of x in the i-th coded set: the bit of its compressed image."""
-    return eval_A(state, coded, coded.h_apply(i, x))

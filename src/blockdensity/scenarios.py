@@ -168,10 +168,14 @@ def _scheduled_pairs(config: ScenarioConfig, cert) -> list[tuple[int, int]]:
     return [(a, b) for a in span for b in span if a != b and cert.in_D(a, b)]
 
 
-def required_stages(config: ScenarioConfig, cert, schedule: RequirementSchedule) -> int:
+def _window_stages(config: ScenarioConfig, cert, schedule: RequirementSchedule) -> int:
+    """Stages the defeat bundles of the scenario's program-index window need."""
     pairs = _scheduled_pairs(config, cert)
-    needed = window_stage_count(schedule, pairs, config.e_bound) if pairs else 1
-    return max(config.stages or 0, needed)
+    return window_stage_count(schedule, pairs, config.e_bound) if pairs else 1
+
+
+def required_stages(config: ScenarioConfig, cert, schedule: RequirementSchedule) -> int:
+    return max(config.stages or 0, _window_stages(config, cert, schedule))
 
 
 def _identity_device_certificate(transcript, state) -> Certificate:
@@ -229,7 +233,6 @@ def _collapse_certificate(coded, state) -> Certificate:
 def _construction_certificates(config, coded, gap_cert, schedule, transcript):
     """The certificate suite for one run, derived from the transcript alone."""
     state = reconstruct_state(transcript.records)
-    certs: list[Certificate] = []
     # Each diagonal witness is checked once; defeat bundles reuse the verdicts
     # and the certificates follow the rest of the report.
     diag_certs = {
@@ -238,44 +241,40 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
         if record.branch == BRANCH_DIAGONALIZED
     }
     diag_verdicts = {n: c.verdict for n, c in diag_certs.items()}
+    # The gap certificate fixes the order: a pair (a, b) that D schedules
+    # only as (b, a) has a pointwise below b, so it gets a reduction.
+    span = _span(config)
+    reductions = {
+        (a, b): check_positive_reduction(
+            coded, state, a, b, coded.source(a).endpoint(config.k_max),
+            element_scan=config.element_scan,
+        )
+        for a in span
+        for b in span
+        if a != b and gap_cert.in_D(b, a) and not gap_cert.in_D(a, b)
+    }
+    defeats = {
+        (a, b): check_defeat_bundle(
+            coded, transcript, schedule, a, b, config.e_bound, diag_verdicts
+        )
+        for a, b in _scheduled_pairs(config, gap_cert)
+    }
 
     if config.kind == "poset":
-        poset = FinitePoset.from_rows(config.poset_rows)
-        certs.append(
+        # D schedules exactly the pairs (a, b) with a not below b, so every
+        # cell off the diagonal has one certificate.
+        stages = (len(transcript.records), _window_stages(config, gap_cert, schedule))
+        certs = [
             check_embedding_matrix(
-                poset,
-                (coded, schedule, transcript, state),
+                FinitePoset.from_rows(config.poset_rows),
+                {**reductions, **defeats},
+                stages,
                 e_bound=config.e_bound,
                 budget=config.budget,
-                k_max=config.k_max,
-                element_scan=config.element_scan,
-                diag_verdicts=diag_verdicts,
             )
-        )
-    else:
-        # The gap certificate fixes the order: a pair (a, b) that D schedules
-        # only as (b, a) has a pointwise below b, so it gets a reduction.
-        span = _span(config)
-        chain_pairs = [
-            (a, b)
-            for a in span
-            for b in span
-            if a != b and gap_cert.in_D(b, a) and not gap_cert.in_D(a, b)
         ]
-        for a, b in chain_pairs:
-            limit = coded.source(a).endpoint(config.k_max)
-            certs.append(
-                check_positive_reduction(
-                    coded, state, a, b, limit, element_scan=config.element_scan
-                )
-            )
-        for a, b in _scheduled_pairs(config, gap_cert):
-            certs.append(
-                check_defeat_bundle(
-                    coded, state, transcript, schedule, a, b, config.e_bound,
-                    diag_verdicts,
-                )
-            )
+    else:
+        certs = [*reductions.values(), *defeats.values()]
         for i in span:
             limit = coded.targets.endpoint(config.k_max)
             certs.append(
@@ -374,11 +373,10 @@ def write_report(certs: list[Certificate], path: str | Path) -> None:
             handle.write(json.dumps(cert.to_json()) + "\n")
 
 
-def verify_transcript(config: ScenarioConfig, transcript_path: str | Path):
-    """Replay a written transcript and recompute its certificate suite."""
+def verify_transcript(config: ScenarioConfig, transcript: Transcript):
+    """Replay a loaded transcript and recompute its certificate suite."""
     config.validate()
     coded, gap_cert, schedule = prepare(config)
-    transcript = Transcript.read_jsonl(transcript_path)
     certs = [
         check_transcript_replay(
             coded, gap_cert, transcript, config.budget, schedule=schedule

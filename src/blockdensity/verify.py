@@ -1,19 +1,20 @@
 """Certificate checking over transcripts and constructed prefixes.
 
-Positive claims (reductions, equivalences) are certified exactly: per-block
-integer identities cover the whole requested range, and an element-by-element
-scan additionally covers a bounded prefix. The element scans do not use the
-production geometry: they walk the blocks by running sums (block_walk: k!,
+Positive claims (reductions, equivalences) are certified exactly, each in one
+pass over the blocks that the requested range meets. The pass does not use
+the production geometry: it walks the blocks by running sums (block_walk: k!,
 a_k, b_k and |K_k| = floor(u(k) * k!) from the profile alone, nothing from
-blocks.py or maps.py) and do small-offset arithmetic inside each block. At
-every block they enter they compare the walk with the production endpoints
-and lengths, and at the block's first and last scanned element with the
-production maps, so the scans test that geometry instead of trusting it; a
-disagreement is a reference_geometry FAIL. Negative claims are explicitly
-budget-qualified: a defeat bundle says that no scheduled program below the
-index bound is a total injective reduction on the constructed prefix within
-the step budget, never more. INCOMPLETE names what is missing (stages or
-records); FAIL means a check was run and refuted.
+blocks.py or maps.py). At every block it compares the walk with the
+production endpoints and lengths, checks the block identities on the walk's
+values, compares the production maps with the walk at the block's two ends
+and its last scanned element (and, for couplings, at sampled offsets), and
+then checks the block's part of a bounded prefix element by element with
+small-offset arithmetic. So the certificates test that geometry instead of
+trusting it; a disagreement is a reference_geometry FAIL. Negative claims are
+explicitly budget-qualified: a defeat bundle says that no scheduled program
+below the index bound is a total injective reduction on the constructed
+prefix within the step budget, never more. INCOMPLETE names what is missing
+(stages or records); FAIL means a check was run and refuted.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from .construction import (
     StageRecord,
     Transcript,
     eval_A,
-    eval_C,
     run_construction,
-    window_stage_count,
     witness_decimals,
 )
 from .machine import Halted, OutOfBudget, decode, run_program
@@ -113,6 +112,13 @@ def _target_block(y: int) -> int:
             return k
 
 
+def _source_block(profile: Callable[[int], Fraction], x: int) -> int:
+    """The k with b_k <= x < b_{k+1}, by walking the profile's blocks."""
+    for k, (_, _, _, b, ln) in enumerate(block_walk(profile)):
+        if x < b + ln:
+            return k
+
+
 def _geometry_mismatch(
     coded: CodedFamily, i: int, k: int, fact: int, a: int, b: int, ln: int
 ) -> str | None:
@@ -140,8 +146,9 @@ def check_positive_reduction(
 ) -> Certificate:
     """Certify the blockwise translation as a one-one reduction on [0, n_limit).
 
-    Blockwise integer identities cover the full range exactly; the first
-    element_scan inputs are additionally checked one by one.
+    One pass over the walk's blocks 0..k_hi, the blocks [0, n_limit) meets:
+    each block's identities cover it exactly, and its part of the first
+    element_scan inputs is additionally checked one by one.
     """
     cert = Certificate(
         "PositiveReduction",
@@ -153,9 +160,8 @@ def check_positive_reduction(
     if i == j:
         cert.ok("identity_pair")
         return cert
-    src_i = coded.source(i)
-    src_j = coded.source(j)
-    k_hi, _ = src_i.locate(n_limit - 1)
+    profile_i, profile_j = coded.family.profile(i), coded.family.profile(j)
+    k_hi = _source_block(profile_i, n_limit - 1)
     if k_hi > state.frontier:
         cert.incomplete(
             "frontier",
@@ -163,35 +169,10 @@ def check_positive_reduction(
              "hint": "run stages until the frontier reaches the needed block"},
         )
         return cert
-    for k in range(k_hi + 1):
-        len_i = src_i.length(k)
-        len_j = src_j.length(k)
-        if len_i > len_j:
-            cert.fail(
-                "pointwise_domination",
-                {"k": k, "len_i": str(len_i), "len_j": str(len_j)},
-            )
-            return cert
-        # Translation stays inside the destination block and, with the next
-        # block starting strictly later, stays injective across blocks.
-        if not src_j.endpoint(k) + len_i <= src_j.endpoint(k + 1):
-            cert.fail("image_containment", {"k": k})
-            return cert
-        bit = state.block_bit(k)
-        lo, hi = src_i.block(k)
-        for x in (lo, hi - 1):
-            fx = coded.positive_reduction(i, j, x)
-            if eval_C(state, coded, i, x) != bit or eval_C(state, coded, j, fx) != bit:
-                cert.fail("block_bit_endpoints", {"k": k, "x": str(x)})
-                return cert
-    cert.ok("blockwise_exact", {"blocks": k_hi + 1})
-
     scanned = min(n_limit, element_scan)
     prev = -1
-    walks = zip(block_walk(coded.family.profile(i)), block_walk(coded.family.profile(j)))
-    for k, ((fact, a, a_next, b_i, ln_i), (_, _, _, b_j, ln_j)) in enumerate(walks):
-        if b_i >= scanned:
-            break
+    walks = zip(range(k_hi + 1), block_walk(profile_i), block_walk(profile_j))
+    for k, (fact, a, a_next, b_i, ln_i), (_, _, _, b_j, ln_j) in walks:
         for name in (
             _geometry_mismatch(coded, i, k, fact, a, b_i, ln_i),
             _geometry_mismatch(coded, j, k, fact, a, b_j, ln_j),
@@ -199,8 +180,17 @@ def check_positive_reduction(
             if name is not None:
                 cert.fail("reference_geometry", {"k": k, "map": name})
                 return cert
-        n = min(ln_i, scanned - b_i)
-        for r in (0, n - 1):
+        # b_i + r -> b_j + r stays inside block k of j, and so is injective
+        # across blocks, exactly when |K_k^i| <= |K_k^j|; h then sends both
+        # sides into target block k, so both coded bits are block k's bit.
+        if ln_i > ln_j:
+            cert.fail(
+                "pointwise_domination",
+                {"k": k, "len_i": str(ln_i), "len_j": str(ln_j)},
+            )
+            return cert
+        n = min(ln_i, max(0, scanned - b_i))
+        for r in sorted({0, max(n, 1) - 1, ln_i - 1}):
             x, fx = b_i + r, b_j + r
             for name, have, want in (
                 ("positive_reduction", coded.positive_reduction(i, j, x), fx),
@@ -210,6 +200,8 @@ def check_positive_reduction(
                 if have != want:
                     cert.fail("reference_geometry", {"k": k, "map": name})
                     return cert
+        if not n:
+            continue
         bit = state.block_bit(k)
         for r in range(n):
             fx = b_j + r
@@ -225,6 +217,7 @@ def check_positive_reduction(
             if bit_x != bit_fx:
                 cert.fail("element_commutes", {"x": str(b_i + r)})
                 return cert
+    cert.ok("blockwise_exact", {"blocks": k_hi + 1})
     cert.ok("element_scan", {"scanned": scanned})
     return cert
 
@@ -241,7 +234,8 @@ def check_bfo_equivalence(
 
     Fibers of the compression map stay within size two, the least-preimage
     map is injective, and base membership equals coded membership of the
-    least preimage, over [0, n_limit).
+    least preimage, over [0, n_limit): one pass over the walk's blocks as in
+    check_positive_reduction.
     """
     cert = Certificate(
         "BfoEquivalence",
@@ -250,8 +244,7 @@ def check_bfo_equivalence(
     if n_limit <= 0:
         cert.fail("range", {"reason": "empty range"})
         return cert
-    src = coded.source(i)
-    k_hi = coded.targets.locate(n_limit - 1)
+    k_hi = _target_block(n_limit - 1)
     if k_hi > state.frontier:
         cert.incomplete(
             "frontier",
@@ -259,31 +252,24 @@ def check_bfo_equivalence(
              "hint": "run stages until the frontier reaches the needed block"},
         )
         return cert
-    prev_preimage = -1
-    for k in range(k_hi + 1):
-        m = coded.targets.size(k)
-        ln = src.length(k)
-        if not m <= ln < 2 * m:
-            cert.fail("length_band", {"k": k, "len": str(ln), "size": str(m)})
+    scanned = min(n_limit, element_scan)
+    prev = -1
+    walk = zip(range(k_hi + 1), block_walk(coded.family.profile(i)))
+    for k, (fact, a, a_next, b, ln) in walk:
+        name = _geometry_mismatch(coded, i, k, fact, a, b, ln)
+        if name is not None:
+            cert.fail("reference_geometry", {"k": k, "map": name})
             return cert
-        a_k = coded.targets.endpoint(k)
-        b_k = src.endpoint(k)
-        first = coded.least_preimage(i, a_k)
-        last = coded.least_preimage(i, a_k + m - 1)
-        if first != b_k or not b_k <= last < src.endpoint(k + 1):
-            cert.fail("preimage_containment", {"k": k})
+        # The fiber over a + q is b + [ceil(q * ln / fact), ceil((q + 1) * ln
+        # / fact)): one or two elements by the length band, least preimages
+        # rising from b inside the block.
+        if not fact <= ln < 2 * fact:
+            cert.fail("length_band", {"k": k, "len": str(ln), "size": str(fact)})
             return cert
-        if first <= prev_preimage:
-            cert.fail("preimage_monotone_boundary", {"k": k})
-            return cert
-        prev_preimage = last
-        # The fiber over target offset q is an integer interval of length
-        # ln/m, which sits in [1, 2) by the length band; sampled offsets guard
-        # the arithmetic.
-        step = max(1, m // 7)
-        offsets = sorted({0, m - 1, *range(0, m, step)})
-        for q in offsets:
-            y = a_k + q
+        n = min(fact, max(0, scanned - a))
+        step = max(1, fact // 7)
+        for q in sorted({max(n, 1) - 1, fact - 1, *range(0, fact, step)}):
+            y = a + q
             fiber = coded.h_fibers(i, y)
             if not 1 <= len(fiber) <= 2:
                 cert.fail("fiber_bound_sampled", {"k": k, "y": str(y)})
@@ -291,29 +277,17 @@ def check_bfo_equivalence(
             if any(coded.h_apply(i, x) != y for x in fiber):
                 cert.fail("fiber_membership", {"k": k, "y": str(y)})
                 return cert
-    cert.ok("blockwise_exact", {"blocks": k_hi + 1})
-
-    scanned = min(n_limit, element_scan)
-    prev = -1
-    for k, (fact, a, a_next, b, ln) in enumerate(block_walk(coded.family.profile(i))):
-        if a >= scanned:
-            break
-        name = _geometry_mismatch(coded, i, k, fact, a, b, ln)
-        if name is not None:
-            cert.fail("reference_geometry", {"k": k, "map": name})
-            return cert
-        n = min(fact, scanned - a)
-        for q in (0, n - 1):
             lo = -(-q * ln // fact)
             hi = -(-(q + 1) * ln // fact)
             for name, have, want in (
-                ("least_preimage", coded.least_preimage(i, a + q), b + lo),
-                ("h_fibers", coded.h_fibers(i, a + q), list(range(b + lo, b + hi))),
-                ("h_apply", coded.h_apply(i, b + lo), a + lo * fact // ln),
+                ("least_preimage", coded.least_preimage(i, y), b + lo),
+                ("h_fibers", fiber, list(range(b + lo, b + hi))),
             ):
                 if have != want:
                     cert.fail("reference_geometry", {"k": k, "map": name})
                     return cert
+        if not n:
+            continue
         bit = state.block_bit(k)
         # The fiber over a + q starts at offset lo = ceil(q * ln / fact) and
         # ends where the fiber over a + q + 1 starts.
@@ -339,6 +313,7 @@ def check_bfo_equivalence(
                 cert.fail("element_base_equals_coded", {"y": str(a + q)})
                 return cert
             lo = hi
+    cert.ok("blockwise_exact", {"blocks": k_hi + 1})
     cert.ok("element_scan", {"scanned": scanned})
     return cert
 
@@ -401,15 +376,11 @@ def check_diag_witness(
 
 
 def _check_defeat_record(
-    coded: CodedFamily,
-    state: ConstructionState,
-    record: StageRecord,
-    diag_verdict: str | None,
+    coded: CodedFamily, record: StageRecord, diag_verdict: str | None
 ) -> tuple[bool, str]:
     """Validate whichever branch a defeat record claims.
 
-    A diagonalized record reuses diag_verdict, its DiagWitness verdict, when
-    the caller has already checked it.
+    A diagonalized record stands on diag_verdict, its DiagWitness verdict.
     """
     witnesses = {BRANCH_NON_TOTAL: ("x",), BRANCH_NON_INJECTIVE: ("x", "x2")}
     bad = _unnatural_witness(record, witnesses.get(record.branch, ()))
@@ -433,29 +404,25 @@ def _check_defeat_record(
             return False, "claimed collision reruns to distinct values"
         return True, ""
     if record.branch == BRANCH_DIAGONALIZED:
-        if diag_verdict is None:
-            diag_verdict = check_diag_witness(coded, state, record).verdict
         return diag_verdict == PASS, "" if diag_verdict == PASS else "diagonal recheck failed"
     return False, "unknown branch"
 
 
 def check_defeat_bundle(
     coded: CodedFamily,
-    state: ConstructionState,
     transcript: Transcript,
     schedule: RequirementSchedule,
     i: int,
     j: int,
     e_bound: int,
-    diag_verdicts: Mapping[int, str] | None = None,
+    diag_verdicts: Mapping[int, str],
 ) -> Certificate:
     """One defeat record per program index below the bound, each revalidated.
 
     The conclusion is bounded: no program with index below e_bound is a total
     injective reduction on the constructed prefix within the recorded budget.
     diag_verdicts maps the position of each diagonalized record in the
-    transcript to its DiagWitness verdict; without it those records are
-    rechecked here.
+    transcript to its DiagWitness verdict.
     """
     cert = Certificate(
         "DefeatBundle",
@@ -480,8 +447,7 @@ def check_defeat_bundle(
         if (record.e, record.i, record.j) != (e, i, j):
             cert.fail("schedule_mismatch", {"stage": stage})
             continue
-        diag_verdict = None if diag_verdicts is None else diag_verdicts.get(stage)
-        valid, reason = _check_defeat_record(coded, state, record, diag_verdict)
+        valid, reason = _check_defeat_record(coded, record, diag_verdicts.get(stage))
         if valid:
             defeated += 1
         else:
@@ -494,53 +460,42 @@ def check_defeat_bundle(
 
 def check_embedding_matrix(
     poset: FinitePoset,
-    run: tuple[CodedFamily, RequirementSchedule, Transcript, ConstructionState],
+    cells: Mapping[tuple[int, int], Certificate],
+    stages: tuple[int, int],
     *,
     e_bound: int,
     budget: int,
-    k_max: int,
-    element_scan: int,
-    diag_verdicts: Mapping[int, str] | None = None,
 ) -> Certificate:
     """Certify that reduction evidence reproduces the poset relation exactly.
 
-    run is the coded poset family, its schedule, the transcript and the state
-    reconstructed from it, as the poset scenario builds them. Cells with a
-    relation get positive reduction certificates; cells without one get
-    defeat bundles over the program-index window. The verdict matrix must
-    equal the input relation matrix cell for cell. diag_verdicts is passed on
-    to the defeat bundles.
+    cells maps each pair (a, b) with a != b to its certificate: a
+    PositiveReduction where a is below b, a DefeatBundle over the
+    program-index window where it is not. stages is (run, needed), the
+    transcript's stage count and the count the window needs. The verdict
+    matrix, true on the diagonal by reflexivity, must equal the input
+    relation matrix cell for cell.
     """
     n = poset.n
     cert = Certificate(
         "EmbeddingMatrix",
         {"n": n, "rows": poset.rows(), "e_bound": e_bound, "budget": budget},
     )
-    coded, schedule, transcript, state = run
-    negative = [(a, b) for a in range(n) for b in range(n) if not poset.leq(a, b)]
-    needed = window_stage_count(schedule, negative, e_bound) if negative else 1
-    if len(transcript.records) < needed:
-        cert.incomplete("stages", {"needed": needed, "run": len(transcript.records)})
+    run, needed = stages
+    if run < needed:
+        cert.incomplete("stages", {"needed": needed, "run": run})
         return cert
 
-    verdict_matrix: list[list[bool | None]] = [[None] * n for _ in range(n)]
+    verdict_matrix = [[a == b for b in range(n)] for a in range(n)]
     for a in range(n):
         for b in range(n):
-            if poset.leq(a, b):
-                limit = coded.source(a).endpoint(k_max)
-                sub = check_positive_reduction(
-                    coded, state, a, b, limit, element_scan=element_scan
-                )
-                verdict_matrix[a][b] = sub.verdict == PASS
-                if sub.verdict != PASS:
-                    cert.fail("positive_cell", {"a": a, "b": b, "verdict": sub.verdict})
-            else:
-                sub = check_defeat_bundle(
-                    coded, state, transcript, schedule, a, b, e_bound, diag_verdicts
-                )
-                verdict_matrix[a][b] = not (sub.verdict == PASS)
-                if sub.verdict != PASS:
-                    cert.fail("negative_cell", {"a": a, "b": b, "verdict": sub.verdict})
+            if a == b:
+                continue
+            sub = cells[a, b]
+            positive = sub.kind == "PositiveReduction"
+            verdict_matrix[a][b] = (sub.verdict == PASS) == positive
+            if sub.verdict != PASS:
+                cert.fail("positive_cell" if positive else "negative_cell",
+                          {"a": a, "b": b, "verdict": sub.verdict})
     matches = all(
         verdict_matrix[a][b] == poset.leq(a, b) for a in range(n) for b in range(n)
     )
@@ -550,7 +505,7 @@ def check_embedding_matrix(
         cert.fail("matrix_equals_relation", {
             "matrix": [["1" if v else "0" for v in row] for row in verdict_matrix]
         })
-    cert.diagnostics["stages_run"] = len(transcript.records)
+    cert.diagnostics["stages_run"] = run
     return cert
 
 

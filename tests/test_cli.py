@@ -169,7 +169,59 @@ def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 3
 
 
+@pytest.mark.parametrize("argv, reads", [
+    (["scenario", "antichain", "--count", "5"], "--n"),
+    (["scenario", "rationals", "--n", "2"], "--count"),
+    (["scenario", "combined", "--n", "2"], "--count"),
+    (["scenario", "poset", "--matrix", "1", "--count", "2"], "--matrix"),
+])
+def test_scenario_count_flag_of_another_kind_is_usage_error(argv, reads, tmp_path, capsys):
+    code = main(argv + ["--E", "2", "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "scenario %s reads %s, not " % (argv[1], reads) in err
+    assert not (tmp_path / "out").exists()
+
+
+# Inputs each command reads and rejects: argv, with {config} a valid config
+# file and {bad} one holding the given JSON text.
+BAD_INPUTS = {
+    "map_negative_x": (["map", "apply", "--x", "-1"], None),
+    "map_undominated_pair": (["map", "reduce", "--i", "0", "--j", "3", "--x", "4"], None),
+    "machine_negative_e": (["machine", "decode", "--e", "-1"], None),
+    "machine_zero_budget": (["machine", "run", "--e", "0", "--budget", "0"], None),
+    "blocks_bad_index": (["blocks", "--i", "a"], None),
+    "construct_zero_stages": (
+        ["construct", "--config", "{config}", "--out", "{out}", "--stages", "0"], None),
+    "config_null_count": (
+        ["construct", "--config", "{bad}", "--out", "{out}"],
+        '{"kind": "rationals", "count": null}'),
+    "config_list": (["construct", "--config", "{bad}", "--out", "{out}"], "[]"),
+    "config_numeric_alpha": (
+        ["construct", "--config", "{bad}", "--out", "{out}"],
+        '{"kind": "antichain", "alpha": 1}'),
+    "verify_missing_transcript": (
+        ["verify", "--config", "{config}", "--transcript", "{out}",
+         "--report", "{report}"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_3(name, tmp_path, capsys):
+    argv, bad = BAD_INPUTS[name]
+    paths = {"config": tmp_path / "config.json", "bad": tmp_path / "bad.json",
+             "out": tmp_path / "missing.jsonl", "report": tmp_path / "r.jsonl"}
+    paths["config"].write_text(json.dumps({"kind": "rationals", "count": 2, "E": 2}))
+    if bad is not None:
+        paths["bad"].write_text(bad)
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("fault", [
+    ValueError("internal"),
     MemoryError(),
     ArithmeticError("pigeonhole violated: a total injective map stayed inside "
                     "the dominated range"),

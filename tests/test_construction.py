@@ -16,7 +16,6 @@ from blockdensity.construction import (
     _evaluate_block,
     domination_search,
     eval_A,
-    eval_C,
     reconstruct_state,
     run_construction,
     run_stage,
@@ -225,7 +224,8 @@ def test_eval_A_and_eval_C():
         src = coded.source(i)
         for k in range(state.frontier + 1):
             lo, hi = src.block(k)
-            bits = {eval_C(state, coded, i, x) for x in range(lo, min(hi, lo + 40))}
+            bits = {eval_A(state, coded, coded.h_apply(i, x))
+                    for x in range(lo, min(hi, lo + 40))}
             assert len(bits) == 1
             assert bits.pop() == state.block_bit(k)
 

@@ -119,12 +119,22 @@ def test_diag_witness_rejects_other_branches(combined_run):
             check_diag_witness(coded, state, other[0])
 
 
+def diag_verdicts(coded, state, transcript):
+    """The DiagWitness verdict of each diagonalized record, by position."""
+    return {
+        n: check_diag_witness(coded, state, record).verdict
+        for n, record in enumerate(transcript.records)
+        if record.branch == BRANCH_DIAGONALIZED
+    }
+
+
 def test_defeat_bundle_pass_and_incomplete(constant_run):
     coded, cert, schedule, transcript, state = constant_run
-    bundle = check_defeat_bundle(coded, state, transcript, schedule, 0, 1, 3)
+    verdicts = diag_verdicts(coded, state, transcript)
+    bundle = check_defeat_bundle(coded, transcript, schedule, 0, 1, 3, verdicts)
     assert bundle.verdict == PASS
     assert bundle.diagnostics["defeated"] == 3
-    too_wide = check_defeat_bundle(coded, state, transcript, schedule, 0, 1, 40)
+    too_wide = check_defeat_bundle(coded, transcript, schedule, 0, 1, 40, verdicts)
     assert too_wide.verdict == INCOMPLETE
 
 
@@ -142,7 +152,8 @@ def test_defeat_record_without_natural_witness_fails(constant_run, branch, field
     records = list(transcript.records)
     records[stage] = dataclasses.replace(record, **fields)
     bundle = check_defeat_bundle(
-        coded, state, Transcript(records), schedule, 0, 1, 1
+        coded, Transcript(records), schedule, 0, 1, 1,
+        diag_verdicts(coded, state, transcript),
     )
     assert bundle.verdict == FAIL
     assert bundle.checks == [{

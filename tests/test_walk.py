@@ -1,11 +1,12 @@
 """The verifier's running-sum block walk against the production geometry.
 
-verify.block_walk feeds the element scans without blocks.py or maps.py. These
-tests hold it to TargetBlocks and SourceBlocks at factorial scale and to
-CodedFamily's maps element by element, and inject faults into either side to
-show that the certificates notice them.
+verify.block_walk feeds the positive certificates without blocks.py or
+maps.py. These tests hold it to TargetBlocks and SourceBlocks at factorial
+scale and to CodedFamily's maps element by element, and inject faults into
+either side to show that the certificates notice them.
 """
 
+import dataclasses
 from itertools import islice
 
 import pytest
@@ -104,18 +105,20 @@ def h_apply_ceil(self, i, x):
     return self.targets.endpoint(k) - (-(r * n) // d)
 
 
-def extend_long_from_5(self, k=None, beyond=None):
-    """SourceBlocks._extend with |K_m| one too long from m = 5 on."""
-    ends = self._ends
-    while (k is not None and len(ends) <= k + 1) or (
-        beyond is not None and ends[-1] <= beyond
-    ):
-        m = len(ends) - 1
-        u = self._profile(m)
-        fact = self._targets.size(m)
-        ln = u.numerator * fact // u.denominator + (m >= 5)
-        ends.append(ends[-1] + ln)
-        self._ratios.append((fact, ln))
+def extend_long_from(first):
+    """SourceBlocks._extend with |K_m| one too long from m = first on."""
+    def extend(self, k=None, beyond=None):
+        ends = self._ends
+        while (k is not None and len(ends) <= k + 1) or (
+            beyond is not None and ends[-1] <= beyond
+        ):
+            m = len(ends) - 1
+            u = self._profile(m)
+            fact = self._targets.size(m)
+            ln = u.numerator * fact // u.denominator + (m >= first)
+            ends.append(ends[-1] + ln)
+            self._ratios.append((fact, ln))
+    return extend
 
 
 def positive_reduction_shifted(real):
@@ -133,14 +136,25 @@ def walk_long_from_5(real):
     return walk
 
 
+# name -> (mutation, config, the failing (kind, check) pairs)
 MUTATIONS = {
     "h_apply_rounding": (
         lambda mp: mp.setattr(CodedFamily, "h_apply", h_apply_ceil),
+        GATE,
         {("BfoEquivalence", "fiber_membership"),
          ("PositiveReduction", "reference_geometry")},
     ),
     "source_length_from_5": (
-        lambda mp: mp.setattr(SourceBlocks, "_extend", extend_long_from_5),
+        lambda mp: mp.setattr(SourceBlocks, "_extend", extend_long_from(5)),
+        GATE,
+        {("BfoEquivalence", "reference_geometry"),
+         ("PositiveReduction", "reference_geometry")},
+    ),
+    # Source block 6 starts beyond the 200 scanned inputs of the rationals
+    # profiles, so only the blockwise comparison with the walk sees the fault.
+    "source_length_from_6_unscanned": (
+        lambda mp: mp.setattr(SourceBlocks, "_extend", extend_long_from(6)),
+        dataclasses.replace(GATE, element_scan=200),
         {("BfoEquivalence", "reference_geometry"),
          ("PositiveReduction", "reference_geometry")},
     ),
@@ -149,10 +163,12 @@ MUTATIONS = {
             CodedFamily, "positive_reduction",
             positive_reduction_shifted(CodedFamily.positive_reduction),
         ),
+        GATE,
         {("PositiveReduction", "reference_geometry")},
     ),
     "walk_floor_from_5": (
         lambda mp: mp.setattr(verify, "block_walk", walk_long_from_5(block_walk)),
+        GATE,
         {("BfoEquivalence", "reference_geometry"),
          ("PositiveReduction", "reference_geometry")},
     ),
@@ -167,8 +183,8 @@ def test_gate_run_passes_unmutated():
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_mutation_fails_a_certificate(name, monkeypatch):
-    mutate, caught_by = MUTATIONS[name]
+    mutate, config, caught_by = MUTATIONS[name]
     mutate(monkeypatch)
-    certs = run_scenario(GATE).certificates
+    certs = run_scenario(config).certificates
     assert any(c.verdict == FAIL for c in certs)
     assert failing_checks(certs) == caught_by
