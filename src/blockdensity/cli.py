@@ -21,9 +21,8 @@ from .maps import CodedFamily
 from .numerics import rat_parse
 from .posets import FinitePoset, UniversalPoset, embed_finite
 from .scenarios import (
-    DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_BUDGET, DEFAULT_COUNT, DEFAULT_E,
-    DEFAULT_KMAX, KINDS, ScenarioConfig, construct, prepare, report_exit_code,
-    run_scenario, verify_transcript, write_report,
+    DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_COUNT, KINDS, ScenarioConfig, construct,
+    prepare, report_exit_code, run_scenario, verify_transcript, write_report,
 )
 
 USAGE_ERROR = 3
@@ -56,22 +55,26 @@ FAMILY_KINDS = {
 }
 
 
+def _rows(text: str) -> list[str]:
+    """The rows of a comma-separated 0/1 relation matrix."""
+    return [row for row in text.split(",") if row]
+
+
 def _family_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", default="constant", choices=list(FAMILY_KINDS))
     parser.add_argument("--count", type=int, default=DEFAULT_COUNT)
     parser.add_argument("--alpha", type=_rat, default=DEFAULT_ALPHA)
     parser.add_argument("--beta", type=_rat, default=DEFAULT_BETA)
-    parser.add_argument("--matrix", default="",
+    parser.add_argument("--matrix", type=_rows, default=[],
                         help="comma-separated 0/1 rows for the poset kind")
 
 
 def _coded_family(args) -> CodedFamily:
-    rows = [row for row in args.matrix.split(",") if row]
-    if args.kind == "poset" and not rows:
+    if args.kind == "poset" and not args.matrix:
         raise UsageError("the poset kind needs --matrix")
     config = ScenarioConfig(
         kind=FAMILY_KINDS[args.kind], count=args.count, alpha=args.alpha,
-        beta=args.beta, poset_rows=rows,
+        beta=args.beta, poset_rows=args.matrix,
     )
     return prepare(config)[0]
 
@@ -140,17 +143,15 @@ def _cmd_machine(args) -> int:
 
 def _cmd_poset(args) -> int:
     if args.action == "validate":
-        rows = [row for row in args.matrix.split(",") if row]
         try:
-            FinitePoset.from_rows(rows)
+            FinitePoset.from_rows(args.matrix)
         except ValueError as exc:
             print("invalid: %s" % exc)
             return 1
         print("valid")
         return 0
     if args.action == "embed":
-        rows = [row for row in args.matrix.split(",") if row]
-        poset = FinitePoset.from_rows(rows)
+        poset = FinitePoset.from_rows(args.matrix)
         images = embed_finite(poset)
         print(",".join(str(m) for m in images))
         return 0
@@ -168,7 +169,7 @@ def _load_config(path: str) -> ScenarioConfig:
         raise UsageError("cannot read config %s: %s" % (path, exc))
     try:
         return ScenarioConfig.from_json(payload)
-    except (AttributeError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError("bad config: %s" % exc)
 
 
@@ -198,31 +199,36 @@ def _cmd_verify(args) -> int:
     return code
 
 
+_RUN = ("--stages", "--budget", "--E", "--kmax")
+_BAND = ("--alpha", "--beta", *_RUN)
+# The scenario flags each kind reads, the one it takes its profile count from
+# first. A flag's argparse dest is its name without the dashes.
+SCENARIO_FLAGS = {
+    "rationals": ("--count", *_RUN),
+    "antichain": ("--n", *_BAND),
+    "combined": ("--count", *_BAND),
+    "poset": ("--matrix", *_BAND),
+    "universal": ("--matrix",),
+}
+# The config field of each flag not named like it.
+_FIELDS = {"--n": "count", "--matrix": "poset_rows", "--E": "e_bound", "--kmax": "k_max"}
+
+
 def _cmd_scenario(args) -> int:
     kind = args.scenario_kind
-    # The one flag each kind takes its profile count from.
-    reads = {"antichain": "--n", "poset": "--matrix", "universal": "--matrix"}.get(
-        kind, "--count"
-    )
-    for flag, value in (("--count", args.count), ("--n", args.n)):
-        if value is not None and flag != reads:
-            raise UsageError("scenario %s reads %s, not %s" % (kind, reads, flag))
-    count = args.n if kind == "antichain" else args.count
-    if count is None:
-        count = 3 if kind == "antichain" else DEFAULT_COUNT
-    rows = [row for row in (args.matrix or "").split(",") if row]
+    reads = SCENARIO_FLAGS[kind]
+    fields = {"kind": kind, "count": 3 if kind == "antichain" else DEFAULT_COUNT}
+    for flag in ("--count", "--n", "--matrix", *_BAND):
+        value = getattr(args, flag[2:])
+        if value is None:
+            continue
+        if flag not in reads:
+            if flag in ("--count", "--n"):
+                raise UsageError("scenario %s reads %s, not %s" % (kind, reads[0], flag))
+            raise UsageError("scenario %s does not read %s" % (kind, flag))
+        fields[_FIELDS.get(flag, flag[2:])] = value
     try:
-        config = ScenarioConfig(
-            kind=kind,
-            count=count,
-            alpha=args.alpha,
-            beta=args.beta,
-            poset_rows=rows,
-            stages=args.stages,
-            budget=args.budget,
-            e_bound=args.E,
-            k_max=args.kmax,
-        )
+        config = ScenarioConfig(**fields)
         config.validate()
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -263,7 +269,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("poset", help="validate, embed, or dump the generic order")
     p.add_argument("action", choices=["validate", "embed", "dump-universal"])
-    p.add_argument("--matrix", default="")
+    p.add_argument("--matrix", type=_rows, default=[])
     p.add_argument("--size", type=int, default=20)
     p.set_defaults(fn=_usage_errors(_cmd_poset))
 
@@ -286,13 +292,14 @@ def build_parser() -> _Parser:
                    % DEFAULT_COUNT)
     p.add_argument("--n", type=int, default=None,
                    help="profile count for antichain (default 3)")
-    p.add_argument("--alpha", type=_rat, default=DEFAULT_ALPHA)
-    p.add_argument("--beta", type=_rat, default=DEFAULT_BETA)
-    p.add_argument("--matrix", default="")
+    # A flag left out takes the ScenarioConfig default.
+    p.add_argument("--alpha", type=_rat, default=None)
+    p.add_argument("--beta", type=_rat, default=None)
+    p.add_argument("--matrix", type=_rows, default=None)
     p.add_argument("--stages", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--E", type=int, default=DEFAULT_E)
-    p.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--E", type=int, default=None)
+    p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--outdir", default=None)
     p.set_defaults(fn=_cmd_scenario)
     return parser

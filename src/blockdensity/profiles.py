@@ -30,12 +30,9 @@ def in_Z(n: int, k: int) -> bool:
 
 
 class ProfileFamily:
-    """A total map (index, block) -> density in (1, 2), with a kind tag."""
+    """A total map (index, block) -> density in (1, 2)."""
 
-    def __init__(self, kind: str, value_fn: Callable[[int, int], Fraction],
-                 params: dict | None = None) -> None:
-        self.kind = kind
-        self.params = dict(params or {})
+    def __init__(self, value_fn: Callable[[int, int], Fraction]) -> None:
         self._value = value_fn
 
     def value(self, i: int, k: int) -> Fraction:
@@ -92,9 +89,7 @@ def _check_band(alpha: Fraction, beta: Fraction) -> None:
 
 def constant_family(count: int) -> tuple[ProfileFamily, GapCertificate]:
     """Index i carries the fixed density q_i from the rational enumeration."""
-    family = ProfileFamily(
-        "constant", lambda i, k: enum_rationals_12(i), {"count": count}
-    )
+    family = ProfileFamily(lambda i, k: enum_rationals_12(i))
     cert = GapCertificate(
         lambda i, j: enum_rationals_12(i) > enum_rationals_12(j),
         lambda i, j: enum_rationals_12(i) - enum_rationals_12(j),
@@ -112,7 +107,7 @@ def oscillating_family(
     def value(n: int, k: int) -> Fraction:
         return beta if in_Z(n, k) else alpha
 
-    family = ProfileFamily("oscillating", value, {"alpha": alpha, "beta": beta})
+    family = ProfileFamily(value)
     cert = GapCertificate(
         lambda n, m: n != m,
         lambda n, m: beta - alpha,
@@ -154,10 +149,7 @@ def combined_family(
             return t
         return (1 << ((i - 1) // 2)) * (2 * t + 1)
 
-    family = ProfileFamily(
-        "combined", value, {"count": count, "alpha": alpha, "beta": beta}
-    )
-    return family, GapCertificate(in_d, delta, s)
+    return ProfileFamily(value), GapCertificate(in_d, delta, s)
 
 
 def poset_family(
@@ -181,7 +173,7 @@ def poset_family(
             return beta
         return alpha
 
-    family = ProfileFamily("poset", value, {"alpha": alpha, "beta": beta})
+    family = ProfileFamily(value)
     cert = GapCertificate(
         lambda i, j: not order.leq(i, j),
         lambda i, j: beta - alpha,

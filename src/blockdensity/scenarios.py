@@ -104,23 +104,54 @@ class ScenarioConfig:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "ScenarioConfig":
-        """The config a JSON object names; a missing key takes the field default."""
+    def from_json(obj) -> "ScenarioConfig":
+        """The config a JSON object names; a missing key takes the field default.
+
+        A value of the wrong JSON type is a ValueError naming its key.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        for key, (ok, expected) in _KEY_TYPES.items():
+            if key in obj and not ok(obj[key]):
+                raise ValueError("key %r must be %s, got %s"
+                                 % (key, expected, json.dumps(obj[key])))
         d = ScenarioConfig
         config = ScenarioConfig(
             kind=obj.get("kind", ""),
-            count=int(obj.get("count", d.count)),
+            count=obj.get("count", d.count),
             alpha=rat_parse(obj["alpha"]) if "alpha" in obj else d.alpha,
             beta=rat_parse(obj["beta"]) if "beta" in obj else d.beta,
             poset_rows=list(obj.get("poset", [])),
-            stages=None if obj.get("stages") is None else int(obj["stages"]),
-            budget=int(obj.get("budget", d.budget)),
-            e_bound=int(obj.get("E", d.e_bound)),
-            k_max=int(obj.get("k_max", d.k_max)),
-            element_scan=int(obj.get("element_scan", d.element_scan)),
+            stages=obj.get("stages"),
+            budget=obj.get("budget", d.budget),
+            e_bound=obj.get("E", d.e_bound),
+            k_max=obj.get("k_max", d.k_max),
+            element_scan=obj.get("element_scan", d.element_scan),
         )
         config.validate()
         return config
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_rational(value) -> bool:
+    try:
+        return isinstance(value, str) and rat_parse(value) is not None
+    except ValueError:
+        return False
+
+
+# config key -> (test of its JSON value, the type the test expects)
+_KEY_TYPES = {
+    **dict.fromkeys(("count", "budget", "E", "k_max", "element_scan"),
+                    (_is_int, "an integer")),
+    **dict.fromkeys(("alpha", "beta"), (_is_rational, "a p/q string")),
+    "poset": (lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
+              "a list of strings"),
+    "stages": (lambda v: v is None or _is_int(v), "an integer or null"),
+}
 
 
 def build_family(config: ScenarioConfig):

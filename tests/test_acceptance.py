@@ -207,14 +207,14 @@ def test_criterion_03_domination_oracle(criterion):
             cases.append((coded_p, cert_p, fam_p, i, j, rng.randint(-1, 6)))
 
     mismatches = []
-    for coded, cert, fam, i, j, frontier in cases:
+    for n, (coded, cert, fam, i, j, frontier) in enumerate(cases):
         got = domination_search(coded, cert, i, j, frontier)
         want = domination_brute(
             fam.profile(i), fam.profile(j),
             lambda t, i=i, j=j: cert.s(i, j, t), frontier,
         )
         if got != want:
-            mismatches.append((fam.kind, i, j, frontier, got, want))
+            mismatches.append((n, i, j, frontier, got, want))
 
     fam6, cert6 = constant_family(6)
     pinned = domination_search(CodedFamily(fam6), cert6, 4, 3, -1)

@@ -1,10 +1,12 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from blockdensity import cli
 from blockdensity.cli import main
+from blockdensity.scenarios import ScenarioConfig, ScenarioResult
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +185,60 @@ def test_scenario_count_flag_of_another_kind_is_usage_error(argv, reads, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["rationals", "--alpha", "3/2"],
+    ["rationals", "--beta", "7/4"],
+    ["rationals", "--matrix", "11,01"],
+    ["antichain", "--matrix", "11,01"],
+    ["combined", "--matrix", "11,01"],
+    ["universal", "--alpha", "3/2"],
+    ["universal", "--stages", "2"],
+    ["universal", "--budget", "5"],
+    ["universal", "--E", "3"],
+    ["universal", "--kmax", "6"],
+])
+def test_scenario_flag_the_kind_does_not_read_is_usage_error(argv, tmp_path, capsys):
+    code = main(["scenario", *argv, "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "scenario %s does not read %s" % (argv[0], argv[1]) in err
+    assert not (tmp_path / "out").exists()
+
+
+# Scenario arguments, the README's and the benchmark's among them, and the
+# config each builds: a flag left out takes the ScenarioConfig default.
+SCENARIO_CONFIGS = [
+    (["rationals", "--count", "4"], ScenarioConfig("rationals", count=4)),
+    (["rationals", "--count", "4", "--E", "25"],
+     ScenarioConfig("rationals", count=4, e_bound=25)),
+    (["antichain", "--n", "3", "--E", "25"],
+     ScenarioConfig("antichain", count=3, e_bound=25)),
+    (["antichain"], ScenarioConfig("antichain", count=3)),
+    (["antichain", "--alpha", "3/2", "--beta", "5/3"],
+     ScenarioConfig("antichain", count=3, alpha=Fraction(3, 2), beta=Fraction(5, 3))),
+    (["combined", "--count", "6"], ScenarioConfig("combined", count=6)),
+    (["poset", "--matrix", "111,011,001", "--E", "10", "--kmax", "8"],
+     ScenarioConfig("poset", poset_rows=["111", "011", "001"], e_bound=10, k_max=8)),
+    (["rationals", "--stages", "7", "--budget", "9"],
+     ScenarioConfig("rationals", stages=7, budget=9)),
+    (["universal"], ScenarioConfig("universal")),
+    (["universal", "--matrix", "11,01"], ScenarioConfig("universal", poset_rows=["11", "01"])),
+]
+
+
+@pytest.mark.parametrize("argv, want", SCENARIO_CONFIGS)
+def test_scenario_flags_fill_the_config(argv, want, monkeypatch, tmp_path, capsys):
+    seen = []
+
+    def run_scenario(config, outdir=None):
+        seen.append(config)
+        return ScenarioResult(config, [], None, 0)
+
+    monkeypatch.setattr(cli, "run_scenario", run_scenario)
+    assert main(["scenario", *argv, "--outdir", str(tmp_path)]) == 0
+    assert seen == [want]
+
+
 # Inputs each command reads and rejects: argv, with {config} a valid config
 # file and {bad} one holding the given JSON text.
 BAD_INPUTS = {
@@ -193,17 +249,36 @@ BAD_INPUTS = {
     "blocks_bad_index": (["blocks", "--i", "a"], None),
     "construct_zero_stages": (
         ["construct", "--config", "{config}", "--out", "{out}", "--stages", "0"], None),
-    "config_null_count": (
-        ["construct", "--config", "{bad}", "--out", "{out}"],
-        '{"kind": "rationals", "count": null}'),
-    "config_list": (["construct", "--config", "{bad}", "--out", "{out}"], "[]"),
-    "config_numeric_alpha": (
-        ["construct", "--config", "{bad}", "--out", "{out}"],
-        '{"kind": "antichain", "alpha": 1}'),
     "verify_missing_transcript": (
         ["verify", "--config", "{config}", "--transcript", "{out}",
          "--report", "{report}"], None),
 }
+# Config texts construct rejects, with the text its message must contain.
+BAD_CONFIGS = {
+    "config_null_count": ('{"kind": "rationals", "count": null}', "key 'count'"),
+    "config_list": ("[]", "JSON object"),
+    "config_string": ('"rationals"', "JSON object"),
+    "config_numeric_alpha": ('{"kind": "antichain", "alpha": 1}', "key 'alpha'"),
+    "config_float_count": ('{"kind": "rationals", "count": 4.7}', "key 'count'"),
+    "config_string_count": ('{"kind": "rationals", "count": "4"}', "key 'count'"),
+    "config_bool_count": ('{"kind": "rationals", "count": true}', "key 'count'"),
+    "config_bool_budget": ('{"kind": "rationals", "budget": true}', "key 'budget'"),
+    "config_float_E": ('{"kind": "rationals", "E": 50.0}', "key 'E'"),
+    "config_string_k_max": ('{"kind": "rationals", "k_max": "12"}', "key 'k_max'"),
+    "config_null_element_scan": (
+        '{"kind": "rationals", "element_scan": null}', "key 'element_scan'"),
+    "config_float_stages": ('{"kind": "rationals", "stages": 2.5}', "key 'stages'"),
+    "config_bool_stages": ('{"kind": "rationals", "stages": false}', "key 'stages'"),
+    "config_colon_beta": ('{"kind": "antichain", "beta": "7:4"}', "key 'beta'"),
+    "config_zero_denominator_alpha": (
+        '{"kind": "antichain", "alpha": "3/0"}', "key 'alpha'"),
+    "config_string_poset": ('{"kind": "poset", "poset": "111"}', "key 'poset'"),
+    "config_poset_of_ints": ('{"kind": "poset", "poset": [1]}', "key 'poset'"),
+}
+BAD_INPUTS.update(
+    (name, (["construct", "--config", "{bad}", "--out", "{out}"], text))
+    for name, (text, _) in BAD_CONFIGS.items()
+)
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
@@ -218,6 +293,8 @@ def test_bad_input_exits_3(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error: ")
+    if name in BAD_CONFIGS:
+        assert BAD_CONFIGS[name][1] in captured.err
 
 
 @pytest.mark.parametrize("fault", [

@@ -2,11 +2,13 @@
 
 verify.block_walk feeds the positive certificates without blocks.py or
 maps.py. These tests hold it to TargetBlocks and SourceBlocks at factorial
-scale and to CodedFamily's maps element by element, and inject faults into
-either side to show that the certificates notice them.
+scale and to CodedFamily's maps element by element, check on its values the
+block lemma that lets the certificates skip a per-element scan, and inject
+faults into either side to show that the certificates notice them.
 """
 
 import dataclasses
+import random
 from itertools import islice
 
 import pytest
@@ -81,6 +83,81 @@ def test_walk_maps_match_coded_family():
         for x in range(LIMIT):
             k, r = offsets[x]
             assert coded.positive_reduction(i, j, x) == ends_j[k] + r, (i, j, x)
+
+
+def reduction_lemma(fact, ln_i, ln_j, r):
+    """The reduction lemma of verify at offset r of a block with
+    |K_k^i| <= |K_k^j|: b_i + r -> b_j + r lands inside block k of j, and
+    both images under h lie in target block k."""
+    return 0 <= r < ln_j and 0 <= r * fact // ln_i < fact and 0 <= r * fact // ln_j < fact
+
+
+def fiber_offsets(fact, ln, q):
+    """[lo, hi): the offsets of the fiber over a_k + q."""
+    return -(-q * ln // fact), -(-(q + 1) * ln // fact)
+
+
+def coupling_lemma(fact, ln, q):
+    """The coupling lemma of verify at offset q of a block with
+    k! <= |K_k| < 2 * k!: the fiber over a_k + q has one or two elements, all
+    mapped to a_k + q, and its least element rises strictly with q, stays
+    inside the block and maps back to a_k + q."""
+    lo, hi = fiber_offsets(fact, ln, q)
+    prev_lo = fiber_offsets(fact, ln, q - 1)[0] if q else -1
+    return (
+        1 <= hi - lo <= 2
+        and prev_lo < lo < ln
+        and lo * fact // ln == q
+        and all(x * fact // ln == q for x in range(lo, hi))
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_block_lemma_on_every_element_through_block_8(kind):
+    family, indices = FAMILIES[kind]
+    walks = {s: list(islice(block_walk(family.profile(s)), 9)) for s in indices}
+    dominated = 0
+    for s in indices:
+        for k, (fact, _, _, _, ln) in enumerate(walks[s]):
+            assert fact <= ln < 2 * fact, (s, k)
+            assert all(coupling_lemma(fact, ln, q) for q in range(fact)), (s, k)
+        for t in indices:
+            for k, (fact, _, _, _, ln_i), (_, _, _, _, ln_j) in zip(
+                range(9), walks[s], walks[t]
+            ):
+                if ln_i <= ln_j:
+                    dominated += 1
+                    assert all(
+                        reduction_lemma(fact, ln_i, ln_j, r) for r in range(ln_i)
+                    ), (s, t, k)
+    assert dominated
+
+
+def test_block_lemma_at_sampled_offsets_of_large_blocks():
+    rng = random.Random(20261018)
+    checked = 0
+    for kind in sorted(FAMILIES):
+        family, indices = FAMILIES[kind]
+        walks = {
+            s: [w for k, w in zip(range(max(KS) + 1), block_walk(family.profile(s)))
+                if k in KS]
+            for s in indices
+        }
+        for s in indices:
+            for k, (fact, _, _, _, ln) in zip(KS, walks[s]):
+                assert fact <= ln < 2 * fact, (kind, s, k)
+                for q in {0, fact - 1, *(rng.randrange(fact) for _ in range(5))}:
+                    assert coupling_lemma(fact, ln, q), (kind, s, k, q)
+            for t in indices:
+                for k, (fact, _, _, _, ln_i), (_, _, _, _, ln_j) in zip(
+                    KS, walks[s], walks[t]
+                ):
+                    if ln_i > ln_j:
+                        continue
+                    for r in {0, ln_i - 1, *(rng.randrange(ln_i) for _ in range(5))}:
+                        assert reduction_lemma(fact, ln_i, ln_j, r), (kind, s, t, k, r)
+                    checked += 1
+    assert checked
 
 
 # Fault injection: a small rationals run, whose certificates must all pass as

@@ -102,7 +102,7 @@ FAMILIES = {
                      ALPHA, BETA)[0],
         (0, 2),
     ),
-    "prime_denominator": (ProfileFamily("prime", lambda i, k: PRIME_DEN), (0,)),
+    "prime_denominator": (ProfileFamily(lambda i, k: PRIME_DEN), (0,)),
 }
 KS = [*range(13), 1007, 1008, 1009, 1010, 3000]
 
