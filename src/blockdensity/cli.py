@@ -142,6 +142,8 @@ def _cmd_machine(args) -> int:
 
 
 def _cmd_poset(args) -> int:
+    if args.action != "dump-universal" and not args.matrix:
+        raise UsageError("poset %s needs --matrix" % args.action)
     if args.action == "validate":
         try:
             FinitePoset.from_rows(args.matrix)
@@ -155,8 +157,9 @@ def _cmd_poset(args) -> int:
         images = embed_finite(poset)
         print(",".join(str(m) for m in images))
         return 0
-    universe = UniversalPoset()
-    matrix = universe.matrix(args.size)
+    if args.size < 1:
+        raise UsageError("--size must be at least 1")
+    matrix = UniversalPoset().matrix(args.size)
     for row in matrix:
         print("".join("1" if v else "0" for v in row))
     return 0

@@ -1,18 +1,24 @@
-"""Finite partial orders, padded computable orders, and a staged generic order.
+"""Finite partial orders, padded computable orders, and a lazy generic order.
 
-The generic order grows level by level: a node at depth d records its relation
-(below, above, or incomparable) to every node on its ancestor chain, and each
-level realizes every transitively consistent relation vector over every chain
-of the previous level. Any finite poset, listed in any order, is one chain of
-such one-point extensions, so embedding is deterministic path-following and the
-induced relations both preserve and reflect the source order. Stages only ever
-append nodes; relations between existing nodes never change.
+In the generic order a node records its relation (below, above, or
+incomparable) to each node on its ancestor chain, and every transitively
+consistent relation vector over every chain has a child realizing it. Any
+finite poset is one chain of such one-point extensions, so embedding is
+deterministic path-following that preserves and reflects the source order.
+
+The order is reachability through declared marks. A node's code exceeds its
+parent's, so codes below any bound are closed under ancestors, and a new node
+never relates two older ones: its marks go to its own chain, where consistency
+already demands every relation forced through it (the through-point rule). So
+a path of marks needs no node above its larger end, whose own chain gives the
+last step: an ancestor-chain walk decides the order, which never changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+
+from .numerics import cantor_pair, cantor_unpair
 
 BELOW = 0          # new point lies below the chain member
 ABOVE = 1          # chain member lies below the new point
@@ -104,32 +110,44 @@ class PaddedFiniteOrder:
             return self.poset.leq(a, b)
         return a == b
 
-    def validate(self) -> None:
-        if not is_partial_order(self.poset.rel):
-            raise ValueError("relation matrix is not a partial order")
-
 
 class UniversalPoset:
-    """Deterministic staged generic order realizing every extension chain."""
+    """Generic order on all naturals, decoded lazily from node codes.
+
+    Code 0 is the root. Code n >= 1 is (p, v) = cantor_unpair(n - 1), a real
+    node with parent p when p is real, v < 3^w for the w members of p's chain
+    plus p, and the w base-3 digits of v (first member most significant) are a
+    consistent relation vector over them. Every other code is a padding point,
+    related only to itself.
+    """
 
     def __init__(self) -> None:
-        self._parents: list[int] = []
-        self._trits: list[tuple[int, ...]] = []
-        self._levels: list[list[int]] = []          # node ids per depth, 1-based
-        self._children: dict[tuple[int, tuple[int, ...]], int] = {}
+        # code -> (parent, trits) for a real node, None for a padding point
+        self._nodes: dict[int, tuple[int, tuple[int, ...]] | None] = {0: (-1, ())}
 
     def size(self) -> int:
-        return len(self._parents)
+        """The number of codes decoded so far."""
+        return len(self._nodes)
+
+    def _node(self, code: int) -> tuple[int, tuple[int, ...]] | None:
+        """(parent, trits) of a real node, None for a padding point."""
+        if code in self._nodes:
+            return self._nodes[code]
+        parent, index = cantor_unpair(code - 1)
+        above = self._node(parent)
+        node = None
+        width = len(above[1]) + 1 if above is not None else 0
+        if above is not None and index < 3 ** width:
+            trits = tuple(index // 3 ** k % 3 for k in reversed(range(width)))
+            if self._consistent(self._chain(parent) + [parent], trits):
+                node = (parent, trits)
+        self._nodes[code] = node
+        return node
 
     def _chain(self, node: int) -> list[int]:
-        """Ancestors of node, root end first, excluding the node itself."""
-        chain: list[int] = []
-        parent = self._parents[node]
-        while parent >= 0:
-            chain.append(parent)
-            parent = self._parents[parent]
-        chain.reverse()
-        return chain
+        """Ancestors of a decoded real node, root end first, excluding the node."""
+        parent = self._nodes[node][0]
+        return self._chain(parent) + [parent] if parent >= 0 else []
 
     def _consistent(self, chain: list[int], trits: tuple[int, ...]) -> bool:
         """Transitive consistency of a candidate relation vector over a chain.
@@ -140,7 +158,7 @@ class UniversalPoset:
         """
         for q in range(len(chain)):
             tq = trits[q]
-            inner = self._trits[chain[q]]
+            inner = self._nodes[chain[q]][1]
             for p in range(q):
                 tp = trits[p]
                 r = inner[p]  # BELOW: chain[q] below chain[p]; ABOVE: converse
@@ -158,66 +176,43 @@ class UniversalPoset:
                     return False
         return True
 
-    def _build_level(self) -> None:
-        if not self._levels:
-            self._parents.append(-1)
-            self._trits.append(())
-            self._levels.append([0])
-            return
-        level: list[int] = []
-        depth = len(self._levels)
-        for parent in self._levels[-1]:
-            chain = self._chain(parent) + [parent]
-            for trits in product((BELOW, ABOVE, INCOMPARABLE), repeat=depth):
-                if not self._consistent(chain, trits):
-                    continue
-                node = len(self._parents)
-                self._parents.append(parent)
-                self._trits.append(trits)
-                self._children[(parent, trits)] = node
-                level.append(node)
-        self._levels.append(level)
-
     def ensure_depth(self, depth: int) -> None:
-        while len(self._levels) < depth:
-            self._build_level()
+        """No-op: nodes are decoded on demand, so no depth is ever built."""
 
     def ensure_size(self, count: int) -> None:
-        while len(self._parents) < count:
-            self._build_level()
+        """Decode every code below count."""
+        for code in range(count):
+            self._node(code)
 
     def child(self, parent: int, trits: tuple[int, ...]) -> int:
         """The node realizing the given relation vector over parent's chain."""
-        self.ensure_depth(len(trits) + 1)
-        node = self._children.get((parent, trits))
-        if node is None:
+        index = 0
+        for t in trits:
+            index = 3 * index + t
+        code = cantor_pair(parent, index) + 1
+        if parent < 0 or code < 1 or self._node(code) != (parent, tuple(trits)):
             raise ValueError("relation vector %r is transitively inconsistent" % (trits,))
-        return node
+        return code
 
     def leq(self, a: int, b: int) -> bool:
-        """Decide the order between two node indices, extending stages as needed.
-
-        The order is reachability through declared marks. Later nodes never
-        relate two older ones (the through-point rule pins those relations at
-        creation), so the recursion only ever walks ancestor chains.
-        """
+        """Decide the order between two codes by the chain walk of the module
+        docstring; a padding point is related only to itself."""
         if a < 0 or b < 0:
             raise ValueError("node indices must be natural numbers")
-        self.ensure_size(max(a, b) + 1)
+        if a != b and (self._node(a) is None or self._node(b) is None):
+            return False
         return self._leq(a, b)
 
     def _leq(self, a: int, b: int) -> bool:
         if a == b:
             return True
         if a < b:
-            chain = self._chain(b)
-            trits = self._trits[b]
+            trits = self._nodes[b][1]
             return any(
-                t == ABOVE and self._leq(a, e) for e, t in zip(chain, trits)
+                t == ABOVE and self._leq(a, e) for e, t in zip(self._chain(b), trits)
             )
-        chain = self._chain(a)
-        trits = self._trits[a]
-        return any(t == BELOW and self._leq(e, b) for e, t in zip(chain, trits))
+        trits = self._nodes[a][1]
+        return any(t == BELOW and self._leq(e, b) for e, t in zip(self._chain(a), trits))
 
     def matrix(self, size: int) -> list[list[bool]]:
         self.ensure_size(size)
@@ -236,12 +231,9 @@ def embed_finite(
     if universe is None:
         universe = UniversalPoset()
     order = poset.topological_order()
-    placed: list[int] = []
-    for step, point in enumerate(order):
-        if step == 0:
-            universe.ensure_depth(1)
-            placed.append(0)
-            continue
+    placed = [0]  # the first point is the root
+    for step in range(1, poset.n):
+        point = order[step]
         trits = []
         for prev in order[:step]:
             if poset.leq(point, prev):

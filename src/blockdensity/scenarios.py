@@ -84,9 +84,11 @@ class ScenarioConfig:
             raise ValueError("k_max must be at least 1")
         if self.stages is not None and self.stages < 1:
             raise ValueError("stages must be at least 1 when given")
-        if self.kind == "poset":
-            if not self.poset_rows:
-                raise ValueError("poset scenario needs a relation matrix")
+        if self.element_scan < 0:
+            raise ValueError("element_scan must be at least 0")
+        if self.kind == "poset" and not self.poset_rows:
+            raise ValueError("poset scenario needs a relation matrix")
+        if self.kind in ("poset", "universal"):
             FinitePoset.from_rows(self.poset_rows)
 
     def to_json(self) -> dict:

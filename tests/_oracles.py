@@ -7,6 +7,7 @@ tuple arithmetic) so the implementations under test never check themselves.
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import gcd
 
 
@@ -171,3 +172,35 @@ def gap_check(family, cert, i: int, j: int, T: int) -> bool:
         if family.value(i, k) < family.value(j, k) + delta:
             return False
     return True
+
+
+class BfsGenericOrder:
+    """The generic order built breadth first, one level per chain length.
+
+    Node ids count in level order. Each node's relation vector holds one mark
+    per member of its parent's chain plus the parent (0: below it, 1: above
+    it, 2: incomparable), and a parent's children take every vector, in
+    itertools.product order, whose full relation matrix over the chain plus
+    the new point is transitive.
+    """
+
+    def __init__(self, levels: int) -> None:
+        self.parents = [-1]
+        self.trits: list[tuple[int, ...]] = [()]
+        self.matrices = [[[True]]]   # relation matrix over chain + node
+        level = [0]
+        for width in range(1, levels):
+            nxt = []
+            for parent in level:
+                for trits in product(range(3), repeat=width):
+                    rel = [row + [trits[i] == 1] for i, row in
+                           enumerate(self.matrices[parent])]
+                    rel.append([t == 0 for t in trits] + [True])
+                    if all(rel[a][c] for a in range(width + 1)
+                           for b in range(width + 1) if rel[a][b]
+                           for c in range(width + 1) if rel[b][c]):
+                        nxt.append(len(self.parents))
+                        self.parents.append(parent)
+                        self.trits.append(trits)
+                        self.matrices.append(rel)
+            level = nxt

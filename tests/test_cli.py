@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from blockdensity import cli
 from blockdensity.cli import main
 from blockdensity.scenarios import ScenarioConfig, ScenarioResult
+
+from _oracles import random_poset_matrix
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +88,29 @@ def test_poset_commands(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 5 and all(len(line) == 5 for line in lines)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["poset", "validate"], "--matrix"),
+    (["poset", "embed"], "--matrix"),
+    (["poset", "dump-universal", "--size", "-3"], "--size"),
+], ids=["validate", "embed", "dump-universal"])
+def test_poset_missing_input_is_usage_error(argv, flag, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: ") and flag in captured.err
+
+
+def test_poset_embed_ten_points_in_under_a_second(capsys):
+    # Ten points embedded along one path: the last breadth-first level of
+    # the generic order would hold about 6.6e12 nodes.
+    rel = random_poset_matrix(10, random.Random(20261018))
+    rows = ["".join("1" if v else "0" for v in row) for row in rel]
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "poset", "embed", "--matrix", ",".join(rows))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and len(set(out.strip().split(","))) == 10
 
 
 def test_scenario_bad_matrix_is_usage_error(capsys):
@@ -252,6 +279,10 @@ BAD_INPUTS = {
     "verify_missing_transcript": (
         ["verify", "--config", "{config}", "--transcript", "{out}",
          "--report", "{report}"], None),
+    "scenario_universal_not_an_order": (
+        ["scenario", "universal", "--matrix", "11,11", "--outdir", "{out}"], None),
+    "scenario_universal_bad_digit": (
+        ["scenario", "universal", "--matrix", "1x", "--outdir", "{out}"], None),
 }
 # Config texts construct rejects, with the text its message must contain.
 BAD_CONFIGS = {
@@ -274,6 +305,8 @@ BAD_CONFIGS = {
         '{"kind": "antichain", "alpha": "3/0"}', "key 'alpha'"),
     "config_string_poset": ('{"kind": "poset", "poset": "111"}', "key 'poset'"),
     "config_poset_of_ints": ('{"kind": "poset", "poset": [1]}', "key 'poset'"),
+    "config_negative_element_scan": (
+        '{"kind": "rationals", "element_scan": -5}', "element_scan"),
 }
 BAD_INPUTS.update(
     (name, (["construct", "--config", "{bad}", "--out", "{out}"], text))

@@ -1,8 +1,11 @@
 import random
+import time
+from itertools import product
 
 import pytest
 
 from blockdensity.posets import (
+    BELOW,
     FinitePoset,
     PaddedFiniteOrder,
     UniversalPoset,
@@ -10,7 +13,7 @@ from blockdensity.posets import (
     is_partial_order,
 )
 
-from _oracles import random_poset_matrix
+from _oracles import BfsGenericOrder, random_poset_matrix
 
 CHAIN3 = FinitePoset.from_rows(["111", "011", "001"])
 ANTICHAIN2 = FinitePoset.from_rows(["10", "01"])
@@ -105,3 +108,80 @@ def test_embed_random_posets_preserve_and_reflect():
         for a in range(n):
             for b in range(n):
                 assert poset.leq(a, b) == universe.leq(images[a], images[b])
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return BfsGenericOrder(5)
+
+
+def test_every_poset_through_5_points_embeds_like_the_bfs_reference(reference):
+    universe = UniversalPoset()
+    for node, rel in enumerate(reference.matrices):
+        images = embed_finite(FinitePoset.from_matrix(rel), universe)
+        assert [[universe.leq(a, b) for b in images] for a in images] == rel, node
+
+
+def test_lazy_children_are_the_bfs_reference_tree_through_5_points(reference):
+    """Every reference node is the child of its parent's code under its own
+    vector, with the reference's relations along its chain, and every vector
+    the reference leaves out is refused."""
+    universe = UniversalPoset()
+    codes = [0]
+    children: dict[int, set] = {0: set()}
+    for node in range(1, len(reference.parents)):
+        parent = reference.parents[node]
+        codes.append(universe.child(codes[parent], reference.trits[node]))
+        children[parent].add(reference.trits[node])
+        children[node] = set()
+    assert len(set(codes)) == len(codes)
+    for node, rel in enumerate(reference.matrices):
+        path = [node]
+        while reference.parents[path[-1]] >= 0:
+            path.append(reference.parents[path[-1]])
+        path = [codes[m] for m in reversed(path)]
+        assert [[universe.leq(a, b) for b in path] for a in path] == rel, node
+        if len(rel) < 5:
+            for trits in product(range(3), repeat=len(rel)):
+                if trits not in children[node]:
+                    with pytest.raises(ValueError):
+                        universe.child(codes[node], trits)
+
+
+def test_codes_round_trip_and_padding_points_are_isolated():
+    universe = UniversalPoset()
+    universe.ensure_size(2000)
+    assert universe.size() == 2000
+    padding = []
+    for code in range(1, 2000):
+        node = universe._node(code)
+        if node is None:
+            padding.append(code)
+        else:
+            assert universe.child(*node) == code
+    assert 0 < len(padding) < 1999
+    for code in padding:
+        if code >= 200:
+            break
+        for other in range(200):
+            if other != code:
+                assert not universe.leq(code, other)
+                assert not universe.leq(other, code)
+
+
+def test_child_refuses_a_padding_parent_and_a_vector_of_wrong_length():
+    universe = UniversalPoset()
+    universe.ensure_size(200)
+    padding = next(code for code in range(200) if universe._node(code) is None)
+    with pytest.raises(ValueError):
+        universe.child(padding, ())
+    with pytest.raises(ValueError):
+        universe.child(0, (BELOW, BELOW))
+
+
+def test_twelve_point_poset_embeds_in_under_a_second():
+    poset = FinitePoset.from_matrix(random_poset_matrix(12, random.Random(20261018)))
+    start = time.perf_counter()
+    images = embed_finite(poset, UniversalPoset())
+    assert time.perf_counter() - start < 1.0
+    assert len(set(images)) == 12
