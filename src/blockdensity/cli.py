@@ -97,8 +97,11 @@ def _out_stream(path: str | None):
 
 
 def _cmd_blocks(args) -> int:
+    if args.kmax < 0:
+        raise UsageError("--kmax must be at least 0")
     coded = _coded_family(args)
     indices = [int(s) for s in args.i.split(",")] if args.i else list(range(args.count))
+    sources = [coded.source(i) for i in indices]
     out = _out_stream(args.out)
     header = ["k", "a_k", "k_factorial"]
     for i in indices:
@@ -106,8 +109,8 @@ def _cmd_blocks(args) -> int:
     out.write(",".join(header) + "\n")
     for k in range(args.kmax + 1):
         row = [str(k), str(coded.targets.endpoint(k)), str(coded.targets.size(k))]
-        for i in indices:
-            row += [str(coded.source(i).length(k)), str(coded.source(i).endpoint(k))]
+        for src in sources:
+            row += [str(src.length(k)), str(src.endpoint(k))]
         out.write(",".join(row) + "\n")
     if out is not sys.stdout:
         out.close()

@@ -29,6 +29,9 @@ def in_Z(n: int, k: int) -> bool:
     return k > 0 and (k & -k) == (1 << n)
 
 
+_NOT_NATURAL = "profile evaluation needs natural arguments"
+
+
 class ProfileFamily:
     """A total map (index, block) -> density in (1, 2)."""
 
@@ -37,11 +40,13 @@ class ProfileFamily:
 
     def value(self, i: int, k: int) -> Fraction:
         if i < 0 or k < 0:
-            raise ValueError("profile evaluation needs natural arguments")
+            raise ValueError(_NOT_NATURAL)
         return self._value(i, k)
 
     def profile(self, i: int) -> Callable[[int], Fraction]:
-        """The single-index density function k -> u_i(k)."""
+        """The single-index density function k -> u_i(k), for natural i."""
+        if i < 0:
+            raise ValueError(_NOT_NATURAL)
         return lambda k: self._value(i, k)
 
 

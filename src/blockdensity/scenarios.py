@@ -53,7 +53,6 @@ DEFAULT_BETA = Fraction(7, 4)
 DEFAULT_BUDGET = 10**5
 DEFAULT_E = 50
 DEFAULT_KMAX = 12
-DEFAULT_ELEMENT_SCAN = 20_000
 
 
 @dataclass
@@ -67,7 +66,6 @@ class ScenarioConfig:
     budget: int = DEFAULT_BUDGET
     e_bound: int = DEFAULT_E
     k_max: int = DEFAULT_KMAX
-    element_scan: int = DEFAULT_ELEMENT_SCAN
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -84,8 +82,6 @@ class ScenarioConfig:
             raise ValueError("k_max must be at least 1")
         if self.stages is not None and self.stages < 1:
             raise ValueError("stages must be at least 1 when given")
-        if self.element_scan < 0:
-            raise ValueError("element_scan must be at least 0")
         if self.kind == "poset" and not self.poset_rows:
             raise ValueError("poset scenario needs a relation matrix")
         if self.kind in ("poset", "universal"):
@@ -102,7 +98,6 @@ class ScenarioConfig:
             "budget": self.budget,
             "E": self.e_bound,
             "k_max": self.k_max,
-            "element_scan": self.element_scan,
         }
 
     @staticmethod
@@ -128,7 +123,6 @@ class ScenarioConfig:
             budget=obj.get("budget", d.budget),
             e_bound=obj.get("E", d.e_bound),
             k_max=obj.get("k_max", d.k_max),
-            element_scan=obj.get("element_scan", d.element_scan),
         )
         config.validate()
         return config
@@ -147,8 +141,7 @@ def _is_rational(value) -> bool:
 
 # config key -> (test of its JSON value, the type the test expects)
 _KEY_TYPES = {
-    **dict.fromkeys(("count", "budget", "E", "k_max", "element_scan"),
-                    (_is_int, "an integer")),
+    **dict.fromkeys(("count", "budget", "E", "k_max"), (_is_int, "an integer")),
     **dict.fromkeys(("alpha", "beta"), (_is_rational, "a p/q string")),
     "poset": (lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
               "a list of strings"),
@@ -201,14 +194,12 @@ def _scheduled_pairs(config: ScenarioConfig, cert) -> list[tuple[int, int]]:
     return [(a, b) for a in span for b in span if a != b and cert.in_D(a, b)]
 
 
-def _window_stages(config: ScenarioConfig, cert, schedule: RequirementSchedule) -> int:
-    """Stages the defeat bundles of the scenario's program-index window need."""
-    pairs = _scheduled_pairs(config, cert)
-    return window_stage_count(schedule, pairs, config.e_bound) if pairs else 1
-
-
 def required_stages(config: ScenarioConfig, cert, schedule: RequirementSchedule) -> int:
-    return max(config.stages or 0, _window_stages(config, cert, schedule))
+    """config.stages, or more if the defeat bundles of the scenario's
+    program-index window need more."""
+    pairs = _scheduled_pairs(config, cert)
+    window = window_stage_count(schedule, pairs, config.e_bound) if pairs else 1
+    return max(config.stages or 0, window)
 
 
 def _identity_device_certificate(transcript, state) -> Certificate:
@@ -278,10 +269,7 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
     # only as (b, a) has a pointwise below b, so it gets a reduction.
     span = _span(config)
     reductions = {
-        (a, b): check_positive_reduction(
-            coded, state, a, b, coded.source(a).endpoint(config.k_max),
-            element_scan=config.element_scan,
-        )
+        (a, b): check_positive_reduction(coded, state, a, b, config.k_max)
         for a in span
         for b in span
         if a != b and gap_cert.in_D(b, a) and not gap_cert.in_D(a, b)
@@ -296,25 +284,18 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
     if config.kind == "poset":
         # D schedules exactly the pairs (a, b) with a not below b, so every
         # cell off the diagonal has one certificate.
-        stages = (len(transcript.records), _window_stages(config, gap_cert, schedule))
         certs = [
             check_embedding_matrix(
                 FinitePoset.from_rows(config.poset_rows),
                 {**reductions, **defeats},
-                stages,
+                len(transcript.records),
                 e_bound=config.e_bound,
                 budget=config.budget,
             )
         ]
     else:
         certs = [*reductions.values(), *defeats.values()]
-        for i in span:
-            limit = coded.targets.endpoint(config.k_max)
-            certs.append(
-                check_bfo_equivalence(
-                    coded, state, i, limit, element_scan=config.element_scan
-                )
-            )
+        certs.extend(check_bfo_equivalence(coded, state, i, config.k_max) for i in span)
         if config.kind == "combined":
             certs.append(_identity_device_certificate(transcript, state))
             certs.append(_collapse_certificate(coded, state))

@@ -1,15 +1,15 @@
 """Certificate checking over transcripts and constructed prefixes.
 
-Positive claims (reductions, equivalences) are certified exactly, each in one
-pass over the blocks that the requested range meets. The pass does not use
+Positive claims (reductions, equivalences) are certified exactly over a
+number of blocks, source blocks 0 .. blocks - 1 for a reduction and target
+blocks 0 .. blocks - 1 for a coupling, each in one pass. The pass does not use
 the production geometry: it walks the blocks by running sums (block_walk: k!,
 a_k, b_k and |K_k| = floor(u(k) * k!) from the profile alone, nothing from
 blocks.py or maps.py). At every block it compares the walk with the
 production endpoints and lengths, checks the block identity on the walk's
 values, and compares the production maps with the walk at the block's two
-ends, at its last element among the first element_scan inputs and (for
-couplings) at sampled offsets. So the certificates test that geometry instead
-of trusting it; a disagreement is a reference_geometry FAIL.
+ends and (for couplings) at sampled offsets. So the certificates test that
+geometry instead of trusting it; a disagreement is a reference_geometry FAIL.
 
 The block identity settles every element of the block, so no element is
 checked one by one. Inside block k, with 0 <= r < |K_k| (|K_k^i| for a
@@ -119,20 +119,6 @@ def block_walk(
         b += ln
 
 
-def _target_block(y: int) -> int:
-    """The k with a_k <= y < a_{k+1}, by walking the target blocks."""
-    for k, (_, _, a_next) in enumerate(target_walk()):
-        if y < a_next:
-            return k
-
-
-def _source_block(profile: Callable[[int], Fraction], x: int) -> int:
-    """The k with b_k <= x < b_{k+1}, by walking the profile's blocks."""
-    for k, (_, _, _, b, ln) in enumerate(block_walk(profile)):
-        if x < b + ln:
-            return k
-
-
 def _geometry_mismatch(
     coded: CodedFamily, i: int, k: int, fact: int, a: int, b: int, ln: int
 ) -> str | None:
@@ -149,45 +135,41 @@ def _geometry_mismatch(
     return None
 
 
-def check_positive_reduction(
-    coded: CodedFamily,
-    state: ConstructionState,
-    i: int,
-    j: int,
-    n_limit: int,
-    *,
-    element_scan: int,
-) -> Certificate:
-    """Certify the blockwise translation as a one-one reduction on [0, n_limit).
-
-    One pass over the walk's blocks 0..k_hi, the blocks [0, n_limit) meets.
-    At each block the walk must agree with the production geometry,
-    |K_k^i| <= |K_k^j| must hold (pointwise_domination, the identity that
-    makes the translation injective and commuting on the whole block), and the
-    production maps must agree with the walk at the block's ends and at its
-    last element among the first element_scan inputs.
-    """
-    cert = Certificate(
-        "PositiveReduction",
-        {"i": i, "j": j, "n_limit": str(n_limit), "element_scan": element_scan},
+def _short_of_frontier(cert: Certificate, state: ConstructionState, blocks: int) -> bool:
+    """Mark cert INCOMPLETE if block blocks - 1 lies beyond the frontier."""
+    if blocks - 1 <= state.frontier:
+        return False
+    cert.incomplete(
+        "frontier",
+        {"needed_block": blocks - 1, "frontier": state.frontier,
+         "hint": "run stages until the frontier reaches the needed block"},
     )
-    if n_limit <= 0:
+    return True
+
+
+def check_positive_reduction(
+    coded: CodedFamily, state: ConstructionState, i: int, j: int, blocks: int
+) -> Certificate:
+    """Certify the blockwise translation as a one-one reduction on source
+    blocks 0 .. blocks - 1 of i.
+
+    One pass over the walk's blocks. At each block the walk must agree with
+    the production geometry, |K_k^i| <= |K_k^j| must hold
+    (pointwise_domination, the identity that makes the translation injective
+    and commuting on the whole block), and the production maps must agree
+    with the walk at the block's two ends.
+    """
+    cert = Certificate("PositiveReduction", {"i": i, "j": j, "blocks": blocks})
+    if blocks < 1:
         cert.fail("range", {"reason": "empty range"})
         return cert
     if i == j:
         cert.ok("identity_pair")
         return cert
-    profile_i, profile_j = coded.family.profile(i), coded.family.profile(j)
-    k_hi = _source_block(profile_i, n_limit - 1)
-    if k_hi > state.frontier:
-        cert.incomplete(
-            "frontier",
-            {"needed_block": k_hi, "frontier": state.frontier,
-             "hint": "run stages until the frontier reaches the needed block"},
-        )
+    if _short_of_frontier(cert, state, blocks):
         return cert
-    scanned = min(n_limit, element_scan)
-    walks = zip(range(k_hi + 1), block_walk(profile_i), block_walk(profile_j))
+    profile_i, profile_j = coded.family.profile(i), coded.family.profile(j)
+    walks = zip(range(blocks), block_walk(profile_i), block_walk(profile_j))
     for k, (fact, a, _, b_i, ln_i), (_, _, _, b_j, ln_j) in walks:
         for name in (
             _geometry_mismatch(coded, i, k, fact, a, b_i, ln_i),
@@ -203,8 +185,7 @@ def check_positive_reduction(
                 {"k": k, "len_i": str(ln_i), "len_j": str(ln_j)},
             )
             return cert
-        n = min(ln_i, max(0, scanned - b_i))
-        for r in sorted({0, max(n, 1) - 1, ln_i - 1}):
+        for r in sorted({0, ln_i - 1}):
             x, fx = b_i + r, b_j + r
             for name, have, want in (
                 ("positive_reduction", coded.positive_reduction(i, j, x), fx),
@@ -214,45 +195,29 @@ def check_positive_reduction(
                 if have != want:
                     cert.fail("reference_geometry", {"k": k, "map": name})
                     return cert
-    cert.ok("blockwise_exact", {"blocks": k_hi + 1})
-    cert.ok("element_scan", {"scanned": scanned})
+    cert.ok("blockwise_exact", {"blocks": blocks})
     return cert
 
 
 def check_bfo_equivalence(
-    coded: CodedFamily,
-    state: ConstructionState,
-    i: int,
-    n_limit: int,
-    *,
-    element_scan: int,
+    coded: CodedFamily, state: ConstructionState, i: int, blocks: int
 ) -> Certificate:
     """Certify the two-way coupling between the base set and coded set i.
 
     Fibers of the compression map stay within size two, the least-preimage
     map is injective, and base membership equals coded membership of the
-    least preimage, over [0, n_limit). One pass over the walk's blocks as in
-    check_positive_reduction, with the length band k! <= |K_k| < 2 * k! as
-    the block identity and the maps also compared at every floor(k! / 7)-th
-    offset.
+    least preimage, over target blocks 0 .. blocks - 1. One pass over the
+    walk's blocks as in check_positive_reduction, with the length band
+    k! <= |K_k| < 2 * k! as the block identity and the maps also compared at
+    every floor(k! / 7)-th offset.
     """
-    cert = Certificate(
-        "BfoEquivalence",
-        {"i": i, "n_limit": str(n_limit), "element_scan": element_scan},
-    )
-    if n_limit <= 0:
+    cert = Certificate("BfoEquivalence", {"i": i, "blocks": blocks})
+    if blocks < 1:
         cert.fail("range", {"reason": "empty range"})
         return cert
-    k_hi = _target_block(n_limit - 1)
-    if k_hi > state.frontier:
-        cert.incomplete(
-            "frontier",
-            {"needed_block": k_hi, "frontier": state.frontier,
-             "hint": "run stages until the frontier reaches the needed block"},
-        )
+    if _short_of_frontier(cert, state, blocks):
         return cert
-    scanned = min(n_limit, element_scan)
-    walk = zip(range(k_hi + 1), block_walk(coded.family.profile(i)))
+    walk = zip(range(blocks), block_walk(coded.family.profile(i)))
     for k, (fact, a, _, b, ln) in walk:
         name = _geometry_mismatch(coded, i, k, fact, a, b, ln)
         if name is not None:
@@ -262,9 +227,8 @@ def check_bfo_equivalence(
         if not fact <= ln < 2 * fact:
             cert.fail("length_band", {"k": k, "len": str(ln), "size": str(fact)})
             return cert
-        n = min(fact, max(0, scanned - a))
         step = max(1, fact // 7)
-        for q in sorted({max(n, 1) - 1, fact - 1, *range(0, fact, step)}):
+        for q in sorted({fact - 1, *range(0, fact, step)}):
             y = a + q
             fiber = coded.h_fibers(i, y)
             if not 1 <= len(fiber) <= 2:
@@ -282,8 +246,7 @@ def check_bfo_equivalence(
                 if have != want:
                     cert.fail("reference_geometry", {"k": k, "map": name})
                     return cert
-    cert.ok("blockwise_exact", {"blocks": k_hi + 1})
-    cert.ok("element_scan", {"scanned": scanned})
+    cert.ok("blockwise_exact", {"blocks": blocks})
     return cert
 
 
@@ -430,7 +393,7 @@ def check_defeat_bundle(
 def check_embedding_matrix(
     poset: FinitePoset,
     cells: Mapping[tuple[int, int], Certificate],
-    stages: tuple[int, int],
+    stages_run: int,
     *,
     e_bound: int,
     budget: int,
@@ -439,21 +402,16 @@ def check_embedding_matrix(
 
     cells maps each pair (a, b) with a != b to its certificate: a
     PositiveReduction where a is below b, a DefeatBundle over the
-    program-index window where it is not. stages is (run, needed), the
-    transcript's stage count and the count the window needs. The verdict
-    matrix, true on the diagonal by reflexivity, must equal the input
-    relation matrix cell for cell.
+    program-index window where it is not. The verdict matrix, true on the
+    diagonal by reflexivity, must equal the input relation matrix cell for
+    cell. A cell that FAILs fails the matrix; otherwise a cell that is
+    INCOMPLETE leaves the matrix INCOMPLETE, and it is not compared.
     """
     n = poset.n
     cert = Certificate(
         "EmbeddingMatrix",
         {"n": n, "rows": poset.rows(), "e_bound": e_bound, "budget": budget},
     )
-    run, needed = stages
-    if run < needed:
-        cert.incomplete("stages", {"needed": needed, "run": run})
-        return cert
-
     verdict_matrix = [[a == b for b in range(n)] for a in range(n)]
     for a in range(n):
         for b in range(n):
@@ -463,18 +421,20 @@ def check_embedding_matrix(
             positive = sub.kind == "PositiveReduction"
             verdict_matrix[a][b] = (sub.verdict == PASS) == positive
             if sub.verdict != PASS:
-                cert.fail("positive_cell" if positive else "negative_cell",
-                          {"a": a, "b": b, "verdict": sub.verdict})
-    matches = all(
-        verdict_matrix[a][b] == poset.leq(a, b) for a in range(n) for b in range(n)
-    )
-    if matches:
-        cert.ok("matrix_equals_relation")
-    else:
-        cert.fail("matrix_equals_relation", {
-            "matrix": [["1" if v else "0" for v in row] for row in verdict_matrix]
-        })
-    cert.diagnostics["stages_run"] = run
+                mark = cert.fail if sub.verdict == FAIL else cert.incomplete
+                mark("positive_cell" if positive else "negative_cell",
+                     {"a": a, "b": b, "verdict": sub.verdict})
+    if cert.verdict != INCOMPLETE:
+        matches = all(
+            verdict_matrix[a][b] == poset.leq(a, b) for a in range(n) for b in range(n)
+        )
+        if matches:
+            cert.ok("matrix_equals_relation")
+        else:
+            cert.fail("matrix_equals_relation", {
+                "matrix": [["1" if v else "0" for v in row] for row in verdict_matrix]
+            })
+    cert.diagnostics["stages_run"] = stages_run
     return cert
 
 

@@ -52,6 +52,27 @@ def test_blocks_poset_without_matrix_is_usage_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["blocks", "--kind", "oscillating", "--i", "-1", "--kmax", "3"], "natural"),
+    (["blocks", "--i", "0,-2"], "natural"),
+    (["map", "apply", "--kind", "combined", "--i", "-3"], "natural"),
+    (["blocks", "--kmax", "-2"], "--kmax must be at least 0"),
+])
+def test_negative_index_or_kmax_is_usage_error_before_output(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_blocks_bad_index_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "blocks.csv"
+    assert main(["blocks", "--i", "1,-1", "--out", str(out)]) == 3
+    capsys.readouterr()
+    assert not out.exists()
+
+
 def test_map_fibers(capsys):
     code, out = run_cli(capsys, "map", "fibers", "--i", "0", "--y", "2")
     assert code == 0
@@ -144,7 +165,7 @@ def test_scenario_rationals_pipeline(tmp_path, capsys):
 def test_construct_then_verify_round_trip(tmp_path, capsys):
     config = {
         "kind": "rationals", "count": 2, "E": 2, "budget": 100000,
-        "k_max": 8, "element_scan": 2000,
+        "k_max": 8,
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
@@ -296,8 +317,6 @@ BAD_CONFIGS = {
     "config_bool_budget": ('{"kind": "rationals", "budget": true}', "key 'budget'"),
     "config_float_E": ('{"kind": "rationals", "E": 50.0}', "key 'E'"),
     "config_string_k_max": ('{"kind": "rationals", "k_max": "12"}', "key 'k_max'"),
-    "config_null_element_scan": (
-        '{"kind": "rationals", "element_scan": null}', "key 'element_scan'"),
     "config_float_stages": ('{"kind": "rationals", "stages": 2.5}', "key 'stages'"),
     "config_bool_stages": ('{"kind": "rationals", "stages": false}', "key 'stages'"),
     "config_colon_beta": ('{"kind": "antichain", "beta": "7:4"}', "key 'beta'"),
@@ -305,8 +324,6 @@ BAD_CONFIGS = {
         '{"kind": "antichain", "alpha": "3/0"}', "key 'alpha'"),
     "config_string_poset": ('{"kind": "poset", "poset": "111"}', "key 'poset'"),
     "config_poset_of_ints": ('{"kind": "poset", "poset": [1]}', "key 'poset'"),
-    "config_negative_element_scan": (
-        '{"kind": "rationals", "element_scan": -5}', "element_scan"),
 }
 BAD_INPUTS.update(
     (name, (["construct", "--config", "{bad}", "--out", "{out}"], text))
@@ -354,6 +371,61 @@ def _set(index, key, change):
     return edit
 
 
+# config.json and transcript.jsonl of `scenario rationals --count 2 --E 2
+# --kmax 6`, written before the element_scan key left the config schema.
+OLD_CONFIG = """{
+  "kind": "rationals",
+  "count": 2,
+  "alpha": "5/4",
+  "beta": "7/4",
+  "poset": [],
+  "stages": null,
+  "budget": 100000,
+  "E": 2,
+  "k_max": 6,
+  "element_scan": 20000
+}
+"""
+OLD_TRANSCRIPT = (
+    '{"stage": 0, "e": 0, "i": 0, "j": 1, "k": 10, "branch": "diagonalized", '
+    '"x": "5383884", "x2": null, "y": "5383884", "ell": "11", "budget": 100000, '
+    '"M_after": 11}\n'
+    '{"stage": 1, "e": 1, "i": 0, "j": 1, "k": 12, "branch": "diagonalized", '
+    '"x": "697275083", "x2": null, "y": "697275084", "ell": "13", '
+    '"budget": 100000, "M_after": 13}\n'
+)
+
+
+def test_old_config_with_element_scan_still_verifies(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(OLD_CONFIG)
+    transcript_path = tmp_path / "transcript.jsonl"
+    transcript_path.write_text(OLD_TRANSCRIPT)
+    report_path = tmp_path / "r.jsonl"
+    code, _ = run_cli(capsys, "verify", "--config", str(config_path),
+                      "--transcript", str(transcript_path),
+                      "--report", str(report_path))
+    assert code == 0
+    report = [json.loads(line) for line in report_path.read_text().splitlines()]
+    assert report[0]["checks"] == [{"check": "bit_exact", "ok": True}]
+    assert [c["subject"] for c in report if c["kind"] == "PositiveReduction"] == [
+        {"i": 1, "j": 0, "blocks": 6}
+    ]
+    # The same config rebuilds the same transcript.
+    rebuilt = tmp_path / "again.jsonl"
+    code, _ = run_cli(capsys, "construct", "--config", str(config_path),
+                      "--out", str(rebuilt))
+    assert code == 0
+    assert rebuilt.read_text() == OLD_TRANSCRIPT
+
+
+def test_poset_scenario_with_a_cell_past_the_frontier_is_incomplete(tmp_path, capsys):
+    code, out = run_cli(capsys, "scenario", "poset", "--matrix", "11,01", "--E", "1",
+                        "--kmax", "40", "--outdir", str(tmp_path))
+    assert code == 2
+    assert out.splitlines()[0] == "EmbeddingMatrix,INCOMPLETE"
+
+
 # name -> (edit of the parsed records, exit code, bit_exact, first divergence)
 TAMPERS = {
     "stage_as_float": (_set(2, "stage", float), 1, False, 2),
@@ -371,7 +443,7 @@ def constructed(tmp_path_factory):
     root = tmp_path_factory.mktemp("tamper")
     config = {
         "kind": "rationals", "count": 2, "E": 3, "budget": 100000,
-        "k_max": 8, "element_scan": 2000,
+        "k_max": 8,
     }
     config_path = root / "config.json"
     config_path.write_text(json.dumps(config))

@@ -6,6 +6,13 @@ the bisecting domination search and the record-level replay comparison
 landed; the combined digests before the block caches shared one k! table;
 the two factorial-scale cases, whose witnesses run to about 2,600 and 2,700
 digits, before transcripts were written from running Decimal endpoints.
+
+The report digests of every case but poset were re-pinned once, on purpose,
+when the positive certificates came to take a block count: their subjects
+lost the element bound and the element_scan field and gained "blocks", and
+their element_scan check went. Each new report equals the old one with
+exactly those edits made, line for line. Every transcript digest and the
+poset case's digests are unchanged.
 """
 
 import hashlib
@@ -19,16 +26,16 @@ GOLDEN = {
         ["scenario", "rationals", "--count", "3", "--E", "6"],
         {
             "transcript.jsonl": "af5f065c518ebb6b201957cbd06d7a023703acf0fb916a8617e097db797df939",
-            "report.jsonl": "e69e7001bc431bce0f8fe1952adb40a0ed4983033256e6621a68a74d665d388d",
-            "verify-report.jsonl": "ea1b172513723498c5fee30da82a8a31a90bb2d8fa2de04c4b294cfca9d9f62c",
+            "report.jsonl": "77f5ad7d5b61673e71ec83e4a85161db648a3f4f64781998e6fbbd7c764dcfe6",
+            "verify-report.jsonl": "678fedb6e9136f170f94cce8bb2ed82a0d39cd702316fdb6a3724ecfab12431a",
         },
     ),
     "antichain": (
         ["scenario", "antichain", "--n", "3", "--E", "6"],
         {
             "transcript.jsonl": "ecfeafba5b615b261f09707dfc4667edbab61ec9f300366682f999858e6ac6c4",
-            "report.jsonl": "2e835a9de57102457734b5d7852abc8c928f01bb8aae907eb6d8d29215766af8",
-            "verify-report.jsonl": "f0c1f4e30c77ed9c89b4268ec54880a9b7fcb7386a46a56952fe1f9a0d0a0906",
+            "report.jsonl": "d814c356477dc9b75d463715917f0a12c910f8a53730f7193ea17d416b5ddd1c",
+            "verify-report.jsonl": "7d5b83a3c74f4f5bcf2b70fc9a120b3afa48aa607a88159bbb438f66d4a10ed9",
         },
     ),
     # Covers CodedFamily.collapse, the IdentityDevice certificate and the
@@ -37,8 +44,8 @@ GOLDEN = {
         ["scenario", "combined", "--count", "4", "--E", "4"],
         {
             "transcript.jsonl": "ec732ec187a5941cbe4955d426f657aeac06ac5b0f41c6dfb5a3385f3fd14256",
-            "report.jsonl": "5491b1a8be5ca1f13ffd10e0dd4caae80c99e02ab9963c8b9e1743f1df8396f4",
-            "verify-report.jsonl": "138e5721ee2fb5103bd0b70a65ce0ee8dbf53c8bc8ceae2b7a5e65b755f6136d",
+            "report.jsonl": "f23d666e24ac5b6685d9834b3b19204b89c26fd28fbe01b7c7c97b6b54415c90",
+            "verify-report.jsonl": "6c4b1e98f44b28d770ec5fb2dcd42f4fcf141fbe5edd928f40c9eceb519cc5f3",
         },
     ),
     # Witnesses at factorial scale, written from Decimal block endpoints.
@@ -46,16 +53,16 @@ GOLDEN = {
         ["scenario", "rationals", "--count", "4", "--E", "25"],
         {
             "transcript.jsonl": "f73a88633d857ed941d72e12cb0ff1b93cb41daceea097066d6bc009864135e5",
-            "report.jsonl": "b5219a1389460efe72b94ca5f74f4572050dd74bba1e3306391661baee9a70b7",
-            "verify-report.jsonl": "210b8aab1eca1a71ea94aee852cc640843f2ab092b76649fc90d770cfe52ccbd",
+            "report.jsonl": "0f7f4fd8fe59ac3b9b3122a4c3eda73057b6a40271b555673a4cffa92084cd6c",
+            "verify-report.jsonl": "9e93b6781ff90369fb7e3014f5de2864f4970af5a2ae72dc2da3cb2b9878a088",
         },
     ),
     "antichain_e12": (
         ["scenario", "antichain", "--n", "3", "--E", "12"],
         {
             "transcript.jsonl": "1015d199d3ee8ba1fafd033dbc719a0a34d6bbfcf5bbfe2a950ecceb2e7d552c",
-            "report.jsonl": "8dc7a7617dde9f5902ed897c9313b56d39830c73c9248d62fe4073b547f05133",
-            "verify-report.jsonl": "718f73915a6d2ca71f37d491b6621096430f3bd58373c04181b590c802542a66",
+            "report.jsonl": "d2951dd72d5ad7499cc7b8544ea6a3184c0dc897fa354bb289a65f738e5e4bf8",
+            "verify-report.jsonl": "c7e70fbd5e69b2dc3bc5fdbb82aecb835b5569512a79e20ef951a4c0e9e434ca",
         },
     ),
     "poset": (

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,9 +32,24 @@ def test_config_json_round_trip():
     assert again.to_json() == config.to_json()
 
 
+def test_readme_config_schema_matches_the_defaults():
+    """The JSON block under README "## Config schema" names every config key
+    with its default; kind, poset and count hold example values."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config schema", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    documented = json.loads(block)
+    defaults = ScenarioConfig(kind="rationals").to_json()
+    assert list(documented) == list(defaults)
+    examples = ("kind", "poset", "count")
+    assert {k: v for k, v in documented.items() if k not in examples} == {
+        k: v for k, v in defaults.items() if k not in examples
+    }
+
+
 def test_combined_scenario_passes_with_device_certificates():
     config = ScenarioConfig(kind="combined", count=4, e_bound=3, budget=10**5,
-                            k_max=8, element_scan=2_000)
+                            k_max=8)
     result = run_scenario(config)
     kinds = {c.kind for c in result.certificates}
     assert {"PositiveReduction", "DefeatBundle", "BfoEquivalence",
@@ -44,7 +60,7 @@ def test_combined_scenario_passes_with_device_certificates():
 
 def test_poset_scenario_passes():
     config = ScenarioConfig(kind="poset", poset_rows=["11", "01"], e_bound=3,
-                            budget=10**5, k_max=6, element_scan=500)
+                            budget=10**5, k_max=6)
     result = run_scenario(config)
     assert result.exit_code == 0
     matrix_certs = [c for c in result.certificates if c.kind == "EmbeddingMatrix"]
@@ -70,7 +86,7 @@ def test_certificate_pairs_follow_the_gap_certificate(kind, count):
     """Reductions go up the rational order of the constant profiles, defeats
     cover D and couplings every index."""
     config = ScenarioConfig(kind=kind, count=count, e_bound=1, budget=10**4,
-                            k_max=4, element_scan=50)
+                            k_max=4)
     certs = run_scenario(config).certificates
     q = enum_rationals_12
     if kind == "rationals":
@@ -94,12 +110,12 @@ def test_certificate_pairs_follow_the_gap_certificate(kind, count):
 
 def test_incomplete_exit_code_when_window_exceeds_transcript(tmp_path):
     config = ScenarioConfig(kind="rationals", count=2, e_bound=2, budget=10**5,
-                            k_max=6, element_scan=500)
+                            k_max=6)
     result = run_scenario(config, tmp_path)
     assert result.exit_code == 0
 
     wider = ScenarioConfig(kind="rationals", count=2, e_bound=30, budget=10**5,
-                           k_max=6, element_scan=500)
+                           k_max=6)
     transcript = Transcript.read_jsonl(tmp_path / "transcript.jsonl")
     certs = verify_transcript(wider, transcript)
     assert report_exit_code(certs) == 2

@@ -45,23 +45,21 @@ def constant_run():
 
 def test_positive_reduction_pass(constant_run):
     coded, _, _, _, state = constant_run
-    limit = coded.source(I_54).endpoint(10)
-    cert = check_positive_reduction(coded, state, I_54, I_32, limit,
-                                    element_scan=3000)
+    cert = check_positive_reduction(coded, state, I_54, I_32, 10)
     assert cert.verdict == PASS
+    assert cert.subject == {"i": I_54, "j": I_32, "blocks": 10}
+    assert cert.checks == [{"check": "blockwise_exact", "ok": True, "blocks": 10}]
 
 
 def test_positive_reduction_identity_pair(constant_run):
     coded, _, _, _, state = constant_run
-    cert = check_positive_reduction(coded, state, 2, 2, 100, element_scan=3000)
+    cert = check_positive_reduction(coded, state, 2, 2, 10)
     assert cert.verdict == PASS
 
 
 def test_positive_reduction_swapped_fails(constant_run):
     coded, _, _, _, state = constant_run
-    limit = coded.source(I_32).endpoint(8)
-    cert = check_positive_reduction(coded, state, I_32, I_54, limit,
-                                    element_scan=3000)
+    cert = check_positive_reduction(coded, state, I_32, I_54, 8)
     assert cert.verdict == FAIL
     failing = [c for c in cert.checks if not c["ok"]]
     assert failing[0]["check"] == "pointwise_domination"
@@ -70,9 +68,7 @@ def test_positive_reduction_swapped_fails(constant_run):
 
 def test_positive_reduction_incomplete_beyond_frontier(constant_run):
     coded, _, _, _, state = constant_run
-    limit = coded.source(I_54).endpoint(60)
-    cert = check_positive_reduction(coded, state, I_54, I_32, limit,
-                                    element_scan=3000)
+    cert = check_positive_reduction(coded, state, I_54, I_32, 60)
     assert cert.verdict == INCOMPLETE
     note = [c for c in cert.checks if not c["ok"]][0]
     assert note["needed_block"] == 59
@@ -80,14 +76,23 @@ def test_positive_reduction_incomplete_beyond_frontier(constant_run):
 
 def test_bfo_equivalence_pass_and_incomplete(constant_run):
     coded, _, _, _, state = constant_run
-    limit = coded.targets.endpoint(10)
     for i in range(3):
-        cert = check_bfo_equivalence(coded, state, i, limit, element_scan=3000)
+        cert = check_bfo_equivalence(coded, state, i, 10)
         assert cert.verdict == PASS
-    far = coded.targets.endpoint(80)
-    assert check_bfo_equivalence(
-        coded, state, 0, far, element_scan=3000
-    ).verdict == INCOMPLETE
+        assert cert.subject == {"i": i, "blocks": 10}
+    assert check_bfo_equivalence(coded, state, 0, 80).verdict == INCOMPLETE
+
+
+@pytest.mark.parametrize("blocks", [0, -3])
+def test_positive_certificates_without_blocks_fail_range(constant_run, blocks):
+    coded, _, _, _, state = constant_run
+    for cert in (
+        check_positive_reduction(coded, state, I_54, I_32, blocks),
+        check_positive_reduction(coded, state, 2, 2, blocks),
+        check_bfo_equivalence(coded, state, 0, blocks),
+    ):
+        assert cert.verdict == FAIL
+        assert [c["check"] for c in cert.checks] == ["range"]
 
 
 @pytest.fixture(scope="module")
@@ -172,17 +177,23 @@ def embedding_matrix(rows, **params):
 
 
 def test_embedding_matrix_small_posets():
-    cert = embedding_matrix(["11", "01"], e_bound=4, budget=10**5, k_max=8,
-                            element_scan=2000)
+    cert = embedding_matrix(["11", "01"], e_bound=4, budget=10**5, k_max=8)
     assert cert.verdict == PASS
 
-    cert = embedding_matrix(["10", "01"], e_bound=4, budget=10**5, k_max=8,
-                            element_scan=2000)
+    cert = embedding_matrix(["10", "01"], e_bound=4, budget=10**5, k_max=8)
     assert cert.verdict == PASS
 
-    cert = embedding_matrix(["1"], e_bound=2, budget=10**4, k_max=6,
-                            element_scan=500)
+    cert = embedding_matrix(["1"], e_bound=2, budget=10**4, k_max=6)
     assert cert.verdict == PASS
+
+
+def test_embedding_matrix_incomplete_cell_is_not_a_fail():
+    """A reduction cell past the frontier leaves the matrix INCOMPLETE and
+    uncompared, not FAILed as if the cell were refuted."""
+    cert = embedding_matrix(["11", "01"], e_bound=1, k_max=40)
+    assert cert.verdict == INCOMPLETE
+    assert cert.checks == [{"check": "positive_cell", "ok": False, "a": 0, "b": 1,
+                            "verdict": INCOMPLETE}]
 
 
 def test_transcript_replay(constant_run):

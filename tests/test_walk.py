@@ -7,7 +7,6 @@ block lemma that lets the certificates skip a per-element scan, and inject
 faults into either side to show that the certificates notice them.
 """
 
-import dataclasses
 import random
 from itertools import islice
 
@@ -39,8 +38,6 @@ def test_walk_matches_source_blocks(kind):
     assert [w[:3] for w in islice(block_walk(family.profile(0)), 13)] == list(
         islice(target_walk(), 13)
     )
-    ys = [*range(50), *range(targets.endpoint(9) - 3, targets.endpoint(9) + 3)]
-    assert [verify._target_block(y) for y in ys] == [targets.locate(y) for y in ys]
 
 
 LIMIT = 20_000
@@ -162,7 +159,7 @@ def test_block_lemma_at_sampled_offsets_of_large_blocks():
 
 # Fault injection: a small rationals run, whose certificates must all pass as
 # they are and some must fail under each mutation.
-GATE = ScenarioConfig(kind="rationals", count=3, e_bound=3, k_max=8, element_scan=2000)
+GATE = ScenarioConfig(kind="rationals", count=3, e_bound=3, k_max=8)
 
 
 def failing_checks(certs):
@@ -227,11 +224,9 @@ MUTATIONS = {
         {("BfoEquivalence", "reference_geometry"),
          ("PositiveReduction", "reference_geometry")},
     ),
-    # Source block 6 starts beyond the 200 scanned inputs of the rationals
-    # profiles, so only the blockwise comparison with the walk sees the fault.
     "source_length_from_6_unscanned": (
         lambda mp: mp.setattr(SourceBlocks, "_extend", extend_long_from(6)),
-        dataclasses.replace(GATE, element_scan=200),
+        GATE,
         {("BfoEquivalence", "reference_geometry"),
          ("PositiveReduction", "reference_geometry")},
     ),
