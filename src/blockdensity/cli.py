@@ -46,12 +46,11 @@ def _rat(text: str) -> Fraction:
 
 
 # Family kinds of the blocks and map commands, and the scenario kind that
-# builds the same family.
+# builds the same family: every kind with a family builder, two of them
+# under the name of their family.
 FAMILY_KINDS = {
-    "constant": "rationals",
-    "oscillating": "antichain",
-    "combined": "combined",
-    "poset": "poset",
+    {"rationals": "constant", "antichain": "oscillating"}.get(kind, kind): kind
+    for kind, builder in KINDS.items() if builder is not None
 }
 
 
@@ -76,6 +75,7 @@ def _coded_family(args) -> CodedFamily:
         kind=FAMILY_KINDS[args.kind], count=args.count, alpha=args.alpha,
         beta=args.beta, poset_rows=args.matrix,
     )
+    config.validate()
     return prepare(config)[0]
 
 
@@ -181,8 +181,8 @@ def _load_config(path: str) -> ScenarioConfig:
 
 def _cmd_construct(args) -> int:
     config = _load_config(args.config)
-    if config.kind == "universal":
-        raise UsageError("universal scenarios run no construction")
+    if KINDS[config.kind] is None:
+        raise UsageError("%s scenarios run no construction" % config.kind)
     if args.stages is not None and args.stages < 1:
         raise UsageError("--stages must be at least 1")
     coded, *_, transcript = construct(config, args.stages)
@@ -292,7 +292,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("scenario", help="full pipeline: construct, certify, report")
-    p.add_argument("scenario_kind", choices=KINDS)
+    p.add_argument("scenario_kind", choices=list(KINDS))
     p.add_argument("--count", type=int, default=None,
                    help="profile count for rationals and combined (default %d)"
                    % DEFAULT_COUNT)

@@ -351,16 +351,9 @@ class RequirementSchedule:
         """The stage number at which requirement (e, i, j) is scheduled."""
         return cantor_pair(e, self.rank_of(i, j))
 
-
-def window_stage_count(
-    schedule: RequirementSchedule, pairs: Iterable[tuple[int, int]], e_bound: int
-) -> int:
-    """Stages needed so every (e < e_bound, pair) requirement has run."""
-    needed = 0
-    for i, j in pairs:
-        rank = schedule.rank_of(i, j)
-        needed = max(needed, cantor_pair(e_bound - 1, rank) + 1)
-    return needed
+    def window_stage_count(self, pairs: Iterable[tuple[int, int]], e_bound: int) -> int:
+        """Stages needed so every (e < e_bound, pair) requirement has run."""
+        return max((self.stage_of(e_bound - 1, i, j) + 1 for i, j in pairs), default=0)
 
 
 def domination_search(

@@ -1,12 +1,13 @@
 """Uniformly computable block-density profile families and gap certificates.
 
-Four family shapes: constant (one fixed density per index), oscillating
-(density beta exactly on the blocks whose 2-adic valuation matches the index),
-combined (constants on even indices, oscillators on odd ones), and order-driven
-(beta exactly on blocks whose valuation lies below the index in a supplied
-partial order). A gap certificate names the ordered index pairs that are
-scheduled for diagonalization, with a positive rational gap and a strictly
-increasing selector of witness blocks.
+Two primitive families: constant (one fixed density per index) and
+order-driven (beta exactly on the blocks whose 2-adic valuation lies below the
+index in a supplied partial order). The oscillating family is the order-driven
+one over the discrete order, and the combined family interleaves the constant
+family on even indices with the oscillating one on odd indices. A gap
+certificate names the ordered index pairs that are scheduled for
+diagonalization, with a positive rational gap and a strictly increasing
+selector of witness blocks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .numerics import ONE, TWO, enum_rationals_12
+from .posets import FinitePoset, PaddedFiniteOrder
 
 
 def two_adic_valuation(k: int) -> int:
@@ -22,11 +24,6 @@ def two_adic_valuation(k: int) -> int:
     if k <= 0:
         raise ValueError("2-adic valuation needs a positive argument")
     return (k & -k).bit_length() - 1
-
-
-def in_Z(n: int, k: int) -> bool:
-    """True iff k > 0 and the 2-adic valuation of k equals n."""
-    return k > 0 and (k & -k) == (1 << n)
 
 
 _NOT_NATURAL = "profile evaluation needs natural arguments"
@@ -92,7 +89,7 @@ def _check_band(alpha: Fraction, beta: Fraction) -> None:
         )
 
 
-def constant_family(count: int) -> tuple[ProfileFamily, GapCertificate]:
+def constant_family() -> tuple[ProfileFamily, GapCertificate]:
     """Index i carries the fixed density q_i from the rational enumeration."""
     family = ProfileFamily(lambda i, k: enum_rationals_12(i))
     cert = GapCertificate(
@@ -101,60 +98,6 @@ def constant_family(count: int) -> tuple[ProfileFamily, GapCertificate]:
         lambda i, j, t: t,
     )
     return family, cert
-
-
-def oscillating_family(
-    alpha: Fraction, beta: Fraction
-) -> tuple[ProfileFamily, GapCertificate]:
-    """Index n peaks at beta exactly on the blocks with 2-adic valuation n."""
-    _check_band(alpha, beta)
-
-    def value(n: int, k: int) -> Fraction:
-        return beta if in_Z(n, k) else alpha
-
-    family = ProfileFamily(value)
-    cert = GapCertificate(
-        lambda n, m: n != m,
-        lambda n, m: beta - alpha,
-        lambda n, m, t: (1 << n) * (2 * t + 1),
-    )
-    return family, cert
-
-
-def combined_family(
-    count: int, alpha: Fraction, beta: Fraction
-) -> tuple[ProfileFamily, GapCertificate]:
-    """Even indices carry the constant family, odd indices the oscillating one.
-
-    Scheduled pairs are even-even pairs with a strict density drop and odd-odd
-    pairs with distinct oscillation supports; even and odd indices are never
-    scheduled against each other.
-    """
-    _check_band(alpha, beta)
-
-    def value(i: int, k: int) -> Fraction:
-        if i % 2 == 0:
-            return enum_rationals_12(i // 2)
-        return beta if in_Z((i - 1) // 2, k) else alpha
-
-    def in_d(i: int, j: int) -> bool:
-        if i % 2 == 0 and j % 2 == 0:
-            return enum_rationals_12(i // 2) > enum_rationals_12(j // 2)
-        if i % 2 == 1 and j % 2 == 1:
-            return i != j
-        return False
-
-    def delta(i: int, j: int) -> Fraction:
-        if i % 2 == 0:
-            return enum_rationals_12(i // 2) - enum_rationals_12(j // 2)
-        return beta - alpha
-
-    def s(i: int, j: int, t: int) -> int:
-        if i % 2 == 0:
-            return t
-        return (1 << ((i - 1) // 2)) * (2 * t + 1)
-
-    return ProfileFamily(value), GapCertificate(in_d, delta, s)
 
 
 def poset_family(
@@ -169,9 +112,6 @@ def poset_family(
     _check_band(alpha, beta)
     if not hasattr(order, "leq"):
         raise ValueError("order must provide a leq(a, b) decision procedure")
-    validate = getattr(order, "validate", None)
-    if validate is not None:
-        validate()
 
     def value(i: int, k: int) -> Fraction:
         if k > 0 and order.leq(two_adic_valuation(k), i):
@@ -186,3 +126,29 @@ def poset_family(
     )
     return family, cert
 
+
+def oscillating_family(
+    alpha: Fraction, beta: Fraction
+) -> tuple[ProfileFamily, GapCertificate]:
+    """Index n peaks at beta exactly on the blocks with 2-adic valuation n.
+
+    This is the poset family over the discrete order, which relates each
+    index only to itself.
+    """
+    return poset_family(PaddedFiniteOrder(FinitePoset(())), alpha, beta)
+
+
+def combined_family(
+    alpha: Fraction, beta: Fraction
+) -> tuple[ProfileFamily, GapCertificate]:
+    """Index 2m reads the constant family at m, index 2m + 1 the oscillating
+    family at m; even and odd indices are never scheduled against each other.
+    """
+    halves = (constant_family(), oscillating_family(alpha, beta))
+    family = ProfileFamily(lambda i, k: halves[i % 2][0]._value(i // 2, k))
+    cert = GapCertificate(
+        lambda i, j: i % 2 == j % 2 and halves[i % 2][1]._in_d(i // 2, j // 2),
+        lambda i, j: halves[i % 2][1]._delta(i // 2, j // 2),
+        lambda i, j, t: halves[i % 2][1]._s(i // 2, j // 2, t),
+    )
+    return family, cert

@@ -20,7 +20,6 @@ from .construction import (
     Transcript,
     reconstruct_state,
     run_construction,
-    window_stage_count,
 )
 from .machine import identity_index
 from .maps import CodedFamily
@@ -45,7 +44,6 @@ from .verify import (
     target_walk,
 )
 
-KINDS = ("rationals", "antichain", "combined", "poset", "universal")
 
 DEFAULT_COUNT = 4
 DEFAULT_ALPHA = Fraction(5, 4)
@@ -104,10 +102,14 @@ class ScenarioConfig:
     def from_json(obj) -> "ScenarioConfig":
         """The config a JSON object names; a missing key takes the field default.
 
-        A value of the wrong JSON type is a ValueError naming its key.
+        An unknown key, or a value of the wrong JSON type, is a ValueError
+        naming its key; a retired key is ignored.
         """
         if not isinstance(obj, dict):
             raise ValueError("not a JSON object")
+        for key in obj:
+            if key not in _KEY_TYPES and key not in _RETIRED_KEYS:
+                raise ValueError("unknown key %r" % key)
         for key, (ok, expected) in _KEY_TYPES.items():
             if key in obj and not ok(obj[key]):
                 raise ValueError("key %r must be %s, got %s"
@@ -141,26 +143,39 @@ def _is_rational(value) -> bool:
 
 # config key -> (test of its JSON value, the type the test expects)
 _KEY_TYPES = {
+    "kind": (lambda v: isinstance(v, str), "a string"),
     **dict.fromkeys(("count", "budget", "E", "k_max"), (_is_int, "an integer")),
     **dict.fromkeys(("alpha", "beta"), (_is_rational, "a p/q string")),
     "poset": (lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
               "a list of strings"),
     "stages": (lambda v: v is None or _is_int(v), "an integer or null"),
 }
+# Keys that no longer mean anything but still appear in older configs.
+_RETIRED_KEYS = ("element_scan",)
+
+
+def _poset_family(config: ScenarioConfig):
+    poset = FinitePoset.from_rows(config.poset_rows)
+    return poset_family(PaddedFiniteOrder(poset), config.alpha, config.beta)
+
+
+# Scenario kind -> builder of its (profile family, gap certificate); the
+# universal kind runs no construction.
+KINDS = {
+    "rationals": lambda config: constant_family(),
+    "antichain": lambda config: oscillating_family(config.alpha, config.beta),
+    "combined": lambda config: combined_family(config.alpha, config.beta),
+    "poset": _poset_family,
+    "universal": None,
+}
 
 
 def build_family(config: ScenarioConfig):
     """The profile family and gap certificate a config names."""
-    if config.kind == "rationals":
-        return constant_family(config.count)
-    if config.kind == "antichain":
-        return oscillating_family(config.alpha, config.beta)
-    if config.kind == "combined":
-        return combined_family(config.count, config.alpha, config.beta)
-    if config.kind == "poset":
-        poset = FinitePoset.from_rows(config.poset_rows)
-        return poset_family(PaddedFiniteOrder(poset), config.alpha, config.beta)
-    raise ValueError("scenario kind %r runs no construction" % config.kind)
+    builder = KINDS[config.kind]
+    if builder is None:
+        raise ValueError("scenario kind %r runs no construction" % config.kind)
+    return builder(config)
 
 
 def prepare(config: ScenarioConfig):
@@ -196,10 +211,9 @@ def _scheduled_pairs(config: ScenarioConfig, cert) -> list[tuple[int, int]]:
 
 def required_stages(config: ScenarioConfig, cert, schedule: RequirementSchedule) -> int:
     """config.stages, or more if the defeat bundles of the scenario's
-    program-index window need more."""
-    pairs = _scheduled_pairs(config, cert)
-    window = window_stage_count(schedule, pairs, config.e_bound) if pairs else 1
-    return max(config.stages or 0, window)
+    program-index window need more; at least one."""
+    window = schedule.window_stage_count(_scheduled_pairs(config, cert), config.e_bound)
+    return max(config.stages or 0, window, 1)
 
 
 def _identity_device_certificate(transcript, state) -> Certificate:

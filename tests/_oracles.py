@@ -7,6 +7,7 @@ tuple arithmetic) so the implementations under test never check themselves.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -158,6 +159,55 @@ def random_poset_matrix(n: int, rng: random.Random) -> list[list[bool]]:
                     if rel[c][b]:
                         rel[a][b] = True
     return rel
+
+
+def in_Z(n: int, k: int) -> bool:
+    """True iff k > 0 and the 2-adic valuation of k equals n."""
+    return k > 0 and (k & -k) == (1 << n)
+
+
+def oscillating_formulas(alpha, beta):
+    """(value, in_D, delta, s) of the oscillating family in closed form."""
+    return (
+        lambda n, k: beta if in_Z(n, k) else alpha,
+        lambda n, m: n != m,
+        lambda n, m: beta - alpha,
+        lambda n, m, t: (1 << n) * (2 * t + 1),
+    )
+
+
+def combined_formulas(alpha, beta, count: int):
+    """(value, in_D, delta, s) of the combined family in closed form.
+
+    Each function branches on parity: even index 2m carries the m-th rational
+    in (1, 2), for m < count, and odd index 2m + 1 peaks at beta exactly on
+    the blocks of 2-adic valuation m.
+    """
+    q = [Fraction(num, den) for num, den in rationals_between_one_and_two(count)]
+
+    def value(i, k):
+        if i % 2 == 0:
+            return q[i // 2]
+        return beta if in_Z((i - 1) // 2, k) else alpha
+
+    def in_d(i, j):
+        if i % 2 == 0 and j % 2 == 0:
+            return q[i // 2] > q[j // 2]
+        if i % 2 == 1 and j % 2 == 1:
+            return i != j
+        return False
+
+    def delta(i, j):
+        if i % 2 == 0:
+            return q[i // 2] - q[j // 2]
+        return beta - alpha
+
+    def s(i, j, t):
+        if i % 2 == 0:
+            return t
+        return (1 << ((i - 1) // 2)) * (2 * t + 1)
+
+    return value, in_d, delta, s
 
 
 def gap_check(family, cert, i: int, j: int, T: int) -> bool:

@@ -64,11 +64,11 @@ def _chain_poset(n: int) -> FinitePoset:
 
 def _families_under_test():
     out = []
-    fam, _ = constant_family(6)
+    fam, _ = constant_family()
     out.append(("constant", CodedFamily(fam), range(6)))
     fam, _ = oscillating_family(ALPHA, BETA)
     out.append(("oscillating", CodedFamily(fam), range(3)))
-    fam, _ = combined_family(6, ALPHA, BETA)
+    fam, _ = combined_family(ALPHA, BETA)
     out.append(("combined", CodedFamily(fam), range(6)))
     fam, _ = poset_family(PaddedFiniteOrder(_chain_poset(3)), ALPHA, BETA)
     out.append(("poset-chain", CodedFamily(fam), range(3)))
@@ -77,7 +77,7 @@ def _families_under_test():
 
 @pytest.fixture(scope="module")
 def combined_run():
-    family, cert = combined_family(6, ALPHA, BETA)
+    family, cert = combined_family(ALPHA, BETA)
     coded = CodedFamily(family)
     schedule = RequirementSchedule(cert)
     transcript, state = run_construction(
@@ -150,7 +150,7 @@ def test_criterion_01_block_geometry(criterion):
 def test_criterion_02_reduction_algebra(criterion):
     from blockdensity.verify import check_bfo_equivalence, check_positive_reduction
 
-    family, cert = constant_family(6)
+    family, cert = constant_family()
     coded = CodedFamily(family)
     transcript, state = run_construction(coded, cert, 16, BUDGET)
     assert state.frontier >= K_GEOMETRY
@@ -177,7 +177,7 @@ def test_criterion_03_domination_oracle(criterion):
     rng = random.Random(20260808)
     cases = []
 
-    fam_c, cert_c = constant_family(10)
+    fam_c, cert_c = constant_family()
     coded_c = CodedFamily(fam_c)
     while len(cases) < 7:
         i, j = rng.randint(0, 8), rng.randint(0, 8)
@@ -189,7 +189,7 @@ def test_criterion_03_domination_oracle(criterion):
         i, j = rng.randint(0, 4), rng.randint(0, 4)
         if cert_o.in_D(i, j):
             cases.append((coded_o, cert_o, fam_o, i, j, rng.randint(-1, 6)))
-    fam_m, cert_m = combined_family(8, ALPHA, BETA)
+    fam_m, cert_m = combined_family(ALPHA, BETA)
     coded_m = CodedFamily(fam_m)
     while len(cases) < 16:
         i, j = rng.randint(0, 7), rng.randint(0, 7)
@@ -212,7 +212,7 @@ def test_criterion_03_domination_oracle(criterion):
         if got != want:
             mismatches.append((n, i, j, frontier, got, want))
 
-    fam6, cert6 = constant_family(6)
+    fam6, cert6 = constant_family()
     pinned = domination_search(CodedFamily(fam6), cert6, 4, 3, -1)
     ok = not mismatches and pinned == 4
     criterion(3, "domination search oracle", ok)
@@ -236,7 +236,7 @@ def test_criterion_04_stage_soundness(combined_run, criterion):
             failures.append(("diag witness", record.stage, verdict))
 
     # Bits never change: replay stagewise and snapshot every defined block.
-    fresh = CodedFamily(combined_family(6, ALPHA, BETA)[0])
+    fresh = CodedFamily(combined_family(ALPHA, BETA)[0])
     replay_state = ConstructionState()
     snapshot = {}
     for n in range(60):

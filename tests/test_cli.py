@@ -57,6 +57,7 @@ def test_blocks_poset_without_matrix_is_usage_error(capsys):
     (["blocks", "--i", "0,-2"], "natural"),
     (["map", "apply", "--kind", "combined", "--i", "-3"], "natural"),
     (["blocks", "--kmax", "-2"], "--kmax must be at least 0"),
+    (["blocks", "--count", "-2", "--kmax", "1"], "count must be at least 1"),
 ])
 def test_negative_index_or_kmax_is_usage_error_before_output(argv, message, capsys):
     code = main(argv)
@@ -70,6 +71,13 @@ def test_blocks_bad_index_writes_no_file(tmp_path, capsys):
     out = tmp_path / "blocks.csv"
     assert main(["blocks", "--i", "1,-1", "--out", str(out)]) == 3
     capsys.readouterr()
+    assert not out.exists()
+
+
+def test_blocks_bad_count_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "blocks.csv"
+    assert main(["blocks", "--count", "0", "--out", str(out)]) == 3
+    assert "count must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -324,6 +332,9 @@ BAD_CONFIGS = {
         '{"kind": "antichain", "alpha": "3/0"}', "key 'alpha'"),
     "config_string_poset": ('{"kind": "poset", "poset": "111"}', "key 'poset'"),
     "config_poset_of_ints": ('{"kind": "poset", "poset": [1]}', "key 'poset'"),
+    "config_list_kind": ('{"kind": ["rationals"]}', "key 'kind'"),
+    "config_misspelt_k_max": (
+        '{"kind": "rationals", "count": 2, "E": 2, "kmax": 5}', "'kmax'"),
 }
 BAD_INPUTS.update(
     (name, (["construct", "--config", "{bad}", "--out", "{out}"], text))

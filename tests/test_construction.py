@@ -19,7 +19,6 @@ from blockdensity.construction import (
     reconstruct_state,
     run_construction,
     run_stage,
-    window_stage_count,
 )
 from blockdensity.machine import (
     DECJZ,
@@ -53,7 +52,7 @@ CONST0 = [(DECJZ, 0, 2), (DECJZ, 1, 0)]
 
 
 def constant_setup():
-    family, cert = constant_family(6)
+    family, cert = constant_family()
     return CodedFamily(family), cert
 
 
@@ -107,7 +106,7 @@ def _selector_shapes():
     """One family per selector shape: t, 2^n(2t+1) and (1<<i)(2t+1)."""
     chain = PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"]))
     return {
-        "constant": (constant_family(6), [(I_74, I_54), (I_32, I_43)]),
+        "constant": (constant_family(), [(I_74, I_54), (I_32, I_43)]),
         "oscillating": (oscillating_family(ALPHA, BETA), [(0, 1), (2, 0), (1, 3)]),
         "poset": (poset_family(chain, ALPHA, BETA), [(1, 0), (2, 1), (0, 3)]),
     }
@@ -192,7 +191,7 @@ def test_run_construction_monotone_frontier_and_replay():
     assert frontiers == sorted(frontiers) and len(set(frontiers)) == 5
     assert state.frontier == frontiers[-1]
 
-    fresh = CodedFamily(constant_family(6)[0])
+    fresh = CodedFamily(constant_family()[0])
     again, _ = run_construction(fresh, cert, 5, 10_000)
     assert again.to_jsonl(fresh) == transcript.to_jsonl(coded)
 
@@ -297,7 +296,7 @@ def test_window_stage_count():
     _, cert = constant_setup()
     schedule = RequirementSchedule(cert)
     pairs = [(0, 1)]
-    needed = window_stage_count(schedule, pairs, 3)
+    needed = schedule.window_stage_count(pairs, 3)
     covered = {
         (schedule.requirement(n).e, schedule.requirement(n).i, schedule.requirement(n).j)
         for n in range(needed)

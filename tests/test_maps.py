@@ -29,7 +29,7 @@ I_74 = 4
 
 @pytest.fixture(scope="module")
 def coded():
-    family, _ = constant_family(6)
+    family, _ = constant_family()
     return CodedFamily(family)
 
 
@@ -169,9 +169,9 @@ ALPHA, BETA = Fraction(5, 4), Fraction(7, 4)
 
 # kind -> (family, indices checked)
 FACTORIAL_FAMILIES = {
-    "constant": (constant_family(4)[0], (I_32, I_54)),
+    "constant": (constant_family()[0], (I_32, I_54)),
     "oscillating": (oscillating_family(PRIME_DEN, Fraction(3, 2))[0], (0, 1)),
-    "combined": (combined_family(4, ALPHA, BETA)[0], (0, 1)),
+    "combined": (combined_family(ALPHA, BETA)[0], (0, 1)),
     "poset": (
         poset_family(PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"])),
                      ALPHA, BETA)[0],

@@ -7,13 +7,12 @@ from blockdensity.posets import FinitePoset, PaddedFiniteOrder
 from blockdensity.profiles import (
     combined_family,
     constant_family,
-    in_Z,
     oscillating_family,
     poset_family,
     two_adic_valuation,
 )
 
-from _oracles import gap_check
+from _oracles import combined_formulas, gap_check, in_Z, oscillating_formulas
 
 ALPHA = Fraction(5, 4)
 BETA = Fraction(7, 4)
@@ -39,8 +38,32 @@ def test_valuation_classes_are_pairwise_disjoint():
         assert hits[0] == two_adic_valuation(k)
 
 
+def _assert_family_matches(family, cert, formulas):
+    """family and cert agree with closed forms at every i, j < 16, k < 256
+    and t < 16."""
+    value, in_d, delta, s = formulas
+    for i in range(16):
+        assert [family.value(i, k) for k in range(256)] == [value(i, k) for k in range(256)]
+        for j in range(16):
+            assert cert.in_D(i, j) == in_d(i, j), (i, j)
+            if in_d(i, j):
+                assert cert.delta(i, j) == delta(i, j), (i, j)
+                assert [cert.s(i, j, t) for t in range(16)] == [
+                    s(i, j, t) for t in range(16)], (i, j)
+
+
+@pytest.mark.parametrize("alpha, beta", [(ALPHA, BETA), (Fraction(11, 10), Fraction(3, 2))])
+def test_oscillating_family_matches_closed_form(alpha, beta):
+    _assert_family_matches(*oscillating_family(alpha, beta), oscillating_formulas(alpha, beta))
+
+
+@pytest.mark.parametrize("alpha, beta", [(ALPHA, BETA), (Fraction(11, 10), Fraction(3, 2))])
+def test_combined_family_matches_closed_form(alpha, beta):
+    _assert_family_matches(*combined_family(alpha, beta), combined_formulas(alpha, beta, 8))
+
+
 def test_constant_family_examples():
-    family, cert = constant_family(6)
+    family, cert = constant_family()
     assert family.value(0, 17) == Fraction(3, 2)
     assert cert.in_D(0, 1)
     assert cert.delta(0, 3) == Fraction(1, 4)
@@ -48,7 +71,7 @@ def test_constant_family_examples():
 
 
 def test_constant_family_is_constant_in_k():
-    family, _ = constant_family(4)
+    family, _ = constant_family()
     for i in range(8):
         base = family.value(i, 0)
         assert all(family.value(i, k) == base for k in range(65))
@@ -70,7 +93,7 @@ def test_oscillating_family_rejects_bad_band():
 
 
 def test_combined_family_examples():
-    family, cert = combined_family(6, ALPHA, BETA)
+    family, cert = combined_family(ALPHA, BETA)
     assert family.value(0, 9) == Fraction(3, 2)
     assert family.value(3, 6) == BETA
     assert not cert.in_D(0, 3)
@@ -115,9 +138,9 @@ def test_poset_family_monotone_under_the_order():
 
 def test_all_families_stay_in_band():
     fams = [
-        constant_family(4)[0],
+        constant_family()[0],
         oscillating_family(ALPHA, BETA)[0],
-        combined_family(4, ALPHA, BETA)[0],
+        combined_family(ALPHA, BETA)[0],
         poset_family(chain_order(3), ALPHA, BETA)[0],
     ]
     for family in fams:
@@ -127,7 +150,7 @@ def test_all_families_stay_in_band():
 
 
 def test_gap_check_examples():
-    family, cert = constant_family(4)
+    family, cert = constant_family()
     assert gap_check(family, cert, 0, 1, 50)
     osc_family, osc_cert = oscillating_family(ALPHA, BETA)
     assert gap_check(osc_family, osc_cert, 0, 1, 50)
@@ -138,13 +161,13 @@ def test_gap_check_examples():
 
 def test_gap_check_random_pairs_all_families():
     rng = random.Random(20260808)
-    family, cert = constant_family(8)
+    family, cert = constant_family()
     for _ in range(50):
         i, j = rng.randint(0, 40), rng.randint(0, 40)
         if cert.in_D(i, j):
             assert gap_check(family, cert, i, j, 200)
     osc = oscillating_family(ALPHA, BETA)
-    comb = combined_family(8, ALPHA, BETA)
+    comb = combined_family(ALPHA, BETA)
     pos = poset_family(chain_order(4), ALPHA, BETA)
     for family, cert in (osc, comb, pos):
         checked = 0

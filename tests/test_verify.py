@@ -34,7 +34,7 @@ I_32, I_43, I_54 = 0, 1, 3
 
 @pytest.fixture(scope="module")
 def constant_run():
-    family, cert = constant_family(6)
+    family, cert = constant_family()
     coded = CodedFamily(family)
     schedule = RequirementSchedule(cert)
     transcript, state = run_construction(
@@ -97,7 +97,7 @@ def test_positive_certificates_without_blocks_fail_range(constant_run, blocks):
 
 @pytest.fixture(scope="module")
 def combined_run():
-    family, cert = combined_family(6, ALPHA, BETA)
+    family, cert = combined_family(ALPHA, BETA)
     coded = CodedFamily(family)
     schedule = RequirementSchedule(cert)
     transcript, state = run_construction(
@@ -198,5 +198,5 @@ def test_embedding_matrix_incomplete_cell_is_not_a_fail():
 
 def test_transcript_replay(constant_run):
     _, cert, _, transcript, _ = constant_run
-    fresh = CodedFamily(constant_family(6)[0])
+    fresh = CodedFamily(constant_family()[0])
     assert check_transcript_replay(fresh, cert, transcript, 10**5).verdict == PASS

@@ -59,7 +59,7 @@ def walk_maps(profile, limit=LIMIT):
 
 
 def test_walk_maps_match_coded_family():
-    family, cert = constant_family(4)
+    family, cert = constant_family()
     coded = CodedFamily(family)
     maps = [walk_maps(family.profile(i)) for i in range(4)]
     for i, (h, fibers, _) in enumerate(maps):

@@ -68,7 +68,7 @@ def _record(stage, i, j, k, **witnesses):
 
 
 def test_synthetic_witnesses_match_str():
-    coded = CodedFamily(constant_family(4)[0])
+    coded = CodedFamily(constant_family()[0])
 
     def b(s, k):
         return coded.source(s).endpoint(k)
@@ -94,9 +94,9 @@ ALPHA, BETA = Fraction(5, 4), Fraction(7, 4)
 
 # kind -> (family, source indices checked)
 FAMILIES = {
-    "constant": (constant_family(4)[0], (0, 3)),
+    "constant": (constant_family()[0], (0, 3)),
     "oscillating": (oscillating_family(PRIME_DEN, Fraction(3, 2))[0], (0, 1)),
-    "combined": (combined_family(4, ALPHA, BETA)[0], (0, 1)),
+    "combined": (combined_family(ALPHA, BETA)[0], (0, 1)),
     "poset": (
         poset_family(PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"])),
                      ALPHA, BETA)[0],
