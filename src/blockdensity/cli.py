@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .construction import Transcript
-from .machine import Halted, decode, program_text, run
+from .machine import Halted, decode, program_text, run_program
 from .maps import CodedFamily
 from .numerics import rat_parse
 from .posets import FinitePoset, UniversalPoset, embed_finite
@@ -136,7 +136,7 @@ def _cmd_machine(args) -> int:
     if args.action == "decode":
         print(program_text(decode(args.e)))
         return 0
-    outcome = run(args.e, args.x, args.budget)
+    outcome = run_program(decode(args.e), args.x, args.budget)
     if isinstance(outcome, Halted):
         print("halted,%d,%d" % (outcome.value, outcome.steps))
     else:

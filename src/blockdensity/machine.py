@@ -6,6 +6,10 @@ program through iterated Cantor unpairing, jump targets clamping to the program
 end, so the enumeration is total. Input goes into register 0 and the output is
 register 0 at the halt; runs are step-bounded and exceeding the budget is
 reported explicitly, never silently.
+
+run_program is the one literal runner. tail_behavior decides every input above
+the budget at once; only the construction uses it, and the certificates rerun
+each witness literally instead of trusting it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .numerics import cantor_pair, cantor_unpair
+from .numerics import cantor_unpair
 
 INC = "INC"
 DECJZ = "DECJZ"
@@ -22,8 +26,7 @@ HALT = "HALT"
 Instruction = tuple
 Program = list
 
-# Plain simulation switches to state-recurrence detection past this many steps;
-# an exact repeat of (pc, registers) proves the run can never halt.
+# Steps run_program simulates before it starts recording states.
 _CYCLE_CHECK_AFTER = 64
 
 
@@ -76,24 +79,6 @@ def decode(e: int) -> Program:
     return program
 
 
-def encode(program: Program) -> int:
-    """One index whose decoding is the given program (canonical opcode tags)."""
-    codes = []
-    for ins in program:
-        if ins[0] == INC:
-            codes.append(cantor_pair(0, ins[1]))
-        elif ins[0] == DECJZ:
-            codes.append(cantor_pair(1, cantor_pair(ins[1], ins[2])))
-        elif ins[0] == HALT:
-            codes.append(cantor_pair(2, 0))
-        else:
-            raise ValueError("unknown instruction %r" % (ins,))
-    body = 0
-    for code in reversed(codes):
-        body = cantor_pair(code, body)
-    return cantor_pair(len(program), body)
-
-
 def identity_index() -> int:
     """The least index decoding to the empty program (immediate halt)."""
     e = 0
@@ -108,48 +93,6 @@ def program_text(program: Program) -> str:
     for ins in program:
         lines.append(" ".join(str(part) for part in ins))
     return "\n".join(lines)
-
-
-def _simulate(program: Program, x: int, budget: int) -> Outcome:
-    """Literal step-by-step run; input in register 0."""
-    n = len(program)
-    regs = {0: x} if x else {}
-    pc = 0
-    steps = 0
-    seen = None
-    while True:
-        if pc >= n:
-            return Halted(regs.get(0, 0), steps)
-        if steps >= budget:
-            return OutOfBudget(budget)
-        ins = program[pc]
-        op = ins[0]
-        if op == INC:
-            r = ins[1]
-            regs[r] = regs.get(r, 0) + 1
-            pc += 1
-        elif op == DECJZ:
-            r = ins[1]
-            v = regs.get(r, 0)
-            if v:
-                if v == 1:
-                    del regs[r]
-                else:
-                    regs[r] = v - 1
-                pc += 1
-            else:
-                pc = ins[2]
-        else:
-            return Halted(regs.get(0, 0), steps + 1)
-        steps += 1
-        if seen is None:
-            if steps >= _CYCLE_CHECK_AFTER:
-                seen = {(pc, tuple(sorted(regs.items())))}
-        else:
-            state = (pc, tuple(sorted(regs.items())))
-            if state in seen:
-                return OutOfBudget(budget)
-            seen.add(state)
 
 
 def tail_behavior(program: Program, budget: int) -> TailHalts | TailDiverges:
@@ -208,20 +151,51 @@ def tail_behavior(program: Program, budget: int) -> TailHalts | TailDiverges:
 
 
 def run_program(program: Program, x: int, budget: int) -> Outcome:
-    """Deterministic step-bounded run of a decoded program."""
+    """Literal step-by-step run of a decoded program; input in register 0.
+
+    Past _CYCLE_CHECK_AFTER steps the run records each state (pc, registers);
+    a repeated state proves the run never halts, so it is reported as
+    OutOfBudget without spending the rest of the budget.
+    """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if x < 0:
         raise ValueError("input must be a natural number")
-    if x > budget:
-        tail = tail_behavior(program, budget)
-        if isinstance(tail, TailHalts):
-            return Halted(x + tail.offset, tail.steps)
-        return OutOfBudget(budget)
-    return _simulate(program, x, budget)
-
-
-def run(e: int, x: int, budget: int) -> Outcome:
-    """Run the e-th program on input x for at most budget steps."""
-    return run_program(decode(e), x, budget)
-
+    n = len(program)
+    regs = {0: x} if x else {}
+    pc = 0
+    steps = 0
+    seen = None
+    while True:
+        if pc >= n:
+            return Halted(regs.get(0, 0), steps)
+        if steps >= budget:
+            return OutOfBudget(budget)
+        ins = program[pc]
+        op = ins[0]
+        if op == INC:
+            r = ins[1]
+            regs[r] = regs.get(r, 0) + 1
+            pc += 1
+        elif op == DECJZ:
+            r = ins[1]
+            v = regs.get(r, 0)
+            if v:
+                if v == 1:
+                    del regs[r]
+                else:
+                    regs[r] = v - 1
+                pc += 1
+            else:
+                pc = ins[2]
+        else:
+            return Halted(regs.get(0, 0), steps + 1)
+        steps += 1
+        if seen is None:
+            if steps >= _CYCLE_CHECK_AFTER:
+                seen = {(pc, tuple(sorted(regs.items())))}
+        else:
+            state = (pc, tuple(sorted(regs.items())))
+            if state in seen:
+                return OutOfBudget(budget)
+            seen.add(state)

@@ -274,7 +274,7 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
     # Each diagonal witness is checked once; defeat bundles reuse the verdicts
     # and the certificates follow the rest of the report.
     diag_certs = {
-        n: check_diag_witness(coded, state, record)
+        n: check_diag_witness(coded, state, record, schedule.requirement(n))
         for n, record in enumerate(transcript.records)
         if record.branch == BRANCH_DIAGONALIZED
     }

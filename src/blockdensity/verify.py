@@ -27,8 +27,12 @@ reduction from i) and 0 <= q < k!:
 
 Negative claims are explicitly budget-qualified: a defeat bundle says that no
 scheduled program below the index bound is a total injective reduction on the
-constructed prefix within the step budget, never more. INCOMPLETE names what
-is missing (stages or records); FAIL means a check was run and refuted.
+constructed prefix within the step budget, never more. Their witnesses, and
+those of every diagonal record, are rerun literally with run_program, not with
+the tail lemma (machine.tail_behavior) the construction chose them by; a
+record is first matched against the requirement the schedule puts at its
+position. INCOMPLETE names what is missing (stages or records); FAIL means a
+check was run and refuted.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .construction import (
     BRANCH_NON_TOTAL,
     ConstructionState,
     FrontierUndefined,
+    Requirement,
     RequirementSchedule,
     StageRecord,
     Transcript,
@@ -260,15 +265,26 @@ def _unnatural_witness(record: StageRecord, names: tuple[str, ...]) -> str | Non
 
 
 def check_diag_witness(
-    coded: CodedFamily, state: ConstructionState, record: StageRecord
+    coded: CodedFamily,
+    state: ConstructionState,
+    record: StageRecord,
+    req: Requirement,
 ) -> Certificate:
-    """Recheck one diagonalization record from scratch."""
+    """Recheck one diagonalization record from scratch.
+
+    req is the requirement the schedule puts at the record's position; a
+    record naming another (e, i, j) fails before its program is decoded or
+    its witnesses located, as those costs grow with e and i.
+    """
     if record.branch != BRANCH_DIAGONALIZED:
         raise ValueError("diagonal witness check needs a diagonalized record")
     cert = Certificate(
         "DiagWitness",
         {"stage": record.stage, "e": record.e, "i": record.i, "j": record.j},
     )
+    if Requirement(record.e, record.i, record.j) != req:
+        cert.fail("schedule_mismatch", {"e": req.e, "i": req.i, "j": req.j})
+        return cert
     bad = _unnatural_witness(record, ("x", "y", "ell"))
     if bad is not None:
         value = getattr(record, bad)

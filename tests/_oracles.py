@@ -161,6 +161,22 @@ def random_poset_matrix(n: int, rng: random.Random) -> list[list[bool]]:
     return rel
 
 
+def encode(program) -> int:
+    """One index whose decoding is the given program: the inverse of
+    machine.decode with canonical opcode tags (INC 0, DECJZ 1, HALT 2)."""
+
+    def pair(x: int, y: int) -> int:
+        return (x + y) * (x + y + 1) // 2 + y
+
+    tags = {"INC": lambda ins: pair(0, ins[1]),
+            "DECJZ": lambda ins: pair(1, pair(ins[1], ins[2])),
+            "HALT": lambda ins: pair(2, 0)}
+    body = 0
+    for ins in reversed(program):
+        body = pair(tags[ins[0]](ins), body)
+    return pair(len(program), body)
+
+
 def in_Z(n: int, k: int) -> bool:
     """True iff k > 0 and the 2-adic valuation of k equals n."""
     return k > 0 and (k & -k) == (1 << n)

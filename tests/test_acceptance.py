@@ -231,7 +231,8 @@ def test_criterion_04_stage_soundness(combined_run, criterion):
 
     diagonal = [r for r in transcript.records if r.branch == BRANCH_DIAGONALIZED]
     for record in diagonal:
-        verdict = check_diag_witness(coded, state, record).verdict
+        req = schedule.requirement(record.stage)
+        verdict = check_diag_witness(coded, state, record, req).verdict
         if verdict != PASS:
             failures.append(("diag witness", record.stage, verdict))
 

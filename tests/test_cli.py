@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from blockdensity import cli
+from blockdensity import cli, construction, machine
 from blockdensity.cli import main
 from blockdensity.scenarios import ScenarioConfig, ScenarioResult
 
@@ -496,10 +496,10 @@ WITNESS_TAMPERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WITNESS_TAMPERS))
-def test_verify_bad_witness_fails_its_certificate(name, constructed, tmp_path, capsys):
+def _verify_with_record_1_set(constructed, tmp_path, capsys, field, value):
+    """Exit code of verify and record 1's DiagWitness, once record 1's field
+    is set to value."""
     config_path, records = constructed
-    field, value = WITNESS_TAMPERS[name]
     records = [dict(r) for r in records]
     records[1][field] = value
     transcript_path = tmp_path / "t.jsonl"
@@ -508,14 +508,63 @@ def test_verify_bad_witness_fails_its_certificate(name, constructed, tmp_path, c
     code, _ = run_cli(capsys, "verify", "--config", str(config_path),
                       "--transcript", str(transcript_path),
                       "--report", str(report_path))
-    assert code == 1
     report = [json.loads(line) for line in report_path.read_text().splitlines()]
     [witness] = [c for c in report
                  if c["kind"] == "DiagWitness" and c["subject"]["stage"] == 1]
+    return code, witness
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_TAMPERS))
+def test_verify_bad_witness_fails_its_certificate(name, constructed, tmp_path, capsys):
+    field, value = WITNESS_TAMPERS[name]
+    code, witness = _verify_with_record_1_set(constructed, tmp_path, capsys,
+                                              field, value)
+    assert code == 1
     assert witness["verdict"] == "FAIL"
     assert witness["checks"] == [
         {"check": "witness_fields", "ok": False, "field": field, "value": value}
     ]
+
+
+@pytest.mark.parametrize("field, value", [("e", 10**30), ("i", 10**9)],
+                         ids=["huge_e", "huge_i"])
+def test_verify_record_off_schedule_fails_fast(field, value, constructed, tmp_path,
+                                               capsys):
+    """A record naming another requirement fails before its program is
+    decoded or its witnesses located: for these values neither would finish."""
+    scheduled = {key: constructed[1][1][key] for key in ("e", "i", "j")}
+    code, witness = _verify_with_record_1_set(constructed, tmp_path, capsys,
+                                              field, value)
+    assert code == 1
+    assert witness["verdict"] == "FAIL"
+    assert witness["checks"] == [
+        {"check": "schedule_mismatch", "ok": False, **scheduled}
+    ]
+
+
+def test_wrong_tail_lemma_fails_the_rerun(monkeypatch, tmp_path, capsys):
+    """The construction decides inputs above the budget by the tail lemma; the
+    certificates rerun the witnesses literally, so a lemma off by one is
+    caught."""
+    real = machine.tail_behavior
+
+    def off_by_one(program, budget):
+        tail = real(program, budget)
+        if isinstance(tail, machine.TailHalts):
+            return machine.TailHalts(tail.offset + 1, tail.steps)
+        return tail
+
+    monkeypatch.setattr(construction, "tail_behavior", off_by_one)
+    monkeypatch.setattr(machine, "tail_behavior", off_by_one)
+    outdir = tmp_path / "run"
+    code, _ = run_cli(capsys, "scenario", "rationals", "--count", "4", "--E", "10",
+                      "--outdir", str(outdir))
+    assert code == 1
+    report = [json.loads(line)
+              for line in (outdir / "report.jsonl").read_text().splitlines()]
+    failed = {check["check"] for cert in report if cert["kind"] == "DiagWitness"
+              for check in cert["checks"] if not check["ok"]}
+    assert "rerun_value" in failed
 
 
 def _drop_budget(records):

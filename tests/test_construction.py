@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from blockdensity.construction import (
     BRANCH_DIAGONALIZED,
@@ -26,7 +27,6 @@ from blockdensity.machine import (
     Halted,
     OutOfBudget,
     decode,
-    encode,
     identity_index,
     run_program,
 )
@@ -34,12 +34,13 @@ from blockdensity.maps import CodedFamily
 from blockdensity.posets import FinitePoset, PaddedFiniteOrder
 from blockdensity.profiles import (
     GapCertificate,
+    combined_family,
     constant_family,
     oscillating_family,
     poset_family,
 )
 
-from _oracles import domination_brute
+from _oracles import domination_brute, encode
 
 ALPHA = Fraction(5, 4)
 BETA = Fraction(7, 4)
@@ -63,6 +64,36 @@ def test_requirement_enumeration_examples():
     assert schedule.requirement(0) == Requirement(0, 0, 1)
     reqs = [schedule.requirement(n) for n in range(100)]
     assert len(set(reqs)) == 100
+
+
+# One family of each kind: constant, order-driven and combined.
+FAMILIES = {
+    "constant": constant_family,
+    "poset": lambda: poset_family(
+        PaddedFiniteOrder(FinitePoset.from_rows(["110", "010", "111"])), ALPHA, BETA
+    ),
+    "combined": lambda: combined_family(ALPHA, BETA),
+}
+
+
+@given(kind=st.sampled_from(sorted(FAMILIES)), n=st.integers(0, 5000))
+def test_stage_of_inverts_requirement(kind, n):
+    schedule = RequirementSchedule(FAMILIES[kind]()[1])
+    req = schedule.requirement(n)
+    assert schedule.stage_of(req.e, req.i, req.j) == n
+
+
+@given(
+    kind=st.sampled_from(sorted(FAMILIES)),
+    e=st.integers(0, 10**6),
+    i=st.integers(0, 20),
+    j=st.integers(0, 20),
+)
+def test_requirement_inverts_stage_of(kind, e, i, j):
+    cert = FAMILIES[kind]()[1]
+    assume(cert.in_D(i, j))
+    schedule = RequirementSchedule(cert)
+    assert schedule.requirement(schedule.stage_of(e, i, j)) == Requirement(e, i, j)
 
 
 def test_requirement_window_is_covered_early():

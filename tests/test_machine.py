@@ -1,27 +1,32 @@
 import random
+from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
+from blockdensity import machine
 from blockdensity.machine import (
     DECJZ,
     HALT,
     INC,
     Halted,
     OutOfBudget,
-    _simulate,
     decode,
-    encode,
     identity_index,
     program_text,
-    run,
     run_program,
     tail_behavior,
     TailHalts,
 )
 
+from _oracles import encode
+
 LOOP = [(INC, 0), (DECJZ, 1, 0)]          # register 1 stays zero: jumps back forever
 CONST0 = [(DECJZ, 0, 2), (DECJZ, 1, 0)]   # drains register 0, then halts via clamp
 SUCC = [(INC, 0)]
+SPIN = [(DECJZ, 1, 0)]                    # jumps to itself: every state repeats
+# Raises and clears register 1 each lap, so its state recurs after three steps.
+LAP = [(INC, 1), (DECJZ, 1, 3), (DECJZ, 2, 0)]
 
 
 def test_decode_zero_is_empty_program():
@@ -32,7 +37,7 @@ def test_identity_index_is_stable_and_identity():
     e = identity_index()
     assert e == identity_index() == 0
     for x in (0, 7, 41):
-        outcome = run(e, x, 100)
+        outcome = run_program(decode(e), x, 100)
         assert isinstance(outcome, Halted)
         assert outcome.value == x
         assert outcome.steps <= 100
@@ -56,9 +61,9 @@ def test_encode_decode_round_trip_behavioral():
 
 def test_loop_program_runs_out_of_budget():
     e = encode(LOOP)
-    assert run(e, 0, 1000) == OutOfBudget(1000)
+    assert run_program(decode(e), 0, 1000) == OutOfBudget(1000)
     for x in range(0, 50, 7):
-        assert isinstance(run(e, x, 500), OutOfBudget)
+        assert isinstance(run_program(decode(e), x, 500), OutOfBudget)
 
 
 def test_budget_monotonicity():
@@ -66,15 +71,15 @@ def test_budget_monotonicity():
     for _ in range(300):
         e = rng.randint(0, 5000)
         x = rng.randint(0, 30)
-        small = run(e, x, 64)
+        small = run_program(decode(e), x, 64)
         if isinstance(small, Halted):
-            big = run(e, x, 4096)
+            big = run_program(decode(e), x, 4096)
             assert big == Halted(small.value, small.steps)
 
 
 def test_determinism():
     for e in (0, 1, 76, 4462):
-        assert run(e, 9, 300) == run(e, 9, 300)
+        assert run_program(decode(e), 9, 300) == run_program(decode(e), 9, 300)
 
 
 def test_reference_behaviors_on_small_inputs():
@@ -90,7 +95,7 @@ def test_reference_behaviors_on_small_inputs():
 
 def test_budget_precondition():
     with pytest.raises(ValueError):
-        run(0, 0, 0)
+        run_program(decode(0), 0, 0)
 
 
 def test_tail_behavior_matches_literal_simulation():
@@ -101,24 +106,47 @@ def test_tail_behavior_matches_literal_simulation():
         program = decode(e)
         tail = tail_behavior(program, budget)
         for x in (budget + 1, budget + 2, budget + 17, budget + 400):
-            literal = _simulate(program, x, budget)
+            literal = run_program(program, x, budget)
             if isinstance(tail, TailHalts):
                 assert literal == Halted(x + tail.offset, tail.steps)
             else:
                 assert literal == OutOfBudget(budget)
 
 
-def test_run_program_uses_tail_for_large_inputs_consistently():
-    budget = 50
-    for e in range(300):
-        program = decode(e)
-        for x in (budget + 1, budget + 9):
-            assert run_program(program, x, budget) == _simulate(program, x, budget)
+@given(
+    e=st.integers(0, 4999),
+    budget=st.integers(1, 200),
+    k=st.integers(1, 60),
+    extra=st.integers(1, 10**6),
+)
+def test_tail_lemma_matches_literal_runs(e, budget, k, extra):
+    """The lemma's prediction for an input above the budget, up to factorial
+    scale, equals the literal run."""
+    program = decode(e)
+    x = budget + extra + factorial(k)
+    tail = tail_behavior(program, budget)
+    if isinstance(tail, TailHalts):
+        want = Halted(x + tail.offset, tail.steps)
+    else:
+        want = OutOfBudget(budget)
+    assert run_program(program, x, budget) == want
 
 
 def test_cycle_shortcut_agrees_with_full_budget_run():
-    # LOOP recurs after two steps; the literal run must still report the budget.
-    assert _simulate(LOOP, 5, 100_000) == OutOfBudget(100_000)
+    # Register 0 grows every lap of LOOP, so no state repeats and the cycle
+    # rule never fires: the run spends its whole budget.
+    assert run_program(LOOP, 5, 100_000) == OutOfBudget(100_000)
+
+
+@pytest.mark.parametrize("program", [SPIN, LAP], ids=["spin", "lap"])
+def test_cycle_rule_agrees_with_run_without_it(program, monkeypatch):
+    """A repeated state ends the run early with the answer the full budget
+    gives; a budget no run could spend shows that it does end early."""
+    early = {budget: run_program(program, 7, budget) for budget in (65, 66, 200, 5000)}
+    assert run_program(program, 7, 10**15) == OutOfBudget(10**15)
+    monkeypatch.setattr(machine, "_CYCLE_CHECK_AFTER", 10**6)
+    for budget, outcome in early.items():
+        assert outcome == run_program(program, 7, budget) == OutOfBudget(budget)
 
 
 def test_program_text():

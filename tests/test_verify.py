@@ -107,27 +107,30 @@ def combined_run():
 
 
 def test_diag_witness_pass_and_tamper(combined_run):
-    coded, _, _, transcript, state = combined_run
+    coded, _, schedule, transcript, state = combined_run
     diagonal = [r for r in transcript.records if r.branch == BRANCH_DIAGONALIZED]
     assert diagonal
     for record in diagonal:
-        assert check_diag_witness(coded, state, record).verdict == PASS
+        req = schedule.requirement(record.stage)
+        assert check_diag_witness(coded, state, record, req).verdict == PASS
+    req = schedule.requirement(diagonal[0].stage)
     tampered = dataclasses.replace(diagonal[0], y=diagonal[0].y + 1)
-    assert check_diag_witness(coded, state, tampered).verdict == FAIL
+    assert check_diag_witness(coded, state, tampered, req).verdict == FAIL
 
 
 def test_diag_witness_rejects_other_branches(combined_run):
-    coded, _, _, transcript, state = combined_run
+    coded, _, schedule, transcript, state = combined_run
     other = [r for r in transcript.records if r.branch != BRANCH_DIAGONALIZED]
     if other:
         with pytest.raises(ValueError):
-            check_diag_witness(coded, state, other[0])
+            check_diag_witness(coded, state, other[0],
+                               schedule.requirement(other[0].stage))
 
 
-def diag_verdicts(coded, state, transcript):
+def diag_verdicts(coded, schedule, state, transcript):
     """The DiagWitness verdict of each diagonalized record, by position."""
     return {
-        n: check_diag_witness(coded, state, record).verdict
+        n: check_diag_witness(coded, state, record, schedule.requirement(n)).verdict
         for n, record in enumerate(transcript.records)
         if record.branch == BRANCH_DIAGONALIZED
     }
@@ -135,7 +138,7 @@ def diag_verdicts(coded, state, transcript):
 
 def test_defeat_bundle_pass_and_incomplete(constant_run):
     coded, cert, schedule, transcript, state = constant_run
-    verdicts = diag_verdicts(coded, state, transcript)
+    verdicts = diag_verdicts(coded, schedule, state, transcript)
     bundle = check_defeat_bundle(coded, transcript, schedule, 0, 1, 3, verdicts)
     assert bundle.verdict == PASS
     assert bundle.diagnostics["defeated"] == 3
@@ -158,7 +161,7 @@ def test_defeat_record_without_natural_witness_fails(constant_run, branch, field
     records[stage] = dataclasses.replace(record, **fields)
     bundle = check_defeat_bundle(
         coded, Transcript(records), schedule, 0, 1, 1,
-        diag_verdicts(coded, state, transcript),
+        diag_verdicts(coded, schedule, state, transcript),
     )
     assert bundle.verdict == FAIL
     assert bundle.checks == [{
