@@ -10,7 +10,7 @@ settings.register_profile("repo", deadline=None, derandomize=True, database=None
 settings.load_profile("repo")
 
 # Hypothesis still caches the constants it reads from local modules, from
-# collection on; that cache lives in a directory removed after the session,
+# collection on; that cache lives in a directory removed when pytest exits,
 # not in the checkout.
 _storage = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_storage.name)
