@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,8 +22,9 @@ from .maps import CodedFamily
 from .numerics import rat_parse
 from .posets import FinitePoset, UniversalPoset, embed_finite
 from .scenarios import (
-    DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_COUNT, KINDS, ScenarioConfig, construct,
-    prepare, report_exit_code, run_scenario, verify_transcript, write_report,
+    DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_COUNT, KINDS, SCHEDULES, ScenarioConfig,
+    build_family, construct, report_exit_code, run_scenario, verify_transcript,
+    write_report,
 )
 
 USAGE_ERROR = 3
@@ -76,7 +78,7 @@ def _coded_family(args) -> CodedFamily:
         beta=args.beta, poset_rows=args.matrix,
     )
     config.validate()
-    return prepare(config)[0]
+    return CodedFamily(build_family(config)[0])
 
 
 def _usage_errors(cmd):
@@ -185,6 +187,12 @@ def _cmd_construct(args) -> int:
         raise UsageError("%s scenarios run no construction" % config.kind)
     if args.stages is not None and args.stages < 1:
         raise UsageError("--stages must be at least 1")
+    if args.schedule is not None:
+        config = replace(config, schedule=args.schedule)
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise UsageError(str(exc))
     coded, *_, transcript = construct(config, args.stages)
     transcript.write_jsonl(args.out, coded)
     print("stages,%d" % len(transcript.records))
@@ -205,7 +213,7 @@ def _cmd_verify(args) -> int:
     return code
 
 
-_RUN = ("--stages", "--budget", "--E", "--kmax")
+_RUN = ("--stages", "--budget", "--E", "--kmax", "--schedule")
 _BAND = ("--alpha", "--beta", *_RUN)
 # The scenario flags each kind reads, the one it takes its profile count from
 # first. A flag's argparse dest is its name without the dashes.
@@ -224,6 +232,10 @@ def _cmd_scenario(args) -> int:
     kind = args.scenario_kind
     reads = SCENARIO_FLAGS[kind]
     fields = {"kind": kind, "count": 3 if kind == "antichain" else DEFAULT_COUNT}
+    if "--schedule" in reads:
+        # A new run certifies its window only; "full", the paper's order, is
+        # what a config without the key means.
+        fields["schedule"] = "window"
     for flag in ("--count", "--n", "--matrix", *_BAND):
         value = getattr(args, flag[2:])
         if value is None:
@@ -283,6 +295,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stages", type=int, default=None)
+    p.add_argument("--schedule", choices=SCHEDULES, default=None,
+                   help="requirement order (default: the config's)")
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("verify", help="replay a transcript and write certificates")
@@ -306,6 +320,9 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--E", type=int, default=None)
     p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--schedule", choices=SCHEDULES, default=None,
+                   help="requirement order: window, the certified pairs only "
+                   "(default), or full, the paper's order")
     p.add_argument("--outdir", default=None)
     p.set_defaults(fn=_cmd_scenario)
     return parser

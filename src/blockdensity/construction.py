@@ -1,11 +1,17 @@
 """The stage construction of the diagonal set.
 
-Requirements (program index, scheduled pair) are enumerated by Cantor pairing
-over the pair ranks. Each stage finds a source block past the frontier that is
-longer than the entire opposing prefix, runs the scheduled program over it, and
-either records a non-totality witness, a collision, or diagonalizes: the chosen
-block gets membership value 1 and everything else up to the image block gets 0.
-Bits are only ever assigned beyond the frontier, so nothing is ever rewritten.
+Requirements (program index, scheduled pair) are enumerated in one of two
+orders (RequirementSchedule). The full order is the paper's: it ranks every
+scheduled pair of the infinite family and interleaves requirements by Cantor
+pairing of (program index, pair rank), so every requirement is met eventually.
+The window order covers only a given list of pairs, the ones a scenario
+certifies, and runs programs 0, 1, ... on them in turn.
+
+Each stage finds a source block past the frontier that is longer than the
+entire opposing prefix, runs the scheduled program over it, and either
+records a non-totality witness, a collision, or diagonalizes: the chosen block
+gets membership value 1 and everything else up to the image block gets 0. Bits
+are only ever assigned beyond the frontier, so nothing is ever rewritten.
 
 Per-element runs are confined to inputs not exceeding the step budget; all
 larger inputs of a block follow one control path (see machine.tail_behavior),
@@ -312,16 +318,39 @@ class ConstructionState:
 
 
 class RequirementSchedule:
-    """The fixed enumeration of requirements over a gap certificate."""
+    """The fixed enumeration of requirements over a gap certificate.
 
-    def __init__(self, cert: GapCertificate) -> None:
+    Stage n runs requirement (e, i, j) where (i, j) is the pair of rank r.
+    With pairs None the order is the full one: pairs are ranked by Cantor
+    code over every scheduled pair of the family, and n = cantor_pair(e, r).
+    Given a list of P distinct scheduled pairs, the order is the window over
+    them: pairs[r] has rank r, and n = e * P + r, so requirements e < E of
+    every pair take exactly E * P stages. Pairs outside the window are never
+    scheduled.
+    """
+
+    def __init__(
+        self, cert: GapCertificate, pairs: Sequence[tuple[int, int]] | None = None
+    ) -> None:
         self._cert = cert
+        self._window = pairs is not None
         self._pairs: list[tuple[int, int]] = []
         self._next_code = 0
+        if self._window:
+            self._pairs = list(pairs)
+            if not self._pairs:
+                raise ValueError("a window schedule needs at least one pair")
+            for i, j in self._pairs:
+                if not cert.in_D(i, j):
+                    raise ValueError("pair (%d, %d) is not scheduled" % (i, j))
+            self._ranks = {pair: rank for rank, pair in enumerate(self._pairs)}
+            if len(self._ranks) != len(self._pairs):
+                raise ValueError("window pairs must be distinct")
 
     def pair(self, rank: int) -> tuple[int, int]:
-        """The rank-th scheduled pair, scanning pair codes in increasing order."""
-        while len(self._pairs) <= rank:
+        """The rank-th scheduled pair; the full order scans pair codes in
+        increasing order."""
+        while not self._window and len(self._pairs) <= rank:
             i, j = cantor_unpair(self._next_code)
             self._next_code += 1
             if self._cert.in_D(i, j):
@@ -330,6 +359,10 @@ class RequirementSchedule:
 
     def rank_of(self, i: int, j: int) -> int:
         """Position of a scheduled pair in the enumeration."""
+        if self._window:
+            if (i, j) not in self._ranks:
+                raise ValueError("pair (%d, %d) is not in the window" % (i, j))
+            return self._ranks[i, j]
         if not self._cert.in_D(i, j):
             raise ValueError("pair (%d, %d) is not scheduled" % (i, j))
         target = cantor_pair(i, j)
@@ -343,13 +376,14 @@ class RequirementSchedule:
             rank += 1
 
     def requirement(self, n: int) -> Requirement:
-        e, rank = cantor_unpair(n)
+        e, rank = divmod(n, len(self._pairs)) if self._window else cantor_unpair(n)
         i, j = self.pair(rank)
         return Requirement(e, i, j)
 
     def stage_of(self, e: int, i: int, j: int) -> int:
         """The stage number at which requirement (e, i, j) is scheduled."""
-        return cantor_pair(e, self.rank_of(i, j))
+        rank = self.rank_of(i, j)
+        return e * len(self._pairs) + rank if self._window else cantor_pair(e, rank)
 
     def window_stage_count(self, pairs: Iterable[tuple[int, int]], e_bound: int) -> int:
         """Stages needed so every (e < e_bound, pair) requirement has run."""

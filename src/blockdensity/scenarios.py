@@ -1,7 +1,9 @@
 """Scenario configs and the end-to-end pipeline.
 
 A scenario names a profile family, runs the stage construction far enough to
-cover its program-index window, and emits a certificate report. Certificates
+cover its program-index window, and emits a certificate report. Its schedule
+is "full", the paper's order over every scheduled pair of the family, or
+"window", which runs only the pairs the scenario certifies. Certificates
 are computed from the transcript-reconstructed state, so every verdict
 re-derives from the written files alone. Reports carry no timestamps; the same
 config produces byte-identical outputs.
@@ -51,6 +53,7 @@ DEFAULT_BETA = Fraction(7, 4)
 DEFAULT_BUDGET = 10**5
 DEFAULT_E = 50
 DEFAULT_KMAX = 12
+SCHEDULES = ("full", "window")
 
 
 @dataclass
@@ -64,6 +67,7 @@ class ScenarioConfig:
     budget: int = DEFAULT_BUDGET
     e_bound: int = DEFAULT_E
     k_max: int = DEFAULT_KMAX
+    schedule: str = "full"
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -84,8 +88,19 @@ class ScenarioConfig:
             raise ValueError("poset scenario needs a relation matrix")
         if self.kind in ("poset", "universal"):
             FinitePoset.from_rows(self.poset_rows)
+        if self.schedule not in SCHEDULES:
+            raise ValueError("schedule must be one of %s, got %r"
+                             % (", ".join(SCHEDULES), self.schedule))
+        if (self.schedule == "window" and KINDS[self.kind] is not None
+                and not _scheduled_pairs(self, build_family(self)[1])):
+            raise ValueError(
+                "schedule window runs no requirement: the %s scenario schedules no "
+                "pair among its profiles 0 .. %d; use --schedule full"
+                % (self.kind, len(_span(self)) - 1))
 
     def to_json(self) -> dict:
+        """The JSON object; the schedule key is written only for window, so a
+        full config keeps the bytes it had before the key existed."""
         return {
             "kind": self.kind,
             "count": self.count,
@@ -96,6 +111,7 @@ class ScenarioConfig:
             "budget": self.budget,
             "E": self.e_bound,
             "k_max": self.k_max,
+            **({"schedule": self.schedule} if self.schedule != "full" else {}),
         }
 
     @staticmethod
@@ -125,6 +141,7 @@ class ScenarioConfig:
             budget=obj.get("budget", d.budget),
             e_bound=obj.get("E", d.e_bound),
             k_max=obj.get("k_max", d.k_max),
+            schedule=obj.get("schedule", d.schedule),
         )
         config.validate()
         return config
@@ -149,6 +166,7 @@ _KEY_TYPES = {
     "poset": (lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
               "a list of strings"),
     "stages": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "schedule": (lambda v: v in SCHEDULES, '"full" or "window"'),
 }
 # Keys that no longer mean anything but still appear in older configs.
 _RETIRED_KEYS = ("element_scan",)
@@ -181,7 +199,8 @@ def build_family(config: ScenarioConfig):
 def prepare(config: ScenarioConfig):
     """The coded family, gap certificate and requirement schedule of a config."""
     family, gap_cert = build_family(config)
-    return CodedFamily(family), gap_cert, RequirementSchedule(gap_cert)
+    window = _scheduled_pairs(config, gap_cert) if config.schedule == "window" else None
+    return CodedFamily(family), gap_cert, RequirementSchedule(gap_cert, window)
 
 
 def construct(config: ScenarioConfig, stages: int | None = None):

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -201,7 +206,7 @@ def test_construct_then_verify_round_trip(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("extra", [[], ["--stages", "20"]])
+@pytest.mark.parametrize("extra", [[], ["--stages", "20"], ["--schedule", "full"]])
 def test_construct_reproduces_scenario_transcript(extra, tmp_path, capsys):
     outdir = tmp_path / "out"
     code, _ = run_cli(capsys, "scenario", "rationals", "--count", "3", "--E", "3",
@@ -209,6 +214,8 @@ def test_construct_reproduces_scenario_transcript(extra, tmp_path, capsys):
     assert code == 0
     written = (outdir / "transcript.jsonl").read_bytes()
     config_path = str(outdir / "config.json")
+    schedule = "full" if "full" in extra else "window"
+    assert json.loads((outdir / "config.json").read_text()).get("schedule", "full") == schedule
     again = tmp_path / "again.jsonl"
     code, out = run_cli(capsys, "construct", "--config", config_path,
                         "--out", str(again))
@@ -220,6 +227,114 @@ def test_construct_reproduces_scenario_transcript(extra, tmp_path, capsys):
                       "--out", str(again), "--stages", "5")
     assert code == 0
     assert again.read_bytes().splitlines() == written.splitlines()[:5]
+
+
+def test_construct_schedule_flag_overrides_the_config(tmp_path, capsys):
+    runs = {}
+    for schedule in ("window", "full"):
+        outdir = tmp_path / schedule
+        code, _ = run_cli(capsys, "scenario", "rationals", "--count", "3", "--E", "3",
+                          "--schedule", schedule, "--outdir", str(outdir))
+        assert code == 0
+        runs[schedule] = outdir
+    for config_of, schedule in (("window", "full"), ("full", "window")):
+        again = tmp_path / ("%s-as-%s.jsonl" % (config_of, schedule))
+        code, _ = run_cli(capsys, "construct", "--config",
+                          str(runs[config_of] / "config.json"), "--out", str(again),
+                          "--schedule", schedule)
+        assert code == 0
+        assert again.read_bytes() == (runs[schedule] / "transcript.jsonl").read_bytes()
+
+
+# Runs whose scenario certifies no scheduled pair: one profile, two profiles
+# of different parity in the combined family, a one-point poset.
+EMPTY_WINDOWS = [
+    ["rationals", "--count", "1"],
+    ["combined", "--count", "2"],
+    ["poset", "--matrix", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_WINDOWS)
+def test_empty_window_is_refused_and_full_still_runs(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["scenario", *argv, "--E", "2", "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: schedule window runs no requirement")
+    assert "--schedule full" in err
+    assert not out.exists()
+
+    code = main(["scenario", *argv, "--E", "2", "--schedule", "full", "--outdir", str(out)])
+    assert code == 0
+    config = str(out / "config.json")
+    assert main(["verify", "--config", config, "--transcript", str(out / "transcript.jsonl"),
+                 "--report", str(out / "verify-report.jsonl")]) == 0
+    capsys.readouterr()
+    code = main(["construct", "--config", config, "--out", str(tmp_path / "t.jsonl"),
+                 "--schedule", "window"])
+    assert code == 3
+    assert "--schedule full" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocks", "--count", "1", "--kmax", "3"],
+    ["map", "apply", "--count", "1", "--x", "5"],
+    ["blocks", "--kind", "poset", "--matrix", "1", "--kmax", "3"],
+])
+def test_blocks_and_map_need_no_scheduled_pair(argv, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out
+
+
+# The README's construction scenario examples, at E = 3.
+README_SCENARIOS = [
+    ["rationals", "--count", "4", "--E", "3"],
+    ["antichain", "--n", "3", "--E", "3"],
+    ["combined", "--count", "6", "--E", "3"],
+    ["poset", "--matrix", "111,011,001", "--E", "3"],
+]
+
+
+@pytest.mark.parametrize("schedule", ["window", "full"])
+@pytest.mark.parametrize("argv", README_SCENARIOS)
+def test_readme_scenarios_verify_under_both_schedules(argv, schedule, tmp_path, capsys):
+    assert main(["scenario", *argv, "--schedule", schedule,
+                 "--outdir", str(tmp_path)]) == 0
+    assert main(["verify", "--config", str(tmp_path / "config.json"),
+                 "--transcript", str(tmp_path / "transcript.jsonl"),
+                 "--report", str(tmp_path / "verify-report.jsonl")]) == 0
+    capsys.readouterr()
+
+
+# A child process that runs scenario, then verify on its output, and exits
+# with the first nonzero code.
+_SCENARIO_THEN_VERIFY = """
+import sys
+from blockdensity.cli import main
+out = sys.argv[1]
+code = main(["scenario", *sys.argv[2:], "--outdir", out])
+sys.exit(code or main(["verify", "--config", out + "/config.json",
+                       "--transcript", out + "/transcript.jsonl",
+                       "--report", out + "/verify-report.jsonl"]))
+"""
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("argv", [["antichain", "--n", "3"], ["combined", "--count", "6"]])
+def test_readme_defaults_run_in_one_gigabyte(argv, tmp_path):
+    """The README examples at E = 50 finish, verified, in a child process
+    whose address space is capped at 1 GiB."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", _SCENARIO_THEN_VERIFY, str(tmp_path), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert (child.returncode, child.stderr) == (0, "")
 
 
 def test_usage_error_exit_code(capsys):
@@ -252,6 +367,7 @@ def test_scenario_count_flag_of_another_kind_is_usage_error(argv, reads, tmp_pat
     ["universal", "--budget", "5"],
     ["universal", "--E", "3"],
     ["universal", "--kmax", "6"],
+    ["universal", "--schedule", "window"],
 ])
 def test_scenario_flag_the_kind_does_not_read_is_usage_error(argv, tmp_path, capsys):
     code = main(["scenario", *argv, "--outdir", str(tmp_path / "out")])
@@ -262,23 +378,29 @@ def test_scenario_flag_the_kind_does_not_read_is_usage_error(argv, tmp_path, cap
 
 
 # Scenario arguments, the README's and the benchmark's among them, and the
-# config each builds: a flag left out takes the ScenarioConfig default.
+# config each builds: a flag left out takes the ScenarioConfig default, except
+# that a construction kind runs the window schedule unless --schedule says
+# otherwise.
 SCENARIO_CONFIGS = [
-    (["rationals", "--count", "4"], ScenarioConfig("rationals", count=4)),
+    (["rationals", "--count", "4"], ScenarioConfig("rationals", count=4, schedule="window")),
     (["rationals", "--count", "4", "--E", "25"],
-     ScenarioConfig("rationals", count=4, e_bound=25)),
+     ScenarioConfig("rationals", count=4, e_bound=25, schedule="window")),
     (["antichain", "--n", "3", "--E", "25"],
-     ScenarioConfig("antichain", count=3, e_bound=25)),
-    (["antichain"], ScenarioConfig("antichain", count=3)),
+     ScenarioConfig("antichain", count=3, e_bound=25, schedule="window")),
+    (["antichain"], ScenarioConfig("antichain", count=3, schedule="window")),
     (["antichain", "--alpha", "3/2", "--beta", "5/3"],
-     ScenarioConfig("antichain", count=3, alpha=Fraction(3, 2), beta=Fraction(5, 3))),
-    (["combined", "--count", "6"], ScenarioConfig("combined", count=6)),
+     ScenarioConfig("antichain", count=3, alpha=Fraction(3, 2), beta=Fraction(5, 3),
+                    schedule="window")),
+    (["combined", "--count", "6"], ScenarioConfig("combined", count=6, schedule="window")),
     (["poset", "--matrix", "111,011,001", "--E", "10", "--kmax", "8"],
-     ScenarioConfig("poset", poset_rows=["111", "011", "001"], e_bound=10, k_max=8)),
+     ScenarioConfig("poset", poset_rows=["111", "011", "001"], e_bound=10, k_max=8,
+                    schedule="window")),
     (["rationals", "--stages", "7", "--budget", "9"],
-     ScenarioConfig("rationals", stages=7, budget=9)),
+     ScenarioConfig("rationals", stages=7, budget=9, schedule="window")),
     (["universal"], ScenarioConfig("universal")),
     (["universal", "--matrix", "11,01"], ScenarioConfig("universal", poset_rows=["11", "01"])),
+    (["rationals", "--count", "4", "--schedule", "full"], ScenarioConfig("rationals", count=4)),
+    (["antichain", "--schedule", "window"], ScenarioConfig("antichain", count=3, schedule="window")),
 ]
 
 
@@ -333,6 +455,9 @@ BAD_CONFIGS = {
     "config_string_poset": ('{"kind": "poset", "poset": "111"}', "key 'poset'"),
     "config_poset_of_ints": ('{"kind": "poset", "poset": [1]}', "key 'poset'"),
     "config_list_kind": ('{"kind": ["rationals"]}', "key 'kind'"),
+    "config_unknown_schedule": (
+        '{"kind": "rationals", "schedule": "cantor"}', "key 'schedule'"),
+    "config_numeric_schedule": ('{"kind": "rationals", "schedule": 1}', "key 'schedule'"),
     "config_misspelt_k_max": (
         '{"kind": "rationals", "count": 2, "E": 2, "kmax": 5}', "'kmax'"),
 }

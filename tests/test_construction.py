@@ -96,6 +96,60 @@ def test_requirement_inverts_stage_of(kind, e, i, j):
     assert schedule.requirement(schedule.stage_of(e, i, j)) == Requirement(e, i, j)
 
 
+def _window(kind, drawn):
+    """The gap certificate of kind and the drawn pairs it schedules."""
+    cert = FAMILIES[kind]()[1]
+    return cert, [pair for pair in drawn if cert.in_D(*pair)]
+
+
+WINDOWS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                   min_size=1, max_size=20, unique=True)
+
+
+@given(kind=st.sampled_from(sorted(FAMILIES)), drawn=WINDOWS, n=st.integers(0, 5000))
+def test_window_stage_of_inverts_requirement(kind, drawn, n):
+    cert, pairs = _window(kind, drawn)
+    assume(pairs)
+    schedule = RequirementSchedule(cert, pairs)
+    req = schedule.requirement(n)
+    assert (req.e, pairs.index((req.i, req.j))) == divmod(n, len(pairs))
+    assert schedule.stage_of(req.e, req.i, req.j) == n
+
+
+@given(kind=st.sampled_from(sorted(FAMILIES)), drawn=WINDOWS,
+       e=st.integers(0, 10**6), data=st.data())
+def test_window_requirement_inverts_stage_of(kind, drawn, e, data):
+    cert, pairs = _window(kind, drawn)
+    assume(pairs)
+    schedule = RequirementSchedule(cert, pairs)
+    i, j = data.draw(st.sampled_from(pairs))
+    assert schedule.requirement(schedule.stage_of(e, i, j)) == Requirement(e, i, j)
+
+
+@given(kind=st.sampled_from(sorted(FAMILIES)), drawn=WINDOWS, e_bound=st.integers(1, 300))
+def test_window_stage_count_is_e_bound_times_pairs(kind, drawn, e_bound):
+    cert, pairs = _window(kind, drawn)
+    assume(pairs)
+    schedule = RequirementSchedule(cert, pairs)
+    assert schedule.window_stage_count(pairs, e_bound) == e_bound * len(pairs)
+
+
+def test_window_schedule_refuses_pairs_it_cannot_run():
+    _, cert = constant_setup()
+    assert cert.in_D(I_74, I_54) and not cert.in_D(I_54, I_74)
+    for pairs, message in (
+        ([], "at least one pair"),
+        ([(I_74, I_54), (I_54, I_74)], "not scheduled"),
+        ([(I_74, I_54), (I_74, I_54)], "distinct"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            RequirementSchedule(cert, pairs)
+    schedule = RequirementSchedule(cert, [(I_74, I_54)])
+    assert cert.in_D(I_32, I_43)
+    with pytest.raises(ValueError, match="not in the window"):
+        schedule.stage_of(0, I_32, I_43)
+
+
 def test_requirement_window_is_covered_early():
     _, cert = constant_setup()
     schedule = RequirementSchedule(cert)

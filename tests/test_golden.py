@@ -13,6 +13,11 @@ lost the element bound and the element_scan field and gained "blocks", and
 their element_scan check went. Each new report equals the old one with
 exactly those edits made, line for line. Every transcript digest and the
 poset case's digests are unchanged.
+
+The commands name --schedule full, the paper's requirement order, since the
+scenario command came to default to the window schedule; their digests did
+not change. WINDOW pins the same commands under the window schedule, which
+runs only the requirements each scenario certifies.
 """
 
 import hashlib
@@ -23,7 +28,7 @@ from blockdensity.cli import main
 
 GOLDEN = {
     "rationals": (
-        ["scenario", "rationals", "--count", "3", "--E", "6"],
+        ["scenario", "rationals", "--count", "3", "--E", "6", "--schedule", "full"],
         {
             "transcript.jsonl": "af5f065c518ebb6b201957cbd06d7a023703acf0fb916a8617e097db797df939",
             "report.jsonl": "77f5ad7d5b61673e71ec83e4a85161db648a3f4f64781998e6fbbd7c764dcfe6",
@@ -31,7 +36,7 @@ GOLDEN = {
         },
     ),
     "antichain": (
-        ["scenario", "antichain", "--n", "3", "--E", "6"],
+        ["scenario", "antichain", "--n", "3", "--E", "6", "--schedule", "full"],
         {
             "transcript.jsonl": "ecfeafba5b615b261f09707dfc4667edbab61ec9f300366682f999858e6ac6c4",
             "report.jsonl": "d814c356477dc9b75d463715917f0a12c910f8a53730f7193ea17d416b5ddd1c",
@@ -41,7 +46,7 @@ GOLDEN = {
     # Covers CodedFamily.collapse, the IdentityDevice certificate and the
     # even/odd family.
     "combined": (
-        ["scenario", "combined", "--count", "4", "--E", "4"],
+        ["scenario", "combined", "--count", "4", "--E", "4", "--schedule", "full"],
         {
             "transcript.jsonl": "ec732ec187a5941cbe4955d426f657aeac06ac5b0f41c6dfb5a3385f3fd14256",
             "report.jsonl": "f23d666e24ac5b6685d9834b3b19204b89c26fd28fbe01b7c7c97b6b54415c90",
@@ -50,7 +55,8 @@ GOLDEN = {
     ),
     # Witnesses at factorial scale, written from Decimal block endpoints.
     "rationals_e25": (
-        ["scenario", "rationals", "--count", "4", "--E", "25"],
+        ["scenario", "rationals", "--count", "4", "--E", "25",
+         "--schedule", "full"],
         {
             "transcript.jsonl": "f73a88633d857ed941d72e12cb0ff1b93cb41daceea097066d6bc009864135e5",
             "report.jsonl": "0f7f4fd8fe59ac3b9b3122a4c3eda73057b6a40271b555673a4cffa92084cd6c",
@@ -58,7 +64,8 @@ GOLDEN = {
         },
     ),
     "antichain_e12": (
-        ["scenario", "antichain", "--n", "3", "--E", "12"],
+        ["scenario", "antichain", "--n", "3", "--E", "12",
+         "--schedule", "full"],
         {
             "transcript.jsonl": "1015d199d3ee8ba1fafd033dbc719a0a34d6bbfcf5bbfe2a950ecceb2e7d552c",
             "report.jsonl": "d2951dd72d5ad7499cc7b8544ea6a3184c0dc897fa354bb289a65f738e5e4bf8",
@@ -66,7 +73,8 @@ GOLDEN = {
         },
     ),
     "poset": (
-        ["scenario", "poset", "--matrix", "111,011,001", "--E", "4"],
+        ["scenario", "poset", "--matrix", "111,011,001", "--E", "4",
+         "--schedule", "full"],
         {
             "transcript.jsonl": "e309e3e4bc67e378cf3f19988db8b7b9e76a4cf1724326272aec2385b513b3d2",
             "report.jsonl": "9c484ddc092bce765b0f8289c8f77367840bacbe57d441b596788e4d6617f11c",
@@ -76,16 +84,61 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_scenario_and_verify_outputs_are_byte_identical(name, tmp_path, capsys):
-    argv, digests = GOLDEN[name]
-    out = tmp_path / name
+# The GOLDEN commands with --schedule window: name -> digests.
+WINDOW = {
+    "rationals": {
+        "transcript.jsonl": "5e1ac58bc6091946d92d1f1a1ec622c5aca116105ab2d076c600087b3850676b",
+        "report.jsonl": "05d154306e8cd4991d37e9dc8bc26d648b5f0af92ff829fdc96e48c2e7ac33de",
+        "verify-report.jsonl": "cdf4ef811850768e5609a8b590de8854398941851bfa0c083632985926a30afe",
+    },
+    "antichain": {
+        "transcript.jsonl": "90bb651608496031759bafee698515821e90c438ce8e66c7043ce17dc1484650",
+        "report.jsonl": "d80f31fe407f62ea4e2a1552fd71494ac380c02ce5decb32e5b4ecda68b44660",
+        "verify-report.jsonl": "41f4099fb3c3789225ad54354e708fd43d269bc697f1dc21d147c38c13356974",
+    },
+    "combined": {
+        "transcript.jsonl": "ebc64bc8ef0a6136f09a42f92098ba47f9ec6bf5a3b9f0eb4c15862da1c35ad5",
+        "report.jsonl": "dcdb04346857fdc4231ee8f862988f9c6873bc40d53c74d84ab1e5963f7a10d9",
+        "verify-report.jsonl": "ab19921d224bdfbebee1a98c6bd154db1146be95c332679ffa35b32ad524fa60",
+    },
+    "rationals_e25": {
+        "transcript.jsonl": "5ea7d73a0733fe5f429165d3439106d1d158c32868910b02a98063d2ba8d4213",
+        "report.jsonl": "75d6f8a1610719176603fff8189743b983b63ac405cd03dca1fde94a0f764fd9",
+        "verify-report.jsonl": "97f329e3b6eef1885d04d9d738fb830c9fc6e7b131bf9d0eeb538a7d79d98db7",
+    },
+    "antichain_e12": {
+        "transcript.jsonl": "48694bc1f192cb56e85e401edf0020a1a246c4ea4c1e92a1e346607f3e385bea",
+        "report.jsonl": "78d50c7c4a6da98e600d0ea2d9ae31d14e54c317c70fe189fb4ce77920849806",
+        "verify-report.jsonl": "1ccc52aabaef7d366eaebdf9bd61efaa97cfa791e1ad2eb32861f85ecd2a916d",
+    },
+    "poset": {
+        "transcript.jsonl": "64bb20aefa1c90bdaefbff56ed84165a73dc9ffa51d38443b0d4134d9db4e855",
+        "report.jsonl": "254b63b7616a73f4d63bf5a551f7e5bb57911ad300b0572c0c57ae2bdaa7a608",
+        "verify-report.jsonl": "c57cd4b89b16ef043272926df8810ca95067440e383a4f10d4f0854a4ad6421f",
+    },
+}
+
+
+def _run_digests(argv, files, out):
+    """Run scenario argv into out, verify it, and hash the named files."""
     assert main(argv + ["--outdir", str(out)]) == 0
     assert main([
         "verify", "--config", str(out / "config.json"),
         "--transcript", str(out / "transcript.jsonl"),
         "--report", str(out / "verify-report.jsonl"),
     ]) == 0
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_scenario_and_verify_outputs_are_byte_identical(name, tmp_path, capsys):
+    argv, digests = GOLDEN[name]
+    assert _run_digests(argv, digests, tmp_path / name) == digests
     capsys.readouterr()
-    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
-    assert got == digests
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW))
+def test_window_schedule_outputs_are_byte_identical(name, tmp_path, capsys):
+    argv = GOLDEN[name][0][:-1] + ["window"]
+    assert _run_digests(argv, WINDOW[name], tmp_path / name) == WINDOW[name]
+    capsys.readouterr()

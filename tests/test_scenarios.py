@@ -32,14 +32,30 @@ def test_config_json_round_trip():
     assert again.to_json() == config.to_json()
 
 
+def test_config_schedule_key_is_written_only_for_window():
+    full = ScenarioConfig(kind="rationals")
+    assert full.schedule == "full" and "schedule" not in full.to_json()
+    assert ScenarioConfig.from_json(full.to_json()).schedule == "full"
+    window = ScenarioConfig(kind="rationals", schedule="window")
+    assert window.to_json()["schedule"] == "window"
+    assert ScenarioConfig.from_json(window.to_json()) == window
+    for bad in ("cantor", "Window", 1, None, ["window"]):
+        with pytest.raises(ValueError, match="key 'schedule'"):
+            ScenarioConfig.from_json({"kind": "rationals", "schedule": bad})
+    with pytest.raises(ValueError, match="schedule must be"):
+        ScenarioConfig(kind="rationals", schedule="cantor").validate()
+
+
 def test_readme_config_schema_matches_the_defaults():
     """The JSON block under README "## Config schema" names every config key
-    with its default; kind, poset and count hold example values."""
+    with the default the scenario command gives it: the config schedule's
+    default is full, written as no key, and scenario runs the window
+    schedule. kind, poset and count hold example values."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Config schema", 1)[1]
     block = section.split("```json", 1)[1].split("```", 1)[0]
     documented = json.loads(block)
-    defaults = ScenarioConfig(kind="rationals").to_json()
+    defaults = ScenarioConfig(kind="rationals", schedule="window").to_json()
     assert list(documented) == list(defaults)
     examples = ("kind", "poset", "count")
     assert {k: v for k, v in documented.items() if k not in examples} == {
