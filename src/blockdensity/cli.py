@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -187,12 +186,6 @@ def _cmd_construct(args) -> int:
         raise UsageError("%s scenarios run no construction" % config.kind)
     if args.stages is not None and args.stages < 1:
         raise UsageError("--stages must be at least 1")
-    if args.schedule is not None:
-        config = replace(config, schedule=args.schedule)
-        try:
-            config.validate()
-        except ValueError as exc:
-            raise UsageError(str(exc))
     coded, *_, transcript = construct(config, args.stages)
     transcript.write_jsonl(args.out, coded)
     print("stages,%d" % len(transcript.records))
@@ -295,8 +288,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stages", type=int, default=None)
-    p.add_argument("--schedule", choices=SCHEDULES, default=None,
-                   help="requirement order (default: the config's)")
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("verify", help="replay a transcript and write certificates")

@@ -323,7 +323,8 @@ class RequirementSchedule:
     Stage n runs requirement (e, i, j) where (i, j) is the pair of rank r.
     With pairs None the order is the full one: pairs are ranked by Cantor
     code over every scheduled pair of the family, and n = cantor_pair(e, r).
-    Given a list of P distinct scheduled pairs, the order is the window over
+    Given a non-empty list of P distinct scheduled pairs (a scenario config
+    with an empty window is refused up front), the order is the window over
     them: pairs[r] has rank r, and n = e * P + r, so requirements e < E of
     every pair take exactly E * P stages. Pairs outside the window are never
     scheduled.
@@ -338,8 +339,6 @@ class RequirementSchedule:
         self._next_code = 0
         if self._window:
             self._pairs = list(pairs)
-            if not self._pairs:
-                raise ValueError("a window schedule needs at least one pair")
             for i, j in self._pairs:
                 if not cert.in_D(i, j):
                     raise ValueError("pair (%d, %d) is not scheduled" % (i, j))

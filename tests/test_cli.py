@@ -229,23 +229,6 @@ def test_construct_reproduces_scenario_transcript(extra, tmp_path, capsys):
     assert again.read_bytes().splitlines() == written.splitlines()[:5]
 
 
-def test_construct_schedule_flag_overrides_the_config(tmp_path, capsys):
-    runs = {}
-    for schedule in ("window", "full"):
-        outdir = tmp_path / schedule
-        code, _ = run_cli(capsys, "scenario", "rationals", "--count", "3", "--E", "3",
-                          "--schedule", schedule, "--outdir", str(outdir))
-        assert code == 0
-        runs[schedule] = outdir
-    for config_of, schedule in (("window", "full"), ("full", "window")):
-        again = tmp_path / ("%s-as-%s.jsonl" % (config_of, schedule))
-        code, _ = run_cli(capsys, "construct", "--config",
-                          str(runs[config_of] / "config.json"), "--out", str(again),
-                          "--schedule", schedule)
-        assert code == 0
-        assert again.read_bytes() == (runs[schedule] / "transcript.jsonl").read_bytes()
-
-
 # Runs whose scenario certifies no scheduled pair: one profile, two profiles
 # of different parity in the combined family, a one-point poset.
 EMPTY_WINDOWS = [
@@ -270,11 +253,6 @@ def test_empty_window_is_refused_and_full_still_runs(argv, tmp_path, capsys):
     config = str(out / "config.json")
     assert main(["verify", "--config", config, "--transcript", str(out / "transcript.jsonl"),
                  "--report", str(out / "verify-report.jsonl")]) == 0
-    capsys.readouterr()
-    code = main(["construct", "--config", config, "--out", str(tmp_path / "t.jsonl"),
-                 "--schedule", "window"])
-    assert code == 3
-    assert "--schedule full" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -456,7 +434,7 @@ BAD_CONFIGS = {
     "config_poset_of_ints": ('{"kind": "poset", "poset": [1]}', "key 'poset'"),
     "config_list_kind": ('{"kind": ["rationals"]}', "key 'kind'"),
     "config_unknown_schedule": (
-        '{"kind": "rationals", "schedule": "cantor"}', "key 'schedule'"),
+        '{"kind": "rationals", "schedule": "cantor"}', "schedule must be one of"),
     "config_numeric_schedule": ('{"kind": "rationals", "schedule": 1}', "key 'schedule'"),
     "config_misspelt_k_max": (
         '{"kind": "rationals", "count": 2, "E": 2, "kmax": 5}', "'kmax'"),

@@ -138,7 +138,6 @@ def test_window_schedule_refuses_pairs_it_cannot_run():
     _, cert = constant_setup()
     assert cert.in_D(I_74, I_54) and not cert.in_D(I_54, I_74)
     for pairs, message in (
-        ([], "at least one pair"),
         ([(I_74, I_54), (I_54, I_74)], "not scheduled"),
         ([(I_74, I_54), (I_74, I_54)], "distinct"),
     ):
