@@ -13,10 +13,11 @@ records a non-totality witness, a collision, or diagonalizes: the chosen block
 gets membership value 1 and everything else up to the image block gets 0. Bits
 are only ever assigned beyond the frontier, so nothing is ever rewritten.
 
-Per-element runs are confined to inputs not exceeding the step budget; all
-larger inputs of a block follow one control path (see machine.tail_behavior),
-so the branch decision and its least witnesses are computed exactly without
-scanning factorial-sized blocks.
+Per-element runs are confined to inputs not exceeding the step count S of the
+tail path, or the step budget when that path diverges; all larger inputs of a
+block follow one control path (see machine.tail_behavior), so the branch
+decision and its least witnesses are computed exactly without scanning
+factorial-sized blocks.
 
 Transcripts hold witnesses as decimal text. The big witnesses sit at or next
 to block endpoints b_i(k) or b_j(k + 1), which reach thousands of digits, and
@@ -429,11 +430,15 @@ def _evaluate_block(program, lo: int, hi: int, budget: int, threshold: int):
     """Three-way branch decision for one source block.
 
     Returns ('non_total', x), ('non_injective', x1, x2) or
-    ('diagonalized', x, y). Inputs above the budget are covered by the uniform
-    tail, so at most budget + 1 individual runs happen. Witnesses are the least
+    ('diagonalized', x, y). When the tail path halts after `steps` steps,
+    every input above `steps` follows it (machine.tail_behavior), so at most
+    steps + 1 individual runs happen; when it diverges, inputs above the
+    budget do, and at most budget + 1 runs happen. Witnesses are the least
     ones, matching a full in-order scan of the block.
     """
-    prefix_hi = min(hi, budget + 1)
+    behavior = tail_behavior(program, budget)
+    boundary = (behavior.steps if isinstance(behavior, TailHalts) else budget) + 1
+    prefix_hi = min(hi, boundary)
     values: list[int] = []
     seen: dict[int, int] = {}
     first_divergence = None
@@ -452,9 +457,8 @@ def _evaluate_block(program, lo: int, hi: int, budget: int, threshold: int):
         values.append(v)
 
     tail = None
-    tail_lo = max(lo, budget + 1)
+    tail_lo = max(lo, boundary)
     if first_divergence is None and hi > tail_lo:
-        behavior = tail_behavior(program, budget)
         if isinstance(behavior, TailHalts):
             tail = behavior
         else:

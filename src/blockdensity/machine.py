@@ -7,9 +7,10 @@ end, so the enumeration is total. Input goes into register 0 and the output is
 register 0 at the halt; runs are step-bounded and exceeding the budget is
 reported explicitly, never silently.
 
-run_program is the one literal runner. tail_behavior decides every input above
-the budget at once; only the construction uses it, and the certificates rerun
-each witness literally instead of trusting it.
+run_program is the one literal runner. tail_behavior decides at once every
+input above the budget, and, when its path halts after S steps, every input
+above S; only the construction uses it, and the certificates rerun each
+witness literally instead of trusting it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ Outcome = Union[Halted, OutOfBudget]
 
 @dataclass(frozen=True)
 class TailHalts:
-    """Every input above the budget halts with value input + offset."""
+    """Every input above `steps` halts after `steps` steps with value
+    input + offset; steps never exceeds the budget."""
 
     offset: int
     steps: int
@@ -103,6 +105,11 @@ def tail_behavior(program: Program, budget: int) -> TailHalts | TailDiverges:
     them and only the offset applied to the input needs tracking. A repeat of
     (pc, other registers) proves divergence, since the path never reads the
     offset.
+
+    When the path halts after `steps` steps, the same holds for every input
+    x > steps: at each step t < steps register 0 is at least x - t > 0, so
+    no test on it sees zero and the run is Halted(x + offset, steps). Inputs
+    x <= steps may reach zero and must be run literally.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

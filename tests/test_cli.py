@@ -646,9 +646,9 @@ def test_verify_record_off_schedule_fails_fast(field, value, constructed, tmp_pa
 
 
 def test_wrong_tail_lemma_fails_the_rerun(monkeypatch, tmp_path, capsys):
-    """The construction decides inputs above the budget by the tail lemma; the
-    certificates rerun the witnesses literally, so a lemma off by one is
-    caught."""
+    """The construction decides inputs above the tail path's step count by the
+    tail lemma; the certificates rerun the witnesses literally, so a lemma off
+    by one is caught."""
     real = machine.tail_behavior
 
     def off_by_one(program, budget):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from blockdensity import construction
 from blockdensity.construction import (
     BRANCH_DIAGONALIZED,
     BRANCH_NON_INJECTIVE,
@@ -23,12 +24,15 @@ from blockdensity.construction import (
 )
 from blockdensity.machine import (
     DECJZ,
+    HALT,
     INC,
     Halted,
     OutOfBudget,
     decode,
     identity_index,
     run_program,
+    tail_behavior,
+    TailHalts,
 )
 from blockdensity.maps import CodedFamily
 from blockdensity.posets import FinitePoset, PaddedFiniteOrder
@@ -50,6 +54,8 @@ I_32, I_43, I_54, I_74 = 0, 1, 3, 4
 
 LOOP = [(INC, 0), (DECJZ, 1, 0)]
 CONST0 = [(DECJZ, 0, 2), (DECJZ, 1, 0)]
+# Input 0 jumps past HALT to INC; every other input stops at HALT.
+BOUNDARY = [(DECJZ, 0, 2), (HALT,), (INC, 0)]
 
 
 def constant_setup():
@@ -334,7 +340,9 @@ def _literal_branch(program, lo, hi, budget, threshold):
 
 
 def test_block_evaluation_matches_literal_scan():
-    # Mixed concrete prefix and uniform tail: budget cuts inside the block.
+    # Mixed concrete prefix and uniform tail: the budget, or the tail path's
+    # step count, cuts inside the block. The block starting at 0 holds
+    # BOUNDARY's boundary (steps + 1 = 3) for every budget.
     programs = [
         decode(identity_index()),
         [(INC, 0)],
@@ -342,20 +350,46 @@ def test_block_evaluation_matches_literal_scan():
         [(DECJZ, 0, 1)],
         LOOP,
         CONST0,
+        BOUNDARY,
         [(DECJZ, 0, 2), (DECJZ, 1, 0), (INC, 0)],
     ]
     rng = random.Random(3)
     programs += [decode(rng.randint(0, 4000)) for _ in range(40)]
-    lo, hi = 90, 160
-    threshold = 140
-    for budget in (64, 100, 120, 200, 100_000):
-        for program in programs:
-            try:
-                want = _literal_branch(program, lo, hi, budget, threshold)
-            except AssertionError:
-                continue
-            got = _evaluate_block(program, lo, hi, budget, threshold)
-            assert got == want, (program, budget, got, want)
+    for lo, hi, threshold in ((90, 160, 140), (0, 60, 40)):
+        for budget in (64, 100, 120, 200, 100_000):
+            for program in programs:
+                try:
+                    want = _literal_branch(program, lo, hi, budget, threshold)
+                except AssertionError:
+                    continue
+                got = _evaluate_block(program, lo, hi, budget, threshold)
+                assert got == want, (program, lo, budget, got, want)
+
+
+def test_block_evaluation_runs_only_inputs_up_to_the_tail_steps(monkeypatch):
+    """A halting tail bounds the literal runs by its own step count, not by
+    the budget; the branch still matches a literal scan of the block."""
+    calls = []
+
+    def counting_run(program, x, budget):
+        calls.append(x)
+        return run_program(program, x, budget)
+
+    monkeypatch.setattr(construction, "run_program", counting_run)
+    # Forward jumps only, so each literal run takes a few steps.
+    programs = [BOUNDARY, [(INC, 0)], [(DECJZ, 0, 1)], [(DECJZ, 0, 3), (INC, 1), (INC, 0)]]
+    programs += [
+        p for p in map(decode, range(2000))
+        if all(ins[0] != DECJZ or ins[2] > pc for pc, ins in enumerate(p))
+    ][::20]
+    lo, hi, budget, threshold = 0, 8820, 100_000, 5000
+    for program in programs:
+        tail = tail_behavior(program, budget)
+        assert isinstance(tail, TailHalts)
+        calls.clear()
+        got = _evaluate_block(program, lo, hi, budget, threshold)
+        assert len(calls) <= tail.steps + 1, (program, len(calls))
+        assert got == _literal_branch(program, lo, hi, budget, threshold), program
 
 
 def test_transcript_round_trip(tmp_path):

@@ -2,7 +2,7 @@ import random
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from blockdensity import machine
 from blockdensity.machine import (
@@ -27,6 +27,8 @@ SUCC = [(INC, 0)]
 SPIN = [(DECJZ, 1, 0)]                    # jumps to itself: every state repeats
 # Raises and clears register 1 each lap, so its state recurs after three steps.
 LAP = [(INC, 1), (DECJZ, 1, 3), (DECJZ, 2, 0)]
+# Input 0 jumps past HALT to INC; every other input stops at HALT.
+BOUNDARY = [(DECJZ, 0, 2), (HALT,), (INC, 0)]
 
 
 def test_decode_zero_is_empty_program():
@@ -130,6 +132,27 @@ def test_tail_lemma_matches_literal_runs(e, budget, k, extra):
     else:
         want = OutOfBudget(budget)
     assert run_program(program, x, budget) == want
+
+
+@given(e=st.integers(0, 4999), budget=st.integers(1, 200), data=st.data())
+def test_halting_tail_covers_every_input_above_its_steps(e, budget, data):
+    """A tail path that halts after `steps` steps predicts the literal run of
+    every input above `steps`, not only of those above the budget."""
+    program = decode(e)
+    tail = tail_behavior(program, budget)
+    assume(isinstance(tail, TailHalts))
+    x = data.draw(st.integers(tail.steps + 1, budget + 50), label="x")
+    assert run_program(program, x, budget) == Halted(x + tail.offset, tail.steps)
+
+
+def test_halting_tail_does_not_cover_an_input_tested_at_zero():
+    # The tail path decrements register 0 and halts after two steps; input 0
+    # is tested at zero, jumps to INC and so leaves the tail's path.
+    tail = tail_behavior(BOUNDARY, 100)
+    assert tail == TailHalts(-1, 2)
+    assert run_program(BOUNDARY, 0, 100) == Halted(1, 2)
+    for x in range(tail.steps + 1, 40):
+        assert run_program(BOUNDARY, x, 100) == Halted(x + tail.offset, tail.steps)
 
 
 def test_cycle_shortcut_agrees_with_full_budget_run():
