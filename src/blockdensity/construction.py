@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -45,7 +44,7 @@ from decimal import (
     InvalidOperation,
     Rounded,
 )
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .machine import (
     OutOfBudget,
@@ -78,8 +77,7 @@ class DominationCeilingError(RuntimeError):
     """Candidate ceiling reached; the gap hypothesis looks violated."""
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(NamedTuple):
     e: int
     i: int
     j: int
@@ -91,11 +89,11 @@ WITNESSES = ("x", "x2", "y", "ell")
 _CANONICAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
-@dataclass(frozen=True)
-class StageRecord:
-    """One stage's outcome. The witnesses x, x2, y and ell are ints or None;
-    a record loaded by Transcript.read_jsonl holds them as Decimals of their
-    canonical text until resolve_witnesses gives it ints."""
+class StageRecord(NamedTuple):
+    """One stage's outcome, an immutable NamedTuple. The witnesses x, x2, y
+    and ell are ints or None; a record loaded by Transcript.read_jsonl holds
+    them as Decimals of their canonical text until resolve_witnesses gives it
+    ints."""
 
     stage: int
     e: int
@@ -135,7 +133,8 @@ class StageRecord:
         equal to 3 or 1 but encode differently, so the fields written as JSON
         integers must hold exactly int. The witness fields must hold ints or
         None (resolve a loaded record first); each int has one canonical
-        decimal text, so equal values give equal text.
+        decimal text, so equal values give equal text. other must be a
+        StageRecord too: NamedTuple equality is tuple equality.
         """
         return self == other and all(
             type(getattr(r, name)) is int
@@ -155,7 +154,7 @@ class StageRecord:
             own = getattr(self, name)
             values[name] = (getattr(replayed, name) if own == dec
                             else None if own is None else int(own))
-        return replace(self, **values)
+        return self._replace(**values)
 
     @staticmethod
     def from_json(obj: dict) -> "StageRecord":
@@ -539,9 +538,11 @@ def run_stage(
     return record
 
 
-@dataclass
 class Transcript:
-    records: list[StageRecord] = field(default_factory=list)
+    """The stage records of one run, in stage order."""
+
+    def __init__(self, records: list[StageRecord] | None = None) -> None:
+        self.records = [] if records is None else records
 
     def lines(self, coded: CodedFamily) -> Iterator[str]:
         """The JSON Lines text, one line at a time; coded is the family the

@@ -15,8 +15,7 @@ witness literally instead of trusting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .numerics import cantor_unpair
 
@@ -31,22 +30,21 @@ Program = list
 _CYCLE_CHECK_AFTER = 64
 
 
-@dataclass(frozen=True)
-class Halted:
+# Outcomes are NamedTuples, so they compare as tuples: Halted(1, 2) equals
+# TailHalts(1, 2) and TailDiverges() is falsy. Dispatch on them by isinstance.
+class Halted(NamedTuple):
     value: int
     steps: int
 
 
-@dataclass(frozen=True)
-class OutOfBudget:
+class OutOfBudget(NamedTuple):
     budget: int
 
 
 Outcome = Union[Halted, OutOfBudget]
 
 
-@dataclass(frozen=True)
-class TailHalts:
+class TailHalts(NamedTuple):
     """Every input above `steps` halts after `steps` steps with value
     input + offset; steps never exceeds the budget."""
 
@@ -54,8 +52,7 @@ class TailHalts:
     steps: int
 
 
-@dataclass(frozen=True)
-class TailDiverges:
+class TailDiverges(NamedTuple):
     """Every input above the budget exhausts the budget."""
 
 

@@ -16,7 +16,7 @@ last step: an ancestor-chain walk decides the order, which never changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numerics import cantor_pair, cantor_unpair
 
@@ -46,8 +46,10 @@ def is_partial_order(matrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(NamedTuple):
+    """A finite poset as its relation matrix, an immutable NamedTuple:
+    rel[a][b] is whether a <= b."""
+
     rel: tuple[tuple[bool, ...], ...]
 
     @property

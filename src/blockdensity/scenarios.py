@@ -12,9 +12,9 @@ config produces byte-identical outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 from .construction import (
     BRANCH_DIAGONALIZED,
@@ -56,13 +56,15 @@ DEFAULT_KMAX = 12
 SCHEDULES = ("full", "window")
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
+    """A scenario's parameters, an immutable NamedTuple; poset_rows holds
+    the 0/1 rows of the poset and universal kinds."""
+
     kind: str
     count: int = DEFAULT_COUNT
     alpha: Fraction = DEFAULT_ALPHA
     beta: Fraction = DEFAULT_BETA
-    poset_rows: list[str] = field(default_factory=list)
+    poset_rows: Sequence[str] = ()
     stages: int | None = None
     budget: int = DEFAULT_BUDGET
     e_bound: int = DEFAULT_E
@@ -130,18 +132,18 @@ class ScenarioConfig:
             if key in obj and not ok(obj[key]):
                 raise ValueError("key %r must be %s, got %s"
                                  % (key, expected, json.dumps(obj[key])))
-        d = ScenarioConfig
+        d = ScenarioConfig._field_defaults
         config = ScenarioConfig(
             kind=obj.get("kind", ""),
-            count=obj.get("count", d.count),
-            alpha=rat_parse(obj["alpha"]) if "alpha" in obj else d.alpha,
-            beta=rat_parse(obj["beta"]) if "beta" in obj else d.beta,
-            poset_rows=list(obj.get("poset", [])),
-            stages=obj.get("stages"),
-            budget=obj.get("budget", d.budget),
-            e_bound=obj.get("E", d.e_bound),
-            k_max=obj.get("k_max", d.k_max),
-            schedule=obj.get("schedule", d.schedule),
+            count=obj.get("count", d["count"]),
+            alpha=rat_parse(obj["alpha"]) if "alpha" in obj else d["alpha"],
+            beta=rat_parse(obj["beta"]) if "beta" in obj else d["beta"],
+            poset_rows=tuple(obj.get("poset", d["poset_rows"])),
+            stages=obj.get("stages", d["stages"]),
+            budget=obj.get("budget", d["budget"]),
+            e_bound=obj.get("E", d["e_bound"]),
+            k_max=obj.get("k_max", d["k_max"]),
+            schedule=obj.get("schedule", d["schedule"]),
         )
         config.validate()
         return config
@@ -384,8 +386,7 @@ def report_exit_code(certs: list[Certificate]) -> int:
     return 0
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     config: ScenarioConfig
     certificates: list[Certificate]
     transcript: Transcript | None

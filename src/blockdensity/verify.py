@@ -37,7 +37,6 @@ check was run and refuted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
@@ -64,13 +63,16 @@ FAIL = "FAIL"
 INCOMPLETE = "INCOMPLETE"
 
 
-@dataclass
 class Certificate:
-    kind: str
-    subject: dict
-    verdict: str = PASS
-    checks: list[dict] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
+    """One certificate: its kind and subject, the checks run so far and the
+    verdict they give (PASS until a check fails or is incomplete)."""
+
+    def __init__(self, kind: str, subject: dict, diagnostics: dict | None = None) -> None:
+        self.kind = kind
+        self.subject = subject
+        self.verdict = PASS
+        self.checks: list[dict] = []
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def ok(self, name: str, detail: dict | None = None) -> None:
         self.checks.append({"check": name, "ok": True, **(detail or {})})

@@ -14,6 +14,7 @@ from blockdensity.construction import (
     FrontierUndefined,
     Requirement,
     RequirementSchedule,
+    StageRecord,
     Transcript,
     _evaluate_block,
     domination_search,
@@ -399,6 +400,13 @@ def test_transcript_round_trip(tmp_path):
     transcript.write_jsonl(path, coded)
     loaded = Transcript.read_jsonl(path)
     assert loaded.records == transcript.records
+
+
+def test_stage_record_replace_keeps_the_type():
+    record = StageRecord(0, 1, 2, 3, 4, BRANCH_DIAGONALIZED, 10, 5, x=6, y=7, ell=5)
+    changed = record._replace(y=8)
+    assert type(changed) is StageRecord
+    assert changed.y == 8 and changed._replace(y=7) == record
 
 
 def test_reconstruct_state_matches_live_state():

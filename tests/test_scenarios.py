@@ -6,6 +6,12 @@ import pytest
 from blockdensity.construction import Transcript
 from blockdensity.numerics import enum_rationals_12
 from blockdensity.scenarios import (
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    DEFAULT_BUDGET,
+    DEFAULT_COUNT,
+    DEFAULT_E,
+    DEFAULT_KMAX,
     ScenarioConfig,
     build_family,
     report_exit_code,
@@ -30,6 +36,20 @@ def test_config_json_round_trip():
     config = ScenarioConfig(kind="poset", poset_rows=["11", "01"], e_bound=4)
     again = ScenarioConfig.from_json(json.loads(json.dumps(config.to_json())))
     assert again.to_json() == config.to_json()
+
+
+def test_config_from_json_takes_the_defaults():
+    config = ScenarioConfig.from_json({"kind": "rationals"})
+    assert config == ScenarioConfig("rationals")
+    assert config == ("rationals", DEFAULT_COUNT, DEFAULT_ALPHA, DEFAULT_BETA, (),
+                      None, DEFAULT_BUDGET, DEFAULT_E, DEFAULT_KMAX, "full")
+
+
+def test_default_configs_share_no_mutable_rows():
+    # An empty tuple, unlike a shared list default, cannot grow through one config.
+    for config in (ScenarioConfig("rationals"), ScenarioConfig("antichain"),
+                   ScenarioConfig.from_json({"kind": "rationals"})):
+        assert type(config.poset_rows) is tuple and config.poset_rows == ()
 
 
 def test_config_schedule_key_is_written_only_for_window():

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,7 @@ from blockdensity.verify import (
     FAIL,
     INCOMPLETE,
     PASS,
+    Certificate,
     check_bfo_equivalence,
     check_defeat_bundle,
     check_diag_witness,
@@ -114,7 +114,7 @@ def test_diag_witness_pass_and_tamper(combined_run):
         req = schedule.requirement(record.stage)
         assert check_diag_witness(coded, state, record, req).verdict == PASS
     req = schedule.requirement(diagonal[0].stage)
-    tampered = dataclasses.replace(diagonal[0], y=diagonal[0].y + 1)
+    tampered = diagonal[0]._replace(y=diagonal[0].y + 1)
     assert check_diag_witness(coded, state, tampered, req).verdict == FAIL
 
 
@@ -158,7 +158,7 @@ def test_defeat_record_without_natural_witness_fails(constant_run, branch, field
     record = transcript.records[stage]
     fields = {"branch": branch, "x": record.x, "x2": record.x + 1, field: value}
     records = list(transcript.records)
-    records[stage] = dataclasses.replace(record, **fields)
+    records[stage] = record._replace(**fields)
     bundle = check_defeat_bundle(
         coded, Transcript(records), schedule, 0, 1, 1,
         diag_verdicts(coded, schedule, state, transcript),
@@ -203,3 +203,13 @@ def test_transcript_replay(constant_run):
     _, cert, _, transcript, _ = constant_run
     fresh = CodedFamily(constant_family()[0])
     assert check_transcript_replay(fresh, cert, transcript, 10**5).verdict == PASS
+
+
+def test_certificate_keeps_its_diagnostics():
+    cert = Certificate("X", {}, diagnostics={"claim": "c"})
+    cert.ok("first")
+    assert cert.to_json() == {
+        "kind": "X", "verdict": PASS, "subject": {},
+        "checks": [{"check": "first", "ok": True}], "diagnostics": {"claim": "c"},
+    }
+    assert Certificate("X", {}).to_json()["diagnostics"] == {}

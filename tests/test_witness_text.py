@@ -7,11 +7,13 @@ records, and its endpoints with SourceBlocks.endpoint at factorial scale.
 """
 
 import json
-from dataclasses import replace
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from blockdensity.construction import (
     BRANCH_DIAGONALIZED,
@@ -29,8 +31,8 @@ from blockdensity.profiles import (
     oscillating_family,
     poset_family,
 )
-from blockdensity.scenarios import ScenarioConfig, construct, prepare
-from blockdensity.verify import FAIL, check_transcript_replay
+from blockdensity.scenarios import SCHEDULES, ScenarioConfig, construct, prepare
+from blockdensity.verify import FAIL, PASS, check_transcript_replay
 
 
 def _texts(coded, records):
@@ -145,7 +147,31 @@ def test_replay_gives_loaded_records_their_ints(tmp_path):
         {"check": "bit_exact", "ok": False, "first_divergence_stage": 20}
     ]
     want = list(transcript.records)
-    want[20] = replace(want[20], y=want[20].y + 1)
+    want[20] = want[20]._replace(y=want[20].y + 1)
     assert loaded.records == want
     assert all(type(getattr(r, name)) in (int, type(None))
                for r in loaded.records for name in WITNESSES)
+
+
+POSETS = (("10", "01"), ("11", "01"), ("111", "011", "001"), ("101", "011", "001"))
+
+
+@given(kind=st.sampled_from(["rationals", "antichain", "combined", "poset"]),
+       count=st.integers(3, 4), rows=st.sampled_from(POSETS),
+       e_bound=st.integers(1, 4), schedule=st.sampled_from(SCHEDULES))
+def test_transcript_write_read_round_trip(kind, count, rows, e_bound, schedule):
+    config = ScenarioConfig(kind, count=count, poset_rows=rows if kind == "poset" else (),
+                            e_bound=e_bound, schedule=schedule)
+    coded, _, _, transcript = construct(config)
+    fresh, gap_cert, fresh_schedule = prepare(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.jsonl", Path(tmp) / "second.jsonl"
+        transcript.write_jsonl(first, coded)
+        loaded = Transcript.read_jsonl(first)
+        cert = check_transcript_replay(fresh, gap_cert, loaded, config.budget,
+                                       schedule=fresh_schedule)
+        assert cert.verdict == PASS
+        assert len(loaded.records) == len(transcript.records)
+        assert all(a.same_json(b) for a, b in zip(loaded.records, transcript.records))
+        loaded.write_jsonl(second, fresh)
+        assert second.read_bytes() == first.read_bytes()
