@@ -3,15 +3,8 @@
 Factorial block codings, bounded finite-one compression maps, a stage-built
 diagonal set with a full audit transcript, and certificate checkers that turn
 order claims (chains, antichains, poset embeddings) into finite exact checks.
+Importing it leaves the int<->str digit limit alone; the CLI lifts it per
+command, and library callers that print factorial-scale ints lift it.
 """
-
-from __future__ import annotations
-
-import sys
-
-# Witness serialization routinely converts factorial-scale integers to decimal
-# strings, which exceeds the interpreter's default int<->str conversion guard.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(2_000_000)
 
 __version__ = "0.1.0"

@@ -321,6 +321,12 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # Commands read and print factorial-scale ints, past the interpreter's
+    # default int<->str digit limit (Python 3.11+): lift it for this call only.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(2_000_000)
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
@@ -330,6 +336,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return INTERNAL_ERROR
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -73,6 +73,10 @@ class FrontierUndefined(Exception):
         self.frontier = frontier
 
 
+# Selector candidates domination_search tries before it gives up.
+MAX_CANDIDATES = 10**6
+
+
 class DominationCeilingError(RuntimeError):
     """Candidate ceiling reached; the gap hypothesis looks violated."""
 
@@ -395,33 +399,31 @@ def domination_search(
     i: int,
     j: int,
     frontier: int,
-    *,
-    max_candidates: int = 10**6,
 ) -> int:
     """Least selected block past the frontier longer than the opposing prefix.
 
     The selector is strictly increasing, so s(t) >= t and the first candidate
     past the frontier has index at most frontier + 1; bisection finds it, and
     the scan goes forward from there. Candidate indices count from t = 0
-    against max_candidates.
+    against MAX_CANDIDATES.
     """
     src_i = coded.source(i)
     src_j = coded.source(j)
-    lo, hi = 0, min(frontier + 1, max_candidates)
+    lo, hi = 0, min(frontier + 1, MAX_CANDIDATES)
     while lo < hi:
         mid = (lo + hi) // 2
         if cert.s(i, j, mid) > frontier:
             hi = mid
         else:
             lo = mid + 1
-    for t in range(lo, max_candidates):
+    for t in range(lo, MAX_CANDIDATES):
         k = cert.s(i, j, t)
         if k <= frontier:
             raise AssertionError("selector not strictly increasing")
         if src_i.length(k) > src_j.endpoint(k + 1):
             return k
     raise DominationCeilingError(
-        "no dominating block for pair (%d, %d) within %d candidates" % (i, j, max_candidates)
+        "no dominating block for pair (%d, %d) in MAX_CANDIDATES = %d" % (i, j, MAX_CANDIDATES)
     )
 
 

@@ -68,12 +68,9 @@ class CodedFamily:
         return [b + r for r in range(lo, hi)]
 
     def least_preimage(self, i: int, y: int) -> int:
-        """Smallest preimage of y; injective in y."""
-        src = self.source(i)
-        k = self.targets.locate(y)
-        q = y - self.targets.endpoint(k)
-        n, d = src.ratio(k)
-        return src.endpoint(k) + _ceil_div(q * d, n)
+        """Smallest preimage of y; injective in y. Every fiber is nonempty,
+        since |K_k| >= k!."""
+        return self.h_fibers(i, y)[0]
 
     def positive_reduction(self, i: int, j: int, x: int) -> int:
         """Blockwise translation from the i-th to the j-th source partition.

@@ -120,38 +120,35 @@ class UniversalPoset:
     node with parent p when p is real, v < 3^w for the w members of p's chain
     plus p, and the w base-3 digits of v (first member most significant) are a
     consistent relation vector over them. Every other code is a padding point,
-    related only to itself.
+    related only to itself. A decoded real node carries its chain, the
+    parent's chain plus the parent, so no walk rebuilds it.
     """
 
     def __init__(self) -> None:
-        # code -> (parent, trits) for a real node, None for a padding point
-        self._nodes: dict[int, tuple[int, tuple[int, ...]] | None] = {0: (-1, ())}
+        # code -> (parent, trits, chain) for a real node, None for a padding point
+        self._nodes: dict[int, tuple | None] = {0: (-1, (), ())}
 
     def size(self) -> int:
         """The number of codes decoded so far."""
         return len(self._nodes)
 
-    def _node(self, code: int) -> tuple[int, tuple[int, ...]] | None:
-        """(parent, trits) of a real node, None for a padding point."""
+    def _node(self, code: int) -> tuple | None:
+        """(parent, trits, chain) of a real node, None for a padding point;
+        the chain lists its ancestors, root end first."""
         if code in self._nodes:
             return self._nodes[code]
         parent, index = cantor_unpair(code - 1)
         above = self._node(parent)
         node = None
-        width = len(above[1]) + 1 if above is not None else 0
-        if above is not None and index < 3 ** width:
-            trits = tuple(index // 3 ** k % 3 for k in reversed(range(width)))
-            if self._consistent(self._chain(parent) + [parent], trits):
-                node = (parent, trits)
+        chain = above[2] + (parent,) if above is not None else ()
+        if above is not None and index < 3 ** len(chain):
+            trits = tuple(index // 3 ** k % 3 for k in reversed(range(len(chain))))
+            if self._consistent(chain, trits):
+                node = (parent, trits, chain)
         self._nodes[code] = node
         return node
 
-    def _chain(self, node: int) -> list[int]:
-        """Ancestors of a decoded real node, root end first, excluding the node."""
-        parent = self._nodes[node][0]
-        return self._chain(parent) + [parent] if parent >= 0 else []
-
-    def _consistent(self, chain: list[int], trits: tuple[int, ...]) -> bool:
+    def _consistent(self, chain: tuple[int, ...], trits: tuple[int, ...]) -> bool:
         """Transitive consistency of a candidate relation vector over a chain.
 
         Relations forced through chain members, and through the new point
@@ -192,7 +189,8 @@ class UniversalPoset:
         for t in trits:
             index = 3 * index + t
         code = cantor_pair(parent, index) + 1
-        if parent < 0 or code < 1 or self._node(code) != (parent, tuple(trits)):
+        node = self._node(code) if parent >= 0 and code >= 1 else None
+        if node is None or node[:2] != (parent, tuple(trits)):
             raise ValueError("relation vector %r is transitively inconsistent" % (trits,))
         return code
 
@@ -209,12 +207,10 @@ class UniversalPoset:
         if a == b:
             return True
         if a < b:
-            trits = self._nodes[b][1]
-            return any(
-                t == ABOVE and self._leq(a, e) for e, t in zip(self._chain(b), trits)
-            )
-        trits = self._nodes[a][1]
-        return any(t == BELOW and self._leq(e, b) for e, t in zip(self._chain(a), trits))
+            _, trits, chain = self._nodes[b]
+            return any(t == ABOVE and self._leq(a, e) for e, t in zip(chain, trits))
+        _, trits, chain = self._nodes[a]
+        return any(t == BELOW and self._leq(e, b) for e, t in zip(chain, trits))
 
     def matrix(self, size: int) -> list[list[bool]]:
         self.ensure_size(size)

@@ -170,9 +170,6 @@ def check_positive_reduction(
     if blocks < 1:
         cert.fail("range", {"reason": "empty range"})
         return cert
-    if i == j:
-        cert.ok("identity_pair")
-        return cert
     if _short_of_frontier(cert, state, blocks):
         return cert
     profile_i, profile_j = coded.family.profile(i), coded.family.profile(j)

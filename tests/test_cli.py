@@ -147,6 +147,26 @@ def test_poset_embed_ten_points_in_under_a_second(capsys):
     assert code == 0 and len(set(out.strip().split(","))) == 10
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter has no int<->str digit limit")
+def test_poset_embed_prints_past_the_digit_limit_and_restores_it(capsys):
+    # Sixteen points put the largest image at about 13 500 digits, past the
+    # interpreter's default limit of 4 300: main lifts the limit for the
+    # command and puts the caller's value back when it returns.
+    rel = random_poset_matrix(16, random.Random(20261018))
+    rows = ["".join("1" if v else "0" for v in row) for row in rel]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run_cli(capsys, "poset", "embed", "--matrix", ",".join(rows))
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    images = out.strip().split(",")
+    assert code == 0 and len(set(images)) == 16
+    assert max(len(v) for v in images) > 4300
+
+
 def test_scenario_bad_matrix_is_usage_error(capsys):
     code, _ = run_cli(capsys, "scenario", "poset", "--matrix", "110,110,001")
     assert code == 3

@@ -221,13 +221,15 @@ def test_domination_search_bisection_matches_brute_force(shape):
             assert got == want, (shape, i, j, frontier)
 
 
-def test_domination_search_candidate_ceiling_counts_from_zero():
+def test_domination_search_candidate_ceiling_counts_from_zero(monkeypatch):
     coded, cert = constant_setup()
     # The selector is t, so the first candidate past frontier 10 is t = 11.
-    assert domination_search(coded, cert, I_74, I_54, 10, max_candidates=12) == 11
+    monkeypatch.setattr(construction, "MAX_CANDIDATES", 12)
+    assert domination_search(coded, cert, I_74, I_54, 10) == 11
     for ceiling in (1, 5, 11):
+        monkeypatch.setattr(construction, "MAX_CANDIDATES", ceiling)
         with pytest.raises(DominationCeilingError):
-            domination_search(coded, cert, I_74, I_54, 10, max_candidates=ceiling)
+            domination_search(coded, cert, I_74, I_54, 10)
 
 
 def test_domination_search_rejects_selector_not_strictly_increasing():

@@ -1,5 +1,6 @@
-"""Importing the command line stays cheap: no module it loads pulls in
-dataclasses, whose import brings inspect, ast, dis and tokenize along."""
+"""Importing the command line stays cheap and leaves the interpreter alone:
+no module it loads pulls in dataclasses, whose import brings inspect, ast, dis
+and tokenize along, and the int<->str digit limit keeps its value."""
 
 import json
 import subprocess
@@ -14,7 +15,10 @@ PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
+digits = getattr(sys, "get_int_max_str_digits", lambda: None)
+limit = digits()
 import blockdensity.cli
+assert digits() == limit, (limit, digits())
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 

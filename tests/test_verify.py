@@ -57,6 +57,17 @@ def test_positive_reduction_identity_pair(constant_run):
     assert cert.verdict == PASS
 
 
+def test_positive_reduction_same_index_walks_both_copies(constant_run):
+    # No certificate kind builds a reduction from an index to itself, so a
+    # direct call gets no shortcut: it walks the profile twice, like any pair,
+    # and stops at the frontier like any pair.
+    coded, _, _, _, state = constant_run
+    cert = check_positive_reduction(coded, state, 2, 2, 10)
+    assert cert.verdict == PASS
+    assert cert.checks == [{"check": "blockwise_exact", "ok": True, "blocks": 10}]
+    assert check_positive_reduction(coded, state, 2, 2, 60).verdict == INCOMPLETE
+
+
 def test_positive_reduction_swapped_fails(constant_run):
     coded, _, _, _, state = constant_run
     cert = check_positive_reduction(coded, state, I_32, I_54, 8)

@@ -7,6 +7,7 @@ records, and its endpoints with SourceBlocks.endpoint at factorial scale.
 """
 
 import json
+import sys
 import tempfile
 from decimal import Decimal
 from fractions import Fraction
@@ -109,8 +110,23 @@ FAMILIES = {
 KS = [*range(13), 1007, 1008, 1009, 1010, 3000]
 
 
+@pytest.fixture
+def str_digits_lifted():
+    """Lift the int<->str digit limit for a test's own str() of
+    factorial-scale ints; the package leaves the limit alone."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
-def test_decimal_endpoints_match_source_blocks(kind):
+def test_decimal_endpoints_match_source_blocks(kind, str_digits_lifted):
     family, indices = FAMILIES[kind]
     coded = CodedFamily(family)
     for s in indices:
