@@ -75,8 +75,9 @@ class SourceBlocks:
         self._targets = targets
         self._ends = [0]
         self._ratios: list[tuple[int, int]] = []
-        # (q, p) of each profile value p/q met so far, band-checked once.
-        self._reduced: dict[Fraction, tuple[int, int]] = {}
+        # (q, p) of each profile value p/q met so far, band-checked once; keyed
+        # by the pair itself, since Fraction.__hash__ is slow pure Python.
+        self._reduced: dict[tuple[int, int], tuple[int, int]] = {}
 
     def _extend(self, k: int | None = None, beyond: int | None = None) -> None:
         ends = self._ends
@@ -85,13 +86,14 @@ class SourceBlocks:
         ):
             m = len(ends) - 1
             u = self._profile(m)
-            reduced = self._reduced.get(u)
+            key = (u.denominator, u.numerator)
+            reduced = self._reduced.get(key)
             if reduced is None:
                 if not ONE < u < TWO:
                     raise ValueError(
                         "profile value %s at block %d outside (1, 2)" % (u, m)
                     )
-                reduced = self._reduced[u] = (u.denominator, u.numerator)
+                reduced = self._reduced[key] = key
             q, p = reduced
             fact = self._targets.size(m)
             ln, rem = divmod(p * fact, q)

@@ -251,10 +251,7 @@ def _cmd_scenario(args) -> int:
     return result.exit_code
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="blockdensity", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_blocks(sub) -> None:
     p = sub.add_parser("blocks", help="dump endpoint tables as CSV")
     _family_flags(p)
     p.add_argument("--kmax", type=int, default=12)
@@ -262,6 +259,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_usage_errors(_cmd_blocks))
 
+
+def _add_map(sub) -> None:
     p = sub.add_parser("map", help="apply coded maps")
     p.add_argument("action", choices=["apply", "fibers", "preimage", "reduce", "collapse"])
     _family_flags(p)
@@ -271,6 +270,8 @@ def build_parser() -> _Parser:
     p.add_argument("--y", type=int, default=0)
     p.set_defaults(fn=_usage_errors(_cmd_map))
 
+
+def _add_machine(sub) -> None:
     p = sub.add_parser("machine", help="decode or run enumerated programs")
     p.add_argument("action", choices=["decode", "run"])
     p.add_argument("--e", type=int, required=True)
@@ -278,24 +279,32 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=10**5)
     p.set_defaults(fn=_usage_errors(_cmd_machine))
 
+
+def _add_poset(sub) -> None:
     p = sub.add_parser("poset", help="validate, embed, or dump the generic order")
     p.add_argument("action", choices=["validate", "embed", "dump-universal"])
     p.add_argument("--matrix", type=_rows, default=[])
     p.add_argument("--size", type=int, default=20)
     p.set_defaults(fn=_usage_errors(_cmd_poset))
 
+
+def _add_construct(sub) -> None:
     p = sub.add_parser("construct", help="run the stage construction from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stages", type=int, default=None)
     p.set_defaults(fn=_cmd_construct)
 
+
+def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="replay a transcript and write certificates")
     p.add_argument("--config", required=True)
     p.add_argument("--transcript", required=True)
     p.add_argument("--report", required=True)
     p.set_defaults(fn=_cmd_verify)
 
+
+def _add_scenario(sub) -> None:
     p = sub.add_parser("scenario", help="full pipeline: construct, certify, report")
     p.add_argument("scenario_kind", choices=list(KINDS))
     p.add_argument("--count", type=int, default=None,
@@ -316,11 +325,35 @@ def build_parser() -> _Parser:
                    "(default), or full, the paper's order")
     p.add_argument("--outdir", default=None)
     p.set_defaults(fn=_cmd_scenario)
+
+
+# Each command's subparser builder, in the order --help lists them.
+_COMMANDS = {
+    "blocks": _add_blocks, "map": _add_map, "machine": _add_machine,
+    "poset": _add_poset, "construct": _add_construct, "verify": _add_verify,
+    "scenario": _add_scenario,
+}
+
+
+def build_parser(argv=None) -> _Parser:
+    """The command-line parser. When argv's first word names a command, only
+    that command's subparser is built, as parsing argv reads no other; any
+    other argv (help, no command, an unknown one) gets all of them.
+    """
+    parser = _Parser(prog="blockdensity", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    if argv and argv[0] in _COMMANDS:
+        _COMMANDS[argv[0]](sub)
+    else:
+        for add in _COMMANDS.values():
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     # Commands read and print factorial-scale ints, past the interpreter's
     # default int<->str digit limit (Python 3.11+): lift it for this call only.
     lift = hasattr(sys, "set_int_max_str_digits")

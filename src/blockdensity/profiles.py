@@ -65,12 +65,19 @@ class GapCertificate:
         self._in_d = in_d_fn
         self._delta = delta_fn
         self._s = s_fn
+        # Pairs already found in D: membership is decided once per pair.
+        self._scheduled: set[tuple[int, int]] = set()
 
     def in_D(self, i: int, j: int) -> bool:
-        return self._in_d(i, j)
+        if (i, j) in self._scheduled:
+            return True
+        if not self._in_d(i, j):
+            return False
+        self._scheduled.add((i, j))
+        return True
 
     def _require(self, i: int, j: int) -> None:
-        if not self._in_d(i, j):
+        if (i, j) not in self._scheduled and not self.in_D(i, j):
             raise ValueError("pair (%d, %d) carries no gap certificate" % (i, j))
 
     def delta(self, i: int, j: int) -> Fraction:

@@ -333,9 +333,8 @@ def _check_defeat_record(
     bad = _unnatural_witness(record, witnesses.get(record.branch, ()))
     if bad is not None:
         return False, "witness %s is missing or negative" % bad
-    program = decode(record.e)
     if record.branch == BRANCH_NON_TOTAL:
-        outcome = run_program(program, record.x, record.budget)
+        outcome = run_program(decode(record.e), record.x, record.budget)
         if not isinstance(outcome, OutOfBudget):
             return False, "claimed divergence reruns to a halt"
         k, _ = coded.source(record.i).locate(record.x)
@@ -343,6 +342,7 @@ def _check_defeat_record(
             return False, "divergence witness outside the chosen block"
         return True, ""
     if record.branch == BRANCH_NON_INJECTIVE:
+        program = decode(record.e)
         out1 = run_program(program, record.x, record.budget)
         out2 = run_program(program, record.x2, record.budget)
         if not (isinstance(out1, Halted) and isinstance(out2, Halted)):

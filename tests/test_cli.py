@@ -340,6 +340,60 @@ def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 3
 
 
+COMMANDS = ("blocks", "map", "machine", "poset", "construct", "verify", "scenario")
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_one_command_parser_prints_the_full_parsers_help(cmd, capsys):
+    texts = []
+    for parser in (cli.build_parser([cmd]), cli.build_parser()):
+        with pytest.raises(SystemExit):
+            parser.parse_args([cmd, "--help"])
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: blockdensity %s " % cmd)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["blocks", "--kmax", "2", "--count", "1"], 0),
+    (["map", "apply", "--x", "3"], 0),
+    (["machine", "decode", "--e", "5"], 0),
+    (["poset", "embed", "--matrix", "11,01"], 0),
+    (["construct", "--config", "missing.json", "--out", "t.jsonl"], 3),
+    (["verify", "--config", "missing.json", "--transcript", "t", "--report", "r"], 3),
+    (["scenario", "universal", "--matrix", "11,01", "--outdir", "out"], 0),
+])
+def test_a_command_builds_only_its_own_parser(argv, code, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(argv) == code
+    assert len(built) == 2  # the top-level parser and the command's own
+    monkeypatch.setattr(sys, "argv", ["blockdensity", *argv])
+    assert main() == code
+    assert len(built) == 4
+
+
+def test_help_and_no_or_unknown_command_list_every_command(capsys):
+    assert main([]) == 3
+    assert capsys.readouterr().err == (
+        "error: the following arguments are required: command\n")
+    assert main(["bogus"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument command: invalid choice: 'bogus' ")
+    assert all("'%s'" % cmd in err for cmd in COMMANDS)
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert "{%s}" % ",".join(COMMANDS) in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv, reads", [
     (["scenario", "antichain", "--count", "5"], "--n"),
     (["scenario", "rationals", "--n", "2"], "--count"),

@@ -176,3 +176,28 @@ def test_gap_check_random_pairs_all_families():
             if cert.in_D(i, j):
                 assert gap_check(family, cert, i, j, 200)
                 checked += 1
+
+
+def test_certificate_decides_each_pair_once_and_still_refuses_the_rest():
+    calls = []
+    _, cert = poset_family(chain_order(3), ALPHA, BETA)
+    inner = cert._in_d
+
+    def counted(i, j):
+        calls.append((i, j))
+        return inner(i, j)
+
+    cert._in_d = counted
+    # Over a chain (2, 0) is scheduled and (0, 2) is not.
+    for _ in range(3):
+        assert [cert.s(2, 0, t) for t in range(4)] == [4, 12, 20, 28]
+        assert cert.delta(2, 0) == BETA - ALPHA
+        assert cert.in_D(2, 0)
+    assert calls == [(2, 0)]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cert.s(0, 2, 0)
+        with pytest.raises(ValueError):
+            cert.delta(0, 2)
+        assert not cert.in_D(0, 2)
+    assert calls == [(2, 0)] + [(0, 2)] * 6
