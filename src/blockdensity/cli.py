@@ -23,7 +23,7 @@ from .posets import FinitePoset, UniversalPoset, embed_finite
 from .scenarios import (
     DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_COUNT, KINDS, SCHEDULES, ScenarioConfig,
     build_family, construct, report_exit_code, run_scenario, verify_transcript,
-    write_report,
+    write_outputs, write_report,
 )
 
 USAGE_ERROR = 3
@@ -93,8 +93,17 @@ def _usage_errors(cmd):
     return checked
 
 
+def _writing(path, write, *args, **kwargs):
+    """write(*args, **kwargs), which writes path; an OSError it raises means
+    path cannot be written, a usage error."""
+    try:
+        return write(*args, **kwargs)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc)) from exc
+
+
 def _out_stream(path: str | None):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+    return _writing(path, open, path, "w", encoding="utf-8") if path else sys.stdout
 
 
 def _cmd_blocks(args) -> int:
@@ -186,8 +195,8 @@ def _cmd_construct(args) -> int:
         raise UsageError("%s scenarios run no construction" % config.kind)
     if args.stages is not None and args.stages < 1:
         raise UsageError("--stages must be at least 1")
-    coded, *_, transcript = construct(config, args.stages)
-    transcript.write_jsonl(args.out, coded)
+    *_, transcript = construct(config, args.stages)
+    _writing(args.out, transcript.write_jsonl, args.out)
     print("stages,%d" % len(transcript.records))
     return 0
 
@@ -199,7 +208,7 @@ def _cmd_verify(args) -> int:
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc))
     certs = verify_transcript(config, transcript)
-    write_report(certs, args.report)
+    _writing(args.report, write_report, certs, args.report)
     code = report_exit_code(certs)
     for cert in certs:
         print("%s,%s" % (cert.kind, cert.verdict))
@@ -244,7 +253,8 @@ def _cmd_scenario(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     outdir = args.outdir or ("out-%s" % args.scenario_kind)
-    result = run_scenario(config, outdir)
+    result = run_scenario(config)
+    _writing(outdir, write_outputs, result, outdir)
     for cert in result.certificates:
         print("%s,%s" % (cert.kind, cert.verdict))
     print("report,%s" % (Path(outdir) / "report.jsonl"))

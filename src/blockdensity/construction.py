@@ -19,32 +19,17 @@ block follow one control path (see machine.tail_behavior), so the branch
 decision and its least witnesses are computed exactly without scanning
 factorial-sized blocks.
 
-Transcripts hold witnesses as decimal text. The big witnesses sit at or next
-to block endpoints b_i(k) or b_j(k + 1), which reach thousands of digits, and
-CPython converts such ints to and from decimal in quadratic time. So one
-forward pass over the records (witness_decimals) keeps each named source's
-endpoints as running Decimal sums and gives a witness near an endpoint as
-that Decimal plus a small offset, whose text costs linear time. Writing a
-transcript prints the pass's Decimals; reading one parses each witness into
-a Decimal (linear too), and the replay check compares them with the pass's
-Decimals of the replayed records, so no big witness goes through int().
+Transcripts hold witnesses as hex text, exactly what hex() writes. The big
+witnesses sit at or next to block endpoints b_i(k) or b_j(k + 1), which reach
+thousands of digits; CPython converts such ints to and from decimal in
+quadratic time but to and from hex in linear time, and the int/str digit
+limit does not apply to hex.
 """
 
 from __future__ import annotations
 
 import json
-import re
-from decimal import (
-    MAX_EMAX,
-    MAX_PREC,
-    MIN_EMIN,
-    Context,
-    Decimal,
-    Inexact,
-    InvalidOperation,
-    Rounded,
-)
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .machine import (
     OutOfBudget,
@@ -54,7 +39,7 @@ from .machine import (
     tail_behavior,
 )
 from .maps import CodedFamily
-from .numerics import Rat, cantor_pair, cantor_unpair
+from .numerics import cantor_pair, cantor_unpair
 from .profiles import GapCertificate
 
 BRANCH_NON_TOTAL = "non_total_under_budget"
@@ -87,17 +72,9 @@ class Requirement(NamedTuple):
     j: int
 
 
-WITNESSES = ("x", "x2", "y", "ell")
-
-# What str(int) writes; fullmatch runs in time linear in the text.
-_CANONICAL = re.compile(r"0|-?[1-9][0-9]*")
-
-
 class StageRecord(NamedTuple):
     """One stage's outcome, an immutable NamedTuple. The witnesses x, x2, y
-    and ell are ints or None; a record loaded by Transcript.read_jsonl holds
-    them as Decimals of their canonical text until resolve_witnesses gives it
-    ints."""
+    and ell are ints or None."""
 
     stage: int
     e: int
@@ -107,14 +84,15 @@ class StageRecord(NamedTuple):
     branch: str
     budget: int
     m_after: int
-    x: int | Decimal | None = None
-    x2: int | Decimal | None = None
-    y: int | Decimal | None = None
-    ell: int | Decimal | None = None
+    x: int | None = None
+    x2: int | None = None
+    y: int | None = None
+    ell: int | None = None
 
-    def to_json(self, decimals: tuple[Decimal | None, ...]) -> dict:
-        """The JSON object, given the witnesses as witness_decimals makes them."""
-        x, x2, y, ell = (None if d is None else str(d) for d in decimals)
+    def to_json(self) -> dict:
+        """The JSON object; each witness is null or its hex() text."""
+        x, x2, y, ell = (None if v is None else hex(v)
+                         for v in (self.x, self.x2, self.y, self.ell))
         return {
             "stage": self.stage,
             "e": self.e,
@@ -135,10 +113,9 @@ class StageRecord(NamedTuple):
 
         Equal fields are not enough: 3.0 or true read from a file compare
         equal to 3 or 1 but encode differently, so the fields written as JSON
-        integers must hold exactly int. The witness fields must hold ints or
-        None (resolve a loaded record first); each int has one canonical
-        decimal text, so equal values give equal text. other must be a
-        StageRecord too: NamedTuple equality is tuple equality.
+        integers must hold exactly int. The witness fields hold ints or None,
+        and each int has one hex text, so equal values give equal text. other
+        must be a StageRecord too: NamedTuple equality is tuple equality.
         """
         return self == other and all(
             type(getattr(r, name)) is int
@@ -146,29 +123,16 @@ class StageRecord(NamedTuple):
             for name in ("stage", "e", "i", "j", "k", "budget", "m_after")
         )
 
-    def resolve_witnesses(
-        self, replayed: "StageRecord", decimals: tuple[Decimal | None, ...]
-    ) -> "StageRecord":
-        """This loaded record with int witnesses, given the replayed record
-        and its witness_decimals: a witness equal to the replay's (so with the
-        same text) takes the replay's int, and only one that differs is
-        converted with int()."""
-        values = {}
-        for name, dec in zip(WITNESSES, decimals):
-            own = getattr(self, name)
-            values[name] = (getattr(replayed, name) if own == dec
-                            else None if own is None else int(own))
-        return self._replace(**values)
-
     @staticmethod
     def from_json(obj: dict) -> "StageRecord":
         """The record a JSON object holds; a bad field raises ValueError.
 
         e, i, j and k must be ints >= 0 (a JSON true is one). stage,
         M_after and budget (>= 1) may also be integral floats, which replay
-        then fails. Each witness must be null or a string that str(int)
-        writes (so "-3" loads, "007", "+5" and a JSON number do not); it is
-        kept as the Decimal of that text.
+        then fails. Each witness must be null or a string that hex() writes,
+        which int(text, 16) reads back to an int with that same hex() text:
+        "0x1f" and "-0x3" load; "0x1F", "0x01", "-0x0", "1f", decimal text
+        and a JSON number do not.
         """
         def whole(name, least=0, floats=False):
             v = obj[name]
@@ -182,11 +146,15 @@ class StageRecord(NamedTuple):
             v = obj.get(name)
             if v is None:
                 return None
-            if type(v) is str and _CANONICAL.fullmatch(v):
-                return Decimal(v)
-            raise ValueError(
-                "witness %s must be null or a canonical decimal string, got %r"
-                % (name, v))
+            try:
+                n = int(v, 16)   # a JSON number raises TypeError
+            except (TypeError, ValueError):
+                n = None
+            if n is None or hex(n) != v:
+                raise ValueError(
+                    "witness %s must be null or hex text as hex() writes it, got %r"
+                    % (name, v))
+            return n
 
         return StageRecord(
             stage=whole("stage", floats=True),
@@ -202,105 +170,6 @@ class StageRecord(NamedTuple):
             y=witness("y"),
             ell=witness("ell"),
         )
-
-
-# Integer arithmetic in decimal that stays exact: any rounding raises.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                 traps=[Inexact, Rounded, InvalidOperation])
-# A witness within this of an anchor is given as the anchor's Decimal plus
-# the offset; the int and Decimal forms of every anchor must agree mod _LOW.
-_NEAR = 1 << 64
-_LOW = 10**18
-
-
-def _floor_times(p: int, q: int, n: Decimal) -> Decimal:
-    """floor(p * n / q) for a positive Decimal integer n."""
-    return _EXACT.divide_int(_EXACT.multiply(n, p), q)
-
-
-class _DecimalEnds:
-    """One source's endpoint b(m) as a Decimal, summed block by block as in
-    SourceBlocks._extend: b(m + 1) = b(m) + floor(u(m) * m!).
-
-    A block whose value p/q has q <= m has an integral length p * m!/q, since
-    q divides m!. Its m! joins a running sum kept for that value, and a fold
-    adds floor(p * sum / q), which is exact, to the endpoint: one addition a
-    block instead of a multiply, a divide and an addition. Other blocks are
-    floored one at a time.
-    """
-
-    def __init__(self, profile: Callable[[int], Rat]) -> None:
-        self._profile = profile
-        self._end = Decimal(0)
-        self._sums: dict[tuple[int, int], Decimal] = {}   # (p, q) -> sum
-
-    def add(self, m: int, fact: Decimal) -> None:
-        """Add block m, given fact = m!."""
-        u = self._profile(m)
-        p, q = u.numerator, u.denominator
-        if q > m:
-            self._end = _EXACT.add(self._end, _floor_times(p, q, fact))
-            return
-        total = self._sums.get((p, q))
-        self._sums[p, q] = fact if total is None else _EXACT.add(total, fact)
-
-    def end(self) -> Decimal:
-        """b(m), once blocks 0 .. m - 1 are added."""
-        for (p, q), total in self._sums.items():
-            self._end = _EXACT.add(self._end, _floor_times(p, q, total))
-        self._sums.clear()
-        return self._end
-
-
-def witness_decimals(
-    coded: CodedFamily, records: Sequence[StageRecord]
-) -> Iterator[tuple[StageRecord, tuple[Decimal | None, ...]]]:
-    """Each record with its witnesses x, x2, y, ell as Decimals (None stays
-    None), made without converting a big int: str() of each is str(v).
-
-    The anchors of a record are b_i(k) and b_j(k + 1). One forward pass
-    keeps a running Decimal k! and the Decimal endpoint of every source the
-    records name, up to the last block that source is needed at; the records
-    of a construction have strictly increasing k. A witness within _NEAR of
-    an anchor is the anchor's Decimal plus the offset; any other one (small,
-    far from both, or in a record whose k went back) is Decimal(v). Each
-    anchor's Decimal is checked against the int endpoint mod _LOW.
-    """
-    need: dict[int, int] = {}
-    for record in records:
-        for s, k in ((record.i, record.k), (record.j, record.k + 1)):
-            need[s] = max(need.get(s, 0), k)
-    ends = {s: _DecimalEnds(coded.family.profile(s)) for s in need}
-    m, fact = 0, Decimal(1)   # blocks below m are added; fact = m!
-    for record in records:
-        anchors = []
-        for s, k in ((record.i, record.k), (record.j, record.k + 1)):
-            if k < m:
-                continue
-            while m < k:
-                for t, run in ends.items():
-                    if m < need[t]:
-                        run.add(m, fact)
-                m += 1
-                fact = _EXACT.multiply(fact, m)
-            dec = ends[s].end()
-            end = coded.source(s).endpoint(k)
-            if end % _LOW != int(_EXACT.remainder(dec, _LOW)):
-                raise AssertionError(
-                    "decimal endpoint of source %d at block %d disagrees" % (s, k))
-            anchors.append((end, dec))
-        yield record, tuple(
-            _witness_decimal(getattr(record, name), anchors) for name in WITNESSES)
-
-
-def _witness_decimal(v: int | None, anchors) -> Decimal | None:
-    if v is None:
-        return None
-    for end, dec in anchors:
-        offset = v - end
-        if -_NEAR < offset < _NEAR:
-            return _EXACT.add(dec, offset)
-    return Decimal(v)
 
 
 class ConstructionState:
@@ -546,19 +415,18 @@ class Transcript:
     def __init__(self, records: list[StageRecord] | None = None) -> None:
         self.records = [] if records is None else records
 
-    def lines(self, coded: CodedFamily) -> Iterator[str]:
-        """The JSON Lines text, one line at a time; coded is the family the
-        records were built over."""
-        for record, decimals in witness_decimals(coded, self.records):
-            yield json.dumps(record.to_json(decimals)) + "\n"
+    def lines(self) -> Iterator[str]:
+        """The JSON Lines text, one line at a time."""
+        for record in self.records:
+            yield json.dumps(record.to_json()) + "\n"
 
-    def to_jsonl(self, coded: CodedFamily) -> str:
-        return "".join(self.lines(coded))
+    def to_jsonl(self) -> str:
+        return "".join(self.lines())
 
-    def write_jsonl(self, path, coded: CodedFamily) -> None:
+    def write_jsonl(self, path) -> None:
         """Write the lines as they are made, never the whole text at once."""
         with open(path, "w", encoding="utf-8") as handle:
-            for line in self.lines(coded):
+            for line in self.lines():
                 handle.write(line)
 
     @staticmethod
@@ -567,9 +435,7 @@ class Transcript:
 
         Lines are decoded one at a time, so a byte that is not UTF-8 is
         reported with its line like any other bad line. Each witness must be
-        canonical decimal text and is kept as its Decimal: no int() runs
-        here, and replay (verify.check_transcript_replay) gives the records
-        their ints.
+        hex text (StageRecord.from_json).
         """
         records = []
         with open(path, "rb") as handle:

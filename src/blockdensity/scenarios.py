@@ -394,25 +394,31 @@ class ScenarioResult(NamedTuple):
 
 
 def run_scenario(config: ScenarioConfig, outdir: str | Path | None = None) -> ScenarioResult:
-    """Run the full pipeline; optionally write config, transcript and report."""
+    """Run the full pipeline; given outdir, write its outputs there."""
     config.validate()
     if config.kind == "universal":
         certs = _universal_certificates(config)
-        coded = transcript = None
+        transcript = None
     else:
         coded, gap_cert, schedule, transcript = construct(config)
         certs = _construction_certificates(config, coded, gap_cert, schedule, transcript)
-    code = report_exit_code(certs)
+    result = ScenarioResult(config, certs, transcript, report_exit_code(certs))
     if outdir is not None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "config.json").write_text(
-            json.dumps(config.to_json(), indent=2) + "\n", encoding="utf-8"
-        )
-        if transcript is not None:
-            transcript.write_jsonl(outdir / "transcript.jsonl", coded)
-        write_report(certs, outdir / "report.jsonl")
-    return ScenarioResult(config, certs, transcript, code)
+        write_outputs(result, outdir)
+    return result
+
+
+def write_outputs(result: ScenarioResult, outdir: str | Path) -> None:
+    """Write config.json, transcript.jsonl (when the run has a transcript)
+    and report.jsonl into outdir, making it if need be."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "config.json").write_text(
+        json.dumps(result.config.to_json(), indent=2) + "\n", encoding="utf-8"
+    )
+    if result.transcript is not None:
+        result.transcript.write_jsonl(outdir / "transcript.jsonl")
+    write_report(result.certificates, outdir / "report.jsonl")
 
 
 def write_report(certs: list[Certificate], path: str | Path) -> None:

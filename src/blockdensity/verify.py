@@ -52,7 +52,6 @@ from .construction import (
     Transcript,
     eval_A,
     run_construction,
-    witness_decimals,
 )
 from .machine import Halted, OutOfBudget, decode, run_program
 from .maps import CodedFamily
@@ -463,14 +462,8 @@ def check_transcript_replay(
 ) -> Certificate:
     """Re-run the schedule and demand a bit-identical transcript.
 
-    The replayed records go through witness_decimals, the pass that writes
-    transcripts, and each loaded record is compared with its replay: its
-    witnesses, Decimals of their canonical text, with the pass's Decimals (so
-    equal means the same text), the other fields as StageRecord.same_json
-    does. This decides exactly what comparing the JSON Lines encodings
-    would. Every loaded record is given int witnesses (resolve_witnesses)
-    for the other certificates; only a witness whose text differs from the
-    replay's goes through int().
+    Each loaded record is compared with its replay as StageRecord.same_json
+    does, which decides exactly what comparing the JSON Lines encodings would.
     """
     cert = Certificate("TranscriptReplay", {"stages": len(transcript.records)})
     if not transcript.records:
@@ -479,12 +472,11 @@ def check_transcript_replay(
     replay, _ = run_construction(
         coded, gap_cert, len(transcript.records), budget, schedule=schedule
     )
-    divergence = None
-    records = transcript.records
-    for idx, (a, decimals) in enumerate(witness_decimals(coded, replay.records)):
-        records[idx] = records[idx].resolve_witnesses(a, decimals)
-        if divergence is None and not a.same_json(records[idx]):
-            divergence = idx
+    divergence = next(
+        (idx for idx, (a, b) in enumerate(zip(replay.records, transcript.records))
+         if not a.same_json(b)),
+        None,
+    )
     if divergence is not None:
         cert.fail("bit_exact", {"first_divergence_stage": divergence})
     else:

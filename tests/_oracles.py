@@ -11,6 +11,15 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from blockdensity.posets import FinitePoset, PaddedFiniteOrder
+from blockdensity.profiles import (
+    ProfileFamily,
+    combined_family,
+    constant_family,
+    oscillating_family,
+    poset_family,
+)
+
 
 def frac_norm(num: int, den: int) -> tuple[int, int]:
     if den == 0:
@@ -270,3 +279,22 @@ class BfsGenericOrder:
                         self.trits.append(trits)
                         self.matrices.append(rel)
             level = nxt
+
+
+# Families whose block endpoints the walk and witness tests check at
+# factorial scale: kind -> (family, source indices checked), and the block
+# indices checked.
+PRIME_DEN = Fraction(1013, 1009)   # 1009 prime: 1009 | k! only from k = 1009 on
+ALPHA, BETA = Fraction(5, 4), Fraction(7, 4)
+FAMILIES = {
+    "constant": (constant_family()[0], (0, 3)),
+    "oscillating": (oscillating_family(PRIME_DEN, Fraction(3, 2))[0], (0, 1)),
+    "combined": (combined_family(ALPHA, BETA)[0], (0, 1)),
+    "poset": (
+        poset_family(PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"])),
+                     ALPHA, BETA)[0],
+        (0, 2),
+    ),
+    "prime_denominator": (ProfileFamily(lambda i, k: PRIME_DEN), (0,)),
+}
+KS = [*range(13), 1007, 1008, 1009, 1010, 3000]

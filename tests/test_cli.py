@@ -218,7 +218,7 @@ def test_construct_then_verify_round_trip(tmp_path, capsys):
 
     # Tampering with a witness must be caught.
     records = [json.loads(line) for line in transcript_path.read_text().splitlines()]
-    records[0]["x"] = str(int(records[0]["x"]) + 1)
+    records[0]["x"] = hex(int(records[0]["x"], 16) + 1)
     transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
     code, _ = run_cli(capsys, "verify", "--config", str(config_path),
                       "--transcript", str(transcript_path),
@@ -553,14 +553,45 @@ def test_internal_fault_exits_4(fault, monkeypatch, tmp_path, capsys):
     assert captured.out == ""
 
 
+# command -> argv whose last word is an output path that cannot be written:
+# one under a missing directory, or one under a regular file.
+UNWRITABLE = {
+    "blocks": ["blocks", "--kmax", "3", "--out", "{missing}/b.csv"],
+    "construct": ["construct", "--config", "{config}", "--out", "{missing}/t.jsonl"],
+    "verify": ["verify", "--config", "{config}", "--transcript", "{transcript}",
+               "--report", "{missing}/r.jsonl"],
+    "scenario": ["scenario", "rationals", "--count", "2", "--E", "1",
+                 "--outdir", "{file}/x"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE))
+def test_unwritable_output_is_usage_error(command, constructed, tmp_path, capsys):
+    config_path, records = constructed
+    transcript_path = tmp_path / "t.jsonl"
+    transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    regular = tmp_path / "file"
+    regular.write_text("")
+    paths = {"config": config_path, "transcript": transcript_path,
+             "missing": tmp_path / "missing", "file": regular}
+    argv = [word.format(**paths) for word in UNWRITABLE[command]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: cannot write %s: " % argv[-1])
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def _set(index, key, change):
     def edit(records):
         records[index][key] = change(records[index][key])
     return edit
 
 
-# config.json and transcript.jsonl of `scenario rationals --count 2 --E 2
-# --kmax 6`, written before the element_scan key left the config schema.
+# config.json of `scenario rationals --count 2 --E 2 --kmax 6`, written
+# before the element_scan key left the config schema, and the run's
+# transcript.jsonl.
 OLD_CONFIG = """{
   "kind": "rationals",
   "count": 2,
@@ -575,6 +606,15 @@ OLD_CONFIG = """{
 }
 """
 OLD_TRANSCRIPT = (
+    '{"stage": 0, "e": 0, "i": 0, "j": 1, "k": 10, "branch": "diagonalized", '
+    '"x": "0x5226cc", "x2": null, "y": "0x5226cc", "ell": "0xb", "budget": 100000, '
+    '"M_after": 11}\n'
+    '{"stage": 1, "e": 1, "i": 0, "j": 1, "k": 12, "branch": "diagonalized", '
+    '"x": "0x298f92cb", "x2": null, "y": "0x298f92cc", "ell": "0xd", '
+    '"budget": 100000, "M_after": 13}\n'
+)
+# The same transcript with its witnesses in decimal.
+DECIMAL_TRANSCRIPT = (
     '{"stage": 0, "e": 0, "i": 0, "j": 1, "k": 10, "branch": "diagonalized", '
     '"x": "5383884", "x2": null, "y": "5383884", "ell": "11", "budget": 100000, '
     '"M_after": 11}\n'
@@ -607,6 +647,22 @@ def test_old_config_with_element_scan_still_verifies(tmp_path, capsys):
     assert rebuilt.read_text() == OLD_TRANSCRIPT
 
 
+def test_decimal_witness_transcript_is_refused(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(OLD_CONFIG)
+    transcript_path = tmp_path / "transcript.jsonl"
+    transcript_path.write_text(DECIMAL_TRANSCRIPT)
+    report_path = tmp_path / "r.jsonl"
+    code = main(["verify", "--config", str(config_path),
+                 "--transcript", str(transcript_path),
+                 "--report", str(report_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: %s:1: " % transcript_path)
+    assert "witness x must be null or hex text" in err
+    assert not report_path.exists()
+
+
 def test_poset_scenario_with_a_cell_past_the_frontier_is_incomplete(tmp_path, capsys):
     code, out = run_cli(capsys, "scenario", "poset", "--matrix", "11,01", "--E", "1",
                         "--kmax", "40", "--outdir", str(tmp_path))
@@ -620,7 +676,7 @@ TAMPERS = {
     "e_as_bool": (_set(1, "e", lambda e: e == 1), 1, False, 1),
     "budget_as_float": (_set(3, "budget", float), 1, False, 3),
     "m_after_plus_one": (_set(2, "M_after", lambda m: m + 1), 1, False, 2),
-    "y_plus_one": (_set(1, "y", lambda y: str(int(y) + 1)), 1, False, 1),
+    "y_plus_one": (_set(1, "y", lambda y: hex(int(y, 16) + 1)), 1, False, 1),
     "last_record_dropped": (lambda records: records.pop(), 2, True, None),
     "empty_file": (lambda records: records.clear(), 1, False, None),
 }
@@ -664,12 +720,13 @@ def test_verify_rejects_tampered_records(name, constructed, tmp_path, capsys):
     assert check.get("first_divergence_stage") == divergence
 
 
-# name -> (field, tampered value); each must fail record 1's DiagWitness
-# certificate on its witness_fields check, never crash or read as a usage error.
+# name -> (field, tampered value, value the report gives); each must fail
+# record 1's DiagWitness certificate on its witness_fields check, never crash
+# or read as a usage error.
 WITNESS_TAMPERS = {
-    "x_null": ("x", None),
-    "x_negative": ("x", "-3"),
-    "y_negative": ("y", "-3"),
+    "x_null": ("x", None, None),
+    "x_negative": ("x", "-0x3", "-3"),
+    "y_negative": ("y", "-0x3", "-3"),
 }
 
 
@@ -693,13 +750,13 @@ def _verify_with_record_1_set(constructed, tmp_path, capsys, field, value):
 
 @pytest.mark.parametrize("name", sorted(WITNESS_TAMPERS))
 def test_verify_bad_witness_fails_its_certificate(name, constructed, tmp_path, capsys):
-    field, value = WITNESS_TAMPERS[name]
+    field, value, reported = WITNESS_TAMPERS[name]
     code, witness = _verify_with_record_1_set(constructed, tmp_path, capsys,
                                               field, value)
     assert code == 1
     assert witness["verdict"] == "FAIL"
     assert witness["checks"] == [
-        {"check": "witness_fields", "ok": False, "field": field, "value": value}
+        {"check": "witness_fields", "ok": False, "field": field, "value": reported}
     ]
 
 
@@ -768,21 +825,22 @@ MALFORMED = {
     "missing_budget": _drop_budget,
     "list_line": _raw_line("[1,2]"),
     "bad_json": _raw_line("{bad"),
-    "x_not_integer": _set(1, "x", lambda x: "12abc"),
-    # Witnesses are null or exactly the text str(int) writes.
-    "x_json_number": _set(1, "x", int),
-    "y_json_number": _set(1, "y", int),
-    "ell_json_number": _set(1, "ell", int),
+    "x_not_integer": _set(1, "x", lambda x: "0x12xyz"),
+    # Witnesses are null or exactly the text hex() writes.
+    "x_json_number": _set(1, "x", lambda x: int(x, 16)),
+    "y_json_number": _set(1, "y", lambda y: int(y, 16)),
+    "ell_json_number": _set(1, "ell", lambda ell: int(ell, 16)),
     "x2_json_number": _put("x2", 5),
     "x_float": _put("x", 1.5),
     "x_true": _put("x", True),
-    "x_underscore": _put("x", "1_000"),
-    "x_space": _put("x", " 12"),
-    "x_plus": _put("x", "+5"),
-    "x_leading_zero": _put("x", "007"),
-    "x_minus_zero": _put("x", "-0"),
+    "x_underscore": _put("x", "0x1_000"),
+    "x_space": _put("x", " 0x12"),
+    "x_plus": _put("x", "+0x5"),
+    "x_leading_zero": _put("x", "0x007"),
+    "x_minus_zero": _put("x", "-0x0"),
     "x_empty": _put("x", ""),
-    "x_unicode_digit": _put("x", "\u0661\u0662"),
+    "x_unicode_digit": _put("x", "0x\u0661\u0662"),
+    "x_decimal": _set(1, "x", lambda x: str(int(x, 16))),
     "non_utf8": _non_utf8,
     # e, i, j, k must be natural ints; stage, M_after and budget integral
     # numbers, budget at least 1.

@@ -286,7 +286,7 @@ def test_run_construction_monotone_frontier_and_replay():
 
     fresh = CodedFamily(constant_family()[0])
     again, _ = run_construction(fresh, cert, 5, 10_000)
-    assert again.to_jsonl(fresh) == transcript.to_jsonl(coded)
+    assert again.to_jsonl() == transcript.to_jsonl()
 
     with pytest.raises(ValueError):
         run_construction(coded, cert, 0, 10_000)
@@ -399,7 +399,7 @@ def test_transcript_round_trip(tmp_path):
     coded, cert = constant_setup()
     transcript, _ = run_construction(coded, cert, 4, 10_000)
     path = tmp_path / "t.jsonl"
-    transcript.write_jsonl(path, coded)
+    transcript.write_jsonl(path)
     loaded = Transcript.read_jsonl(path)
     assert loaded.records == transcript.records
 

@@ -18,7 +18,7 @@ from blockdensity.maps import CodedFamily
 from blockdensity.profiles import constant_family
 from blockdensity.scenarios import ScenarioConfig, run_scenario
 from blockdensity.verify import FAIL, PASS, block_walk, target_walk
-from test_witness_text import FAMILIES, KS
+from _oracles import FAMILIES, KS
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))

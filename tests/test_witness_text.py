@@ -1,113 +1,37 @@
-"""The witness pass writes each witness exactly as str() of its int would.
+"""Transcript witnesses are hex text: exactly what hex() writes, read back
+with int(text, 16).
 
-construction.witness_decimals builds the big witnesses from running Decimal
-block endpoints instead of converting ints to decimal, so these tests compare
-its output with str(v) field for field, on real transcripts and on synthetic
-records, and its endpoints with SourceBlocks.endpoint at factorial scale.
+These tests round-trip the codec on real transcripts, on synthetic records,
+on block endpoints at factorial scale and on drawn ints up to 5407!, compare
+what is read back with the ints in decimal too, and check that any other
+text of a witness is refused as a load error naming its line.
 """
 
 import json
 import sys
 import tempfile
-from decimal import Decimal
-from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from blockdensity.cli import main
 from blockdensity.construction import (
     BRANCH_DIAGONALIZED,
-    WITNESSES,
+    ConstructionState,
+    Requirement,
     StageRecord,
     Transcript,
-    witness_decimals,
 )
 from blockdensity.maps import CodedFamily
-from blockdensity.posets import FinitePoset, PaddedFiniteOrder
-from blockdensity.profiles import (
-    ProfileFamily,
-    combined_family,
-    constant_family,
-    oscillating_family,
-    poset_family,
-)
+from blockdensity.profiles import constant_family
 from blockdensity.scenarios import SCHEDULES, ScenarioConfig, construct, prepare
-from blockdensity.verify import FAIL, PASS, check_transcript_replay
+from blockdensity.verify import FAIL, PASS, check_diag_witness, check_transcript_replay
 
+from _oracles import FAMILIES, KS
 
-def _texts(coded, records):
-    return [
-        (record, [None if d is None else str(d) for d in decimals])
-        for record, decimals in witness_decimals(coded, records)
-    ]
-
-
-def _want(record):
-    values = (getattr(record, name) for name in WITNESSES)
-    return [None if v is None else str(v) for v in values]
-
-
-CONFIGS = {
-    "rationals": ScenarioConfig(kind="rationals", count=4, e_bound=12),
-    "antichain": ScenarioConfig(kind="antichain", count=3, e_bound=8),
-    "combined": ScenarioConfig(kind="combined", count=4, e_bound=4),
-    "poset": ScenarioConfig(kind="poset", poset_rows=["111", "011", "001"], e_bound=4),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(CONFIGS))
-def test_transcript_witnesses_match_str(kind):
-    coded, _, _, transcript = construct(CONFIGS[kind])
-    out = _texts(coded, transcript.records)
-    assert [record for record, _ in out] == transcript.records
-    for record, texts in out:
-        assert texts == _want(record), record.stage
-    assert max(len(str(r.y)) for r in transcript.records) > 50
-
-
-def _record(stage, i, j, k, **witnesses):
-    return StageRecord(stage, 0, i, j, k, BRANCH_DIAGONALIZED, 100, k + 1, **witnesses)
-
-
-def test_synthetic_witnesses_match_str():
-    coded = CodedFamily(constant_family()[0])
-
-    def b(s, k):
-        return coded.source(s).endpoint(k)
-
-    near = (1 << 64) - 1
-    records = [
-        _record(0, 0, 1, 40, x=b(0, 40) + 3, y=b(1, 41) - 7, ell=41),
-        _record(1, 1, 0, 45, x=b(1, 45), x2=b(1, 45) + near, y=b(0, 46) - near),
-        _record(2, 2, 3, 50, x=b(2, 50) + near + 1, y=b(3, 51) - near - 1),
-        _record(3, 0, 2, 60, x=3 * b(0, 60) + 1, x2=0, y=5, ell=-4),
-        _record(4, 3, 1, 70, x=-b(3, 70), y=None, ell=None),
-        _record(5, 1, 3, 80, x=-1, x2=b(1, 80) - b(1, 79), y=b(3, 81)),
-        # k goes back: the running sums have passed these blocks.
-        _record(6, 0, 1, 55, x=b(0, 55), y=b(1, 56) + 1, ell=56),
-        _record(7, 0, 1, 90, x=b(0, 90), y=b(1, 91), ell=91),
-    ]
-    for record, texts in _texts(coded, records):
-        assert texts == _want(record), record.stage
-
-
-PRIME_DEN = Fraction(1013, 1009)   # 1009 prime: 1009 | k! only from k = 1009 on
-ALPHA, BETA = Fraction(5, 4), Fraction(7, 4)
-
-# kind -> (family, source indices checked)
-FAMILIES = {
-    "constant": (constant_family()[0], (0, 3)),
-    "oscillating": (oscillating_family(PRIME_DEN, Fraction(3, 2))[0], (0, 1)),
-    "combined": (combined_family(ALPHA, BETA)[0], (0, 1)),
-    "poset": (
-        poset_family(PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"])),
-                     ALPHA, BETA)[0],
-        (0, 2),
-    ),
-    "prime_denominator": (ProfileFamily(lambda i, k: PRIME_DEN), (0,)),
-}
-KS = [*range(13), 1007, 1008, 1009, 1010, 3000]
+WITNESSES = ("x", "x2", "y", "ell")
 
 
 @pytest.fixture
@@ -125,36 +49,104 @@ def str_digits_lifted():
         sys.set_int_max_str_digits(saved)
 
 
+def _round_trip(record):
+    """The JSON object record writes, and the record it reads back as."""
+    obj = json.loads(json.dumps(record.to_json()))
+    return obj, StageRecord.from_json(obj)
+
+
+def _check_round_trip(record):
+    """Each witness is written as hex() of its int and reads back to an int
+    with the same decimal text; the whole record reads back equal."""
+    obj, back = _round_trip(record)
+    for name in WITNESSES:
+        v = getattr(record, name)
+        assert obj[name] == (None if v is None else hex(v)), (record.stage, name)
+        got = getattr(back, name)
+        assert (got is None) if v is None else (type(got) is int and str(got) == str(v))
+    assert back == record and back.same_json(record)
+
+
+CONFIGS = {
+    "rationals": ScenarioConfig(kind="rationals", count=4, e_bound=12),
+    "antichain": ScenarioConfig(kind="antichain", count=3, e_bound=8),
+    "combined": ScenarioConfig(kind="combined", count=4, e_bound=4),
+    "poset": ScenarioConfig(kind="poset", poset_rows=["111", "011", "001"], e_bound=4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_transcript_witnesses_match_str(kind, str_digits_lifted):
+    _, _, _, transcript = construct(CONFIGS[kind])
+    lines = list(transcript.lines())
+    assert len(lines) == len(transcript.records)
+    for line, record in zip(lines, transcript.records):
+        assert json.loads(line) == record.to_json()
+        _check_round_trip(record)
+    assert max(len(str(r.y)) for r in transcript.records) > 50
+
+
+def _record(stage, i, j, k, **witnesses):
+    return StageRecord(stage, 0, i, j, k, BRANCH_DIAGONALIZED, 100, k + 1, **witnesses)
+
+
+def test_synthetic_witnesses_match_str(str_digits_lifted):
+    coded = CodedFamily(constant_family()[0])
+
+    def b(s, k):
+        return coded.source(s).endpoint(k)
+
+    near = (1 << 64) - 1
+    records = [
+        _record(0, 0, 1, 40, x=b(0, 40) + 3, y=b(1, 41) - 7, ell=41),
+        _record(1, 1, 0, 45, x=b(1, 45), x2=b(1, 45) + near, y=b(0, 46) - near),
+        _record(2, 2, 3, 50, x=b(2, 50) + near + 1, y=b(3, 51) - near - 1),
+        _record(3, 0, 2, 60, x=3 * b(0, 60) + 1, x2=0, y=5, ell=-4),
+        _record(4, 3, 1, 70, x=-b(3, 70), y=None, ell=None),
+        _record(5, 1, 3, 80, x=-1, x2=b(1, 80) - b(1, 79), y=b(3, 81)),
+        _record(6, 0, 1, 55, x=b(0, 55), y=b(1, 56) + 1, ell=56),
+        _record(7, 0, 1, 90, x=b(0, 90), y=b(1, 91), ell=91),
+        _record(8, 1, 0, 2000, x=b(1, 2000) + 1, y=b(0, 2001), ell=2001),
+    ]
+    for record in records:
+        _check_round_trip(record)
+
+
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
-def test_decimal_endpoints_match_source_blocks(kind, str_digits_lifted):
+def test_decimal_endpoints_match_source_blocks(kind, str_digits_lifted, tmp_path):
+    """Endpoints b_s(k) and b_s(k + 1) written as witnesses to a transcript
+    file read back equal to SourceBlocks', in decimal text as well."""
     family, indices = FAMILIES[kind]
     coded = CodedFamily(family)
     for s in indices:
         src = coded.source(s)
-        # Each record anchors at b_s(k) and b_s(k + 1) and carries both.
         records = [
             _record(n, s, s, k, x=src.endpoint(k), y=src.endpoint(k + 1))
             for n, k in enumerate(KS)
         ]
-        for record, decimals in witness_decimals(coded, records):
-            x, _, y, _ = decimals
-            assert isinstance(x, Decimal) and str(x) == str(record.x), (s, record.k)
-            assert isinstance(y, Decimal) and str(y) == str(record.y), (s, record.k + 1)
+        path = tmp_path / ("%d.jsonl" % s)
+        Transcript(records).write_jsonl(path)
+        loaded = Transcript.read_jsonl(path)
+        assert loaded.records == records
+        for record in loaded.records:
+            assert str(record.x) == str(src.endpoint(record.k)), (s, record.k)
+            assert str(record.y) == str(src.endpoint(record.k + 1)), (s, record.k + 1)
 
 
 def test_replay_gives_loaded_records_their_ints(tmp_path):
     config = CONFIGS["rationals"]
-    coded, _, _, transcript = construct(config)
+    _, _, _, transcript = construct(config)
     path = tmp_path / "t.jsonl"
-    transcript.write_jsonl(path, coded)
+    transcript.write_jsonl(path)
     lines = path.read_text().splitlines()
     tampered = json.loads(lines[20])
-    tampered["y"] = str(int(tampered["y"]) + 1)
+    tampered["y"] = hex(int(tampered["y"], 16) + 1)
     lines[20] = json.dumps(tampered)
     path.write_text("".join(line + "\n" for line in lines))
 
     loaded = Transcript.read_jsonl(path)
-    assert all(isinstance(r.y, Decimal) for r in loaded.records)
+    assert all(type(getattr(r, name)) in (int, type(None))
+               for r in loaded.records for name in WITNESSES)
     fresh, gap_cert, schedule = prepare(config)
     cert = check_transcript_replay(fresh, gap_cert, loaded, config.budget,
                                    schedule=schedule)
@@ -165,8 +157,6 @@ def test_replay_gives_loaded_records_their_ints(tmp_path):
     want = list(transcript.records)
     want[20] = want[20]._replace(y=want[20].y + 1)
     assert loaded.records == want
-    assert all(type(getattr(r, name)) in (int, type(None))
-               for r in loaded.records for name in WITNESSES)
 
 
 POSETS = (("10", "01"), ("11", "01"), ("111", "011", "001"), ("101", "011", "001"))
@@ -178,16 +168,95 @@ POSETS = (("10", "01"), ("11", "01"), ("111", "011", "001"), ("101", "011", "001
 def test_transcript_write_read_round_trip(kind, count, rows, e_bound, schedule):
     config = ScenarioConfig(kind, count=count, poset_rows=rows if kind == "poset" else (),
                             e_bound=e_bound, schedule=schedule)
-    coded, _, _, transcript = construct(config)
+    _, _, _, transcript = construct(config)
     fresh, gap_cert, fresh_schedule = prepare(config)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first.jsonl", Path(tmp) / "second.jsonl"
-        transcript.write_jsonl(first, coded)
+        transcript.write_jsonl(first)
         loaded = Transcript.read_jsonl(first)
         cert = check_transcript_replay(fresh, gap_cert, loaded, config.budget,
                                        schedule=fresh_schedule)
         assert cert.verdict == PASS
         assert len(loaded.records) == len(transcript.records)
         assert all(a.same_json(b) for a, b in zip(loaded.records, transcript.records))
-        loaded.write_jsonl(second, fresh)
+        loaded.write_jsonl(second)
         assert second.read_bytes() == first.read_bytes()
+
+
+# Naturals from 0 up to 5407! (17 839 digits): small ones, ones of any bit
+# length up to 512, and factorials with an offset; each may be negated.
+NATURALS = st.one_of(
+    st.integers(0, 1 << 512),
+    st.builds(lambda k, d: max(factorial(k) + d, 0),
+              st.integers(0, 5407), st.integers(-(1 << 70), 1 << 70)),
+)
+WITNESS = st.one_of(st.none(), NATURALS, NATURALS.map(lambda v: -v))
+
+
+@given(x=WITNESS, x2=WITNESS, y=WITNESS, ell=WITNESS)
+def test_stage_record_hex_round_trip(x, x2, y, ell):
+    record = _record(3, 1, 0, 9, x=x, x2=x2, y=y, ell=ell)
+    obj, back = _round_trip(record)
+    assert [obj[name] for name in WITNESSES] == [
+        None if v is None else hex(v) for v in (x, x2, y, ell)
+    ]
+    assert back == record and back.same_json(record)
+
+
+def test_negative_witness_loads_and_fails_witness_fields():
+    coded = CodedFamily(constant_family()[0])
+    record = _record(0, 0, 1, 10, x=-3, y=5, ell=11)
+    obj, back = _round_trip(record)
+    assert obj["x"] == "-0x3" and back.x == -3
+    cert = check_diag_witness(coded, ConstructionState(), back,
+                              Requirement(back.e, back.i, back.j))
+    assert cert.verdict == FAIL
+    assert cert.checks == [
+        {"check": "witness_fields", "ok": False, "field": "x", "value": "-3"}
+    ]
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A config file and the lines of the transcript it constructs."""
+    root = tmp_path_factory.mktemp("witness-text")
+    config = {"kind": "rationals", "count": 2, "E": 2, "budget": 100000, "k_max": 8}
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps(config))
+    transcript_path = root / "t.jsonl"
+    assert main(["construct", "--config", str(config_path),
+                 "--out", str(transcript_path)]) == 0
+    lines = transcript_path.read_text().splitlines()
+    assert json.loads(lines[1])["x"] is not None
+    return config_path, lines
+
+
+# Witness values hex() never writes, most of which int(text, 16) reads.
+NOT_HEX = {
+    "no_digits": "0x",
+    "leading_zero": "0x00",
+    "upper_prefix": "0X1f",
+    "upper_digits": "0x1F",
+    "plus": "+0x1",
+    "space": " 0x1",
+    "underscore": "0x1_0",
+    "no_prefix": "1f",
+    "minus_zero": "-0x0",
+    "json_number": 31,
+}
+
+
+@pytest.mark.parametrize("name", NOT_HEX)
+def test_witness_not_hex_text_is_a_load_error(name, written, tmp_path, capsys):
+    config_path, lines = written
+    record = json.loads(lines[1])
+    record["x"] = NOT_HEX[name]
+    transcript_path = tmp_path / "t.jsonl"
+    transcript_path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+    code = main(["verify", "--config", str(config_path),
+                 "--transcript", str(transcript_path),
+                 "--report", str(tmp_path / "r.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "%s:2:" % transcript_path in err and "hex" in err
+    assert not (tmp_path / "r.jsonl").exists()
