@@ -2,15 +2,21 @@
 
 Target blocks partition the naturals into runs of length k!; each profile
 stretches them into source blocks of length floor(u(k) * k!). A coded family
-keeps one TargetBlocks, the only k! table: its source blocks read k! from it
-and cache their endpoints, so a source block's length is the difference of two
-endpoints. Each source block also caches its exact ratio k!/|K_k| as a pair
-(n, d): where the profile value p/q has q | p * k!, the pair is (q, p), shared
-by every block with that value, so the compression maps multiply and divide by
-small integers instead of k!-wide ones; elsewhere it is (k!, |K_k|). Caches
-grow on demand (the stage construction can reference very large block indices,
-so precomputing to a fixed bound would be wrong); block location is a binary
-search over the cached monotone endpoints.
+keeps one TargetBlocks, the only k! table; its source blocks cache their
+endpoints, so a source block's length is the difference of two endpoints.
+
+Each source block also caches its exact ratio k!/|K_k| as a pair (n, d). A
+profile value p/q is reduced, so q | p * k! exactly when q | k!, which then
+holds at every later block. A source decides that once per denominator q, by
+the remainder at the first block where it is 0, and from there carries the
+quotient k!/q forward by multiplying by block indices: such a block costs a
+small multiply and an add, its length is p * (k!/q), and its ratio is (q, p),
+one pair shared by every block with that value, so the compression maps scale
+by small integers instead of k!-wide ones. Before that block the length is
+floor(p * k! / q), read off the target's k!, and the ratio is (k!, |K_k|).
+Caches grow on demand (the stage construction can reference very large block
+indices, so precomputing to a fixed bound would be wrong); block location is
+a binary search over the cached monotone endpoints.
 """
 
 from __future__ import annotations
@@ -30,12 +36,17 @@ class TargetBlocks:
         self._ends = [0, 1]   # a_0 .. a_{K+1} with K = len(_fact) - 1
 
     def _extend(self, k: int | None = None, beyond: int | None = None) -> None:
-        while (k is not None and len(self._ends) <= k + 1) or (
-            beyond is not None and self._ends[-1] <= beyond
-        ):
-            nxt = len(self._fact)
-            self._fact.append(self._fact[-1] * nxt)
-            self._ends.append(self._ends[-1] + self._fact[-1])
+        facts, ends = self._fact, self._ends
+        # Endpoints are natural, so a bound of -1 never holds.
+        last = -1 if k is None else k
+        bound = -1 if beyond is None else beyond
+        m, fact, a = len(facts), facts[-1], ends[-1]
+        while m <= last or a <= bound:
+            fact *= m
+            a += fact
+            facts.append(fact)
+            ends.append(a)
+            m += 1
 
     def endpoint(self, k: int) -> int:
         if k >= len(self._ends):
@@ -64,8 +75,9 @@ class TargetBlocks:
 class SourceBlocks:
     """Per-profile endpoints b_0 = 0, b_{k+1} = b_k + floor(u(k) * k!).
 
-    k! comes from targets, the family's shared TargetBlocks. Each block also
-    keeps its exact ratio k!/|K_k|.
+    Each block also keeps its exact ratio k!/|K_k|. k! comes from targets, the
+    family's shared TargetBlocks, only until the block's quotient k!/q is
+    exact.
     """
 
     def __init__(
@@ -78,27 +90,54 @@ class SourceBlocks:
         # (q, p) of each profile value p/q met so far, band-checked once; keyed
         # by the pair itself, since Fraction.__hash__ is slow pure Python.
         self._reduced: dict[tuple[int, int], tuple[int, int]] = {}
+        # q -> (m, m!/q) at the last block m with denominator q, from the
+        # first block where q | m! on.
+        self._exact: dict[int, tuple[int, int]] = {}
+        # The last block's profile value and its reduced pair.
+        self._last: tuple[Fraction | None, tuple[int, int] | None] = (None, None)
 
     def _extend(self, k: int | None = None, beyond: int | None = None) -> None:
-        ends = self._ends
-        while (k is not None and len(ends) <= k + 1) or (
-            beyond is not None and ends[-1] <= beyond
-        ):
-            m = len(ends) - 1
-            u = self._profile(m)
-            key = (u.denominator, u.numerator)
-            reduced = self._reduced.get(key)
-            if reduced is None:
-                if not ONE < u < TWO:
-                    raise ValueError(
-                        "profile value %s at block %d outside (1, 2)" % (u, m)
-                    )
-                reduced = self._reduced[key] = key
-            q, p = reduced
-            fact = self._targets.size(m)
-            ln, rem = divmod(p * fact, q)
-            ends.append(ends[-1] + ln)
-            self._ratios.append((fact, ln) if rem else reduced)
+        ends, ratios, exact = self._ends, self._ratios, self._exact
+        profile, reduced, size = self._profile, self._reduced, self._targets.size
+        last_u, pair = self._last
+        # Endpoints are natural, so a bound of -1 never holds.
+        last = -1 if k is None else k
+        bound = -1 if beyond is None else beyond
+        m = len(ends) - 1
+        b = ends[m]
+        while m <= last or b <= bound:
+            u = profile(m)
+            if u is not last_u:
+                last_u = u
+                key = (u.denominator, u.numerator)
+                pair = reduced.get(key)
+                if pair is None:
+                    if not ONE < u < TWO:
+                        raise ValueError(
+                            "profile value %s at block %d outside (1, 2)" % (u, m)
+                        )
+                    pair = reduced[key] = key
+            q, p = pair
+            cursor = exact.get(q)
+            if cursor is not None:
+                m0, quo = cursor
+                # After a gap, m!/q is one division of the target's m!.
+                quo = quo * m if m - m0 == 1 else size(m) // q
+                exact[q] = (m, quo)
+                ln = p * quo
+                ratios.append(pair)
+            else:
+                fact = size(m)
+                ln, rem = divmod(p * fact, q)
+                if rem:
+                    ratios.append((fact, ln))
+                else:
+                    exact[q] = (m, ln // p)
+                    ratios.append(pair)
+            b += ln
+            ends.append(b)
+            m += 1
+        self._last = (last_u, pair)
 
     def length(self, k: int) -> int:
         """|K_k| = floor(u(k) * k!) = b_{k+1} - b_k."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -100,6 +101,20 @@ def _writing(path, write, *args, **kwargs):
         return write(*args, **kwargs)
     except OSError as exc:
         raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc)) from exc
+
+
+def _writable_dir(path: str) -> bool:
+    return os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output file before any work is spent on it: an existing file
+    must open for writing (it is not truncated here), and a new one needs a
+    writable directory."""
+    if os.path.isfile(path):
+        os.close(_writing(path, os.open, path, os.O_WRONLY))
+    elif os.path.isdir(path) or not _writable_dir(os.path.dirname(path) or os.curdir):
+        raise UsageError("cannot write %s: not a file in a writable directory" % path)
 
 
 def _out_stream(path: str | None):
@@ -195,6 +210,7 @@ def _cmd_construct(args) -> int:
         raise UsageError("%s scenarios run no construction" % config.kind)
     if args.stages is not None and args.stages < 1:
         raise UsageError("--stages must be at least 1")
+    _check_writable(args.out)
     *_, transcript = construct(config, args.stages)
     _writing(args.out, transcript.write_jsonl, args.out)
     print("stages,%d" % len(transcript.records))
@@ -207,6 +223,7 @@ def _cmd_verify(args) -> int:
         transcript = Transcript.read_jsonl(args.transcript)
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc))
+    _check_writable(args.report)
     certs = verify_transcript(config, transcript)
     _writing(args.report, write_report, certs, args.report)
     code = report_exit_code(certs)
@@ -253,6 +270,12 @@ def _cmd_scenario(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     outdir = args.outdir or ("out-%s" % args.scenario_kind)
+    # write_outputs makes outdir; its nearest existing ancestor must allow that.
+    ancestor = os.path.abspath(outdir)
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not _writable_dir(ancestor):
+        raise UsageError("cannot write %s: %s is no writable directory" % (outdir, ancestor))
     result = run_scenario(config)
     _writing(outdir, write_outputs, result, outdir)
     for cert in result.certificates:

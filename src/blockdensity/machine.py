@@ -3,9 +3,10 @@
 Instructions are INC r (increment a register), DECJZ r t (decrement register r,
 or jump to t when it is zero) and HALT. Every natural number decodes to a
 program through iterated Cantor unpairing, jump targets clamping to the program
-end, so the enumeration is total. Input goes into register 0 and the output is
-register 0 at the halt; runs are step-bounded and exceeding the budget is
-reported explicitly, never silently.
+end, so the enumeration is total. A program is an immutable tuple of
+instruction tuples, so decode memoizes it per index. Input goes into register 0
+and the output is register 0 at the halt; runs are step-bounded and exceeding
+the budget is reported explicitly, never silently.
 
 run_program is the one literal runner. tail_behavior decides at once every
 input above the budget, and, when its path halts after S steps, every input
@@ -15,6 +16,7 @@ witness literally instead of trusting it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Union
 
 from .numerics import cantor_unpair
@@ -24,7 +26,8 @@ DECJZ = "DECJZ"
 HALT = "HALT"
 
 Instruction = tuple
-Program = list
+# Immutable, so decode can hand one cached program to every caller.
+Program = tuple
 
 # Steps run_program simulates before it starts recording states.
 _CYCLE_CHECK_AFTER = 64
@@ -56,8 +59,9 @@ class TailDiverges(NamedTuple):
     """Every input above the budget exhausts the budget."""
 
 
+@lru_cache(maxsize=4096)
 def decode(e: int) -> Program:
-    """Total decoding of a natural number into a program."""
+    """Total decoding of a natural number into a program, once per index."""
     if e < 0:
         raise ValueError("program index must be a natural number")
     count, body = cantor_unpair(e)
@@ -65,7 +69,7 @@ def decode(e: int) -> Program:
     for _ in range(count):
         code, body = cantor_unpair(body)
         codes.append(code)
-    program: Program = []
+    program = []
     for code in codes:
         tag, operand = cantor_unpair(code)
         if tag == 0:
@@ -75,7 +79,7 @@ def decode(e: int) -> Program:
             program.append((DECJZ, r, min(target, count)))
         else:
             program.append((HALT,))
-    return program
+    return tuple(program)
 
 
 def identity_index() -> int:

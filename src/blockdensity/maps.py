@@ -8,7 +8,7 @@ small-denominator profiles is q/p, so they cost time linear in the size of
 their arguments rather than a k!-wide multiply and divide. Pointwise dominated
 pairs get blockwise translations, and the block collapse map witnesses that a
 block-constant set reduces to itself nontrivially. A family's source blocks
-all read k! from its one shared table of target blocks.
+share its one table of target blocks.
 """
 
 from __future__ import annotations

@@ -8,6 +8,12 @@ family on even indices with the oscillating one on odd indices. A gap
 certificate names the ordered index pairs that are scheduled for
 diagonalization, with a positive rational gap and a strictly increasing
 selector of witness blocks.
+
+A family is built from one primitive, a per-index profile builder
+i -> (k -> u_i(k)), and builds each index's profile once: a constant index
+returns its fixed rational, an order-driven index asks the order once per
+valuation class and remembers the answer, and a combined index is the profile
+of the half it reads.
 """
 
 from __future__ import annotations
@@ -30,21 +36,29 @@ _NOT_NATURAL = "profile evaluation needs natural arguments"
 
 
 class ProfileFamily:
-    """A total map (index, block) -> density in (1, 2)."""
+    """A total map (index, block) -> density in (1, 2).
 
-    def __init__(self, value_fn: Callable[[int, int], Fraction]) -> None:
-        self._value = value_fn
+    Built from one per-index profile builder i -> (k -> u_i(k)); each index's
+    profile is built once, and value(i, k) reads it.
+    """
 
-    def value(self, i: int, k: int) -> Fraction:
-        if i < 0 or k < 0:
-            raise ValueError(_NOT_NATURAL)
-        return self._value(i, k)
+    def __init__(self, build: Callable[[int], Callable[[int], Fraction]]) -> None:
+        self._build = build
+        self._profiles: dict[int, Callable[[int], Fraction]] = {}
 
     def profile(self, i: int) -> Callable[[int], Fraction]:
         """The single-index density function k -> u_i(k), for natural i."""
-        if i < 0:
+        u = self._profiles.get(i)
+        if u is None:
+            if i < 0:
+                raise ValueError(_NOT_NATURAL)
+            u = self._profiles[i] = self._build(i)
+        return u
+
+    def value(self, i: int, k: int) -> Fraction:
+        if k < 0:
             raise ValueError(_NOT_NATURAL)
-        return lambda k: self._value(i, k)
+        return self.profile(i)(k)
 
 
 class GapCertificate:
@@ -98,7 +112,11 @@ def _check_band(alpha: Fraction, beta: Fraction) -> None:
 
 def constant_family() -> tuple[ProfileFamily, GapCertificate]:
     """Index i carries the fixed density q_i from the rational enumeration."""
-    family = ProfileFamily(lambda i, k: enum_rationals_12(i))
+    def profile(i: int) -> Callable[[int], Fraction]:
+        u = enum_rationals_12(i)
+        return lambda k: u
+
+    family = ProfileFamily(profile)
     cert = GapCertificate(
         lambda i, j: enum_rationals_12(i) > enum_rationals_12(j),
         lambda i, j: enum_rationals_12(i) - enum_rationals_12(j),
@@ -114,18 +132,31 @@ def poset_family(
 
     The order must expose a total decision procedure leq(a, b); pairs (i, j)
     with i not below j are scheduled. A block k > 0 lies in exactly one
-    valuation class, so one valuation plus one order query decides the value.
+    valuation class, so its valuation decides the value; each index's profile
+    asks the order once per valuation class it meets.
     """
     _check_band(alpha, beta)
     if not hasattr(order, "leq"):
         raise ValueError("order must provide a leq(a, b) decision procedure")
 
-    def value(i: int, k: int) -> Fraction:
-        if k > 0 and order.leq(two_adic_valuation(k), i):
-            return beta
-        return alpha
+    def profile(i: int) -> Callable[[int], Fraction]:
+        # The value on each valuation class met so far, keyed by the class's
+        # lowest set bit 2^v.
+        classes: dict[int, Fraction] = {}
 
-    family = ProfileFamily(value)
+        def u(k: int) -> Fraction:
+            if k <= 0:
+                return alpha
+            low = k & -k
+            value = classes.get(low)
+            if value is None:
+                below = order.leq(two_adic_valuation(k), i)
+                value = classes[low] = beta if below else alpha
+            return value
+
+        return u
+
+    family = ProfileFamily(profile)
     cert = GapCertificate(
         lambda i, j: not order.leq(i, j),
         lambda i, j: beta - alpha,
@@ -152,7 +183,7 @@ def combined_family(
     family at m; even and odd indices are never scheduled against each other.
     """
     halves = (constant_family(), oscillating_family(alpha, beta))
-    family = ProfileFamily(lambda i, k: halves[i % 2][0]._value(i // 2, k))
+    family = ProfileFamily(lambda i: halves[i % 2][0].profile(i // 2))
     cert = GapCertificate(
         lambda i, j: i % 2 == j % 2 and halves[i % 2][1]._in_d(i // 2, j // 2),
         lambda i, j: halves[i % 2][1]._delta(i // 2, j // 2),

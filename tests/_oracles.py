@@ -235,6 +235,21 @@ def combined_formulas(alpha, beta, count: int):
     return value, in_d, delta, s
 
 
+def constant_value(i: int, k: int) -> Fraction:
+    """u_i(k) of the constant family: the i-th rational in (1, 2)."""
+    return Fraction(*rationals_between_one_and_two(i + 1)[i])
+
+
+def poset_value(leq, alpha, beta):
+    """u_i(k) of the order-driven family over the order decided by leq: beta
+    on the blocks whose valuation class lies below i, found by scanning the
+    classes."""
+    def value(i, k):
+        n = next((n for n in range(k.bit_length()) if in_Z(n, k)), None)
+        return beta if n is not None and leq(n, i) else alpha
+    return value
+
+
 def gap_check(family, cert, i: int, j: int, T: int) -> bool:
     """Check the gap inequality at the first T selected blocks of pair (i, j)."""
     delta = cert.delta(i, j)
@@ -295,6 +310,6 @@ FAMILIES = {
                      ALPHA, BETA)[0],
         (0, 2),
     ),
-    "prime_denominator": (ProfileFamily(lambda i, k: PRIME_DEN), (0,)),
+    "prime_denominator": (ProfileFamily(lambda i: lambda k: PRIME_DEN), (0,)),
 }
 KS = [*range(13), 1007, 1008, 1009, 1010, 3000]

@@ -1,10 +1,17 @@
+import functools
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockdensity.blocks import SourceBlocks, TargetBlocks
+from blockdensity.maps import CodedFamily
+from blockdensity.posets import UniversalPoset
+from blockdensity.profiles import oscillating_family, poset_family
+from blockdensity.verify import block_walk
 
-from _oracles import factorial, source_endpoints, target_endpoints
+from _oracles import FAMILIES, factorial, source_endpoints, target_endpoints
 
 
 def const(q):
@@ -111,3 +118,64 @@ def test_ratio_is_reduced_exactly_where_q_divides_p_k_factorial():
     assert src.ratio(1009) is src.ratio(1010)
     assert source(Fraction(5, 4)).ratio(3) == (6, 7)
     assert source(Fraction(5, 4)).ratio(4) == (4, 5)
+
+
+# Production geometry against verify.block_walk, which sums blocks from the
+# profile alone: the oracle families (every kind, and 1013/1009, whose quotient
+# k!/q turns exact only at block 1009), the pair 6/5 with 9/7, so that a
+# quotient resumes after a gap (2, 4 and 16 blocks), and a poset family over
+# the generic order.
+GEOMETRY_FAMILIES = {
+    **FAMILIES,
+    "gap_pair": (oscillating_family(Fraction(6, 5), Fraction(9, 7))[0], (0, 1, 3)),
+    "universal": (poset_family(UniversalPoset(), Fraction(5, 4), Fraction(7, 4))[0], (0, 2)),
+}
+WALK_BLOCKS = 1013
+
+
+@functools.cache
+def walk(kind, i):
+    """(k!, a_k, a_{k+1}, b_k, |K_k|) for k < WALK_BLOCKS."""
+    family, _ = GEOMETRY_FAMILIES[kind]
+    return list(islice(block_walk(family.profile(i)), WALK_BLOCKS))
+
+
+BLOCK = st.one_of(st.integers(0, 40), st.integers(1000, WALK_BLOCKS - 2))
+OPS = st.lists(
+    st.tuples(st.sampled_from(["targets", "locate", "endpoint", "length", "ratio"]),
+              st.integers(0, 3), BLOCK, st.integers(0, 2**80)),
+    min_size=1, max_size=10,
+)
+
+
+@settings(max_examples=40)
+@pytest.mark.parametrize("kind", sorted(GEOMETRY_FAMILIES))
+@given(ops=OPS)
+def test_geometry_matches_block_walk_in_any_access_order(kind, ops):
+    family, indices = GEOMETRY_FAMILIES[kind]
+    coded = CodedFamily(family)
+    exact_pairs = {}
+    for op, pick, k, offset in ops:
+        i = indices[pick % len(indices)]
+        fact, a, _, b, ln = walk(kind, i)[k]
+        if op == "targets":
+            # Sources made after this read targets that are already long.
+            assert coded.targets.endpoint(k) == a and coded.targets.size(k) == fact
+            continue
+        src = coded.source(i)
+        if op == "locate":
+            r = offset % ln
+            assert src.locate(b + r) == (k, r)
+        elif op == "endpoint":
+            assert src.endpoint(k) == b
+        elif op == "length":
+            assert src.length(k) == ln
+        else:
+            u = family.value(i, k)
+            q, p = u.denominator, u.numerator
+            if p * fact % q:
+                assert src.ratio(k) == (fact, ln)
+            else:
+                assert src.ratio(k) == (q, p)
+                # One shared pair per value over all of the value's exact blocks.
+                assert exact_pairs.setdefault((i, q, p), src.ratio(k)) is src.ratio(k)

@@ -583,6 +583,74 @@ def test_unwritable_output_is_usage_error(command, constructed, tmp_path, capsys
     assert captured.out == ""
 
 
+# command -> (the cli function that does its work, argv with the output path
+# "{out}"). scenario's write_outputs makes a missing output directory, so
+# only a regular file in the way stops it.
+WORK_AFTER_OUTPUT = {
+    "construct": ("construct", ["construct", "--config", "{config}", "--out", "{out}"]),
+    "verify": ("verify_transcript",
+               ["verify", "--config", "{config}", "--transcript", "{transcript}",
+                "--report", "{out}"]),
+    "scenario": ("run_scenario", ["scenario", "rationals", "--count", "2", "--E", "1",
+                                  "--outdir", "{out}"]),
+}
+
+# bad -> the output path; "readonly" is an existing file of mode 0o444.
+BAD_OUTPUT = {"missing": "missing/x", "file": "file/x", "readonly": "readonly",
+              "directory": "."}
+
+_ROOT_WRITES_ANY_FILE = pytest.mark.skipif(
+    os.geteuid() == 0, reason="root may write a file of mode 0o444")
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("construct", "missing"), ("construct", "file"), ("construct", "directory"),
+    pytest.param("construct", "readonly", marks=_ROOT_WRITES_ANY_FILE),
+    ("verify", "missing"), ("verify", "file"),
+    pytest.param("verify", "readonly", marks=_ROOT_WRITES_ANY_FILE),
+    ("scenario", "file"),
+])
+def test_unwritable_output_is_refused_before_the_work(
+    command, bad, constructed, monkeypatch, tmp_path, capsys
+):
+    config_path, records = constructed
+    transcript_path = tmp_path / "t.jsonl"
+    transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    (tmp_path / "file").write_text("")
+    readonly = tmp_path / "readonly"
+    readonly.write_text("kept\n")
+    readonly.chmod(0o444)
+    work, argv = WORK_AFTER_OUTPUT[command]
+
+    def reached(*args, **kwargs):
+        raise AssertionError("%s ran before its output was checked" % work)
+
+    monkeypatch.setattr(cli, work, reached)
+    out = tmp_path / BAD_OUTPUT[bad]
+    paths = {"config": config_path, "transcript": transcript_path, "out": out}
+    argv = [word.format(**paths) for word in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: cannot write %s" % out)
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+    assert readonly.read_text() == "kept\n"
+
+
+def test_scenario_makes_no_outdir_before_its_work(monkeypatch, tmp_path, capsys):
+    def fails(*args, **kwargs):
+        raise RuntimeError("work failed")
+
+    monkeypatch.setattr(cli, "run_scenario", fails)
+    outdir = tmp_path / "missing" / "out"
+    code = main(["scenario", "rationals", "--count", "2", "--E", "1",
+                 "--outdir", str(outdir)])
+    assert code == 4
+    assert "RuntimeError" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
 def _set(index, key, change):
     def edit(records):
         records[index][key] = change(records[index][key])

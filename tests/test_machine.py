@@ -32,7 +32,15 @@ BOUNDARY = [(DECJZ, 0, 2), (HALT,), (INC, 0)]
 
 
 def test_decode_zero_is_empty_program():
-    assert decode(0) == []
+    assert decode(0) == ()
+
+
+def test_decode_returns_one_immutable_program_per_index():
+    for e in (0, 76, 4462):
+        program = decode(e)
+        assert program is decode(e)
+        assert isinstance(program, tuple)
+        assert all(isinstance(ins, tuple) for ins in program)
 
 
 def test_identity_index_is_stable_and_identity():

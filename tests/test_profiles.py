@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from blockdensity.posets import FinitePoset, PaddedFiniteOrder
+from blockdensity.posets import FinitePoset, PaddedFiniteOrder, UniversalPoset
 from blockdensity.profiles import (
     combined_family,
     constant_family,
@@ -12,7 +12,9 @@ from blockdensity.profiles import (
     two_adic_valuation,
 )
 
-from _oracles import combined_formulas, gap_check, in_Z, oscillating_formulas
+from _oracles import (
+    combined_formulas, constant_value, gap_check, in_Z, oscillating_formulas, poset_value,
+)
 
 ALPHA = Fraction(5, 4)
 BETA = Fraction(7, 4)
@@ -201,3 +203,63 @@ def test_certificate_decides_each_pair_once_and_still_refuses_the_rest():
             cert.delta(0, 2)
         assert not cert.in_D(0, 2)
     assert calls == [(2, 0)] + [(0, 2)] * 6
+
+
+class CountingOrder:
+    """An order whose leq calls are counted per (a, b)."""
+
+    def __init__(self, order):
+        self.order = order
+        self.calls = {}
+
+    def leq(self, a, b):
+        self.calls[a, b] = self.calls.get((a, b), 0) + 1
+        return self.order.leq(a, b)
+
+
+def _profile_cases():
+    """(family, closed form u(i, k)) for every family kind, by name."""
+    chain = chain_order(3)
+    cases = {
+        "constant": (constant_family()[0], constant_value),
+        "oscillating": (oscillating_family(ALPHA, BETA)[0], oscillating_formulas(ALPHA, BETA)[0]),
+        "combined": (combined_family(Fraction(6, 5), Fraction(9, 7))[0],
+                     combined_formulas(Fraction(6, 5), Fraction(9, 7), 8)[0]),
+        "poset": (poset_family(chain, ALPHA, BETA)[0], poset_value(chain.leq, ALPHA, BETA)),
+        "universal": (poset_family(UniversalPoset(), ALPHA, BETA)[0],
+                      poset_value(UniversalPoset().leq, ALPHA, BETA)),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("family, formula", _profile_cases())
+def test_profile_closure_and_value_match_the_closed_form(family, formula):
+    for i in range(16):
+        u = family.profile(i)
+        assert family.profile(i) is u
+        for k in range(300):
+            want = formula(i, k)
+            assert u(k) == family.value(i, k) == want, (i, k)
+
+
+@pytest.mark.parametrize("order", [chain_order(4), UniversalPoset()], ids=["chain", "universal"])
+def test_poset_profile_asks_the_order_once_per_valuation_class(order):
+    counting = CountingOrder(order)
+    family, _ = poset_family(counting, ALPHA, BETA)
+    want = poset_value(order.leq, ALPHA, BETA)
+    for _ in range(2):
+        for i in range(12):
+            for k in range(1, 2049):
+                assert family.profile(i)(k) == family.value(i, k) == want(i, k)
+    # Blocks 1 .. 2048 meet the valuation classes 0 .. 11 of each index.
+    assert sorted(counting.calls) == [(v, i) for v in range(12) for i in range(12)]
+    assert set(counting.calls.values()) == {1}
+
+
+def test_profile_refuses_negative_arguments():
+    family, _ = constant_family()
+    for bad in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            family.value(*bad)
+    with pytest.raises(ValueError):
+        family.profile(-1)
