@@ -5,15 +5,16 @@ stretches them into source blocks of length floor(u(k) * k!). A coded family
 keeps one TargetBlocks, the only k! table; its source blocks cache their
 endpoints, so a source block's length is the difference of two endpoints.
 
-Each source block also caches its exact ratio k!/|K_k| as a pair (n, d). A
-profile value p/q is reduced, so q | p * k! exactly when q | k!, which then
-holds at every later block. A source decides that once per denominator q, by
-the remainder at the first block where it is 0, and from there carries the
-quotient k!/q forward by multiplying by block indices: such a block costs a
-small multiply and an add, its length is p * (k!/q), and its ratio is (q, p),
-one pair shared by every block with that value, so the compression maps scale
-by small integers instead of k!-wide ones. Before that block the length is
-floor(p * k! / q), read off the target's k!, and the ratio is (k!, |K_k|).
+A profile value p/q is reduced, so q | p * k! exactly when q | k!, which then
+holds at every later block. A source finds that first block once per
+denominator q, by the remainder, and keeps it. Its extension is one loop over
+a cursor in locals: the last value, its pair (q, p) found by the value
+object's id, and the quotient k!/q. Once q | k!, a block costs a small
+multiply and an add, p * (k!/q); before, floor(p * k! / q) reads the target's
+k!. Only a change of denominator touches state per q: one division (k-1)!/q.
+ratio(k), k!/|K_k| exactly as a pair (n, d), is derived on demand: (q, p) from
+q's first exact block on, one pair shared by the value's blocks, so the maps
+scale by small integers; (k!, |K_k|) before it.
 Caches grow on demand (the stage construction can reference very large block
 indices, so precomputing to a fixed bound would be wrong); block location is
 a binary search over the cached monotone endpoints.
@@ -73,33 +74,26 @@ class TargetBlocks:
 
 
 class SourceBlocks:
-    """Per-profile endpoints b_0 = 0, b_{k+1} = b_k + floor(u(k) * k!).
+    """Per-profile endpoints b_0 = 0, b_{k+1} = b_k + floor(u(k) * k!)."""
 
-    Each block also keeps its exact ratio k!/|K_k|. k! comes from targets, the
-    family's shared TargetBlocks, only until the block's quotient k!/q is
-    exact.
-    """
-
-    def __init__(
-        self, profile: Callable[[int], Fraction], targets: TargetBlocks
-    ) -> None:
+    def __init__(self, profile: Callable[[int], Fraction], targets: TargetBlocks) -> None:
         self._profile = profile
         self._targets = targets
         self._ends = [0]
-        self._ratios: list[tuple[int, int]] = []
-        # (q, p) of each profile value p/q met so far, band-checked once; keyed
-        # by the pair itself, since Fraction.__hash__ is slow pure Python.
-        self._reduced: dict[tuple[int, int], tuple[int, int]] = {}
-        # q -> (m, m!/q) at the last block m with denominator q, from the
-        # first block where q | m! on.
-        self._exact: dict[int, tuple[int, int]] = {}
-        # The last block's profile value and its reduced pair.
-        self._last: tuple[Fraction | None, tuple[int, int] | None] = (None, None)
+        # id(u) -> (u, (q, p)) per value object met, band-checked once; u is
+        # held so that its id is not reused.
+        self._pairs: dict[int, tuple[Fraction, tuple[int, int]]] = {}
+        # q -> the first block m with q | m!, once a block of q reaches it.
+        self._first: dict[int, int] = {}
+        # The last block m's value u = p/q, then p, q and m!/q (0 before q | m!).
+        self._cursor: tuple = (None, 0, 0, 0)
+        # ratio's last block and answer: the maps ask about a block in runs.
+        self._asked: tuple = (-1, None)
 
     def _extend(self, k: int | None = None, beyond: int | None = None) -> None:
-        ends, ratios, exact = self._ends, self._ratios, self._exact
-        profile, reduced, size = self._profile, self._reduced, self._targets.size
-        last_u, pair = self._last
+        ends, pairs, first = self._ends, self._pairs, self._first
+        profile, size = self._profile, self._targets.size
+        last_u, p, q, quo = self._cursor
         # Endpoints are natural, so a bound of -1 never holds.
         last = -1 if k is None else k
         bound = -1 if beyond is None else beyond
@@ -109,35 +103,30 @@ class SourceBlocks:
             u = profile(m)
             if u is not last_u:
                 last_u = u
-                key = (u.denominator, u.numerator)
-                pair = reduced.get(key)
-                if pair is None:
+                entry = pairs.get(id(u))
+                if entry is None:
                     if not ONE < u < TWO:
                         raise ValueError(
                             "profile value %s at block %d outside (1, 2)" % (u, m)
                         )
-                    pair = reduced[key] = key
-            q, p = pair
-            cursor = exact.get(q)
-            if cursor is not None:
-                m0, quo = cursor
-                # After a gap, m!/q is one division of the target's m!.
-                quo = quo * m if m - m0 == 1 else size(m) // q
-                exact[q] = (m, quo)
+                    entry = pairs[id(u)] = (u, (u.denominator, u.numerator))
+                uq, p = entry[1]
+                if uq != q:
+                    # A new denominator: (m - 1)!/q by one division, if exact.
+                    q = uq
+                    quo = size(m - 1) // q if q in first else 0
+            if quo:
+                quo *= m
                 ln = p * quo
-                ratios.append(pair)
             else:
-                fact = size(m)
-                ln, rem = divmod(p * fact, q)
-                if rem:
-                    ratios.append((fact, ln))
-                else:
-                    exact[q] = (m, ln // p)
-                    ratios.append(pair)
+                ln, rem = divmod(p * size(m), q)
+                if not rem:
+                    first[q] = m
+                    quo = ln // p
             b += ln
             ends.append(b)
             m += 1
-        self._last = (last_u, pair)
+        self._cursor = (last_u, p, q, quo)
 
     def length(self, k: int) -> int:
         """|K_k| = floor(u(k) * k!) = b_{k+1} - b_k."""
@@ -147,9 +136,18 @@ class SourceBlocks:
 
     def ratio(self, k: int) -> tuple[int, int]:
         """(n, d) with n / d = k! / |K_k| exactly; (q, p) when q | p * k!."""
-        if k >= len(self._ratios):
+        if k == self._asked[0]:
+            return self._asked[1]
+        ends = self._ends
+        if k + 1 >= len(ends):
             self._extend(k=k)
-        return self._ratios[k]
+        u = self._profile(k)
+        entry = self._pairs.get(id(u))
+        pair = (u.denominator, u.numerator) if entry is None else entry[1]
+        if self._first.get(pair[0], k + 1) > k:
+            pair = self._targets.size(k), ends[k + 1] - ends[k]
+        self._asked = (k, pair)
+        return pair
 
     def endpoint(self, k: int) -> int:
         if k >= len(self._ends):

@@ -23,7 +23,8 @@ Transcripts hold witnesses as hex text, exactly what hex() writes. The big
 witnesses sit at or next to block endpoints b_i(k) or b_j(k + 1), which reach
 thousands of digits; CPython converts such ints to and from decimal in
 quadratic time but to and from hex in linear time, and the int/str digit
-limit does not apply to hex.
+limit does not apply to hex. Each line is one fixed %-template filled in, the
+bytes json.dumps writes for the record's object, with no dict or encoder call.
 """
 
 from __future__ import annotations
@@ -89,27 +90,8 @@ class StageRecord(NamedTuple):
     y: int | None = None
     ell: int | None = None
 
-    def to_json(self) -> dict:
-        """The JSON object; each witness is null or its hex() text."""
-        x, x2, y, ell = (None if v is None else hex(v)
-                         for v in (self.x, self.x2, self.y, self.ell))
-        return {
-            "stage": self.stage,
-            "e": self.e,
-            "i": self.i,
-            "j": self.j,
-            "k": self.k,
-            "branch": self.branch,
-            "x": x,
-            "x2": x2,
-            "y": y,
-            "ell": ell,
-            "budget": self.budget,
-            "M_after": self.m_after,
-        }
-
     def same_json(self, other: "StageRecord") -> bool:
-        """Whether both records give the same to_json text, without encoding them.
+        """Whether both records give the same transcript line, without encoding them.
 
         Equal fields are not enough: 3.0 or true read from a file compare
         equal to 3 or 1 but encode differently, so the fields written as JSON
@@ -409,6 +391,11 @@ def run_stage(
     return record
 
 
+# A transcript line: the twelve keys in order, each witness "hex() text" or null.
+_LINE = ('{"stage": %d, "e": %d, "i": %d, "j": %d, "k": %d, "branch": "%s", '
+         '"x": %s, "x2": %s, "y": %s, "ell": %s, "budget": %d, "M_after": %d}\n')
+
+
 class Transcript:
     """The stage records of one run, in stage order."""
 
@@ -416,9 +403,18 @@ class Transcript:
         self.records = [] if records is None else records
 
     def lines(self) -> Iterator[str]:
-        """The JSON Lines text, one line at a time."""
-        for record in self.records:
-            yield json.dumps(record.to_json()) + "\n"
+        """The JSON Lines text, one line at a time: json.dumps's bytes for
+        records with int fields and one of the three branches, as run_stage
+        makes them."""
+        for stage, e, i, j, k, branch, budget, m_after, x, x2, y, ell in self.records:
+            yield _LINE % (
+                stage, e, i, j, k, branch,
+                "null" if x is None else '"' + hex(x) + '"',
+                "null" if x2 is None else '"' + hex(x2) + '"',
+                "null" if y is None else '"' + hex(y) + '"',
+                "null" if ell is None else '"' + hex(ell) + '"',
+                budget, m_after,
+            )
 
     def to_jsonl(self) -> str:
         return "".join(self.lines())
@@ -426,8 +422,7 @@ class Transcript:
     def write_jsonl(self, path) -> None:
         """Write the lines as they are made, never the whole text at once."""
         with open(path, "w", encoding="utf-8") as handle:
-            for line in self.lines():
-                handle.write(line)
+            handle.writelines(self.lines())
 
     @staticmethod
     def read_jsonl(path) -> "Transcript":

@@ -74,6 +74,10 @@ class ScenarioConfig(NamedTuple):
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ValueError("kind must be one of %s, got %r" % (", ".join(KINDS), self.kind))
+        for name in ("count", "budget", "e_bound", "k_max", "stages"):
+            value = getattr(self, name)
+            if not _is_int(value) and (name != "stages" or value is not None):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if not Fraction(1) < self.alpha < self.beta < Fraction(2):
@@ -421,10 +425,13 @@ def write_outputs(result: ScenarioResult, outdir: str | Path) -> None:
     write_report(result.certificates, outdir / "report.jsonl")
 
 
+# json.dumps's encoder less its cycle check, which a report's fresh trees skip.
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
 def write_report(certs: list[Certificate], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for cert in certs:
-            handle.write(json.dumps(cert.to_json()) + "\n")
+        handle.writelines(_encode(cert.to_json()) + "\n" for cert in certs)
 
 
 def verify_transcript(config: ScenarioConfig, transcript: Transcript):

@@ -50,7 +50,6 @@ from .construction import (
     RequirementSchedule,
     StageRecord,
     Transcript,
-    eval_A,
     run_construction,
 )
 from .machine import Halted, OutOfBudget, decode, run_program
@@ -311,7 +310,8 @@ def check_diag_witness(
         if coded.targets.locate(hx) != record.k or coded.targets.locate(hy) != record.ell:
             cert.fail("compressed_targets")
             return cert
-        if eval_A(state, coded, hx) != 1 or eval_A(state, coded, hy) != 0:
+        # hx and hy lie in target blocks k and ell, as just checked.
+        if state.block_bit(record.k) != 1 or state.block_bit(record.ell) != 0:
             cert.fail("membership_split")
             return cert
     except FrontierUndefined as exc:

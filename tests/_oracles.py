@@ -235,6 +235,27 @@ def combined_formulas(alpha, beta, count: int):
     return value, in_d, delta, s
 
 
+def record_json(record) -> dict:
+    """The JSON object of a StageRecord, each witness null or its hex() text,
+    keyed in the order of a transcript line."""
+    x, x2, y, ell = (None if v is None else hex(v)
+                     for v in (record.x, record.x2, record.y, record.ell))
+    return {
+        "stage": record.stage,
+        "e": record.e,
+        "i": record.i,
+        "j": record.j,
+        "k": record.k,
+        "branch": record.branch,
+        "x": x,
+        "x2": x2,
+        "y": y,
+        "ell": ell,
+        "budget": record.budget,
+        "M_after": record.m_after,
+    }
+
+
 def constant_value(i: int, k: int) -> Fraction:
     """u_i(k) of the constant family: the i-th rational in (1, 2)."""
     return Fraction(*rationals_between_one_and_two(i + 1)[i])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockdensity.blocks import SourceBlocks, TargetBlocks
 from blockdensity.maps import CodedFamily
-from blockdensity.posets import UniversalPoset
+from blockdensity.posets import FinitePoset, PaddedFiniteOrder, UniversalPoset
 from blockdensity.profiles import oscillating_family, poset_family
 from blockdensity.verify import block_walk
 
@@ -123,11 +123,17 @@ def test_ratio_is_reduced_exactly_where_q_divides_p_k_factorial():
 # Production geometry against verify.block_walk, which sums blocks from the
 # profile alone: the oracle families (every kind, and 1013/1009, whose quotient
 # k!/q turns exact only at block 1009), the pair 6/5 with 9/7, so that a
-# quotient resumes after a gap (2, 4 and 16 blocks), and a poset family over
-# the generic order.
+# quotient resumes after a gap (2, 4 and 16 blocks), a poset family over a
+# chain whose 6/5 and 3/2 switch the loop's denominator on most blocks, and a
+# poset family over the generic order.
 GEOMETRY_FAMILIES = {
     **FAMILIES,
     "gap_pair": (oscillating_family(Fraction(6, 5), Fraction(9, 7))[0], (0, 1, 3)),
+    "split_denominators": (
+        poset_family(PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"])),
+                     Fraction(6, 5), Fraction(3, 2))[0],
+        (0, 1, 2),
+    ),
     "universal": (poset_family(UniversalPoset(), Fraction(5, 4), Fraction(7, 4))[0], (0, 2)),
 }
 WALK_BLOCKS = 1013

@@ -32,6 +32,16 @@ def test_config_validation_messages():
         ScenarioConfig(kind="poset", poset_rows=["11", "11"]).validate()
 
 
+@pytest.mark.parametrize("field", ["count", "budget", "e_bound", "k_max", "stages"])
+def test_config_refuses_a_bool_or_non_int_integer_field(field, tmp_path):
+    for bad in (True, False, 2.0, "2"):
+        fields = {"count": 2, "e_bound": 2, field: bad}
+        config = ScenarioConfig(kind="rationals", schedule="window", **fields)
+        with pytest.raises(ValueError, match="%s must be an integer" % field):
+            run_scenario(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+
 def test_config_json_round_trip():
     config = ScenarioConfig(kind="poset", poset_rows=["11", "01"], e_bound=4)
     again = ScenarioConfig.from_json(json.loads(json.dumps(config.to_json())))

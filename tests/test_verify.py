@@ -6,6 +6,7 @@ from blockdensity.construction import (
     BRANCH_DIAGONALIZED,
     BRANCH_NON_INJECTIVE,
     BRANCH_NON_TOTAL,
+    ConstructionState,
     RequirementSchedule,
     Transcript,
     run_construction,
@@ -127,6 +128,28 @@ def test_diag_witness_pass_and_tamper(combined_run):
     req = schedule.requirement(diagonal[0].stage)
     tampered = diagonal[0]._replace(y=diagonal[0].y + 1)
     assert check_diag_witness(coded, state, tampered, req).verdict == FAIL
+
+
+def _state(frontier, ones):
+    state = ConstructionState()
+    state.frontier, state.ones = frontier, set(ones)
+    return state
+
+
+def test_diag_witness_membership_reads_blocks_k_and_ell(combined_run):
+    coded, _, schedule, transcript, state = combined_run
+    record = next(r for r in transcript.records if r.branch == BRANCH_DIAGONALIZED)
+    req = schedule.requirement(record.stage)
+    # Without block k, or with block ell, the witness and image do not split.
+    for ones in (state.ones - {record.k}, state.ones | {record.ell}):
+        cert = check_diag_witness(coded, _state(state.frontier, ones), record, req)
+        assert cert.verdict == FAIL
+        assert cert.checks[-1] == {"check": "membership_split", "ok": False}
+    # A frontier below ell leaves the image's block undefined.
+    cert = check_diag_witness(coded, _state(record.ell - 1, state.ones), record, req)
+    assert cert.verdict == INCOMPLETE
+    assert cert.checks[-1] == {"check": "frontier", "ok": False,
+                               "needed_block": record.ell, "frontier": record.ell - 1}
 
 
 def test_diag_witness_rejects_other_branches(combined_run):

@@ -179,19 +179,18 @@ def h_apply_ceil(self, i, x):
     return self.targets.endpoint(k) - (-(r * n) // d)
 
 
-def extend_long_from(first):
-    """SourceBlocks._extend with |K_m| one too long from m = first on."""
+def extend_long_from(first, real=SourceBlocks._extend):
+    """SourceBlocks._extend with |K_m| one too long from m = first on: the
+    production loop extends, then each endpoint it appended moves by the
+    number of its new blocks from first on. The loop goes on from the moved
+    last endpoint, so the fault compounds like a wrong length would."""
     def extend(self, k=None, beyond=None):
         ends = self._ends
-        while (k is not None and len(ends) <= k + 1) or (
-            beyond is not None and ends[-1] <= beyond
-        ):
-            m = len(ends) - 1
-            u = self._profile(m)
-            fact = self._targets.size(m)
-            ln = u.numerator * fact // u.denominator + (m >= first)
-            ends.append(ends[-1] + ln)
-            self._ratios.append((fact, ln))
+        start, shift = len(ends), 0
+        real(self, k, beyond)
+        for n in range(start, len(ends)):
+            shift += n - 1 >= first
+            ends[n] += shift
     return extend
 
 
@@ -245,6 +244,18 @@ MUTATIONS = {
          ("PositiveReduction", "reference_geometry")},
     ),
 }
+
+
+@pytest.mark.parametrize("first", [5, 6])
+def test_length_mutation_plants_one_more_from_first(first, monkeypatch):
+    monkeypatch.setattr(SourceBlocks, "_extend", extend_long_from(first))
+    family = constant_family()[0]
+    src = CodedFamily(family).source(2)
+    # Out of order, so the mutated loop resumes from a moved endpoint.
+    assert src.locate(src.endpoint(9))[0] == 9
+    for k, (_, _, _, b, ln) in zip(range(12), block_walk(family.profile(2))):
+        assert src.length(k) == ln + (k >= first), k
+        assert src.endpoint(k) == b + max(0, k - first), k
 
 
 def test_gate_run_passes_unmutated():

@@ -19,6 +19,8 @@ from hypothesis import given, strategies as st
 from blockdensity.cli import main
 from blockdensity.construction import (
     BRANCH_DIAGONALIZED,
+    BRANCH_NON_INJECTIVE,
+    BRANCH_NON_TOTAL,
     ConstructionState,
     Requirement,
     StageRecord,
@@ -29,7 +31,7 @@ from blockdensity.profiles import constant_family
 from blockdensity.scenarios import SCHEDULES, ScenarioConfig, construct, prepare
 from blockdensity.verify import FAIL, PASS, check_diag_witness, check_transcript_replay
 
-from _oracles import FAMILIES, KS
+from _oracles import FAMILIES, KS, record_json
 
 WITNESSES = ("x", "x2", "y", "ell")
 
@@ -51,7 +53,7 @@ def str_digits_lifted():
 
 def _round_trip(record):
     """The JSON object record writes, and the record it reads back as."""
-    obj = json.loads(json.dumps(record.to_json()))
+    obj = json.loads(json.dumps(record_json(record)))
     return obj, StageRecord.from_json(obj)
 
 
@@ -81,7 +83,7 @@ def test_transcript_witnesses_match_str(kind, str_digits_lifted):
     lines = list(transcript.lines())
     assert len(lines) == len(transcript.records)
     for line, record in zip(lines, transcript.records):
-        assert json.loads(line) == record.to_json()
+        assert json.loads(line) == record_json(record)
         _check_round_trip(record)
     assert max(len(str(r.y)) for r in transcript.records) > 50
 
@@ -201,6 +203,28 @@ def test_stage_record_hex_round_trip(x, x2, y, ell):
         None if v is None else hex(v) for v in (x, x2, y, ell)
     ]
     assert back == record and back.same_json(record)
+
+
+# Witnesses for the line template: null, 0, either sign, and 10**4 digits.
+TEMPLATE_WITNESS = st.one_of(
+    st.none(), st.just(0), WITNESS,
+    st.builds(lambda sign, d: sign * (10**9999 + d),
+              st.sampled_from([1, -1]), st.integers(0, 1 << 70)),
+)
+NAT = st.integers(0, 10**12)
+RECORDS = st.builds(
+    StageRecord, NAT, NAT, NAT, NAT, NAT,
+    st.sampled_from([BRANCH_NON_TOTAL, BRANCH_NON_INJECTIVE, BRANCH_DIAGONALIZED]),
+    st.integers(1, 10**12), NAT,
+    TEMPLATE_WITNESS, TEMPLATE_WITNESS, TEMPLATE_WITNESS, TEMPLATE_WITNESS,
+)
+
+
+@given(record=RECORDS)
+def test_template_line_is_the_json_dumps_line(record):
+    (line,) = Transcript([record]).lines()
+    assert line == json.dumps(record_json(record)) + "\n"
+    assert StageRecord.from_json(json.loads(line)) == record
 
 
 def test_negative_witness_loads_and_fails_witness_fields():
