@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .construction import Transcript
+from .construction import TranscriptError
 from .machine import Halted, decode, program_text, run_program
 from .maps import CodedFamily
 from .numerics import rat_parse
@@ -219,12 +219,11 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
-    try:
-        transcript = Transcript.read_jsonl(args.transcript)
-    except (OSError, ValueError) as exc:
-        raise UsageError(str(exc))
     _check_writable(args.report)
-    certs = verify_transcript(config, transcript)
+    try:
+        certs = verify_transcript(config, args.transcript)
+    except (OSError, TranscriptError) as exc:
+        raise UsageError(str(exc))
     _writing(args.report, write_report, certs, args.report)
     code = report_exit_code(certs)
     for cert in certs:

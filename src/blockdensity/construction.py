@@ -19,17 +19,18 @@ block follow one control path (see machine.tail_behavior), so the branch
 decision and its least witnesses are computed exactly without scanning
 factorial-sized blocks.
 
-Transcripts hold witnesses as hex text, exactly what hex() writes. The big
-witnesses sit at or next to block endpoints b_i(k) or b_j(k + 1), which reach
-thousands of digits; CPython converts such ints to and from decimal in
-quadratic time but to and from hex in linear time, and the int/str digit
-limit does not apply to hex. Each line is one fixed %-template filled in, the
-bytes json.dumps writes for the record's object, with no dict or encoder call.
+Transcripts hold witnesses as hex text, exactly what hex() writes: the big
+witnesses, at or next to block endpoints b_i(k) or b_j(k + 1), reach thousands
+of digits, and CPython converts ints to and from hex in linear time (decimal
+takes quadratic time), with no int/str digit limit. Each line is one %-template
+filled in, json.dumps's bytes for the record; read against its replay, a
+transcript decodes only the lines that differ from the replay's own.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import zip_longest
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .machine import (
@@ -46,6 +47,11 @@ from .profiles import GapCertificate
 BRANCH_NON_TOTAL = "non_total_under_budget"
 BRANCH_NON_INJECTIVE = "non_injective"
 BRANCH_DIAGONALIZED = "diagonalized"
+BRANCHES = (BRANCH_NON_TOTAL, BRANCH_NON_INJECTIVE, BRANCH_DIAGONALIZED)
+
+
+class TranscriptError(ValueError):
+    """A transcript line that is no stage record."""
 
 
 class FrontierUndefined(Exception):
@@ -114,7 +120,7 @@ class StageRecord(NamedTuple):
         then fails. Each witness must be null or a string that hex() writes,
         which int(text, 16) reads back to an int with that same hex() text:
         "0x1f" and "-0x3" load; "0x1F", "0x01", "-0x0", "1f", decimal text
-        and a JSON number do not.
+        and a JSON number do not. branch must be one of the three names.
         """
         def whole(name, least=0, floats=False):
             v = obj[name]
@@ -138,6 +144,8 @@ class StageRecord(NamedTuple):
                     % (name, v))
             return n
 
+        if obj["branch"] not in BRANCHES:
+            raise ValueError("field branch must be in %r, got %r" % (BRANCHES, obj["branch"]))
         return StageRecord(
             stage=whole("stage", floats=True),
             e=whole("e"),
@@ -425,26 +433,28 @@ class Transcript:
             handle.writelines(self.lines())
 
     @staticmethod
-    def read_jsonl(path) -> "Transcript":
-        """Load records; a line that is no record raises ValueError naming it.
+    def read_jsonl(path, replay=None) -> "Transcript":
+        """Load records; a line that is no record raises TranscriptError naming it.
 
-        Lines are decoded one at a time, so a byte that is not UTF-8 is
-        reported with its line like any other bad line. Each witness must be
-        hex text (StageRecord.from_json).
+        The non-blank lines are read, bytes that are not UTF-8 kept by
+        surrogateescape, before replay(n), if given, returns run_construction's
+        Transcript of their n stages. A line that is its replayed line, as
+        text, is that record; any other is decoded by StageRecord.from_json.
         """
-        records = []
         with open(path, "rb") as handle:
-            for number, raw in enumerate(handle, 1):
+            lines = [(number, text) for number, raw in enumerate(handle, 1)
+                     if not (text := raw.decode("utf-8", "surrogateescape")).isspace()]
+        rerun = replay(len(lines)) if replay and lines else Transcript()
+        records = []
+        for (number, text), line, record in zip_longest(lines, rerun.lines(), rerun.records):
+            if text != line:
                 try:
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    records.append(StageRecord.from_json(json.loads(line)))
+                    text = text.encode("utf-8", "surrogateescape").decode("utf-8")
+                    record = StageRecord.from_json(json.loads(text.strip()))
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise ValueError(
-                        "%s:%d: bad transcript record: %s: %s"
-                        % (path, number, type(exc).__name__, exc)
-                    ) from exc
+                    raise TranscriptError("%s:%d: bad transcript record: %s: %s" % (
+                        path, number, type(exc).__name__, exc)) from exc
+            records.append(record)
         return Transcript(records)
 
 

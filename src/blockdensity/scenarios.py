@@ -11,6 +11,7 @@ config produces byte-identical outputs.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -434,16 +435,15 @@ def write_report(certs: list[Certificate], path: str | Path) -> None:
         handle.writelines(_encode(cert.to_json()) + "\n" for cert in certs)
 
 
-def verify_transcript(config: ScenarioConfig, transcript: Transcript):
-    """Replay a loaded transcript and recompute its certificate suite."""
+def verify_transcript(config: ScenarioConfig, transcript: Transcript | str | Path):
+    """Replay a transcript, loaded or at a path, and recompute its certificate
+    suite; a path is read by Transcript.read_jsonl against the one replay."""
     config.validate()
     coded, gap_cert, schedule = prepare(config)
-    certs = [
-        check_transcript_replay(
-            coded, gap_cert, transcript, config.budget, schedule=schedule
-        )
-    ]
-    certs.extend(
-        _construction_certificates(config, coded, gap_cert, schedule, transcript)
-    )
+    replay = functools.lru_cache(lambda stages: run_construction(
+        coded, gap_cert, stages, config.budget, schedule=schedule)[0])
+    if not isinstance(transcript, Transcript):
+        transcript = Transcript.read_jsonl(transcript, replay)
+    certs = [check_transcript_replay(coded, gap_cert, transcript, config.budget, replay=replay)]
+    certs += _construction_certificates(config, coded, gap_cert, schedule, transcript)
     return certs

@@ -31,8 +31,9 @@ constructed prefix within the step budget, never more. Their witnesses, and
 those of every diagonal record, are rerun literally with run_program, not with
 the tail lemma (machine.tail_behavior) the construction chose them by; a
 record is first matched against the requirement the schedule puts at its
-position. INCOMPLETE names what is missing (stages or records); FAIL means a
-check was run and refuted.
+position. The replay is run once: a record read as its replayed line is that
+replayed record. INCOMPLETE names what is missing (stages or records); FAIL
+means a check was run and refuted.
 """
 
 from __future__ import annotations
@@ -349,9 +350,7 @@ def _check_defeat_record(
         if record.x == record.x2 or out1.value != out2.value:
             return False, "claimed collision reruns to distinct values"
         return True, ""
-    if record.branch == BRANCH_DIAGONALIZED:
-        return diag_verdict == PASS, "" if diag_verdict == PASS else "diagonal recheck failed"
-    return False, "unknown branch"
+    return diag_verdict == PASS, "" if diag_verdict == PASS else "diagonal recheck failed"
 
 
 def check_defeat_bundle(
@@ -459,22 +458,24 @@ def check_transcript_replay(
     budget: int,
     *,
     schedule: RequirementSchedule | None = None,
+    replay: Callable[[int], Transcript] | None = None,
 ) -> Certificate:
     """Re-run the schedule and demand a bit-identical transcript.
 
-    Each loaded record is compared with its replay as StageRecord.same_json
-    does, which decides exactly what comparing the JSON Lines encodings would.
+    replay, if given, maps a stage count to that re-run. A loaded record that
+    is its replayed record matches; any other is compared with it as
+    StageRecord.same_json does, which decides exactly what comparing the JSON
+    Lines encodings would.
     """
     cert = Certificate("TranscriptReplay", {"stages": len(transcript.records)})
     if not transcript.records:
         cert.fail("bit_exact", {"reason": "empty transcript"})
         return cert
-    replay, _ = run_construction(
-        coded, gap_cert, len(transcript.records), budget, schedule=schedule
-    )
+    rerun = replay(len(transcript.records)) if replay else run_construction(
+        coded, gap_cert, len(transcript.records), budget, schedule=schedule)[0]
     divergence = next(
-        (idx for idx, (a, b) in enumerate(zip(replay.records, transcript.records))
-         if not a.same_json(b)),
+        (idx for idx, (a, b) in enumerate(zip(rerun.records, transcript.records))
+         if not (a is b or a.same_json(b))),
         None,
     )
     if divergence is not None:

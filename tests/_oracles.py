@@ -6,11 +6,13 @@ tuple arithmetic) so the implementations under test never check themselves.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from blockdensity.construction import StageRecord, run_construction
 from blockdensity.posets import FinitePoset, PaddedFiniteOrder
 from blockdensity.profiles import (
     ProfileFamily,
@@ -254,6 +256,52 @@ def record_json(record) -> dict:
         "budget": record.budget,
         "M_after": record.m_after,
     }
+
+
+def read_transcript(path) -> list[StageRecord]:
+    """The records of a transcript file, every non-blank line decoded.
+
+    Each line is decoded from UTF-8, stripped, parsed by json.loads and read
+    by StageRecord.from_json, whether or not a replay would reproduce it; a
+    bad line raises ValueError "path:line: bad transcript record: ...". This
+    is the reader verify used before it compared lines with its replay.
+    """
+    records = []
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                records.append(StageRecord.from_json(json.loads(line)))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(
+                    "%s:%d: bad transcript record: %s: %s"
+                    % (path, number, type(exc).__name__, exc)
+                ) from exc
+    return records
+
+
+def transcript_replay_json(coded, gap_cert, records, budget, schedule) -> dict:
+    """The TranscriptReplay certificate's report object for loaded records:
+    a fresh replay of as many stages, each record compared with its replay
+    by StageRecord.same_json."""
+    replay = {"kind": "TranscriptReplay", "verdict": "PASS",
+              "subject": {"stages": len(records)}, "checks": [], "diagnostics": {}}
+    if not records:
+        replay["verdict"] = "FAIL"
+        replay["checks"].append({"check": "bit_exact", "ok": False,
+                                 "reason": "empty transcript"})
+        return replay
+    rerun, _ = run_construction(coded, gap_cert, len(records), budget, schedule=schedule)
+    for stage, (a, b) in enumerate(zip(rerun.records, records)):
+        if not a.same_json(b):
+            replay["verdict"] = "FAIL"
+            replay["checks"].append({"check": "bit_exact", "ok": False,
+                                     "first_divergence_stage": stage})
+            return replay
+    replay["checks"].append({"check": "bit_exact", "ok": True})
+    return replay
 
 
 def constant_value(i: int, k: int) -> Fraction:

@@ -922,6 +922,11 @@ MALFORMED = {
     "e_negative": _put("e", -1),
     "i_negative": _put("i", -1),
     "budget_negative": _put("budget", -5),
+    # branch must be one of the three names.
+    "branch_quote": _put("branch", 'a"b'),
+    "branch_int": _put("branch", 7),
+    "branch_null": _put("branch", None),
+    "branch_capitalized": _put("branch", "Diagonalized"),
 }
 
 
@@ -945,3 +950,4 @@ def test_verify_malformed_line_is_usage_error(name, constructed, tmp_path, capsy
                  "--report", str(tmp_path / "r.jsonl")])
     assert code == 3
     assert "%s:2" % transcript_path in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()
