@@ -193,21 +193,22 @@ def _cmd_poset(args) -> int:
     return 0
 
 
-def _load_config(path: str) -> ScenarioConfig:
+def _load_construction_config(path: str) -> ScenarioConfig:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError("cannot read config %s: %s" % (path, exc))
     try:
-        return ScenarioConfig.from_json(payload)
+        config = ScenarioConfig.from_json(payload)
     except ValueError as exc:
         raise UsageError("bad config: %s" % exc)
+    if KINDS[config.kind] is None:
+        raise UsageError("%s scenarios run no construction" % config.kind)
+    return config
 
 
 def _cmd_construct(args) -> int:
-    config = _load_config(args.config)
-    if KINDS[config.kind] is None:
-        raise UsageError("%s scenarios run no construction" % config.kind)
+    config = _load_construction_config(args.config)
     if args.stages is not None and args.stages < 1:
         raise UsageError("--stages must be at least 1")
     _check_writable(args.out)
@@ -218,17 +219,15 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _load_config(args.config)
+    config = _load_construction_config(args.config)
     _check_writable(args.report)
     try:
         certs = verify_transcript(config, args.transcript)
     except (OSError, TranscriptError) as exc:
         raise UsageError(str(exc))
     _writing(args.report, write_report, certs, args.report)
-    code = report_exit_code(certs)
-    for cert in certs:
-        print("%s,%s" % (cert.kind, cert.verdict))
-    return code
+    sys.stdout.write("".join(["%s,%s\n" % (c.kind, c.verdict) for c in certs]))
+    return report_exit_code(certs)
 
 
 _RUN = ("--stages", "--budget", "--E", "--kmax", "--schedule")
@@ -277,9 +276,8 @@ def _cmd_scenario(args) -> int:
         raise UsageError("cannot write %s: %s is no writable directory" % (outdir, ancestor))
     result = run_scenario(config)
     _writing(outdir, write_outputs, result, outdir)
-    for cert in result.certificates:
-        print("%s,%s" % (cert.kind, cert.verdict))
-    print("report,%s" % (Path(outdir) / "report.jsonl"))
+    sys.stdout.write("".join(["%s,%s\n" % (c.kind, c.verdict) for c in result.certificates])
+                     + "report,%s\n" % (Path(outdir) / "report.jsonl"))
     return result.exit_code
 
 

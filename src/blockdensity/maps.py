@@ -3,12 +3,12 @@
 For each index the compression map sends the k-th source block onto the k-th
 target block by proportional rounding; its fibers are integer intervals of
 size one or two, computed analytically (no scanning). All three maps scale by
-the exact ratio k!/|K_k| that each source block caches, which for the usual
-small-denominator profiles is q/p, so they cost time linear in the size of
-their arguments rather than a k!-wide multiply and divide. Pointwise dominated
-pairs get blockwise translations, and the block collapse map witnesses that a
-block-constant set reduces to itself nontrivially. A family's source blocks
-share its one table of target blocks.
+the exact ratio k!/|K_k| each source block caches, q/p for the usual
+small-denominator profiles, so they cost time linear in the size of their
+arguments; h_apply and h_fibers do that arithmetic in one frame, on the source
+block read from the cache. Pointwise dominated pairs get blockwise
+translations, and block collapse witnesses that a block-constant set reduces
+to itself nontrivially. A family's source blocks share its one target table.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ class ReductionPreconditionError(ValueError):
         self.len_j = len_j
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 class CodedFamily:
     """A profile family together with its block geometry and coded maps."""
 
@@ -51,21 +47,20 @@ class CodedFamily:
 
     def h_apply(self, i: int, x: int) -> int:
         """Image of x under the i-th compression map."""
-        src = self.source(i)
+        src = self._sources.get(i) or self.source(i)
         k, r = src.locate(x)
         n, d = src.ratio(k)
         return self.targets.endpoint(k) + (r * n) // d
 
     def h_fibers(self, i: int, y: int) -> list[int]:
         """All preimages of y under the i-th compression map (one or two)."""
-        src = self.source(i)
-        k = self.targets.locate(y)
-        q = y - self.targets.endpoint(k)
+        src = self._sources.get(i) or self.source(i)
+        targets = self.targets
+        k = targets.locate(y)
+        q = y - targets.endpoint(k)
         n, d = src.ratio(k)
         b = src.endpoint(k)
-        lo = _ceil_div(q * d, n)
-        hi = _ceil_div((q + 1) * d, n)
-        return [b + r for r in range(lo, hi)]
+        return [*range(b - (-q * d // n), b - (-(q + 1) * d // n))]
 
     def least_preimage(self, i: int, y: int) -> int:
         """Smallest preimage of y; injective in y. Every fiber is nonempty,

@@ -426,13 +426,9 @@ def write_outputs(result: ScenarioResult, outdir: str | Path) -> None:
     write_report(result.certificates, outdir / "report.jsonl")
 
 
-# json.dumps's encoder less its cycle check, which a report's fresh trees skip.
-_encode = json.JSONEncoder(check_circular=False).encode
-
-
 def write_report(certs: list[Certificate], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_encode(cert.to_json()) + "\n" for cert in certs)
+        handle.writelines([cert.line() for cert in certs])
 
 
 def verify_transcript(config: ScenarioConfig, transcript: Transcript | str | Path):

@@ -8,8 +8,8 @@ a_k, b_k and |K_k| = floor(u(k) * k!) from the profile alone, nothing from
 blocks.py or maps.py). At every block it compares the walk with the
 production endpoints and lengths, checks the block identity on the walk's
 values, and compares the production maps with the walk at the block's two
-ends and (for couplings) at sampled offsets. So the certificates test that
-geometry instead of trusting it; a disagreement is a reference_geometry FAIL.
+ends and (for couplings) at sampled offsets, up to the first disagreement, a
+reference_geometry FAIL: the certificates test that geometry, not trust it.
 
 The block identity settles every element of the block, so no element is
 checked one by one. Inside block k, with 0 <= r < |K_k| (|K_k^i| for a
@@ -33,11 +33,13 @@ the tail lemma (machine.tail_behavior) the construction chose them by; a
 record is first matched against the requirement the schedule puts at its
 position. The replay is run once: a record read as its replayed line is that
 replayed record. INCOMPLETE names what is missing (stages or records); FAIL
-means a check was run and refuted.
+means a check was run and refuted. Report lines are json.dumps's bytes, a
+passing DiagWitness's (one per record) filled into one template.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
@@ -94,6 +96,30 @@ class Certificate:
             "diagnostics": self.diagnostics,
         }
 
+    def line(self) -> str:
+        """The report line, json.dumps's bytes: _DIAG_LINE filled in for a passing
+        DiagWitness (checks _DIAG_PASSED, subject four ints), else encoded."""
+        c, s = self.checks, self.subject
+        if (len(c) == 3 and c[0] is _DIAG_PASSED[0] and c[1] is _DIAG_PASSED[1]
+                and c[2] is _DIAG_PASSED[2] and self.kind == "DiagWitness"
+                and self.verdict == PASS and self.diagnostics == {}
+                and [*s] == _DIAG_KEYS and [*map(type, s.values())] == _INTS):
+            return _DIAG_LINE % tuple(s.values())
+        return _encode(self.to_json()) + "\n"
+
+
+# json.dumps's encoder less its cycle check, which a report's fresh trees skip.
+_encode = json.JSONEncoder(check_circular=False).encode
+# The checks of every passing DiagWitness, shared, so that line() tells them
+# by identity: == would take 1 for True and ignore key order.
+_DIAG_PASSED = (
+    {"check": "rerun_value", "ok": True}, {"check": "image_block", "ok": True},
+    {"check": "membership_split", "ok": True, "value_at_witness": 1, "value_at_image": 0})
+_DIAG_KEYS, _INTS = ["stage", "e", "i", "j"], [int] * 4
+_DIAG_LINE = ('{"kind": "DiagWitness", "verdict": "PASS", "subject": {"stage": %d, '
+              '"e": %d, "i": %d, "j": %d}, "checks": ' + _encode(_DIAG_PASSED)
+              + ', "diagnostics": {}}\n')
+
 
 def target_walk() -> Iterator[tuple[int, int, int]]:
     """Target blocks k = 0, 1, ... by running sums: (k!, a_k, a_{k+1})."""
@@ -129,16 +155,11 @@ def _geometry_mismatch(
     coded: CodedFamily, i: int, k: int, fact: int, a: int, b: int, ln: int
 ) -> str | None:
     """The first production geometry value at block k that the walk refutes."""
-    src = coded.source(i)
-    for name, have, want in (
-        ("targets.endpoint", coded.targets.endpoint(k), a),
-        ("targets.size", coded.targets.size(k), fact),
-        ("source.endpoint", src.endpoint(k), b),
-        ("source.length", src.length(k), ln),
-    ):
-        if have != want:
-            return name
-    return None
+    targets, src = coded.targets, coded.source(i)
+    return ("targets.endpoint" if targets.endpoint(k) != a
+            else "targets.size" if targets.size(k) != fact
+            else "source.endpoint" if src.endpoint(k) != b
+            else "source.length" if src.length(k) != ln else None)
 
 
 def _short_of_frontier(cert: Certificate, state: ConstructionState, blocks: int) -> bool:
@@ -174,13 +195,11 @@ def check_positive_reduction(
     profile_i, profile_j = coded.family.profile(i), coded.family.profile(j)
     walks = zip(range(blocks), block_walk(profile_i), block_walk(profile_j))
     for k, (fact, a, _, b_i, ln_i), (_, _, _, b_j, ln_j) in walks:
-        for name in (
-            _geometry_mismatch(coded, i, k, fact, a, b_i, ln_i),
-            _geometry_mismatch(coded, j, k, fact, a, b_j, ln_j),
-        ):
-            if name is not None:
-                cert.fail("reference_geometry", {"k": k, "map": name})
-                return cert
+        name = (_geometry_mismatch(coded, i, k, fact, a, b_i, ln_i)
+                or _geometry_mismatch(coded, j, k, fact, a, b_j, ln_j))
+        if name is not None:
+            cert.fail("reference_geometry", {"k": k, "map": name})
+            return cert
         # The reduction lemma of the module docstring needs only this.
         if ln_i > ln_j:
             cert.fail(
@@ -190,14 +209,12 @@ def check_positive_reduction(
             return cert
         for r in sorted({0, ln_i - 1}):
             x, fx = b_i + r, b_j + r
-            for name, have, want in (
-                ("positive_reduction", coded.positive_reduction(i, j, x), fx),
-                ("h_apply", coded.h_apply(i, x), a + r * fact // ln_i),
-                ("h_apply", coded.h_apply(j, fx), a + r * fact // ln_j),
-            ):
-                if have != want:
-                    cert.fail("reference_geometry", {"k": k, "map": name})
-                    return cert
+            name = ("positive_reduction" if coded.positive_reduction(i, j, x) != fx
+                    else "h_apply" if coded.h_apply(i, x) != a + r * fact // ln_i
+                    or coded.h_apply(j, fx) != a + r * fact // ln_j else None)
+            if name is not None:
+                cert.fail("reference_geometry", {"k": k, "map": name})
+                return cert
     cert.ok("blockwise_exact", {"blocks": blocks})
     return cert
 
@@ -237,18 +254,17 @@ def check_bfo_equivalence(
             if not 1 <= len(fiber) <= 2:
                 cert.fail("fiber_bound_sampled", {"k": k, "y": str(y)})
                 return cert
-            if any(coded.h_apply(i, x) != y for x in fiber):
-                cert.fail("fiber_membership", {"k": k, "y": str(y)})
-                return cert
-            lo = -(-q * ln // fact)
-            hi = -(-(q + 1) * ln // fact)
-            for name, have, want in (
-                ("least_preimage", coded.least_preimage(i, y), b + lo),
-                ("h_fibers", fiber, list(range(b + lo, b + hi))),
-            ):
-                if have != want:
-                    cert.fail("reference_geometry", {"k": k, "map": name})
+            for x in fiber:
+                if coded.h_apply(i, x) != y:
+                    cert.fail("fiber_membership", {"k": k, "y": str(y)})
                     return cert
+            lo = b - (-q * ln // fact)
+            name = ("least_preimage" if coded.least_preimage(i, y) != lo
+                    else "h_fibers" if fiber != [*range(lo, b - (-(q + 1) * ln // fact))]
+                    else None)
+            if name is not None:
+                cert.fail("reference_geometry", {"k": k, "map": name})
+                return cert
     cert.ok("blockwise_exact", {"blocks": blocks})
     return cert
 
@@ -274,51 +290,46 @@ def check_diag_witness(
     record naming another (e, i, j) fails before its program is decoded or
     its witnesses located, as those costs grow with e and i.
     """
-    if record.branch != BRANCH_DIAGONALIZED:
+    stage, e, i, j, k, branch, budget, _, x, _, y, ell = record
+    if branch != BRANCH_DIAGONALIZED:
         raise ValueError("diagonal witness check needs a diagonalized record")
-    cert = Certificate(
-        "DiagWitness",
-        {"stage": record.stage, "e": record.e, "i": record.i, "j": record.j},
-    )
-    if Requirement(record.e, record.i, record.j) != req:
+    cert = Certificate("DiagWitness", {"stage": stage, "e": e, "i": i, "j": j})
+    if (e, i, j) != req:
         cert.fail("schedule_mismatch", {"e": req.e, "i": req.i, "j": req.j})
         return cert
-    bad = _unnatural_witness(record, ("x", "y", "ell"))
-    if bad is not None:
+    if None in (x, y, ell) or min(x, y, ell) < 0:
+        bad = _unnatural_witness(record, ("x", "y", "ell"))
         value = getattr(record, bad)
         cert.fail("witness_fields",
                   {"field": bad, "value": None if value is None else str(value)})
         return cert
-    src_i = coded.source(record.i)
-    src_j = coded.source(record.j)
-    k, _ = src_i.locate(record.x)
-    if k != record.k:
-        cert.fail("witness_block", {"expected": record.k, "located": k})
+    located, _ = coded.source(i).locate(x)
+    if located != k:
+        cert.fail("witness_block", {"expected": k, "located": located})
         return cert
-    outcome = run_program(decode(record.e), record.x, record.budget)
-    if not isinstance(outcome, Halted) or outcome.value != record.y:
-        cert.fail("rerun_value", {"x": str(record.x)})
+    outcome = run_program(decode(e), x, budget)
+    if not isinstance(outcome, Halted) or outcome.value != y:
+        cert.fail("rerun_value", {"x": str(x)})
         return cert
-    cert.ok("rerun_value")
-    ell, _ = src_j.locate(record.y)
-    if ell != record.ell or ell <= record.k:
-        cert.fail("image_block", {"expected": record.ell, "located": ell})
+    cert.checks.append(_DIAG_PASSED[0])
+    located, _ = coded.source(j).locate(y)
+    if located != ell or ell <= k:
+        cert.fail("image_block", {"expected": ell, "located": located})
         return cert
-    cert.ok("image_block")
+    cert.checks.append(_DIAG_PASSED[1])
     try:
-        hx = coded.h_apply(record.i, record.x)
-        hy = coded.h_apply(record.j, record.y)
-        if coded.targets.locate(hx) != record.k or coded.targets.locate(hy) != record.ell:
+        locate = coded.targets.locate
+        if locate(coded.h_apply(i, x)) != k or locate(coded.h_apply(j, y)) != ell:
             cert.fail("compressed_targets")
             return cert
-        # hx and hy lie in target blocks k and ell, as just checked.
-        if state.block_bit(record.k) != 1 or state.block_bit(record.ell) != 0:
+        # h(x) and h(y) lie in target blocks k and ell, as just checked.
+        if state.block_bit(k) != 1 or state.block_bit(ell) != 0:
             cert.fail("membership_split")
             return cert
     except FrontierUndefined as exc:
         cert.incomplete("frontier", {"needed_block": exc.block, "frontier": exc.frontier})
         return cert
-    cert.ok("membership_split", {"value_at_witness": 1, "value_at_image": 0})
+    cert.checks.append(_DIAG_PASSED[2])
     return cert
 
 

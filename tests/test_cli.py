@@ -226,6 +226,44 @@ def test_construct_then_verify_round_trip(tmp_path, capsys):
     assert code == 1
 
 
+SUMMARY = ("PositiveReduction,PASS\nDefeatBundle,PASS\nBfoEquivalence,PASS\n"
+           "BfoEquivalence,PASS\nDiagWitness,PASS\nDiagWitness,PASS\n")
+
+
+def test_scenario_and_verify_print_the_whole_summary(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    code, out = run_cli(capsys, "scenario", "rationals", "--count", "2", "--E", "2",
+                        "--outdir", str(outdir))
+    assert code == 0
+    assert out == SUMMARY + "report,%s\n" % (outdir / "report.jsonl")
+    code, out = run_cli(capsys, "verify", "--config", str(outdir / "config.json"),
+                        "--transcript", str(outdir / "transcript.jsonl"),
+                        "--report", str(tmp_path / "r.jsonl"))
+    assert code == 0
+    assert out == "TranscriptReplay,PASS\n" + SUMMARY
+
+
+def test_verify_of_a_config_without_construction_is_usage_error(
+    monkeypatch, tmp_path, capsys
+):
+    def read_jsonl(*args, **kwargs):
+        raise AssertionError("the transcript was read")
+
+    monkeypatch.setattr(construction.Transcript, "read_jsonl", read_jsonl)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"kind": "universal", "poset": ["11", "01"]}))
+    transcript_path = tmp_path / "t.jsonl"
+    transcript_path.write_text("{}\n")
+    report_path = tmp_path / "r.jsonl"
+    code = main(["verify", "--config", str(config_path), "--transcript",
+                 str(transcript_path), "--report", str(report_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: universal scenarios run no construction\n"
+    assert captured.out == ""
+    assert not report_path.exists()
+
+
 @pytest.mark.parametrize("extra", [[], ["--stages", "20"], ["--schedule", "full"]])
 def test_construct_reproduces_scenario_transcript(extra, tmp_path, capsys):
     outdir = tmp_path / "out"

@@ -271,3 +271,46 @@ def test_mutation_fails_a_certificate(name, monkeypatch):
     certs = run_scenario(config).certificates
     assert any(c.verdict == FAIL for c in certs)
     assert failing_checks(certs) == caught_by
+
+
+# Faults in each production map the sample loops compare, planted in a run
+# whose window reaches block 11, where record 0's image y, the first element
+# of its block, lies: h_apply one low there moves h(y) into block 10, and
+# the defeat bundle that counts record 0 fails with its DiagWitness.
+GATE_12 = GATE._replace(k_max=12)
+
+
+def at_block(real, block, shift):
+    """CodedFamily.h_apply moved by shift on source block `block` only."""
+    def h_apply(self, i, x):
+        return real(self, i, x) + shift * (self.source(i).locate(x)[0] == block)
+    return h_apply
+
+
+# name -> (method, its fault, the failing (kind, check, map) triples)
+MAP_FAULTS = {
+    "least_preimage_off_by_one": (
+        "least_preimage", lambda real: lambda self, i, y: real(self, i, y) + 1,
+        {("BfoEquivalence", "reference_geometry", "least_preimage")},
+    ),
+    "h_fibers_drops_an_element": (
+        "h_fibers", lambda real: lambda self, i, y: real(self, i, y)[:1],
+        {("BfoEquivalence", "reference_geometry", "h_fibers")},
+    ),
+    "h_apply_low_at_block_11": (
+        "h_apply", lambda real: at_block(real, 11, -1),
+        {("BfoEquivalence", "fiber_membership", None),
+         ("DefeatBundle", "defeat_record", None),
+         ("DiagWitness", "compressed_targets", None),
+         ("PositiveReduction", "reference_geometry", "h_apply")},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_FAULTS))
+def test_certificates_call_every_production_map(name, monkeypatch):
+    method, fault, caught_by = MAP_FAULTS[name]
+    monkeypatch.setattr(CodedFamily, method, fault(getattr(CodedFamily, method)))
+    certs = run_scenario(GATE_12).certificates
+    assert {(cert.kind, check["check"], check.get("map"))
+            for cert in certs for check in cert.checks if not check["ok"]} == caught_by
