@@ -196,7 +196,7 @@ def _cmd_poset(args) -> int:
 def _load_construction_config(path: str) -> ScenarioConfig:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # JSON and UTF-8 decode errors are ValueErrors
         raise UsageError("cannot read config %s: %s" % (path, exc))
     try:
         config = ScenarioConfig.from_json(payload)

@@ -11,7 +11,15 @@ Each stage finds a source block past the frontier that is longer than the
 entire opposing prefix, runs the scheduled program over it, and either
 records a non-totality witness, a collision, or diagonalizes: the chosen block
 gets membership value 1 and everything else up to the image block gets 0. Bits
-are only ever assigned beyond the frontier, so nothing is ever rewritten.
+are only ever assigned beyond the frontier, so nothing is ever rewritten. A
+stage makes one record, and ConstructionState.apply is the one state change
+a record makes, live or replayed.
+
+The profile lemma ends the search for that block. A selected block k >= 3 of
+a pair with gap u_i(k) - u_j(k) >= delta has |K_k^i| > u_i(k)*k! - 1, and
+every block m has length below 2*m!, so b_j(k + 1) <= u_j(k)*k! + 4*(k - 1)!.
+Block k therefore dominates once delta*k >= 5: at every selected block from
+K0 = max(3, ceil(5/delta)) on.
 
 Per-element runs are confined to inputs not exceeding the step count S of the
 tail path, or the step budget when that path diverges; all larger inputs of a
@@ -30,7 +38,7 @@ transcript decodes only the lines that differ from the replay's own.
 from __future__ import annotations
 
 import json
-from itertools import zip_longest
+from itertools import count, zip_longest
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .machine import (
@@ -63,14 +71,6 @@ class FrontierUndefined(Exception):
         )
         self.block = block
         self.frontier = frontier
-
-
-# Selector candidates domination_search tries before it gives up.
-MAX_CANDIDATES = 10**6
-
-
-class DominationCeilingError(RuntimeError):
-    """Candidate ceiling reached; the gap hypothesis looks violated."""
 
 
 class Requirement(NamedTuple):
@@ -179,6 +179,14 @@ class ConstructionState:
             raise FrontierUndefined(k, self.frontier)
         return 1 if k in self.ones else 0
 
+    def apply(self, record: StageRecord) -> None:
+        """Take one stage's record: a diagonalized block k becomes 1, and the
+        frontier moves to M_after."""
+        if record.branch == BRANCH_DIAGONALIZED:
+            self.ones.add(record.k)
+        self.frontier = record.m_after
+        self.stage += 1
+
 
 class RequirementSchedule:
     """The fixed enumeration of requirements over a gap certificate.
@@ -263,34 +271,44 @@ def domination_search(
 
     The selector is strictly increasing, so s(t) >= t and the first candidate
     past the frontier has index at most frontier + 1; bisection finds it, and
-    the scan goes forward from there. Candidate indices count from t = 0
-    against MAX_CANDIDATES.
+    the scan goes forward from there, comparing lengths at every candidate.
+    The profile lemma (see the module docstring) ends the scan: every
+    selected block from K0 = max(3, ceil(5/delta)) on dominates, delta =
+    cert.delta(i, j). K0 is worked out once a candidate fails; a failing
+    candidate at or past K0, or a delta <= 0, raises AssertionError.
     """
     src_i = coded.source(i)
     src_j = coded.source(j)
-    lo, hi = 0, min(frontier + 1, MAX_CANDIDATES)
+    lo, hi = 0, frontier + 1
     while lo < hi:
         mid = (lo + hi) // 2
         if cert.s(i, j, mid) > frontier:
             hi = mid
         else:
             lo = mid + 1
-    for t in range(lo, MAX_CANDIDATES):
+    k0 = None
+    for t in count(lo):
         k = cert.s(i, j, t)
         if k <= frontier:
             raise AssertionError("selector not strictly increasing")
         if src_i.length(k) > src_j.endpoint(k + 1):
             return k
-    raise DominationCeilingError(
-        "no dominating block for pair (%d, %d) in MAX_CANDIDATES = %d" % (i, j, MAX_CANDIDATES)
-    )
+        if k0 is None:
+            delta = cert.delta(i, j)
+            if delta <= 0:
+                raise AssertionError("pair (%d, %d) has gap %s <= 0" % (i, j, delta))
+            k0 = max(3, -(-5 // delta))   # ceil(5/delta), exactly
+        if k >= k0:
+            raise AssertionError("selected block %d of pair (%d, %d) does not dominate, "
+                                 "though K0 = %d" % (k, i, j, k0))
+        frontier = k   # the next candidate lies past this one
 
 
 def _evaluate_block(program, lo: int, hi: int, budget: int, threshold: int):
-    """Three-way branch decision for one source block.
+    """Three-way branch decision for one source block, as (branch, x, x2, y).
 
-    Returns ('non_total', x), ('non_injective', x1, x2) or
-    ('diagonalized', x, y). When the tail path halts after `steps` steps,
+    Returns (non_total, x, None, None), (non_injective, x1, x2, None) or
+    (diagonalized, x, None, y). When the tail path halts after `steps` steps,
     every input above `steps` follows it (machine.tail_behavior), so at most
     steps + 1 individual runs happen; when it diverges, inputs above the
     budget do, and at most budget + 1 runs happen. Witnesses are the least
@@ -298,53 +316,39 @@ def _evaluate_block(program, lo: int, hi: int, budget: int, threshold: int):
     """
     behavior = tail_behavior(program, budget)
     boundary = (behavior.steps if isinstance(behavior, TailHalts) else budget) + 1
-    prefix_hi = min(hi, boundary)
-    values: list[int] = []
     seen: dict[int, int] = {}
-    first_divergence = None
-    first_collision = None
-    for x in range(lo, prefix_hi):
+    collision = None   # (x2, x1): the least x2 whose value x1 < x2 took first
+    high = None        # (x, y): the least x whose value y reaches the threshold
+    for x in range(lo, min(hi, boundary)):
         outcome = run_program(program, x, budget)
         if isinstance(outcome, OutOfBudget):
-            first_divergence = x
-            break
+            return (BRANCH_NON_TOTAL, x, None, None)
         v = outcome.value
-        if first_collision is None:
+        if collision is None:
             if v in seen:
-                first_collision = (seen[v], x)
+                collision = (x, seen[v])
             else:
                 seen[v] = x
-        values.append(v)
+        if high is None and v >= threshold:
+            high = (x, v)
 
-    tail = None
     tail_lo = max(lo, boundary)
-    if first_divergence is None and hi > tail_lo:
-        if isinstance(behavior, TailHalts):
-            tail = behavior
-        else:
-            first_divergence = tail_lo
-    if first_divergence is not None:
-        return (BRANCH_NON_TOTAL, first_divergence)
-
-    if first_collision is None and tail is not None:
-        crossings = [
-            (v - tail.offset, x1)
-            for v, x1 in seen.items()
-            if tail_lo <= v - tail.offset < hi
-        ]
-        if crossings:
-            x2, x1 = min(crossings)
-            first_collision = (x1, x2)
-    if first_collision is not None:
-        return (BRANCH_NON_INJECTIVE, first_collision[0], first_collision[1])
-
-    for x, v in zip(range(lo, prefix_hi), values):
-        if v >= threshold:
-            return (BRANCH_DIAGONALIZED, x, v)
+    tail = None
+    if hi > tail_lo:
+        if not isinstance(behavior, TailHalts):
+            return (BRANCH_NON_TOTAL, tail_lo, None, None)
+        tail = behavior
+        if collision is None:
+            collision = min(((v - tail.offset, x1) for v, x1 in seen.items()
+                             if tail_lo <= v - tail.offset < hi), default=None)
+    if collision is not None:
+        return (BRANCH_NON_INJECTIVE, collision[1], collision[0], None)
+    if high is not None:
+        return (BRANCH_DIAGONALIZED, high[0], None, high[1])
     if tail is not None:
         x = max(tail_lo, threshold - tail.offset)
         if x < hi:
-            return (BRANCH_DIAGONALIZED, x, x + tail.offset)
+            return (BRANCH_DIAGONALIZED, x, None, x + tail.offset)
     raise ArithmeticError(
         "pigeonhole violated: a total injective map stayed inside the dominated range"
     )
@@ -357,45 +361,23 @@ def run_stage(
     cert: GapCertificate,
     budget: int,
 ) -> StageRecord:
-    """Execute one stage and update the state; bits are only added, never changed."""
+    """Execute one stage and apply its record; bits are only added, never changed."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if not cert.in_D(req.i, req.j):
         raise ValueError("requirement pair (%d, %d) is not scheduled" % (req.i, req.j))
     k = domination_search(coded, cert, req.i, req.j, state.frontier)
-    src_i = coded.source(req.i)
     src_j = coded.source(req.j)
-    lo, hi = src_i.block(k)
-    threshold = src_j.endpoint(k + 1)
-    if not src_i.length(k) > threshold:
-        raise AssertionError("domination search returned a non-dominating block")
-
-    program = decode(req.e)
-    result = _evaluate_block(program, lo, hi, budget, threshold)
-    stage = state.stage
-    if result[0] == BRANCH_NON_TOTAL:
-        record = StageRecord(
-            stage, req.e, req.i, req.j, k, BRANCH_NON_TOTAL, budget, k, x=result[1]
-        )
-        state.frontier = k
-    elif result[0] == BRANCH_NON_INJECTIVE:
-        record = StageRecord(
-            stage, req.e, req.i, req.j, k, BRANCH_NON_INJECTIVE, budget, k,
-            x=result[1], x2=result[2],
-        )
-        state.frontier = k
-    else:
-        x, y = result[1], result[2]
+    lo, hi = coded.source(req.i).block(k)
+    branch, x, x2, y = _evaluate_block(decode(req.e), lo, hi, budget, src_j.endpoint(k + 1))
+    ell = None
+    if branch == BRANCH_DIAGONALIZED:
         ell, _ = src_j.locate(y)
         if ell <= k:
             raise AssertionError("diagonal image landed at or before the chosen block")
-        record = StageRecord(
-            stage, req.e, req.i, req.j, k, BRANCH_DIAGONALIZED, budget, ell,
-            x=x, y=y, ell=ell,
-        )
-        state.ones.add(k)
-        state.frontier = ell
-    state.stage += 1
+    record = StageRecord(state.stage, req.e, req.i, req.j, k, branch, budget,
+                         k if ell is None else ell, x, x2, y, ell)
+    state.apply(record)
     return record
 
 
@@ -473,11 +455,7 @@ def run_construction(
     state = ConstructionState()
     transcript = Transcript()
     for n in range(stages):
-        req = schedule.requirement(n)
-        before = state.frontier
-        record = run_stage(state, req, coded, cert, budget)
-        if state.frontier <= before:
-            raise AssertionError("frontier failed to increase")
+        record = run_stage(state, schedule.requirement(n), coded, cert, budget)
         transcript.records.append(record)
     return transcript, state
 
@@ -486,14 +464,5 @@ def reconstruct_state(records: Iterable[StageRecord]) -> ConstructionState:
     """Rebuild the membership state from a transcript alone."""
     state = ConstructionState()
     for record in records:
-        if record.branch == BRANCH_DIAGONALIZED:
-            state.ones.add(record.k)
-        state.frontier = record.m_after
-        state.stage += 1
+        state.apply(record)
     return state
-
-
-def eval_A(state: ConstructionState, coded: CodedFamily, n: int) -> int:
-    """Membership bit of n in the constructed set (0/1), frontier permitting."""
-    return state.block_bit(coded.targets.locate(n))
-

@@ -19,7 +19,6 @@ from blockdensity.construction import (
     ConstructionState,
     RequirementSchedule,
     domination_search,
-    eval_A,
     run_construction,
     run_stage,
 )

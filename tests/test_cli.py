@@ -550,11 +550,16 @@ BAD_CONFIGS = {
     "config_numeric_schedule": ('{"kind": "rationals", "schedule": 1}', "key 'schedule'"),
     "config_misspelt_k_max": (
         '{"kind": "rationals", "count": 2, "E": 2, "kmax": 5}', "'kmax'"),
+    "config_not_utf8": (b"\xff\xfe", "cannot read config"),
 }
 BAD_INPUTS.update(
     (name, (["construct", "--config", "{bad}", "--out", "{out}"], text))
     for name, (text, _) in BAD_CONFIGS.items()
 )
+# verify reads its config the same way before it opens the transcript.
+BAD_INPUTS["verify_config_not_utf8"] = (
+    ["verify", "--config", "{bad}", "--transcript", "{out}", "--report", "{report}"],
+    BAD_CONFIGS["config_not_utf8"][0])
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
@@ -563,14 +568,17 @@ def test_bad_input_exits_3(name, tmp_path, capsys):
     paths = {"config": tmp_path / "config.json", "bad": tmp_path / "bad.json",
              "out": tmp_path / "missing.jsonl", "report": tmp_path / "r.jsonl"}
     paths["config"].write_text(json.dumps({"kind": "rationals", "count": 2, "E": 2}))
-    if bad is not None:
+    if isinstance(bad, bytes):
+        paths["bad"].write_bytes(bad)
+    elif bad is not None:
         paths["bad"].write_text(bad)
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error: ")
-    if name in BAD_CONFIGS:
-        assert BAD_CONFIGS[name][1] in captured.err
+    config = name.removeprefix("verify_")
+    if config in BAD_CONFIGS:
+        assert BAD_CONFIGS[config][1] in captured.err
 
 
 @pytest.mark.parametrize("fault", [

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -10,7 +12,6 @@ from blockdensity.construction import (
     BRANCH_NON_INJECTIVE,
     BRANCH_NON_TOTAL,
     ConstructionState,
-    DominationCeilingError,
     FrontierUndefined,
     Requirement,
     RequirementSchedule,
@@ -18,7 +19,6 @@ from blockdensity.construction import (
     Transcript,
     _evaluate_block,
     domination_search,
-    eval_A,
     reconstruct_state,
     run_construction,
     run_stage,
@@ -45,7 +45,7 @@ from blockdensity.profiles import (
     poset_family,
 )
 
-from _oracles import domination_brute, encode
+from _oracles import block_geometry, domination_brute, encode
 
 ALPHA = Fraction(5, 4)
 BETA = Fraction(7, 4)
@@ -221,23 +221,68 @@ def test_domination_search_bisection_matches_brute_force(shape):
             assert got == want, (shape, i, j, frontier)
 
 
-def test_domination_search_candidate_ceiling_counts_from_zero(monkeypatch):
+def test_domination_search_refuses_a_gap_the_lengths_contradict():
     coded, cert = constant_setup()
-    # The selector is t, so the first candidate past frontier 10 is t = 11.
-    monkeypatch.setattr(construction, "MAX_CANDIDATES", 12)
-    assert domination_search(coded, cert, I_74, I_54, 10) == 11
-    for ceiling in (1, 5, 11):
-        monkeypatch.setattr(construction, "MAX_CANDIDATES", ceiling)
-        with pytest.raises(DominationCeilingError):
-            domination_search(coded, cert, I_74, I_54, 10)
+    # Pair (7/4, 5/4) first dominates at block 4. A claimed gap of 5 gives
+    # K0 = max(3, ceil(5/5)) = 3, so block 3 failing contradicts the lemma;
+    # a gap <= 0 proves nothing, so the first failing block is refused.
+    for delta, message in (
+        (5, r"block 3 of pair \(4, 3\) does not dominate, though K0 = 3"),
+        (0, r"pair \(4, 3\) has gap 0 <= 0"),
+        (Fraction(-1, 2), r"pair \(4, 3\) has gap -1/2 <= 0"),
+    ):
+        lying = GapCertificate(cert.in_D, lambda i, j, d=delta: d, cert.s)
+        with pytest.raises(AssertionError, match=message):
+            domination_search(coded, lying, I_74, I_54, -1)
+    assert domination_search(coded, cert, I_74, I_54, -1) == 4
+
+
+LEMMA_K = 200
+
+
+def _lemma_families():
+    """Each family with the indices whose scheduled pairs the lemma test takes."""
+    chain = PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"]))
+    return {
+        "constant": (constant_family(), range(8)),
+        "oscillating": (oscillating_family(ALPHA, BETA), range(4)),
+        "combined": (combined_family(ALPHA, BETA), range(8)),
+        "poset": (poset_family(chain, ALPHA, BETA), range(5)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["constant", "oscillating", "combined", "poset"])
+def test_profile_lemma_every_selected_block_from_k0_dominates(kind):
+    """On oracle geometry (running sums, no blocks.py), every selected block
+    k of a scheduled pair with K0 = max(3, ceil(5/delta)) <= k <= LEMMA_K is
+    longer than the opposing prefix: |K_k^i| > b_j(k + 1)."""
+    (family, cert), indices = _lemma_families()[kind]
+    geometry = {i: block_geometry(family.profile(i), range(LEMMA_K + 2)) for i in indices}
+    pairs = [(i, j) for i in indices for j in indices if cert.in_D(i, j)]
+    assert pairs
+    for i, j in pairs:
+        k0 = max(3, math.ceil(5 / cert.delta(i, j)))
+        checked = 0
+        for t in count():
+            k = cert.s(i, j, t)
+            if k > LEMMA_K:
+                break
+            if k >= k0:
+                assert geometry[i][k][3] > geometry[j][k + 1][1], (kind, i, j, k, k0)
+                checked += 1
+        assert checked, (kind, i, j, k0)
 
 
 def test_domination_search_rejects_selector_not_strictly_increasing():
     coded, cert = constant_setup()
-    # s(t) = t // 2 repeats values and stays below t, breaking s(t) >= t.
-    broken = GapCertificate(cert.in_D, cert.delta, lambda i, j, t: t // 2)
-    with pytest.raises(AssertionError, match="strictly increasing"):
-        domination_search(coded, broken, I_74, I_54, 10)
+    # s(t) = t // 2 repeats values and stays below t, breaking s(t) >= t;
+    # s(t) = max(t, 3) stalls on block 3, which does not dominate (block 4
+    # is the first that does), below K0 = 10.
+    for selector, frontier in ((lambda i, j, t: t // 2, 10),
+                               (lambda i, j, t: max(t, 3), -1)):
+        broken = GapCertificate(cert.in_D, cert.delta, selector)
+        with pytest.raises(AssertionError, match="strictly increasing"):
+            domination_search(coded, broken, I_74, I_54, frontier)
 
 
 def test_run_stage_identity_diagonalizes():
@@ -249,8 +294,8 @@ def test_run_stage_identity_diagonalizes():
     # Least source element whose image leaves the opposing prefix [0, 41).
     assert record.x == 41 and record.y == 41 and record.ell == 5
     assert state.frontier == 5 and state.ones == {4}
-    assert eval_A(state, coded, 10) == 1     # a_4 = 10
-    assert eval_A(state, coded, 34) == 0     # a_5 = 34
+    assert state.block_bit(coded.targets.locate(10)) == 1     # a_4 = 10
+    assert state.block_bit(coded.targets.locate(34)) == 0     # a_5 = 34
 
 
 def test_run_stage_diverging_program():
@@ -305,18 +350,18 @@ def test_no_injury_across_stages():
             snapshot[block] = state.block_bit(block)
 
 
-def test_eval_A_and_eval_C():
+def test_membership_is_blockwise_constant():
     coded, cert = constant_setup()
     state = ConstructionState()
     run_stage(state, Requirement(identity_index(), I_74, I_54), coded, cert, 10_000)
     with pytest.raises(FrontierUndefined):
-        eval_A(state, coded, coded.targets.endpoint(state.frontier + 1))
+        state.block_bit(coded.targets.locate(coded.targets.endpoint(state.frontier + 1)))
     # Blockwise constancy of the coded sets on the constructed prefix.
     for i in (I_32, I_74):
         src = coded.source(i)
         for k in range(state.frontier + 1):
             lo, hi = src.block(k)
-            bits = {eval_A(state, coded, coded.h_apply(i, x))
+            bits = {state.block_bit(coded.targets.locate(coded.h_apply(i, x)))
                     for x in range(lo, min(hi, lo + 40))}
             assert len(bits) == 1
             assert bits.pop() == state.block_bit(k)
@@ -328,17 +373,17 @@ def _literal_branch(program, lo, hi, budget, threshold):
     for x in range(lo, hi):
         outcome = run_program(program, x, budget)
         if isinstance(outcome, OutOfBudget):
-            return (BRANCH_NON_TOTAL, x)
+            return (BRANCH_NON_TOTAL, x, None, None)
         values[x] = outcome.value
     seen = {}
     for x in range(lo, hi):
         v = values[x]
         if v in seen:
-            return (BRANCH_NON_INJECTIVE, seen[v], x)
+            return (BRANCH_NON_INJECTIVE, seen[v], x, None)
         seen[v] = x
     for x in range(lo, hi):
         if values[x] >= threshold:
-            return (BRANCH_DIAGONALIZED, x, values[x])
+            return (BRANCH_DIAGONALIZED, x, None, values[x])
     raise AssertionError("no branch")
 
 
