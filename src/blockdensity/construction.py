@@ -31,14 +31,16 @@ Transcripts hold witnesses as hex text, exactly what hex() writes: the big
 witnesses, at or next to block endpoints b_i(k) or b_j(k + 1), reach thousands
 of digits, and CPython converts ints to and from hex in linear time (decimal
 takes quadratic time), with no int/str digit limit. Each line is one %-template
-filled in, json.dumps's bytes for the record; read against its replay, a
-transcript decodes only the lines that differ from the replay's own.
+filled in, json.dumps's bytes for the record (StageRecord.line). run_stages is
+the one stage loop: run_construction takes its first records, and a transcript
+is read against it in one forward pass, decoding only the lines that differ
+from the replay's own.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import count, zip_longest
+from itertools import count, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .machine import (
@@ -79,6 +81,11 @@ class Requirement(NamedTuple):
     j: int
 
 
+# A transcript line: the twelve keys in order, each witness "hex() text" or null.
+_LINE = ('{"stage": %d, "e": %d, "i": %d, "j": %d, "k": %d, "branch": "%s", '
+         '"x": %s, "x2": %s, "y": %s, "ell": %s, "budget": %d, "M_after": %d}\n')
+
+
 class StageRecord(NamedTuple):
     """One stage's outcome, an immutable NamedTuple. The witnesses x, x2, y
     and ell are ints or None."""
@@ -95,6 +102,19 @@ class StageRecord(NamedTuple):
     x2: int | None = None
     y: int | None = None
     ell: int | None = None
+
+    def line(self) -> str:
+        """The transcript line: json.dumps's bytes for a record with int
+        fields and one of the three branches, as run_stage makes it."""
+        stage, e, i, j, k, branch, budget, m_after, x, x2, y, ell = self
+        return _LINE % (
+            stage, e, i, j, k, branch,
+            "null" if x is None else '"' + hex(x) + '"',
+            "null" if x2 is None else '"' + hex(x2) + '"',
+            "null" if y is None else '"' + hex(y) + '"',
+            "null" if ell is None else '"' + hex(ell) + '"',
+            budget, m_after,
+        )
 
     def same_json(self, other: "StageRecord") -> bool:
         """Whether both records give the same transcript line, without encoding them.
@@ -381,9 +401,12 @@ def run_stage(
     return record
 
 
-# A transcript line: the twelve keys in order, each witness "hex() text" or null.
-_LINE = ('{"stage": %d, "e": %d, "i": %d, "j": %d, "k": %d, "branch": "%s", '
-         '"x": %s, "x2": %s, "y": %s, "ell": %s, "budget": %d, "M_after": %d}\n')
+def run_stages(state: ConstructionState, schedule: RequirementSchedule, coded: CodedFamily,
+               cert: GapCertificate, budget: int) -> Iterator[StageRecord]:
+    """The one stage loop: stages state.stage, state.stage + 1, ... of the
+    schedule, each run by run_stage when its record is drawn."""
+    while True:
+        yield run_stage(state, schedule.requirement(state.stage), coded, cert, budget)
 
 
 class Transcript:
@@ -393,18 +416,8 @@ class Transcript:
         self.records = [] if records is None else records
 
     def lines(self) -> Iterator[str]:
-        """The JSON Lines text, one line at a time: json.dumps's bytes for
-        records with int fields and one of the three branches, as run_stage
-        makes them."""
-        for stage, e, i, j, k, branch, budget, m_after, x, x2, y, ell in self.records:
-            yield _LINE % (
-                stage, e, i, j, k, branch,
-                "null" if x is None else '"' + hex(x) + '"',
-                "null" if x2 is None else '"' + hex(x2) + '"',
-                "null" if y is None else '"' + hex(y) + '"',
-                "null" if ell is None else '"' + hex(ell) + '"',
-                budget, m_after,
-            )
+        """The JSON Lines text, one line at a time."""
+        return map(StageRecord.line, self.records)
 
     def to_jsonl(self) -> str:
         return "".join(self.lines())
@@ -415,29 +428,35 @@ class Transcript:
             handle.writelines(self.lines())
 
     @staticmethod
-    def read_jsonl(path, replay=None) -> "Transcript":
-        """Load records; a line that is no record raises TranscriptError naming it.
-
-        The non-blank lines are read, bytes that are not UTF-8 kept by
-        surrogateescape, before replay(n), if given, returns run_construction's
-        Transcript of their n stages. A line that is its replayed line, as
-        text, is that record; any other is decoded by StageRecord.from_json.
+    def read_jsonl(path, replay: Iterator[StageRecord]) -> tuple["Transcript", int | None]:
+        """(the transcript at path, the first stage whose record is not its
+        replay's or None), in one forward pass: each non-blank line, bytes
+        that are not UTF-8 kept by surrogateescape, draws the next record of
+        replay (run_stages). A line that is that record's line, as text, is
+        that record; any other is decoded by StageRecord.from_json and
+        compared with it by StageRecord.same_json. A line that is no record
+        raises TranscriptError naming it, once the stages before it replayed.
         """
-        with open(path, "rb") as handle:
-            lines = [(number, text) for number, raw in enumerate(handle, 1)
-                     if not (text := raw.decode("utf-8", "surrogateescape")).isspace()]
-        rerun = replay(len(lines)) if replay and lines else Transcript()
         records = []
-        for (number, text), line, record in zip_longest(lines, rerun.lines(), rerun.records):
-            if text != line:
+        divergence = None
+        with open(path, "rb") as handle:
+            for number, raw in enumerate(handle, 1):
+                text = raw.decode("utf-8", "surrogateescape")
+                if text.isspace():
+                    continue
+                replayed = next(replay)
+                if text == replayed.line():
+                    records.append(replayed)
+                    continue
                 try:
-                    text = text.encode("utf-8", "surrogateescape").decode("utf-8")
-                    record = StageRecord.from_json(json.loads(text.strip()))
+                    record = StageRecord.from_json(json.loads(raw.decode("utf-8").strip()))
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise TranscriptError("%s:%d: bad transcript record: %s: %s" % (
                         path, number, type(exc).__name__, exc)) from exc
-            records.append(record)
-        return Transcript(records)
+                if divergence is None and not replayed.same_json(record):
+                    divergence = len(records)
+                records.append(record)
+        return Transcript(records), divergence
 
 
 def run_construction(
@@ -451,13 +470,9 @@ def run_construction(
     """Run requirements 0..stages-1 in order and return the audit transcript."""
     if stages < 1:
         raise ValueError("need at least one stage")
-    schedule = schedule or RequirementSchedule(cert)
     state = ConstructionState()
-    transcript = Transcript()
-    for n in range(stages):
-        record = run_stage(state, schedule.requirement(n), coded, cert, budget)
-        transcript.records.append(record)
-    return transcript, state
+    loop = run_stages(state, schedule or RequirementSchedule(cert), coded, cert, budget)
+    return Transcript(list(islice(loop, stages))), state
 
 
 def reconstruct_state(records: Iterable[StageRecord]) -> ConstructionState:

@@ -11,7 +11,6 @@ config produces byte-identical outputs.
 
 from __future__ import annotations
 
-import functools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -19,10 +18,12 @@ from typing import NamedTuple, Sequence
 
 from .construction import (
     BRANCH_DIAGONALIZED,
+    ConstructionState,
     RequirementSchedule,
     Transcript,
     reconstruct_state,
     run_construction,
+    run_stages,
 )
 from .machine import identity_index
 from .maps import CodedFamily
@@ -431,15 +432,13 @@ def write_report(certs: list[Certificate], path: str | Path) -> None:
         handle.writelines([cert.line() for cert in certs])
 
 
-def verify_transcript(config: ScenarioConfig, transcript: Transcript | str | Path):
-    """Replay a transcript, loaded or at a path, and recompute its certificate
-    suite; a path is read by Transcript.read_jsonl against the one replay."""
+def verify_transcript(config: ScenarioConfig, path: str | Path):
+    """Read the transcript at path against its replay, one stage per line
+    (Transcript.read_jsonl), and recompute its certificate suite."""
     config.validate()
     coded, gap_cert, schedule = prepare(config)
-    replay = functools.lru_cache(lambda stages: run_construction(
-        coded, gap_cert, stages, config.budget, schedule=schedule)[0])
-    if not isinstance(transcript, Transcript):
-        transcript = Transcript.read_jsonl(transcript, replay)
-    certs = [check_transcript_replay(coded, gap_cert, transcript, config.budget, replay=replay)]
+    replay = run_stages(ConstructionState(), schedule, coded, gap_cert, config.budget)
+    transcript, divergence = Transcript.read_jsonl(path, replay)
+    certs = [check_transcript_replay(len(transcript.records), divergence)]
     certs += _construction_certificates(config, coded, gap_cert, schedule, transcript)
     return certs

@@ -31,10 +31,12 @@ constructed prefix within the step budget, never more. Their witnesses, and
 those of every diagonal record, are rerun literally with run_program, not with
 the tail lemma (machine.tail_behavior) the construction chose them by; a
 record is first matched against the requirement the schedule puts at its
-position. The replay is run once: a record read as its replayed line is that
-replayed record. INCOMPLETE names what is missing (stages or records); FAIL
-means a check was run and refuted. Report lines are json.dumps's bytes, a
-passing DiagWitness's (one per record) filled into one template.
+position. The transcript is read against its replay in one forward pass
+(Transcript.read_jsonl): a record read as its replayed line is that replayed
+record, and check_transcript_replay reports the first record that is not.
+INCOMPLETE names what is missing (stages or records); FAIL means a check was
+run and refuted. Report lines are json.dumps's bytes, a passing DiagWitness's
+(one per record) filled into one template.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .construction import (
     RequirementSchedule,
     StageRecord,
     Transcript,
-    run_construction,
 )
 from .machine import Halted, OutOfBudget, decode, run_program
 from .maps import CodedFamily
@@ -462,34 +463,17 @@ def check_embedding_matrix(
     return cert
 
 
-def check_transcript_replay(
-    coded: CodedFamily,
-    gap_cert,
-    transcript: Transcript,
-    budget: int,
-    *,
-    schedule: RequirementSchedule | None = None,
-    replay: Callable[[int], Transcript] | None = None,
-) -> Certificate:
-    """Re-run the schedule and demand a bit-identical transcript.
+def check_transcript_replay(stages: int, divergence: int | None) -> Certificate:
+    """The replay check of a transcript of `stages` records, given the first
+    stage whose record is not its replay's (Transcript.read_jsonl), or None.
 
-    replay, if given, maps a stage count to that re-run. A loaded record that
-    is its replayed record matches; any other is compared with it as
-    StageRecord.same_json does, which decides exactly what comparing the JSON
-    Lines encodings would.
+    A record is its replay's when both give the same JSON Lines text, as
+    StageRecord.same_json decides; an empty transcript fails.
     """
-    cert = Certificate("TranscriptReplay", {"stages": len(transcript.records)})
-    if not transcript.records:
+    cert = Certificate("TranscriptReplay", {"stages": stages})
+    if not stages:
         cert.fail("bit_exact", {"reason": "empty transcript"})
-        return cert
-    rerun = replay(len(transcript.records)) if replay else run_construction(
-        coded, gap_cert, len(transcript.records), budget, schedule=schedule)[0]
-    divergence = next(
-        (idx for idx, (a, b) in enumerate(zip(rerun.records, transcript.records))
-         if not (a is b or a.same_json(b))),
-        None,
-    )
-    if divergence is not None:
+    elif divergence is not None:
         cert.fail("bit_exact", {"first_divergence_stage": divergence})
     else:
         cert.ok("bit_exact")

@@ -16,12 +16,12 @@ from blockdensity.construction import (
     Requirement,
     RequirementSchedule,
     StageRecord,
-    Transcript,
     _evaluate_block,
     domination_search,
     reconstruct_state,
     run_construction,
     run_stage,
+    run_stages,
 )
 from blockdensity.machine import (
     DECJZ,
@@ -45,7 +45,7 @@ from blockdensity.profiles import (
     poset_family,
 )
 
-from _oracles import block_geometry, domination_brute, encode
+from _oracles import block_geometry, domination_brute, encode, read_transcript
 
 ALPHA = Fraction(5, 4)
 BETA = Fraction(7, 4)
@@ -445,8 +445,20 @@ def test_transcript_round_trip(tmp_path):
     transcript, _ = run_construction(coded, cert, 4, 10_000)
     path = tmp_path / "t.jsonl"
     transcript.write_jsonl(path)
-    loaded = Transcript.read_jsonl(path)
-    assert loaded.records == transcript.records
+    assert read_transcript(path) == transcript.records
+
+
+def test_run_construction_takes_the_first_records_of_the_stage_loop():
+    """run_stages goes on from the state's stage; run_construction's records
+    are its first ones, and its state is the loop's."""
+    coded, cert = constant_setup()
+    transcript, state = run_construction(coded, cert, 6, 10_000)
+    loop_state = ConstructionState()
+    loop = run_stages(loop_state, RequirementSchedule(cert), coded, cert, 10_000)
+    assert [next(loop) for _ in range(4)] == transcript.records[:4]
+    assert [next(loop) for _ in range(2)] == transcript.records[4:]
+    assert (loop_state.frontier, loop_state.ones, loop_state.stage) == (
+        state.frontier, state.ones, state.stage)
 
 
 def test_stage_record_replace_keeps_the_type():

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from blockdensity.construction import Transcript
 from blockdensity.numerics import enum_rationals_12
 from blockdensity.scenarios import (
     DEFAULT_ALPHA,
@@ -163,8 +162,7 @@ def test_incomplete_exit_code_when_window_exceeds_transcript(tmp_path):
 
     wider = ScenarioConfig(kind="rationals", count=2, e_bound=30, budget=10**5,
                            k_max=6)
-    transcript = Transcript.read_jsonl(tmp_path / "transcript.jsonl")
-    certs = verify_transcript(wider, transcript)
+    certs = verify_transcript(wider, tmp_path / "transcript.jsonl")
     assert report_exit_code(certs) == 2
     incomplete = [c for c in certs if c.verdict == INCOMPLETE]
     assert incomplete

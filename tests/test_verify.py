@@ -10,6 +10,7 @@ from blockdensity.construction import (
     RequirementSchedule,
     Transcript,
     run_construction,
+    run_stages,
 )
 from blockdensity.maps import CodedFamily
 from blockdensity.profiles import combined_family, constant_family
@@ -233,10 +234,15 @@ def test_embedding_matrix_incomplete_cell_is_not_a_fail():
                             "verdict": INCOMPLETE}]
 
 
-def test_transcript_replay(constant_run):
+def test_transcript_replay(constant_run, tmp_path):
     _, cert, _, transcript, _ = constant_run
+    path = tmp_path / "t.jsonl"
+    transcript.write_jsonl(path)
     fresh = CodedFamily(constant_family()[0])
-    assert check_transcript_replay(fresh, cert, transcript, 10**5).verdict == PASS
+    replay = run_stages(ConstructionState(), RequirementSchedule(cert), fresh, cert, 10**5)
+    loaded, divergence = Transcript.read_jsonl(path, replay)
+    assert loaded.records == transcript.records and divergence is None
+    assert check_transcript_replay(len(loaded.records), divergence).verdict == PASS
 
 
 def test_certificate_keeps_its_diagnostics():

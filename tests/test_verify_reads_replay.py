@@ -1,12 +1,13 @@
-"""verify reads a transcript against its replay.
+"""verify reads a transcript against its replay, in one forward pass.
 
-The replay's own line for each stage is compared with the transcript's line
-as text; a line that is that text is the replayed record and is not decoded,
-and every other line is decoded and compared as before. These tests hold
-verify to the reader that decodes every line (_oracles.read_transcript) and
-the replay check that compares every record (_oracles.transcript_replay_json)
-on line-level edits of real transcripts, count the lines verify decodes and
-the replays it runs, and check what is refused, and when.
+Each non-blank line replays one stage, and the replay's own line for that
+stage is compared with the transcript's line as text; a line that is that
+text is the replayed record and is not decoded, and every other line is
+decoded and compared with its replay. These tests hold verify to the reader
+that decodes every line (_oracles.read_transcript) and the replay check that
+compares every record (_oracles.transcript_replay_json) on line-level edits
+of real transcripts, count the lines verify decodes and the stages it
+replays, and check what is refused, and when.
 """
 
 import contextlib
@@ -19,17 +20,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from blockdensity import scenarios
+from blockdensity import construction, scenarios
 from blockdensity.cli import main
 from blockdensity.construction import StageRecord, Transcript
-from blockdensity.scenarios import (
-    ScenarioConfig,
-    prepare,
-    report_exit_code,
-    run_scenario,
-    verify_transcript,
-    write_report,
-)
+from blockdensity.scenarios import ScenarioConfig, prepare, report_exit_code, run_scenario
 
 from _oracles import read_transcript, transcript_replay_json
 
@@ -68,20 +62,22 @@ def _verify(config_path, transcript_path, report_path):
 
 def _oracle(config, transcript_path, report_path):
     """The exit code and standard error verify gave when it decoded every
-    line; the report it wrote, if any, goes to report_path."""
+    line before it replayed; the report it wrote, if any, goes to
+    report_path, each certificate encoded by json.dumps."""
     try:
         records = read_transcript(transcript_path)
     except ValueError as exc:
         return 3, "error: %s\n" % exc
     try:
-        certs = verify_transcript(config, Transcript(records))
+        coded, gap_cert, schedule = prepare(config)
+        replay = transcript_replay_json(coded, gap_cert, records, config.budget, schedule)
+        certs = scenarios._construction_certificates(
+            config, coded, gap_cert, schedule, Transcript(records))
     except Exception as exc:  # verify's internal error, exit 4
         return 4, "internal error: %s: %s\n" % (type(exc).__name__, exc)
-    coded, gap_cert, schedule = prepare(config)
-    assert certs[0].to_json() == transcript_replay_json(
-        coded, gap_cert, records, config.budget, schedule)
-    write_report(certs, report_path)
-    return report_exit_code(certs), ""
+    report_path.write_text("".join(
+        json.dumps(obj) + "\n" for obj in [replay, *(c.to_json() for c in certs)]))
+    return 1 if replay["verdict"] == "FAIL" else report_exit_code(certs), ""
 
 
 # Line-level edits: name -> function of (lines, draw) that edits the lines in
@@ -203,15 +199,15 @@ def decoded(monkeypatch):
 
 @pytest.fixture
 def replays(monkeypatch):
-    """The number of times verify_transcript runs run_construction, in a list."""
+    """The number of stages run_stage runs, in a list."""
     count = [0]
-    real = scenarios.run_construction
+    real = construction.run_stage
 
     def counting(*args, **kwargs):
         count[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scenarios, "run_construction", counting)
+    monkeypatch.setattr(construction, "run_stage", counting)
     return count
 
 
@@ -222,7 +218,7 @@ def test_verify_decodes_no_line_it_replays(kind, runs, decoded, replays, tmp_pat
     transcript.write_bytes(b"".join(lines))
     assert _verify(config_path, transcript, tmp_path / "r.jsonl") == (0, "")
     assert decoded == [0]
-    assert replays == [1]
+    assert replays == [len(lines)]
 
 
 def _rewrite(line, **dumps):
@@ -233,7 +229,7 @@ def _rewrite(line, **dumps):
 def test_verify_decodes_exactly_the_edited_lines(kind, runs, decoded, replays, tmp_path):
     """Two lines re-encoded hold the same records, so verify passes; a third
     with a witness off by one fails the replay there. Only those three lines
-    are decoded, and the replay runs once."""
+    are decoded, and each verify replays one stage per line."""
     config_path, lines = runs[kind]
     lines = list(lines)
     lines[1] = _rewrite(lines[1], sort_keys=True)
@@ -249,25 +245,48 @@ def test_verify_decodes_exactly_the_edited_lines(kind, runs, decoded, replays, t
     transcript.write_bytes(b"".join(lines))
     assert _verify(config_path, transcript, report)[0] == 1
     assert decoded == [2 + 3]
-    assert replays == [2]
+    assert replays == [2 * len(lines)]
     replay = json.loads(report.read_text().splitlines()[0])
     assert replay["checks"] == [
         {"check": "bit_exact", "ok": False, "first_divergence_stage": 2}]
 
 
-def test_verify_of_a_loaded_transcript_replays_once(runs, replays):
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_a_bad_line_costs_only_the_stages_before_it(kind, runs, replays, tmp_path):
+    """Line p = 3 that is no record is refused, as the decoding reader
+    refuses it, after at most p replayed stages."""
+    config_path, lines = runs[kind]
+    lines = list(lines)
+    lines[2] = b"x\n"
+    transcript, report = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
+    transcript.write_bytes(b"".join(lines))
+    code, err = _verify(config_path, transcript, report)
+    assert replays[0] <= 3
+    assert (code, err) == _oracle(CONFIGS[kind], transcript, tmp_path / "oracle.jsonl")
+    assert code == 3 and err.startswith("error: %s:3: bad transcript record: " % transcript)
+    assert not report.exists()
+
+
+EMPTY_REPLAY = ('{"kind": "TranscriptReplay", "verdict": "FAIL", "subject": {"stages": 0}, '
+                '"checks": [{"check": "bit_exact", "ok": false, "reason": "empty transcript"}], '
+                '"diagnostics": {}}\n')
+
+
+@pytest.mark.parametrize("text", [b"", b"\n \r\n"], ids=["empty", "blank"])
+def test_an_empty_transcript_fails_without_a_replay(text, runs, replays, tmp_path):
     config_path, _ = runs["rationals"]
-    transcript = Transcript.read_jsonl(config_path.parent / "transcript.jsonl")
-    certs = verify_transcript(CONFIGS["rationals"], transcript)
-    assert report_exit_code(certs) == 0
-    assert replays == [1]
+    transcript, report = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
+    transcript.write_bytes(text)
+    assert _verify(config_path, transcript, report) == (1, "")
+    assert report.read_text().splitlines(keepends=True)[0] == EMPTY_REPLAY
+    assert replays == [0]
 
 
 def _refuse_replay(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("replayed a transcript that was refused")
 
-    monkeypatch.setattr(scenarios, "run_construction", refused)
+    monkeypatch.setattr(construction, "run_stage", refused)
 
 
 @pytest.mark.parametrize("target", ["missing", "directory"])

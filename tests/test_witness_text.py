@@ -25,13 +25,14 @@ from blockdensity.construction import (
     Requirement,
     StageRecord,
     Transcript,
+    run_stages,
 )
 from blockdensity.maps import CodedFamily
 from blockdensity.profiles import constant_family
 from blockdensity.scenarios import SCHEDULES, ScenarioConfig, construct, prepare
 from blockdensity.verify import FAIL, PASS, check_diag_witness, check_transcript_replay
 
-from _oracles import FAMILIES, KS, record_json
+from _oracles import FAMILIES, KS, read_transcript, record_json, transcript_replay_json
 
 WITNESSES = ("x", "x2", "y", "ell")
 
@@ -128,9 +129,9 @@ def test_decimal_endpoints_match_source_blocks(kind, str_digits_lifted, tmp_path
         ]
         path = tmp_path / ("%d.jsonl" % s)
         Transcript(records).write_jsonl(path)
-        loaded = Transcript.read_jsonl(path)
-        assert loaded.records == records
-        for record in loaded.records:
+        loaded = read_transcript(path)
+        assert loaded == records
+        for record in loaded:
             assert str(record.x) == str(src.endpoint(record.k)), (s, record.k)
             assert str(record.y) == str(src.endpoint(record.k + 1)), (s, record.k + 1)
 
@@ -146,12 +147,12 @@ def test_replay_gives_loaded_records_their_ints(tmp_path):
     lines[20] = json.dumps(tampered)
     path.write_text("".join(line + "\n" for line in lines))
 
-    loaded = Transcript.read_jsonl(path)
+    fresh, gap_cert, schedule = prepare(config)
+    replay = run_stages(ConstructionState(), schedule, fresh, gap_cert, config.budget)
+    loaded, divergence = Transcript.read_jsonl(path, replay)
     assert all(type(getattr(r, name)) in (int, type(None))
                for r in loaded.records for name in WITNESSES)
-    fresh, gap_cert, schedule = prepare(config)
-    cert = check_transcript_replay(fresh, gap_cert, loaded, config.budget,
-                                   schedule=schedule)
+    cert = check_transcript_replay(len(loaded.records), divergence)
     assert cert.verdict == FAIL
     assert cert.checks == [
         {"check": "bit_exact", "ok": False, "first_divergence_stage": 20}
@@ -175,13 +176,12 @@ def test_transcript_write_read_round_trip(kind, count, rows, e_bound, schedule):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first.jsonl", Path(tmp) / "second.jsonl"
         transcript.write_jsonl(first)
-        loaded = Transcript.read_jsonl(first)
-        cert = check_transcript_replay(fresh, gap_cert, loaded, config.budget,
-                                       schedule=fresh_schedule)
-        assert cert.verdict == PASS
-        assert len(loaded.records) == len(transcript.records)
-        assert all(a.same_json(b) for a, b in zip(loaded.records, transcript.records))
-        loaded.write_jsonl(second)
+        loaded = read_transcript(first)
+        replay = transcript_replay_json(fresh, gap_cert, loaded, config.budget, fresh_schedule)
+        assert replay["verdict"] == PASS
+        assert len(loaded) == len(transcript.records)
+        assert all(a.same_json(b) for a, b in zip(loaded, transcript.records))
+        Transcript(loaded).write_jsonl(second)
         assert second.read_bytes() == first.read_bytes()
 
 
