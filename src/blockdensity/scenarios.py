@@ -41,9 +41,9 @@ from .verify import (
     Certificate,
     check_bfo_equivalence,
     check_defeat_bundle,
-    check_diag_witness,
     check_embedding_matrix,
     check_positive_reduction,
+    check_stage_records,
     check_transcript_replay,
     target_walk,
 )
@@ -243,15 +243,16 @@ def required_stages(config: ScenarioConfig, cert, schedule: RequirementSchedule)
     return max(config.stages or 0, window, 1)
 
 
-def _identity_device_certificate(transcript, state) -> Certificate:
-    """Every identity-index stage must diagonalize, splitting the prefix."""
+def _identity_device_certificate(transcript, state, faults) -> Certificate:
+    """Every identity-index stage must diagonalize, its record passing its
+    checks (faults, check_stage_records), splitting the prefix."""
     e_id = identity_index()
     cert = Certificate("IdentityDevice", {"e_id": e_id})
-    records = [r for r in transcript.records if r.e == e_id]
+    records = [(n, r) for n, r in enumerate(transcript.records) if r.e == e_id]
     if not records:
         cert.incomplete("identity_scheduled", {"hint": "run more stages"})
         return cert
-    bad = [r.stage for r in records if r.branch != BRANCH_DIAGONALIZED]
+    bad = [n for n, r in records if r.branch != BRANCH_DIAGONALIZED or faults[n] is not None]
     if bad:
         cert.fail("identity_always_diagonalizes", {"stages": bad})
     else:
@@ -298,14 +299,10 @@ def _collapse_certificate(coded, state) -> Certificate:
 def _construction_certificates(config, coded, gap_cert, schedule, transcript):
     """The certificate suite for one run, derived from the transcript alone."""
     state = reconstruct_state(transcript.records)
-    # Each diagonal witness is checked once; defeat bundles reuse the verdicts
-    # and the certificates follow the rest of the report.
-    diag_certs = {
-        n: check_diag_witness(coded, state, record, schedule.requirement(n))
-        for n, record in enumerate(transcript.records)
-        if record.branch == BRANCH_DIAGONALIZED
-    }
-    diag_verdicts = {n: c.verdict for n, c in diag_certs.items()}
+    # Each stage record is checked once, in one pass; the defeat bundles and
+    # the identity device read its per-stage results, and its certificate
+    # ends the report.
+    stage_checks, faults = check_stage_records(coded, state, schedule, transcript.records)
     # The gap certificate fixes the order: a pair (a, b) that D schedules
     # only as (b, a) has a pointwise below b, so it gets a reduction.
     span = _span(config)
@@ -316,9 +313,7 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
         if a != b and gap_cert.in_D(b, a) and not gap_cert.in_D(a, b)
     }
     defeats = {
-        (a, b): check_defeat_bundle(
-            coded, transcript, schedule, a, b, config.e_bound, diag_verdicts
-        )
+        (a, b): check_defeat_bundle(schedule, a, b, config.e_bound, faults)
         for a, b in _scheduled_pairs(config, gap_cert)
     }
 
@@ -338,10 +333,10 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
         certs = [*reductions.values(), *defeats.values()]
         certs.extend(check_bfo_equivalence(coded, state, i, config.k_max) for i in span)
         if config.kind == "combined":
-            certs.append(_identity_device_certificate(transcript, state))
+            certs.append(_identity_device_certificate(transcript, state, faults))
             certs.append(_collapse_certificate(coded, state))
 
-    certs.extend(diag_certs.values())
+    certs.append(stage_checks)
     return certs
 
 

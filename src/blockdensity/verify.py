@@ -27,34 +27,35 @@ reduction from i) and 0 <= q < k!:
 
 Negative claims are explicitly budget-qualified: a defeat bundle says that no
 scheduled program below the index bound is a total injective reduction on the
-constructed prefix within the step budget, never more. Their witnesses, and
-those of every diagonal record, are rerun literally with run_program, not with
-the tail lemma (machine.tail_behavior) the construction chose them by; a
+constructed prefix within the step budget, never more. Every stage record is
+checked once, in one forward pass that makes one StageChecks certificate and
+gives the defeat bundles their per-stage results (check_stage_records): a
 record is first matched against the requirement the schedule puts at its
-position. The transcript is read against its replay in one forward pass
+position, and its witnesses are rerun literally with run_program, not with
+the tail lemma (machine.tail_behavior) the construction chose them by. The
+transcript is read against its replay in one forward pass
 (Transcript.read_jsonl): a record read as its replayed line is that replayed
 record, and check_transcript_replay reports the first record that is not.
 INCOMPLETE names what is missing (stages or records); FAIL means a check was
-run and refuted. Report lines are json.dumps's bytes, a passing DiagWitness's
-(one per record) filled into one template.
+run and refuted. Report lines are json.dumps's bytes.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .construction import (
     BRANCH_DIAGONALIZED,
     BRANCH_NON_INJECTIVE,
     BRANCH_NON_TOTAL,
+    BRANCHES,
     ConstructionState,
     FrontierUndefined,
     Requirement,
     RequirementSchedule,
     StageRecord,
-    Transcript,
 )
 from .machine import Halted, OutOfBudget, decode, run_program
 from .maps import CodedFamily
@@ -98,28 +99,12 @@ class Certificate:
         }
 
     def line(self) -> str:
-        """The report line, json.dumps's bytes: _DIAG_LINE filled in for a passing
-        DiagWitness (checks _DIAG_PASSED, subject four ints), else encoded."""
-        c, s = self.checks, self.subject
-        if (len(c) == 3 and c[0] is _DIAG_PASSED[0] and c[1] is _DIAG_PASSED[1]
-                and c[2] is _DIAG_PASSED[2] and self.kind == "DiagWitness"
-                and self.verdict == PASS and self.diagnostics == {}
-                and [*s] == _DIAG_KEYS and [*map(type, s.values())] == _INTS):
-            return _DIAG_LINE % tuple(s.values())
+        """The report line, json.dumps's bytes."""
         return _encode(self.to_json()) + "\n"
 
 
 # json.dumps's encoder less its cycle check, which a report's fresh trees skip.
 _encode = json.JSONEncoder(check_circular=False).encode
-# The checks of every passing DiagWitness, shared, so that line() tells them
-# by identity: == would take 1 for True and ignore key order.
-_DIAG_PASSED = (
-    {"check": "rerun_value", "ok": True}, {"check": "image_block", "ok": True},
-    {"check": "membership_split", "ok": True, "value_at_witness": 1, "value_at_image": 0})
-_DIAG_KEYS, _INTS = ["stage", "e", "i", "j"], [int] * 4
-_DIAG_LINE = ('{"kind": "DiagWitness", "verdict": "PASS", "subject": {"stage": %d, '
-              '"e": %d, "i": %d, "j": %d}, "checks": ' + _encode(_DIAG_PASSED)
-              + ', "diagnostics": {}}\n')
 
 
 def target_walk() -> Iterator[tuple[int, int, int]]:
@@ -270,116 +255,124 @@ def check_bfo_equivalence(
     return cert
 
 
-def _unnatural_witness(record: StageRecord, names: tuple[str, ...]) -> str | None:
-    """The first named witness field that is missing or negative, if any."""
-    for name in names:
-        value = getattr(record, name)
-        if value is None or value < 0:
-            return name
-    return None
+# The witness fields each branch needs, natural ints.
+_WITNESSES = {BRANCH_NON_TOTAL: ("x",), BRANCH_NON_INJECTIVE: ("x", "x2"),
+              BRANCH_DIAGONALIZED: ("x", "y", "ell")}
 
 
 def check_diag_witness(
-    coded: CodedFamily,
-    state: ConstructionState,
-    record: StageRecord,
-    req: Requirement,
-) -> Certificate:
-    """Recheck one diagonalization record from scratch.
-
-    req is the requirement the schedule puts at the record's position; a
-    record naming another (e, i, j) fails before its program is decoded or
-    its witnesses located, as those costs grow with e and i.
-    """
-    stage, e, i, j, k, branch, budget, _, x, _, y, ell = record
+    coded: CodedFamily, state: ConstructionState, record: StageRecord
+) -> tuple[str, dict] | None:
+    """The first check a diagonalized record with natural witnesses fails, as
+    (name, detail), or None: x lies in block k and reruns to y, y lies in a
+    block ell > k, h(x) and h(y) lie in target blocks k and ell, and the
+    state puts block k in the set and block ell out of it."""
+    _, e, i, j, k, branch, budget, _, x, _, y, ell = record
     if branch != BRANCH_DIAGONALIZED:
         raise ValueError("diagonal witness check needs a diagonalized record")
-    cert = Certificate("DiagWitness", {"stage": stage, "e": e, "i": i, "j": j})
-    if (e, i, j) != req:
-        cert.fail("schedule_mismatch", {"e": req.e, "i": req.i, "j": req.j})
-        return cert
-    if None in (x, y, ell) or min(x, y, ell) < 0:
-        bad = _unnatural_witness(record, ("x", "y", "ell"))
-        value = getattr(record, bad)
-        cert.fail("witness_fields",
-                  {"field": bad, "value": None if value is None else str(value)})
-        return cert
     located, _ = coded.source(i).locate(x)
     if located != k:
-        cert.fail("witness_block", {"expected": k, "located": located})
-        return cert
+        return "witness_block", {"expected": k, "located": located}
     outcome = run_program(decode(e), x, budget)
     if not isinstance(outcome, Halted) or outcome.value != y:
-        cert.fail("rerun_value", {"x": str(x)})
-        return cert
-    cert.checks.append(_DIAG_PASSED[0])
+        return "rerun_value", {"x": str(x)}
     located, _ = coded.source(j).locate(y)
     if located != ell or ell <= k:
-        cert.fail("image_block", {"expected": ell, "located": located})
-        return cert
-    cert.checks.append(_DIAG_PASSED[1])
+        return "image_block", {"expected": ell, "located": located}
     try:
         locate = coded.targets.locate
         if locate(coded.h_apply(i, x)) != k or locate(coded.h_apply(j, y)) != ell:
-            cert.fail("compressed_targets")
-            return cert
+            return "compressed_targets", {}
         # h(x) and h(y) lie in target blocks k and ell, as just checked.
         if state.block_bit(k) != 1 or state.block_bit(ell) != 0:
-            cert.fail("membership_split")
-            return cert
+            return "membership_split", {}
     except FrontierUndefined as exc:
-        cert.incomplete("frontier", {"needed_block": exc.block, "frontier": exc.frontier})
-        return cert
-    cert.checks.append(_DIAG_PASSED[2])
-    return cert
+        return "frontier", {"needed_block": exc.block, "frontier": exc.frontier}
+    return None
 
 
-def _check_defeat_record(
-    coded: CodedFamily, record: StageRecord, diag_verdict: str | None
-) -> tuple[bool, str]:
-    """Validate whichever branch a defeat record claims.
+def _record_fault(
+    coded: CodedFamily, state: ConstructionState, record: StageRecord, req: Requirement
+) -> tuple[str, dict] | None:
+    """The first check a record fails as the record of requirement req, as
+    (name, detail), or None.
 
-    A diagonalized record stands on diag_verdict, its DiagWitness verdict.
+    The requirement and the witness fields come first, before a program is
+    decoded or a witness located, as those costs grow with e, i and the
+    witnesses. A non-total record's x reruns out of budget inside block k; a
+    non-injective record's two witnesses rerun to one value.
     """
-    witnesses = {BRANCH_NON_TOTAL: ("x",), BRANCH_NON_INJECTIVE: ("x", "x2")}
-    bad = _unnatural_witness(record, witnesses.get(record.branch, ()))
-    if bad is not None:
-        return False, "witness %s is missing or negative" % bad
-    if record.branch == BRANCH_NON_TOTAL:
-        outcome = run_program(decode(record.e), record.x, record.budget)
-        if not isinstance(outcome, OutOfBudget):
-            return False, "claimed divergence reruns to a halt"
-        k, _ = coded.source(record.i).locate(record.x)
-        if k != record.k:
-            return False, "divergence witness outside the chosen block"
-        return True, ""
-    if record.branch == BRANCH_NON_INJECTIVE:
-        program = decode(record.e)
-        out1 = run_program(program, record.x, record.budget)
-        out2 = run_program(program, record.x2, record.budget)
-        if not (isinstance(out1, Halted) and isinstance(out2, Halted)):
-            return False, "collision witnesses fail to halt"
-        if record.x == record.x2 or out1.value != out2.value:
-            return False, "claimed collision reruns to distinct values"
-        return True, ""
-    return diag_verdict == PASS, "" if diag_verdict == PASS else "diagonal recheck failed"
+    _, e, i, j, k, branch, budget, m_after, x, x2, _, ell = record
+    if (e, i, j) != req:
+        return "schedule_mismatch", req._asdict()
+    for name in _WITNESSES[branch]:
+        value = getattr(record, name)
+        if value is None or value < 0:
+            return "witness_fields", {"field": name,
+                                      "value": None if value is None else str(value)}
+    # ConstructionState.apply moves the frontier to M_after on trust.
+    if m_after != (ell if branch == BRANCH_DIAGONALIZED else k):
+        return "m_after", {"m_after": m_after}
+    if branch == BRANCH_DIAGONALIZED:
+        return check_diag_witness(coded, state, record)
+    program = decode(e)
+    if branch == BRANCH_NON_TOTAL:
+        if not isinstance(run_program(program, x, budget), OutOfBudget):
+            return "rerun_diverges", {"x": str(x)}
+        located, _ = coded.source(i).locate(x)
+        return None if located == k else ("witness_block", {"expected": k, "located": located})
+    out, out2 = run_program(program, x, budget), run_program(program, x2, budget)
+    if (x == x2 or not isinstance(out, Halted) or not isinstance(out2, Halted)
+            or out.value != out2.value):
+        return "rerun_collides", {"x": str(x), "x2": str(x2)}
+    return None
+
+
+def check_stage_records(
+    coded: CodedFamily,
+    state: ConstructionState,
+    schedule: RequirementSchedule,
+    records: Sequence[StageRecord],
+) -> tuple[Certificate, list[str | None]]:
+    """Check every stage record in one forward pass: (the StageChecks
+    certificate, the name of each record's first failing check or None).
+
+    Record n must be the record of the requirement the schedule puts at stage
+    n and pass its branch's checks (_record_fault). The certificate counts
+    the records of each branch, or names each failing record by stage and
+    check; a record whose image block lies past the frontier leaves it
+    INCOMPLETE.
+    """
+    cert = Certificate("StageChecks", {"stages": len(records)})
+    counts = dict.fromkeys(BRANCHES, 0)
+    faults: list[str | None] = []
+    for n, record in enumerate(records):
+        fault = _record_fault(coded, state, record, schedule.requirement(n))
+        if fault is None:
+            counts[record.branch] += 1
+            faults.append(None)
+        else:
+            name, detail = fault
+            (cert.incomplete if name == "frontier" else cert.fail)(name, {"stage": n, **detail})
+            faults.append(name)
+    if cert.verdict == PASS:
+        cert.ok("all_records", counts)
+    return cert, faults
 
 
 def check_defeat_bundle(
-    coded: CodedFamily,
-    transcript: Transcript,
     schedule: RequirementSchedule,
     i: int,
     j: int,
     e_bound: int,
-    diag_verdicts: Mapping[int, str],
+    faults: Sequence[str | None],
 ) -> Certificate:
-    """One defeat record per program index below the bound, each revalidated.
+    """One passing stage record per program index below the bound.
 
     The conclusion is bounded: no program with index below e_bound is a total
     injective reduction on the constructed prefix within the recorded budget.
-    diag_verdicts maps the position of each diagonalized record in the
-    transcript to its DiagWitness verdict.
+    faults holds, per stage, the name of the record's first failing check or
+    None (check_stage_records).
     """
     cert = Certificate(
         "DefeatBundle",
@@ -393,22 +386,16 @@ def check_defeat_bundle(
     defeated = 0
     for e in range(e_bound):
         stage = schedule.stage_of(e, i, j)
-        if stage >= len(transcript.records):
+        if stage >= len(faults):
             cert.incomplete(
                 "record_present",
-                {"e": e, "needed_stage": stage, "stages_run": len(transcript.records),
+                {"e": e, "needed_stage": stage, "stages_run": len(faults),
                  "hint": "run at least %d stages" % (stage + 1)},
             )
-            continue
-        record = transcript.records[stage]
-        if (record.e, record.i, record.j) != (e, i, j):
-            cert.fail("schedule_mismatch", {"stage": stage})
-            continue
-        valid, reason = _check_defeat_record(coded, record, diag_verdicts.get(stage))
-        if valid:
+        elif faults[stage] is None:
             defeated += 1
         else:
-            cert.fail("defeat_record", {"e": e, "stage": stage, "reason": reason})
+            cert.fail("defeat_record", {"e": e, "stage": stage, "reason": faults[stage]})
     if defeated == e_bound:
         cert.ok("all_defeats", {"count": defeated})
     cert.diagnostics["defeated"] = defeated

@@ -33,7 +33,7 @@ from blockdensity.profiles import (
     poset_family,
 )
 from blockdensity.scenarios import ScenarioConfig, run_scenario
-from blockdensity.verify import PASS, check_diag_witness
+from blockdensity.verify import PASS, check_stage_records
 
 from _oracles import domination_brute, random_poset_matrix
 
@@ -228,12 +228,9 @@ def test_criterion_04_stage_soundness(combined_run, criterion):
     if any(b <= a for a, b in zip(frontiers, frontiers[1:])):
         failures.append("frontier not strictly increasing")
 
-    diagonal = [r for r in transcript.records if r.branch == BRANCH_DIAGONALIZED]
-    for record in diagonal:
-        req = schedule.requirement(record.stage)
-        verdict = check_diag_witness(coded, state, record, req).verdict
-        if verdict != PASS:
-            failures.append(("diag witness", record.stage, verdict))
+    stage_checks, _ = check_stage_records(coded, state, schedule, transcript.records)
+    if stage_checks.verdict != PASS:
+        failures.append(("stage checks", stage_checks.checks))
 
     # Bits never change: replay stagewise and snapshot every defined block.
     fresh = CodedFamily(combined_family(ALPHA, BETA)[0])

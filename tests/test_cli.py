@@ -227,7 +227,7 @@ def test_construct_then_verify_round_trip(tmp_path, capsys):
 
 
 SUMMARY = ("PositiveReduction,PASS\nDefeatBundle,PASS\nBfoEquivalence,PASS\n"
-           "BfoEquivalence,PASS\nDiagWitness,PASS\nDiagWitness,PASS\n")
+           "BfoEquivalence,PASS\nStageChecks,PASS\n")
 
 
 def test_scenario_and_verify_print_the_whole_summary(tmp_path, capsys):
@@ -784,15 +784,17 @@ def test_poset_scenario_with_a_cell_past_the_frontier_is_incomplete(tmp_path, ca
     assert out.splitlines()[0] == "EmbeddingMatrix,INCOMPLETE"
 
 
-# name -> (edit of the parsed records, exit code, bit_exact, first divergence)
+# name -> (edit of the parsed records, exit code, bit_exact, first divergence,
+# the (stage, check) pairs StageChecks fails)
 TAMPERS = {
-    "stage_as_float": (_set(2, "stage", float), 1, False, 2),
-    "e_as_bool": (_set(1, "e", lambda e: e == 1), 1, False, 1),
-    "budget_as_float": (_set(3, "budget", float), 1, False, 3),
-    "m_after_plus_one": (_set(2, "M_after", lambda m: m + 1), 1, False, 2),
-    "y_plus_one": (_set(1, "y", lambda y: hex(int(y, 16) + 1)), 1, False, 1),
-    "last_record_dropped": (lambda records: records.pop(), 2, True, None),
-    "empty_file": (lambda records: records.clear(), 1, False, None),
+    "stage_as_float": (_set(2, "stage", float), 1, False, 2, []),
+    "e_as_bool": (_set(1, "e", lambda e: e == 1), 1, False, 1, []),
+    "budget_as_float": (_set(3, "budget", float), 1, False, 3, []),
+    "m_after_plus_one": (_set(2, "M_after", lambda m: m + 1), 1, False, 2, [(2, "m_after")]),
+    "y_plus_one": (_set(1, "y", lambda y: hex(int(y, 16) + 1)), 1, False, 1,
+                   [(1, "rerun_value")]),
+    "last_record_dropped": (lambda records: records.pop(), 2, True, None, []),
+    "empty_file": (lambda records: records.clear(), 1, False, None, []),
 }
 
 
@@ -818,7 +820,7 @@ def constructed(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(TAMPERS))
 def test_verify_rejects_tampered_records(name, constructed, tmp_path, capsys):
     config_path, records = constructed
-    edit, want_code, want_bit_exact, divergence = TAMPERS[name]
+    edit, want_code, want_bit_exact, divergence, stage_faults = TAMPERS[name]
     records = [dict(r) for r in records]
     edit(records)
     transcript_path = tmp_path / "t.jsonl"
@@ -827,16 +829,19 @@ def test_verify_rejects_tampered_records(name, constructed, tmp_path, capsys):
     code, _ = run_cli(capsys, "verify", "--config", str(config_path),
                       "--transcript", str(transcript_path),
                       "--report", str(report_path))
-    replay = json.loads(report_path.read_text().splitlines()[0])
-    assert replay["kind"] == "TranscriptReplay"
+    report = [json.loads(line) for line in report_path.read_text().splitlines()]
+    replay, stage_checks = report[0], report[-1]
+    assert (replay["kind"], stage_checks["kind"]) == ("TranscriptReplay", "StageChecks")
     check = replay["checks"][0]
     assert (code, check["ok"]) == (want_code, want_bit_exact)
     assert check.get("first_divergence_stage") == divergence
+    assert [(c["stage"], c["check"]) for c in stage_checks["checks"]
+            if not c["ok"]] == stage_faults
 
 
 # name -> (field, tampered value, value the report gives); each must fail
-# record 1's DiagWitness certificate on its witness_fields check, never crash
-# or read as a usage error.
+# StageChecks on record 1's witness_fields check, never crash or read as a
+# usage error.
 WITNESS_TAMPERS = {
     "x_null": ("x", None, None),
     "x_negative": ("x", "-0x3", "-3"),
@@ -845,8 +850,8 @@ WITNESS_TAMPERS = {
 
 
 def _verify_with_record_1_set(constructed, tmp_path, capsys, field, value):
-    """Exit code of verify and record 1's DiagWitness, once record 1's field
-    is set to value."""
+    """Exit code of verify and its StageChecks certificate, once record 1's
+    field is set to value."""
     config_path, records = constructed
     records = [dict(r) for r in records]
     records[1][field] = value
@@ -857,20 +862,20 @@ def _verify_with_record_1_set(constructed, tmp_path, capsys, field, value):
                       "--transcript", str(transcript_path),
                       "--report", str(report_path))
     report = [json.loads(line) for line in report_path.read_text().splitlines()]
-    [witness] = [c for c in report
-                 if c["kind"] == "DiagWitness" and c["subject"]["stage"] == 1]
-    return code, witness
+    [stage_checks] = [c for c in report if c["kind"] == "StageChecks"]
+    return code, stage_checks
 
 
 @pytest.mark.parametrize("name", sorted(WITNESS_TAMPERS))
 def test_verify_bad_witness_fails_its_certificate(name, constructed, tmp_path, capsys):
     field, value, reported = WITNESS_TAMPERS[name]
-    code, witness = _verify_with_record_1_set(constructed, tmp_path, capsys,
-                                              field, value)
+    code, stage_checks = _verify_with_record_1_set(constructed, tmp_path, capsys,
+                                                   field, value)
     assert code == 1
-    assert witness["verdict"] == "FAIL"
-    assert witness["checks"] == [
-        {"check": "witness_fields", "ok": False, "field": field, "value": reported}
+    assert stage_checks["verdict"] == "FAIL"
+    assert stage_checks["checks"] == [
+        {"check": "witness_fields", "ok": False, "stage": 1, "field": field,
+         "value": reported}
     ]
 
 
@@ -881,12 +886,12 @@ def test_verify_record_off_schedule_fails_fast(field, value, constructed, tmp_pa
     """A record naming another requirement fails before its program is
     decoded or its witnesses located: for these values neither would finish."""
     scheduled = {key: constructed[1][1][key] for key in ("e", "i", "j")}
-    code, witness = _verify_with_record_1_set(constructed, tmp_path, capsys,
-                                              field, value)
+    code, stage_checks = _verify_with_record_1_set(constructed, tmp_path, capsys,
+                                                   field, value)
     assert code == 1
-    assert witness["verdict"] == "FAIL"
-    assert witness["checks"] == [
-        {"check": "schedule_mismatch", "ok": False, **scheduled}
+    assert stage_checks["verdict"] == "FAIL"
+    assert stage_checks["checks"] == [
+        {"check": "schedule_mismatch", "ok": False, "stage": 1, **scheduled}
     ]
 
 
@@ -910,9 +915,10 @@ def test_wrong_tail_lemma_fails_the_rerun(monkeypatch, tmp_path, capsys):
     assert code == 1
     report = [json.loads(line)
               for line in (outdir / "report.jsonl").read_text().splitlines()]
-    failed = {check["check"] for cert in report if cert["kind"] == "DiagWitness"
-              for check in cert["checks"] if not check["ok"]}
-    assert "rerun_value" in failed
+    [stage_checks] = [cert for cert in report if cert["kind"] == "StageChecks"]
+    failed = {(check["check"], "stage" in check)
+              for check in stage_checks["checks"] if not check["ok"]}
+    assert ("rerun_value", True) in failed
 
 
 def _drop_budget(records):

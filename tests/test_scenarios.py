@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from blockdensity.construction import Transcript
+from blockdensity.machine import identity_index
 from blockdensity.numerics import enum_rationals_12
 from blockdensity.scenarios import (
     DEFAULT_ALPHA,
@@ -99,9 +101,27 @@ def test_combined_scenario_passes_with_device_certificates():
     result = run_scenario(config)
     kinds = {c.kind for c in result.certificates}
     assert {"PositiveReduction", "DefeatBundle", "BfoEquivalence",
-            "IdentityDevice", "CollapseAutoreduction", "DiagWitness"} <= kinds
+            "IdentityDevice", "CollapseAutoreduction", "StageChecks"} <= kinds
     assert result.exit_code == 0
     assert all(c.verdict == PASS for c in result.certificates)
+
+
+def test_identity_device_counts_only_records_that_pass_their_checks(tmp_path):
+    """A tampered identity-index record still claims to diagonalize, but its
+    witness fails StageChecks, so the identity device does not count it."""
+    config = ScenarioConfig(kind="combined", count=4, e_bound=3, k_max=8)
+    transcript = run_scenario(config).transcript
+    records = list(transcript.records)
+    n = next(n for n, r in enumerate(records) if r.e == identity_index())
+    records[n] = records[n]._replace(x=records[n].x + 1)
+    path = tmp_path / "transcript.jsonl"
+    Transcript(records).write_jsonl(path)
+    certs = {c.kind: c for c in verify_transcript(config, path)}
+    assert [c for c in certs["StageChecks"].checks if not c["ok"]][0]["stage"] == n
+    device = certs["IdentityDevice"]
+    assert device.verdict == FAIL
+    assert device.checks[0] == {"check": "identity_always_diagonalizes", "ok": False,
+                                "stages": [n]}
 
 
 def test_poset_scenario_passes():

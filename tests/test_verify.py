@@ -7,7 +7,9 @@ from blockdensity.construction import (
     BRANCH_NON_INJECTIVE,
     BRANCH_NON_TOTAL,
     ConstructionState,
+    Requirement,
     RequirementSchedule,
+    StageRecord,
     Transcript,
     run_construction,
     run_stages,
@@ -24,6 +26,7 @@ from blockdensity.verify import (
     check_defeat_bundle,
     check_diag_witness,
     check_positive_reduction,
+    check_stage_records,
     check_transcript_replay,
 )
 
@@ -120,15 +123,13 @@ def combined_run():
 
 
 def test_diag_witness_pass_and_tamper(combined_run):
-    coded, _, schedule, transcript, state = combined_run
+    coded, _, _, transcript, state = combined_run
     diagonal = [r for r in transcript.records if r.branch == BRANCH_DIAGONALIZED]
     assert diagonal
     for record in diagonal:
-        req = schedule.requirement(record.stage)
-        assert check_diag_witness(coded, state, record, req).verdict == PASS
-    req = schedule.requirement(diagonal[0].stage)
+        assert check_diag_witness(coded, state, record) is None
     tampered = diagonal[0]._replace(y=diagonal[0].y + 1)
-    assert check_diag_witness(coded, state, tampered, req).verdict == FAIL
+    assert check_diag_witness(coded, state, tampered) == ("rerun_value", {"x": str(tampered.x)})
 
 
 def _state(frontier, ones):
@@ -139,45 +140,115 @@ def _state(frontier, ones):
 
 def test_diag_witness_membership_reads_blocks_k_and_ell(combined_run):
     coded, _, schedule, transcript, state = combined_run
-    record = next(r for r in transcript.records if r.branch == BRANCH_DIAGONALIZED)
-    req = schedule.requirement(record.stage)
+    n, record = next((n, r) for n, r in enumerate(transcript.records)
+                     if r.branch == BRANCH_DIAGONALIZED)
     # Without block k, or with block ell, the witness and image do not split.
     for ones in (state.ones - {record.k}, state.ones | {record.ell}):
-        cert = check_diag_witness(coded, _state(state.frontier, ones), record, req)
-        assert cert.verdict == FAIL
-        assert cert.checks[-1] == {"check": "membership_split", "ok": False}
+        assert check_diag_witness(coded, _state(state.frontier, ones), record) == (
+            "membership_split", {})
+        cert, faults = check_stage_records(coded, _state(state.frontier, ones), schedule,
+                                           transcript.records)
+        assert cert.verdict == FAIL and faults[n] == "membership_split"
     # A frontier below ell leaves the image's block undefined.
-    cert = check_diag_witness(coded, _state(record.ell - 1, state.ones), record, req)
+    short = _state(record.ell - 1, state.ones)
+    assert check_diag_witness(coded, short, record) == (
+        "frontier", {"needed_block": record.ell, "frontier": record.ell - 1})
+    cert, faults = check_stage_records(coded, short, schedule, transcript.records)
     assert cert.verdict == INCOMPLETE
-    assert cert.checks[-1] == {"check": "frontier", "ok": False,
-                               "needed_block": record.ell, "frontier": record.ell - 1}
+    assert cert.checks[0] == {"check": "frontier", "ok": False, "stage": n,
+                              "needed_block": record.ell, "frontier": record.ell - 1}
 
 
 def test_diag_witness_rejects_other_branches(combined_run):
-    coded, _, schedule, transcript, state = combined_run
+    coded, _, _, transcript, state = combined_run
     other = [r for r in transcript.records if r.branch != BRANCH_DIAGONALIZED]
     if other:
         with pytest.raises(ValueError):
-            check_diag_witness(coded, state, other[0],
-                               schedule.requirement(other[0].stage))
+            check_diag_witness(coded, state, other[0])
 
 
-def diag_verdicts(coded, schedule, state, transcript):
-    """The DiagWitness verdict of each diagonalized record, by position."""
-    return {
-        n: check_diag_witness(coded, state, record, schedule.requirement(n)).verdict
-        for n, record in enumerate(transcript.records)
-        if record.branch == BRANCH_DIAGONALIZED
-    }
+def test_stage_checks_count_every_branch(combined_run):
+    coded, _, schedule, transcript, state = combined_run
+    cert, faults = check_stage_records(coded, state, schedule, transcript.records)
+    assert cert.verdict == PASS and faults == [None] * len(transcript.records)
+    assert cert.subject == {"stages": len(transcript.records)}
+    counts = {branch: sum(r.branch == branch for r in transcript.records)
+              for branch in (BRANCH_NON_TOTAL, BRANCH_NON_INJECTIVE, BRANCH_DIAGONALIZED)}
+    assert cert.checks == [{"check": "all_records", "ok": True, **counts}]
+
+
+def test_stage_checks_hold_m_after_to_the_branch(combined_run):
+    """M_after must be ell for a diagonalized record and k otherwise, which
+    ConstructionState.apply takes on trust."""
+    coded, _, schedule, transcript, state = combined_run
+    n, record = next((n, r) for n, r in enumerate(transcript.records)
+                     if r.branch == BRANCH_DIAGONALIZED)
+    for tampered in (record._replace(m_after=record.ell + 1),
+                     record._replace(branch=BRANCH_NON_TOTAL)):
+        records = list(transcript.records)
+        records[n] = tampered
+        cert, faults = check_stage_records(coded, state, schedule, records)
+        assert cert.verdict == FAIL and faults[n] == "m_after"
+        assert cert.checks == [
+            {"check": "m_after", "ok": False, "stage": n, "m_after": tampered.m_after}]
+
+
+def test_stage_checks_name_every_failing_record(combined_run):
+    coded, _, schedule, transcript, state = combined_run
+    records = list(transcript.records)
+    bad = [n for n, r in enumerate(records) if r.branch == BRANCH_DIAGONALIZED][:2]
+    assert len(bad) == 2
+    records[bad[0]] = records[bad[0]]._replace(y=records[bad[0]].y + 1)
+    records[bad[1]] = records[bad[1]]._replace(e=records[bad[1]].e + 1)
+    cert, faults = check_stage_records(coded, state, schedule, records)
+    assert cert.verdict == FAIL
+    assert [(c["stage"], c["check"]) for c in cert.checks] == [
+        (bad[0], "rerun_value"), (bad[1], "schedule_mismatch")]
+    assert [n for n, fault in enumerate(faults) if fault is not None] == bad
+
+
+class _OneRequirement:
+    """A schedule that runs one requirement at every stage."""
+
+    def __init__(self, req):
+        self.req = req
+
+    def requirement(self, n):
+        return self.req
+
+
+# Program 76 runs out of any budget on every input; program 0 halts on each
+# input with a value of its own. Each witness is the first element of the
+# named source block; the record chose block 5.
+@pytest.mark.parametrize("e, branch, x_block, x2_block, fault", [
+    (76, BRANCH_NON_TOTAL, 5, None, None),
+    (76, BRANCH_NON_TOTAL, 6, None, "witness_block"),
+    (0, BRANCH_NON_TOTAL, 5, None, "rerun_diverges"),
+    (0, BRANCH_NON_INJECTIVE, 5, 6, "rerun_collides"),
+    (0, BRANCH_NON_INJECTIVE, 5, 5, "rerun_collides"),
+    (76, BRANCH_NON_INJECTIVE, 5, 6, "rerun_collides"),
+])
+def test_stage_checks_rerun_defeat_records(constant_run, e, branch, x_block, x2_block,
+                                           fault):
+    """A divergence witness reruns out of budget inside block k; collision
+    witnesses are two inputs that rerun to one value."""
+    coded = constant_run[0]
+    src = coded.source(0)
+    x, x2 = (None if k is None else src.endpoint(k) for k in (x_block, x2_block))
+    record = StageRecord(0, e, 0, 1, 5, branch, 1000, 5, x, x2)
+    schedule = _OneRequirement(Requirement(e, 0, 1))
+    cert, faults = check_stage_records(coded, ConstructionState(), schedule, [record])
+    assert faults == [fault]
+    assert cert.verdict == (PASS if fault is None else FAIL)
 
 
 def test_defeat_bundle_pass_and_incomplete(constant_run):
     coded, cert, schedule, transcript, state = constant_run
-    verdicts = diag_verdicts(coded, schedule, state, transcript)
-    bundle = check_defeat_bundle(coded, transcript, schedule, 0, 1, 3, verdicts)
+    _, faults = check_stage_records(coded, state, schedule, transcript.records)
+    bundle = check_defeat_bundle(schedule, 0, 1, 3, faults)
     assert bundle.verdict == PASS
     assert bundle.diagnostics["defeated"] == 3
-    too_wide = check_defeat_bundle(coded, transcript, schedule, 0, 1, 40, verdicts)
+    too_wide = check_defeat_bundle(schedule, 0, 1, 40, faults)
     assert too_wide.verdict == INCOMPLETE
 
 
@@ -194,14 +265,16 @@ def test_defeat_record_without_natural_witness_fails(constant_run, branch, field
     fields = {"branch": branch, "x": record.x, "x2": record.x + 1, field: value}
     records = list(transcript.records)
     records[stage] = record._replace(**fields)
-    bundle = check_defeat_bundle(
-        coded, Transcript(records), schedule, 0, 1, 1,
-        diag_verdicts(coded, schedule, state, transcript),
-    )
+    stage_checks, faults = check_stage_records(coded, state, schedule, records)
+    assert stage_checks.checks == [{
+        "check": "witness_fields", "ok": False, "stage": stage, "field": field,
+        "value": None if value is None else str(value),
+    }]
+    bundle = check_defeat_bundle(schedule, 0, 1, 1, faults)
     assert bundle.verdict == FAIL
     assert bundle.checks == [{
         "check": "defeat_record", "ok": False, "e": 0, "stage": stage,
-        "reason": "witness %s is missing or negative" % field,
+        "reason": "witness_fields",
     }]
 
 

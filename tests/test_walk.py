@@ -276,7 +276,8 @@ def test_mutation_fails_a_certificate(name, monkeypatch):
 # Faults in each production map the sample loops compare, planted in a run
 # whose window reaches block 11, where record 0's image y, the first element
 # of its block, lies: h_apply one low there moves h(y) into block 10, and
-# the defeat bundle that counts record 0 fails with its DiagWitness.
+# the defeat bundle that counts record 0 fails with record 0's StageChecks
+# check.
 GATE_12 = GATE._replace(k_max=12)
 
 
@@ -301,7 +302,7 @@ MAP_FAULTS = {
         "h_apply", lambda real: at_block(real, 11, -1),
         {("BfoEquivalence", "fiber_membership", None),
          ("DefeatBundle", "defeat_record", None),
-         ("DiagWitness", "compressed_targets", None),
+         ("StageChecks", "compressed_targets", None),
          ("PositiveReduction", "reference_geometry", "h_apply")},
     ),
 }
@@ -314,3 +315,6 @@ def test_certificates_call_every_production_map(name, monkeypatch):
     certs = run_scenario(GATE_12).certificates
     assert {(cert.kind, check["check"], check.get("map"))
             for cert in certs for check in cert.checks if not check["ok"]} == caught_by
+    # A failing record check names its record: record 0, as above.
+    assert all(check["stage"] == 0 for cert in certs if cert.kind == "StageChecks"
+               for check in cert.checks if not check["ok"])

@@ -22,7 +22,7 @@ from blockdensity.construction import (
     BRANCH_NON_INJECTIVE,
     BRANCH_NON_TOTAL,
     ConstructionState,
-    Requirement,
+    RequirementSchedule,
     StageRecord,
     Transcript,
     run_stages,
@@ -30,7 +30,7 @@ from blockdensity.construction import (
 from blockdensity.maps import CodedFamily
 from blockdensity.profiles import constant_family
 from blockdensity.scenarios import SCHEDULES, ScenarioConfig, construct, prepare
-from blockdensity.verify import FAIL, PASS, check_diag_witness, check_transcript_replay
+from blockdensity.verify import FAIL, PASS, check_stage_records, check_transcript_replay
 
 from _oracles import FAMILIES, KS, read_transcript, record_json, transcript_replay_json
 
@@ -228,15 +228,16 @@ def test_template_line_is_the_json_dumps_line(record):
 
 
 def test_negative_witness_loads_and_fails_witness_fields():
-    coded = CodedFamily(constant_family()[0])
+    family, gap_cert = constant_family()
     record = _record(0, 0, 1, 10, x=-3, y=5, ell=11)
     obj, back = _round_trip(record)
     assert obj["x"] == "-0x3" and back.x == -3
-    cert = check_diag_witness(coded, ConstructionState(), back,
-                              Requirement(back.e, back.i, back.j))
+    # The window over pair (0, 1) runs requirement (0, 0, 1) at stage 0.
+    schedule = RequirementSchedule(gap_cert, [(0, 1)])
+    cert, _ = check_stage_records(CodedFamily(family), ConstructionState(), schedule, [back])
     assert cert.verdict == FAIL
     assert cert.checks == [
-        {"check": "witness_fields", "ok": False, "field": "x", "value": "-3"}
+        {"check": "witness_fields", "ok": False, "stage": 0, "field": "x", "value": "-3"}
     ]
 
 
