@@ -51,7 +51,7 @@ from .machine import (
     tail_behavior,
 )
 from .maps import CodedFamily
-from .numerics import cantor_pair, cantor_unpair
+from .numerics import cantor_pair, cantor_unpair, is_int
 from .profiles import GapCertificate
 
 BRANCH_NON_TOTAL = "non_total_under_budget"
@@ -84,6 +84,7 @@ class Requirement(NamedTuple):
 # A transcript line: the twelve keys in order, each witness "hex() text" or null.
 _LINE = ('{"stage": %d, "e": %d, "i": %d, "j": %d, "k": %d, "branch": "%s", '
          '"x": %s, "x2": %s, "y": %s, "ell": %s, "budget": %d, "M_after": %d}\n')
+_KEYS = ("stage", "e", "i", "j", "k", "branch", "x", "x2", "y", "ell", "budget", "M_after")
 
 
 class StageRecord(NamedTuple):
@@ -116,42 +117,36 @@ class StageRecord(NamedTuple):
             budget, m_after,
         )
 
-    def same_json(self, other: "StageRecord") -> bool:
-        """Whether both records give the same transcript line, without encoding them.
-
-        Equal fields are not enough: 3.0 or true read from a file compare
-        equal to 3 or 1 but encode differently, so the fields written as JSON
-        integers must hold exactly int. The witness fields hold ints or None,
-        and each int has one hex text, so equal values give equal text. other
-        must be a StageRecord too: NamedTuple equality is tuple equality.
-        """
-        return self == other and all(
-            type(getattr(r, name)) is int
-            for r in (self, other)
-            for name in ("stage", "e", "i", "j", "k", "budget", "m_after")
-        )
-
     @staticmethod
     def from_json(obj: dict) -> "StageRecord":
-        """The record a JSON object holds; a bad field raises ValueError.
+        """The record a JSON object holds, which must be exactly what line()
+        writes; anything else raises ValueError naming the key or field.
 
-        e, i, j and k must be ints >= 0 (a JSON true is one). stage,
-        M_after and budget (>= 1) may also be integral floats, which replay
-        then fails. Each witness must be null or a string that hex() writes,
+        The keys are the twelve of a line, no more and no fewer. stage, e, i,
+        j, k, budget (>= 1) and M_after must be JSON integers >= 0: true and
+        3.0 are not. Each witness must be null or a string that hex() writes,
         which int(text, 16) reads back to an int with that same hex() text:
         "0x1f" and "-0x3" load; "0x1F", "0x01", "-0x0", "1f", decimal text
-        and a JSON number do not. branch must be one of the three names.
+        and a JSON number do not. branch must be one of the three names. So
+        two records are equal exactly when their lines are.
         """
-        def whole(name, least=0, floats=False):
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        for key in obj:
+            if key not in _KEYS:
+                raise ValueError("unknown key %r" % key)
+        for key in _KEYS:
+            if key not in obj:
+                raise ValueError("missing key %r" % key)
+
+        def whole(name, least=0):
             v = obj[name]
-            if not (isinstance(v, int) or floats and isinstance(v, float)
-                    and v.is_integer()) or v < least:
-                raise ValueError("field %s must be %s >= %d, got %r" % (
-                    name, "an integral number" if floats else "an int", least, v))
+            if not is_int(v) or v < least:
+                raise ValueError("field %s must be an int >= %d, got %r" % (name, least, v))
             return v
 
         def witness(name):
-            v = obj.get(name)
+            v = obj[name]
             if v is None:
                 return None
             try:
@@ -167,14 +162,14 @@ class StageRecord(NamedTuple):
         if obj["branch"] not in BRANCHES:
             raise ValueError("field branch must be in %r, got %r" % (BRANCHES, obj["branch"]))
         return StageRecord(
-            stage=whole("stage", floats=True),
+            stage=whole("stage"),
             e=whole("e"),
             i=whole("i"),
             j=whole("j"),
             k=whole("k"),
             branch=obj["branch"],
-            budget=whole("budget", 1, floats=True),
-            m_after=whole("M_after", floats=True),
+            budget=whole("budget", 1),
+            m_after=whole("M_after"),
             x=witness("x"),
             x2=witness("x2"),
             y=witness("y"),
@@ -433,9 +428,11 @@ class Transcript:
         replay's or None), in one forward pass: each non-blank line, bytes
         that are not UTF-8 kept by surrogateescape, draws the next record of
         replay (run_stages). A line that is that record's line, as text, is
-        that record; any other is decoded by StageRecord.from_json and
-        compared with it by StageRecord.same_json. A line that is no record
-        raises TranscriptError naming it, once the stages before it replayed.
+        that record; any other is decoded by StageRecord.from_json, which
+        loads a line only as line() writes it, so == with the replayed record
+        decides whether the two lines hold the same JSON. A line that is no
+        record raises TranscriptError naming it, once the stages before it
+        replayed.
         """
         records = []
         divergence = None
@@ -450,10 +447,10 @@ class Transcript:
                     continue
                 try:
                     record = StageRecord.from_json(json.loads(raw.decode("utf-8").strip()))
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                except ValueError as exc:
                     raise TranscriptError("%s:%d: bad transcript record: %s: %s" % (
                         path, number, type(exc).__name__, exc)) from exc
-                if divergence is None and not replayed.same_json(record):
+                if divergence is None and record != replayed:
                     divergence = len(records)
                 records.append(record)
         return Transcript(records), divergence

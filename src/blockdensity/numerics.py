@@ -37,6 +37,12 @@ def rat_parse(text: str) -> Rat:
     return Fraction(int(s))
 
 
+def is_int(value) -> bool:
+    """Whether value is an int and not a bool: what json.loads makes of a
+    JSON integer, and of nothing else."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def cantor_pair(x: int, y: int) -> int:
     """The bijection (x, y) -> (x+y)(x+y+1)/2 + y."""
     s = x + y

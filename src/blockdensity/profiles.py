@@ -32,14 +32,11 @@ def two_adic_valuation(k: int) -> int:
     return (k & -k).bit_length() - 1
 
 
-_NOT_NATURAL = "profile evaluation needs natural arguments"
-
-
 class ProfileFamily:
     """A total map (index, block) -> density in (1, 2).
 
     Built from one per-index profile builder i -> (k -> u_i(k)); each index's
-    profile is built once, and value(i, k) reads it.
+    profile is built once.
     """
 
     def __init__(self, build: Callable[[int], Callable[[int], Fraction]]) -> None:
@@ -51,14 +48,9 @@ class ProfileFamily:
         u = self._profiles.get(i)
         if u is None:
             if i < 0:
-                raise ValueError(_NOT_NATURAL)
+                raise ValueError("profile evaluation needs natural arguments")
             u = self._profiles[i] = self._build(i)
         return u
-
-    def value(self, i: int, k: int) -> Fraction:
-        if k < 0:
-            raise ValueError(_NOT_NATURAL)
-        return self.profile(i)(k)
 
 
 class GapCertificate:

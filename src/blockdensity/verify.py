@@ -31,7 +31,8 @@ constructed prefix within the step budget, never more. Every stage record is
 checked once, in one forward pass that makes one StageChecks certificate and
 gives the defeat bundles their per-stage results (check_stage_records): a
 record is first matched against the requirement the schedule puts at its
-position, and its witnesses are rerun literally with run_program, not with
+position and against the run's step budget, and its witnesses are rerun
+literally, within that budget, with run_program, not with
 the tail lemma (machine.tail_behavior) the construction chose them by. The
 transcript is read against its replay in one forward pass
 (Transcript.read_jsonl): a record read as its replayed line is that replayed
@@ -292,19 +293,25 @@ def check_diag_witness(
 
 
 def _record_fault(
-    coded: CodedFamily, state: ConstructionState, record: StageRecord, req: Requirement
+    coded: CodedFamily,
+    state: ConstructionState,
+    record: StageRecord,
+    req: Requirement,
+    budget: int,
 ) -> tuple[str, dict] | None:
-    """The first check a record fails as the record of requirement req, as
-    (name, detail), or None.
+    """The first check a record fails as the record of requirement req in a
+    run of the given step budget, as (name, detail), or None.
 
-    The requirement and the witness fields come first, before a program is
-    decoded or a witness located, as those costs grow with e, i and the
-    witnesses. A non-total record's x reruns out of budget inside block k; a
-    non-injective record's two witnesses rerun to one value.
+    The requirement, the budget and the witness fields come first, before a
+    program is decoded or a witness located, as those costs grow with e, i,
+    the budget and the witnesses. A non-total record's x reruns out of budget
+    inside block k; a non-injective record's two witnesses rerun to one value.
     """
-    _, e, i, j, k, branch, budget, m_after, x, x2, _, ell = record
+    _, e, i, j, k, branch, _, m_after, x, x2, _, ell = record
     if (e, i, j) != req:
         return "schedule_mismatch", req._asdict()
+    if record.budget != budget:
+        return "budget", {"budget": record.budget}
     for name in _WITNESSES[branch]:
         value = getattr(record, name)
         if value is None or value < 0:
@@ -333,12 +340,14 @@ def check_stage_records(
     state: ConstructionState,
     schedule: RequirementSchedule,
     records: Sequence[StageRecord],
+    budget: int,
 ) -> tuple[Certificate, list[str | None]]:
     """Check every stage record in one forward pass: (the StageChecks
     certificate, the name of each record's first failing check or None).
 
     Record n must be the record of the requirement the schedule puts at stage
-    n and pass its branch's checks (_record_fault). The certificate counts
+    n, carry the run's step budget and pass its branch's checks
+    (_record_fault). The certificate counts
     the records of each branch, or names each failing record by stage and
     check; a record whose image block lies past the frontier leaves it
     INCOMPLETE.
@@ -347,7 +356,7 @@ def check_stage_records(
     counts = dict.fromkeys(BRANCHES, 0)
     faults: list[str | None] = []
     for n, record in enumerate(records):
-        fault = _record_fault(coded, state, record, schedule.requirement(n))
+        fault = _record_fault(coded, state, record, schedule.requirement(n), budget)
         if fault is None:
             counts[record.branch] += 1
             faults.append(None)
@@ -454,8 +463,9 @@ def check_transcript_replay(stages: int, divergence: int | None) -> Certificate:
     """The replay check of a transcript of `stages` records, given the first
     stage whose record is not its replay's (Transcript.read_jsonl), or None.
 
-    A record is its replay's when both give the same JSON Lines text, as
-    StageRecord.same_json decides; an empty transcript fails.
+    A record is its replay's when both give the same JSON Lines text, which
+    == decides, as StageRecord.from_json loads a line only as it is written;
+    an empty transcript fails.
     """
     cert = Certificate("TranscriptReplay", {"stages": stages})
     if not stages:

@@ -285,7 +285,7 @@ def read_transcript(path) -> list[StageRecord]:
 def transcript_replay_json(coded, gap_cert, records, budget, schedule) -> dict:
     """The TranscriptReplay certificate's report object for loaded records:
     a fresh replay of as many stages, each record compared with its replay
-    by StageRecord.same_json."""
+    by ==."""
     replay = {"kind": "TranscriptReplay", "verdict": "PASS",
               "subject": {"stages": len(records)}, "checks": [], "diagnostics": {}}
     if not records:
@@ -295,7 +295,7 @@ def transcript_replay_json(coded, gap_cert, records, budget, schedule) -> dict:
         return replay
     rerun, _ = run_construction(coded, gap_cert, len(records), budget, schedule=schedule)
     for stage, (a, b) in enumerate(zip(rerun.records, records)):
-        if not a.same_json(b):
+        if a != b:
             replay["verdict"] = "FAIL"
             replay["checks"].append({"check": "bit_exact", "ok": False,
                                      "first_divergence_stage": stage})
@@ -328,7 +328,7 @@ def gap_check(family, cert, i: int, j: int, T: int) -> bool:
         if k <= prev:
             return False
         prev = k
-        if family.value(i, k) < family.value(j, k) + delta:
+        if family.profile(i)(k) < family.profile(j)(k) + delta:
             return False
     return True
 

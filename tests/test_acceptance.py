@@ -228,7 +228,8 @@ def test_criterion_04_stage_soundness(combined_run, criterion):
     if any(b <= a for a, b in zip(frontiers, frontiers[1:])):
         failures.append("frontier not strictly increasing")
 
-    stage_checks, _ = check_stage_records(coded, state, schedule, transcript.records)
+    stage_checks, _ = check_stage_records(coded, state, schedule, transcript.records,
+                                         BUDGET)
     if stage_checks.verdict != PASS:
         failures.append(("stage checks", stage_checks.checks))
 

@@ -177,7 +177,7 @@ def test_geometry_matches_block_walk_in_any_access_order(kind, ops):
         elif op == "length":
             assert src.length(k) == ln
         else:
-            u = family.value(i, k)
+            u = family.profile(i)(k)
             q, p = u.denominator, u.numerator
             if p * fact % q:
                 assert src.ratio(k) == (fact, ln)

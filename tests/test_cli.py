@@ -787,9 +787,6 @@ def test_poset_scenario_with_a_cell_past_the_frontier_is_incomplete(tmp_path, ca
 # name -> (edit of the parsed records, exit code, bit_exact, first divergence,
 # the (stage, check) pairs StageChecks fails)
 TAMPERS = {
-    "stage_as_float": (_set(2, "stage", float), 1, False, 2, []),
-    "e_as_bool": (_set(1, "e", lambda e: e == 1), 1, False, 1, []),
-    "budget_as_float": (_set(3, "budget", float), 1, False, 3, []),
     "m_after_plus_one": (_set(2, "M_after", lambda m: m + 1), 1, False, 2, [(2, "m_after")]),
     "y_plus_one": (_set(1, "y", lambda y: hex(int(y, 16) + 1)), 1, False, 1,
                    [(1, "rerun_value")]),
@@ -837,6 +834,30 @@ def test_verify_rejects_tampered_records(name, constructed, tmp_path, capsys):
     assert check.get("first_divergence_stage") == divergence
     assert [(c["stage"], c["check"]) for c in stage_checks["checks"]
             if not c["ok"]] == stage_faults
+
+
+def test_verify_holds_each_record_to_the_runs_budget(tmp_path, capsys):
+    """Program 3 halts in 2 steps, so its stage 3 record rewritten as a
+    divergence under a budget of 1 passes every rerun at that budget; the
+    record's budget must be the run's, checked before any rerun."""
+    outdir = tmp_path / "run"
+    assert run_cli(capsys, "scenario", "rationals", "--count", "2", "--E", "8",
+                   "--outdir", str(outdir))[0] == 0
+    transcript_path = outdir / "transcript.jsonl"
+    records = [json.loads(line) for line in transcript_path.read_text().splitlines()]
+    assert (records[3]["e"], records[3]["branch"]) == (3, "diagonalized")
+    records[3].update(branch="non_total_under_budget", x2=None, y=None, ell=None,
+                      budget=1, M_after=records[3]["k"])
+    transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    report_path = tmp_path / "r.jsonl"
+    code, _ = run_cli(capsys, "verify", "--config", str(outdir / "config.json"),
+                      "--transcript", str(transcript_path), "--report", str(report_path))
+    assert code == 1
+    report = {c["kind"]: c for c in map(json.loads, report_path.read_text().splitlines())}
+    assert report["StageChecks"]["checks"] == [
+        {"check": "budget", "ok": False, "stage": 3, "budget": 1}]
+    assert report["DefeatBundle"]["checks"] == [
+        {"check": "defeat_record", "ok": False, "e": 3, "stage": 3, "reason": "budget"}]
 
 
 # name -> (field, tampered value, value the report gives); each must fail
@@ -921,8 +942,10 @@ def test_wrong_tail_lemma_fails_the_rerun(monkeypatch, tmp_path, capsys):
     assert ("rerun_value", True) in failed
 
 
-def _drop_budget(records):
-    del records[1]["budget"]
+def _drop(key):
+    def edit(records):
+        del records[1][key]
+    return edit
 
 
 def _raw_line(text):
@@ -942,7 +965,10 @@ def _put(key, value):
 
 # name -> edit of the parsed records; a string or bytes replaces a whole line
 MALFORMED = {
-    "missing_budget": _drop_budget,
+    # The keys are exactly the twelve of a line.
+    "missing_budget": _drop("budget"),
+    "missing_x2": _drop("x2"),
+    "extra_key": lambda records: records[1].update(foo=1),
     "list_line": _raw_line("[1,2]"),
     "bad_json": _raw_line("{bad"),
     "x_not_integer": _set(1, "x", lambda x: "0x12xyz"),
@@ -962,8 +988,13 @@ MALFORMED = {
     "x_unicode_digit": _put("x", "0x\u0661\u0662"),
     "x_decimal": _set(1, "x", lambda x: str(int(x, 16))),
     "non_utf8": _non_utf8,
-    # e, i, j, k must be natural ints; stage, M_after and budget integral
-    # numbers, budget at least 1.
+    # stage, e, i, j, k, budget and M_after must be JSON integers >= 0,
+    # budget at least 1: true and 3.0 are not.
+    "stage_as_float": _set(1, "stage", float),
+    "e_as_bool": _set(1, "e", lambda e: e == 1),
+    "budget_as_float": _set(1, "budget", float),
+    "m_after_float": _set(1, "M_after", float),
+    "k_true": _put("k", True),
     "e_string": _put("e", "1"),
     "e_null": _put("e", None),
     "i_null": _put("i", None),

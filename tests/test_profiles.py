@@ -45,7 +45,7 @@ def _assert_family_matches(family, cert, formulas):
     and t < 16."""
     value, in_d, delta, s = formulas
     for i in range(16):
-        assert [family.value(i, k) for k in range(256)] == [value(i, k) for k in range(256)]
+        assert [family.profile(i)(k) for k in range(256)] == [value(i, k) for k in range(256)]
         for j in range(16):
             assert cert.in_D(i, j) == in_d(i, j), (i, j)
             if in_d(i, j):
@@ -66,7 +66,7 @@ def test_combined_family_matches_closed_form(alpha, beta):
 
 def test_constant_family_examples():
     family, cert = constant_family()
-    assert family.value(0, 17) == Fraction(3, 2)
+    assert family.profile(0)(17) == Fraction(3, 2)
     assert cert.in_D(0, 1)
     assert cert.delta(0, 3) == Fraction(1, 4)
     assert cert.s(0, 1, 7) == 7
@@ -75,14 +75,14 @@ def test_constant_family_examples():
 def test_constant_family_is_constant_in_k():
     family, _ = constant_family()
     for i in range(8):
-        base = family.value(i, 0)
-        assert all(family.value(i, k) == base for k in range(65))
+        base = family.profile(i)(0)
+        assert all(family.profile(i)(k) == base for k in range(65))
 
 
 def test_oscillating_family_examples():
     family, cert = oscillating_family(ALPHA, BETA)
-    assert family.value(1, 6) == BETA
-    assert family.value(1, 5) == ALPHA
+    assert family.profile(1)(6) == BETA
+    assert family.profile(1)(5) == ALPHA
     assert cert.s(0, 1, 2) == 5
     assert cert.delta(2, 5) == BETA - ALPHA
 
@@ -96,8 +96,8 @@ def test_oscillating_family_rejects_bad_band():
 
 def test_combined_family_examples():
     family, cert = combined_family(ALPHA, BETA)
-    assert family.value(0, 9) == Fraction(3, 2)
-    assert family.value(3, 6) == BETA
+    assert family.profile(0)(9) == Fraction(3, 2)
+    assert family.profile(3)(6) == BETA
     assert not cert.in_D(0, 3)
     assert not cert.in_D(3, 0)
     assert cert.in_D(0, 2)
@@ -107,8 +107,8 @@ def test_combined_family_examples():
 
 def test_poset_family_examples():
     family, cert = poset_family(chain_order(2), ALPHA, BETA)
-    assert family.value(1, 2) == BETA
-    assert family.value(0, 2) == ALPHA
+    assert family.profile(1)(2) == BETA
+    assert family.profile(0)(2) == ALPHA
     assert cert.in_D(1, 0)
     assert not cert.in_D(0, 1)
 
@@ -135,7 +135,7 @@ def test_poset_family_monotone_under_the_order():
             for j in range(5):
                 if order.leq(i, j):
                     for k in range(1001):
-                        assert family.value(i, k) <= family.value(j, k)
+                        assert family.profile(i)(k) <= family.profile(j)(k)
 
 
 def test_all_families_stay_in_band():
@@ -148,7 +148,7 @@ def test_all_families_stay_in_band():
     for family in fams:
         for i in range(65):
             for k in range(65):
-                assert Fraction(1) < family.value(i, k) < Fraction(2)
+                assert Fraction(1) < family.profile(i)(k) < Fraction(2)
 
 
 def test_gap_check_examples():
@@ -239,7 +239,7 @@ def test_profile_closure_and_value_match_the_closed_form(family, formula):
         assert family.profile(i) is u
         for k in range(300):
             want = formula(i, k)
-            assert u(k) == family.value(i, k) == want, (i, k)
+            assert u(k) == want, (i, k)
 
 
 @pytest.mark.parametrize("order", [chain_order(4), UniversalPoset()], ids=["chain", "universal"])
@@ -250,7 +250,7 @@ def test_poset_profile_asks_the_order_once_per_valuation_class(order):
     for _ in range(2):
         for i in range(12):
             for k in range(1, 2049):
-                assert family.profile(i)(k) == family.value(i, k) == want(i, k)
+                assert family.profile(i)(k) == want(i, k)
     # Blocks 1 .. 2048 meet the valuation classes 0 .. 11 of each index.
     assert sorted(counting.calls) == [(v, i) for v in range(12) for i in range(12)]
     assert set(counting.calls.values()) == {1}
@@ -258,8 +258,5 @@ def test_poset_profile_asks_the_order_once_per_valuation_class(order):
 
 def test_profile_refuses_negative_arguments():
     family, _ = constant_family()
-    for bad in ((-1, 0), (0, -1)):
-        with pytest.raises(ValueError):
-            family.value(*bad)
     with pytest.raises(ValueError):
         family.profile(-1)

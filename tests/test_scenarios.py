@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from blockdensity.cli import main
 from blockdensity.construction import Transcript
 from blockdensity.machine import identity_index
 from blockdensity.numerics import enum_rationals_12
+from blockdensity.posets import FinitePoset, UniversalPoset, embed_finite
 from blockdensity.scenarios import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -139,6 +141,26 @@ def test_universal_scenario_passes():
     assert result.transcript is None
     assert result.exit_code == 0
     assert all(c.kind == "UniversalEmbedding" for c in result.certificates)
+
+
+def test_universal_embedding_fails_on_a_flipped_pair(monkeypatch, tmp_path, capsys):
+    """embed_finite compares every cell of the induced matrix, so an order
+    that flips one pair of a sample's images fails that sample's embed check,
+    and the scenario exits 1."""
+    rows = ["11", "01"]
+    a, b = embed_finite(FinitePoset.from_rows(rows))
+    real = UniversalPoset.leq
+
+    def flipped(self, x, y):
+        return real(self, x, y) != ((x, y) == (a, b))
+
+    monkeypatch.setattr(UniversalPoset, "leq", flipped)
+    assert main(["scenario", "universal", "--outdir", str(tmp_path)]) == 1
+    capsys.readouterr()
+    report = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()]
+    failed = [c for c in report if c["verdict"] == FAIL]
+    assert rows in [c["subject"]["rows"] for c in failed]
+    assert all([check["check"] for check in c["checks"]] == ["embed"] for c in failed)
 
 
 def _subjects(certs, kind):

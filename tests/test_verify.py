@@ -35,6 +35,7 @@ BETA = Fraction(7, 4)
 
 # Constant enumeration: q_0 = 3/2, q_1 = 4/3, q_3 = 5/4.
 I_32, I_43, I_54 = 0, 1, 3
+BUDGET = 10**5
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ def constant_run():
     coded = CodedFamily(family)
     schedule = RequirementSchedule(cert)
     transcript, state = run_construction(
-        coded, cert, 16, 10**5, schedule=schedule
+        coded, cert, 16, BUDGET, schedule=schedule
     )
     return coded, cert, schedule, transcript, state
 
@@ -117,7 +118,7 @@ def combined_run():
     coded = CodedFamily(family)
     schedule = RequirementSchedule(cert)
     transcript, state = run_construction(
-        coded, cert, 12, 10**5, schedule=schedule
+        coded, cert, 12, BUDGET, schedule=schedule
     )
     return coded, cert, schedule, transcript, state
 
@@ -147,13 +148,13 @@ def test_diag_witness_membership_reads_blocks_k_and_ell(combined_run):
         assert check_diag_witness(coded, _state(state.frontier, ones), record) == (
             "membership_split", {})
         cert, faults = check_stage_records(coded, _state(state.frontier, ones), schedule,
-                                           transcript.records)
+                                           transcript.records, BUDGET)
         assert cert.verdict == FAIL and faults[n] == "membership_split"
     # A frontier below ell leaves the image's block undefined.
     short = _state(record.ell - 1, state.ones)
     assert check_diag_witness(coded, short, record) == (
         "frontier", {"needed_block": record.ell, "frontier": record.ell - 1})
-    cert, faults = check_stage_records(coded, short, schedule, transcript.records)
+    cert, faults = check_stage_records(coded, short, schedule, transcript.records, BUDGET)
     assert cert.verdict == INCOMPLETE
     assert cert.checks[0] == {"check": "frontier", "ok": False, "stage": n,
                               "needed_block": record.ell, "frontier": record.ell - 1}
@@ -169,7 +170,7 @@ def test_diag_witness_rejects_other_branches(combined_run):
 
 def test_stage_checks_count_every_branch(combined_run):
     coded, _, schedule, transcript, state = combined_run
-    cert, faults = check_stage_records(coded, state, schedule, transcript.records)
+    cert, faults = check_stage_records(coded, state, schedule, transcript.records, BUDGET)
     assert cert.verdict == PASS and faults == [None] * len(transcript.records)
     assert cert.subject == {"stages": len(transcript.records)}
     counts = {branch: sum(r.branch == branch for r in transcript.records)
@@ -187,7 +188,7 @@ def test_stage_checks_hold_m_after_to_the_branch(combined_run):
                      record._replace(branch=BRANCH_NON_TOTAL)):
         records = list(transcript.records)
         records[n] = tampered
-        cert, faults = check_stage_records(coded, state, schedule, records)
+        cert, faults = check_stage_records(coded, state, schedule, records, BUDGET)
         assert cert.verdict == FAIL and faults[n] == "m_after"
         assert cert.checks == [
             {"check": "m_after", "ok": False, "stage": n, "m_after": tampered.m_after}]
@@ -200,7 +201,7 @@ def test_stage_checks_name_every_failing_record(combined_run):
     assert len(bad) == 2
     records[bad[0]] = records[bad[0]]._replace(y=records[bad[0]].y + 1)
     records[bad[1]] = records[bad[1]]._replace(e=records[bad[1]].e + 1)
-    cert, faults = check_stage_records(coded, state, schedule, records)
+    cert, faults = check_stage_records(coded, state, schedule, records, BUDGET)
     assert cert.verdict == FAIL
     assert [(c["stage"], c["check"]) for c in cert.checks] == [
         (bad[0], "rerun_value"), (bad[1], "schedule_mismatch")]
@@ -237,14 +238,14 @@ def test_stage_checks_rerun_defeat_records(constant_run, e, branch, x_block, x2_
     x, x2 = (None if k is None else src.endpoint(k) for k in (x_block, x2_block))
     record = StageRecord(0, e, 0, 1, 5, branch, 1000, 5, x, x2)
     schedule = _OneRequirement(Requirement(e, 0, 1))
-    cert, faults = check_stage_records(coded, ConstructionState(), schedule, [record])
+    cert, faults = check_stage_records(coded, ConstructionState(), schedule, [record], 1000)
     assert faults == [fault]
     assert cert.verdict == (PASS if fault is None else FAIL)
 
 
 def test_defeat_bundle_pass_and_incomplete(constant_run):
     coded, cert, schedule, transcript, state = constant_run
-    _, faults = check_stage_records(coded, state, schedule, transcript.records)
+    _, faults = check_stage_records(coded, state, schedule, transcript.records, BUDGET)
     bundle = check_defeat_bundle(schedule, 0, 1, 3, faults)
     assert bundle.verdict == PASS
     assert bundle.diagnostics["defeated"] == 3
@@ -265,7 +266,7 @@ def test_defeat_record_without_natural_witness_fails(constant_run, branch, field
     fields = {"branch": branch, "x": record.x, "x2": record.x + 1, field: value}
     records = list(transcript.records)
     records[stage] = record._replace(**fields)
-    stage_checks, faults = check_stage_records(coded, state, schedule, records)
+    stage_checks, faults = check_stage_records(coded, state, schedule, records, BUDGET)
     assert stage_checks.checks == [{
         "check": "witness_fields", "ok": False, "stage": stage, "field": field,
         "value": None if value is None else str(value),

@@ -67,7 +67,7 @@ def _check_round_trip(record):
         assert obj[name] == (None if v is None else hex(v)), (record.stage, name)
         got = getattr(back, name)
         assert (got is None) if v is None else (type(got) is int and str(got) == str(v))
-    assert back == record and back.same_json(record)
+    assert back == record
 
 
 CONFIGS = {
@@ -180,7 +180,7 @@ def test_transcript_write_read_round_trip(kind, count, rows, e_bound, schedule):
         replay = transcript_replay_json(fresh, gap_cert, loaded, config.budget, fresh_schedule)
         assert replay["verdict"] == PASS
         assert len(loaded) == len(transcript.records)
-        assert all(a.same_json(b) for a, b in zip(loaded, transcript.records))
+        assert loaded == transcript.records
         Transcript(loaded).write_jsonl(second)
         assert second.read_bytes() == first.read_bytes()
 
@@ -202,7 +202,7 @@ def test_stage_record_hex_round_trip(x, x2, y, ell):
     assert [obj[name] for name in WITNESSES] == [
         None if v is None else hex(v) for v in (x, x2, y, ell)
     ]
-    assert back == record and back.same_json(record)
+    assert back == record
 
 
 # Witnesses for the line template: null, 0, either sign, and 10**4 digits.
@@ -227,6 +227,65 @@ def test_template_line_is_the_json_dumps_line(record):
     assert StageRecord.from_json(json.loads(line)) == record
 
 
+INT_FIELDS = ("stage", "e", "i", "j", "k", "budget", "M_after")
+
+
+def _added_key(obj, draw):
+    key = draw(st.text(min_size=1, max_size=8).filter(lambda key: key not in obj))
+    obj[key] = draw(st.one_of(st.none(), st.integers(), st.text(max_size=4)))
+    return "unknown key %r" % key
+
+
+def _dropped_key(obj, draw):
+    key = draw(st.sampled_from(sorted(obj)))
+    del obj[key]
+    return "missing key %r" % key
+
+
+def _int_as_true(obj, draw):
+    name = draw(st.sampled_from(INT_FIELDS))
+    obj[name] = True
+    return "field %s must be" % name
+
+
+def _int_as_float(obj, draw):
+    name = draw(st.sampled_from(INT_FIELDS))
+    obj[name] = float(obj[name])
+    return "field %s must be" % name
+
+
+def _non_canonical_hex(obj, draw):
+    name = draw(st.sampled_from(WITNESSES))
+    text = hex(0 if obj[name] is None else int(obj[name], 16))
+    # Texts int(text, 16) reads back that hex() does not write.
+    obj[name] = draw(st.sampled_from([text.replace("x", "x0"), text.upper(),
+                                      text.replace("0x", ""), text + " "]))
+    return "witness %s must be" % name
+
+
+# One-field edits of a record's JSON object: name -> edit returning the start
+# of the ValueError it must raise.
+LINE_EDITS = {
+    "added_key": _added_key,
+    "dropped_key": _dropped_key,
+    "int_as_true": _int_as_true,
+    "int_as_float": _int_as_float,
+    "non_canonical_hex": _non_canonical_hex,
+}
+
+
+@given(record=RECORDS, edit=st.sampled_from(sorted(LINE_EDITS)), data=st.data())
+def test_a_record_loads_only_as_its_line_is_written(record, edit, data):
+    """A line reads back as its record; one field edited anyhow the writer
+    never writes it is a ValueError naming the key or field."""
+    obj = json.loads(record.line())
+    assert StageRecord.from_json(obj) == record
+    message = LINE_EDITS[edit](obj, data.draw)
+    with pytest.raises(ValueError) as refused:
+        StageRecord.from_json(obj)
+    assert str(refused.value).startswith(message)
+
+
 def test_negative_witness_loads_and_fails_witness_fields():
     family, gap_cert = constant_family()
     record = _record(0, 0, 1, 10, x=-3, y=5, ell=11)
@@ -234,7 +293,8 @@ def test_negative_witness_loads_and_fails_witness_fields():
     assert obj["x"] == "-0x3" and back.x == -3
     # The window over pair (0, 1) runs requirement (0, 0, 1) at stage 0.
     schedule = RequirementSchedule(gap_cert, [(0, 1)])
-    cert, _ = check_stage_records(CodedFamily(family), ConstructionState(), schedule, [back])
+    cert, _ = check_stage_records(CodedFamily(family), ConstructionState(), schedule, [back],
+                                  back.budget)
     assert cert.verdict == FAIL
     assert cert.checks == [
         {"check": "witness_fields", "ok": False, "stage": 0, "field": "x", "value": "-3"}
