@@ -447,7 +447,7 @@ class Transcript:
                     continue
                 try:
                     record = StageRecord.from_json(json.loads(raw.decode("utf-8").strip()))
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:   # RecursionError: too deep
                     raise TranscriptError("%s:%d: bad transcript record: %s: %s" % (
                         path, number, type(exc).__name__, exc)) from exc
                 if divergence is None and record != replayed:

@@ -8,7 +8,8 @@ instruction tuples, so decode memoizes it per index. Input goes into register 0
 and the output is register 0 at the halt; runs are step-bounded and exceeding
 the budget is reported explicitly, never silently.
 
-run_program is the one literal runner. tail_behavior decides at once every
+One interpreter loop, _run, serves both runners. run_program runs it from the
+input. tail_behavior runs it from budget + 1, which decides at once every
 input above the budget, and, when its path halts after S steps, every input
 above S; only the construction uses it, and the certificates rerun each
 witness literally instead of trusting it.
@@ -29,7 +30,7 @@ Instruction = tuple
 # Immutable, so decode can hand one cached program to every caller.
 Program = tuple
 
-# Steps run_program simulates before it starts recording states.
+# Steps the interpreter loop runs before it starts recording states.
 _CYCLE_CHECK_AFTER = 64
 
 
@@ -98,14 +99,67 @@ def program_text(program: Program) -> str:
     return "\n".join(lines)
 
 
+def _run(program: Program, r0: int, budget: int, literal: bool) -> Outcome:
+    """The one interpreter loop, from register 0 = r0 and the others zero.
+
+    Past _CYCLE_CHECK_AFTER steps it records each state: (pc, r0, other
+    registers) when literal, (pc, other registers) otherwise. A repeated
+    state proves the path never halts, so it is reported as OutOfBudget
+    without spending the rest of the budget.
+    """
+    n = len(program)
+    regs: dict[int, int] = {}
+    pc = 0
+    steps = 0
+    check_after = _CYCLE_CHECK_AFTER
+    seen = set()
+    while True:
+        if pc >= n:
+            return Halted(r0, steps)
+        if steps >= budget:
+            return OutOfBudget(budget)
+        ins = program[pc]
+        op = ins[0]
+        if op == INC:
+            r = ins[1]
+            if r:
+                regs[r] = regs.get(r, 0) + 1
+            else:
+                r0 += 1
+            pc += 1
+        elif op == DECJZ:
+            r = ins[1]
+            v = regs.get(r, 0) if r else r0
+            if v:
+                if not r:
+                    r0 = v - 1
+                elif v == 1:
+                    del regs[r]
+                else:
+                    regs[r] = v - 1
+                pc += 1
+            else:
+                pc = ins[2]
+        else:
+            return Halted(r0, steps + 1)
+        steps += 1
+        if steps >= check_after:
+            others = tuple(sorted(regs.items()))
+            state = (pc, r0, others) if literal else (pc, others)
+            if state in seen:
+                return OutOfBudget(budget)
+            seen.add(state)
+
+
 def tail_behavior(program: Program, budget: int) -> TailHalts | TailDiverges:
     """Joint outcome of the program on every input strictly above the budget.
 
-    Register 0 loses at most one unit per step, so on such inputs it can never
-    be zero when tested; the control path is therefore identical for all of
-    them and only the offset applied to the input needs tracking. A repeat of
-    (pc, other registers) proves divergence, since the path never reads the
-    offset.
+    This is the literal run from register 0 = budget + 1. Register 0 loses at
+    most one unit per step, so at each step t < budget it is at least
+    budget + 1 - t >= 2 and no DECJZ 0 sees zero: every input above the budget
+    follows this run's control path, and its output is the input plus the
+    run's offset. The path never reads register 0, so a repeat of (pc, other
+    registers) proves divergence.
 
     When the path halts after `steps` steps, the same holds for every input
     x > steps: at each step t < steps register 0 is at least x - t > 0, so
@@ -114,96 +168,17 @@ def tail_behavior(program: Program, budget: int) -> TailHalts | TailDiverges:
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    n = len(program)
-    offset = 0
-    regs: dict[int, int] = {}
-    pc = 0
-    steps = 0
-    seen = {(0, ())}
-    while True:
-        if pc >= n:
-            return TailHalts(offset, steps)
-        if steps >= budget:
-            return TailDiverges()
-        ins = program[pc]
-        op = ins[0]
-        if op == INC:
-            r = ins[1]
-            if r == 0:
-                offset += 1
-            else:
-                regs[r] = regs.get(r, 0) + 1
-            pc += 1
-        elif op == DECJZ:
-            r = ins[1]
-            if r == 0:
-                offset -= 1
-                pc += 1
-            else:
-                v = regs.get(r, 0)
-                if v:
-                    if v == 1:
-                        del regs[r]
-                    else:
-                        regs[r] = v - 1
-                    pc += 1
-                else:
-                    pc = ins[2]
-        else:
-            return TailHalts(offset, steps + 1)
-        steps += 1
-        state = (pc, tuple(sorted(regs.items())))
-        if state in seen:
-            return TailDiverges()
-        seen.add(state)
+    outcome = _run(program, budget + 1, budget, False)
+    if isinstance(outcome, Halted):
+        return TailHalts(outcome.value - budget - 1, outcome.steps)
+    return TailDiverges()
 
 
 def run_program(program: Program, x: int, budget: int) -> Outcome:
     """Literal step-by-step run of a decoded program; input in register 0.
-
-    Past _CYCLE_CHECK_AFTER steps the run records each state (pc, registers);
-    a repeated state proves the run never halts, so it is reported as
-    OutOfBudget without spending the rest of the budget.
-    """
+    A repeated state (pc, registers) ends it as OutOfBudget (see _run)."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if x < 0:
         raise ValueError("input must be a natural number")
-    n = len(program)
-    regs = {0: x} if x else {}
-    pc = 0
-    steps = 0
-    seen = None
-    while True:
-        if pc >= n:
-            return Halted(regs.get(0, 0), steps)
-        if steps >= budget:
-            return OutOfBudget(budget)
-        ins = program[pc]
-        op = ins[0]
-        if op == INC:
-            r = ins[1]
-            regs[r] = regs.get(r, 0) + 1
-            pc += 1
-        elif op == DECJZ:
-            r = ins[1]
-            v = regs.get(r, 0)
-            if v:
-                if v == 1:
-                    del regs[r]
-                else:
-                    regs[r] = v - 1
-                pc += 1
-            else:
-                pc = ins[2]
-        else:
-            return Halted(regs.get(0, 0), steps + 1)
-        steps += 1
-        if seen is None:
-            if steps >= _CYCLE_CHECK_AFTER:
-                seen = {(pc, tuple(sorted(regs.items())))}
-        else:
-            state = (pc, tuple(sorted(regs.items())))
-            if state in seen:
-                return OutOfBudget(budget)
-            seen.add(state)
+    return _run(program, x, budget, True)

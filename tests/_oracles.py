@@ -188,6 +188,32 @@ def encode(program) -> int:
     return pair(len(program), body)
 
 
+def simulate(program, x: int, budget: int) -> tuple[int, int] | None:
+    """(output, steps) of the literal run of a decoded program from input x,
+    or None when it has not halted after budget steps. Registers are a list
+    indexed by register number; no cycle rule, no tail lemma: a run that does
+    not halt spends its whole budget."""
+    regs = [0] * (1 + max((ins[1] for ins in program if len(ins) > 1), default=0))
+    regs[0] = x
+    pc = steps = 0
+    while pc < len(program):
+        if steps == budget:
+            return None
+        ins = program[pc]
+        steps += 1
+        if ins[0] == "HALT":
+            return regs[0], steps
+        if ins[0] == "INC":
+            regs[ins[1]] += 1
+            pc += 1
+        elif regs[ins[1]] > 0:
+            regs[ins[1]] -= 1
+            pc += 1
+        else:
+            pc = ins[2]
+    return regs[0], steps
+
+
 def in_Z(n: int, k: int) -> bool:
     """True iff k > 0 and the 2-adic valuation of k equals n."""
     return k > 0 and (k & -k) == (1 << n)

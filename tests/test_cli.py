@@ -551,6 +551,7 @@ BAD_CONFIGS = {
     "config_misspelt_k_max": (
         '{"kind": "rationals", "count": 2, "E": 2, "kmax": 5}', "'kmax'"),
     "config_not_utf8": (b"\xff\xfe", "cannot read config"),
+    "config_deeply_nested": ("[" * 200_000 + "]" * 200_000, "cannot read config"),
 }
 BAD_INPUTS.update(
     (name, (["construct", "--config", "{bad}", "--out", "{out}"], text))
@@ -560,6 +561,9 @@ BAD_INPUTS.update(
 BAD_INPUTS["verify_config_not_utf8"] = (
     ["verify", "--config", "{bad}", "--transcript", "{out}", "--report", "{report}"],
     BAD_CONFIGS["config_not_utf8"][0])
+BAD_INPUTS["verify_config_deeply_nested"] = (
+    ["verify", "--config", "{bad}", "--transcript", "{out}", "--report", "{report}"],
+    BAD_CONFIGS["config_deeply_nested"][0])
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
@@ -971,6 +975,8 @@ MALFORMED = {
     "extra_key": lambda records: records[1].update(foo=1),
     "list_line": _raw_line("[1,2]"),
     "bad_json": _raw_line("{bad"),
+    # json.loads raises RecursionError, not ValueError, on deep nesting.
+    "deeply_nested": _raw_line("[" * 200_000 + "]" * 200_000),
     "x_not_integer": _set(1, "x", lambda x: "0x12xyz"),
     # Witnesses are null or exactly the text hex() writes.
     "x_json_number": _set(1, "x", lambda x: int(x, 16)),

@@ -16,10 +16,11 @@ from blockdensity.machine import (
     program_text,
     run_program,
     tail_behavior,
+    TailDiverges,
     TailHalts,
 )
 
-from _oracles import encode
+from _oracles import encode, simulate
 
 LOOP = [(INC, 0), (DECJZ, 1, 0)]          # register 1 stays zero: jumps back forever
 CONST0 = [(DECJZ, 0, 2), (DECJZ, 1, 0)]   # drains register 0, then halts via clamp
@@ -153,6 +154,30 @@ def test_halting_tail_covers_every_input_above_its_steps(e, budget, data):
     assert run_program(program, x, budget) == Halted(x + tail.offset, tail.steps)
 
 
+@given(
+    e=st.integers(0, 4999),
+    budget=st.integers(1, 200),
+    x=st.integers(0, 60),
+    k=st.integers(1, 60),
+    extra=st.integers(1, 10**6),
+)
+def test_both_runners_match_the_reference_interpreter(e, budget, x, k, extra):
+    """run_program on a small input, and tail_behavior's prediction on an
+    input above the budget up to factorial scale, equal a plain simulator
+    with no cycle rule and no tail: the two runners share one loop, so this
+    checks its dispatch from outside it."""
+    program = decode(e)
+    want = simulate(program, x, budget)
+    assert run_program(program, x, budget) == (
+        OutOfBudget(budget) if want is None else Halted(*want))
+    big = budget + extra + factorial(k)
+    tail = tail_behavior(program, budget)
+    if isinstance(tail, TailHalts):
+        assert simulate(program, big, budget) == (big + tail.offset, tail.steps)
+    else:
+        assert simulate(program, big, budget) is None
+
+
 def test_halting_tail_does_not_cover_an_input_tested_at_zero():
     # The tail path decrements register 0 and halts after two steps; input 0
     # is tested at zero, jumps to INC and so leaves the tail's path.
@@ -178,6 +203,14 @@ def test_cycle_rule_agrees_with_run_without_it(program, monkeypatch):
     monkeypatch.setattr(machine, "_CYCLE_CHECK_AFTER", 10**6)
     for budget, outcome in early.items():
         assert outcome == run_program(program, 7, budget) == OutOfBudget(budget)
+
+
+@pytest.mark.parametrize("program", [LOOP, CONST0], ids=["loop", "const0"])
+def test_tail_cycle_rule_leaves_register_0_out(program):
+    """Both loops change register 0 on every lap, so their tails end at once
+    under a budget no run could spend only if register 0 stays out of the
+    tail's state key."""
+    assert tail_behavior(program, 10**15) == TailDiverges()
 
 
 def test_program_text():
