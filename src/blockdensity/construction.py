@@ -27,12 +27,13 @@ block follow one control path (see machine.tail_behavior), so the branch
 decision and its least witnesses are computed exactly without scanning
 factorial-sized blocks.
 
-Transcripts hold witnesses as hex text, exactly what hex() writes: the big
-witnesses, at or next to block endpoints b_i(k) or b_j(k + 1), reach thousands
-of digits, and CPython converts ints to and from hex in linear time (decimal
-takes quadratic time), with no int/str digit limit. Each line is one %-template
-filled in, json.dumps's bytes for the record (StageRecord.line). run_stages is
-the one stage loop: run_construction takes its first records, and a transcript
+Records hold each witness as a signed offset from an anchor its branch fixes,
+b_j(k + 1) for a diagonalized x and y and b_i(k) otherwise: the witnesses reach
+thousands of digits, their offsets a few. Offsets are hex text, exactly what
+hex() writes, read in linear time with no int/str digit limit (decimal takes
+quadratic time), so a tampered huge one loads fast. Each line is one
+%-template filled in, json.dumps's bytes for the record (StageRecord.line).
+run_stages is the one stage loop: run_construction takes its first records, and a transcript
 is read against it in one forward pass, decoding only the lines that differ
 from the replay's own.
 """
@@ -83,13 +84,13 @@ class Requirement(NamedTuple):
 
 # A transcript line: the twelve keys in order, each witness "hex() text" or null.
 _LINE = ('{"stage": %d, "e": %d, "i": %d, "j": %d, "k": %d, "branch": "%s", '
-         '"x": %s, "x2": %s, "y": %s, "ell": %s, "budget": %d, "M_after": %d}\n')
-_KEYS = ("stage", "e", "i", "j", "k", "branch", "x", "x2", "y", "ell", "budget", "M_after")
+         '"dx": %s, "dx2": %s, "dy": %s, "ell": %s, "budget": %d, "M_after": %d}\n')
+_KEYS = ("stage", "e", "i", "j", "k", "branch", "dx", "dx2", "dy", "ell", "budget", "M_after")
 
 
 class StageRecord(NamedTuple):
-    """One stage's outcome, an immutable NamedTuple. The witnesses x, x2, y
-    and ell are ints or None."""
+    """One stage's outcome, an immutable NamedTuple. dx, dx2, dy (witnesses
+    x, x2, y less their anchor) and ell (the image block) are ints or None."""
 
     stage: int
     e: int
@@ -99,20 +100,20 @@ class StageRecord(NamedTuple):
     branch: str
     budget: int
     m_after: int
-    x: int | None = None
-    x2: int | None = None
-    y: int | None = None
+    dx: int | None = None
+    dx2: int | None = None
+    dy: int | None = None
     ell: int | None = None
 
     def line(self) -> str:
         """The transcript line: json.dumps's bytes for a record with int
         fields and one of the three branches, as run_stage makes it."""
-        stage, e, i, j, k, branch, budget, m_after, x, x2, y, ell = self
+        stage, e, i, j, k, branch, budget, m_after, dx, dx2, dy, ell = self
         return _LINE % (
             stage, e, i, j, k, branch,
-            "null" if x is None else '"' + hex(x) + '"',
-            "null" if x2 is None else '"' + hex(x2) + '"',
-            "null" if y is None else '"' + hex(y) + '"',
+            "null" if dx is None else '"' + hex(dx) + '"',
+            "null" if dx2 is None else '"' + hex(dx2) + '"',
+            "null" if dy is None else '"' + hex(dy) + '"',
             "null" if ell is None else '"' + hex(ell) + '"',
             budget, m_after,
         )
@@ -170,9 +171,9 @@ class StageRecord(NamedTuple):
             branch=obj["branch"],
             budget=whole("budget", 1),
             m_after=whole("M_after"),
-            x=witness("x"),
-            x2=witness("x2"),
-            y=witness("y"),
+            dx=witness("dx"),
+            dx2=witness("dx2"),
+            dy=witness("dy"),
             ell=witness("ell"),
         )
 
@@ -223,6 +224,7 @@ class RequirementSchedule:
         self._window = pairs is not None
         self._pairs: list[tuple[int, int]] = []
         self._next_code = 0
+        self._k0: dict[tuple[int, int], int] = {}
         if self._window:
             self._pairs = list(pairs)
             for i, j in self._pairs:
@@ -274,6 +276,21 @@ class RequirementSchedule:
         """Stages needed so every (e < e_bound, pair) requirement has run."""
         return max((self.stage_of(e_bound - 1, i, j) + 1 for i, j in pairs), default=0)
 
+    def k_bound(self, i: int, j: int, frontier: int) -> int:
+        """The last block domination_search can pick for pair (i, j) past the
+        frontier, s(i, j, max(frontier + 1, K0)), as s(t) >= t; K0 found once."""
+        if (i, j) not in self._k0:
+            self._k0[i, j] = profile_k0(self._cert, i, j)
+        return self._cert.s(i, j, max(frontier + 1, self._k0[i, j]))
+
+
+def profile_k0(cert: GapCertificate, i: int, j: int) -> int:
+    """K0 = max(3, ceil(5/delta)) of pair (i, j) (the module docstring)."""
+    delta = cert.delta(i, j)
+    if delta <= 0:
+        raise AssertionError("pair (%d, %d) has gap %s <= 0" % (i, j, delta))
+    return max(3, -(-5 // delta))   # ceil(5/delta), exactly
+
 
 def domination_search(
     coded: CodedFamily,
@@ -309,10 +326,7 @@ def domination_search(
         if src_i.length(k) > src_j.endpoint(k + 1):
             return k
         if k0 is None:
-            delta = cert.delta(i, j)
-            if delta <= 0:
-                raise AssertionError("pair (%d, %d) has gap %s <= 0" % (i, j, delta))
-            k0 = max(3, -(-5 // delta))   # ceil(5/delta), exactly
+            k0 = profile_k0(cert, i, j)
         if k >= k0:
             raise AssertionError("selected block %d of pair (%d, %d) does not dominate, "
                                  "though K0 = %d" % (k, i, j, k0))
@@ -384,14 +398,17 @@ def run_stage(
     k = domination_search(coded, cert, req.i, req.j, state.frontier)
     src_j = coded.source(req.j)
     lo, hi = coded.source(req.i).block(k)
-    branch, x, x2, y = _evaluate_block(decode(req.e), lo, hi, budget, src_j.endpoint(k + 1))
-    ell = None
+    threshold = src_j.endpoint(k + 1)
+    branch, x, x2, y = _evaluate_block(decode(req.e), lo, hi, budget, threshold)
     if branch == BRANCH_DIAGONALIZED:
         ell, _ = src_j.locate(y)
         if ell <= k:
             raise AssertionError("diagonal image landed at or before the chosen block")
-    record = StageRecord(state.stage, req.e, req.i, req.j, k, branch, budget,
-                         k if ell is None else ell, x, x2, y, ell)
+        record = StageRecord(state.stage, req.e, req.i, req.j, k, branch, budget, ell,
+                             x - threshold, None, y - threshold, ell)
+    else:
+        record = StageRecord(state.stage, req.e, req.i, req.j, k, branch, budget, k,
+                             x - lo, None if x2 is None else x2 - lo)
     state.apply(record)
     return record
 

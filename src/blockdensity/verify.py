@@ -33,7 +33,12 @@ gives the defeat bundles their per-stage results (check_stage_records): a
 record is first matched against the requirement the schedule puts at its
 position and against the run's step budget, and its witnesses are rerun
 literally, within that budget, with run_program, not with
-the tail lemma (machine.tail_behavior) the construction chose them by. The
+the tail lemma (machine.tail_behavior) the construction chose them by. Its
+k is bounded next, by the last block the domination search could pick past
+the previous record's M_after (RequirementSchedule.k_bound), and only then
+is geometry read at k: each witness is its offset plus its anchor
+(construction's module docstring), x is placed in block k by comparison with
+the block's endpoints, and y, once it reruns from x, is located. The
 transcript is read against its replay in one forward pass
 (Transcript.read_jsonl): a record read as its replayed line is that replayed
 record, and check_transcript_replay reports the first record that is not.
@@ -54,7 +59,6 @@ from .construction import (
     BRANCHES,
     ConstructionState,
     FrontierUndefined,
-    Requirement,
     RequirementSchedule,
     StageRecord,
 )
@@ -256,28 +260,42 @@ def check_bfo_equivalence(
     return cert
 
 
-# The witness fields each branch needs, natural ints.
-_WITNESSES = {BRANCH_NON_TOTAL: ("x",), BRANCH_NON_INJECTIVE: ("x", "x2"),
-              BRANCH_DIAGONALIZED: ("x", "y", "ell")}
+# The witness fields each branch needs, ints.
+_WITNESSES = {BRANCH_NON_TOTAL: ("dx",), BRANCH_NON_INJECTIVE: ("dx", "dx2"),
+              BRANCH_DIAGONALIZED: ("dx", "dy", "ell")}
+
+
+def _negative(witnesses: dict) -> tuple[str, dict] | None:
+    """The witness_fields fault of the first negative witness by name, or None."""
+    for name, value in witnesses.items():
+        if value is not None and value < 0:
+            return "witness_fields", {"field": name, "value": str(value)}
+    return None
 
 
 def check_diag_witness(
     coded: CodedFamily, state: ConstructionState, record: StageRecord
 ) -> tuple[str, dict] | None:
-    """The first check a diagonalized record with natural witnesses fails, as
-    (name, detail), or None: x lies in block k and reruns to y, y lies in a
-    block ell > k, h(x) and h(y) lie in target blocks k and ell, and the
-    state puts block k in the set and block ell out of it."""
-    _, e, i, j, k, branch, budget, _, x, _, y, ell = record
+    """The first check a diagonalized record with int witness fields fails,
+    as (name, detail), or None: x = b_j(k + 1) + dx and y = b_j(k + 1) + dy
+    are natural, x lies in block k and reruns to y, y lies in a block
+    ell > k, h(x) and h(y) lie in target blocks k and ell, and the state puts
+    block k in the set and block ell out of it. y, at most x plus the budget
+    once it reruns, is the only witness located."""
+    _, e, i, j, k, branch, budget, _, dx, _, dy, ell = record
     if branch != BRANCH_DIAGONALIZED:
         raise ValueError("diagonal witness check needs a diagonalized record")
-    located, _ = coded.source(i).locate(x)
-    if located != k:
-        return "witness_block", {"expected": k, "located": located}
+    src_i, src_j = coded.source(i), coded.source(j)
+    anchor = src_j.endpoint(k + 1)
+    x, y = anchor + dx, anchor + dy
+    if x < 0 or y < 0:
+        return _negative({"x": x, "y": y})
+    if not src_i.endpoint(k) <= x < src_i.endpoint(k + 1):
+        return "witness_block", {"expected": k}
     outcome = run_program(decode(e), x, budget)
     if not isinstance(outcome, Halted) or outcome.value != y:
-        return "rerun_value", {"x": str(x)}
-    located, _ = coded.source(j).locate(y)
+        return "rerun_value", {"dx": str(dx)}
+    located, _ = src_j.locate(y)
     if located != ell or ell <= k:
         return "image_block", {"expected": ell, "located": located}
     try:
@@ -295,43 +313,59 @@ def check_diag_witness(
 def _record_fault(
     coded: CodedFamily,
     state: ConstructionState,
+    schedule: RequirementSchedule,
+    n: int,
     record: StageRecord,
-    req: Requirement,
     budget: int,
+    frontier: int,
 ) -> tuple[str, dict] | None:
-    """The first check a record fails as the record of requirement req in a
-    run of the given step budget, as (name, detail), or None.
+    """The first check the stage n record of a run of the given step budget
+    fails past the given frontier, as (name, detail), or None.
 
-    The requirement, the budget and the witness fields come first, before a
-    program is decoded or a witness located, as those costs grow with e, i,
-    the budget and the witnesses. A non-total record's x reruns out of budget
-    inside block k; a non-injective record's two witnesses rerun to one value.
+    The requirement, the budget and k (RequirementSchedule.k_bound) come
+    first, before a program is decoded or any geometry read, as those costs
+    grow with e, i, the budget and k. A non-total record's x lies in block k
+    and reruns out of budget; a non-injective record's two witnesses rerun to
+    one value.
     """
-    _, e, i, j, k, branch, _, m_after, x, x2, _, ell = record
+    _, e, i, j, k, branch, _, m_after, dx, dx2, _, ell = record
+    req = schedule.requirement(n)
     if (e, i, j) != req:
         return "schedule_mismatch", req._asdict()
     if record.budget != budget:
         return "budget", {"budget": record.budget}
+    bound = schedule.k_bound(i, j, frontier)
+    if k > bound:
+        return "k_bound", {"k": k, "bound": bound}
     for name in _WITNESSES[branch]:
-        value = getattr(record, name)
-        if value is None or value < 0:
-            return "witness_fields", {"field": name,
-                                      "value": None if value is None else str(value)}
-    # ConstructionState.apply moves the frontier to M_after on trust.
-    if m_after != (ell if branch == BRANCH_DIAGONALIZED else k):
-        return "m_after", {"m_after": m_after}
+        if getattr(record, name) is None:
+            return "witness_fields", {"field": name, "value": None}
+    # ConstructionState.apply moves the frontier to M_after on trust, so it
+    # must be ell for a diagonalized record and k otherwise.
     if branch == BRANCH_DIAGONALIZED:
+        if ell < 0:
+            return _negative({"ell": ell})
+        if m_after != ell:
+            return "m_after", {"m_after": m_after}
         return check_diag_witness(coded, state, record)
+    lo = coded.source(i).endpoint(k)
+    x, x2 = lo + dx, None if dx2 is None else lo + dx2
+    fault = _negative({"x": x, "x2": x2})
+    if fault is not None:
+        return fault
+    if m_after != k:
+        return "m_after", {"m_after": m_after}
     program = decode(e)
     if branch == BRANCH_NON_TOTAL:
+        if not 0 <= dx < coded.source(i).length(k):
+            return "witness_block", {"expected": k}
         if not isinstance(run_program(program, x, budget), OutOfBudget):
-            return "rerun_diverges", {"x": str(x)}
-        located, _ = coded.source(i).locate(x)
-        return None if located == k else ("witness_block", {"expected": k, "located": located})
+            return "rerun_diverges", {"dx": str(dx)}
+        return None
     out, out2 = run_program(program, x, budget), run_program(program, x2, budget)
     if (x == x2 or not isinstance(out, Halted) or not isinstance(out2, Halted)
             or out.value != out2.value):
-        return "rerun_collides", {"x": str(x), "x2": str(x2)}
+        return "rerun_collides", {"dx": str(dx), "dx2": str(dx2)}
     return None
 
 
@@ -346,8 +380,9 @@ def check_stage_records(
     certificate, the name of each record's first failing check or None).
 
     Record n must be the record of the requirement the schedule puts at stage
-    n, carry the run's step budget and pass its branch's checks
-    (_record_fault). The certificate counts
+    n, carry the run's step budget, have k within the schedule's bound past
+    the previous record's M_after (-1 before stage 0) and pass its branch's
+    checks (_record_fault). The certificate counts
     the records of each branch, or names each failing record by stage and
     check; a record whose image block lies past the frontier leaves it
     INCOMPLETE.
@@ -355,8 +390,10 @@ def check_stage_records(
     cert = Certificate("StageChecks", {"stages": len(records)})
     counts = dict.fromkeys(BRANCHES, 0)
     faults: list[str | None] = []
+    frontier = -1
     for n, record in enumerate(records):
-        fault = _record_fault(coded, state, record, schedule.requirement(n), budget)
+        fault = _record_fault(coded, state, schedule, n, record, budget, frontier)
+        frontier = record.m_after
         if fault is None:
             counts[record.branch] += 1
             faults.append(None)

@@ -264,10 +264,10 @@ def combined_formulas(alpha, beta, count: int):
 
 
 def record_json(record) -> dict:
-    """The JSON object of a StageRecord, each witness null or its hex() text,
-    keyed in the order of a transcript line."""
-    x, x2, y, ell = (None if v is None else hex(v)
-                     for v in (record.x, record.x2, record.y, record.ell))
+    """The JSON object of a StageRecord, each witness field null or its hex()
+    text, keyed in the order of a transcript line."""
+    dx, dx2, dy, ell = (None if v is None else hex(v)
+                        for v in (record.dx, record.dx2, record.dy, record.ell))
     return {
         "stage": record.stage,
         "e": record.e,
@@ -275,9 +275,9 @@ def record_json(record) -> dict:
         "j": record.j,
         "k": record.k,
         "branch": record.branch,
-        "x": x,
-        "x2": x2,
-        "y": y,
+        "dx": dx,
+        "dx2": dx2,
+        "dy": dy,
         "ell": ell,
         "budget": record.budget,
         "M_after": record.m_after,

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from blockdensity import cli, construction, machine
+from blockdensity import blocks, cli, construction, machine
 from blockdensity.cli import main
-from blockdensity.scenarios import ScenarioConfig, ScenarioResult
+from blockdensity.scenarios import ScenarioConfig, ScenarioResult, prepare
 
 from _oracles import random_poset_matrix
 
@@ -218,7 +218,7 @@ def test_construct_then_verify_round_trip(tmp_path, capsys):
 
     # Tampering with a witness must be caught.
     records = [json.loads(line) for line in transcript_path.read_text().splitlines()]
-    records[0]["x"] = hex(int(records[0]["x"], 16) + 1)
+    records[0]["dx"] = hex(int(records[0]["dx"], 16) + 1)
     transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
     code, _ = run_cli(capsys, "verify", "--config", str(config_path),
                       "--transcript", str(transcript_path),
@@ -709,7 +709,9 @@ def _set(index, key, change):
 
 # config.json of `scenario rationals --count 2 --E 2 --kmax 6`, written
 # before the element_scan key left the config schema, and the run's
-# transcript.jsonl.
+# transcript.jsonl; PARENT_TRANSCRIPT is that transcript as it was written
+# before records held witness offsets, with the witnesses x, x2 and y
+# themselves.
 OLD_CONFIG = """{
   "kind": "rationals",
   "count": 2,
@@ -725,19 +727,27 @@ OLD_CONFIG = """{
 """
 OLD_TRANSCRIPT = (
     '{"stage": 0, "e": 0, "i": 0, "j": 1, "k": 10, "branch": "diagonalized", '
+    '"dx": "0x0", "dx2": null, "dy": "0x0", "ell": "0xb", "budget": 100000, '
+    '"M_after": 11}\n'
+    '{"stage": 1, "e": 1, "i": 0, "j": 1, "k": 12, "branch": "diagonalized", '
+    '"dx": "-0x1", "dx2": null, "dy": "0x0", "ell": "0xd", '
+    '"budget": 100000, "M_after": 13}\n'
+)
+PARENT_TRANSCRIPT = (
+    '{"stage": 0, "e": 0, "i": 0, "j": 1, "k": 10, "branch": "diagonalized", '
     '"x": "0x5226cc", "x2": null, "y": "0x5226cc", "ell": "0xb", "budget": 100000, '
     '"M_after": 11}\n'
     '{"stage": 1, "e": 1, "i": 0, "j": 1, "k": 12, "branch": "diagonalized", '
     '"x": "0x298f92cb", "x2": null, "y": "0x298f92cc", "ell": "0xd", '
     '"budget": 100000, "M_after": 13}\n'
 )
-# The same transcript with its witnesses in decimal.
+# OLD_TRANSCRIPT with its witness fields in decimal.
 DECIMAL_TRANSCRIPT = (
     '{"stage": 0, "e": 0, "i": 0, "j": 1, "k": 10, "branch": "diagonalized", '
-    '"x": "5383884", "x2": null, "y": "5383884", "ell": "11", "budget": 100000, '
+    '"dx": "0", "dx2": null, "dy": "0", "ell": "11", "budget": 100000, '
     '"M_after": 11}\n'
     '{"stage": 1, "e": 1, "i": 0, "j": 1, "k": 12, "branch": "diagonalized", '
-    '"x": "697275083", "x2": null, "y": "697275084", "ell": "13", '
+    '"dx": "-1", "dx2": null, "dy": "0", "ell": "13", '
     '"budget": 100000, "M_after": 13}\n'
 )
 
@@ -777,7 +787,26 @@ def test_decimal_witness_transcript_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: %s:1: " % transcript_path)
-    assert "witness x must be null or hex text" in err
+    assert "witness dx must be null or hex text" in err
+    assert not report_path.exists()
+
+
+def test_transcript_with_absolute_witnesses_is_refused(tmp_path, capsys):
+    """A line that holds the witnesses x, x2 and y themselves, as transcripts
+    did before records held offsets, is a load error naming its first key,
+    never read as offsets."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(OLD_CONFIG)
+    transcript_path = tmp_path / "transcript.jsonl"
+    transcript_path.write_text(PARENT_TRANSCRIPT)
+    report_path = tmp_path / "r.jsonl"
+    code = main(["verify", "--config", str(config_path),
+                 "--transcript", str(transcript_path),
+                 "--report", str(report_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: %s:1: " % transcript_path)
+    assert "unknown key 'x'" in err
     assert not report_path.exists()
 
 
@@ -792,8 +821,12 @@ def test_poset_scenario_with_a_cell_past_the_frontier_is_incomplete(tmp_path, ca
 # the (stage, check) pairs StageChecks fails)
 TAMPERS = {
     "m_after_plus_one": (_set(2, "M_after", lambda m: m + 1), 1, False, 2, [(2, "m_after")]),
-    "y_plus_one": (_set(1, "y", lambda y: hex(int(y, 16) + 1)), 1, False, 1,
+    "y_plus_one": (_set(1, "dy", lambda dy: hex(int(dy, 16) + 1)), 1, False, 1,
                    [(1, "rerun_value")]),
+    "dx_plus_one": (_set(1, "dx", lambda dx: hex(int(dx, 16) + 1)), 1, False, 1,
+                    [(1, "rerun_value")]),
+    "dx_minus_one": (_set(1, "dx", lambda dx: hex(int(dx, 16) - 1)), 1, False, 1,
+                     [(1, "rerun_value")]),
     "last_record_dropped": (lambda records: records.pop(), 2, True, None, []),
     "empty_file": (lambda records: records.clear(), 1, False, None, []),
 }
@@ -850,7 +883,7 @@ def test_verify_holds_each_record_to_the_runs_budget(tmp_path, capsys):
     transcript_path = outdir / "transcript.jsonl"
     records = [json.loads(line) for line in transcript_path.read_text().splitlines()]
     assert (records[3]["e"], records[3]["branch"]) == (3, "diagonalized")
-    records[3].update(branch="non_total_under_budget", x2=None, y=None, ell=None,
+    records[3].update(branch="non_total_under_budget", dx2=None, dy=None, ell=None,
                       budget=1, M_after=records[3]["k"])
     transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
     report_path = tmp_path / "r.jsonl"
@@ -864,13 +897,19 @@ def test_verify_holds_each_record_to_the_runs_budget(tmp_path, capsys):
         {"check": "defeat_record", "ok": False, "e": 3, "stage": 3, "reason": "budget"}]
 
 
-# name -> (field, tampered value, value the report gives); each must fail
-# StageChecks on record 1's witness_fields check, never crash or read as a
-# usage error.
+def _anchor(config_path, record):
+    """b_j(k + 1), the anchor of a diagonalized record's witnesses."""
+    coded, _, _ = prepare(ScenarioConfig.from_json(json.loads(config_path.read_text())))
+    return coded.source(record["j"]).endpoint(record["k"] + 1)
+
+
+# name -> (field, its tampered value given the anchor, the field or witness
+# the report names and the value it gives); each must fail StageChecks on
+# record 1's witness_fields check, never crash or read as a usage error.
 WITNESS_TAMPERS = {
-    "x_null": ("x", None, None),
-    "x_negative": ("x", "-0x3", "-3"),
-    "y_negative": ("y", "-0x3", "-3"),
+    "x_null": ("dx", lambda anchor: None, "dx", None),
+    "x_negative": ("dx", lambda anchor: hex(-anchor - 3), "x", "-3"),
+    "y_negative": ("dy", lambda anchor: hex(-anchor - 3), "y", "-3"),
 }
 
 
@@ -893,13 +932,14 @@ def _verify_with_record_1_set(constructed, tmp_path, capsys, field, value):
 
 @pytest.mark.parametrize("name", sorted(WITNESS_TAMPERS))
 def test_verify_bad_witness_fails_its_certificate(name, constructed, tmp_path, capsys):
-    field, value, reported = WITNESS_TAMPERS[name]
-    code, stage_checks = _verify_with_record_1_set(constructed, tmp_path, capsys,
-                                                   field, value)
+    field, value, witness, reported = WITNESS_TAMPERS[name]
+    config_path, records = constructed
+    code, stage_checks = _verify_with_record_1_set(
+        constructed, tmp_path, capsys, field, value(_anchor(config_path, records[1])))
     assert code == 1
     assert stage_checks["verdict"] == "FAIL"
     assert stage_checks["checks"] == [
-        {"check": "witness_fields", "ok": False, "stage": 1, "field": field,
+        {"check": "witness_fields", "ok": False, "stage": 1, "field": witness,
          "value": reported}
     ]
 
@@ -918,6 +958,60 @@ def test_verify_record_off_schedule_fails_fast(field, value, constructed, tmp_pa
     assert stage_checks["checks"] == [
         {"check": "schedule_mismatch", "ok": False, "stage": 1, **scheduled}
     ]
+
+
+@pytest.fixture
+def geometry_reach(monkeypatch):
+    """A one-item list holding the largest block index whose endpoint any
+    source geometry has cached since the test began."""
+    reach = [0]
+    real = blocks.SourceBlocks._extend
+
+    def extend(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        reach[0] = max(reach[0], len(self._ends) - 1)
+
+    monkeypatch.setattr(blocks.SourceBlocks, "_extend", extend)
+    return reach
+
+
+def test_verify_k_past_the_selector_bound_fails_before_geometry(constructed, tmp_path,
+                                                              capsys, geometry_reach):
+    """A record whose k lies past the last block the domination search could
+    pick fails k_bound before any geometry at k is read: nothing would
+    finish building the endpoints of block 10**6."""
+    config_path, records = constructed
+    code, stage_checks = _verify_with_record_1_set(constructed, tmp_path, capsys,
+                                                   "k", 10**6)
+    assert code == 1
+    [check] = stage_checks["checks"]
+    assert (check["check"], check["stage"], check["k"]) == ("k_bound", 1, 10**6)
+    assert records[1]["k"] <= check["bound"] < 10**6
+    assert geometry_reach[0] <= max(r["k"] for r in records) + 2
+
+
+def test_verify_oversized_offset_fails_its_block_without_growing_geometry(
+        tmp_path, capsys, geometry_reach):
+    """An offset that puts x far past its block fails witness_block by
+    comparison with the block's endpoints: x is never located, so the source
+    geometry stops at block k + 2 of the records' largest k."""
+    outdir = tmp_path / "run"
+    assert run_cli(capsys, "scenario", "rationals", "--count", "2", "--E", "4",
+                   "--outdir", str(outdir))[0] == 0
+    transcript_path = outdir / "transcript.jsonl"
+    records = [json.loads(line) for line in transcript_path.read_text().splitlines()]
+    assert records[1]["branch"] == "diagonalized"
+    records[1]["dx"] = hex(1 << 600000)
+    transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    geometry_reach[0] = 0
+    report_path = tmp_path / "r.jsonl"
+    code, _ = run_cli(capsys, "verify", "--config", str(outdir / "config.json"),
+                      "--transcript", str(transcript_path), "--report", str(report_path))
+    assert code == 1
+    report = {c["kind"]: c for c in map(json.loads, report_path.read_text().splitlines())}
+    assert report["StageChecks"]["checks"] == [
+        {"check": "witness_block", "ok": False, "stage": 1, "expected": records[1]["k"]}]
+    assert geometry_reach[0] <= max(r["k"] for r in records) + 2
 
 
 def test_wrong_tail_lemma_fails_the_rerun(monkeypatch, tmp_path, capsys):
@@ -971,28 +1065,28 @@ def _put(key, value):
 MALFORMED = {
     # The keys are exactly the twelve of a line.
     "missing_budget": _drop("budget"),
-    "missing_x2": _drop("x2"),
+    "missing_x2": _drop("dx2"),
     "extra_key": lambda records: records[1].update(foo=1),
     "list_line": _raw_line("[1,2]"),
     "bad_json": _raw_line("{bad"),
     # json.loads raises RecursionError, not ValueError, on deep nesting.
     "deeply_nested": _raw_line("[" * 200_000 + "]" * 200_000),
-    "x_not_integer": _set(1, "x", lambda x: "0x12xyz"),
+    "x_not_integer": _set(1, "dx", lambda x: "0x12xyz"),
     # Witnesses are null or exactly the text hex() writes.
-    "x_json_number": _set(1, "x", lambda x: int(x, 16)),
-    "y_json_number": _set(1, "y", lambda y: int(y, 16)),
+    "x_json_number": _set(1, "dx", lambda x: int(x, 16)),
+    "y_json_number": _set(1, "dy", lambda y: int(y, 16)),
     "ell_json_number": _set(1, "ell", lambda ell: int(ell, 16)),
-    "x2_json_number": _put("x2", 5),
-    "x_float": _put("x", 1.5),
-    "x_true": _put("x", True),
-    "x_underscore": _put("x", "0x1_000"),
-    "x_space": _put("x", " 0x12"),
-    "x_plus": _put("x", "+0x5"),
-    "x_leading_zero": _put("x", "0x007"),
-    "x_minus_zero": _put("x", "-0x0"),
-    "x_empty": _put("x", ""),
-    "x_unicode_digit": _put("x", "0x\u0661\u0662"),
-    "x_decimal": _set(1, "x", lambda x: str(int(x, 16))),
+    "x2_json_number": _put("dx2", 5),
+    "x_float": _put("dx", 1.5),
+    "x_true": _put("dx", True),
+    "x_underscore": _put("dx", "0x1_000"),
+    "x_space": _put("dx", " 0x12"),
+    "x_plus": _put("dx", "+0x5"),
+    "x_leading_zero": _put("dx", "0x007"),
+    "x_minus_zero": _put("dx", "-0x0"),
+    "x_empty": _put("dx", ""),
+    "x_unicode_digit": _put("dx", "0x\u0661\u0662"),
+    "x_decimal": _set(1, "dx", lambda x: str(int(x, 16))),
     "non_utf8": _non_utf8,
     # stage, e, i, j, k, budget and M_after must be JSON integers >= 0,
     # budget at least 1: true and 3.0 are not.

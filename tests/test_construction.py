@@ -292,7 +292,8 @@ def test_run_stage_identity_diagonalizes():
     assert record.branch == BRANCH_DIAGONALIZED
     assert record.k == 4
     # Least source element whose image leaves the opposing prefix [0, 41).
-    assert record.x == 41 and record.y == 41 and record.ell == 5
+    # x = y = 41 = b_j(5), the anchor, so both offsets are 0.
+    assert record.dx == 0 and record.dy == 0 and record.ell == 5
     assert state.frontier == 5 and state.ones == {4}
     assert state.block_bit(coded.targets.locate(10)) == 1     # a_4 = 10
     assert state.block_bit(coded.targets.locate(34)) == 0     # a_5 = 34
@@ -303,7 +304,7 @@ def test_run_stage_diverging_program():
     state = ConstructionState()
     record = run_stage(state, Requirement(encode(LOOP), I_74, I_54), coded, cert, 1000)
     assert record.branch == BRANCH_NON_TOTAL
-    assert record.x == 15                    # least element of the chosen block
+    assert record.dx == 0                    # x = 15 = b_i(4), the anchor
     assert record.k == 4 and state.frontier == 4
     assert state.ones == set()
 
@@ -313,7 +314,7 @@ def test_run_stage_constant_program_collides():
     state = ConstructionState()
     record = run_stage(state, Requirement(encode(CONST0), I_74, I_54), coded, cert, 10_000)
     assert record.branch == BRANCH_NON_INJECTIVE
-    assert (record.x, record.x2) == (15, 16)
+    assert (record.dx, record.dx2) == (0, 1)     # x, x2 = 15, 16 past b_i(4) = 15
 
 
 def test_run_stage_rejects_unscheduled_pair():
@@ -462,10 +463,10 @@ def test_run_construction_takes_the_first_records_of_the_stage_loop():
 
 
 def test_stage_record_replace_keeps_the_type():
-    record = StageRecord(0, 1, 2, 3, 4, BRANCH_DIAGONALIZED, 10, 5, x=6, y=7, ell=5)
-    changed = record._replace(y=8)
+    record = StageRecord(0, 1, 2, 3, 4, BRANCH_DIAGONALIZED, 10, 5, dx=6, dy=7, ell=5)
+    changed = record._replace(dy=8)
     assert type(changed) is StageRecord
-    assert changed.y == 8 and changed._replace(y=7) == record
+    assert changed.dy == 8 and changed._replace(dy=7) == record
 
 
 def test_reconstruct_state_matches_live_state():

@@ -115,7 +115,7 @@ def test_identity_device_counts_only_records_that_pass_their_checks(tmp_path):
     transcript = run_scenario(config).transcript
     records = list(transcript.records)
     n = next(n for n, r in enumerate(records) if r.e == identity_index())
-    records[n] = records[n]._replace(x=records[n].x + 1)
+    records[n] = records[n]._replace(dx=records[n].dx + 1)
     path = tmp_path / "transcript.jsonl"
     Transcript(records).write_jsonl(path)
     certs = {c.kind: c for c in verify_transcript(config, path)}

@@ -129,8 +129,12 @@ def test_diag_witness_pass_and_tamper(combined_run):
     assert diagonal
     for record in diagonal:
         assert check_diag_witness(coded, state, record) is None
-    tampered = diagonal[0]._replace(y=diagonal[0].y + 1)
-    assert check_diag_witness(coded, state, tampered) == ("rerun_value", {"x": str(tampered.x)})
+    tampered = diagonal[0]._replace(dy=diagonal[0].dy + 1)
+    assert check_diag_witness(coded, state, tampered) == ("rerun_value", {"dx": str(tampered.dx)})
+    # x one off its place fails the rerun too, on either side.
+    for dx in (diagonal[0].dx - 1, diagonal[0].dx + 1):
+        assert check_diag_witness(coded, state, diagonal[0]._replace(dx=dx)) == (
+            "rerun_value", {"dx": str(dx)})
 
 
 def _state(frontier, ones):
@@ -199,7 +203,7 @@ def test_stage_checks_name_every_failing_record(combined_run):
     records = list(transcript.records)
     bad = [n for n, r in enumerate(records) if r.branch == BRANCH_DIAGONALIZED][:2]
     assert len(bad) == 2
-    records[bad[0]] = records[bad[0]]._replace(y=records[bad[0]].y + 1)
+    records[bad[0]] = records[bad[0]]._replace(dy=records[bad[0]].dy + 1)
     records[bad[1]] = records[bad[1]]._replace(e=records[bad[1]].e + 1)
     cert, faults = check_stage_records(coded, state, schedule, records, BUDGET)
     assert cert.verdict == FAIL
@@ -208,10 +212,12 @@ def test_stage_checks_name_every_failing_record(combined_run):
     assert [n for n, fault in enumerate(faults) if fault is not None] == bad
 
 
-class _OneRequirement:
-    """A schedule that runs one requirement at every stage."""
+class _OneRequirement(RequirementSchedule):
+    """A schedule of a gap certificate that runs one requirement at every
+    stage."""
 
-    def __init__(self, req):
+    def __init__(self, cert, req):
+        super().__init__(cert)
         self.req = req
 
     def requirement(self, n):
@@ -220,7 +226,8 @@ class _OneRequirement:
 
 # Program 76 runs out of any budget on every input; program 0 halts on each
 # input with a value of its own. Each witness is the first element of the
-# named source block; the record chose block 5.
+# named source block, written as its offset from b_0(5): the record chose
+# block 5.
 @pytest.mark.parametrize("e, branch, x_block, x2_block, fault", [
     (76, BRANCH_NON_TOTAL, 5, None, None),
     (76, BRANCH_NON_TOTAL, 6, None, "witness_block"),
@@ -233,11 +240,12 @@ def test_stage_checks_rerun_defeat_records(constant_run, e, branch, x_block, x2_
                                            fault):
     """A divergence witness reruns out of budget inside block k; collision
     witnesses are two inputs that rerun to one value."""
-    coded = constant_run[0]
+    coded, cert = constant_run[:2]
     src = coded.source(0)
-    x, x2 = (None if k is None else src.endpoint(k) for k in (x_block, x2_block))
-    record = StageRecord(0, e, 0, 1, 5, branch, 1000, 5, x, x2)
-    schedule = _OneRequirement(Requirement(e, 0, 1))
+    dx, dx2 = (None if k is None else src.endpoint(k) - src.endpoint(5)
+               for k in (x_block, x2_block))
+    record = StageRecord(0, e, 0, 1, 5, branch, 1000, 5, dx, dx2)
+    schedule = _OneRequirement(cert, Requirement(e, 0, 1))
     cert, faults = check_stage_records(coded, ConstructionState(), schedule, [record], 1000)
     assert faults == [fault]
     assert cert.verdict == (PASS if fault is None else FAIL)
@@ -263,12 +271,17 @@ def test_defeat_record_without_natural_witness_fails(constant_run, branch, field
     coded, _, schedule, transcript, state = constant_run
     stage = schedule.stage_of(0, 0, 1)
     record = transcript.records[stage]
-    fields = {"branch": branch, "x": record.x, "x2": record.x + 1, field: value}
+    # A defeat record's witnesses are offsets from b_i(k): x, x2 = b_i(k), b_i(k) + 1.
+    anchor = coded.source(record.i).endpoint(record.k)
+    fields = {"branch": branch, "dx": 0, "dx2": 1,
+              "d" + field: None if value is None else value - anchor}
     records = list(transcript.records)
     records[stage] = record._replace(**fields)
     stage_checks, faults = check_stage_records(coded, state, schedule, records, BUDGET)
+    # A null field is named as the record's field, a negative witness as itself.
     assert stage_checks.checks == [{
-        "check": "witness_fields", "ok": False, "stage": stage, "field": field,
+        "check": "witness_fields", "ok": False, "stage": stage,
+        "field": "d" + field if value is None else field,
         "value": None if value is None else str(value),
     }]
     bundle = check_defeat_bundle(schedule, 0, 1, 1, faults)

@@ -122,7 +122,7 @@ def _record_edit(change):
                 obj = json.loads(line)
             except ValueError:
                 continue
-            if isinstance(obj, dict) and obj.get("x"):
+            if isinstance(obj, dict) and obj.get("dx"):
                 records.append(n)
         if records:
             n = draw(st.sampled_from(records))
@@ -136,7 +136,7 @@ def _stage_as_float(obj, draw):
 
 
 def _flip_hex_digit(obj, draw):
-    name = draw(st.sampled_from([k for k in ("x", "x2", "y", "ell") if obj[k]]))
+    name = draw(st.sampled_from([k for k in ("dx", "dx2", "dy", "ell") if obj[k]]))
     text = obj[name]
     at = draw(st.integers(3 if text.startswith("-") else 2, len(text) - 1))
     digit = draw(st.sampled_from([d for d in "0123456789abcdef" if d != text[at]]))
@@ -240,7 +240,7 @@ def test_verify_decodes_exactly_the_edited_lines(kind, runs, decoded, replays, t
     assert decoded == [2]
 
     tampered = json.loads(lines[2])
-    tampered["x"] = hex(int(tampered["x"], 16) + 1)
+    tampered["dx"] = hex(int(tampered["dx"], 16) + 1)
     lines[2] = json.dumps(tampered).encode() + b"\n"
     transcript.write_bytes(b"".join(lines))
     assert _verify(config_path, transcript, report)[0] == 1

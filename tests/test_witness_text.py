@@ -1,10 +1,13 @@
-"""Transcript witnesses are hex text: exactly what hex() writes, read back
-with int(text, 16).
+"""Transcript witness fields are hex text: exactly what hex() writes, read
+back with int(text, 16).
 
-These tests round-trip the codec on real transcripts, on synthetic records,
-on block endpoints at factorial scale and on drawn ints up to 5407!, compare
-what is read back with the ints in decimal too, and check that any other
-text of a witness is refused as a load error naming its line.
+A record holds each witness as a small offset from an anchor its branch
+fixes, but a tampered line may hold any int there, so the codec must take
+ints of any size in linear time. These tests round-trip it on real
+transcripts, on synthetic records, on block endpoints at factorial scale and
+on drawn ints up to 5407!, compare what is read back with the ints in decimal
+too, check that any other text of a witness field is refused as a load error
+naming its line, and check that the README runs write only small offsets.
 """
 
 import json
@@ -34,7 +37,7 @@ from blockdensity.verify import FAIL, PASS, check_stage_records, check_transcrip
 
 from _oracles import FAMILIES, KS, read_transcript, record_json, transcript_replay_json
 
-WITNESSES = ("x", "x2", "y", "ell")
+WITNESSES = ("dx", "dx2", "dy", "ell")
 
 
 @pytest.fixture
@@ -59,8 +62,8 @@ def _round_trip(record):
 
 
 def _check_round_trip(record):
-    """Each witness is written as hex() of its int and reads back to an int
-    with the same decimal text; the whole record reads back equal."""
+    """Each witness field is written as hex() of its int and reads back to an
+    int with the same decimal text; the whole record reads back equal."""
     obj, back = _round_trip(record)
     for name in WITNESSES:
         v = getattr(record, name)
@@ -80,13 +83,15 @@ CONFIGS = {
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_transcript_witnesses_match_str(kind, str_digits_lifted):
-    _, _, _, transcript = construct(CONFIGS[kind])
+    coded, _, _, transcript = construct(CONFIGS[kind])
     lines = list(transcript.lines())
     assert len(lines) == len(transcript.records)
     for line, record in zip(lines, transcript.records):
         assert json.loads(line) == record_json(record)
         _check_round_trip(record)
-    assert max(len(str(r.y)) for r in transcript.records) > 50
+    # The offsets stand for witnesses y = b_j(k + 1) + dy of factorial scale.
+    assert max(len(str(coded.source(r.j).endpoint(r.k + 1) + r.dy))
+               for r in transcript.records if r.branch == BRANCH_DIAGONALIZED) > 50
 
 
 def _record(stage, i, j, k, **witnesses):
@@ -101,15 +106,15 @@ def test_synthetic_witnesses_match_str(str_digits_lifted):
 
     near = (1 << 64) - 1
     records = [
-        _record(0, 0, 1, 40, x=b(0, 40) + 3, y=b(1, 41) - 7, ell=41),
-        _record(1, 1, 0, 45, x=b(1, 45), x2=b(1, 45) + near, y=b(0, 46) - near),
-        _record(2, 2, 3, 50, x=b(2, 50) + near + 1, y=b(3, 51) - near - 1),
-        _record(3, 0, 2, 60, x=3 * b(0, 60) + 1, x2=0, y=5, ell=-4),
-        _record(4, 3, 1, 70, x=-b(3, 70), y=None, ell=None),
-        _record(5, 1, 3, 80, x=-1, x2=b(1, 80) - b(1, 79), y=b(3, 81)),
-        _record(6, 0, 1, 55, x=b(0, 55), y=b(1, 56) + 1, ell=56),
-        _record(7, 0, 1, 90, x=b(0, 90), y=b(1, 91), ell=91),
-        _record(8, 1, 0, 2000, x=b(1, 2000) + 1, y=b(0, 2001), ell=2001),
+        _record(0, 0, 1, 40, dx=b(0, 40) + 3, dy=b(1, 41) - 7, ell=41),
+        _record(1, 1, 0, 45, dx=b(1, 45), dx2=b(1, 45) + near, dy=b(0, 46) - near),
+        _record(2, 2, 3, 50, dx=b(2, 50) + near + 1, dy=b(3, 51) - near - 1),
+        _record(3, 0, 2, 60, dx=3 * b(0, 60) + 1, dx2=0, dy=5, ell=-4),
+        _record(4, 3, 1, 70, dx=-b(3, 70), dy=None, ell=None),
+        _record(5, 1, 3, 80, dx=-1, dx2=b(1, 80) - b(1, 79), dy=b(3, 81)),
+        _record(6, 0, 1, 55, dx=b(0, 55), dy=b(1, 56) + 1, ell=56),
+        _record(7, 0, 1, 90, dx=b(0, 90), dy=b(1, 91), ell=91),
+        _record(8, 1, 0, 2000, dx=b(1, 2000) + 1, dy=b(0, 2001), ell=2001),
     ]
     for record in records:
         _check_round_trip(record)
@@ -117,14 +122,15 @@ def test_synthetic_witnesses_match_str(str_digits_lifted):
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_decimal_endpoints_match_source_blocks(kind, str_digits_lifted, tmp_path):
-    """Endpoints b_s(k) and b_s(k + 1) written as witnesses to a transcript
-    file read back equal to SourceBlocks', in decimal text as well."""
+    """Endpoints b_s(k) and b_s(k + 1) written as witness fields to a
+    transcript file read back equal to SourceBlocks', in decimal text as
+    well."""
     family, indices = FAMILIES[kind]
     coded = CodedFamily(family)
     for s in indices:
         src = coded.source(s)
         records = [
-            _record(n, s, s, k, x=src.endpoint(k), y=src.endpoint(k + 1))
+            _record(n, s, s, k, dx=src.endpoint(k), dy=src.endpoint(k + 1))
             for n, k in enumerate(KS)
         ]
         path = tmp_path / ("%d.jsonl" % s)
@@ -132,8 +138,8 @@ def test_decimal_endpoints_match_source_blocks(kind, str_digits_lifted, tmp_path
         loaded = read_transcript(path)
         assert loaded == records
         for record in loaded:
-            assert str(record.x) == str(src.endpoint(record.k)), (s, record.k)
-            assert str(record.y) == str(src.endpoint(record.k + 1)), (s, record.k + 1)
+            assert str(record.dx) == str(src.endpoint(record.k)), (s, record.k)
+            assert str(record.dy) == str(src.endpoint(record.k + 1)), (s, record.k + 1)
 
 
 def test_replay_gives_loaded_records_their_ints(tmp_path):
@@ -143,7 +149,7 @@ def test_replay_gives_loaded_records_their_ints(tmp_path):
     transcript.write_jsonl(path)
     lines = path.read_text().splitlines()
     tampered = json.loads(lines[20])
-    tampered["y"] = hex(int(tampered["y"], 16) + 1)
+    tampered["dy"] = hex(int(tampered["dy"], 16) + 1)
     lines[20] = json.dumps(tampered)
     path.write_text("".join(line + "\n" for line in lines))
 
@@ -158,7 +164,7 @@ def test_replay_gives_loaded_records_their_ints(tmp_path):
         {"check": "bit_exact", "ok": False, "first_divergence_stage": 20}
     ]
     want = list(transcript.records)
-    want[20] = want[20]._replace(y=want[20].y + 1)
+    want[20] = want[20]._replace(dy=want[20].dy + 1)
     assert loaded.records == want
 
 
@@ -195,12 +201,12 @@ NATURALS = st.one_of(
 WITNESS = st.one_of(st.none(), NATURALS, NATURALS.map(lambda v: -v))
 
 
-@given(x=WITNESS, x2=WITNESS, y=WITNESS, ell=WITNESS)
-def test_stage_record_hex_round_trip(x, x2, y, ell):
-    record = _record(3, 1, 0, 9, x=x, x2=x2, y=y, ell=ell)
+@given(dx=WITNESS, dx2=WITNESS, dy=WITNESS, ell=WITNESS)
+def test_stage_record_hex_round_trip(dx, dx2, dy, ell):
+    record = _record(3, 1, 0, 9, dx=dx, dx2=dx2, dy=dy, ell=ell)
     obj, back = _round_trip(record)
     assert [obj[name] for name in WITNESSES] == [
-        None if v is None else hex(v) for v in (x, x2, y, ell)
+        None if v is None else hex(v) for v in (dx, dx2, dy, ell)
     ]
     assert back == record
 
@@ -288,13 +294,15 @@ def test_a_record_loads_only_as_its_line_is_written(record, edit, data):
 
 def test_negative_witness_loads_and_fails_witness_fields():
     family, gap_cert = constant_family()
-    record = _record(0, 0, 1, 10, x=-3, y=5, ell=11)
+    coded = CodedFamily(family)
+    # x = b_1(11) + dx, the anchor of a diagonalized record plus its offset.
+    dx = -coded.source(1).endpoint(11) - 3
+    record = _record(0, 0, 1, 10, dx=dx, dy=5, ell=11)
     obj, back = _round_trip(record)
-    assert obj["x"] == "-0x3" and back.x == -3
+    assert obj["dx"] == hex(dx) and back.dx == dx
     # The window over pair (0, 1) runs requirement (0, 0, 1) at stage 0.
     schedule = RequirementSchedule(gap_cert, [(0, 1)])
-    cert, _ = check_stage_records(CodedFamily(family), ConstructionState(), schedule, [back],
-                                  back.budget)
+    cert, _ = check_stage_records(coded, ConstructionState(), schedule, [back], back.budget)
     assert cert.verdict == FAIL
     assert cert.checks == [
         {"check": "witness_fields", "ok": False, "stage": 0, "field": "x", "value": "-3"}
@@ -312,7 +320,7 @@ def written(tmp_path_factory):
     assert main(["construct", "--config", str(config_path),
                  "--out", str(transcript_path)]) == 0
     lines = transcript_path.read_text().splitlines()
-    assert json.loads(lines[1])["x"] is not None
+    assert json.loads(lines[1])["dx"] is not None
     return config_path, lines
 
 
@@ -335,7 +343,7 @@ NOT_HEX = {
 def test_witness_not_hex_text_is_a_load_error(name, written, tmp_path, capsys):
     config_path, lines = written
     record = json.loads(lines[1])
-    record["x"] = NOT_HEX[name]
+    record["dx"] = NOT_HEX[name]
     transcript_path = tmp_path / "t.jsonl"
     transcript_path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
     code = main(["verify", "--config", str(config_path),
@@ -345,3 +353,26 @@ def test_witness_not_hex_text_is_a_load_error(name, written, tmp_path, capsys):
     assert code == 3
     assert "%s:2:" % transcript_path in err and "hex" in err
     assert not (tmp_path / "r.jsonl").exists()
+
+
+# The README runs at their default E = 50, as `scenario` argv.
+README_RUNS = {
+    "rationals": ["rationals", "--count", "4"],
+    "antichain": ["antichain", "--n", "3", "--E", "25"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(README_RUNS))
+def test_readme_runs_write_small_offsets(kind, tmp_path, capsys):
+    """Every witness sits at or next to its anchor, so the README runs write
+    only offsets of at most 64 bits, and the rationals transcript stays
+    under 60 KB, where absolute witnesses took 381 KB."""
+    assert main(["scenario", *README_RUNS[kind], "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "transcript.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    offsets = [int(r[name], 16) for r in records for name in ("dx", "dx2", "dy")
+               if r[name] is not None]
+    assert offsets and max(v.bit_length() for v in offsets) <= 64
+    if kind == "rationals":
+        assert path.stat().st_size < 60_000
