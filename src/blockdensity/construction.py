@@ -8,7 +8,8 @@ The window order covers only a given list of pairs, the ones a scenario
 certifies, and runs programs 0, 1, ... on them in turn.
 
 Each stage finds a source block past the frontier that is longer than the
-entire opposing prefix, runs the scheduled program over it, and either
+entire opposing prefix, from the pair's first selected block past it
+(GapCertificate.first_past), runs the scheduled program over it, and either
 records a non-totality witness, a collision, or diagonalizes: the chosen block
 gets membership value 1 and everything else up to the image block gets 0. Bits
 are only ever assigned beyond the frontier, so nothing is ever rewritten. A
@@ -301,9 +302,9 @@ def domination_search(
 ) -> int:
     """Least selected block past the frontier longer than the opposing prefix.
 
-    The selector is strictly increasing, so s(t) >= t and the first candidate
-    past the frontier has index at most frontier + 1; bisection finds it, and
-    the scan goes forward from there, comparing lengths at every candidate.
+    The scan starts at t = cert.first_past(i, j, frontier), checked least
+    with one selector call (s(t - 1) <= frontier when t > 0, else
+    AssertionError), and goes forward, comparing lengths at every candidate.
     The profile lemma (see the module docstring) ends the scan: every
     selected block from K0 = max(3, ceil(5/delta)) on dominates, delta =
     cert.delta(i, j). K0 is worked out once a candidate fails; a failing
@@ -311,15 +312,11 @@ def domination_search(
     """
     src_i = coded.source(i)
     src_j = coded.source(j)
-    lo, hi = 0, frontier + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cert.s(i, j, mid) > frontier:
-            hi = mid
-        else:
-            lo = mid + 1
+    first = cert.first_past(i, j, frontier)
+    if first > 0 and cert.s(i, j, first - 1) > frontier:
+        raise AssertionError("selected block past %d before t = %d" % (frontier, first))
     k0 = None
-    for t in count(lo):
+    for t in count(first):
         k = cert.s(i, j, t)
         if k <= frontier:
             raise AssertionError("selector not strictly increasing")

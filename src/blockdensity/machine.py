@@ -11,8 +11,9 @@ the budget is reported explicitly, never silently.
 One interpreter loop, _run, serves both runners. run_program runs it from the
 input. tail_behavior runs it from budget + 1, which decides at once every
 input above the budget, and, when its path halts after S steps, every input
-above S; only the construction uses it, and the certificates rerun each
-witness literally instead of trusting it.
+above S; memoized like decode, it runs once per (program, budget) however
+many stages schedule the program. Only the construction uses it: the
+certificates rerun each witness literally, with the unmemoized run_program.
 """
 
 from __future__ import annotations
@@ -151,6 +152,7 @@ def _run(program: Program, r0: int, budget: int, literal: bool) -> Outcome:
             seen.add(state)
 
 
+@lru_cache(maxsize=4096)
 def tail_behavior(program: Program, budget: int) -> TailHalts | TailDiverges:
     """Joint outcome of the program on every input strictly above the budget.
 

@@ -7,7 +7,7 @@ one over the discrete order, and the combined family interleaves the constant
 family on even indices with the oscillating one on odd indices. A gap
 certificate names the ordered index pairs that are scheduled for
 diagonalization, with a positive rational gap and a strictly increasing
-selector of witness blocks.
+selector of witness blocks with its first block past a frontier in closed form.
 
 A family is built from one primitive, a per-index profile builder
 i -> (k -> u_i(k)), and builds each index's profile once: a constant index
@@ -57,9 +57,9 @@ class GapCertificate:
     """Scheduled pairs with their gap and witness-block selector.
 
     For every scheduled pair the selector t -> s(i, j, t) must be strictly
-    increasing on the naturals, so s(i, j, t) >= t. The domination search
-    relies on this to find the first selected block past a frontier by
-    bisection.
+    increasing on the naturals, so s(i, j, t) >= t, and first_fn(i, j, F)
+    must be the least t with s(i, j, t) > F (F >= -1): the domination search
+    starts its scan at first_past(i, j, F).
     """
 
     def __init__(
@@ -67,10 +67,12 @@ class GapCertificate:
         in_d_fn: Callable[[int, int], bool],
         delta_fn: Callable[[int, int], Fraction],
         s_fn: Callable[[int, int, int], int],
+        first_fn: Callable[[int, int, int], int],
     ) -> None:
         self._in_d = in_d_fn
         self._delta = delta_fn
         self._s = s_fn
+        self._first = first_fn
         # Pairs already found in D: membership is decided once per pair.
         self._scheduled: set[tuple[int, int]] = set()
 
@@ -94,6 +96,10 @@ class GapCertificate:
         self._require(i, j)
         return self._s(i, j, t)
 
+    def first_past(self, i: int, j: int, frontier: int) -> int:
+        self._require(i, j)
+        return self._first(i, j, frontier)
+
 
 def _check_band(alpha: Fraction, beta: Fraction) -> None:
     if not (ONE < alpha < beta < TWO):
@@ -113,6 +119,7 @@ def constant_family() -> tuple[ProfileFamily, GapCertificate]:
         lambda i, j: enum_rationals_12(i) > enum_rationals_12(j),
         lambda i, j: enum_rationals_12(i) - enum_rationals_12(j),
         lambda i, j, t: t,
+        lambda i, j, f: f + 1,
     )
     return family, cert
 
@@ -153,6 +160,7 @@ def poset_family(
         lambda i, j: not order.leq(i, j),
         lambda i, j: beta - alpha,
         lambda i, j, t: (1 << i) * (2 * t + 1),
+        lambda i, j, f: ((f >> i) + 1) >> 1,   # 2t + 1 > floor(f / 2^i)
     )
     return family, cert
 
@@ -180,5 +188,6 @@ def combined_family(
         lambda i, j: i % 2 == j % 2 and halves[i % 2][1]._in_d(i // 2, j // 2),
         lambda i, j: halves[i % 2][1]._delta(i // 2, j // 2),
         lambda i, j, t: halves[i % 2][1]._s(i // 2, j // 2, t),
+        lambda i, j, f: halves[i % 2][1]._first(i // 2, j // 2, f),
     )
     return family, cert

@@ -35,10 +35,10 @@ position and against the run's step budget, and its witnesses are rerun
 literally, within that budget, with run_program, not with
 the tail lemma (machine.tail_behavior) the construction chose them by. Its
 k is bounded next, by the last block the domination search could pick past
-the previous record's M_after (RequirementSchedule.k_bound), and only then
-is geometry read at k: each witness is its offset plus its anchor
-(construction's module docstring), x is placed in block k by comparison with
-the block's endpoints, and y, once it reruns from x, is located. The
+the frontier the records before it reached (RequirementSchedule.k_bound),
+and only then is geometry read at k: each witness is its offset plus its
+anchor (construction's module docstring), x, h(x) and h(y) are placed by
+comparison with block endpoints, and y, once it reruns from x, is located. The
 transcript is read against its replay in one forward pass
 (Transcript.read_jsonl): a record read as its replayed line is that replayed
 record, and check_transcript_replay reports the first record that is not.
@@ -299,8 +299,8 @@ def check_diag_witness(
     if located != ell or ell <= k:
         return "image_block", {"expected": ell, "located": located}
     try:
-        locate = coded.targets.locate
-        if locate(coded.h_apply(i, x)) != k or locate(coded.h_apply(j, y)) != ell:
+        a, h = coded.targets.endpoint, coded.h_apply
+        if not (a(k) <= h(i, x) < a(k + 1) and a(ell) <= h(j, y) < a(ell + 1)):
             return "compressed_targets", {}
         # h(x) and h(y) lie in target blocks k and ell, as just checked.
         if state.block_bit(k) != 1 or state.block_bit(ell) != 0:
@@ -381,11 +381,14 @@ def check_stage_records(
 
     Record n must be the record of the requirement the schedule puts at stage
     n, carry the run's step budget, have k within the schedule's bound past
-    the previous record's M_after (-1 before stage 0) and pass its branch's
-    checks (_record_fault). The certificate counts
-    the records of each branch, or names each failing record by stage and
-    check; a record whose image block lies past the frontier leaves it
-    INCOMPLETE.
+    the frontier and pass its branch's checks (_record_fault). The frontier
+    is -1 before stage 0 and moves to each passing record's M_after; past a
+    failing record whose k is bounded, to the last block its image could
+    reach, which no honest M_after passes. So a tampered M_after never raises
+    a later bound, nor does such a record lower one below an honest k. The
+    certificate counts the records of each branch, or names each failing
+    record by stage and check; a record whose image block lies past the
+    frontier leaves it INCOMPLETE.
     """
     cert = Certificate("StageChecks", {"stages": len(records)})
     counts = dict.fromkeys(BRANCHES, 0)
@@ -393,14 +396,18 @@ def check_stage_records(
     frontier = -1
     for n, record in enumerate(records):
         fault = _record_fault(coded, state, schedule, n, record, budget, frontier)
-        frontier = record.m_after
         if fault is None:
+            frontier = record.m_after
             counts[record.branch] += 1
             faults.append(None)
-        else:
-            name, detail = fault
-            (cert.incomplete if name == "frontier" else cert.fail)(name, {"stage": n, **detail})
-            faults.append(name)
+            continue
+        name, detail = fault
+        (cert.incomplete if name == "frontier" else cert.fail)(name, {"stage": n, **detail})
+        faults.append(name)
+        if name not in ("schedule_mismatch", "budget", "k_bound"):
+            # k is bounded, M_after untrusted: the last block y <= x + budget reaches.
+            end = coded.source(record.i).endpoint(record.k + 1) + budget - 1
+            frontier = max(frontier, record.k, coded.source(record.j).locate(end)[0])
     if cert.verdict == PASS:
         cert.ok("all_records", counts)
     return cert, faults

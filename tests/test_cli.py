@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from blockdensity import blocks, cli, construction, machine
+from blockdensity import blocks, cli, construction, machine, profiles
 from blockdensity.cli import main
 from blockdensity.scenarios import ScenarioConfig, ScenarioResult, prepare
 
@@ -1012,6 +1012,113 @@ def test_verify_oversized_offset_fails_its_block_without_growing_geometry(
     assert report["StageChecks"]["checks"] == [
         {"check": "witness_block", "ok": False, "stage": 1, "expected": records[1]["k"]}]
     assert geometry_reach[0] <= max(r["k"] for r in records) + 2
+
+
+def test_failed_record_does_not_raise_later_k_bounds(tmp_path, capsys, geometry_reach):
+    """A record whose M_after is not established leaves the frontier where it
+    was: record 0's image block moved far out fails image_block, and record
+    1's k just past it fails k_bound, so no geometry is built out there."""
+    outdir = tmp_path / "run"
+    assert run_cli(capsys, "scenario", "rationals", "--count", "2", "--E", "4",
+                   "--outdir", str(outdir))[0] == 0
+    transcript_path = outdir / "transcript.jsonl"
+    records = [json.loads(line) for line in transcript_path.read_text().splitlines()]
+    assert records[0]["branch"] == "diagonalized"
+    honest_ell, far = int(records[0]["ell"], 16), 3000
+    records[0]["ell"], records[0]["M_after"] = hex(far), far
+    records[1]["k"] = far + 1
+    transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    geometry_reach[0] = 0
+    report_path = tmp_path / "r.jsonl"
+    code, _ = run_cli(capsys, "verify", "--config", str(outdir / "config.json"),
+                      "--transcript", str(transcript_path), "--report", str(report_path))
+    assert code == 1
+    report = {c["kind"]: c for c in map(json.loads, report_path.read_text().splitlines())}
+    assert [(c["check"], c["stage"]) for c in report["StageChecks"]["checks"]] == [
+        ("image_block", 0), ("k_bound", 1)]
+    assert report["StageChecks"]["checks"][0]["located"] == honest_ell
+    assert geometry_reach[0] <= max(r["k"] for r in records[2:]) + 2
+
+
+def test_a_failed_record_leaves_later_bounds_to_honest_records(tmp_path, capsys):
+    """Past a failing record whose k is bounded, the frontier moves to the last
+    block its image could reach, which no honest M_after passes: a witness one
+    off at stage 100 fails only that record, though every later k is bounded
+    by F + 1 there (the frontier F is past every pair's K0 <= 60)."""
+    outdir = tmp_path / "run"
+    assert run_cli(capsys, "scenario", "rationals", "--count", "4",
+                   "--outdir", str(outdir))[0] == 0
+    transcript_path = outdir / "transcript.jsonl"
+    records = [json.loads(line) for line in transcript_path.read_text().splitlines()]
+    n = next(n for n in range(100, len(records))
+             if records[n]["branch"] == "diagonalized")
+    records[n]["dx"] = hex(int(records[n]["dx"], 16) + 1)
+    transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    report_path = tmp_path / "r.jsonl"
+    code, _ = run_cli(capsys, "verify", "--config", str(outdir / "config.json"),
+                      "--transcript", str(transcript_path), "--report", str(report_path))
+    assert code == 1
+    report = {c["kind"]: c for c in map(json.loads, report_path.read_text().splitlines())}
+    assert [(c["check"], c["stage"]) for c in report["StageChecks"]["checks"]] == [
+        ("rerun_value", n)]
+
+
+def test_domination_search_makes_two_selector_calls_per_search(monkeypatch, tmp_path,
+                                                               capsys):
+    """Each search starts at the closed-form first selected block past the
+    frontier: one selector call checks that it is least, and one reads each
+    candidate, whose length the search compares once. Nearly every first
+    candidate dominates, so a search makes at most 2 calls but for the few
+    whose first candidates fail. Counted per search, in process."""
+    counts = {"s": 0, "length": 0}
+    per_search = []
+    real_s, real_length = profiles.GapCertificate.s, blocks.SourceBlocks.length
+    real_search = construction.domination_search
+
+    def counting(name, real):
+        def method(self, *args):
+            counts[name] += 1
+            return real(self, *args)
+        return method
+
+    def counting_search(*args):
+        before = dict(counts)
+        k = real_search(*args)
+        per_search.append((counts["s"] - before["s"], counts["length"] - before["length"]))
+        return k
+
+    monkeypatch.setattr(profiles.GapCertificate, "s", counting("s", real_s))
+    monkeypatch.setattr(blocks.SourceBlocks, "length", counting("length", real_length))
+    monkeypatch.setattr(construction, "domination_search", counting_search)
+    assert run_cli(capsys, "scenario", "rationals", "--count", "4",
+                   "--outdir", str(tmp_path / "run"))[0] == 0
+    assert len(per_search) == 300
+    assert all(calls <= 1 + candidates for calls, candidates in per_search), per_search
+    assert sum(calls <= 2 for calls, _ in per_search) >= 290
+
+
+def test_tail_runs_once_per_program_and_budget(monkeypatch, tmp_path, capsys):
+    """The construction and verify's replay each run the interpreter's tail
+    mode at most once per (program, budget), however many stages schedule
+    the program."""
+    tails = []
+    real_run = machine._run
+
+    def counting_run(program, r0, budget, literal):
+        if not literal:
+            tails.append((program, budget))
+        return real_run(program, r0, budget, literal)
+
+    monkeypatch.setattr(machine, "_run", counting_run)
+    outdir = tmp_path / "run"
+    for argv in (["scenario", "rationals", "--count", "4", "--outdir", str(outdir)],
+                 ["verify", "--config", str(outdir / "config.json"),
+                  "--transcript", str(outdir / "transcript.jsonl"),
+                  "--report", str(tmp_path / "r.jsonl")]):
+        machine.tail_behavior.cache_clear()
+        tails.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert tails and len(tails) == len(set(tails)), argv[0]
 
 
 def test_wrong_tail_lemma_fails_the_rerun(monkeypatch, tmp_path, capsys):

@@ -53,10 +53,10 @@ BETA = Fraction(7, 4)
 # Constant enumeration: q_0 = 3/2, q_1 = 4/3, q_3 = 5/4, q_4 = 7/4.
 I_32, I_43, I_54, I_74 = 0, 1, 3, 4
 
-LOOP = [(INC, 0), (DECJZ, 1, 0)]
-CONST0 = [(DECJZ, 0, 2), (DECJZ, 1, 0)]
+LOOP = ((INC, 0), (DECJZ, 1, 0))
+CONST0 = ((DECJZ, 0, 2), (DECJZ, 1, 0))
 # Input 0 jumps past HALT to INC; every other input stops at HALT.
-BOUNDARY = [(DECJZ, 0, 2), (HALT,), (INC, 0)]
+BOUNDARY = ((DECJZ, 0, 2), (HALT,), (INC, 0))
 
 
 def constant_setup():
@@ -204,7 +204,7 @@ def _selector_shapes():
 
 
 @pytest.mark.parametrize("shape", ["constant", "oscillating", "poset"])
-def test_domination_search_bisection_matches_brute_force(shape):
+def test_domination_search_matches_brute_force_on_every_selector_shape(shape):
     (family, cert), pairs = _selector_shapes()[shape]
     coded = CodedFamily(family)
     for i, j in pairs:
@@ -221,6 +221,36 @@ def test_domination_search_bisection_matches_brute_force(shape):
             assert got == want, (shape, i, j, frontier)
 
 
+@pytest.mark.parametrize("shape", ["constant", "oscillating", "poset", "combined"])
+def test_first_selected_block_is_the_brute_force_least(shape):
+    """The certificate's closed-form first index past a frontier is the least
+    t with s(i, j, t) > frontier, found by counting up from 0."""
+    shapes = _selector_shapes()
+    shapes["combined"] = (combined_family(ALPHA, BETA), [(0, 2), (8, 6), (1, 3), (5, 1)])
+    (_, cert), pairs = shapes[shape]
+    for i, j in pairs:
+        assert cert.in_D(i, j), (shape, i, j)
+        t = 0
+        for frontier in range(-1, 301):
+            while cert.s(i, j, t) <= frontier:
+                t += 1
+            assert cert.first_past(i, j, frontier) == t, (shape, i, j, frontier)
+
+
+def test_domination_search_refuses_a_first_index_that_is_not_least():
+    """A first function one too high skips the least selected block past the
+    frontier; the one selector call before the scan catches it."""
+    (family, cert), pairs = _selector_shapes()["oscillating"]
+    coded = CodedFamily(family)
+    high = GapCertificate(cert.in_D, cert.delta, cert.s,
+                          lambda i, j, f: cert.first_past(i, j, f) + 1)
+    for i, j in pairs:
+        for frontier in (-1, 0, 40, 299):
+            with pytest.raises(AssertionError, match="selected block past %d" % frontier):
+                domination_search(coded, high, i, j, frontier)
+            assert domination_search(coded, cert, i, j, frontier) > frontier
+
+
 def test_domination_search_refuses_a_gap_the_lengths_contradict():
     coded, cert = constant_setup()
     # Pair (7/4, 5/4) first dominates at block 4. A claimed gap of 5 gives
@@ -231,7 +261,7 @@ def test_domination_search_refuses_a_gap_the_lengths_contradict():
         (0, r"pair \(4, 3\) has gap 0 <= 0"),
         (Fraction(-1, 2), r"pair \(4, 3\) has gap -1/2 <= 0"),
     ):
-        lying = GapCertificate(cert.in_D, lambda i, j, d=delta: d, cert.s)
+        lying = GapCertificate(cert.in_D, lambda i, j, d=delta: d, cert.s, cert.first_past)
         with pytest.raises(AssertionError, match=message):
             domination_search(coded, lying, I_74, I_54, -1)
     assert domination_search(coded, cert, I_74, I_54, -1) == 4
@@ -280,7 +310,7 @@ def test_domination_search_rejects_selector_not_strictly_increasing():
     # is the first that does), below K0 = 10.
     for selector, frontier in ((lambda i, j, t: t // 2, 10),
                                (lambda i, j, t: max(t, 3), -1)):
-        broken = GapCertificate(cert.in_D, cert.delta, selector)
+        broken = GapCertificate(cert.in_D, cert.delta, selector, cert.first_past)
         with pytest.raises(AssertionError, match="strictly increasing"):
             domination_search(coded, broken, I_74, I_54, frontier)
 
@@ -394,13 +424,13 @@ def test_block_evaluation_matches_literal_scan():
     # BOUNDARY's boundary (steps + 1 = 3) for every budget.
     programs = [
         decode(identity_index()),
-        [(INC, 0)],
-        [(INC, 0), (INC, 0), (INC, 0)],
-        [(DECJZ, 0, 1)],
+        ((INC, 0),),
+        ((INC, 0), (INC, 0), (INC, 0)),
+        ((DECJZ, 0, 1),),
         LOOP,
         CONST0,
         BOUNDARY,
-        [(DECJZ, 0, 2), (DECJZ, 1, 0), (INC, 0)],
+        ((DECJZ, 0, 2), (DECJZ, 1, 0), (INC, 0)),
     ]
     rng = random.Random(3)
     programs += [decode(rng.randint(0, 4000)) for _ in range(40)]
@@ -426,7 +456,7 @@ def test_block_evaluation_runs_only_inputs_up_to_the_tail_steps(monkeypatch):
 
     monkeypatch.setattr(construction, "run_program", counting_run)
     # Forward jumps only, so each literal run takes a few steps.
-    programs = [BOUNDARY, [(INC, 0)], [(DECJZ, 0, 1)], [(DECJZ, 0, 3), (INC, 1), (INC, 0)]]
+    programs = [BOUNDARY, ((INC, 0),), ((DECJZ, 0, 1),), ((DECJZ, 0, 3), (INC, 1), (INC, 0))]
     programs += [
         p for p in map(decode, range(2000))
         if all(ins[0] != DECJZ or ins[2] > pc for pc, ins in enumerate(p))

@@ -2,8 +2,9 @@
 
 A speed-up counts only if transcripts and reports stay byte-identical for a
 given config. The digests below were computed from the same commands before
-the bisecting domination search and the record-level replay comparison
-landed; the combined digests before the block caches shared one k! table;
+the domination search bisected for its first candidate (it now reads that
+candidate from the gap certificate in closed form) and before the
+record-level replay comparison landed; the combined digests before the block caches shared one k! table;
 the two factorial-scale cases, whose witnesses run to about 2,600 and 2,700
 digits, before transcripts were written from running Decimal endpoints.
 

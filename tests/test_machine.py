@@ -22,14 +22,15 @@ from blockdensity.machine import (
 
 from _oracles import encode, simulate
 
-LOOP = [(INC, 0), (DECJZ, 1, 0)]          # register 1 stays zero: jumps back forever
-CONST0 = [(DECJZ, 0, 2), (DECJZ, 1, 0)]   # drains register 0, then halts via clamp
-SUCC = [(INC, 0)]
-SPIN = [(DECJZ, 1, 0)]                    # jumps to itself: every state repeats
+# Programs are tuples, as decode makes them: tail_behavior memoizes by program.
+LOOP = ((INC, 0), (DECJZ, 1, 0))          # register 1 stays zero: jumps back forever
+CONST0 = ((DECJZ, 0, 2), (DECJZ, 1, 0))   # drains register 0, then halts via clamp
+SUCC = ((INC, 0),)
+SPIN = ((DECJZ, 1, 0),)                   # jumps to itself: every state repeats
 # Raises and clears register 1 each lap, so its state recurs after three steps.
-LAP = [(INC, 1), (DECJZ, 1, 3), (DECJZ, 2, 0)]
+LAP = ((INC, 1), (DECJZ, 1, 3), (DECJZ, 2, 0))
 # Input 0 jumps past HALT to INC; every other input stops at HALT.
-BOUNDARY = [(DECJZ, 0, 2), (HALT,), (INC, 0)]
+BOUNDARY = ((DECJZ, 0, 2), (HALT,), (INC, 0))
 
 
 def test_decode_zero_is_empty_program():
