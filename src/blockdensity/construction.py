@@ -28,6 +28,15 @@ block follow one control path (see machine.tail_behavior), so the branch
 decision and its least witnesses are computed exactly without scanning
 factorial-sized blocks.
 
+From K* = max(K0, k_B) on, k_B the least k with (k - 1)! > B + 1 at step
+budget B, a record has a closed form. There b_i(k) >= a_k >= (k - 1)! > B
+leaves nothing to run literally, b_j(k + 1) - b_i(k) >= k! - 2*(k - 1)! >= B
+and b_i(k + 1) - b_j(k + 1) > (delta*k - 4)*(k - 1)! - 1 > B, while the tail
+offset has |offset| <= B. So a halting tail diagonalizes at x = b_j(k + 1) -
+offset and y = b_j(k + 1), which opens block k + 1 of j (dx = -offset, dy = 0,
+ell = k + 1), and a diverging one is non-total at x = b_i(k) (dx = 0). No
+geometry is read; the record checks still rerun and place every witness.
+
 Records hold each witness as a signed offset from an anchor its branch fixes,
 b_j(k + 1) for a diagonalized x and y and b_i(k) otherwise: the witnesses reach
 thousands of digits, their offsets a few. Offsets are hex text, exactly what
@@ -43,15 +52,10 @@ from __future__ import annotations
 
 import json
 from itertools import count, islice
+from math import factorial, inf
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .machine import (
-    OutOfBudget,
-    TailHalts,
-    decode,
-    run_program,
-    tail_behavior,
-)
+from .machine import OutOfBudget, TailHalts, decode, run_program, tail_behavior
 from .maps import CodedFamily
 from .numerics import cantor_pair, cantor_unpair, is_int
 from .profiles import GapCertificate
@@ -277,12 +281,16 @@ class RequirementSchedule:
         """Stages needed so every (e < e_bound, pair) requirement has run."""
         return max((self.stage_of(e_bound - 1, i, j) + 1 for i, j in pairs), default=0)
 
-    def k_bound(self, i: int, j: int, frontier: int) -> int:
-        """The last block domination_search can pick for pair (i, j) past the
-        frontier, s(i, j, max(frontier + 1, K0)), as s(t) >= t; K0 found once."""
+    def k0(self, i: int, j: int) -> int:
+        """K0 of pair (i, j) (profile_k0), found once per pair."""
         if (i, j) not in self._k0:
             self._k0[i, j] = profile_k0(self._cert, i, j)
-        return self._cert.s(i, j, max(frontier + 1, self._k0[i, j]))
+        return self._k0[i, j]
+
+    def k_bound(self, i: int, j: int, frontier: int) -> int:
+        """The last block domination_search can pick for pair (i, j) past the
+        frontier, s(i, j, max(frontier + 1, K0)), as s(t) >= t."""
+        return self._cert.s(i, j, max(frontier + 1, self.k0(i, j)))
 
 
 def profile_k0(cert: GapCertificate, i: int, j: int) -> int:
@@ -299,15 +307,17 @@ def domination_search(
     i: int,
     j: int,
     frontier: int,
+    k_star: float = inf,
 ) -> int:
     """Least selected block past the frontier longer than the opposing prefix.
 
     The scan starts at t = cert.first_past(i, j, frontier), checked least
     with one selector call (s(t - 1) <= frontier when t > 0, else
-    AssertionError), and goes forward, comparing lengths at every candidate.
-    The profile lemma (see the module docstring) ends the scan: every
-    selected block from K0 = max(3, ceil(5/delta)) on dominates, delta =
-    cert.delta(i, j). K0 is worked out once a candidate fails; a failing
+    AssertionError), and goes forward, comparing lengths at each candidate
+    below k_star, K* >= K0 (by default every candidate). The profile lemma
+    (see the module docstring) ends the scan: every selected block from K0 =
+    max(3, ceil(5/delta)) on dominates, delta = cert.delta(i, j), so the
+    first candidate at or past k_star is returned unread. A failing
     candidate at or past K0, or a delta <= 0, raises AssertionError.
     """
     src_i = coded.source(i)
@@ -315,15 +325,13 @@ def domination_search(
     first = cert.first_past(i, j, frontier)
     if first > 0 and cert.s(i, j, first - 1) > frontier:
         raise AssertionError("selected block past %d before t = %d" % (frontier, first))
-    k0 = None
     for t in count(first):
         k = cert.s(i, j, t)
         if k <= frontier:
             raise AssertionError("selector not strictly increasing")
-        if src_i.length(k) > src_j.endpoint(k + 1):
+        if k >= k_star or src_i.length(k) > src_j.endpoint(k + 1):
             return k
-        if k0 is None:
-            k0 = profile_k0(cert, i, j)
+        k0 = profile_k0(cert, i, j)
         if k >= k0:
             raise AssertionError("selected block %d of pair (%d, %d) does not dominate, "
                                  "though K0 = %d" % (k, i, j, k0))
@@ -386,19 +394,28 @@ def run_stage(
     coded: CodedFamily,
     cert: GapCertificate,
     budget: int,
+    k_star: float = inf,
 ) -> StageRecord:
-    """Execute one stage and apply its record; bits are only added, never changed."""
+    """Execute one stage and apply its record; bits are only added, never
+    changed. At k >= k_star (K*, by default never) the record is the closed
+    form of the module docstring; below, _evaluate_block decides it on block k."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if not cert.in_D(req.i, req.j):
         raise ValueError("requirement pair (%d, %d) is not scheduled" % (req.i, req.j))
-    k = domination_search(coded, cert, req.i, req.j, state.frontier)
+    k = domination_search(coded, cert, req.i, req.j, state.frontier, k_star)
     src_j = coded.source(req.j)
-    lo, hi = coded.source(req.i).block(k)
-    threshold = src_j.endpoint(k + 1)
-    branch, x, x2, y = _evaluate_block(decode(req.e), lo, hi, budget, threshold)
+    if k >= k_star:
+        lo = threshold = 0   # so x, x2 and y below are offsets from their anchors
+        tail = tail_behavior(decode(req.e), budget)
+        branch, x, x2, y = ((BRANCH_DIAGONALIZED, -tail.offset, None, 0)
+                            if isinstance(tail, TailHalts) else (BRANCH_NON_TOTAL, 0, None, None))
+    else:
+        lo, hi = coded.source(req.i).block(k)
+        threshold = src_j.endpoint(k + 1)
+        branch, x, x2, y = _evaluate_block(decode(req.e), lo, hi, budget, threshold)
     if branch == BRANCH_DIAGONALIZED:
-        ell, _ = src_j.locate(y)
+        ell = k + 1 if k >= k_star else src_j.locate(y)[0]
         if ell <= k:
             raise AssertionError("diagonal image landed at or before the chosen block")
         record = StageRecord(state.stage, req.e, req.i, req.j, k, branch, budget, ell,
@@ -413,9 +430,12 @@ def run_stage(
 def run_stages(state: ConstructionState, schedule: RequirementSchedule, coded: CodedFamily,
                cert: GapCertificate, budget: int) -> Iterator[StageRecord]:
     """The one stage loop: stages state.stage, state.stage + 1, ... of the
-    schedule, each run by run_stage when its record is drawn."""
+    schedule, each run by run_stage when its record is drawn, with K* =
+    max(K0, k_B): K0 from the schedule's memo, k_B found once."""
+    k_b = next(k for k in count(1) if factorial(k - 1) > budget + 1)
     while True:
-        yield run_stage(state, schedule.requirement(state.stage), coded, cert, budget)
+        req = schedule.requirement(state.stage)
+        yield run_stage(state, req, coded, cert, budget, max(schedule.k0(req.i, req.j), k_b))
 
 
 class Transcript:

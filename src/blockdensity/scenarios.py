@@ -17,13 +17,8 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .construction import (
-    BRANCH_DIAGONALIZED,
-    ConstructionState,
-    RequirementSchedule,
-    Transcript,
-    reconstruct_state,
-    run_construction,
-    run_stages,
+    BRANCH_DIAGONALIZED, ConstructionState, RequirementSchedule, Transcript,
+    reconstruct_state, run_construction, run_stages,
 )
 from .machine import identity_index
 from .maps import CodedFamily
@@ -310,7 +305,7 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
         if a != b and gap_cert.in_D(b, a) and not gap_cert.in_D(a, b)
     }
     defeats = {
-        (a, b): check_defeat_bundle(schedule, a, b, config.e_bound, faults)
+        (a, b): check_defeat_bundle(schedule, a, b, config.e_bound, transcript.records, faults)
         for a, b in _scheduled_pairs(config, gap_cert)
     }
 

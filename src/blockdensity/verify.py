@@ -53,14 +53,8 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .construction import (
-    BRANCH_DIAGONALIZED,
-    BRANCH_NON_INJECTIVE,
-    BRANCH_NON_TOTAL,
-    BRANCHES,
-    ConstructionState,
-    FrontierUndefined,
-    RequirementSchedule,
-    StageRecord,
+    BRANCH_DIAGONALIZED, BRANCH_NON_INJECTIVE, BRANCH_NON_TOTAL, BRANCHES,
+    ConstructionState, FrontierUndefined, RequirementSchedule, StageRecord,
 )
 from .machine import Halted, OutOfBudget, decode, run_program
 from .maps import CodedFamily
@@ -418,6 +412,7 @@ def check_defeat_bundle(
     i: int,
     j: int,
     e_bound: int,
+    records: Sequence[StageRecord],
     faults: Sequence[str | None],
 ) -> Certificate:
     """One passing stage record per program index below the bound.
@@ -425,7 +420,9 @@ def check_defeat_bundle(
     The conclusion is bounded: no program with index below e_bound is a total
     injective reduction on the constructed prefix within the recorded budget.
     faults holds, per stage, the name of the record's first failing check or
-    None (check_stage_records).
+    None (check_stage_records). A passing record counts only when it holds
+    (e, i, j) itself; one that holds another requirement at the stage
+    stage_of names FAILs stage_of.
     """
     cert = Certificate(
         "DefeatBundle",
@@ -445,10 +442,12 @@ def check_defeat_bundle(
                 {"e": e, "needed_stage": stage, "stages_run": len(faults),
                  "hint": "run at least %d stages" % (stage + 1)},
             )
-        elif faults[stage] is None:
-            defeated += 1
-        else:
+        elif faults[stage] is not None:
             cert.fail("defeat_record", {"e": e, "stage": stage, "reason": faults[stage]})
+        elif records[stage][1:4] != (e, i, j):   # the record's own (e, i, j)
+            cert.fail("stage_of", {"e": e, "stage": stage})
+        else:
+            defeated += 1
     if defeated == e_bound:
         cert.ok("all_defeats", {"count": defeated})
     cert.diagnostics["defeated"] = defeated

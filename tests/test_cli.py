@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import resource
@@ -13,7 +14,7 @@ import pytest
 
 from blockdensity import blocks, cli, construction, machine, profiles
 from blockdensity.cli import main
-from blockdensity.scenarios import ScenarioConfig, ScenarioResult, prepare
+from blockdensity.scenarios import ScenarioConfig, ScenarioResult, construct, prepare
 
 from _oracles import random_poset_matrix
 
@@ -1067,9 +1068,11 @@ def test_domination_search_makes_two_selector_calls_per_search(monkeypatch, tmp_
                                                                capsys):
     """Each search starts at the closed-form first selected block past the
     frontier: one selector call checks that it is least, and one reads each
-    candidate, whose length the search compares once. Nearly every first
-    candidate dominates, so a search makes at most 2 calls but for the few
-    whose first candidates fail. Counted per search, in process."""
+    candidate. Candidates below K* have their lengths compared; the first at
+    or past K* is returned unread. Nearly every first candidate dominates or
+    lies past K*, so a search makes at most 2 calls but for the few whose
+    first candidates fail. Counted per search, in process, with the
+    candidates counted after the search by uncounted selector calls."""
     counts = {"s": 0, "length": 0}
     per_search = []
     real_s, real_length = profiles.GapCertificate.s, blocks.SourceBlocks.length
@@ -1081,10 +1084,15 @@ def test_domination_search_makes_two_selector_calls_per_search(monkeypatch, tmp_
             return real(self, *args)
         return method
 
-    def counting_search(*args):
+    def counting_search(coded, cert, i, j, frontier, *rest):
         before = dict(counts)
-        k = real_search(*args)
-        per_search.append((counts["s"] - before["s"], counts["length"] - before["length"]))
+        k = real_search(coded, cert, i, j, frontier, *rest)
+        t = cert.first_past(i, j, frontier)
+        candidates = 1
+        while real_s(cert, i, j, t) < k:
+            t, candidates = t + 1, candidates + 1
+        per_search.append((counts["s"] - before["s"], candidates,
+                           counts["length"] - before["length"]))
         return k
 
     monkeypatch.setattr(profiles.GapCertificate, "s", counting("s", real_s))
@@ -1093,8 +1101,65 @@ def test_domination_search_makes_two_selector_calls_per_search(monkeypatch, tmp_
     assert run_cli(capsys, "scenario", "rationals", "--count", "4",
                    "--outdir", str(tmp_path / "run"))[0] == 0
     assert len(per_search) == 300
-    assert all(calls <= 1 + candidates for calls, candidates in per_search), per_search
-    assert sum(calls <= 2 for calls, _ in per_search) >= 290
+    assert all(calls <= 1 + candidates for calls, candidates, _ in per_search), per_search
+    assert all(lengths <= candidates for _, candidates, lengths in per_search), per_search
+    assert sum(calls <= 2 for calls, _, _ in per_search) >= 290
+    # Searches that end past K* compare no length.
+    assert sum(lengths == 0 for _, _, lengths in per_search) >= 250
+
+
+def test_defeat_bundle_counts_only_its_own_requirement(monkeypatch, tmp_path, capsys):
+    """With stage_of written as e*P - rank, the run stops one row short and
+    each bundle of a pair of rank > 0 meets, at the stage stage_of names,
+    another requirement's passing record: the bundle FAILs stage_of there,
+    naming e and the stage, and counts no record."""
+    def stage_of(self, e, i, j):
+        return e * len(self._pairs) - self.rank_of(i, j)
+
+    monkeypatch.setattr(construction.RequirementSchedule, "stage_of", stage_of)
+    outdir = tmp_path / "run"
+    code, _ = run_cli(capsys, "scenario", "rationals", "--count", "4", "--E", "10",
+                      "--outdir", str(outdir))
+    assert code == 1
+    report = [json.loads(line) for line in (outdir / "report.jsonl").read_text().splitlines()]
+    bundles = [c for c in report if c["kind"] == "DefeatBundle"]
+    assert {c["verdict"] for c in report if c["kind"] != "DefeatBundle"} == {"PASS"}
+    failing = [c for c in bundles if c["verdict"] == "FAIL"]
+    assert len(failing) == len(bundles) - 1 == 5
+    for cert in failing:
+        assert {check["check"] for check in cert["checks"]} == {"stage_of"}
+        assert [check["e"] for check in cert["checks"]] == list(range(10))
+        assert cert["diagnostics"]["defeated"] == 0
+
+
+@pytest.mark.parametrize("config, stages, frontier", [
+    ({"kind": "antichain", "count": 3}, 1547, 55263),
+    ({"kind": "combined", "count": 6}, 1842, 19471),
+])
+def test_full_order_defaults_construct(config, stages, frontier, tmp_path, capsys):
+    """construct of the full-order README-default antichain and combined
+    configs (E = 50) finishes: past K* its stages read no geometry, so no
+    source caches an endpoint past block K* + 2 of its pairs, though the
+    frontier passes block 19 000."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "t.jsonl"
+    code, printed = run_cli(capsys, "construct", "--config", str(config_path),
+                            "--out", str(out))
+    assert (code, printed) == (0, "stages,%d\n" % stages)
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert (len(records), records[-1]["M_after"]) == (stages, frontier)
+
+    coded, cert, _, transcript = construct(ScenarioConfig.from_json(config))
+    assert transcript.to_jsonl() == out.read_text()
+    k_b = next(k for k in range(1, 20) if math.factorial(k - 1) > 10**5 + 1)
+    reach = {}
+    for r in transcript.records:
+        k_star = max(k_b, math.ceil(5 / cert.delta(r.i, r.j)), 3)
+        for index in (r.i, r.j):
+            reach[index] = max(reach.get(index, 0), k_star + 2)
+    for index, source in coded._sources.items():
+        assert len(source._ends) - 1 <= reach[index], index
 
 
 def test_tail_runs_once_per_program_and_budget(monkeypatch, tmp_path, capsys):

@@ -44,6 +44,7 @@ from blockdensity.profiles import (
     oscillating_family,
     poset_family,
 )
+from blockdensity.scenarios import ScenarioConfig, construct
 
 from _oracles import block_geometry, domination_brute, encode, read_transcript
 
@@ -518,3 +519,87 @@ def test_window_stage_count():
         for n in range(needed)
     }
     assert {(e, 0, 1) for e in range(3)} <= covered
+
+
+# Closed-form stages: from K* = max(K0, k_B) on, k_B the least k with
+# (k - 1)! > budget + 1, a stage's record comes from the tail behaviour alone.
+CLOSED_FORM_BUDGETS = [1, 3, 50, 10**3, 10**5, 10**6]
+
+
+def _cached_blocks(coded):
+    """The most endpoints any source of the family has cached."""
+    return max(len(src._ends) for src in coded._sources.values())
+
+
+def k_star(cert, i, j, budget):
+    """K* of pair (i, j) at the budget, worked out here from its definition."""
+    k_b = next(k for k in count(1) if math.factorial(k - 1) > budget + 1)
+    return max(3, math.ceil(5 / cert.delta(i, j)), k_b)
+
+
+def test_k_star_takes_each_bound_over_the_budgets():
+    """k_B runs from 4 at budget 1 to 11 at budget 10**6, so across the
+    budgets K* is K0 for some pairs and k_B for others."""
+    (family, cert), indices = _lemma_families()["oscillating"]
+    k0 = max(3, math.ceil(5 / cert.delta(0, 1)))
+    assert k0 == 10
+    assert [k_star(cert, 0, 1, b) for b in CLOSED_FORM_BUDGETS] == [10] * 5 + [11]
+
+
+@pytest.mark.parametrize("budget", CLOSED_FORM_BUDGETS)
+@pytest.mark.parametrize("kind, params", [
+    ("rationals", {"count": 4}),
+    ("antichain", {"count": 3}),
+    ("combined", {"count": 6}),
+    ("poset", {"poset_rows": ("111", "011", "001")}),
+])
+def test_closed_form_transcript_is_the_compared_one(kind, params, budget, monkeypatch):
+    """The construction with the closed form writes, byte for byte, the
+    transcript it writes when every stage compares lengths and evaluates its
+    block (K* forced past every block), and some of its stages take it."""
+    config = ScenarioConfig(kind=kind, e_bound=10, budget=budget, schedule="window",
+                            **params)
+    coded, cert, _, closed = construct(config)
+    real = construction.run_stage
+    monkeypatch.setattr(construction, "run_stage",
+                        lambda state, req, coded, cert, budget, k_star:
+                        real(state, req, coded, cert, budget, 10**9))
+    compared_coded, _, _, compared = construct(config)
+    assert compared.to_jsonl() == closed.to_jsonl()
+    assert any(r.k >= k_star(cert, r.i, r.j, budget) for r in closed.records)
+    # Only the compared run builds geometry out to its frontier.
+    assert _cached_blocks(compared_coded) > _cached_blocks(coded)
+
+
+_CLOSED_FORM_CODED = {kind: CodedFamily(family)
+                      for kind, ((family, _), _) in _lemma_families().items()}
+
+
+@given(kind=st.sampled_from(sorted(_CLOSED_FORM_CODED)), e=st.integers(0, 10**6),
+       budget=st.sampled_from(CLOSED_FORM_BUDGETS), data=st.data())
+def test_closed_form_stage_is_the_evaluated_block(kind, e, budget, data):
+    """At a selected block k from K* to about K* + 40, on the real geometry,
+    run_stage's closed-form record places x, x2 and y where _evaluate_block
+    finds them, and y opens block ell of j."""
+    (_, cert), indices = _lemma_families()[kind]
+    coded = _CLOSED_FORM_CODED[kind]
+    i, j = data.draw(st.sampled_from(
+        [(i, j) for i in indices for j in indices if cert.in_D(i, j)]), label="pair")
+    start = k_star(cert, i, j, budget)
+    drawn = data.draw(st.integers(start, start + 40), label="k")
+    k = cert.s(i, j, cert.first_past(i, j, drawn - 1))
+    src_i, src_j = coded.source(i), coded.source(j)
+    lo, hi = src_i.block(k)
+    threshold = src_j.endpoint(k + 1)
+    branch, x, x2, y = _evaluate_block(decode(e), lo, hi, budget, threshold)
+
+    state = ConstructionState()
+    state.frontier = k - 1
+    record = run_stage(state, Requirement(e, i, j), coded, cert, budget, start)
+    assert (record.k, record.branch, record.dx2) == (k, branch, x2)
+    if branch == BRANCH_DIAGONALIZED:
+        assert (threshold + record.dx, threshold + record.dy) == (x, y)
+        assert src_j.locate(y)[0] == record.ell == record.m_after == k + 1
+    else:
+        assert branch == BRANCH_NON_TOTAL
+        assert (lo + record.dx, record.dy, record.ell, record.m_after) == (x, None, None, k)

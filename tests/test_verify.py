@@ -254,10 +254,10 @@ def test_stage_checks_rerun_defeat_records(constant_run, e, branch, x_block, x2_
 def test_defeat_bundle_pass_and_incomplete(constant_run):
     coded, cert, schedule, transcript, state = constant_run
     _, faults = check_stage_records(coded, state, schedule, transcript.records, BUDGET)
-    bundle = check_defeat_bundle(schedule, 0, 1, 3, faults)
+    bundle = check_defeat_bundle(schedule, 0, 1, 3, transcript.records, faults)
     assert bundle.verdict == PASS
     assert bundle.diagnostics["defeated"] == 3
-    too_wide = check_defeat_bundle(schedule, 0, 1, 40, faults)
+    too_wide = check_defeat_bundle(schedule, 0, 1, 40, transcript.records, faults)
     assert too_wide.verdict == INCOMPLETE
 
 
@@ -284,7 +284,7 @@ def test_defeat_record_without_natural_witness_fails(constant_run, branch, field
         "field": "d" + field if value is None else field,
         "value": None if value is None else str(value),
     }]
-    bundle = check_defeat_bundle(schedule, 0, 1, 1, faults)
+    bundle = check_defeat_bundle(schedule, 0, 1, 1, records, faults)
     assert bundle.verdict == FAIL
     assert bundle.checks == [{
         "check": "defeat_record", "ok": False, "e": 0, "stage": stage,

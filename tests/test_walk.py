@@ -7,16 +7,18 @@ block lemma that lets the certificates skip a per-element scan, and inject
 faults into either side to show that the certificates notice them.
 """
 
+import math
 import random
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
-from blockdensity import verify
+from blockdensity import construction, verify
 from blockdensity.blocks import SourceBlocks
+from blockdensity.construction import BRANCH_DIAGONALIZED
 from blockdensity.maps import CodedFamily
 from blockdensity.profiles import constant_family
-from blockdensity.scenarios import ScenarioConfig, run_scenario
+from blockdensity.scenarios import ScenarioConfig, prepare, run_scenario, verify_transcript
 from blockdensity.verify import FAIL, PASS, block_walk, target_walk
 from _oracles import FAMILIES, KS
 
@@ -318,3 +320,54 @@ def test_certificates_call_every_production_map(name, monkeypatch):
     # A failing record check names its record: record 0, as above.
     assert all(check["stage"] == 0 for cert in certs if cert.kind == "StageChecks"
                for check in cert.checks if not check["ok"])
+
+
+# Faults in the closed form the construction writes from K* on: each turns
+# every diagonalized record at or past K* into what a wrong closed form
+# would write, in the construction and in verify's replay alike, so the
+# transcript replays and only the record checks, which rerun and place each
+# witness on the blocks, can catch it. name -> (fault, its first failing
+# check).
+CLOSED_FORM_FAULTS = {
+    "dx_sign_flipped": (lambda r: r._replace(dx=-r.dx), "rerun_value"),
+    "ell_k_plus_2": (lambda r: r._replace(ell=r.k + 2, m_after=r.k + 2), "image_block"),
+}
+CLOSED_FORM_GATE = ScenarioConfig(kind="rationals", count=4, e_bound=10, schedule="window")
+
+
+def closed_form_fault(change, real):
+    """run_stage with change applied to each diagonalized record at or past
+    K*, the frontier moved to its M_after as ConstructionState.apply would."""
+    def run_stage(state, req, coded, cert, budget, k_star):
+        record = real(state, req, coded, cert, budget, k_star)
+        if record.k < k_star or record.branch != BRANCH_DIAGONALIZED:
+            return record
+        record = change(record)
+        state.frontier = record.m_after
+        return record
+    return run_stage
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_FAULTS))
+def test_wrong_closed_form_fails_stage_checks(name, monkeypatch, tmp_path):
+    """verify's StageChecks FAILs a wrong closed form, its first failing check
+    naming the first stage the fault changes: for the sign flip, the first
+    closed-form stage whose program's tail offset is not 0."""
+    change, check = CLOSED_FORM_FAULTS[name]
+    config = CLOSED_FORM_GATE
+    _, gap_cert, _ = prepare(config)
+    k_b = next(k for k in count(1) if math.factorial(k - 1) > config.budget + 1)
+
+    def changed(r):
+        k_star = max(3, math.ceil(5 / gap_cert.delta(r.i, r.j)), k_b)
+        return r.k >= k_star and r.branch == BRANCH_DIAGONALIZED and change(r) != r
+
+    first = next(r.stage for r in run_scenario(config).transcript.records if changed(r))
+    monkeypatch.setattr(construction, "run_stage",
+                        closed_form_fault(change, construction.run_stage))
+    assert run_scenario(config, tmp_path).exit_code == 1
+    certs = verify_transcript(config, tmp_path / "transcript.jsonl")
+    verdicts = {c.kind: c.verdict for c in certs}
+    assert (verdicts["TranscriptReplay"], verdicts["StageChecks"]) == (PASS, FAIL)
+    [stage_checks] = [c for c in certs if c.kind == "StageChecks"]
+    assert (stage_checks.checks[0]["check"], stage_checks.checks[0]["stage"]) == (check, first)
