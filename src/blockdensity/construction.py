@@ -215,23 +215,24 @@ class RequirementSchedule:
     Stage n runs requirement (e, i, j) where (i, j) is the pair of rank r.
     With pairs None the order is the full one: pairs are ranked by Cantor
     code over every scheduled pair of the family, and n = cantor_pair(e, r).
-    Given a non-empty list of P distinct scheduled pairs (a scenario config
-    with an empty window is refused up front), the order is the window over
-    them: pairs[r] has rank r, and n = e * P + r, so requirements e < E of
-    every pair take exactly E * P stages. Pairs outside the window are never
-    scheduled.
+    Given a non-empty list of P distinct scheduled pairs (an empty one is
+    refused with ValueError), the order is the window over them: pairs[r]
+    has rank r, and n = e * P + r, so requirements e < E of every pair take
+    exactly E * P stages. Pairs outside the window are never scheduled.
     """
 
     def __init__(
         self, cert: GapCertificate, pairs: Sequence[tuple[int, int]] | None = None
     ) -> None:
-        self._cert = cert
+        self.cert = cert
         self._window = pairs is not None
         self._pairs: list[tuple[int, int]] = []
         self._next_code = 0
         self._k0: dict[tuple[int, int], int] = {}
         if self._window:
             self._pairs = list(pairs)
+            if not self._pairs:
+                raise ValueError("a window needs at least one pair")
             for i, j in self._pairs:
                 if not cert.in_D(i, j):
                     raise ValueError("pair (%d, %d) is not scheduled" % (i, j))
@@ -245,7 +246,7 @@ class RequirementSchedule:
         while not self._window and len(self._pairs) <= rank:
             i, j = cantor_unpair(self._next_code)
             self._next_code += 1
-            if self._cert.in_D(i, j):
+            if self.cert.in_D(i, j):
                 self._pairs.append((i, j))
         return self._pairs[rank]
 
@@ -255,7 +256,7 @@ class RequirementSchedule:
             if (i, j) not in self._ranks:
                 raise ValueError("pair (%d, %d) is not in the window" % (i, j))
             return self._ranks[i, j]
-        if not self._cert.in_D(i, j):
+        if not self.cert.in_D(i, j):
             raise ValueError("pair (%d, %d) is not scheduled" % (i, j))
         target = cantor_pair(i, j)
         rank = 0
@@ -284,13 +285,13 @@ class RequirementSchedule:
     def k0(self, i: int, j: int) -> int:
         """K0 of pair (i, j) (profile_k0), found once per pair."""
         if (i, j) not in self._k0:
-            self._k0[i, j] = profile_k0(self._cert, i, j)
+            self._k0[i, j] = profile_k0(self.cert, i, j)
         return self._k0[i, j]
 
     def k_bound(self, i: int, j: int, frontier: int) -> int:
         """The last block domination_search can pick for pair (i, j) past the
         frontier, s(i, j, max(frontier + 1, K0)), as s(t) >= t."""
-        return self._cert.s(i, j, max(frontier + 1, self.k0(i, j)))
+        return self.cert.s(i, j, max(frontier + 1, self.k0(i, j)))
 
 
 def profile_k0(cert: GapCertificate, i: int, j: int) -> int:

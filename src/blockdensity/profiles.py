@@ -7,7 +7,8 @@ one over the discrete order, and the combined family interleaves the constant
 family on even indices with the oscillating one on odd indices. A gap
 certificate names the ordered index pairs that are scheduled for
 diagonalization, with a positive rational gap and a strictly increasing
-selector of witness blocks with its first block past a frontier in closed form.
+selector of witness blocks with its first block past a frontier in closed form,
+all read from one rule per family: (i, j) -> None or (gap, selector class).
 
 A family is built from one primitive, a per-index profile builder
 i -> (k -> u_i(k)), and builds each index's profile once: a constant index
@@ -54,58 +55,45 @@ class ProfileFamily:
 
 
 class GapCertificate:
-    """Scheduled pairs with their gap and witness-block selector.
+    """Scheduled pairs with their gap and witness-block selector, from one rule.
 
-    For every scheduled pair the selector t -> s(i, j, t) must be strictly
-    increasing on the naturals, so s(i, j, t) >= t, and first_fn(i, j, F)
-    must be the least t with s(i, j, t) > F (F >= -1): the domination search
-    starts its scan at first_past(i, j, F).
+    rule(i, j) is None when the pair is not scheduled, else (delta, v) with
+    delta > 0 the gap and v the selector class: v = None selects every block,
+    s(i, j, t) = t, and an int v the blocks of 2-adic valuation v,
+    s(i, j, t) = 2^v * (2t + 1). Either selector is strictly increasing, and
+    first_past(i, j, F) is the least t with s(i, j, t) > F (F >= -1): the
+    domination search starts its scan there.
     """
 
-    def __init__(
-        self,
-        in_d_fn: Callable[[int, int], bool],
-        delta_fn: Callable[[int, int], Fraction],
-        s_fn: Callable[[int, int, int], int],
-        first_fn: Callable[[int, int, int], int],
-    ) -> None:
-        self._in_d = in_d_fn
-        self._delta = delta_fn
-        self._s = s_fn
-        self._first = first_fn
-        # Pairs already found in D: membership is decided once per pair.
-        self._scheduled: set[tuple[int, int]] = set()
+    def __init__(self, rule: Callable[[int, int], tuple[Fraction, int | None] | None]) -> None:
+        self.rule = rule
+        # Each scheduled pair's (delta, v), decided once per pair; a pair that
+        # is not scheduled is decided again on each call.
+        self._gaps: dict[tuple[int, int], tuple[Fraction, int | None]] = {}
 
     def in_D(self, i: int, j: int) -> bool:
-        if (i, j) in self._scheduled:
-            return True
-        if not self._in_d(i, j):
-            return False
-        self._scheduled.add((i, j))
+        if (i, j) not in self._gaps:
+            gap = self.rule(i, j)
+            if gap is None:
+                return False
+            self._gaps[i, j] = gap
         return True
 
-    def _require(self, i: int, j: int) -> None:
-        if (i, j) not in self._scheduled and not self.in_D(i, j):
+    def _gap(self, i: int, j: int) -> tuple[Fraction, int | None]:
+        if not self.in_D(i, j):
             raise ValueError("pair (%d, %d) carries no gap certificate" % (i, j))
+        return self._gaps[i, j]
 
     def delta(self, i: int, j: int) -> Fraction:
-        self._require(i, j)
-        return self._delta(i, j)
+        return self._gap(i, j)[0]
 
     def s(self, i: int, j: int, t: int) -> int:
-        self._require(i, j)
-        return self._s(i, j, t)
+        v = (self._gaps.get((i, j)) or self._gap(i, j))[1]
+        return t if v is None else (2 * t + 1) << v
 
     def first_past(self, i: int, j: int, frontier: int) -> int:
-        self._require(i, j)
-        return self._first(i, j, frontier)
-
-
-def _check_band(alpha: Fraction, beta: Fraction) -> None:
-    if not (ONE < alpha < beta < TWO):
-        raise ValueError(
-            "need 1 < alpha < beta < 2, got alpha=%s beta=%s" % (alpha, beta)
-        )
+        v = self._gap(i, j)[1]
+        return frontier + 1 if v is None else ((frontier >> v) + 1) >> 1   # 2t + 1 > F >> v
 
 
 def constant_family() -> tuple[ProfileFamily, GapCertificate]:
@@ -114,14 +102,11 @@ def constant_family() -> tuple[ProfileFamily, GapCertificate]:
         u = enum_rationals_12(i)
         return lambda k: u
 
-    family = ProfileFamily(profile)
-    cert = GapCertificate(
-        lambda i, j: enum_rationals_12(i) > enum_rationals_12(j),
-        lambda i, j: enum_rationals_12(i) - enum_rationals_12(j),
-        lambda i, j, t: t,
-        lambda i, j, f: f + 1,
-    )
-    return family, cert
+    def rule(i: int, j: int) -> tuple[Fraction, None] | None:
+        delta = enum_rationals_12(i) - enum_rationals_12(j)
+        return (delta, None) if delta > 0 else None
+
+    return ProfileFamily(profile), GapCertificate(rule)
 
 
 def poset_family(
@@ -134,7 +119,8 @@ def poset_family(
     valuation class, so its valuation decides the value; each index's profile
     asks the order once per valuation class it meets.
     """
-    _check_band(alpha, beta)
+    if not (ONE < alpha < beta < TWO):
+        raise ValueError("need 1 < alpha < beta < 2, got alpha=%s beta=%s" % (alpha, beta))
     if not hasattr(order, "leq"):
         raise ValueError("order must provide a leq(a, b) decision procedure")
 
@@ -155,14 +141,10 @@ def poset_family(
 
         return u
 
-    family = ProfileFamily(profile)
-    cert = GapCertificate(
-        lambda i, j: not order.leq(i, j),
-        lambda i, j: beta - alpha,
-        lambda i, j, t: (1 << i) * (2 * t + 1),
-        lambda i, j, f: ((f >> i) + 1) >> 1,   # 2t + 1 > floor(f / 2^i)
-    )
-    return family, cert
+    def rule(i: int, j: int) -> tuple[Fraction, int] | None:
+        return None if order.leq(i, j) else (beta - alpha, i)
+
+    return ProfileFamily(profile), GapCertificate(rule)
 
 
 def oscillating_family(
@@ -185,9 +167,5 @@ def combined_family(
     halves = (constant_family(), oscillating_family(alpha, beta))
     family = ProfileFamily(lambda i: halves[i % 2][0].profile(i // 2))
     cert = GapCertificate(
-        lambda i, j: i % 2 == j % 2 and halves[i % 2][1]._in_d(i // 2, j // 2),
-        lambda i, j: halves[i % 2][1]._delta(i // 2, j // 2),
-        lambda i, j, t: halves[i % 2][1]._s(i // 2, j // 2, t),
-        lambda i, j, f: halves[i % 2][1]._first(i // 2, j // 2, f),
-    )
+        lambda i, j: halves[i % 2][1].rule(i // 2, j // 2) if i % 2 == j % 2 else None)
     return family, cert

@@ -55,6 +55,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .construction import (
     BRANCH_DIAGONALIZED, BRANCH_NON_INJECTIVE, BRANCH_NON_TOTAL, BRANCHES,
     ConstructionState, FrontierUndefined, RequirementSchedule, StageRecord,
+    domination_search,
 )
 from .machine import Halted, OutOfBudget, decode, run_program
 from .maps import CodedFamily
@@ -376,13 +377,17 @@ def check_stage_records(
     Record n must be the record of the requirement the schedule puts at stage
     n, carry the run's step budget, have k within the schedule's bound past
     the frontier and pass its branch's checks (_record_fault). The frontier
-    is -1 before stage 0 and moves to each passing record's M_after; past a
-    failing record whose k is bounded, to the last block its image could
-    reach, which no honest M_after passes. So a tampered M_after never raises
-    a later bound, nor does such a record lower one below an honest k. The
-    certificate counts the records of each branch, or names each failing
-    record by stage and check; a record whose image block lies past the
-    frontier leaves it INCOMPLETE.
+    is -1 before stage 0 and moves to each passing record's M_after. Past a
+    failing record it moves by the schedule alone, never by the record: to
+    the block k the honest stage picks past the frontier (domination_search
+    for the requirement at stage n), or further, to the last block the image
+    of an element of block k can reach within the budget, which the honest
+    M_after does not pass. So a failing record neither raises a later bound
+    beyond the honest stage's reach nor lowers one below an honest k, and no
+    geometry is read past the honest block's reach. The certificate counts
+    the records of each branch, or names each failing record by stage and
+    check; a record whose image block lies past the frontier leaves it
+    INCOMPLETE.
     """
     cert = Certificate("StageChecks", {"stages": len(records)})
     counts = dict.fromkeys(BRANCHES, 0)
@@ -398,10 +403,12 @@ def check_stage_records(
         name, detail = fault
         (cert.incomplete if name == "frontier" else cert.fail)(name, {"stage": n, **detail})
         faults.append(name)
-        if name not in ("schedule_mismatch", "budget", "k_bound"):
-            # k is bounded, M_after untrusted: the last block y <= x + budget reaches.
-            end = coded.source(record.i).endpoint(record.k + 1) + budget - 1
-            frontier = max(frontier, record.k, coded.source(record.j).locate(end)[0])
+        # The record is untrusted: take the block the honest stage picks past
+        # the frontier, and the last block its image y <= x + budget reaches.
+        _, i, j = schedule.requirement(n)
+        k = domination_search(coded, schedule.cert, i, j, frontier, schedule.k0(i, j))
+        end = coded.source(i).endpoint(k + 1) + budget - 1
+        frontier = max(k, coded.source(j).locate(end)[0])
     if cert.verdict == PASS:
         cert.ok("all_records", counts)
     return cert, faults

@@ -229,6 +229,34 @@ def oscillating_formulas(alpha, beta):
     )
 
 
+def constant_formulas(count: int):
+    """(value, in_D, delta, s) of the constant family in closed form, for
+    indices below count: index i carries the i-th rational q_i in (1, 2), and
+    (i, j) is scheduled with gap q_i - q_j on every block when q_i > q_j."""
+    q = [Fraction(num, den) for num, den in rationals_between_one_and_two(count)]
+    return (
+        lambda i, k: q[i],
+        lambda i, j: q[i] > q[j],
+        lambda i, j: q[i] - q[j],
+        lambda i, j, t: t,
+    )
+
+
+def poset_formulas(rel, alpha, beta):
+    """(value, in_D, delta, s) of the order-driven family in closed form over
+    the relation matrix rel, padded by points related only to themselves:
+    (i, j) is scheduled when i is not below j, on the blocks of valuation i."""
+    def leq(a, b):
+        return rel[a][b] if a < len(rel) and b < len(rel) else a == b
+
+    return (
+        poset_value(leq, alpha, beta),
+        lambda i, j: not leq(i, j),
+        lambda i, j: beta - alpha,
+        lambda i, j, t: (1 << i) * (2 * t + 1),
+    )
+
+
 def combined_formulas(alpha, beta, count: int):
     """(value, in_D, delta, s) of the combined family in closed form.
 

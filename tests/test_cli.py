@@ -1016,9 +1016,10 @@ def test_verify_oversized_offset_fails_its_block_without_growing_geometry(
 
 
 def test_failed_record_does_not_raise_later_k_bounds(tmp_path, capsys, geometry_reach):
-    """A record whose M_after is not established leaves the frontier where it
-    was: record 0's image block moved far out fails image_block, and record
-    1's k just past it fails k_bound, so no geometry is built out there."""
+    """A record whose M_after is not established moves the frontier by the
+    honest stage, not by its own M_after: record 0's image block moved far
+    out fails image_block, and record 1's k just past it fails k_bound, so no
+    geometry is built out there."""
     outdir = tmp_path / "run"
     assert run_cli(capsys, "scenario", "rationals", "--count", "2", "--E", "4",
                    "--outdir", str(outdir))[0] == 0
@@ -1042,10 +1043,10 @@ def test_failed_record_does_not_raise_later_k_bounds(tmp_path, capsys, geometry_
 
 
 def test_a_failed_record_leaves_later_bounds_to_honest_records(tmp_path, capsys):
-    """Past a failing record whose k is bounded, the frontier moves to the last
-    block its image could reach, which no honest M_after passes: a witness one
-    off at stage 100 fails only that record, though every later k is bounded
-    by F + 1 there (the frontier F is past every pair's K0 <= 60)."""
+    """Past a failing record the frontier moves to the last block the honest
+    stage's image could reach, which the honest M_after does not pass: a
+    witness one off at stage 100 fails only that record, though every later k
+    is bounded by F + 1 there (the frontier F is past every pair's K0 <= 60)."""
     outdir = tmp_path / "run"
     assert run_cli(capsys, "scenario", "rationals", "--count", "4",
                    "--outdir", str(outdir))[0] == 0
@@ -1062,6 +1063,65 @@ def test_a_failed_record_leaves_later_bounds_to_honest_records(tmp_path, capsys)
     report = {c["kind"]: c for c in map(json.loads, report_path.read_text().splitlines())}
     assert [(c["check"], c["stage"]) for c in report["StageChecks"]["checks"]] == [
         ("rerun_value", n)]
+
+
+def _verify_tampered(capsys, tmp_path, outdir, records):
+    """verify's report of outdir's run with its transcript replaced by records,
+    as {kind: [certificates]}."""
+    transcript_path = outdir / "transcript.jsonl"
+    transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    report_path = tmp_path / "r.jsonl"
+    code, _ = run_cli(capsys, "verify", "--config", str(outdir / "config.json"),
+                      "--transcript", str(transcript_path), "--report", str(report_path))
+    assert code == 1
+    report = {}
+    for cert in map(json.loads, report_path.read_text().splitlines()):
+        report.setdefault(cert["kind"], []).append(cert)
+    return report
+
+
+@pytest.mark.parametrize("shift, failing", [
+    (None, [("k_bound", 100)]),
+    (-1, [("membership_split", 99), ("image_block", 100)]),
+], ids=["k_far_out", "k_one_low"])
+def test_failing_record_moves_the_frontier_by_the_schedule(shift, failing, tmp_path, capsys):
+    """Past a failing record the frontier moves by the block the honest stage
+    picks, never by the record's own k: record 100's k set to 10**6, or one
+    lower than the honest block, fails only the records that read it and the
+    bundles holding them, not every later honest record."""
+    outdir = tmp_path / "run"
+    assert run_cli(capsys, "scenario", "rationals", "--count", "4",
+                   "--outdir", str(outdir))[0] == 0
+    records = [json.loads(line)
+               for line in (outdir / "transcript.jsonl").read_text().splitlines()]
+    records[100]["k"] = 10**6 if shift is None else records[100]["k"] + shift
+    report = _verify_tampered(capsys, tmp_path, outdir, records)
+    [stage_checks] = report["StageChecks"]
+    assert [(c["check"], c["stage"]) for c in stage_checks["checks"]] == failing
+    bundles = report["DefeatBundle"]
+    assert len(bundles) == 6
+    assert sum(c["verdict"] == "FAIL" for c in bundles) == len(failing)
+
+
+def test_failing_order_driven_records_read_no_geometry_past_the_honest_blocks(
+        tmp_path, capsys, geometry_reach):
+    """On an antichain run, whose selectors pick blocks of one 2-adic
+    valuation, records 60 and 61 moved to block 10**6 fail k_bound alone, and
+    the source geometry stops at block k + 2 of the records' largest honest k."""
+    outdir = tmp_path / "run"
+    assert run_cli(capsys, "scenario", "antichain", "--n", "3", "--E", "25",
+                   "--outdir", str(outdir))[0] == 0
+    records = [json.loads(line)
+               for line in (outdir / "transcript.jsonl").read_text().splitlines()]
+    honest_max = max(r["k"] for r in records)
+    for n in (60, 61):
+        records[n]["k"] = 10**6
+    geometry_reach[0] = 0
+    report = _verify_tampered(capsys, tmp_path, outdir, records)
+    [stage_checks] = report["StageChecks"]
+    assert [(c["check"], c["stage"]) for c in stage_checks["checks"]] == [
+        ("k_bound", 60), ("k_bound", 61)]
+    assert geometry_reach[0] <= honest_max + 2
 
 
 def test_domination_search_makes_two_selector_calls_per_search(monkeypatch, tmp_path,

@@ -148,6 +148,7 @@ def test_window_schedule_refuses_pairs_it_cannot_run():
     for pairs, message in (
         ([(I_74, I_54), (I_54, I_74)], "not scheduled"),
         ([(I_74, I_54), (I_74, I_54)], "distinct"),
+        ([], "at least one pair"),   # else requirement(n) would divide by 0
     ):
         with pytest.raises(ValueError, match=message):
             RequirementSchedule(cert, pairs)
@@ -243,8 +244,8 @@ def test_domination_search_refuses_a_first_index_that_is_not_least():
     frontier; the one selector call before the scan catches it."""
     (family, cert), pairs = _selector_shapes()["oscillating"]
     coded = CodedFamily(family)
-    high = GapCertificate(cert.in_D, cert.delta, cert.s,
-                          lambda i, j, f: cert.first_past(i, j, f) + 1)
+    high = GapCertificate(cert.rule)
+    high.first_past = lambda i, j, f: cert.first_past(i, j, f) + 1
     for i, j in pairs:
         for frontier in (-1, 0, 40, 299):
             with pytest.raises(AssertionError, match="selected block past %d" % frontier):
@@ -262,7 +263,8 @@ def test_domination_search_refuses_a_gap_the_lengths_contradict():
         (0, r"pair \(4, 3\) has gap 0 <= 0"),
         (Fraction(-1, 2), r"pair \(4, 3\) has gap -1/2 <= 0"),
     ):
-        lying = GapCertificate(cert.in_D, lambda i, j, d=delta: d, cert.s, cert.first_past)
+        lying = GapCertificate(cert.rule)
+        lying.delta = lambda i, j, d=delta: d
         with pytest.raises(AssertionError, match=message):
             domination_search(coded, lying, I_74, I_54, -1)
     assert domination_search(coded, cert, I_74, I_54, -1) == 4
@@ -311,7 +313,8 @@ def test_domination_search_rejects_selector_not_strictly_increasing():
     # is the first that does), below K0 = 10.
     for selector, frontier in ((lambda i, j, t: t // 2, 10),
                                (lambda i, j, t: max(t, 3), -1)):
-        broken = GapCertificate(cert.in_D, cert.delta, selector, cert.first_past)
+        broken = GapCertificate(cert.rule)
+        broken.s = selector
         with pytest.raises(AssertionError, match="strictly increasing"):
             domination_search(coded, broken, I_74, I_54, frontier)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -13,7 +14,8 @@ from blockdensity.profiles import (
 )
 
 from _oracles import (
-    combined_formulas, constant_value, gap_check, in_Z, oscillating_formulas, poset_value,
+    combined_formulas, constant_formulas, constant_value, gap_check, in_Z,
+    oscillating_formulas, poset_formulas, poset_value, random_poset_matrix,
 )
 
 ALPHA = Fraction(5, 4)
@@ -42,16 +44,37 @@ def test_valuation_classes_are_pairwise_disjoint():
 
 def _assert_family_matches(family, cert, formulas):
     """family and cert agree with closed forms at every i, j < 16, k < 256
-    and t < 16."""
+    and t < 16; first_past(i, j, F) is the least t with s(i, j, t) > F, and
+    a pair that is not scheduled (such as a mixed pair of the combined
+    family) has no gap, selector or first block."""
     value, in_d, delta, s = formulas
     for i in range(16):
         assert [family.profile(i)(k) for k in range(256)] == [value(i, k) for k in range(256)]
         for j in range(16):
             assert cert.in_D(i, j) == in_d(i, j), (i, j)
-            if in_d(i, j):
-                assert cert.delta(i, j) == delta(i, j), (i, j)
-                assert [cert.s(i, j, t) for t in range(16)] == [
-                    s(i, j, t) for t in range(16)], (i, j)
+            if not in_d(i, j):
+                for refused in (lambda: cert.s(i, j, 0), lambda: cert.delta(i, j),
+                                lambda: cert.first_past(i, j, -1)):
+                    with pytest.raises(ValueError, match="no gap certificate"):
+                        refused()
+                continue
+            assert cert.delta(i, j) == delta(i, j), (i, j)
+            assert [cert.s(i, j, t) for t in range(16)] == [
+                s(i, j, t) for t in range(16)], (i, j)
+            for frontier in (-1, 0, 1, 6, 63, 200):
+                least = next(t for t in count() if s(i, j, t) > frontier)
+                assert cert.first_past(i, j, frontier) == least, (i, j, frontier)
+
+
+def test_constant_family_matches_closed_form():
+    _assert_family_matches(*constant_family(), constant_formulas(16))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_poset_family_matches_closed_form(seed):
+    rel = random_poset_matrix(5, random.Random(seed))
+    order = PaddedFiniteOrder(FinitePoset.from_matrix(rel))
+    _assert_family_matches(*poset_family(order, ALPHA, BETA), poset_formulas(rel, ALPHA, BETA))
 
 
 @pytest.mark.parametrize("alpha, beta", [(ALPHA, BETA), (Fraction(11, 10), Fraction(3, 2))])
@@ -183,13 +206,13 @@ def test_gap_check_random_pairs_all_families():
 def test_certificate_decides_each_pair_once_and_still_refuses_the_rest():
     calls = []
     _, cert = poset_family(chain_order(3), ALPHA, BETA)
-    inner = cert._in_d
+    inner = cert.rule
 
     def counted(i, j):
         calls.append((i, j))
         return inner(i, j)
 
-    cert._in_d = counted
+    cert.rule = counted
     # Over a chain (2, 0) is scheduled and (0, 2) is not.
     for _ in range(3):
         assert [cert.s(2, 0, t) for t in range(4)] == [4, 12, 20, 28]
