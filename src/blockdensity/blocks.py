@@ -6,15 +6,15 @@ keeps one TargetBlocks, the only k! table; its source blocks cache their
 endpoints, so a source block's length is the difference of two endpoints.
 
 A profile value p/q is reduced, so q | p * k! exactly when q | k!, which then
-holds at every later block. A source finds that first block once per
-denominator q, by the remainder, and keeps it. Its extension is one loop over
-a cursor in locals: the last value, its pair (q, p) found by the value
-object's id, and the quotient k!/q. Once q | k!, a block costs a small
-multiply and an add, p * (k!/q); before, floor(p * k! / q) reads the target's
-k!. Only a change of denominator touches state per q: one division (k-1)!/q.
-ratio(k), k!/|K_k| exactly as a pair (n, d), is derived on demand: (q, p) from
-q's first exact block on, one pair shared by the value's blocks, so the maps
-scale by small integers; (k!, |K_k|) before it.
+holds at every later block. A source's extension is one loop over a cursor in
+locals: the last value, its pair (q, p) found by the value object's id, and
+the quotient k!/q, 0 until q | k!. Once q | k!, a block costs a small
+multiply and an add, p * (k!/q); before, and at a change of denominator,
+floor(p * k! / q) reads the target's k!, and its remainder decides whether
+q | k!. The loop records each block's exactness as it goes, so ratio(k),
+k!/|K_k| exactly as a pair (n, d), is a read: (q, p) once q | k!, one pair
+shared by the value's blocks, so the maps scale by small integers; (k!, |K_k|)
+before it.
 Caches grow on demand (the stage construction can reference very large block
 indices, so precomputing to a fixed bound would be wrong); block location is
 a binary search over the cached monotone endpoints.
@@ -83,17 +83,17 @@ class SourceBlocks:
         # id(u) -> (u, (q, p)) per value object met, band-checked once; u is
         # held so that its id is not reused.
         self._pairs: dict[int, tuple[Fraction, tuple[int, int]]] = {}
-        # q -> the first block m with q | m!, once a block of q reaches it.
-        self._first: dict[int, int] = {}
-        # The last block m's value u = p/q, then p, q and m!/q (0 before q | m!).
-        self._cursor: tuple = (None, 0, 0, 0)
-        # ratio's last block and answer: the maps ask about a block in runs.
-        self._asked: tuple = (-1, None)
+        # Per block k: its value's (q, p) when q | k!, else None.
+        self._exact: list[tuple[int, int] | None] = []
+        # The last block m's value u = p/q, its pair (q, p) and m!/q (0
+        # before q | m!).
+        self._cursor: tuple = (None, (0, 0), 0)
 
     def _extend(self, k: int | None = None, beyond: int | None = None) -> None:
-        ends, pairs, first = self._ends, self._pairs, self._first
+        ends, exact, pairs = self._ends, self._exact, self._pairs
         profile, size = self._profile, self._targets.size
-        last_u, p, q, quo = self._cursor
+        last_u, pair, quo = self._cursor
+        q, p = pair
         # Endpoints are natural, so a bound of -1 never holds.
         last = -1 if k is None else k
         bound = -1 if beyond is None else beyond
@@ -110,23 +110,22 @@ class SourceBlocks:
                             "profile value %s at block %d outside (1, 2)" % (u, m)
                         )
                     entry = pairs[id(u)] = (u, (u.denominator, u.numerator))
-                uq, p = entry[1]
-                if uq != q:
-                    # A new denominator: (m - 1)!/q by one division, if exact.
-                    q = uq
-                    quo = size(m - 1) // q if q in first else 0
+                if entry[1][0] != q:
+                    # A new denominator: the remainder below decides q | m!.
+                    quo = 0
+                q, p = pair = entry[1]
             if quo:
                 quo *= m
                 ln = p * quo
             else:
                 ln, rem = divmod(p * size(m), q)
                 if not rem:
-                    first[q] = m
                     quo = ln // p
             b += ln
             ends.append(b)
+            exact.append(pair if quo else None)
             m += 1
-        self._cursor = (last_u, p, q, quo)
+        self._cursor = (last_u, pair, quo)
 
     def length(self, k: int) -> int:
         """|K_k| = floor(u(k) * k!) = b_{k+1} - b_k."""
@@ -136,17 +135,12 @@ class SourceBlocks:
 
     def ratio(self, k: int) -> tuple[int, int]:
         """(n, d) with n / d = k! / |K_k| exactly; (q, p) when q | p * k!."""
-        if k == self._asked[0]:
-            return self._asked[1]
-        ends = self._ends
-        if k + 1 >= len(ends):
+        if k >= len(self._exact):
             self._extend(k=k)
-        u = self._profile(k)
-        entry = self._pairs.get(id(u))
-        pair = (u.denominator, u.numerator) if entry is None else entry[1]
-        if self._first.get(pair[0], k + 1) > k:
-            pair = self._targets.size(k), ends[k + 1] - ends[k]
-        self._asked = (k, pair)
+        pair = self._exact[k]
+        if pair is None:
+            ends = self._ends
+            return self._targets.size(k), ends[k + 1] - ends[k]
         return pair
 
     def endpoint(self, k: int) -> int:

@@ -64,6 +64,11 @@ def test_blocks_poset_without_matrix_is_usage_error(capsys):
     (["map", "apply", "--kind", "combined", "--i", "-3"], "natural"),
     (["blocks", "--kmax", "-2"], "--kmax must be at least 0"),
     (["blocks", "--count", "-2", "--kmax", "1"], "count must be at least 1"),
+    (["scenario", "rationals", "--budget", "0"], "budget must be at least 1"),
+    (["scenario", "rationals", "--E", "0"], "E (program-index window) must be at least 1"),
+    (["scenario", "rationals", "--kmax", "0"], "k_max must be at least 1"),
+    (["scenario", "rationals", "--stages", "0"], "stages must be at least 1 when given"),
+    (["scenario", "antichain", "--alpha", "1/0"], "bad rational '1/0'"),
 ])
 def test_negative_index_or_kmax_is_usage_error_before_output(argv, message, capsys):
     code = main(argv)
@@ -78,6 +83,12 @@ def test_blocks_bad_index_writes_no_file(tmp_path, capsys):
     assert main(["blocks", "--i", "1,-1", "--out", str(out)]) == 3
     capsys.readouterr()
     assert not out.exists()
+
+
+def test_blocks_out_writes_the_table(tmp_path, capsys):
+    out = tmp_path / "blocks.csv"
+    assert run_cli(capsys, "blocks", "--kmax", "3", "--out", str(out)) == (0, "")
+    assert out.read_text() == run_cli(capsys, "blocks", "--kmax", "3")[1]
 
 
 def test_blocks_bad_count_writes_no_file(tmp_path, capsys):
@@ -98,6 +109,9 @@ def test_map_reduce_and_collapse(capsys):
     assert (code, out.strip()) == (0, "5")
     code, out = run_cli(capsys, "map", "collapse", "--x", "33")
     assert (code, out.strip()) == (0, "10")
+    code, out = run_cli(capsys, "map", "preimage", "--kind", "constant", "--i", "0",
+                        "--y", "5")
+    assert (code, out.strip()) == (0, "7")
 
 
 def test_machine_decode_and_run(capsys):
@@ -107,6 +121,8 @@ def test_machine_decode_and_run(capsys):
                         "--budget", "10")
     assert code == 0
     assert out.strip() == "halted,41,0"
+    code, out = run_cli(capsys, "machine", "run", "--e", "7", "--x", "3", "--budget", "1")
+    assert (code, out.strip()) == (0, "out_of_budget,1")
 
 
 def test_poset_commands(capsys):

@@ -4,10 +4,17 @@ from pathlib import Path
 import pytest
 
 from blockdensity.cli import main
-from blockdensity.construction import Transcript
+from blockdensity.construction import (
+    BRANCH_DIAGONALIZED,
+    ConstructionState,
+    StageRecord,
+    Transcript,
+)
 from blockdensity.machine import identity_index
+from blockdensity.maps import CodedFamily
 from blockdensity.numerics import enum_rationals_12
 from blockdensity.posets import FinitePoset, UniversalPoset, embed_finite
+from blockdensity.profiles import constant_family
 from blockdensity.scenarios import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -16,6 +23,8 @@ from blockdensity.scenarios import (
     DEFAULT_E,
     DEFAULT_KMAX,
     ScenarioConfig,
+    _collapse_certificate,
+    _identity_device_certificate,
     build_family,
     report_exit_code,
     run_scenario,
@@ -124,6 +133,69 @@ def test_identity_device_counts_only_records_that_pass_their_checks(tmp_path):
     assert device.verdict == FAIL
     assert device.checks[0] == {"check": "identity_always_diagonalizes", "ok": False,
                                 "stages": [n]}
+
+
+def _frontier(frontier):
+    state = ConstructionState()
+    state.frontier = frontier
+    return state
+
+
+def test_identity_device_needs_its_records_and_a_split_prefix():
+    """No identity-index record leaves the device INCOMPLETE. One that
+    diagonalizes and passes its checks still fails a prefix of zeros only."""
+    cert = _identity_device_certificate(Transcript([]), _frontier(4), [])
+    assert cert.verdict == INCOMPLETE
+    assert cert.checks == [{"check": "identity_scheduled", "ok": False,
+                            "hint": "run more stages"}]
+    record = StageRecord(0, identity_index(), 0, 1, 3, BRANCH_DIAGONALIZED, 10, 4)
+    cert = _identity_device_certificate(Transcript([record]), _frontier(4), [None])
+    assert cert.verdict == FAIL
+    assert cert.checks == [
+        {"check": "identity_always_diagonalizes", "ok": True, "count": 1},
+        {"check": "prefix_split", "ok": False, "one_blocks": 0, "zero_blocks": 5}]
+
+
+def _endpoint_high_at_3(coded):
+    real = coded.targets.endpoint
+    coded.targets.endpoint = lambda k: real(k) + (k == 3)
+
+
+def _collapse_is_identity(coded):
+    coded.collapse = lambda x: x
+
+
+def _block_2_around_its_start(coded):
+    """targets.block(2) as [a_2 - 1, a_2 + 1), whose ends collapse fixes; the
+    reference scan reads a_3 from the walk, not from block(2)."""
+    real, endpoint = coded.targets.block, coded.targets.endpoint
+    coded.targets.block = lambda k: (endpoint(k) - 1, endpoint(k) + 1) if k == 2 else real(k)
+
+
+# name -> (fault planted in a fresh coded family, frontier, verdict, the checks)
+COLLAPSE_FAULTS = {
+    "short_frontier": (None, 1, INCOMPLETE, [
+        {"check": "frontier", "ok": False, "frontier": 1}]),
+    "endpoint_high_at_3": (_endpoint_high_at_3, 9, FAIL, [
+        {"check": "reference_geometry", "ok": False, "k": 3, "map": "targets.endpoint"}]),
+    "collapse_is_identity": (_collapse_is_identity, 9, FAIL, [
+        {"check": "reference_geometry", "ok": False, "k": 2, "map": "collapse"}]),
+    "block_2_fixed": (_block_2_around_its_start, 9, FAIL, [
+        {"check": "self_reduction", "ok": True, "scanned": 409114},
+        {"check": "not_eventually_identity", "ok": False, "blocks": [3, 4, 5, 6, 7, 8, 9]}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLAPSE_FAULTS))
+def test_collapse_certificate_refuses_a_faulty_collapse(name):
+    fault, frontier, verdict, checks = COLLAPSE_FAULTS[name]
+    coded = CodedFamily(constant_family()[0])
+    assert _collapse_certificate(coded, _frontier(9)).verdict == PASS
+    if fault is not None:
+        fault(coded)
+    cert = _collapse_certificate(coded, _frontier(frontier))
+    assert cert.verdict == verdict
+    assert cert.checks == checks
 
 
 def test_poset_scenario_passes():

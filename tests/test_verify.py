@@ -15,6 +15,7 @@ from blockdensity.construction import (
     run_stages,
 )
 from blockdensity.maps import CodedFamily
+from blockdensity.posets import FinitePoset
 from blockdensity.profiles import combined_family, constant_family
 from blockdensity.scenarios import ScenarioConfig, run_scenario
 from blockdensity.verify import (
@@ -25,6 +26,7 @@ from blockdensity.verify import (
     check_bfo_equivalence,
     check_defeat_bundle,
     check_diag_witness,
+    check_embedding_matrix,
     check_positive_reduction,
     check_stage_records,
     check_transcript_replay,
@@ -198,6 +200,18 @@ def test_stage_checks_hold_m_after_to_the_branch(combined_run):
             {"check": "m_after", "ok": False, "stage": n, "m_after": tampered.m_after}]
 
 
+def test_stage_checks_refuse_a_negative_ell(combined_run):
+    coded, _, schedule, transcript, state = combined_run
+    n, record = next((n, r) for n, r in enumerate(transcript.records)
+                     if r.branch == BRANCH_DIAGONALIZED)
+    records = list(transcript.records)
+    records[n] = record._replace(ell=-1)
+    cert, faults = check_stage_records(coded, state, schedule, records, BUDGET)
+    assert cert.verdict == FAIL and faults[n] == "witness_fields"
+    assert cert.checks == [
+        {"check": "witness_fields", "ok": False, "stage": n, "field": "ell", "value": "-1"}]
+
+
 def test_stage_checks_name_every_failing_record(combined_run):
     coded, _, schedule, transcript, state = combined_run
     records = list(transcript.records)
@@ -225,9 +239,13 @@ class _OneRequirement(RequirementSchedule):
 
 
 # Program 76 runs out of any budget on every input; program 0 halts on each
-# input with a value of its own. Each witness is the first element of the
-# named source block, written as its offset from b_0(5): the record chose
-# block 5.
+# input with a value of its own; program 230857, DECJZ 0 2 then DECJZ 1 0,
+# counts register 0 down and halts with 0 on every input, in 2x + 1 steps.
+# Each witness is the first element of the named source block, written as
+# its offset from b_0(5): the record chose block 5.
+COUNT_DOWN = 230857
+
+
 @pytest.mark.parametrize("e, branch, x_block, x2_block, fault", [
     (76, BRANCH_NON_TOTAL, 5, None, None),
     (76, BRANCH_NON_TOTAL, 6, None, "witness_block"),
@@ -235,6 +253,8 @@ class _OneRequirement(RequirementSchedule):
     (0, BRANCH_NON_INJECTIVE, 5, 6, "rerun_collides"),
     (0, BRANCH_NON_INJECTIVE, 5, 5, "rerun_collides"),
     (76, BRANCH_NON_INJECTIVE, 5, 6, "rerun_collides"),
+    (COUNT_DOWN, BRANCH_NON_INJECTIVE, 5, 6, None),
+    (COUNT_DOWN, BRANCH_NON_INJECTIVE, 5, 5, "rerun_collides"),
 ])
 def test_stage_checks_rerun_defeat_records(constant_run, e, branch, x_block, x2_block,
                                            fault):
@@ -249,6 +269,10 @@ def test_stage_checks_rerun_defeat_records(constant_run, e, branch, x_block, x2_
     cert, faults = check_stage_records(coded, ConstructionState(), schedule, [record], 1000)
     assert faults == [fault]
     assert cert.verdict == (PASS if fault is None else FAIL)
+    if fault is None:
+        assert cert.checks == [{"check": "all_records", "ok": True, BRANCH_NON_TOTAL: 0,
+                                BRANCH_NON_INJECTIVE: 0, BRANCH_DIAGONALIZED: 0,
+                                branch: 1}]
 
 
 def test_defeat_bundle_pass_and_incomplete(constant_run):
@@ -319,6 +343,18 @@ def test_embedding_matrix_incomplete_cell_is_not_a_fail():
     assert cert.verdict == INCOMPLETE
     assert cert.checks == [{"check": "positive_cell", "ok": False, "a": 0, "b": 1,
                             "verdict": INCOMPLETE}]
+
+
+def test_embedding_matrix_fails_a_passing_cell_the_relation_refutes():
+    """Every cell PASSes, but a PositiveReduction from 0 to 1 claims 0 below 1
+    in an antichain, so the verdict matrix is not the relation."""
+    cells = {(0, 1): Certificate("PositiveReduction", {}),
+             (1, 0): Certificate("DefeatBundle", {})}
+    cert = check_embedding_matrix(FinitePoset.from_rows(["10", "01"]), cells, 4,
+                                  e_bound=1, budget=10)
+    assert cert.verdict == FAIL
+    assert cert.checks == [{"check": "matrix_equals_relation", "ok": False,
+                            "matrix": [["1", "1"], ["0", "1"]]}]
 
 
 def test_transcript_replay(constant_run, tmp_path):

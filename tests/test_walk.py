@@ -9,15 +9,16 @@ faults into either side to show that the certificates notice them.
 
 import math
 import random
+from fractions import Fraction
 from itertools import count, islice
 
 import pytest
 
-from blockdensity import construction, verify
+from blockdensity import blocks, construction, verify
 from blockdensity.blocks import SourceBlocks
-from blockdensity.construction import BRANCH_DIAGONALIZED
+from blockdensity.construction import BRANCH_DIAGONALIZED, ConstructionState
 from blockdensity.maps import CodedFamily
-from blockdensity.profiles import constant_family
+from blockdensity.profiles import ProfileFamily, constant_family
 from blockdensity.scenarios import ScenarioConfig, prepare, run_scenario, verify_transcript
 from blockdensity.verify import FAIL, PASS, block_walk, target_walk
 from _oracles import FAMILIES, KS
@@ -211,6 +212,14 @@ def walk_long_from_5(real):
     return walk
 
 
+def fibers_of_three(real):
+    """CodedFamily.h_fibers with a third element on every fiber of two."""
+    def h_fibers(self, i, y):
+        fiber = real(self, i, y)
+        return fiber + [fiber[-1] + 1] if len(fiber) == 2 else fiber
+    return h_fibers
+
+
 # name -> (mutation, config, the failing (kind, check) pairs)
 MUTATIONS = {
     "h_apply_rounding": (
@@ -231,6 +240,11 @@ MUTATIONS = {
         {("BfoEquivalence", "reference_geometry"),
          ("PositiveReduction", "reference_geometry")},
     ),
+    "h_fibers_third_element": (
+        lambda mp: mp.setattr(CodedFamily, "h_fibers", fibers_of_three(CodedFamily.h_fibers)),
+        GATE,
+        {("BfoEquivalence", "fiber_bound_sampled")},
+    ),
     "positive_reduction_offset": (
         lambda mp: mp.setattr(
             CodedFamily, "positive_reduction",
@@ -246,6 +260,20 @@ MUTATIONS = {
          ("PositiveReduction", "reference_geometry")},
     ),
 }
+
+
+def test_a_profile_past_the_band_fails_length_band(monkeypatch):
+    """With the production band check widened to (1, 3), a profile at 2
+    extends and the walk agrees with it, so only BfoEquivalence's own band
+    k! <= |K_k| < 2 * k! refutes it, at block 0."""
+    monkeypatch.setattr(blocks, "TWO", Fraction(3))
+    coded = CodedFamily(ProfileFamily(lambda i: lambda k: Fraction(2)))
+    state = ConstructionState()
+    state.frontier = 5
+    cert = verify.check_bfo_equivalence(coded, state, 0, 5)
+    assert cert.verdict == FAIL
+    assert cert.checks == [
+        {"check": "length_band", "ok": False, "k": 0, "len": "2", "size": "1"}]
 
 
 @pytest.mark.parametrize("first", [5, 6])
