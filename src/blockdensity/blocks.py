@@ -1,84 +1,44 @@
 """Factorial block geometry.
 
-Target blocks partition the naturals into runs of length k!; each profile
-stretches them into source blocks of length floor(u(k) * k!). A coded family
-keeps one TargetBlocks, the only k! table; its source blocks cache their
-endpoints, so a source block's length is the difference of two endpoints.
+Target blocks partition the naturals into runs of length k!; each profile u
+stretches them into source blocks of length floor(u(k) * k!), so the target
+blocks are the source blocks of the constant profile 1. One class,
+SourceBlocks, extends, caches and locates both, and TargetBlocks is it over
+that profile. A block's length is the difference of two cached endpoints;
+a coded family's sources read k! as the target's lengths.
 
 A profile value p/q is reduced, so q | p * k! exactly when q | k!, which then
-holds at every later block. A source's extension is one loop over a cursor in
-locals: the last value, its pair (q, p) found by the value object's id, and
-the quotient k!/q, 0 until q | k!. Once q | k!, a block costs a small
-multiply and an add, p * (k!/q); before, and at a change of denominator,
-floor(p * k! / q) reads the target's k!, and its remainder decides whether
-q | k!. The loop records each block's exactness as it goes, so ratio(k),
-k!/|K_k| exactly as a pair (n, d), is a read: (q, p) once q | k!, one pair
-shared by the value's blocks, so the maps scale by small integers; (k!, |K_k|)
-before it.
+holds at every later block. Extension is one loop over a cursor in locals:
+the last value, its pair (q, p) found by the value object's id, and the
+quotient k!/q, 0 until q | k!. Once q | k!, a block costs a small multiply
+and an add, p * (k!/q); before, and at a change of denominator,
+floor(p * k! / q) reads k!, and its remainder decides whether q | k!. The
+target's q = 1 divides 0!, so it reads k! once and carries it after that.
+The loop records each block's exactness as it goes, so ratio(k), k!/|K_k|
+exactly as a pair (n, d), is a read: (q, p) once q | k!, one pair shared by
+the value's blocks, so the maps scale by small integers; (k!, |K_k|) before.
 Caches grow on demand (the stage construction can reference very large block
 indices, so precomputing to a fixed bound would be wrong); block location is
-a binary search over the cached monotone endpoints.
+a binary search over the cached monotone endpoints. Reads refuse a negative
+block index.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import factorial
 from typing import Callable
 
 from .numerics import ONE, TWO
 
 
-class TargetBlocks:
-    """Endpoints a_0 = 0, a_{k+1} = a_k + k! and the blocks [a_k, a_{k+1})."""
-
-    def __init__(self) -> None:
-        self._fact = [1]      # k! for each cached k
-        self._ends = [0, 1]   # a_0 .. a_{K+1} with K = len(_fact) - 1
-
-    def _extend(self, k: int | None = None, beyond: int | None = None) -> None:
-        facts, ends = self._fact, self._ends
-        # Endpoints are natural, so a bound of -1 never holds.
-        last = -1 if k is None else k
-        bound = -1 if beyond is None else beyond
-        m, fact, a = len(facts), facts[-1], ends[-1]
-        while m <= last or a <= bound:
-            fact *= m
-            a += fact
-            facts.append(fact)
-            ends.append(a)
-            m += 1
-
-    def endpoint(self, k: int) -> int:
-        if k >= len(self._ends):
-            self._extend(k=k)
-        return self._ends[k]
-
-    def size(self, k: int) -> int:
-        """|I_k| = k!."""
-        if k >= len(self._fact):
-            self._extend(k=k)
-        return self._fact[k]
-
-    def block(self, k: int) -> tuple[int, int]:
-        """Half-open interval [a_k, a_{k+1})."""
-        return self.endpoint(k), self.endpoint(k + 1)
-
-    def locate(self, x: int) -> int:
-        """The unique k with a_k <= x < a_{k+1}."""
-        if x < 0:
-            raise ValueError("block location needs a natural number")
-        if self._ends[-1] <= x:
-            self._extend(beyond=x)
-        return bisect_right(self._ends, x) - 1
-
-
 class SourceBlocks:
-    """Per-profile endpoints b_0 = 0, b_{k+1} = b_k + floor(u(k) * k!)."""
+    """Per-profile endpoints b_0 = 0, b_{k+1} = b_k + floor(u(k) * size(k))."""
 
-    def __init__(self, profile: Callable[[int], Fraction], targets: TargetBlocks) -> None:
+    def __init__(self, profile: Callable[[int], Fraction], size: Callable[[int], int]) -> None:
         self._profile = profile
-        self._targets = targets
+        self._size = size
         self._ends = [0]
         # id(u) -> (u, (q, p)) per value object met, band-checked once; u is
         # held so that its id is not reused.
@@ -91,7 +51,7 @@ class SourceBlocks:
 
     def _extend(self, k: int | None = None, beyond: int | None = None) -> None:
         ends, exact, pairs = self._ends, self._exact, self._pairs
-        profile, size = self._profile, self._targets.size
+        profile, size = self._profile, self._size
         last_u, pair, quo = self._cursor
         q, p = pair
         # Endpoints are natural, so a bound of -1 never holds.
@@ -127,25 +87,29 @@ class SourceBlocks:
             m += 1
         self._cursor = (last_u, pair, quo)
 
+    def _reach(self, k: int, last: int) -> None:
+        if k < 0:
+            raise ValueError("block index %d is negative" % k)
+        self._extend(k=last)
+
     def length(self, k: int) -> int:
         """|K_k| = floor(u(k) * k!) = b_{k+1} - b_k."""
-        if k + 1 >= len(self._ends):
-            self._extend(k=k)
+        if not 0 <= k < len(self._ends) - 1:
+            self._reach(k, k)
         return self._ends[k + 1] - self._ends[k]
 
     def ratio(self, k: int) -> tuple[int, int]:
         """(n, d) with n / d = k! / |K_k| exactly; (q, p) when q | p * k!."""
-        if k >= len(self._exact):
-            self._extend(k=k)
+        if not 0 <= k < len(self._exact):
+            self._reach(k, k)
         pair = self._exact[k]
         if pair is None:
-            ends = self._ends
-            return self._targets.size(k), ends[k + 1] - ends[k]
+            return self._size(k), self._ends[k + 1] - self._ends[k]
         return pair
 
     def endpoint(self, k: int) -> int:
-        if k >= len(self._ends):
-            self._extend(k=k - 1)
+        if not 0 <= k < len(self._ends):
+            self._reach(k, k - 1)
         return self._ends[k]
 
     def block(self, k: int) -> tuple[int, int]:
@@ -160,3 +124,15 @@ class SourceBlocks:
             self._extend(beyond=x)
         k = bisect_right(self._ends, x) - 1
         return k, x - self._ends[k]
+
+
+class TargetBlocks(SourceBlocks):
+    """Endpoints a_0 = 0, a_{k+1} = a_k + k!: the constant profile 1's."""
+
+    def __init__(self) -> None:
+        super().__init__(lambda k: ONE, factorial)
+        # 1 is outside the sources' band (1, 2), so its pair is seeded in this
+        # table's own cache and no source's band check is loosened.
+        self._pairs[id(ONE)] = (ONE, (1, 1))
+
+    size = SourceBlocks.length

@@ -8,7 +8,8 @@ small-denominator profiles, so they cost time linear in the size of their
 arguments; h_apply and h_fibers do that arithmetic in one frame, on the source
 block read from the cache. Pointwise dominated pairs get blockwise
 translations, and block collapse witnesses that a block-constant set reduces
-to itself nontrivially. A family's source blocks share its one target table.
+to itself nontrivially. A family's source blocks read k! from its one target
+table.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class CodedFamily:
     def source(self, i: int) -> SourceBlocks:
         blocks = self._sources.get(i)
         if blocks is None:
-            blocks = SourceBlocks(self.family.profile(i), self.targets)
+            blocks = SourceBlocks(self.family.profile(i), self.targets.size)
             self._sources[i] = blocks
         return blocks
 
@@ -55,9 +56,7 @@ class CodedFamily:
     def h_fibers(self, i: int, y: int) -> list[int]:
         """All preimages of y under the i-th compression map (one or two)."""
         src = self._sources.get(i) or self.source(i)
-        targets = self.targets
-        k = targets.locate(y)
-        q = y - targets.endpoint(k)
+        k, q = self.targets.locate(y)
         n, d = src.ratio(k)
         b = src.endpoint(k)
         return [*range(b - (-q * d // n), b - (-(q + 1) * d // n))]
@@ -83,4 +82,4 @@ class CodedFamily:
 
     def collapse(self, x: int) -> int:
         """The left endpoint of the target block containing x."""
-        return self.targets.endpoint(self.targets.locate(x))
+        return x - self.targets.locate(x)[1]

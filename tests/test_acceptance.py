@@ -348,7 +348,7 @@ def test_criterion_09_collapse_evidence(combined_run, criterion):
         if x >= hi:
             k += 1
             hi = coded.targets.endpoint(k + 1)
-        if bits[coded.targets.locate(coded.collapse(x))] != bits[k]:
+        if bits[coded.targets.locate(coded.collapse(x))[0]] != bits[k]:
             failures.append(("membership moved", x))
             break
     for k in range(2, 10):

@@ -3,13 +3,14 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blockdensity.blocks import SourceBlocks, TargetBlocks
 from blockdensity.maps import CodedFamily
+from blockdensity.numerics import ONE
 from blockdensity.posets import FinitePoset, PaddedFiniteOrder, UniversalPoset
 from blockdensity.profiles import oscillating_family, poset_family
-from blockdensity.verify import block_walk
+from blockdensity.verify import block_walk, target_walk
 
 from _oracles import FAMILIES, factorial, source_endpoints, target_endpoints
 
@@ -20,7 +21,7 @@ def const(q):
 
 def source(q):
     """Source blocks of the constant profile q over fresh target blocks."""
-    return SourceBlocks(const(q), TargetBlocks())
+    return SourceBlocks(const(q), TargetBlocks().size)
 
 
 def test_target_block_examples():
@@ -37,9 +38,23 @@ def test_source_len_examples():
 
 
 def test_source_len_rejects_out_of_band_values():
-    for bad in (Fraction(1), Fraction(2), Fraction(5, 2), Fraction(1, 2)):
+    # ONE itself too: the target table's pair for it seeds only its own cache.
+    for bad in (Fraction(1), Fraction(2), Fraction(5, 2), Fraction(1, 2), ONE):
         with pytest.raises(ValueError):
             source(bad).length(3)
+
+
+def test_negative_block_index_is_refused():
+    targets = TargetBlocks()
+    src = SourceBlocks(const(Fraction(3, 2)), targets.size)
+    targets.endpoint(10)
+    src.endpoint(10)
+    for read in (targets.endpoint, targets.block, targets.size,
+                 src.endpoint, src.block, src.length, src.ratio):
+        with pytest.raises(ValueError, match="block index -1 is negative"):
+            read(-1)
+    with pytest.raises(ValueError, match="block index -3 is negative"):
+        targets.size(-3)
 
 
 def test_source_block_examples_against_prefix_sums():
@@ -52,8 +67,8 @@ def test_source_block_examples_against_prefix_sums():
 
 def test_locate_examples():
     targets = TargetBlocks()
-    assert targets.locate(10) == 4
-    assert targets.locate(0) == 0
+    assert targets.locate(10) == (4, 0)
+    assert targets.locate(0) == (0, 0)
     src = source(Fraction(3, 2))
     assert src.locate(4) == (2, 2)
 
@@ -61,7 +76,7 @@ def test_locate_examples():
 def test_block_sizes_and_length_band():
     targets = TargetBlocks()
     for q in (Fraction(3, 2), Fraction(5, 4), Fraction(7, 4), Fraction(9, 5)):
-        src = SourceBlocks(const(q), targets)
+        src = SourceBlocks(const(q), targets.size)
         for k in range(13):
             lo, hi = targets.block(k)
             assert hi - lo == factorial(k) == targets.size(k)
@@ -72,7 +87,7 @@ def test_block_sizes_and_length_band():
 
 def test_blocks_tile_with_no_gaps():
     targets = TargetBlocks()
-    src = SourceBlocks(const(Fraction(4, 3)), targets)
+    src = SourceBlocks(const(Fraction(4, 3)), targets.size)
     for k in range(12):
         assert targets.block(k)[1] == targets.block(k + 1)[0]
         assert src.block(k)[1] == src.block(k + 1)[0]
@@ -87,9 +102,9 @@ def test_locate_matches_linear_scan():
     for x in range(100_000):
         while ends[k + 1] <= x:
             k += 1
-        assert targets.locate(x) == k
+        assert targets.locate(x) == (k, x - ends[k])
 
-    src = SourceBlocks(const(Fraction(5, 4)), targets)
+    src = SourceBlocks(const(Fraction(5, 4)), targets.size)
     sends = source_endpoints(const(Fraction(5, 4)), 12)
     k = 0
     for x in range(100_000):
@@ -146,9 +161,13 @@ def walk(kind, i):
     return list(islice(block_walk(family.profile(i)), WALK_BLOCKS))
 
 
+TARGET_WALK = list(islice(target_walk(), WALK_BLOCKS))
+
+
 BLOCK = st.one_of(st.integers(0, 40), st.integers(1000, WALK_BLOCKS - 2))
 OPS = st.lists(
-    st.tuples(st.sampled_from(["targets", "locate", "endpoint", "length", "ratio"]),
+    st.tuples(st.sampled_from(["targets", "target_locate", "target_block", "locate",
+                               "endpoint", "length", "ratio"]),
               st.integers(0, 3), BLOCK, st.integers(0, 2**80)),
     min_size=1, max_size=10,
 )
@@ -157,6 +176,7 @@ OPS = st.lists(
 @settings(max_examples=40)
 @pytest.mark.parametrize("kind", sorted(GEOMETRY_FAMILIES))
 @given(ops=OPS)
+@example(ops=[("target_locate", 0, WALK_BLOCKS - 2, 2**80), ("locate", 0, 3, 1)])
 def test_geometry_matches_block_walk_in_any_access_order(kind, ops):
     family, indices = GEOMETRY_FAMILIES[kind]
     coded = CodedFamily(family)
@@ -167,6 +187,14 @@ def test_geometry_matches_block_walk_in_any_access_order(kind, ops):
         if op == "targets":
             # Sources made after this read targets that are already long.
             assert coded.targets.endpoint(k) == a and coded.targets.size(k) == fact
+            continue
+        if op.startswith("target_"):
+            fact, a, a_next = TARGET_WALK[k]
+            if op == "target_locate":
+                r = offset % fact
+                assert coded.targets.locate(a + r) == (k, r)
+            else:
+                assert coded.targets.block(k) == (a, a_next)
             continue
         src = coded.source(i)
         if op == "locate":

@@ -980,7 +980,8 @@ def test_verify_record_off_schedule_fails_fast(field, value, constructed, tmp_pa
 @pytest.fixture
 def geometry_reach(monkeypatch):
     """A one-item list holding the largest block index whose endpoint any
-    source geometry has cached since the test began."""
+    block table has cached since the test began: each source's and the
+    target's, which extends through the same SourceBlocks._extend."""
     reach = [0]
     real = blocks.SourceBlocks._extend
 
@@ -1010,7 +1011,7 @@ def test_verify_k_past_the_selector_bound_fails_before_geometry(constructed, tmp
 def test_verify_oversized_offset_fails_its_block_without_growing_geometry(
         tmp_path, capsys, geometry_reach):
     """An offset that puts x far past its block fails witness_block by
-    comparison with the block's endpoints: x is never located, so the source
+    comparison with the block's endpoints: x is never located, so the block
     geometry stops at block k + 2 of the records' largest k."""
     outdir = tmp_path / "run"
     assert run_cli(capsys, "scenario", "rationals", "--count", "2", "--E", "4",

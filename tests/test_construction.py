@@ -329,8 +329,8 @@ def test_run_stage_identity_diagonalizes():
     # x = y = 41 = b_j(5), the anchor, so both offsets are 0.
     assert record.dx == 0 and record.dy == 0 and record.ell == 5
     assert state.frontier == 5 and state.ones == {4}
-    assert state.block_bit(coded.targets.locate(10)) == 1     # a_4 = 10
-    assert state.block_bit(coded.targets.locate(34)) == 0     # a_5 = 34
+    assert state.block_bit(coded.targets.locate(10)[0]) == 1     # a_4 = 10
+    assert state.block_bit(coded.targets.locate(34)[0]) == 0     # a_5 = 34
 
 
 def test_run_stage_diverging_program():
@@ -390,13 +390,13 @@ def test_membership_is_blockwise_constant():
     state = ConstructionState()
     run_stage(state, Requirement(identity_index(), I_74, I_54), coded, cert, 10_000)
     with pytest.raises(FrontierUndefined):
-        state.block_bit(coded.targets.locate(coded.targets.endpoint(state.frontier + 1)))
+        state.block_bit(coded.targets.locate(coded.targets.endpoint(state.frontier + 1))[0])
     # Blockwise constancy of the coded sets on the constructed prefix.
     for i in (I_32, I_74):
         src = coded.source(i)
         for k in range(state.frontier + 1):
             lo, hi = src.block(k)
-            bits = {state.block_bit(coded.targets.locate(coded.h_apply(i, x)))
+            bits = {state.block_bit(coded.targets.locate(coded.h_apply(i, x))[0])
                     for x in range(lo, min(hi, lo + 40))}
             assert len(bits) == 1
             assert bits.pop() == state.block_bit(k)

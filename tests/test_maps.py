@@ -133,7 +133,7 @@ def test_commuting_square_for_block_constant_assignments(coded):
     bits = {k: rng.randint(0, 1) for k in range(9)}
 
     def member(n):
-        return bits[coded.targets.locate(n)]
+        return bits[coded.targets.locate(n)[0]]
 
     limit = coded.source(I_54).endpoint(8)
     for x in range(limit):
@@ -152,7 +152,7 @@ def test_collapse_fixes_block_constant_sets_but_moves_points(coded):
     bits = {k: rng.randint(0, 1) for k in range(10)}
 
     def member(n):
-        return bits[coded.targets.locate(n)]
+        return bits[coded.targets.locate(n)[0]]
 
     limit = target_endpoints(9)[9]
     for x in range(limit):

@@ -15,7 +15,7 @@ from itertools import count, islice
 import pytest
 
 from blockdensity import blocks, construction, verify
-from blockdensity.blocks import SourceBlocks
+from blockdensity.blocks import SourceBlocks, TargetBlocks
 from blockdensity.construction import BRANCH_DIAGONALIZED, ConstructionState
 from blockdensity.maps import CodedFamily
 from blockdensity.profiles import ProfileFamily, constant_family
@@ -186,11 +186,15 @@ def extend_long_from(first, real=SourceBlocks._extend):
     """SourceBlocks._extend with |K_m| one too long from m = first on: the
     production loop extends, then each endpoint it appended moves by the
     number of its new blocks from first on. The loop goes on from the moved
-    last endpoint, so the fault compounds like a wrong length would."""
+    last endpoint, so the fault compounds like a wrong length would. The
+    target table, which extends through the same loop, keeps its lengths, so
+    the fault is in the sources alone."""
     def extend(self, k=None, beyond=None):
         ends = self._ends
         start, shift = len(ends), 0
         real(self, k, beyond)
+        if isinstance(self, TargetBlocks):
+            return
         for n in range(start, len(ends)):
             shift += n - 1 >= first
             ends[n] += shift
