@@ -22,7 +22,7 @@ from .maps import CodedFamily
 from .numerics import rat_parse
 from .posets import FinitePoset, UniversalPoset, embed_finite
 from .scenarios import (
-    DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_COUNT, KINDS, SCHEDULES, ScenarioConfig,
+    DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_BUDGET, DEFAULT_COUNT, KINDS, SCHEDULES, ScenarioConfig,
     build_family, construct, report_exit_code, run_scenario, verify_transcript,
     write_outputs, write_report,
 )
@@ -306,7 +306,7 @@ def _add_machine(sub) -> None:
     p.add_argument("action", choices=["decode", "run"])
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--x", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10**5)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=_usage_errors(_cmd_machine))
 
 

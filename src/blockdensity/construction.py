@@ -20,7 +20,8 @@ The profile lemma ends the search for that block. A selected block k >= 3 of
 a pair with gap u_i(k) - u_j(k) >= delta has |K_k^i| > u_i(k)*k! - 1, and
 every block m has length below 2*m!, so b_j(k + 1) <= u_j(k)*k! + 4*(k - 1)!.
 Block k therefore dominates once delta*k >= 5: at every selected block from
-K0 = max(3, ceil(5/delta)) on.
+K0 = max(3, ceil(5/delta)) on, which the gap certificate holds per pair
+(GapCertificate.k0).
 
 Per-element runs are confined to inputs not exceeding the step count S of the
 tail path, or the step budget when that path diverges; all larger inputs of a
@@ -43,9 +44,10 @@ thousands of digits, their offsets a few. Offsets are hex text, exactly what
 hex() writes, read in linear time with no int/str digit limit (decimal takes
 quadratic time), so a tampered huge one loads fast. Each line is one
 %-template filled in, json.dumps's bytes for the record (StageRecord.line).
-run_stages is the one stage loop: run_construction takes its first records, and a transcript
-is read against it in one forward pass, decoding only the lines that differ
-from the replay's own.
+run_stages, over a schedule and the gap certificate it holds, is the one stage
+loop: run_construction takes its first records, and a transcript is read
+against it in one forward pass, decoding only the lines that differ from the
+replay's own.
 """
 
 from __future__ import annotations
@@ -228,7 +230,6 @@ class RequirementSchedule:
         self._window = pairs is not None
         self._pairs: list[tuple[int, int]] = []
         self._next_code = 0
-        self._k0: dict[tuple[int, int], int] = {}
         if self._window:
             self._pairs = list(pairs)
             if not self._pairs:
@@ -282,24 +283,10 @@ class RequirementSchedule:
         """Stages needed so every (e < e_bound, pair) requirement has run."""
         return max((self.stage_of(e_bound - 1, i, j) + 1 for i, j in pairs), default=0)
 
-    def k0(self, i: int, j: int) -> int:
-        """K0 of pair (i, j) (profile_k0), found once per pair."""
-        if (i, j) not in self._k0:
-            self._k0[i, j] = profile_k0(self.cert, i, j)
-        return self._k0[i, j]
-
     def k_bound(self, i: int, j: int, frontier: int) -> int:
         """The last block domination_search can pick for pair (i, j) past the
         frontier, s(i, j, max(frontier + 1, K0)), as s(t) >= t."""
-        return self.cert.s(i, j, max(frontier + 1, self.k0(i, j)))
-
-
-def profile_k0(cert: GapCertificate, i: int, j: int) -> int:
-    """K0 = max(3, ceil(5/delta)) of pair (i, j) (the module docstring)."""
-    delta = cert.delta(i, j)
-    if delta <= 0:
-        raise AssertionError("pair (%d, %d) has gap %s <= 0" % (i, j, delta))
-    return max(3, -(-5 // delta))   # ceil(5/delta), exactly
+        return self.cert.s(i, j, max(frontier + 1, self.cert.k0(i, j)))
 
 
 def domination_search(
@@ -317,9 +304,8 @@ def domination_search(
     AssertionError), and goes forward, comparing lengths at each candidate
     below k_star, K* >= K0 (by default every candidate). The profile lemma
     (see the module docstring) ends the scan: every selected block from K0 =
-    max(3, ceil(5/delta)) on dominates, delta = cert.delta(i, j), so the
-    first candidate at or past k_star is returned unread. A failing
-    candidate at or past K0, or a delta <= 0, raises AssertionError.
+    cert.k0(i, j) on dominates, so the first candidate at or past k_star is
+    returned unread. A failing candidate at or past K0 raises AssertionError.
     """
     src_i = coded.source(i)
     src_j = coded.source(j)
@@ -332,7 +318,7 @@ def domination_search(
             raise AssertionError("selector not strictly increasing")
         if k >= k_star or src_i.length(k) > src_j.endpoint(k + 1):
             return k
-        k0 = profile_k0(cert, i, j)
+        k0 = cert.k0(i, j)
         if k >= k0:
             raise AssertionError("selected block %d of pair (%d, %d) does not dominate, "
                                  "though K0 = %d" % (k, i, j, k0))
@@ -429,21 +415,22 @@ def run_stage(
 
 
 def run_stages(state: ConstructionState, schedule: RequirementSchedule, coded: CodedFamily,
-               cert: GapCertificate, budget: int) -> Iterator[StageRecord]:
+               budget: int) -> Iterator[StageRecord]:
     """The one stage loop: stages state.stage, state.stage + 1, ... of the
     schedule, each run by run_stage when its record is drawn, with K* =
-    max(K0, k_B): K0 from the schedule's memo, k_B found once."""
+    max(K0, k_B): K0 from the schedule's gap certificate, k_B found once."""
+    cert = schedule.cert
     k_b = next(k for k in count(1) if factorial(k - 1) > budget + 1)
     while True:
         req = schedule.requirement(state.stage)
-        yield run_stage(state, req, coded, cert, budget, max(schedule.k0(req.i, req.j), k_b))
+        yield run_stage(state, req, coded, cert, budget, max(cert.k0(req.i, req.j), k_b))
 
 
 class Transcript:
     """The stage records of one run, in stage order."""
 
-    def __init__(self, records: list[StageRecord] | None = None) -> None:
-        self.records = [] if records is None else records
+    def __init__(self, records: list[StageRecord]) -> None:
+        self.records = records
 
     def lines(self) -> Iterator[str]:
         """The JSON Lines text, one line at a time."""
@@ -491,20 +478,13 @@ class Transcript:
         return Transcript(records), divergence
 
 
-def run_construction(
-    coded: CodedFamily,
-    cert: GapCertificate,
-    stages: int,
-    budget: int,
-    *,
-    schedule: RequirementSchedule | None = None,
-) -> tuple[Transcript, ConstructionState]:
-    """Run requirements 0..stages-1 in order and return the audit transcript."""
+def run_construction(schedule: RequirementSchedule, coded: CodedFamily, stages: int,
+                     budget: int) -> Transcript:
+    """Run requirements 0..stages-1 of the schedule and return the audit transcript."""
     if stages < 1:
         raise ValueError("need at least one stage")
-    state = ConstructionState()
-    loop = run_stages(state, schedule or RequirementSchedule(cert), coded, cert, budget)
-    return Transcript(list(islice(loop, stages))), state
+    loop = run_stages(ConstructionState(), schedule, coded, budget)
+    return Transcript(list(islice(loop, stages)))
 
 
 def reconstruct_state(records: Iterable[StageRecord]) -> ConstructionState:

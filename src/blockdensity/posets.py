@@ -224,7 +224,8 @@ def embed_finite(
 
     Points are placed along one extension chain in minimal-index topological
     order, each new image being the child node whose relation vector over the
-    placed images matches the source relation exactly.
+    placed images matches the source relation exactly. In that order a new
+    point is never below a placed one, so each entry is ABOVE or INCOMPARABLE.
     """
     if universe is None:
         universe = UniversalPoset()
@@ -232,15 +233,9 @@ def embed_finite(
     placed = [0]  # the first point is the root
     for step in range(1, poset.n):
         point = order[step]
-        trits = []
-        for prev in order[:step]:
-            if poset.leq(point, prev):
-                trits.append(BELOW)
-            elif poset.leq(prev, point):
-                trits.append(ABOVE)
-            else:
-                trits.append(INCOMPARABLE)
-        placed.append(universe.child(placed[-1], tuple(trits)))
+        trits = tuple(ABOVE if poset.leq(prev, point) else INCOMPARABLE
+                      for prev in order[:step])
+        placed.append(universe.child(placed[-1], trits))
     images = [0] * poset.n
     for position, point in enumerate(order):
         images[point] = placed[position]

@@ -62,30 +62,40 @@ class GapCertificate:
     s(i, j, t) = t, and an int v the blocks of 2-adic valuation v,
     s(i, j, t) = 2^v * (2t + 1). Either selector is strictly increasing, and
     first_past(i, j, F) is the least t with s(i, j, t) > F (F >= -1): the
-    domination search starts its scan there.
+    domination search starts its scan there. k0(i, j) is the profile lemma's
+    threshold K0 = max(3, ceil(5/delta)): every selected block from K0 on is
+    longer than the opposing prefix (see the construction module).
     """
 
     def __init__(self, rule: Callable[[int, int], tuple[Fraction, int | None] | None]) -> None:
         self.rule = rule
-        # Each scheduled pair's (delta, v), decided once per pair; a pair that
-        # is not scheduled is decided again on each call.
-        self._gaps: dict[tuple[int, int], tuple[Fraction, int | None]] = {}
+        # Each scheduled pair's (delta, v, K0), decided once per pair; a pair
+        # that is not scheduled is decided again on each call.
+        self._gaps: dict[tuple[int, int], tuple[Fraction, int | None, int]] = {}
 
     def in_D(self, i: int, j: int) -> bool:
+        """Whether (i, j) is scheduled; a scheduled gap <= 0 raises
+        AssertionError, as it proves nothing."""
         if (i, j) not in self._gaps:
             gap = self.rule(i, j)
             if gap is None:
                 return False
-            self._gaps[i, j] = gap
+            delta, v = gap
+            if delta <= 0:
+                raise AssertionError("pair (%d, %d) has gap %s <= 0" % (i, j, delta))
+            self._gaps[i, j] = delta, v, max(3, -(-5 // delta))   # ceil(5/delta), exactly
         return True
 
-    def _gap(self, i: int, j: int) -> tuple[Fraction, int | None]:
+    def _gap(self, i: int, j: int) -> tuple[Fraction, int | None, int]:
         if not self.in_D(i, j):
             raise ValueError("pair (%d, %d) carries no gap certificate" % (i, j))
         return self._gaps[i, j]
 
     def delta(self, i: int, j: int) -> Fraction:
         return self._gap(i, j)[0]
+
+    def k0(self, i: int, j: int) -> int:
+        return self._gap(i, j)[2]
 
     def s(self, i: int, j: int, t: int) -> int:
         v = (self._gaps.get((i, j)) or self._gap(i, j))[1]

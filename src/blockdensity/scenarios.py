@@ -196,24 +196,22 @@ def build_family(config: ScenarioConfig):
 
 
 def prepare(config: ScenarioConfig):
-    """The coded family, gap certificate and requirement schedule of a config."""
+    """The coded family and requirement schedule (which holds the gap
+    certificate) of a config."""
     family, gap_cert = build_family(config)
     window = _scheduled_pairs(config, gap_cert) if config.schedule == "window" else None
-    return CodedFamily(family), gap_cert, RequirementSchedule(gap_cert, window)
+    return CodedFamily(family), RequirementSchedule(gap_cert, window)
 
 
 def construct(config: ScenarioConfig, stages: int | None = None):
-    """(coded, gap_cert, schedule, transcript) of the run a config names.
+    """(coded, schedule, transcript) of the run a config names.
 
     A stages other than None or 0 overrides the window's count and
     config.stages.
     """
-    coded, gap_cert, schedule = prepare(config)
-    stages = stages or required_stages(config, gap_cert, schedule)
-    transcript, _ = run_construction(
-        coded, gap_cert, stages, config.budget, schedule=schedule
-    )
-    return coded, gap_cert, schedule, transcript
+    coded, schedule = prepare(config)
+    stages = stages or required_stages(config, schedule)
+    return coded, schedule, run_construction(schedule, coded, stages, config.budget)
 
 
 def _span(config: ScenarioConfig) -> range:
@@ -227,10 +225,11 @@ def _scheduled_pairs(config: ScenarioConfig, cert) -> list[tuple[int, int]]:
     return [(a, b) for a in span for b in span if a != b and cert.in_D(a, b)]
 
 
-def required_stages(config: ScenarioConfig, cert, schedule: RequirementSchedule) -> int:
+def required_stages(config: ScenarioConfig, schedule: RequirementSchedule) -> int:
     """config.stages, or more if the defeat bundles of the scenario's
     program-index window need more; at least one."""
-    window = schedule.window_stage_count(_scheduled_pairs(config, cert), config.e_bound)
+    window = schedule.window_stage_count(_scheduled_pairs(config, schedule.cert),
+                                         config.e_bound)
     return max(config.stages or 0, window, 1)
 
 
@@ -287,7 +286,7 @@ def _collapse_certificate(coded, state) -> Certificate:
     return cert
 
 
-def _construction_certificates(config, coded, gap_cert, schedule, transcript):
+def _construction_certificates(config, coded, schedule, transcript):
     """The certificate suite for one run, derived from the transcript alone."""
     state = reconstruct_state(transcript.records)
     # Each stage record is checked once, in one pass; the defeat bundles and
@@ -302,11 +301,11 @@ def _construction_certificates(config, coded, gap_cert, schedule, transcript):
         (a, b): check_positive_reduction(coded, state, a, b, config.k_max)
         for a in span
         for b in span
-        if a != b and gap_cert.in_D(b, a) and not gap_cert.in_D(a, b)
+        if a != b and schedule.cert.in_D(b, a) and not schedule.cert.in_D(a, b)
     }
     defeats = {
         (a, b): check_defeat_bundle(schedule, a, b, config.e_bound, transcript.records, faults)
-        for a, b in _scheduled_pairs(config, gap_cert)
+        for a, b in _scheduled_pairs(config, schedule.cert)
     }
 
     if config.kind == "poset":
@@ -379,19 +378,16 @@ class ScenarioResult(NamedTuple):
     exit_code: int
 
 
-def run_scenario(config: ScenarioConfig, outdir: str | Path | None = None) -> ScenarioResult:
-    """Run the full pipeline; given outdir, write its outputs there."""
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    """Run the full pipeline; write_outputs writes its outputs."""
     config.validate()
     if config.kind == "universal":
         certs = _universal_certificates(config)
         transcript = None
     else:
-        coded, gap_cert, schedule, transcript = construct(config)
-        certs = _construction_certificates(config, coded, gap_cert, schedule, transcript)
-    result = ScenarioResult(config, certs, transcript, report_exit_code(certs))
-    if outdir is not None:
-        write_outputs(result, outdir)
-    return result
+        coded, schedule, transcript = construct(config)
+        certs = _construction_certificates(config, coded, schedule, transcript)
+    return ScenarioResult(config, certs, transcript, report_exit_code(certs))
 
 
 def write_outputs(result: ScenarioResult, outdir: str | Path) -> None:
@@ -416,9 +412,9 @@ def verify_transcript(config: ScenarioConfig, path: str | Path):
     """Read the transcript at path against its replay, one stage per line
     (Transcript.read_jsonl), and recompute its certificate suite."""
     config.validate()
-    coded, gap_cert, schedule = prepare(config)
-    replay = run_stages(ConstructionState(), schedule, coded, gap_cert, config.budget)
+    coded, schedule = prepare(config)
+    replay = run_stages(ConstructionState(), schedule, coded, config.budget)
     transcript, divergence = Transcript.read_jsonl(path, replay)
     certs = [check_transcript_replay(len(transcript.records), divergence)]
-    certs += _construction_certificates(config, coded, gap_cert, schedule, transcript)
+    certs += _construction_certificates(config, coded, schedule, transcript)
     return certs

@@ -406,7 +406,7 @@ def check_stage_records(
         # The record is untrusted: take the block the honest stage picks past
         # the frontier, and the last block its image y <= x + budget reaches.
         _, i, j = schedule.requirement(n)
-        k = domination_search(coded, schedule.cert, i, j, frontier, schedule.k0(i, j))
+        k = domination_search(coded, schedule.cert, i, j, frontier, schedule.cert.k0(i, j))
         end = coded.source(i).endpoint(k + 1) + budget - 1
         frontier = max(k, coded.source(j).locate(end)[0])
     if cert.verdict == PASS:

@@ -336,7 +336,7 @@ def read_transcript(path) -> list[StageRecord]:
     return records
 
 
-def transcript_replay_json(coded, gap_cert, records, budget, schedule) -> dict:
+def transcript_replay_json(schedule, coded, records, budget) -> dict:
     """The TranscriptReplay certificate's report object for loaded records:
     a fresh replay of as many stages, each record compared with its replay
     by ==."""
@@ -347,7 +347,7 @@ def transcript_replay_json(coded, gap_cert, records, budget, schedule) -> dict:
         replay["checks"].append({"check": "bit_exact", "ok": False,
                                  "reason": "empty transcript"})
         return replay
-    rerun, _ = run_construction(coded, gap_cert, len(records), budget, schedule=schedule)
+    rerun = run_construction(schedule, coded, len(records), budget)
     for stage, (a, b) in enumerate(zip(rerun.records, records)):
         if a != b:
             replay["verdict"] = "FAIL"

@@ -19,6 +19,7 @@ from blockdensity.construction import (
     ConstructionState,
     RequirementSchedule,
     domination_search,
+    reconstruct_state,
     run_construction,
     run_stage,
 )
@@ -79,10 +80,8 @@ def combined_run():
     family, cert = combined_family(ALPHA, BETA)
     coded = CodedFamily(family)
     schedule = RequirementSchedule(cert)
-    transcript, state = run_construction(
-        coded, cert, 60, BUDGET, schedule=schedule
-    )
-    return coded, cert, schedule, transcript, state
+    transcript = run_construction(schedule, coded, 60, BUDGET)
+    return coded, cert, schedule, transcript, reconstruct_state(transcript.records)
 
 
 def test_criterion_01_block_geometry(criterion):
@@ -151,7 +150,8 @@ def test_criterion_02_reduction_algebra(criterion):
 
     family, cert = constant_family()
     coded = CodedFamily(family)
-    transcript, state = run_construction(coded, cert, 16, BUDGET)
+    transcript = run_construction(RequirementSchedule(cert), coded, 16, BUDGET)
+    state = reconstruct_state(transcript.records)
     assert state.frontier >= K_GEOMETRY
 
     order = sorted(range(6), key=enum_rationals_12)

@@ -515,7 +515,7 @@ SCENARIO_CONFIGS = [
 def test_scenario_flags_fill_the_config(argv, want, monkeypatch, tmp_path, capsys):
     seen = []
 
-    def run_scenario(config, outdir=None):
+    def run_scenario(config):
         seen.append(config)
         return ScenarioResult(config, [], None, 0)
 
@@ -609,7 +609,7 @@ def test_bad_input_exits_3(name, tmp_path, capsys):
                     "the dominated range"),
 ])
 def test_internal_fault_exits_4(fault, monkeypatch, tmp_path, capsys):
-    def run_scenario(config, outdir=None):
+    def run_scenario(config):
         raise fault
 
     monkeypatch.setattr(cli, "run_scenario", run_scenario)
@@ -916,7 +916,7 @@ def test_verify_holds_each_record_to_the_runs_budget(tmp_path, capsys):
 
 def _anchor(config_path, record):
     """b_j(k + 1), the anchor of a diagonalized record's witnesses."""
-    coded, _, _ = prepare(ScenarioConfig.from_json(json.loads(config_path.read_text())))
+    coded, _ = prepare(ScenarioConfig.from_json(json.loads(config_path.read_text())))
     return coded.source(record["j"]).endpoint(record["k"] + 1)
 
 
@@ -1227,12 +1227,12 @@ def test_full_order_defaults_construct(config, stages, frontier, tmp_path, capsy
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert (len(records), records[-1]["M_after"]) == (stages, frontier)
 
-    coded, cert, _, transcript = construct(ScenarioConfig.from_json(config))
+    coded, schedule, transcript = construct(ScenarioConfig.from_json(config))
     assert transcript.to_jsonl() == out.read_text()
     k_b = next(k for k in range(1, 20) if math.factorial(k - 1) > 10**5 + 1)
     reach = {}
     for r in transcript.records:
-        k_star = max(k_b, math.ceil(5 / cert.delta(r.i, r.j)), 3)
+        k_star = max(k_b, math.ceil(5 / schedule.cert.delta(r.i, r.j)), 3)
         for index in (r.i, r.j):
             reach[index] = max(reach.get(index, 0), k_star + 2)
     for index, source in coded._sources.items():

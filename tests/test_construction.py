@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -257,14 +257,13 @@ def test_domination_search_refuses_a_gap_the_lengths_contradict():
     coded, cert = constant_setup()
     # Pair (7/4, 5/4) first dominates at block 4. A claimed gap of 5 gives
     # K0 = max(3, ceil(5/5)) = 3, so block 3 failing contradicts the lemma;
-    # a gap <= 0 proves nothing, so the first failing block is refused.
+    # a gap <= 0 proves nothing, so the certificate refuses the pair.
     for delta, message in (
         (5, r"block 3 of pair \(4, 3\) does not dominate, though K0 = 3"),
         (0, r"pair \(4, 3\) has gap 0 <= 0"),
         (Fraction(-1, 2), r"pair \(4, 3\) has gap -1/2 <= 0"),
     ):
-        lying = GapCertificate(cert.rule)
-        lying.delta = lambda i, j, d=delta: d
+        lying = GapCertificate(lambda i, j, d=delta: (d, None))
         with pytest.raises(AssertionError, match=message):
             domination_search(coded, lying, I_74, I_54, -1)
     assert domination_search(coded, cert, I_74, I_54, -1) == 4
@@ -295,6 +294,7 @@ def test_profile_lemma_every_selected_block_from_k0_dominates(kind):
     assert pairs
     for i, j in pairs:
         k0 = max(3, math.ceil(5 / cert.delta(i, j)))
+        assert cert.k0(i, j) == k0, (kind, i, j)
         checked = 0
         for t in count():
             k = cert.s(i, j, t)
@@ -359,17 +359,16 @@ def test_run_stage_rejects_unscheduled_pair():
 
 def test_run_construction_monotone_frontier_and_replay():
     coded, cert = constant_setup()
-    transcript, state = run_construction(coded, cert, 5, 10_000)
+    transcript = run_construction(RequirementSchedule(cert), coded, 5, 10_000)
     frontiers = [r.m_after for r in transcript.records]
     assert frontiers == sorted(frontiers) and len(set(frontiers)) == 5
-    assert state.frontier == frontiers[-1]
 
     fresh = CodedFamily(constant_family()[0])
-    again, _ = run_construction(fresh, cert, 5, 10_000)
+    again = run_construction(RequirementSchedule(cert), fresh, 5, 10_000)
     assert again.to_jsonl() == transcript.to_jsonl()
 
     with pytest.raises(ValueError):
-        run_construction(coded, cert, 0, 10_000)
+        run_construction(RequirementSchedule(cert), coded, 0, 10_000)
 
 
 def test_no_injury_across_stages():
@@ -477,7 +476,7 @@ def test_block_evaluation_runs_only_inputs_up_to_the_tail_steps(monkeypatch):
 
 def test_transcript_round_trip(tmp_path):
     coded, cert = constant_setup()
-    transcript, _ = run_construction(coded, cert, 4, 10_000)
+    transcript = run_construction(RequirementSchedule(cert), coded, 4, 10_000)
     path = tmp_path / "t.jsonl"
     transcript.write_jsonl(path)
     assert read_transcript(path) == transcript.records
@@ -485,15 +484,12 @@ def test_transcript_round_trip(tmp_path):
 
 def test_run_construction_takes_the_first_records_of_the_stage_loop():
     """run_stages goes on from the state's stage; run_construction's records
-    are its first ones, and its state is the loop's."""
+    are its first ones."""
     coded, cert = constant_setup()
-    transcript, state = run_construction(coded, cert, 6, 10_000)
-    loop_state = ConstructionState()
-    loop = run_stages(loop_state, RequirementSchedule(cert), coded, cert, 10_000)
+    transcript = run_construction(RequirementSchedule(cert), coded, 6, 10_000)
+    loop = run_stages(ConstructionState(), RequirementSchedule(cert), coded, 10_000)
     assert [next(loop) for _ in range(4)] == transcript.records[:4]
     assert [next(loop) for _ in range(2)] == transcript.records[4:]
-    assert (loop_state.frontier, loop_state.ones, loop_state.stage) == (
-        state.frontier, state.ones, state.stage)
 
 
 def test_stage_record_replace_keeps_the_type():
@@ -505,8 +501,9 @@ def test_stage_record_replace_keeps_the_type():
 
 def test_reconstruct_state_matches_live_state():
     coded, cert = constant_setup()
-    transcript, state = run_construction(coded, cert, 6, 10_000)
-    rebuilt = reconstruct_state(transcript.records)
+    state = ConstructionState()
+    records = list(islice(run_stages(state, RequirementSchedule(cert), coded, 10_000), 6))
+    rebuilt = reconstruct_state(records)
     assert rebuilt.frontier == state.frontier
     assert rebuilt.ones == state.ones
     assert rebuilt.stage == state.stage
@@ -562,14 +559,14 @@ def test_closed_form_transcript_is_the_compared_one(kind, params, budget, monkey
     block (K* forced past every block), and some of its stages take it."""
     config = ScenarioConfig(kind=kind, e_bound=10, budget=budget, schedule="window",
                             **params)
-    coded, cert, _, closed = construct(config)
+    coded, schedule, closed = construct(config)
     real = construction.run_stage
     monkeypatch.setattr(construction, "run_stage",
                         lambda state, req, coded, cert, budget, k_star:
                         real(state, req, coded, cert, budget, 10**9))
-    compared_coded, _, _, compared = construct(config)
+    compared_coded, _, compared = construct(config)
     assert compared.to_jsonl() == closed.to_jsonl()
-    assert any(r.k >= k_star(cert, r.i, r.j, budget) for r in closed.records)
+    assert any(r.k >= k_star(schedule.cert, r.i, r.j, budget) for r in closed.records)
     # Only the compared run builds geometry out to its frontier.
     assert _cached_blocks(compared_coded) > _cached_blocks(coded)
 

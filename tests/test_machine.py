@@ -2,7 +2,7 @@ import random
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from blockdensity import machine
 from blockdensity.machine import (
@@ -31,6 +31,9 @@ SPIN = ((DECJZ, 1, 0),)                   # jumps to itself: every state repeats
 LAP = ((INC, 1), (DECJZ, 1, 3), (DECJZ, 2, 0))
 # Input 0 jumps past HALT to INC; every other input stops at HALT.
 BOUNDARY = ((DECJZ, 0, 2), (HALT,), (INC, 0))
+# Raises register 1 to 2, then counts it down one unit per lap into
+# register 0: the output is the input plus 2.
+COUNTDOWN = ((INC, 1), (INC, 1), (DECJZ, 1, 5), (INC, 0), (DECJZ, 2, 2), (HALT,))
 
 
 def test_decode_zero_is_empty_program():
@@ -162,6 +165,8 @@ def test_halting_tail_covers_every_input_above_its_steps(e, budget, data):
     k=st.integers(1, 60),
     extra=st.integers(1, 10**6),
 )
+# A register other than 0 decremented from 2.
+@example(e=encode(COUNTDOWN), budget=50, x=3, k=5, extra=1)
 def test_both_runners_match_the_reference_interpreter(e, budget, x, k, extra):
     """run_program on a small input, and tail_behavior's prediction on an
     input above the budget up to factorial scale, equal a plain simulator

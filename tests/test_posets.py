@@ -34,6 +34,8 @@ def test_from_rows_rejects_bad_input():
         FinitePoset.from_rows(["11", "11"])
     with pytest.raises(ValueError):
         FinitePoset.from_rows(["1x", "01"])
+    with pytest.raises(ValueError):
+        FinitePoset.from_rows(["11", "0"])
 
 
 def test_topological_order_is_minimal_index():

@@ -10,7 +10,9 @@ import json
 
 import pytest
 
-from blockdensity.scenarios import ScenarioConfig, run_scenario, verify_transcript, write_report
+from blockdensity.scenarios import (
+    ScenarioConfig, run_scenario, verify_transcript, write_outputs, write_report,
+)
 
 CONFIGS = {
     "rationals": ScenarioConfig("rationals", count=3, e_bound=3, k_max=6, schedule="window"),
@@ -28,7 +30,8 @@ def cert_lists(tmp_path_factory):
     out = {}
     for kind, config in CONFIGS.items():
         outdir = tmp_path_factory.mktemp(kind)
-        result = run_scenario(config, outdir)
+        result = run_scenario(config)
+        write_outputs(result, outdir)
         out[kind] = result.certificates
         if result.transcript is not None:
             out[kind + "-verify"] = verify_transcript(config, outdir / "transcript.jsonl")

@@ -29,6 +29,7 @@ from blockdensity.scenarios import (
     report_exit_code,
     run_scenario,
     verify_transcript,
+    write_outputs,
 )
 from blockdensity.verify import FAIL, INCOMPLETE, PASS, Certificate
 
@@ -50,7 +51,7 @@ def test_config_refuses_a_bool_or_non_int_integer_field(field, tmp_path):
         fields = {"count": 2, "e_bound": 2, field: bad}
         config = ScenarioConfig(kind="rationals", schedule="window", **fields)
         with pytest.raises(ValueError, match="%s must be an integer" % field):
-            run_scenario(config, tmp_path / "out")
+            write_outputs(run_scenario(config), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
 
@@ -271,7 +272,8 @@ def test_certificate_pairs_follow_the_gap_certificate(kind, count):
 def test_incomplete_exit_code_when_window_exceeds_transcript(tmp_path):
     config = ScenarioConfig(kind="rationals", count=2, e_bound=2, budget=10**5,
                             k_max=6)
-    result = run_scenario(config, tmp_path)
+    result = run_scenario(config)
+    write_outputs(result, tmp_path)
     assert result.exit_code == 0
 
     wider = ScenarioConfig(kind="rationals", count=2, e_bound=30, budget=10**5,

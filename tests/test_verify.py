@@ -11,6 +11,7 @@ from blockdensity.construction import (
     RequirementSchedule,
     StageRecord,
     Transcript,
+    reconstruct_state,
     run_construction,
     run_stages,
 )
@@ -45,10 +46,8 @@ def constant_run():
     family, cert = constant_family()
     coded = CodedFamily(family)
     schedule = RequirementSchedule(cert)
-    transcript, state = run_construction(
-        coded, cert, 16, BUDGET, schedule=schedule
-    )
-    return coded, cert, schedule, transcript, state
+    transcript = run_construction(schedule, coded, 16, BUDGET)
+    return coded, cert, schedule, transcript, reconstruct_state(transcript.records)
 
 
 def test_positive_reduction_pass(constant_run):
@@ -119,10 +118,8 @@ def combined_run():
     family, cert = combined_family(ALPHA, BETA)
     coded = CodedFamily(family)
     schedule = RequirementSchedule(cert)
-    transcript, state = run_construction(
-        coded, cert, 12, BUDGET, schedule=schedule
-    )
-    return coded, cert, schedule, transcript, state
+    transcript = run_construction(schedule, coded, 12, BUDGET)
+    return coded, cert, schedule, transcript, reconstruct_state(transcript.records)
 
 
 def test_diag_witness_pass_and_tamper(combined_run):
@@ -362,7 +359,7 @@ def test_transcript_replay(constant_run, tmp_path):
     path = tmp_path / "t.jsonl"
     transcript.write_jsonl(path)
     fresh = CodedFamily(constant_family()[0])
-    replay = run_stages(ConstructionState(), RequirementSchedule(cert), fresh, cert, 10**5)
+    replay = run_stages(ConstructionState(), RequirementSchedule(cert), fresh, 10**5)
     loaded, divergence = Transcript.read_jsonl(path, replay)
     assert loaded.records == transcript.records and divergence is None
     assert check_transcript_replay(len(loaded.records), divergence).verdict == PASS

@@ -23,7 +23,9 @@ from hypothesis import given, strategies as st
 from blockdensity import construction, scenarios
 from blockdensity.cli import main
 from blockdensity.construction import StageRecord, Transcript
-from blockdensity.scenarios import ScenarioConfig, prepare, report_exit_code, run_scenario
+from blockdensity.scenarios import (
+    ScenarioConfig, prepare, report_exit_code, run_scenario, write_outputs,
+)
 
 from _oracles import read_transcript, transcript_replay_json
 
@@ -43,7 +45,9 @@ def runs(tmp_path_factory):
     out = {}
     for kind, config in CONFIGS.items():
         outdir = tmp_path_factory.mktemp(kind)
-        assert run_scenario(config, outdir).exit_code == 0
+        result = run_scenario(config)
+        write_outputs(result, outdir)
+        assert result.exit_code == 0
         lines = (outdir / "transcript.jsonl").read_bytes().splitlines(keepends=True)
         assert len(lines) >= 6
         out[kind] = (outdir / "config.json", lines)
@@ -69,10 +73,9 @@ def _oracle(config, transcript_path, report_path):
     except ValueError as exc:
         return 3, "error: %s\n" % exc
     try:
-        coded, gap_cert, schedule = prepare(config)
-        replay = transcript_replay_json(coded, gap_cert, records, config.budget, schedule)
-        certs = scenarios._construction_certificates(
-            config, coded, gap_cert, schedule, Transcript(records))
+        coded, schedule = prepare(config)
+        replay = transcript_replay_json(schedule, coded, records, config.budget)
+        certs = scenarios._construction_certificates(config, coded, schedule, Transcript(records))
     except Exception as exc:  # verify's internal error, exit 4
         return 4, "internal error: %s: %s\n" % (type(exc).__name__, exc)
     report_path.write_text("".join(

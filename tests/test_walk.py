@@ -19,7 +19,9 @@ from blockdensity.blocks import SourceBlocks, TargetBlocks
 from blockdensity.construction import BRANCH_DIAGONALIZED, ConstructionState
 from blockdensity.maps import CodedFamily
 from blockdensity.profiles import ProfileFamily, constant_family
-from blockdensity.scenarios import ScenarioConfig, prepare, run_scenario, verify_transcript
+from blockdensity.scenarios import (
+    ScenarioConfig, prepare, run_scenario, verify_transcript, write_outputs,
+)
 from blockdensity.verify import FAIL, PASS, block_walk, target_walk
 from _oracles import FAMILIES, KS
 
@@ -387,7 +389,7 @@ def test_wrong_closed_form_fails_stage_checks(name, monkeypatch, tmp_path):
     closed-form stage whose program's tail offset is not 0."""
     change, check = CLOSED_FORM_FAULTS[name]
     config = CLOSED_FORM_GATE
-    _, gap_cert, _ = prepare(config)
+    gap_cert = prepare(config)[1].cert
     k_b = next(k for k in count(1) if math.factorial(k - 1) > config.budget + 1)
 
     def changed(r):
@@ -397,7 +399,9 @@ def test_wrong_closed_form_fails_stage_checks(name, monkeypatch, tmp_path):
     first = next(r.stage for r in run_scenario(config).transcript.records if changed(r))
     monkeypatch.setattr(construction, "run_stage",
                         closed_form_fault(change, construction.run_stage))
-    assert run_scenario(config, tmp_path).exit_code == 1
+    result = run_scenario(config)
+    write_outputs(result, tmp_path)
+    assert result.exit_code == 1
     certs = verify_transcript(config, tmp_path / "transcript.jsonl")
     verdicts = {c.kind: c.verdict for c in certs}
     assert (verdicts["TranscriptReplay"], verdicts["StageChecks"]) == (PASS, FAIL)

@@ -83,7 +83,7 @@ CONFIGS = {
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_transcript_witnesses_match_str(kind, str_digits_lifted):
-    coded, _, _, transcript = construct(CONFIGS[kind])
+    coded, _, transcript = construct(CONFIGS[kind])
     lines = list(transcript.lines())
     assert len(lines) == len(transcript.records)
     for line, record in zip(lines, transcript.records):
@@ -144,7 +144,7 @@ def test_decimal_endpoints_match_source_blocks(kind, str_digits_lifted, tmp_path
 
 def test_replay_gives_loaded_records_their_ints(tmp_path):
     config = CONFIGS["rationals"]
-    _, _, _, transcript = construct(config)
+    _, _, transcript = construct(config)
     path = tmp_path / "t.jsonl"
     transcript.write_jsonl(path)
     lines = path.read_text().splitlines()
@@ -153,8 +153,8 @@ def test_replay_gives_loaded_records_their_ints(tmp_path):
     lines[20] = json.dumps(tampered)
     path.write_text("".join(line + "\n" for line in lines))
 
-    fresh, gap_cert, schedule = prepare(config)
-    replay = run_stages(ConstructionState(), schedule, fresh, gap_cert, config.budget)
+    fresh, schedule = prepare(config)
+    replay = run_stages(ConstructionState(), schedule, fresh, config.budget)
     loaded, divergence = Transcript.read_jsonl(path, replay)
     assert all(type(getattr(r, name)) in (int, type(None))
                for r in loaded.records for name in WITNESSES)
@@ -177,13 +177,13 @@ POSETS = (("10", "01"), ("11", "01"), ("111", "011", "001"), ("101", "011", "001
 def test_transcript_write_read_round_trip(kind, count, rows, e_bound, schedule):
     config = ScenarioConfig(kind, count=count, poset_rows=rows if kind == "poset" else (),
                             e_bound=e_bound, schedule=schedule)
-    _, _, _, transcript = construct(config)
-    fresh, gap_cert, fresh_schedule = prepare(config)
+    _, _, transcript = construct(config)
+    fresh, fresh_schedule = prepare(config)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first.jsonl", Path(tmp) / "second.jsonl"
         transcript.write_jsonl(first)
         loaded = read_transcript(first)
-        replay = transcript_replay_json(fresh, gap_cert, loaded, config.budget, fresh_schedule)
+        replay = transcript_replay_json(fresh_schedule, fresh, loaded, config.budget)
         assert replay["verdict"] == PASS
         assert len(loaded) == len(transcript.records)
         assert loaded == transcript.records
