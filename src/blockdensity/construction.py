@@ -215,8 +215,11 @@ class RequirementSchedule:
     """The fixed enumeration of requirements over a gap certificate.
 
     Stage n runs requirement (e, i, j) where (i, j) is the pair of rank r.
-    With pairs None the order is the full one: pairs are ranked by Cantor
-    code over every scheduled pair of the family, and n = cantor_pair(e, r).
+    Either order is one table: the pairs in rank order and a dict from pair
+    to rank. With pairs None the order is the full one: pairs are ranked by
+    Cantor code over every scheduled pair of the family, and n =
+    cantor_pair(e, r); the table is filled lazily, scanning pair codes
+    upward only as far as a lookup needs, so each code is asked about once.
     Given a non-empty list of P distinct scheduled pairs (an empty one is
     refused with ValueError), the order is the window over them: pairs[r]
     has rank r, and n = e * P + r, so requirements e < E of every pair take
@@ -228,46 +231,46 @@ class RequirementSchedule:
     ) -> None:
         self.cert = cert
         self._window = pairs is not None
-        self._pairs: list[tuple[int, int]] = []
-        self._next_code = 0
+        self._pairs: list[tuple[int, int]] = list(pairs or ())
+        self._next_code = 0   # the full order's least unscanned pair code
         if self._window:
-            self._pairs = list(pairs)
             if not self._pairs:
                 raise ValueError("a window needs at least one pair")
             for i, j in self._pairs:
                 if not cert.in_D(i, j):
                     raise ValueError("pair (%d, %d) is not scheduled" % (i, j))
-            self._ranks = {pair: rank for rank, pair in enumerate(self._pairs)}
-            if len(self._ranks) != len(self._pairs):
-                raise ValueError("window pairs must be distinct")
+        self._ranks = {pair: rank for rank, pair in enumerate(self._pairs)}
+        if len(self._ranks) != len(self._pairs):
+            raise ValueError("window pairs must be distinct")
+
+    def _scan(self) -> None:
+        """Rank the full order's next pair code if its pair is scheduled."""
+        pair = cantor_unpair(self._next_code)
+        self._next_code += 1
+        if self.cert.in_D(*pair):
+            self._ranks[pair] = len(self._pairs)
+            self._pairs.append(pair)
 
     def pair(self, rank: int) -> tuple[int, int]:
-        """The rank-th scheduled pair; the full order scans pair codes in
-        increasing order."""
+        """The rank-th scheduled pair."""
         while not self._window and len(self._pairs) <= rank:
-            i, j = cantor_unpair(self._next_code)
-            self._next_code += 1
-            if self.cert.in_D(i, j):
-                self._pairs.append((i, j))
+            self._scan()
         return self._pairs[rank]
 
     def rank_of(self, i: int, j: int) -> int:
-        """Position of a scheduled pair in the enumeration."""
-        if self._window:
-            if (i, j) not in self._ranks:
+        """Position of a scheduled pair in the enumeration; on a miss the
+        full order scans pair codes only through cantor_pair(i, j)."""
+        rank = self._ranks.get((i, j))
+        if rank is None:
+            if self._window:
                 raise ValueError("pair (%d, %d) is not in the window" % (i, j))
-            return self._ranks[i, j]
-        if not self.cert.in_D(i, j):
-            raise ValueError("pair (%d, %d) is not scheduled" % (i, j))
-        target = cantor_pair(i, j)
-        rank = 0
-        while True:
-            a, b = self.pair(rank)
-            if (a, b) == (i, j):
-                return rank
-            if cantor_pair(a, b) > target:
-                raise AssertionError("pair enumeration skipped its own member")
-            rank += 1
+            code = cantor_pair(i, j)
+            while self._next_code <= code:
+                self._scan()
+            if (i, j) not in self._ranks:
+                raise ValueError("pair (%d, %d) is not scheduled" % (i, j))
+            rank = self._ranks[i, j]
+        return rank
 
     def requirement(self, n: int) -> Requirement:
         e, rank = divmod(n, len(self._pairs)) if self._window else cantor_unpair(n)
@@ -278,15 +281,6 @@ class RequirementSchedule:
         """The stage number at which requirement (e, i, j) is scheduled."""
         rank = self.rank_of(i, j)
         return e * len(self._pairs) + rank if self._window else cantor_pair(e, rank)
-
-    def window_stage_count(self, pairs: Iterable[tuple[int, int]], e_bound: int) -> int:
-        """Stages needed so every (e < e_bound, pair) requirement has run."""
-        return max((self.stage_of(e_bound - 1, i, j) + 1 for i, j in pairs), default=0)
-
-    def k_bound(self, i: int, j: int, frontier: int) -> int:
-        """The last block domination_search can pick for pair (i, j) past the
-        frontier, s(i, j, max(frontier + 1, K0)), as s(t) >= t."""
-        return self.cert.s(i, j, max(frontier + 1, self.cert.k0(i, j)))
 
 
 def domination_search(
@@ -307,9 +301,9 @@ def domination_search(
     cert.k0(i, j) on dominates, so the first candidate at or past k_star is
     returned unread. A failing candidate at or past K0 raises AssertionError.
     """
+    first = cert.first_past(i, j, frontier)
     src_i = coded.source(i)
     src_j = coded.source(j)
-    first = cert.first_past(i, j, frontier)
     if first > 0 and cert.s(i, j, first - 1) > frontier:
         raise AssertionError("selected block past %d before t = %d" % (frontier, first))
     for t in count(first):
@@ -385,11 +379,11 @@ def run_stage(
 ) -> StageRecord:
     """Execute one stage and apply its record; bits are only added, never
     changed. At k >= k_star (K*, by default never) the record is the closed
-    form of the module docstring; below, _evaluate_block decides it on block k."""
+    form of the module docstring; below, _evaluate_block decides it on block k.
+    An unscheduled pair raises ValueError (GapCertificate.first_past) before
+    the state changes."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if not cert.in_D(req.i, req.j):
-        raise ValueError("requirement pair (%d, %d) is not scheduled" % (req.i, req.j))
     k = domination_search(coded, cert, req.i, req.j, state.frontier, k_star)
     src_j = coded.source(req.j)
     if k >= k_star:

@@ -74,9 +74,11 @@ class GapCertificate:
         self._gaps: dict[tuple[int, int], tuple[Fraction, int | None, int]] = {}
 
     def in_D(self, i: int, j: int) -> bool:
-        """Whether (i, j) is scheduled; a scheduled gap <= 0 raises
-        AssertionError, as it proves nothing."""
+        """Whether (i, j) is scheduled; a negative index raises ValueError,
+        and a scheduled gap <= 0 AssertionError, as it proves nothing."""
         if (i, j) not in self._gaps:
+            if i < 0 or j < 0:
+                raise ValueError("pair (%d, %d) needs natural indices" % (i, j))
             gap = self.rule(i, j)
             if gap is None:
                 return False

@@ -228,8 +228,8 @@ def _scheduled_pairs(config: ScenarioConfig, cert) -> list[tuple[int, int]]:
 def required_stages(config: ScenarioConfig, schedule: RequirementSchedule) -> int:
     """config.stages, or more if the defeat bundles of the scenario's
     program-index window need more; at least one."""
-    window = schedule.window_stage_count(_scheduled_pairs(config, schedule.cert),
-                                         config.e_bound)
+    window = max((schedule.stage_of(config.e_bound - 1, i, j) + 1
+                  for i, j in _scheduled_pairs(config, schedule.cert)), default=0)
     return max(config.stages or 0, window, 1)
 
 

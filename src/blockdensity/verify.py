@@ -35,11 +35,11 @@ position and against the run's step budget, and its witnesses are rerun
 literally, within that budget, with run_program, not with
 the tail lemma (machine.tail_behavior) the construction chose them by. Its
 k is bounded next, by the last block the domination search could pick past
-the frontier the records before it reached (RequirementSchedule.k_bound),
-and only then is geometry read at k: each witness is its offset plus its
-anchor (construction's module docstring), x, h(x) and h(y) are placed by
-comparison with block endpoints, and y, once it reruns from x, is located. The
-transcript is read against its replay in one forward pass
+the frontier the records before it reached, s(i, j, max(frontier + 1, K0))
+as s(t) >= t, and only then is geometry read at k: each witness is its
+offset plus its anchor (construction's module docstring), x, h(x) and h(y)
+are placed by comparison with block endpoints, and y, once it reruns from x,
+is located. The transcript is read against its replay in one forward pass
 (Transcript.read_jsonl): a record read as its replayed line is that replayed
 record, and check_transcript_replay reports the first record that is not.
 INCOMPLETE names what is missing (stages or records); FAIL means a check was
@@ -317,11 +317,12 @@ def _record_fault(
     """The first check the stage n record of a run of the given step budget
     fails past the given frontier, as (name, detail), or None.
 
-    The requirement, the budget and k (RequirementSchedule.k_bound) come
-    first, before a program is decoded or any geometry read, as those costs
-    grow with e, i, the budget and k. A non-total record's x lies in block k
-    and reruns out of budget; a non-injective record's two witnesses rerun to
-    one value.
+    The requirement, the budget and k come first, before a program is
+    decoded or any geometry read, as those costs grow with e, i, the budget
+    and k: k is at most s(i, j, max(frontier + 1, K0)), the last block the
+    domination search can pick past the frontier, as s(t) >= t. A non-total
+    record's x lies in block k and reruns out of budget; a non-injective
+    record's two witnesses rerun to one value.
     """
     _, e, i, j, k, branch, _, m_after, dx, dx2, _, ell = record
     req = schedule.requirement(n)
@@ -329,7 +330,8 @@ def _record_fault(
         return "schedule_mismatch", req._asdict()
     if record.budget != budget:
         return "budget", {"budget": record.budget}
-    bound = schedule.k_bound(i, j, frontier)
+    cert = schedule.cert
+    bound = cert.s(i, j, max(frontier + 1, cert.k0(i, j)))
     if k > bound:
         return "k_bound", {"k": k, "bound": bound}
     for name in _WITNESSES[branch]:

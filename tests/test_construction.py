@@ -36,6 +36,7 @@ from blockdensity.machine import (
     TailHalts,
 )
 from blockdensity.maps import CodedFamily
+from blockdensity.numerics import cantor_pair, cantor_unpair
 from blockdensity.posets import FinitePoset, PaddedFiniteOrder
 from blockdensity.profiles import (
     GapCertificate,
@@ -139,7 +140,8 @@ def test_window_stage_count_is_e_bound_times_pairs(kind, drawn, e_bound):
     cert, pairs = _window(kind, drawn)
     assume(pairs)
     schedule = RequirementSchedule(cert, pairs)
-    assert schedule.window_stage_count(pairs, e_bound) == e_bound * len(pairs)
+    needed = max(schedule.stage_of(e_bound - 1, i, j) + 1 for i, j in pairs)
+    assert needed == e_bound * len(pairs)
 
 
 def test_window_schedule_refuses_pairs_it_cannot_run():
@@ -149,6 +151,7 @@ def test_window_schedule_refuses_pairs_it_cannot_run():
         ([(I_74, I_54), (I_54, I_74)], "not scheduled"),
         ([(I_74, I_54), (I_74, I_54)], "distinct"),
         ([], "at least one pair"),   # else requirement(n) would divide by 0
+        ([(I_74, I_54), (-1, I_54)], "natural indices"),
     ):
         with pytest.raises(ValueError, match=message):
             RequirementSchedule(cert, pairs)
@@ -156,6 +159,31 @@ def test_window_schedule_refuses_pairs_it_cannot_run():
     assert cert.in_D(I_32, I_43)
     with pytest.raises(ValueError, match="not in the window"):
         schedule.stage_of(0, I_32, I_43)
+
+
+def test_full_order_scans_pair_codes_only_through_the_asked_pair():
+    """On the combined family, whose mixed pairs are unscheduled, a fresh
+    full-order schedule asks the rule about each pair code up to the pair it
+    ranks once and about none above it, and a second lookup of any scanned
+    pair asks nothing."""
+    oracle = combined_family(ALPHA, BETA)[1]
+    for i, j in [(1, 3), (0, 2), (7, 1), (3, 1), (8, 0), (0, 12)]:
+        cert = combined_family(ALPHA, BETA)[1]
+        rule, asked = cert.rule, []
+        cert.rule = lambda a, b: asked.append(cantor_pair(a, b)) or rule(a, b)
+        code = cantor_pair(i, j)
+        schedule = RequirementSchedule(cert)
+        stage = schedule.stage_of(2, i, j)
+        assert sorted(asked) == list(range(code + 1)), (i, j)
+        asked.clear()
+        assert schedule.requirement(stage) == Requirement(2, i, j)
+        for scanned in map(cantor_unpair, range(code + 1)):
+            if oracle.in_D(*scanned):
+                schedule.stage_of(0, *scanned)
+            else:
+                with pytest.raises(ValueError, match="not scheduled"):
+                    schedule.stage_of(0, *scanned)
+        assert asked == [], (i, j)
 
 
 def test_requirement_window_is_covered_early():
@@ -513,7 +541,7 @@ def test_window_stage_count():
     _, cert = constant_setup()
     schedule = RequirementSchedule(cert)
     pairs = [(0, 1)]
-    needed = schedule.window_stage_count(pairs, 3)
+    needed = max(schedule.stage_of(3 - 1, i, j) + 1 for i, j in pairs)
     covered = {
         (schedule.requirement(n).e, schedule.requirement(n).i, schedule.requirement(n).j)
         for n in range(needed)

@@ -46,8 +46,11 @@ def _assert_family_matches(family, cert, formulas):
     """family and cert agree with closed forms at every i, j < 16, k < 256
     and t < 16; first_past(i, j, F) is the least t with s(i, j, t) > F, and
     a pair that is not scheduled (such as a mixed pair of the combined
-    family) has no gap, selector or first block."""
+    family) has no gap, selector or first block. A negative index is refused."""
     value, in_d, delta, s = formulas
+    for i, j in ((-1, 0), (0, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="natural indices"):
+            cert.in_D(i, j)
     for i in range(16):
         assert [family.profile(i)(k) for k in range(256)] == [value(i, k) for k in range(256)]
         for j in range(16):

@@ -12,7 +12,7 @@ from blockdensity.construction import (
 )
 from blockdensity.machine import identity_index
 from blockdensity.maps import CodedFamily
-from blockdensity.numerics import enum_rationals_12
+from blockdensity.numerics import cantor_pair, cantor_unpair, enum_rationals_12
 from blockdensity.posets import FinitePoset, UniversalPoset, embed_finite
 from blockdensity.profiles import constant_family
 from blockdensity.scenarios import (
@@ -26,7 +26,9 @@ from blockdensity.scenarios import (
     _collapse_certificate,
     _identity_device_certificate,
     build_family,
+    prepare,
     report_exit_code,
+    required_stages,
     run_scenario,
     verify_transcript,
     write_outputs,
@@ -267,6 +269,27 @@ def test_certificate_pairs_follow_the_gap_certificate(kind, count):
     ]
     assert [c.subject["i"] for c in certs if c.kind == "BfoEquivalence"] == list(span)
     assert all(c.verdict == PASS for c in certs)
+
+
+@pytest.mark.parametrize("kind, count", [("rationals", 4), ("combined", 6)])
+def test_required_stages_reaches_every_defeat_requirement(kind, count):
+    """Under the window the count is exactly E * P for the P scheduled pairs
+    of the span, under the full order the largest Cantor stage
+    cantor_pair(E - 1, rank) of those pairs + 1, pairs ranked by code among
+    all scheduled pairs; a larger config.stages wins."""
+    e_bound = 7
+    gap_cert = build_family(ScenarioConfig(kind=kind))[1]
+    pairs = [(a, b) for a in range(count) for b in range(count)
+             if a != b and gap_cert.in_D(a, b)]
+    ranked = [pair for pair in map(cantor_unpair, range(cantor_pair(count, count)))
+              if gap_cert.in_D(*pair)]
+    full_order = max(cantor_pair(e_bound - 1, ranked.index(pair)) for pair in pairs) + 1
+    for order, needed in (("window", e_bound * len(pairs)), ("full", full_order)):
+        config = ScenarioConfig(kind=kind, count=count, e_bound=e_bound, schedule=order)
+        schedule = prepare(config)[1]
+        assert required_stages(config, schedule) == needed, order
+        for stages in (1, needed - 1, needed, needed + 1, 10 * needed):
+            assert required_stages(config._replace(stages=stages), schedule) == max(stages, needed)
 
 
 def test_incomplete_exit_code_when_window_exceeds_transcript(tmp_path):
