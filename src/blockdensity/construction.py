@@ -96,8 +96,9 @@ _KEYS = ("stage", "e", "i", "j", "k", "branch", "dx", "dx2", "dy", "ell", "budge
 
 
 class StageRecord(NamedTuple):
-    """One stage's outcome, an immutable NamedTuple. dx, dx2, dy (witnesses
-    x, x2, y less their anchor) and ell (the image block) are ints or None."""
+    """One stage's outcome, an immutable NamedTuple whose fields are the
+    line's keys in order, M_after as m_after. dx, dx2, dy (witnesses x, x2,
+    y less their anchor) and ell (the image block) are ints or None."""
 
     stage: int
     e: int
@@ -105,17 +106,17 @@ class StageRecord(NamedTuple):
     j: int
     k: int
     branch: str
+    dx: int | None
+    dx2: int | None
+    dy: int | None
+    ell: int | None
     budget: int
     m_after: int
-    dx: int | None = None
-    dx2: int | None = None
-    dy: int | None = None
-    ell: int | None = None
 
     def line(self) -> str:
         """The transcript line: json.dumps's bytes for a record with int
         fields and one of the three branches, as run_stage makes it."""
-        stage, e, i, j, k, branch, budget, m_after, dx, dx2, dy, ell = self
+        stage, e, i, j, k, branch, dx, dx2, dy, ell, budget, m_after = self
         return _LINE % (
             stage, e, i, j, k, branch,
             "null" if dx is None else '"' + hex(dx) + '"',
@@ -136,7 +137,8 @@ class StageRecord(NamedTuple):
         which int(text, 16) reads back to an int with that same hex() text:
         "0x1f" and "-0x3" load; "0x1F", "0x01", "-0x0", "1f", decimal text
         and a JSON number do not. branch must be one of the three names. So
-        two records are equal exactly when their lines are.
+        two records are equal exactly when their lines are. The first failing
+        check is named: the keys, then branch, the ints, the witnesses.
         """
         if not isinstance(obj, dict):
             raise ValueError("not a JSON object")
@@ -146,43 +148,26 @@ class StageRecord(NamedTuple):
         for key in _KEYS:
             if key not in obj:
                 raise ValueError("missing key %r" % key)
-
-        def whole(name, least=0):
-            v = obj[name]
+        if obj["branch"] not in BRANCHES:
+            raise ValueError("field branch must be in %r, got %r" % (BRANCHES, obj["branch"]))
+        for key in ("stage", "e", "i", "j", "k", "budget", "M_after"):
+            v, least = obj[key], int(key == "budget")
             if not is_int(v) or v < least:
-                raise ValueError("field %s must be an int >= %d, got %r" % (name, least, v))
-            return v
-
-        def witness(name):
-            v = obj[name]
+                raise ValueError("field %s must be an int >= %d, got %r" % (key, least, v))
+        fields = dict(obj)
+        for key in ("dx", "dx2", "dy", "ell"):
+            v = obj[key]
             if v is None:
-                return None
+                continue
             try:
                 n = int(v, 16)   # a JSON number raises TypeError
             except (TypeError, ValueError):
                 n = None
             if n is None or hex(n) != v:
                 raise ValueError(
-                    "witness %s must be null or hex text as hex() writes it, got %r"
-                    % (name, v))
-            return n
-
-        if obj["branch"] not in BRANCHES:
-            raise ValueError("field branch must be in %r, got %r" % (BRANCHES, obj["branch"]))
-        return StageRecord(
-            stage=whole("stage"),
-            e=whole("e"),
-            i=whole("i"),
-            j=whole("j"),
-            k=whole("k"),
-            branch=obj["branch"],
-            budget=whole("budget", 1),
-            m_after=whole("M_after"),
-            dx=witness("dx"),
-            dx2=witness("dx2"),
-            dy=witness("dy"),
-            ell=witness("ell"),
-        )
+                    "witness %s must be null or hex text as hex() writes it, got %r" % (key, v))
+            fields[key] = n
+        return StageRecord(*[fields[key] for key in _KEYS])
 
 
 class ConstructionState:
@@ -382,8 +367,6 @@ def run_stage(
     form of the module docstring; below, _evaluate_block decides it on block k.
     An unscheduled pair raises ValueError (GapCertificate.first_past) before
     the state changes."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     k = domination_search(coded, cert, req.i, req.j, state.frontier, k_star)
     src_j = coded.source(req.j)
     if k >= k_star:
@@ -399,11 +382,11 @@ def run_stage(
         ell = k + 1 if k >= k_star else src_j.locate(y)[0]
         if ell <= k:
             raise AssertionError("diagonal image landed at or before the chosen block")
-        record = StageRecord(state.stage, req.e, req.i, req.j, k, branch, budget, ell,
-                             x - threshold, None, y - threshold, ell)
+        record = StageRecord(state.stage, req.e, req.i, req.j, k, branch,
+                             x - threshold, None, y - threshold, ell, budget, ell)
     else:
-        record = StageRecord(state.stage, req.e, req.i, req.j, k, branch, budget, k,
-                             x - lo, None if x2 is None else x2 - lo)
+        record = StageRecord(state.stage, req.e, req.i, req.j, k, branch,
+                             x - lo, None if x2 is None else x2 - lo, None, None, budget, k)
     state.apply(record)
     return record
 

@@ -1,4 +1,9 @@
-"""Finite partial orders, padded computable orders, and a lazy generic order.
+"""Orders on every natural: a finite poset padded by isolated points, and a
+lazy generic order.
+
+Both answer leq(a, b) for all naturals a and b and refuse a negative index
+with ValueError: a finite poset relates the points past its core only to
+themselves, as the generic order does its padding points.
 
 In the generic order a node records its relation (below, above, or
 incomparable) to each node on its ancestor chain, and every transitively
@@ -48,7 +53,9 @@ def is_partial_order(matrix) -> bool:
 
 class FinitePoset(NamedTuple):
     """A finite poset as its relation matrix, an immutable NamedTuple:
-    rel[a][b] is whether a <= b."""
+    rel[a][b] is whether a <= b. As an order on every natural, each index
+    past the core is comparable only to itself, which keeps reflexivity and
+    leaves the core untouched."""
 
     rel: tuple[tuple[bool, ...], ...]
 
@@ -75,7 +82,11 @@ class FinitePoset(NamedTuple):
         return FinitePoset.from_matrix(matrix)
 
     def leq(self, a: int, b: int) -> bool:
-        return self.rel[a][b]
+        """Whether a <= b: the relation inside the core, a == b outside it."""
+        if a < 0 or b < 0:
+            raise ValueError("node indices must be natural numbers")
+        n = len(self.rel)
+        return self.rel[a][b] if a < n and b < n else a == b
 
     def topological_order(self) -> list[int]:
         """Minimal-index linear extension."""
@@ -94,23 +105,6 @@ class FinitePoset(NamedTuple):
 
     def rows(self) -> list[str]:
         return ["".join("1" if v else "0" for v in row) for row in self.rel]
-
-
-class PaddedFiniteOrder:
-    """Total order predicate on all naturals extending a finite poset.
-
-    Indices beyond the finite core are comparable only to themselves, which
-    keeps reflexivity and leaves the embedded finite part untouched.
-    """
-
-    def __init__(self, poset: FinitePoset) -> None:
-        self.poset = poset
-
-    def leq(self, a: int, b: int) -> bool:
-        n = self.poset.n
-        if a < n and b < n:
-            return self.poset.leq(a, b)
-        return a == b
 
 
 class UniversalPoset:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .numerics import ONE, TWO, enum_rationals_12
-from .posets import FinitePoset, PaddedFiniteOrder
+from .posets import FinitePoset
 
 
 def two_adic_valuation(k: int) -> int:
@@ -93,9 +93,6 @@ class GapCertificate:
             raise ValueError("pair (%d, %d) carries no gap certificate" % (i, j))
         return self._gaps[i, j]
 
-    def delta(self, i: int, j: int) -> Fraction:
-        return self._gap(i, j)[0]
-
     def k0(self, i: int, j: int) -> int:
         return self._gap(i, j)[2]
 
@@ -126,10 +123,11 @@ def poset_family(
 ) -> tuple[ProfileFamily, GapCertificate]:
     """Index i peaks at beta on the blocks whose valuation is below i in order.
 
-    The order must expose a total decision procedure leq(a, b); pairs (i, j)
-    with i not below j are scheduled. A block k > 0 lies in exactly one
-    valuation class, so its valuation decides the value; each index's profile
-    asks the order once per valuation class it meets.
+    The order is one on every natural, a FinitePoset or UniversalPoset,
+    whose leq(a, b) decides a <= b; pairs (i, j) with i not below j are
+    scheduled. A block k > 0 lies in exactly one valuation class, so its
+    valuation decides the value; each index's profile asks the order once per
+    valuation class it meets.
     """
     if not (ONE < alpha < beta < TWO):
         raise ValueError("need 1 < alpha < beta < 2, got alpha=%s beta=%s" % (alpha, beta))
@@ -167,7 +165,7 @@ def oscillating_family(
     This is the poset family over the discrete order, which relates each
     index only to itself.
     """
-    return poset_family(PaddedFiniteOrder(FinitePoset(())), alpha, beta)
+    return poset_family(FinitePoset(()), alpha, beta)
 
 
 def combined_family(

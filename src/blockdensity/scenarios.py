@@ -23,7 +23,7 @@ from .construction import (
 from .machine import identity_index
 from .maps import CodedFamily
 from .numerics import is_int, rat_parse, rat_str
-from .posets import FinitePoset, PaddedFiniteOrder, UniversalPoset, embed_finite
+from .posets import FinitePoset, UniversalPoset, embed_finite
 from .profiles import (
     combined_family,
     constant_family,
@@ -171,18 +171,14 @@ _KEY_TYPES = {
 _RETIRED_KEYS = ("element_scan",)
 
 
-def _poset_family(config: ScenarioConfig):
-    poset = FinitePoset.from_rows(config.poset_rows)
-    return poset_family(PaddedFiniteOrder(poset), config.alpha, config.beta)
-
-
 # Scenario kind -> builder of its (profile family, gap certificate); the
 # universal kind runs no construction.
 KINDS = {
     "rationals": lambda config: constant_family(),
     "antichain": lambda config: oscillating_family(config.alpha, config.beta),
     "combined": lambda config: combined_family(config.alpha, config.beta),
-    "poset": _poset_family,
+    "poset": lambda config: poset_family(
+        FinitePoset.from_rows(config.poset_rows), config.alpha, config.beta),
     "universal": None,
 }
 

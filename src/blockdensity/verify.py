@@ -277,7 +277,7 @@ def check_diag_witness(
     ell > k, h(x) and h(y) lie in target blocks k and ell, and the state puts
     block k in the set and block ell out of it. y, at most x plus the budget
     once it reruns, is the only witness located."""
-    _, e, i, j, k, branch, budget, _, dx, _, dy, ell = record
+    _, e, i, j, k, branch, dx, _, dy, ell, budget, _ = record
     if branch != BRANCH_DIAGONALIZED:
         raise ValueError("diagonal witness check needs a diagonalized record")
     src_i, src_j = coded.source(i), coded.source(j)
@@ -324,7 +324,7 @@ def _record_fault(
     record's x lies in block k and reruns out of budget; a non-injective
     record's two witnesses rerun to one value.
     """
-    _, e, i, j, k, branch, _, m_after, dx, dx2, _, ell = record
+    _, e, i, j, k, branch, dx, dx2, _, ell, _, m_after = record
     req = schedule.requirement(n)
     if (e, i, j) != req:
         return "schedule_mismatch", req._asdict()

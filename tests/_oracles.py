@@ -13,7 +13,7 @@ from itertools import product
 from math import gcd
 
 from blockdensity.construction import StageRecord, run_construction
-from blockdensity.posets import FinitePoset, PaddedFiniteOrder
+from blockdensity.posets import FinitePoset
 from blockdensity.profiles import (
     ProfileFamily,
     combined_family,
@@ -375,7 +375,9 @@ def poset_value(leq, alpha, beta):
 
 def gap_check(family, cert, i: int, j: int, T: int) -> bool:
     """Check the gap inequality at the first T selected blocks of pair (i, j)."""
-    delta = cert.delta(i, j)
+    if not cert.in_D(i, j):
+        raise ValueError("pair (%d, %d) is not scheduled" % (i, j))
+    delta = cert.rule(i, j)[0]
     prev = -1
     for t in range(T):
         k = cert.s(i, j, t)
@@ -429,7 +431,7 @@ FAMILIES = {
     "oscillating": (oscillating_family(PRIME_DEN, Fraction(3, 2))[0], (0, 1)),
     "combined": (combined_family(ALPHA, BETA)[0], (0, 1)),
     "poset": (
-        poset_family(PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"])),
+        poset_family(FinitePoset.from_rows(["111", "011", "001"]),
                      ALPHA, BETA)[0],
         (0, 2),
     ),

@@ -26,7 +26,7 @@ from blockdensity.construction import (
 from blockdensity.machine import identity_index
 from blockdensity.maps import CodedFamily
 from blockdensity.numerics import enum_rationals_12
-from blockdensity.posets import FinitePoset, PaddedFiniteOrder, UniversalPoset, embed_finite
+from blockdensity.posets import FinitePoset, UniversalPoset, embed_finite
 from blockdensity.profiles import (
     combined_family,
     constant_family,
@@ -70,7 +70,7 @@ def _families_under_test():
     out.append(("oscillating", CodedFamily(fam), range(3)))
     fam, _ = combined_family(ALPHA, BETA)
     out.append(("combined", CodedFamily(fam), range(6)))
-    fam, _ = poset_family(PaddedFiniteOrder(_chain_poset(3)), ALPHA, BETA)
+    fam, _ = poset_family(_chain_poset(3), ALPHA, BETA)
     out.append(("poset-chain", CodedFamily(fam), range(3)))
     return out
 
@@ -194,7 +194,7 @@ def test_criterion_03_domination_oracle(criterion):
         i, j = rng.randint(0, 7), rng.randint(0, 7)
         if cert_m.in_D(i, j):
             cases.append((coded_m, cert_m, fam_m, i, j, rng.randint(-1, 6)))
-    fam_p, cert_p = poset_family(PaddedFiniteOrder(_chain_poset(3)), ALPHA, BETA)
+    fam_p, cert_p = poset_family(_chain_poset(3), ALPHA, BETA)
     coded_p = CodedFamily(fam_p)
     while len(cases) < 20:
         i, j = rng.randint(0, 4), rng.randint(0, 4)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from blockdensity.blocks import SourceBlocks, TargetBlocks
 from blockdensity.maps import CodedFamily
 from blockdensity.numerics import ONE
-from blockdensity.posets import FinitePoset, PaddedFiniteOrder, UniversalPoset
+from blockdensity.posets import FinitePoset, UniversalPoset
 from blockdensity.profiles import oscillating_family, poset_family
 from blockdensity.verify import block_walk, target_walk
 
@@ -145,7 +145,7 @@ GEOMETRY_FAMILIES = {
     **FAMILIES,
     "gap_pair": (oscillating_family(Fraction(6, 5), Fraction(9, 7))[0], (0, 1, 3)),
     "split_denominators": (
-        poset_family(PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"])),
+        poset_family(FinitePoset.from_rows(["111", "011", "001"]),
                      Fraction(6, 5), Fraction(3, 2))[0],
         (0, 1, 2),
     ),

@@ -1232,7 +1232,7 @@ def test_full_order_defaults_construct(config, stages, frontier, tmp_path, capsy
     k_b = next(k for k in range(1, 20) if math.factorial(k - 1) > 10**5 + 1)
     reach = {}
     for r in transcript.records:
-        k_star = max(k_b, math.ceil(5 / schedule.cert.delta(r.i, r.j)), 3)
+        k_star = max(k_b, math.ceil(5 / schedule.cert.rule(r.i, r.j)[0]), 3)
         for index in (r.i, r.j):
             reach[index] = max(reach.get(index, 0), k_star + 2)
     for index, source in coded._sources.items():

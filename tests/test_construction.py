@@ -16,6 +16,7 @@ from blockdensity.construction import (
     Requirement,
     RequirementSchedule,
     StageRecord,
+    _KEYS,
     _evaluate_block,
     domination_search,
     reconstruct_state,
@@ -37,7 +38,7 @@ from blockdensity.machine import (
 )
 from blockdensity.maps import CodedFamily
 from blockdensity.numerics import cantor_pair, cantor_unpair
-from blockdensity.posets import FinitePoset, PaddedFiniteOrder
+from blockdensity.posets import FinitePoset
 from blockdensity.profiles import (
     GapCertificate,
     combined_family,
@@ -79,7 +80,7 @@ def test_requirement_enumeration_examples():
 FAMILIES = {
     "constant": constant_family,
     "poset": lambda: poset_family(
-        PaddedFiniteOrder(FinitePoset.from_rows(["110", "010", "111"])), ALPHA, BETA
+        FinitePoset.from_rows(["110", "010", "111"]), ALPHA, BETA
     ),
     "combined": lambda: combined_family(ALPHA, BETA),
 }
@@ -225,7 +226,7 @@ def test_domination_search_matches_brute_force():
 
 def _selector_shapes():
     """One family per selector shape: t, 2^n(2t+1) and (1<<i)(2t+1)."""
-    chain = PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"]))
+    chain = FinitePoset.from_rows(["111", "011", "001"])
     return {
         "constant": (constant_family(), [(I_74, I_54), (I_32, I_43)]),
         "oscillating": (oscillating_family(ALPHA, BETA), [(0, 1), (2, 0), (1, 3)]),
@@ -302,7 +303,7 @@ LEMMA_K = 200
 
 def _lemma_families():
     """Each family with the indices whose scheduled pairs the lemma test takes."""
-    chain = PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"]))
+    chain = FinitePoset.from_rows(["111", "011", "001"])
     return {
         "constant": (constant_family(), range(8)),
         "oscillating": (oscillating_family(ALPHA, BETA), range(4)),
@@ -321,7 +322,7 @@ def test_profile_lemma_every_selected_block_from_k0_dominates(kind):
     pairs = [(i, j) for i in indices for j in indices if cert.in_D(i, j)]
     assert pairs
     for i, j in pairs:
-        k0 = max(3, math.ceil(5 / cert.delta(i, j)))
+        k0 = max(3, math.ceil(5 / cert.rule(i, j)[0]))
         assert cert.k0(i, j) == k0, (kind, i, j)
         checked = 0
         for t in count():
@@ -383,6 +384,20 @@ def test_run_stage_rejects_unscheduled_pair():
     coded, cert = constant_setup()
     with pytest.raises(ValueError):
         run_stage(ConstructionState(), Requirement(0, I_54, I_74), coded, cert, 100)
+
+
+@pytest.mark.parametrize("k_star", [math.inf, 0], ids=["below_k_star", "past_k_star"])
+def test_run_stage_refuses_a_zero_budget_before_the_state_changes(k_star):
+    """Both of run_stage's paths ask tail_behavior, which refuses the budget,
+    before the record is applied."""
+    coded, cert = constant_setup()
+    state = ConstructionState()
+    req = Requirement(identity_index(), I_74, I_54)
+    run_stage(state, req, coded, cert, 10_000)
+    before = (state.frontier, set(state.ones), state.stage)
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        run_stage(state, req, coded, cert, 0, k_star)
+    assert (state.frontier, state.ones, state.stage) == before
 
 
 def test_run_construction_monotone_frontier_and_replay():
@@ -520,8 +535,12 @@ def test_run_construction_takes_the_first_records_of_the_stage_loop():
     assert [next(loop) for _ in range(2)] == transcript.records[4:]
 
 
+def test_stage_record_fields_are_the_line_keys_in_order():
+    assert StageRecord._fields == tuple("m_after" if key == "M_after" else key for key in _KEYS)
+
+
 def test_stage_record_replace_keeps_the_type():
-    record = StageRecord(0, 1, 2, 3, 4, BRANCH_DIAGONALIZED, 10, 5, dx=6, dy=7, ell=5)
+    record = StageRecord(0, 1, 2, 3, 4, BRANCH_DIAGONALIZED, 6, None, 7, 5, 10, 5)
     changed = record._replace(dy=8)
     assert type(changed) is StageRecord
     assert changed.dy == 8 and changed._replace(dy=7) == record
@@ -562,14 +581,14 @@ def _cached_blocks(coded):
 def k_star(cert, i, j, budget):
     """K* of pair (i, j) at the budget, worked out here from its definition."""
     k_b = next(k for k in count(1) if math.factorial(k - 1) > budget + 1)
-    return max(3, math.ceil(5 / cert.delta(i, j)), k_b)
+    return max(3, math.ceil(5 / cert.rule(i, j)[0]), k_b)
 
 
 def test_k_star_takes_each_bound_over_the_budgets():
     """k_B runs from 4 at budget 1 to 11 at budget 10**6, so across the
     budgets K* is K0 for some pairs and k_B for others."""
     (family, cert), indices = _lemma_families()["oscillating"]
-    k0 = max(3, math.ceil(5 / cert.delta(0, 1)))
+    k0 = max(3, math.ceil(5 / cert.rule(0, 1)[0]))
     assert k0 == 10
     assert [k_star(cert, 0, 1, b) for b in CLOSED_FORM_BUDGETS] == [10] * 5 + [11]
 

@@ -109,8 +109,12 @@ def test_reference_behaviors_on_small_inputs():
 
 
 def test_budget_precondition():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="budget must be at least 1"):
         run_program(decode(0), 0, 0)
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        tail_behavior(decode(0), 0)
+    with pytest.raises(ValueError, match="input must be a natural number"):
+        run_program(decode(0), -1, 10)
 
 
 def test_tail_behavior_matches_literal_simulation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from blockdensity.maps import CodedFamily, ReductionPreconditionError
-from blockdensity.posets import FinitePoset, PaddedFiniteOrder
+from blockdensity.posets import FinitePoset
 from blockdensity.profiles import (
     combined_family,
     constant_family,
@@ -173,7 +173,7 @@ FACTORIAL_FAMILIES = {
     "oscillating": (oscillating_family(PRIME_DEN, Fraction(3, 2))[0], (0, 1)),
     "combined": (combined_family(ALPHA, BETA)[0], (0, 1)),
     "poset": (
-        poset_family(PaddedFiniteOrder(FinitePoset.from_rows(["111", "011", "001"])),
+        poset_family(FinitePoset.from_rows(["111", "011", "001"]),
                      ALPHA, BETA)[0],
         (0, 2),
     ),

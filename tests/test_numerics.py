@@ -49,6 +49,8 @@ def test_enum_rationals_examples():
     prefix = [enum_rationals_12(i) for i in range(5)]
     assert prefix == [Fraction(3, 2), Fraction(4, 3), Fraction(5, 3),
                       Fraction(5, 4), Fraction(7, 4)]
+    with pytest.raises(ValueError, match="natural number"):
+        enum_rationals_12(-1)
 
 
 def test_enum_rationals_matches_brute_force_listing():

@@ -7,7 +7,6 @@ import pytest
 from blockdensity.posets import (
     BELOW,
     FinitePoset,
-    PaddedFiniteOrder,
     UniversalPoset,
     embed_finite,
     is_partial_order,
@@ -43,15 +42,27 @@ def test_topological_order_is_minimal_index():
     assert VEE.topological_order() == [0, 1, 2]
     rev = FinitePoset.from_rows(["100", "110", "111"])
     assert rev.topological_order() == [2, 1, 0]
+    # Built past from_matrix's check, a cycle has no linear extension.
+    with pytest.raises(ValueError, match="no linear extension"):
+        FinitePoset(((True, True), (True, True))).topological_order()
 
 
 def test_padded_order_behaviour():
-    order = PaddedFiniteOrder(CHAIN3)
-    assert order.leq(0, 2)
-    assert not order.leq(2, 0)
-    assert order.leq(7, 7)
-    assert not order.leq(7, 8)
-    assert not order.leq(1, 7)
+    """A finite poset orders every natural: past its core each index is
+    related only to itself."""
+    assert CHAIN3.leq(0, 2)
+    assert not CHAIN3.leq(2, 0)
+    assert CHAIN3.leq(7, 7)
+    assert not CHAIN3.leq(7, 8)
+    assert not CHAIN3.leq(1, 7)
+    assert FinitePoset(()).leq(3, 3) and not FinitePoset(()).leq(0, 3)
+
+
+@pytest.mark.parametrize("order", [CHAIN3, UniversalPoset()], ids=["finite", "universal"])
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, -1)])
+def test_leq_refuses_a_negative_index(order, a, b):
+    with pytest.raises(ValueError, match="natural numbers"):
+        order.leq(a, b)
 
 
 def test_universal_reflexive_and_deterministic():

@@ -4,7 +4,7 @@ from itertools import count
 
 import pytest
 
-from blockdensity.posets import FinitePoset, PaddedFiniteOrder, UniversalPoset
+from blockdensity.posets import FinitePoset, UniversalPoset
 from blockdensity.profiles import (
     combined_family,
     constant_family,
@@ -23,9 +23,7 @@ BETA = Fraction(7, 4)
 
 
 def chain_order(n):
-    return PaddedFiniteOrder(
-        FinitePoset.from_matrix([[a <= b for b in range(n)] for a in range(n)])
-    )
+    return FinitePoset.from_matrix([[a <= b for b in range(n)] for a in range(n)])
 
 
 def test_in_Z_examples():
@@ -40,6 +38,8 @@ def test_valuation_classes_are_pairwise_disjoint():
         hits = [n for n in range(15) if in_Z(n, k)]
         assert len(hits) == 1
         assert hits[0] == two_adic_valuation(k)
+    with pytest.raises(ValueError, match="positive argument"):
+        two_adic_valuation(0)
 
 
 def _assert_family_matches(family, cert, formulas):
@@ -56,12 +56,12 @@ def _assert_family_matches(family, cert, formulas):
         for j in range(16):
             assert cert.in_D(i, j) == in_d(i, j), (i, j)
             if not in_d(i, j):
-                for refused in (lambda: cert.s(i, j, 0), lambda: cert.delta(i, j),
+                for refused in (lambda: cert.s(i, j, 0), lambda: cert.k0(i, j),
                                 lambda: cert.first_past(i, j, -1)):
                     with pytest.raises(ValueError, match="no gap certificate"):
                         refused()
                 continue
-            assert cert.delta(i, j) == delta(i, j), (i, j)
+            assert cert.rule(i, j)[0] == delta(i, j), (i, j)
             assert [cert.s(i, j, t) for t in range(16)] == [
                 s(i, j, t) for t in range(16)], (i, j)
             for frontier in (-1, 0, 1, 6, 63, 200):
@@ -76,7 +76,7 @@ def test_constant_family_matches_closed_form():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_poset_family_matches_closed_form(seed):
     rel = random_poset_matrix(5, random.Random(seed))
-    order = PaddedFiniteOrder(FinitePoset.from_matrix(rel))
+    order = FinitePoset.from_matrix(rel)
     _assert_family_matches(*poset_family(order, ALPHA, BETA), poset_formulas(rel, ALPHA, BETA))
 
 
@@ -94,7 +94,7 @@ def test_constant_family_examples():
     family, cert = constant_family()
     assert family.profile(0)(17) == Fraction(3, 2)
     assert cert.in_D(0, 1)
-    assert cert.delta(0, 3) == Fraction(1, 4)
+    assert cert.rule(0, 3)[0] == Fraction(1, 4)
     assert cert.s(0, 1, 7) == 7
 
 
@@ -110,7 +110,7 @@ def test_oscillating_family_examples():
     assert family.profile(1)(6) == BETA
     assert family.profile(1)(5) == ALPHA
     assert cert.s(0, 1, 2) == 5
-    assert cert.delta(2, 5) == BETA - ALPHA
+    assert cert.rule(2, 5)[0] == BETA - ALPHA
 
 
 def test_oscillating_family_rejects_bad_band():
@@ -155,7 +155,7 @@ def test_poset_family_monotone_under_the_order():
 
     for _ in range(5):
         matrix = random_poset_matrix(5, rng)
-        order = PaddedFiniteOrder(FinitePoset.from_matrix(matrix))
+        order = FinitePoset.from_matrix(matrix)
         family, _ = poset_family(order, ALPHA, BETA)
         for i in range(5):
             for j in range(5):
@@ -219,14 +219,14 @@ def test_certificate_decides_each_pair_once_and_still_refuses_the_rest():
     # Over a chain (2, 0) is scheduled and (0, 2) is not.
     for _ in range(3):
         assert [cert.s(2, 0, t) for t in range(4)] == [4, 12, 20, 28]
-        assert cert.delta(2, 0) == BETA - ALPHA
+        assert cert.k0(2, 0) == 10
         assert cert.in_D(2, 0)
     assert calls == [(2, 0)]
     for _ in range(2):
         with pytest.raises(ValueError):
             cert.s(0, 2, 0)
         with pytest.raises(ValueError):
-            cert.delta(0, 2)
+            cert.k0(0, 2)
         assert not cert.in_D(0, 2)
     assert calls == [(2, 0)] + [(0, 2)] * 6
 

@@ -151,7 +151,8 @@ def test_identity_device_needs_its_records_and_a_split_prefix():
     assert cert.verdict == INCOMPLETE
     assert cert.checks == [{"check": "identity_scheduled", "ok": False,
                             "hint": "run more stages"}]
-    record = StageRecord(0, identity_index(), 0, 1, 3, BRANCH_DIAGONALIZED, 10, 4)
+    record = StageRecord(0, identity_index(), 0, 1, 3, BRANCH_DIAGONALIZED,
+                         None, None, None, None, 10, 4)
     cert = _identity_device_certificate(Transcript([record]), _frontier(4), [None])
     assert cert.verdict == FAIL
     assert cert.checks == [
@@ -216,6 +217,8 @@ def test_universal_scenario_passes():
     assert result.transcript is None
     assert result.exit_code == 0
     assert all(c.kind == "UniversalEmbedding" for c in result.certificates)
+    with pytest.raises(ValueError, match="runs no construction"):
+        build_family(config)
 
 
 def test_universal_embedding_fails_on_a_flipped_pair(monkeypatch, tmp_path, capsys):

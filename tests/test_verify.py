@@ -165,10 +165,10 @@ def test_diag_witness_membership_reads_blocks_k_and_ell(combined_run):
 
 def test_diag_witness_rejects_other_branches(combined_run):
     coded, _, _, transcript, state = combined_run
-    other = [r for r in transcript.records if r.branch != BRANCH_DIAGONALIZED]
-    if other:
-        with pytest.raises(ValueError):
-            check_diag_witness(coded, state, other[0])
+    record = next(r for r in transcript.records if r.branch == BRANCH_DIAGONALIZED)
+    for branch in (BRANCH_NON_TOTAL, BRANCH_NON_INJECTIVE):
+        with pytest.raises(ValueError, match="needs a diagonalized record"):
+            check_diag_witness(coded, state, record._replace(branch=branch))
 
 
 def test_stage_checks_count_every_branch(combined_run):
@@ -261,7 +261,7 @@ def test_stage_checks_rerun_defeat_records(constant_run, e, branch, x_block, x2_
     src = coded.source(0)
     dx, dx2 = (None if k is None else src.endpoint(k) - src.endpoint(5)
                for k in (x_block, x2_block))
-    record = StageRecord(0, e, 0, 1, 5, branch, 1000, 5, dx, dx2)
+    record = StageRecord(0, e, 0, 1, 5, branch, dx, dx2, None, None, 1000, 5)
     schedule = _OneRequirement(cert, Requirement(e, 0, 1))
     cert, faults = check_stage_records(coded, ConstructionState(), schedule, [record], 1000)
     assert faults == [fault]

@@ -393,7 +393,7 @@ def test_wrong_closed_form_fails_stage_checks(name, monkeypatch, tmp_path):
     k_b = next(k for k in count(1) if math.factorial(k - 1) > config.budget + 1)
 
     def changed(r):
-        k_star = max(3, math.ceil(5 / gap_cert.delta(r.i, r.j)), k_b)
+        k_star = max(3, math.ceil(5 / gap_cert.rule(r.i, r.j)[0]), k_b)
         return r.k >= k_star and r.branch == BRANCH_DIAGONALIZED and change(r) != r
 
     first = next(r.stage for r in run_scenario(config).transcript.records if changed(r))

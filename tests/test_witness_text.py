@@ -94,8 +94,8 @@ def test_transcript_witnesses_match_str(kind, str_digits_lifted):
                for r in transcript.records if r.branch == BRANCH_DIAGONALIZED) > 50
 
 
-def _record(stage, i, j, k, **witnesses):
-    return StageRecord(stage, 0, i, j, k, BRANCH_DIAGONALIZED, 100, k + 1, **witnesses)
+def _record(stage, i, j, k, dx=None, dx2=None, dy=None, ell=None):
+    return StageRecord(stage, 0, i, j, k, BRANCH_DIAGONALIZED, dx, dx2, dy, ell, 100, k + 1)
 
 
 def test_synthetic_witnesses_match_str(str_digits_lifted):
@@ -221,8 +221,8 @@ NAT = st.integers(0, 10**12)
 RECORDS = st.builds(
     StageRecord, NAT, NAT, NAT, NAT, NAT,
     st.sampled_from([BRANCH_NON_TOTAL, BRANCH_NON_INJECTIVE, BRANCH_DIAGONALIZED]),
-    st.integers(1, 10**12), NAT,
     TEMPLATE_WITNESS, TEMPLATE_WITNESS, TEMPLATE_WITNESS, TEMPLATE_WITNESS,
+    st.integers(1, 10**12), NAT,
 )
 
 
@@ -290,6 +290,19 @@ def test_a_record_loads_only_as_its_line_is_written(record, edit, data):
     with pytest.raises(ValueError) as refused:
         StageRecord.from_json(obj)
     assert str(refused.value).startswith(message)
+
+
+def test_a_bad_line_names_its_first_failing_check():
+    """Keys come first, then branch, the ints in line order, and the witnesses."""
+    line = _record(0, 0, 1, 10, dx=3, dy=5, ell=11).line()
+    for edits, message in (
+            ({"budget": 0, "dx": "0X1", "extra": 1}, "unknown key 'extra'"),
+            ({"branch": "x", "stage": -1}, "field branch must be in"),
+            ({"budget": 0, "dx": "0X1", "M_after": -1}, "field budget must be an int >= 1"),
+            ({"dx": "0X1", "M_after": -1}, "field M_after must be an int >= 0"),
+            ({"dx": "0X1", "ell": 3}, "witness dx must be null")):
+        with pytest.raises(ValueError, match=message):
+            StageRecord.from_json({**json.loads(line), **edits})
 
 
 def test_negative_witness_loads_and_fails_witness_fields():
