@@ -289,7 +289,7 @@ def _construction_certificates(config, coded, schedule, transcript):
     # the identity device read its per-stage results, and its certificate
     # ends the report.
     stage_checks, faults = check_stage_records(coded, state, schedule, transcript.records,
-                                              config.budget)
+                                              config.budget, config.k_max)
     # The gap certificate fixes the order: a pair (a, b) that D schedules
     # only as (b, a) has a pointwise below b, so it gets a reduction.
     span = _span(config)

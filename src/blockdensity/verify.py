@@ -29,19 +29,31 @@ Negative claims are explicitly budget-qualified: a defeat bundle says that no
 scheduled program below the index bound is a total injective reduction on the
 constructed prefix within the step budget, never more. Every stage record is
 checked once, in one forward pass that makes one StageChecks certificate and
-gives the defeat bundles their per-stage results (check_stage_records): a
-record is first matched against the requirement the schedule puts at its
-position and against the run's step budget, and its witnesses are rerun
-literally, within that budget, with run_program, not with
-the tail lemma (machine.tail_behavior) the construction chose them by. Its
-k is bounded next, by the last block the domination search could pick past
-the frontier the records before it reached, s(i, j, max(frontier + 1, K0))
-as s(t) >= t, and only then is geometry read at k: each witness is its
-offset plus its anchor (construction's module docstring), x, h(x) and h(y)
-are placed by comparison with block endpoints, and y, once it reruns from x,
-is located. The transcript is read against its replay in one forward pass
-(Transcript.read_jsonl): a record read as its replayed line is that replayed
-record, and check_transcript_replay reports the first record that is not.
+gives the defeat bundles their per-stage results (check_stage_records). A
+record must hold the requirement the schedule puts at its position and the
+run's budget, and its k is bounded by the last block the domination search
+could pick past the frontier, s(i, j, max(frontier + 1, K0)) as s(t) >= t,
+before any geometry is read at k. Its witnesses, offsets from anchors
+(construction's module docstring), are placed in their blocks and rerun
+literally within the budget by run_program, not by the tail lemma. The
+concrete checks place them by the production endpoints and locate y. From
+k_max on, compare_endpoints places them first: sign(b(K) + c - b'(K') - c')
+for source endpoints of profiles u, u' valued in (1, 2). As |K_m| =
+u(m) * m! - f(m), 0 <= f(m) < 1, the difference is A_L * L! + R_L - F +
+c - c', with A_M = 0 at M = max(K, K'), A_L = d(L) + (L + 1) * A_{L+1} for
+d(m) the difference of the values present at m, |R_L| < 2 * a_L <=
+4 * (L - 1)! and |F| < M: it has A_L's sign once |A_L| * L >= 5 and
+(L - 1)! > M + |c - c'|. On one profile all below min(K, K') cancels and
+|K_m| >= m!, so K = K' gives sign(c - c') and |c - c'| < min(K, K')! gives
+sign(K - K'). Where also x >= b_i(k) >= (k - 1)! > budget, a rerun never
+brings register 0 to zero and holds it as an _Anchored anchor + offset, and
+as h_i sends source block k onto target block k, compressed_targets
+follows. A record this fails or leaves undecided, and every non-injective
+one (past the budget two witnesses follow one path and never collide),
+takes the concrete checks, which name its fault. The transcript is read
+against its replay in one forward pass (Transcript.read_jsonl): a record
+read as its replayed line is that replayed record, and
+check_transcript_replay reports the first record that is not.
 INCOMPLETE names what is missing (stages or records); FAIL means a check was
 run and refuted. Report lines are json.dumps's bytes.
 """
@@ -49,8 +61,10 @@ run and refuted. Report lines are json.dumps's bytes.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from math import factorial, inf, lcm
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .construction import (
     BRANCH_DIAGONALIZED, BRANCH_NON_INJECTIVE, BRANCH_NON_TOTAL, BRANCHES,
@@ -268,6 +282,81 @@ def _negative(witnesses: dict) -> tuple[str, dict] | None:
     return None
 
 
+# m! for m <= 170; an offset past 170! is left undecided.
+_FACTS = [factorial(m) for m in range(171)]
+
+
+def _factorial_above(w: int) -> float:
+    """The least m with m! > w, for a natural w below 170!, else inf."""
+    m = bisect_right(_FACTS, w)
+    return m if m < len(_FACTS) else inf
+
+
+def compare_endpoints(u: Callable[[int], Fraction], K: int, c: int,
+                      u2: Callable[[int], Fraction], K2: int, c2: int) -> int | None:
+    """sign(b(K) + c - b2(K2) - c2) for the source endpoints of profiles u
+    and u2 from the top factorial digits (module docstring), or None."""
+    w, top = abs(c - c2), max(K, K2)
+    if u is u2:
+        if K == K2:
+            return (c > c2) - (c < c2)
+        return None if min(K, K2) < _factorial_above(w) else 1 if K > K2 else -1
+    n, den = 0, 1   # A_L = n / den, for L from top - 1 down while (L - 1)! > top + w
+    for L in range(top - 1, min(top, _factorial_above(top + w)), -1):
+        n *= L + 1
+        for v, sign, bound in (u, 1, K), (u2, -1, K2):
+            if L < bound:
+                p, q = v(L).as_integer_ratio()
+                m = lcm(den, q)
+                n, den = n * (m // den) + sign * p * (m // q), m
+        if abs(n) * L >= 5 * den:
+            return 1 if n > 0 else -1
+    return None
+
+
+class _Anchored(NamedTuple):
+    """A rerun's register 0, anchor + offset, the anchor a source endpoint
+    (index, block) never computed; truth and == are exact past the budget,
+    and run_program's x < 0 is False, as the witness is natural."""
+
+    anchor: tuple
+    offset: int
+
+    def __add__(self, n):
+        return _Anchored(self.anchor, self.offset + n)
+
+    def __sub__(self, n):
+        return _Anchored(self.anchor, self.offset - n)
+
+    def __lt__(self, n):
+        return False
+
+
+def _passes_past_prefix(coded: CodedFamily, state: ConstructionState,
+                        record: StageRecord) -> bool:
+    """Whether comparisons and an _Anchored rerun prove that a record passes
+    its branch's checks, False when one fails or is undecided. A collision
+    never passes: witnesses past the budget follow one control path."""
+    _, e, i, j, k, branch, dx, _, dy, ell, budget, m_after = record
+    if k - 1 < _factorial_above(budget) or branch == BRANCH_NON_INJECTIVE:
+        return False
+    u_i, u_j = coded.family.profile(i), coded.family.profile(j)
+    if branch == BRANCH_NON_TOTAL:
+        return (m_after == k and dx >= 0 and compare_endpoints(u_i, k, dx, u_i, k + 1, 0) == -1
+                and isinstance(run_program(decode(e), _Anchored((i, k), dx), budget),
+                               OutOfBudget))
+    if not (k < ell == m_after <= state.frontier
+            and state.block_bit(k) == 1 and state.block_bit(ell) == 0
+            and compare_endpoints(u_j, k + 1, dx, u_i, k, 0) in (0, 1)
+            and compare_endpoints(u_j, k + 1, dx, u_i, k + 1, 0) == -1
+            and compare_endpoints(u_j, k + 1, dy, u_j, ell, 0) in (0, 1)
+            and compare_endpoints(u_j, k + 1, dy, u_j, ell + 1, 0) == -1):
+        return False
+    anchor = j, k + 1
+    outcome = run_program(decode(e), _Anchored(anchor, dx), budget)
+    return isinstance(outcome, Halted) and outcome.value == _Anchored(anchor, dy)
+
+
 def check_diag_witness(
     coded: CodedFamily, state: ConstructionState, record: StageRecord
 ) -> tuple[str, dict] | None:
@@ -313,16 +402,18 @@ def _record_fault(
     record: StageRecord,
     budget: int,
     frontier: int,
+    k_max: float,
 ) -> tuple[str, dict] | None:
     """The first check the stage n record of a run of the given step budget
-    fails past the given frontier, as (name, detail), or None.
+    fails past the given frontier, as (name, detail), or None; from k_max on
+    a record _passes_past_prefix passes is passed.
 
     The requirement, the budget and k come first, before a program is
     decoded or any geometry read, as those costs grow with e, i, the budget
     and k: k is at most s(i, j, max(frontier + 1, K0)), the last block the
     domination search can pick past the frontier, as s(t) >= t. A non-total
     record's x lies in block k and reruns out of budget; a non-injective
-    record's two witnesses rerun to one value.
+    record's two witnesses lie in block k and rerun to one value.
     """
     _, e, i, j, k, branch, dx, dx2, _, ell, _, m_after = record
     req = schedule.requirement(n)
@@ -337,6 +428,8 @@ def _record_fault(
     for name in _WITNESSES[branch]:
         if getattr(record, name) is None:
             return "witness_fields", {"field": name, "value": None}
+    if k >= k_max and _passes_past_prefix(coded, state, record):
+        return None
     # ConstructionState.apply moves the frontier to M_after on trust, so it
     # must be ell for a diagonalized record and k otherwise.
     if branch == BRANCH_DIAGONALIZED:
@@ -352,10 +445,10 @@ def _record_fault(
         return fault
     if m_after != k:
         return "m_after", {"m_after": m_after}
+    if not all(0 <= d < coded.source(i).length(k) for d in (dx, dx2) if d is not None):
+        return "witness_block", {"expected": k}
     program = decode(e)
     if branch == BRANCH_NON_TOTAL:
-        if not 0 <= dx < coded.source(i).length(k):
-            return "witness_block", {"expected": k}
         if not isinstance(run_program(program, x, budget), OutOfBudget):
             return "rerun_diverges", {"dx": str(dx)}
         return None
@@ -372,13 +465,15 @@ def check_stage_records(
     schedule: RequirementSchedule,
     records: Sequence[StageRecord],
     budget: int,
+    k_max: float = inf,
 ) -> tuple[Certificate, list[str | None]]:
     """Check every stage record in one forward pass: (the StageChecks
     certificate, the name of each record's first failing check or None).
 
     Record n must be the record of the requirement the schedule puts at stage
     n, carry the run's step budget, have k within the schedule's bound past
-    the frontier and pass its branch's checks (_record_fault). The frontier
+    the frontier and pass its branch's checks (_record_fault), by the
+    comparator first at k >= k_max (by default at no k). The frontier
     is -1 before stage 0 and moves to each passing record's M_after. Past a
     failing record it moves by the schedule alone, never by the record: to
     the block k the honest stage picks past the frontier (domination_search
@@ -396,7 +491,7 @@ def check_stage_records(
     faults: list[str | None] = []
     frontier = -1
     for n, record in enumerate(records):
-        fault = _record_fault(coded, state, schedule, n, record, budget, frontier)
+        fault = _record_fault(coded, state, schedule, n, record, budget, frontier, k_max)
         if fault is None:
             frontier = record.m_after
             counts[record.branch] += 1

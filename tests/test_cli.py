@@ -390,6 +390,43 @@ def test_readme_defaults_run_in_one_gigabyte(argv, tmp_path):
     assert (child.returncode, child.stderr) == (0, "")
 
 
+# _SCENARIO_THEN_VERIFY, printing at exit the largest block index whose
+# endpoint any block table has cached, as the geometry_reach fixture reads it.
+_REACH_OF_SCENARIO_THEN_VERIFY = """
+import atexit
+from blockdensity import blocks
+reach, real = [0], blocks.SourceBlocks._extend
+def extend(self, *args, **kwargs):
+    real(self, *args, **kwargs)
+    reach[0] = max(reach[0], len(self._ends) - 1)
+blocks.SourceBlocks._extend = extend
+atexit.register(lambda: print(reach[0]))
+""" + _SCENARIO_THEN_VERIFY
+
+
+@pytest.mark.parametrize("argv", [["antichain", "--n", "3"], ["combined", "--count", "6"]])
+def test_full_order_defaults_verify_in_one_gigabyte_within_the_prefix(argv, tmp_path):
+    """Under --schedule full the README examples at E = 50 finish, every
+    certificate passing, in a child process whose address space is capped at
+    1 GiB, and no block table passes block max(K*, k_max) + 2: the records
+    past k_max are checked from the profiles' factorial digits, and K* is the
+    largest of the run's pairs, past which the construction reads no geometry."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", _REACH_OF_SCENARIO_THEN_VERIFY, str(tmp_path), *argv,
+         "--schedule", "full"],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    config = ScenarioConfig.from_json(json.loads((tmp_path / "config.json").read_text()))
+    cert = prepare(config)[1].cert
+    k_b = next(k for k in range(1, 100) if math.factorial(k - 1) > config.budget + 1)
+    records = [json.loads(line) for line in (tmp_path / "transcript.jsonl").open()]
+    k_star = max(max(cert.k0(r["i"], r["j"]), k_b) for r in records)
+    assert int(child.stdout.splitlines()[-1]) <= max(k_star, config.k_max) + 2
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["scenario", "rationals", "--alpha", "9/4"]) == 3
     assert main(["nonsense"]) == 3
@@ -975,6 +1012,27 @@ def test_verify_record_off_schedule_fails_fast(field, value, constructed, tmp_pa
     assert stage_checks["checks"] == [
         {"check": "schedule_mismatch", "ok": False, "stage": 1, **scheduled}
     ]
+
+
+def test_verify_collision_witness_past_its_block_fails_before_any_rerun(constructed, tmp_path,
+                                                                      capsys):
+    """Record 1 rewritten as a collision of b_i(k) with b_i(k) + 2**1_000_000
+    fails witness_block before either witness is rerun: a literal run from the
+    far witness would hold a million-bit register in each state it records."""
+    config_path, records = constructed
+    records = [dict(r) for r in records]
+    k = records[1]["k"]
+    records[1].update(branch="non_injective", dx="0x0", dx2=hex(1 << 1_000_000), dy=None,
+                      ell=None, M_after=k)
+    transcript_path = tmp_path / "t.jsonl"
+    transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    report_path = tmp_path / "r.jsonl"
+    code, _ = run_cli(capsys, "verify", "--config", str(config_path),
+                      "--transcript", str(transcript_path), "--report", str(report_path))
+    assert code == 1
+    report = {c["kind"]: c for c in map(json.loads, report_path.read_text().splitlines())}
+    assert report["StageChecks"]["checks"] == [
+        {"check": "witness_block", "ok": False, "stage": 1, "expected": k}]
 
 
 @pytest.fixture

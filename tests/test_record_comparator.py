@@ -1,0 +1,230 @@
+"""The record checks past the concrete prefix against the concrete checks.
+
+verify.compare_endpoints decides sign(b(K) + c - b2(K2) - c2) from the top
+factorial digits of the profiles, or leaves it undecided. Where it decides it
+must give the exact sign, computed here from verify.block_walk's running
+sums. The record checks use it at k >= k_max: a record it passes is passed,
+any other takes the concrete checks. So on every record of four runs, honest
+and tampered, the checks with the prefix at k_max must name the same fault as
+the checks with every record concrete, and every honest record at or past
+k_max must be passed by the comparator alone.
+"""
+
+import random
+import sys
+from fractions import Fraction
+from itertools import islice
+from math import factorial, inf
+
+import pytest
+
+from blockdensity.construction import (
+    BRANCH_DIAGONALIZED, BRANCH_NON_TOTAL, ConstructionState, RequirementSchedule, StageRecord,
+    reconstruct_state,
+)
+from blockdensity.maps import CodedFamily
+from blockdensity.profiles import constant_family
+from blockdensity.scenarios import ScenarioConfig, construct
+from blockdensity.verify import (
+    _passes_past_prefix, _record_fault, block_walk, check_diag_witness, compare_endpoints,
+)
+from _oracles import FAMILIES
+
+
+# Program 230857, DECJZ 0 2 then DECJZ 1 0, halts with 0 from x in 2x + 1 steps.
+COUNT_DOWN = 230857
+
+
+def _sign(value):
+    return (value > 0) - (value < 0)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_compare_endpoints_gives_the_exact_sign_where_it_decides(kind):
+    family, indices = FAMILIES[kind]
+    profiles = [family.profile(s) for s in indices]
+    ends = [[b for _, _, _, b, _ in islice(block_walk(u), 61)] for u in profiles]
+    rng = random.Random(20261021)
+    decided = 0
+    for n in range(4000):
+        p, p2 = rng.randrange(len(profiles)), rng.randrange(len(profiles))
+        K, K2 = rng.randrange(61), rng.randrange(61)
+        # Offsets from a few units up to past the exact difference, and every
+        # fourth pair a few units off equal.
+        c, c2 = (rng.choice((-1, 1)) * rng.randrange(1 << rng.choice((3, 20, 60, 300)))
+                 for _ in range(2))
+        if n % 4 == 0:
+            c = ends[p2][K2] - ends[p][K] + c2 + rng.randrange(-3, 4)
+        sign = compare_endpoints(profiles[p], K, c, profiles[p2], K2, c2)
+        if sign is not None:
+            decided += 1
+            assert sign == _sign(ends[p][K] + c - ends[p2][K2] - c2), (p, K, c, p2, K2, c2)
+    assert decided > 1000
+
+
+# Two profiles' values on blocks 0 .. 5 whose endpoints b(6) - 4 and
+# b2(6) + 3 are equal, though the top digit differs by 1/5 from 1.
+EQUAL_AT_6 = ([Fraction(37, 20), Fraction(14, 11), Fraction(32, 17), Fraction(10, 9),
+               Fraction(31, 29), Fraction(32, 17)],
+              [Fraction(29, 24), Fraction(3, 2), Fraction(28, 17), Fraction(11, 7),
+               Fraction(7, 4), Fraction(33, 20)])
+
+# Two profiles' values on blocks 0 .. 6 whose endpoints b(7) and b2(7) are
+# equal, 1257: the top digits lead by 1.98 units of 6!, but each block length
+# of the first is floored from just below the next integer, so the floors
+# take back just under one unit per block.
+EQUAL_AT_7 = ([Fraction(1999, 1000), Fraction(193, 97), Fraction(199, 100),
+               Fraction(10999, 6000), Fraction(40999, 24000), Fraction(236999, 120000),
+               Fraction(5211, 3880)],
+              [Fraction(1001, 1000), Fraction(98, 97), Fraction(151, 100),
+               Fraction(10001, 6000), Fraction(42001, 24000), Fraction(235001, 120000),
+               Fraction(15601, 11640)])
+
+
+def test_compare_endpoints_on_random_short_profiles():
+    """Profiles of random values in (1, 2) with denominators below 30 on
+    blocks 0 .. 11, compared at small offsets, where the digits below the top
+    one can outweigh it."""
+    rng = random.Random(20261022)
+    values = [Fraction(p, q) for q in range(2, 30) for p in range(q + 1, 2 * q)]
+    cases = [(*EQUAL_AT_6, 6, -4, 6, 3), (*EQUAL_AT_7, 7, 0, 7, 0)]
+    for _ in range(20000):
+        n = rng.randrange(2, 12)
+        cases.append(([rng.choice(values) for _ in range(n)],
+                      [rng.choice(values) for _ in range(n)],
+                      rng.randrange(n), rng.randrange(-5, 6), rng.randrange(n),
+                      rng.randrange(-5, 6)))
+    for t, t2, K, c, K2, c2 in cases:
+        exact = sum(v.numerator * factorial(m) // v.denominator for m, v in enumerate(t[:K]))
+        exact -= sum(v.numerator * factorial(m) // v.denominator for m, v in enumerate(t2[:K2]))
+        sign = compare_endpoints(t.__getitem__, K, c, t2.__getitem__, K2, c2)
+        assert sign in (None, _sign(exact + c - c2)), (t, t2, K, c, K2, c2)
+
+
+@pytest.mark.parametrize("e, k", [(COUNT_DOWN, 5), (0, 8)])
+def test_non_total_records_that_halt_fail_past_the_prefix(e, k):
+    """A non-total record of block k whose program halts from x = b_0(k)
+    fails rerun_diverges with the prefix at 0 as with every record concrete.
+    At k = 5 its block starts within the budget, (k - 1)! <= 1000, so it takes
+    the concrete checks: COUNT_DOWN (DECJZ 0 2, DECJZ 1 0) halts from
+    b_0(5) within 1000 steps, which a rerun from an anchor never brought to
+    zero would miss. At k = 8 program 0 halts at once, on the anchor too."""
+    family, cert = constant_family()
+    coded, schedule = CodedFamily(family), RequirementSchedule(cert, [(0, 1)])
+    record = StageRecord(e, e, 0, 1, k, BRANCH_NON_TOTAL, 0, None, None, None, 1000, k)
+    for k_max in (0, inf):
+        assert _record_fault(coded, ConstructionState(), schedule, e, record, 1000,
+                             -1, k_max) == ("rerun_diverges", {"dx": "0"})
+
+
+def test_an_image_block_not_past_k_is_never_passed():
+    """A diagonalized record of block 8 for the pair (1, 0) of the constant
+    family whose y lies in block 7 of 0 fails image_block, though x = b_1(8)
+    lies in block 7 of 0 too, so program 0 reruns it to y = x, and the state
+    puts block 8 in the set and block 7 out of it."""
+    family, _ = constant_family()
+    coded = CodedFamily(family)
+    x, k = coded.source(1).endpoint(8), 8
+    state = ConstructionState()
+    state.frontier, state.ones = k, {k}
+    dx = x - coded.source(0).endpoint(k + 1)
+    record = StageRecord(0, 0, 1, 0, k, BRANCH_DIAGONALIZED, dx, None, dx, k - 1, 1000, k - 1)
+    assert check_diag_witness(coded, state, record) == (
+        "image_block", {"expected": k - 1, "located": k - 1})
+    assert not _passes_past_prefix(coded, state, record)
+
+
+# The runs the record checks are compared on: (config, stages or None).
+RUNS = {
+    "rationals-e50": (ScenarioConfig("rationals", count=4, schedule="window"), None),
+    "antichain-e25": (ScenarioConfig("antichain", count=3, e_bound=25, schedule="window"),
+                      None),
+    "antichain-e200": (ScenarioConfig("antichain", count=3, e_bound=200, schedule="window"),
+                       None),
+    "combined-full-prefix": (ScenarioConfig("combined", count=6), 400),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RUNS))
+def run(request):
+    config, stages = RUNS[request.param]
+    coded, schedule, transcript = construct(config, stages)
+    records = transcript.records
+    frontiers = [-1] + [r.m_after for r in records[:-1]]
+    return config, coded, schedule, records, frontiers, reconstruct_state(records)
+
+
+def test_comparator_passes_every_honest_record_past_the_prefix(run):
+    config, coded, _, records, _, state = run
+    past = [r for r in records if r.k >= config.k_max]
+    assert past
+    assert all(_passes_past_prefix(coded, state, r) for r in past)
+
+
+def _tampers(coded, record, k_other):
+    """The record with one field or witness moved, each a record; k_other,
+    when not None, is an earlier diagonalized block of the reversed pair."""
+    r = record
+    if k_other is not None and r.ell is not None:
+        # A block set to 1 where j's block is the longer, so x = b_j(k + 1) + dx
+        # lies past block k of i though it still reruns to y in block k + 1.
+        yield r._replace(k=k_other, ell=k_other + 1, m_after=k_other + 1)
+    src_i, src_j = coded.source(r.i), coded.source(r.j)
+    yield r._replace(e=r.e + 1)
+    yield r._replace(m_after=r.m_after + 1)
+    for shift in (-1, 1):
+        yield r._replace(dx=r.dx + shift)
+        yield r._replace(k=r.k + shift, m_after=r.m_after + shift * (r.ell is None))
+        if r.ell is not None:
+            yield r._replace(dy=r.dy + shift)
+            yield r._replace(ell=r.ell + shift, m_after=r.ell + shift)
+    places = [src_i.endpoint(r.k) - 1, src_i.endpoint(r.k + 1) - 1, src_i.endpoint(r.k + 1)]
+    if r.ell is None:
+        anchor = src_i.endpoint(r.k)
+    else:
+        anchor = src_j.endpoint(r.k + 1)
+        places.append(src_j.endpoint(r.ell + 1))
+    for place in places:
+        yield r._replace(dx=place - anchor)
+        if r.ell is not None:
+            yield r._replace(dy=place - anchor)
+            # x moved with y, so that it still reruns to y.
+            yield r._replace(dx=place - anchor, dy=place - anchor + r.dy - r.dx)
+    if r.ell is not None:
+        # y moved with x to the last element of block k - 1 of j, and ell
+        # with it: the image block must lie past k.
+        y = src_j.endpoint(r.k) - 1
+        yield r._replace(dx=y - anchor - r.dy + r.dx, dy=y - anchor, ell=r.k - 1,
+                         m_after=r.k - 1)
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Lift the int<->str digit limit, as the command line does: a fault's
+    detail may hold a factorial-scale offset as decimal text."""
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    yield
+    if lift:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_checks_past_the_prefix_name_the_concrete_fault(run, no_digit_limit):
+    """Each record and each of its tampers fails the same check, with the
+    same detail, or passes, whether the comparator may pass it or not."""
+    config, coded, schedule, records, frontiers, state = run
+    budget = config.budget
+    diagonal = {}   # pair -> the k of its last diagonalized record so far
+    for n, record in enumerate(records):
+        k_other = diagonal.get((record.j, record.i))
+        if record.ell is not None:
+            diagonal[record.i, record.j] = record.k
+        if record.k < config.k_max:
+            continue
+        for tampered in (record, *_tampers(coded, record, k_other)):
+            concrete = _record_fault(coded, state, schedule, n, tampered, budget,
+                                     frontiers[n], inf)
+            assert _record_fault(coded, state, schedule, n, tampered, budget,
+                                 frontiers[n], config.k_max) == concrete, (n, tampered)

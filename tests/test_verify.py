@@ -13,6 +13,7 @@ from blockdensity.construction import (
     Transcript,
     reconstruct_state,
     run_construction,
+    run_stage,
     run_stages,
 )
 from blockdensity.maps import CodedFamily
@@ -171,16 +172,6 @@ def test_diag_witness_rejects_other_branches(combined_run):
             check_diag_witness(coded, state, record._replace(branch=branch))
 
 
-def test_stage_checks_count_every_branch(combined_run):
-    coded, _, schedule, transcript, state = combined_run
-    cert, faults = check_stage_records(coded, state, schedule, transcript.records, BUDGET)
-    assert cert.verdict == PASS and faults == [None] * len(transcript.records)
-    assert cert.subject == {"stages": len(transcript.records)}
-    counts = {branch: sum(r.branch == branch for r in transcript.records)
-              for branch in (BRANCH_NON_TOTAL, BRANCH_NON_INJECTIVE, BRANCH_DIAGONALIZED)}
-    assert cert.checks == [{"check": "all_records", "ok": True, **counts}]
-
-
 def test_stage_checks_hold_m_after_to_the_branch(combined_run):
     """M_after must be ell for a diagonalized record and k otherwise, which
     ConstructionState.apply takes on trust."""
@@ -225,14 +216,14 @@ def test_stage_checks_name_every_failing_record(combined_run):
 
 class _OneRequirement(RequirementSchedule):
     """A schedule of a gap certificate that runs one requirement at every
-    stage."""
+    stage, or, given a list, the n-th requirement at stage n."""
 
     def __init__(self, cert, req):
         super().__init__(cert)
         self.req = req
 
     def requirement(self, n):
-        return self.req
+        return self.req[n] if isinstance(self.req, list) else self.req
 
 
 # Program 76 runs out of any budget on every input; program 0 halts on each
@@ -247,16 +238,18 @@ COUNT_DOWN = 230857
     (76, BRANCH_NON_TOTAL, 5, None, None),
     (76, BRANCH_NON_TOTAL, 6, None, "witness_block"),
     (0, BRANCH_NON_TOTAL, 5, None, "rerun_diverges"),
-    (0, BRANCH_NON_INJECTIVE, 5, 6, "rerun_collides"),
+    (0, BRANCH_NON_INJECTIVE, 5, 6, "witness_block"),
     (0, BRANCH_NON_INJECTIVE, 5, 5, "rerun_collides"),
-    (76, BRANCH_NON_INJECTIVE, 5, 6, "rerun_collides"),
-    (COUNT_DOWN, BRANCH_NON_INJECTIVE, 5, 6, None),
+    (76, BRANCH_NON_INJECTIVE, 5, 6, "witness_block"),
+    (COUNT_DOWN, BRANCH_NON_INJECTIVE, 5, 6, "witness_block"),
     (COUNT_DOWN, BRANCH_NON_INJECTIVE, 5, 5, "rerun_collides"),
 ])
 def test_stage_checks_rerun_defeat_records(constant_run, e, branch, x_block, x2_block,
                                            fault):
     """A divergence witness reruns out of budget inside block k; collision
-    witnesses are two inputs that rerun to one value."""
+    witnesses are two inputs of block k that rerun to one value, so a
+    collision with an input of block 6 fails witness_block before any
+    rerun."""
     coded, cert = constant_run[:2]
     src = coded.source(0)
     dx, dx2 = (None if k is None else src.endpoint(k) - src.endpoint(5)
@@ -270,6 +263,42 @@ def test_stage_checks_rerun_defeat_records(constant_run, e, branch, x_block, x2_
         assert cert.checks == [{"check": "all_records", "ok": True, BRANCH_NON_TOTAL: 0,
                                 BRANCH_NON_INJECTIVE: 0, BRANCH_DIAGONALIZED: 0,
                                 branch: 1}]
+
+
+@pytest.mark.parametrize("e, fault", [
+    (0, "rerun_collides"), (76, "rerun_collides"), (COUNT_DOWN, None)])
+def test_stage_checks_rerun_collisions_inside_block_k(constant_run, e, fault):
+    """Two distinct inputs of block 5, b_0(5) and b_0(5) + 1, collide only
+    when both rerun to one value."""
+    coded, cert = constant_run[:2]
+    record = StageRecord(0, e, 0, 1, 5, BRANCH_NON_INJECTIVE, 0, 1, None, None, 1000, 5)
+    schedule = _OneRequirement(cert, Requirement(e, 0, 1))
+    _, faults = check_stage_records(coded, ConstructionState(), schedule, [record], 1000)
+    assert faults == [fault]
+
+
+@pytest.fixture(scope="module")
+def branches_run(constant_run):
+    """Three stages on the pair (0, 1) at budget 1000, one per branch:
+    program 76 diverges on block 5, COUNT_DOWN collides on b_0(6) and
+    b_0(6) + 1, and program 0, run by run_stage past block 6, diagonalizes."""
+    coded, cert = constant_run[:2]
+    records = [StageRecord(0, 76, 0, 1, 5, BRANCH_NON_TOTAL, 0, None, None, None, 1000, 5),
+               StageRecord(1, COUNT_DOWN, 0, 1, 6, BRANCH_NON_INJECTIVE, 0, 1, None, None,
+                           1000, 6)]
+    state = reconstruct_state(records)
+    records.append(run_stage(state, Requirement(0, 0, 1), coded, cert, 1000))
+    schedule = _OneRequirement(cert, [Requirement(r.e, 0, 1) for r in records])
+    return coded, schedule, records, state
+
+
+def test_stage_checks_count_every_branch(branches_run):
+    coded, schedule, records, state = branches_run
+    cert, faults = check_stage_records(coded, state, schedule, records, 1000)
+    assert cert.verdict == PASS and faults == [None] * len(records)
+    assert cert.subject == {"stages": len(records)}
+    assert cert.checks == [{"check": "all_records", "ok": True, BRANCH_NON_TOTAL: 1,
+                            BRANCH_NON_INJECTIVE: 1, BRANCH_DIAGONALIZED: 1}]
 
 
 def test_defeat_bundle_pass_and_incomplete(constant_run):
