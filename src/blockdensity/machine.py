@@ -13,7 +13,8 @@ input. tail_behavior runs it from budget + 1, which decides at once every
 input above the budget, and, when its path halts after S steps, every input
 above S; memoized like decode, it runs once per (program, budget) however
 many stages schedule the program. Only the construction uses it: the
-certificates rerun each witness literally, with the unmemoized run_program.
+certificates rerun each witness literally with run_program, which memoizes
+nothing; a StageChecks pass keeps its own memo (verify's module docstring).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ Instruction = tuple
 # Immutable, so decode can hand one cached program to every caller.
 Program = tuple
 
-# Steps the interpreter loop runs before it starts recording states.
+# Steps the interpreter loop runs before it starts comparing states.
 _CYCLE_CHECK_AFTER = 64
 
 
@@ -103,17 +104,17 @@ def program_text(program: Program) -> str:
 def _run(program: Program, r0: int, budget: int, literal: bool) -> Outcome:
     """The one interpreter loop, from register 0 = r0 and the others zero.
 
-    Past _CYCLE_CHECK_AFTER steps it records each state: (pc, r0, other
-    registers) when literal, (pc, other registers) otherwise. A repeated
-    state proves the path never halts, so it is reported as OutOfBudget
-    without spending the rest of the budget.
+    From _CYCLE_CHECK_AFTER steps on it compares each state, (pc, r0, other
+    registers) when literal and (pc, other registers) otherwise, with the one
+    saved at the last power of two steps (Brent's cycle detection). A repeat
+    proves the path never halts, so it ends the run as OutOfBudget at once.
     """
     n = len(program)
     regs: dict[int, int] = {}
     pc = 0
     steps = 0
-    check_after = _CYCLE_CHECK_AFTER
-    seen = set()
+    check_after = save_at = _CYCLE_CHECK_AFTER
+    saved = None
     while True:
         if pc >= n:
             return Halted(r0, steps)
@@ -147,9 +148,10 @@ def _run(program: Program, r0: int, budget: int, literal: bool) -> Outcome:
         if steps >= check_after:
             others = tuple(sorted(regs.items()))
             state = (pc, r0, others) if literal else (pc, others)
-            if state in seen:
+            if state == saved:
                 return OutOfBudget(budget)
-            seen.add(state)
+            if steps >= save_at:
+                saved, save_at = state, 2 * steps
 
 
 @lru_cache(maxsize=4096)

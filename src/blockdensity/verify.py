@@ -48,12 +48,16 @@ d(m) the difference of the values present at m, |R_L| < 2 * a_L <=
 sign(K - K'). Where also x >= b_i(k) >= (k - 1)! > budget, a rerun never
 brings register 0 to zero and holds it as an _Anchored anchor + offset, and
 as h_i sends source block k onto target block k, compressed_targets
-follows. A record this fails or leaves undecided, and every non-injective
-one (past the budget two witnesses follow one path and never collide),
-takes the concrete checks, which name its fault. The transcript is read
-against its replay in one forward pass (Transcript.read_jsonl): a record
-read as its replayed line is that replayed record, and
-check_transcript_replay reports the first record that is not.
+follows. An _Anchored value is truthy, + and - keep its anchor and < 0 is
+False, so the interpreter never branches on the anchor: the rerun's outcome
+depends on (program, offset, budget) alone, and a pass, of one budget, keeps
+it by (e, dx) in a dict freed with the pass. A record this fails or leaves
+undecided, and every non-injective one (past the budget two witnesses
+follow one path and never collide), takes the concrete checks, which name
+its fault. The transcript is read against its replay in one forward pass
+(Transcript.read_jsonl): a record read as its replayed line is that
+replayed record, and check_transcript_replay reports the first record that
+is not.
 INCOMPLETE names what is missing (stages or records); FAIL means a check was
 run and refuted. Report lines are json.dumps's bytes.
 """
@@ -63,7 +67,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from fractions import Fraction
-from math import factorial, inf, lcm
+from math import factorial, inf
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .construction import (
@@ -296,30 +300,29 @@ def compare_endpoints(u: Callable[[int], Fraction], K: int, c: int,
                       u2: Callable[[int], Fraction], K2: int, c2: int) -> int | None:
     """sign(b(K) + c - b2(K2) - c2) for the source endpoints of profiles u
     and u2 from the top factorial digits (module docstring), or None."""
-    w, top = abs(c - c2), max(K, K2)
     if u is u2:
         if K == K2:
             return (c > c2) - (c < c2)
-        return None if min(K, K2) < _factorial_above(w) else 1 if K > K2 else -1
-    n, den = 0, 1   # A_L = n / den, for L from top - 1 down while (L - 1)! > top + w
-    for L in range(top - 1, min(top, _factorial_above(top + w)), -1):
+        return None if min(K, K2) < _factorial_above(abs(c - c2)) else 1 if K > K2 else -1
+    top = max(K, K2)
+    n, den = 0, 1   # A_L = n / den, for L from top - 1 down while (L - 1)! > top + |c - c2|
+    for L in range(top - 1, min(top, _factorial_above(top + abs(c - c2))), -1):
         n *= L + 1
         for v, sign, bound in (u, 1, K), (u2, -1, K2):
             if L < bound:
-                p, q = v(L).as_integer_ratio()
-                m = lcm(den, q)
-                n, den = n * (m // den) + sign * p * (m // q), m
+                d = v(L)
+                n, den = n * d.denominator + sign * d.numerator * den, den * d.denominator
         if abs(n) * L >= 5 * den:
             return 1 if n > 0 else -1
     return None
 
 
 class _Anchored(NamedTuple):
-    """A rerun's register 0, anchor + offset, the anchor a source endpoint
-    (index, block) never computed; truth and == are exact past the budget,
-    and run_program's x < 0 is False, as the witness is natural."""
+    """A rerun's register 0, anchor + offset, the anchor one fixed source
+    endpoint never computed (module docstring); truth and == are exact past
+    the budget, and run_program's x < 0 is False, as the witness is natural."""
 
-    anchor: tuple
+    anchor: object
     offset: int
 
     def __add__(self, n):
@@ -333,28 +336,31 @@ class _Anchored(NamedTuple):
 
 
 def _passes_past_prefix(coded: CodedFamily, state: ConstructionState,
-                        record: StageRecord) -> bool:
-    """Whether comparisons and an _Anchored rerun prove that a record passes
-    its branch's checks, False when one fails or is undecided. A collision
+                        record: StageRecord, reruns: dict) -> bool:
+    """Whether comparisons and an _Anchored rerun, kept in reruns by (e, dx),
+    prove that a record passes its branch's checks, else False. A collision
     never passes: witnesses past the budget follow one control path."""
     _, e, i, j, k, branch, dx, _, dy, ell, budget, m_after = record
     if k - 1 < _factorial_above(budget) or branch == BRANCH_NON_INJECTIVE:
         return False
     u_i, u_j = coded.family.profile(i), coded.family.profile(j)
     if branch == BRANCH_NON_TOTAL:
-        return (m_after == k and dx >= 0 and compare_endpoints(u_i, k, dx, u_i, k + 1, 0) == -1
-                and isinstance(run_program(decode(e), _Anchored((i, k), dx), budget),
-                               OutOfBudget))
-    if not (k < ell == m_after <= state.frontier
-            and state.block_bit(k) == 1 and state.block_bit(ell) == 0
-            and compare_endpoints(u_j, k + 1, dx, u_i, k, 0) in (0, 1)
-            and compare_endpoints(u_j, k + 1, dx, u_i, k + 1, 0) == -1
-            and compare_endpoints(u_j, k + 1, dy, u_j, ell, 0) in (0, 1)
-            and compare_endpoints(u_j, k + 1, dy, u_j, ell + 1, 0) == -1):
+        if not (m_after == k and dx >= 0
+                and compare_endpoints(u_i, k, dx, u_i, k + 1, 0) == -1):
+            return False
+    elif not (k < ell == m_after <= state.frontier
+              and state.block_bit(k) == 1 and state.block_bit(ell) == 0
+              and compare_endpoints(u_j, k + 1, dx, u_i, k, 0) in (0, 1)
+              and compare_endpoints(u_j, k + 1, dx, u_i, k + 1, 0) == -1
+              and compare_endpoints(u_j, k + 1, dy, u_j, ell, 0) in (0, 1)
+              and compare_endpoints(u_j, k + 1, dy, u_j, ell + 1, 0) == -1):
         return False
-    anchor = j, k + 1
-    outcome = run_program(decode(e), _Anchored(anchor, dx), budget)
-    return isinstance(outcome, Halted) and outcome.value == _Anchored(anchor, dy)
+    if (e, dx) not in reruns:
+        reruns[e, dx] = run_program(decode(e), _Anchored(None, dx), budget)
+    outcome = reruns[e, dx]
+    if branch == BRANCH_NON_TOTAL:
+        return isinstance(outcome, OutOfBudget)
+    return isinstance(outcome, Halted) and outcome.value.offset == dy
 
 
 def check_diag_witness(
@@ -403,10 +409,11 @@ def _record_fault(
     budget: int,
     frontier: int,
     k_max: float,
+    reruns: dict,
 ) -> tuple[str, dict] | None:
     """The first check the stage n record of a run of the given step budget
     fails past the given frontier, as (name, detail), or None; from k_max on
-    a record _passes_past_prefix passes is passed.
+    a record _passes_past_prefix passes with the pass's reruns is passed.
 
     The requirement, the budget and k come first, before a program is
     decoded or any geometry read, as those costs grow with e, i, the budget
@@ -428,7 +435,7 @@ def _record_fault(
     for name in _WITNESSES[branch]:
         if getattr(record, name) is None:
             return "witness_fields", {"field": name, "value": None}
-    if k >= k_max and _passes_past_prefix(coded, state, record):
+    if k >= k_max and _passes_past_prefix(coded, state, record, reruns):
         return None
     # ConstructionState.apply moves the frontier to M_after on trust, so it
     # must be ell for a diagonalized record and k otherwise.
@@ -490,8 +497,9 @@ def check_stage_records(
     counts = dict.fromkeys(BRANCHES, 0)
     faults: list[str | None] = []
     frontier = -1
+    reruns: dict = {}
     for n, record in enumerate(records):
-        fault = _record_fault(coded, state, schedule, n, record, budget, frontier, k_max)
+        fault = _record_fault(coded, state, schedule, n, record, budget, frontier, k_max, reruns)
         if fault is None:
             frontier = record.m_after
             counts[record.branch] += 1

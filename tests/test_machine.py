@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -213,6 +214,21 @@ def test_cycle_rule_agrees_with_run_without_it(program, monkeypatch):
     monkeypatch.setattr(machine, "_CYCLE_CHECK_AFTER", 10**6)
     for budget, outcome in early.items():
         assert outcome == run_program(program, 7, budget) == OutOfBudget(budget)
+
+
+def test_repeat_check_keeps_one_state_on_a_long_countdown():
+    """Program 3157, (DECJZ 0 0, DECJZ 1 0), counts a 66 000-bit register 0
+    down and spends its whole budget with no repeat. The repeat check holds
+    one saved state, so the run's allocations peak under 20 MB; a set of
+    every state met held the budget times the input's size, 445 MB."""
+    tracemalloc.start()
+    try:
+        outcome = run_program(decode(3157), (1 << 66000) - 12345, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == OutOfBudget(10**5)
+    assert peak < 20 * 10**6
 
 
 @pytest.mark.parametrize("program", [LOOP, CONST0], ids=["loop", "const0"])

@@ -7,7 +7,10 @@ sums. The record checks use it at k >= k_max: a record it passes is passed,
 any other takes the concrete checks. So on every record of four runs, honest
 and tampered, the checks with the prefix at k_max must name the same fault as
 the checks with every record concrete, and every honest record at or past
-k_max must be passed by the comparator alone.
+k_max must be passed by the comparator alone. Past the prefix a pass reruns
+each (program, offset) once, from an anchor the run never branches on, so a
+record that shares an earlier record's rerun must still fail as it would
+concretely.
 """
 
 import random
@@ -17,16 +20,20 @@ from itertools import islice
 from math import factorial, inf
 
 import pytest
+from hypothesis import given, strategies as st
 
+from blockdensity import verify
 from blockdensity.construction import (
     BRANCH_DIAGONALIZED, BRANCH_NON_TOTAL, ConstructionState, RequirementSchedule, StageRecord,
     reconstruct_state,
 )
+from blockdensity.machine import Halted, decode, run_program
 from blockdensity.maps import CodedFamily
 from blockdensity.profiles import constant_family
 from blockdensity.scenarios import ScenarioConfig, construct
 from blockdensity.verify import (
-    _passes_past_prefix, _record_fault, block_walk, check_diag_witness, compare_endpoints,
+    PASS, _Anchored, _passes_past_prefix, _record_fault, block_walk, check_diag_witness,
+    check_stage_records, compare_endpoints,
 )
 from _oracles import FAMILIES
 
@@ -114,7 +121,7 @@ def test_non_total_records_that_halt_fail_past_the_prefix(e, k):
     record = StageRecord(e, e, 0, 1, k, BRANCH_NON_TOTAL, 0, None, None, None, 1000, k)
     for k_max in (0, inf):
         assert _record_fault(coded, ConstructionState(), schedule, e, record, 1000,
-                             -1, k_max) == ("rerun_diverges", {"dx": "0"})
+                             -1, k_max, {}) == ("rerun_diverges", {"dx": "0"})
 
 
 def test_an_image_block_not_past_k_is_never_passed():
@@ -131,7 +138,7 @@ def test_an_image_block_not_past_k_is_never_passed():
     record = StageRecord(0, 0, 1, 0, k, BRANCH_DIAGONALIZED, dx, None, dx, k - 1, 1000, k - 1)
     assert check_diag_witness(coded, state, record) == (
         "image_block", {"expected": k - 1, "located": k - 1})
-    assert not _passes_past_prefix(coded, state, record)
+    assert not _passes_past_prefix(coded, state, record, {})
 
 
 # The runs the record checks are compared on: (config, stages or None).
@@ -158,7 +165,8 @@ def test_comparator_passes_every_honest_record_past_the_prefix(run):
     config, coded, _, records, _, state = run
     past = [r for r in records if r.k >= config.k_max]
     assert past
-    assert all(_passes_past_prefix(coded, state, r) for r in past)
+    reruns = {}
+    assert all(_passes_past_prefix(coded, state, r, reruns) for r in past)
 
 
 def _tampers(coded, record, k_other):
@@ -217,6 +225,7 @@ def test_checks_past_the_prefix_name_the_concrete_fault(run, no_digit_limit):
     config, coded, schedule, records, frontiers, state = run
     budget = config.budget
     diagonal = {}   # pair -> the k of its last diagonalized record so far
+    reruns = {}     # one memo for the run, as in check_stage_records
     for n, record in enumerate(records):
         k_other = diagonal.get((record.j, record.i))
         if record.ell is not None:
@@ -225,6 +234,70 @@ def test_checks_past_the_prefix_name_the_concrete_fault(run, no_digit_limit):
             continue
         for tampered in (record, *_tampers(coded, record, k_other)):
             concrete = _record_fault(coded, state, schedule, n, tampered, budget,
-                                     frontiers[n], inf)
+                                     frontiers[n], inf, {})
             assert _record_fault(coded, state, schedule, n, tampered, budget,
-                                 frontiers[n], config.k_max) == concrete, (n, tampered)
+                                 frontiers[n], config.k_max, reruns) == concrete, (n, tampered)
+
+
+def test_a_memoized_rerun_fails_the_records_it_does_not_fit(run):
+    """A record past the prefix whose (e, dx) an earlier honest record already
+    ran reads that rerun from the pass's memo. With dy moved by one, or made
+    non-total, it fails with the name and detail of the all-concrete checks:
+    rerun_value, and rerun_diverges where its x lies in block k."""
+    config, coded, schedule, records, frontiers, state = run
+    budget, reruns, names = config.budget, {}, set()
+    for n, record in enumerate(records):
+        if (record.k >= config.k_max and record.ell is not None
+                and (record.e, record.dx) in reruns):
+            for tampered in (record._replace(dy=record.dy + 1),
+                             record._replace(branch=BRANCH_NON_TOTAL, dy=None, ell=None,
+                                             m_after=record.k)):
+                concrete = _record_fault(coded, state, schedule, n, tampered, budget,
+                                         frontiers[n], inf, {})
+                assert _record_fault(coded, state, schedule, n, tampered, budget,
+                                     frontiers[n], config.k_max, reruns) == concrete, (n, tampered)
+                names.add(concrete[0])
+        assert _record_fault(coded, state, schedule, n, record, budget, frontiers[n],
+                             config.k_max, reruns) is None
+    assert {"rerun_value", "rerun_diverges"} <= names
+
+
+# run_program calls in one check_stage_records pass of each run: one per
+# record below k_max and one per distinct (e, dx) past it, where its records
+# make 300, 150, 1 200 and 400 calls without the memo.
+RERUNS = {"rationals-e50": 51, "antichain-e25": 28, "antichain-e200": 203,
+          "combined-full-prefix": 29}
+
+
+def test_a_pass_reruns_each_program_and_offset_once(run, request, monkeypatch):
+    """Counted in process; the memo is the pass's, so a second pass reruns
+    them all again."""
+    config, coded, schedule, records, _, state = run
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return run_program(*args)
+
+    monkeypatch.setattr(verify, "run_program", counting)
+    for passes in (1, 2):
+        cert, _ = check_stage_records(coded, state, schedule, records, config.budget,
+                                      config.k_max)
+        assert cert.verdict == PASS
+        assert len(calls) == passes * RERUNS[request.node.callspec.params["run"]]
+
+
+@given(e=st.integers(0, 3999), budget=st.integers(1, 200), data=st.data())
+def test_an_anchored_rerun_does_not_depend_on_its_anchor(e, budget, data):
+    """The memo's soundness: from anchor + dx with |dx| <= budget, two anchors
+    give one outcome type, step count and output offset, and so does a
+    literal run from the natural anchor 2 * budget + 1, where register 0
+    stays positive for the whole budget."""
+    dx = data.draw(st.integers(-budget, budget), label="dx")
+    program = decode(e)
+    a, b = (run_program(program, _Anchored(anchor, dx), budget) for anchor in ((0, 5), (2, 9)))
+    literal = run_program(program, 2 * budget + 1 + dx, budget)
+    assert type(a) is type(b) is type(literal)
+    if isinstance(a, Halted):
+        assert a.steps == b.steps == literal.steps
+        assert a.value.offset == b.value.offset == literal.value - 2 * budget - 1
