@@ -8,8 +8,7 @@ small-denominator profiles, so they cost time linear in the size of their
 arguments; h_apply and h_fibers do that arithmetic in one frame, on the source
 block read from the cache. Pointwise dominated pairs get blockwise
 translations, and block collapse witnesses that a block-constant set reduces
-to itself nontrivially. A family's source blocks read k! from its one target
-table.
+to itself nontrivially.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ class CodedFamily:
     def source(self, i: int) -> SourceBlocks:
         blocks = self._sources.get(i)
         if blocks is None:
-            blocks = SourceBlocks(self.family.profile(i), self.targets.size)
+            blocks = SourceBlocks(self.family.profile(i))
             self._sources[i] = blocks
         return blocks
 

@@ -20,8 +20,8 @@ def const(q):
 
 
 def source(q):
-    """Source blocks of the constant profile q over fresh target blocks."""
-    return SourceBlocks(const(q), TargetBlocks().size)
+    """Source blocks of the constant profile q."""
+    return SourceBlocks(const(q))
 
 
 def test_target_block_examples():
@@ -38,15 +38,27 @@ def test_source_len_examples():
 
 
 def test_source_len_rejects_out_of_band_values():
-    # ONE itself too: the target table's pair for it seeds only its own cache.
+    # ONE itself too: the target table's cursor starts with it as checked
+    # only in its own table.
     for bad in (Fraction(1), Fraction(2), Fraction(5, 2), Fraction(1, 2), ONE):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at block 0 outside"):
             source(bad).length(3)
+    # A value met only after others is checked where the loop first meets it:
+    # 3/2 then 5/2 from block 5, and 6/5 and 9/7 in turn, then ONE from block 7.
+    late = {
+        5: lambda k: Fraction(3, 2) if k < 5 else Fraction(5, 2),
+        7: lambda k: ONE if k >= 7 else (Fraction(6, 5), Fraction(9, 7))[k % 2],
+    }
+    for block, profile in late.items():
+        src = SourceBlocks(profile)
+        assert src.endpoint(block) == source_endpoints(profile, block)[block]
+        with pytest.raises(ValueError, match="at block %d outside" % block):
+            src.length(block + 3)
 
 
 def test_negative_block_index_is_refused():
     targets = TargetBlocks()
-    src = SourceBlocks(const(Fraction(3, 2)), targets.size)
+    src = SourceBlocks(const(Fraction(3, 2)))
     targets.endpoint(10)
     src.endpoint(10)
     for read in (targets.endpoint, targets.block, targets.size,
@@ -76,7 +88,7 @@ def test_locate_examples():
 def test_block_sizes_and_length_band():
     targets = TargetBlocks()
     for q in (Fraction(3, 2), Fraction(5, 4), Fraction(7, 4), Fraction(9, 5)):
-        src = SourceBlocks(const(q), targets.size)
+        src = SourceBlocks(const(q))
         for k in range(13):
             lo, hi = targets.block(k)
             assert hi - lo == factorial(k) == targets.size(k)
@@ -87,7 +99,7 @@ def test_block_sizes_and_length_band():
 
 def test_blocks_tile_with_no_gaps():
     targets = TargetBlocks()
-    src = SourceBlocks(const(Fraction(4, 3)), targets.size)
+    src = SourceBlocks(const(Fraction(4, 3)))
     for k in range(12):
         assert targets.block(k)[1] == targets.block(k + 1)[0]
         assert src.block(k)[1] == src.block(k + 1)[0]
@@ -104,7 +116,7 @@ def test_locate_matches_linear_scan():
             k += 1
         assert targets.locate(x) == (k, x - ends[k])
 
-    src = SourceBlocks(const(Fraction(5, 4)), targets.size)
+    src = SourceBlocks(const(Fraction(5, 4)))
     sends = source_endpoints(const(Fraction(5, 4)), 12)
     k = 0
     for x in range(100_000):
@@ -129,18 +141,18 @@ def test_ratio_is_reduced_exactly_where_q_divides_p_k_factorial():
             assert src.ratio(k) == (fact, src.length(k))
         else:
             assert src.ratio(k) == (1009, 1013)
-    # One shared pair per profile value, not one per block.
-    assert src.ratio(1009) is src.ratio(1010)
+    # The value's reduced pair on every exact block.
+    assert src.ratio(1009) == src.ratio(1010)
     assert source(Fraction(5, 4)).ratio(3) == (6, 7)
     assert source(Fraction(5, 4)).ratio(4) == (4, 5)
 
 
 # Production geometry against verify.block_walk, which sums blocks from the
-# profile alone: the oracle families (every kind, and 1013/1009, whose quotient
-# k!/q turns exact only at block 1009), the pair 6/5 with 9/7, so that a
-# quotient resumes after a gap (2, 4 and 16 blocks), a poset family over a
-# chain whose 6/5 and 3/2 switch the loop's denominator on most blocks, and a
-# poset family over the generic order.
+# profile alone: the oracle families (every kind, and 1013/1009, whose ratio
+# turns exact only at block 1009); so that the remainder test meets values
+# that alternate, the pair 6/5 with 9/7 (each returning after gaps of 2, 4
+# and 16 blocks) and a poset family over a chain whose 6/5 and 3/2 alternate
+# on most blocks; and a poset family over the generic order.
 GEOMETRY_FAMILIES = {
     **FAMILIES,
     "gap_pair": (oscillating_family(Fraction(6, 5), Fraction(9, 7))[0], (0, 1, 3)),
@@ -211,5 +223,5 @@ def test_geometry_matches_block_walk_in_any_access_order(kind, ops):
                 assert src.ratio(k) == (fact, ln)
             else:
                 assert src.ratio(k) == (q, p)
-                # One shared pair per value over all of the value's exact blocks.
-                assert exact_pairs.setdefault((i, q, p), src.ratio(k)) is src.ratio(k)
+                # One pair per value over all of the value's exact blocks.
+                assert exact_pairs.setdefault((i, q, p), src.ratio(k)) == src.ratio(k)

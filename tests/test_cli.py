@@ -404,17 +404,23 @@ atexit.register(lambda: print(reach[0]))
 """ + _SCENARIO_THEN_VERIFY
 
 
-@pytest.mark.parametrize("argv", [["antichain", "--n", "3"], ["combined", "--count", "6"]])
-def test_full_order_defaults_verify_in_one_gigabyte_within_the_prefix(argv, tmp_path):
-    """Under --schedule full the README examples at E = 50 finish, every
-    certificate passing, in a child process whose address space is capped at
-    1 GiB, and no block table passes block max(K*, k_max) + 2: the records
-    past k_max are checked from the profiles' factorial digits, and K* is the
-    largest of the run's pairs, past which the construction reads no geometry."""
+@pytest.mark.parametrize("argv", [
+    ["antichain", "--n", "3", "--schedule", "full"],
+    ["combined", "--count", "6", "--schedule", "full"],
+    ["rationals", "--count", "4"],
+    ["antichain", "--n", "3", "--E", "25"],
+])
+def test_readme_and_benchmark_configs_verify_in_one_gigabyte_within_the_prefix(
+        argv, tmp_path):
+    """The README examples at E = 50 under --schedule full, and the
+    benchmark's two window configs, finish, every certificate passing, in a
+    child process whose address space is capped at 1 GiB, and no block table
+    passes block max(K*, k_max) + 2: the records past k_max are checked from
+    the profiles' factorial digits, and K* is the largest of the run's pairs,
+    past which the construction reads no geometry."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     child = subprocess.run(
-        [sys.executable, "-c", _REACH_OF_SCENARIO_THEN_VERIFY, str(tmp_path), *argv,
-         "--schedule", "full"],
+        [sys.executable, "-c", _REACH_OF_SCENARIO_THEN_VERIFY, str(tmp_path), *argv],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=_cap_address_space,
     )
