@@ -94,14 +94,14 @@ class GapCertificate:
         return self._gaps[i, j]
 
     def k0(self, i: int, j: int) -> int:
-        return self._gap(i, j)[2]
+        return (self._gaps.get((i, j)) or self._gap(i, j))[2]
 
     def s(self, i: int, j: int, t: int) -> int:
         v = (self._gaps.get((i, j)) or self._gap(i, j))[1]
         return t if v is None else (2 * t + 1) << v
 
     def first_past(self, i: int, j: int, frontier: int) -> int:
-        v = self._gap(i, j)[1]
+        v = (self._gaps.get((i, j)) or self._gap(i, j))[1]
         return frontier + 1 if v is None else ((frontier >> v) + 1) >> 1   # 2t + 1 > F >> v
 
 

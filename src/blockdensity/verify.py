@@ -65,7 +65,6 @@ run and refuted. Report lines are json.dumps's bytes.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from fractions import Fraction
 from math import factorial, inf
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -290,30 +289,33 @@ def _negative(witnesses: dict) -> tuple[str, dict] | None:
 _FACTS = [factorial(m) for m in range(171)]
 
 
-def _factorial_above(w: int) -> float:
-    """The least m with m! > w, for a natural w below 170!, else inf."""
-    m = bisect_right(_FACTS, w)
-    return m if m < len(_FACTS) else inf
-
-
 def compare_endpoints(u: Callable[[int], Fraction], K: int, c: int,
                       u2: Callable[[int], Fraction], K2: int, c2: int) -> int | None:
     """sign(b(K) + c - b2(K2) - c2) for the source endpoints of profiles u
-    and u2 from the top factorial digits (module docstring), or None."""
+    and u2 from the top factorial digits (module docstring), or None; a
+    negative block index raises ValueError."""
+    if K < 0 or K2 < 0:
+        raise ValueError("block index %d is negative" % (K if K < 0 else K2))
+    w = c - c2 if c > c2 else c2 - c
     if u is u2:
         if K == K2:
             return (c > c2) - (c < c2)
-        return None if min(K, K2) < _factorial_above(abs(c - c2)) else 1 if K > K2 else -1
-    top = max(K, K2)
-    n, den = 0, 1   # A_L = n / den, for L from top - 1 down while (L - 1)! > top + |c - c2|
-    for L in range(top - 1, min(top, _factorial_above(top + abs(c - c2))), -1):
+        low = K if K < K2 else K2
+        return None if w >= _FACTS[low if low < 170 else 170] else 1 if K > K2 else -1
+    top = K if K > K2 else K2
+    w += top
+    n, den, L = 0, 1, top - 1   # A_L = n / den, for L from top - 1 down while (L - 1)! > w
+    while 0 < L and w < _FACTS[L - 1 if L < 171 else 170]:
         n *= L + 1
-        for v, sign, bound in (u, 1, K), (u2, -1, K2):
-            if L < bound:
-                d = v(L)
-                n, den = n * d.denominator + sign * d.numerator * den, den * d.denominator
-        if abs(n) * L >= 5 * den:
+        if L < K:
+            p, q = u(L).as_integer_ratio()
+            n, den = n * q + p * den, den * q
+        if L < K2:
+            p, q = u2(L).as_integer_ratio()
+            n, den = n * q - p * den, den * q
+        if (n if n > 0 else -n) * L >= 5 * den:
             return 1 if n > 0 else -1
+        L -= 1
     return None
 
 
@@ -341,7 +343,7 @@ def _passes_past_prefix(coded: CodedFamily, state: ConstructionState,
     prove that a record passes its branch's checks, else False. A collision
     never passes: witnesses past the budget follow one control path."""
     _, e, i, j, k, branch, dx, _, dy, ell, budget, m_after = record
-    if k - 1 < _factorial_above(budget) or branch == BRANCH_NON_INJECTIVE:
+    if branch == BRANCH_NON_INJECTIVE or k < 1 or budget >= _FACTS[k - 1 if k < 171 else 170]:
         return False
     u_i, u_j = coded.family.profile(i), coded.family.profile(j)
     if branch == BRANCH_NON_TOTAL:

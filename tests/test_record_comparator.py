@@ -10,11 +10,14 @@ the checks with every record concrete, and every honest record at or past
 k_max must be passed by the comparator alone. Past the prefix a pass reruns
 each (program, offset) once, from an anchor the run never branches on, so a
 record that shares an earlier record's rerun must still fail as it would
-concretely.
+concretely. The comparator reads m! from a table: at the edges of every
+factorial bound it must read the profile values a bisection of that table
+read, and answer as it did.
 """
 
 import random
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 from math import factorial, inf
@@ -106,6 +109,115 @@ def test_compare_endpoints_on_random_short_profiles():
         exact -= sum(v.numerator * factorial(m) // v.denominator for m, v in enumerate(t2[:K2]))
         sign = compare_endpoints(t.__getitem__, K, c, t2.__getitem__, K2, c2)
         assert sign in (None, _sign(exact + c - c2)), (t, t2, K, c, K2, c2)
+
+
+@pytest.mark.parametrize("K, K2, same", [(-3, 5, False), (5, -3, False), (-2, -2, True),
+                                         (4, -1, True)])
+def test_compare_endpoints_refuses_a_negative_block_index(K, K2, same):
+    family, _ = constant_family()
+    u0, u1 = family.profile(0), family.profile(1)
+    with pytest.raises(ValueError, match="block index %d is negative" % min(K, K2)):
+        compare_endpoints(u0, K, 0, u0 if same else u1, K2, 0)
+
+
+_FACTS = [factorial(m) for m in range(171)]
+
+
+def _factorial_above(w):
+    """The least m with m! > w, for a natural w below 170!, else inf."""
+    m = bisect_right(_FACTS, w)
+    return m if m < len(_FACTS) else inf
+
+
+def _bisecting_compare(u, K, c, u2, K2, c2):
+    """compare_endpoints as it stood when it bisected the factorial table."""
+    if u is u2:
+        if K == K2:
+            return (c > c2) - (c < c2)
+        return None if min(K, K2) < _factorial_above(abs(c - c2)) else 1 if K > K2 else -1
+    top = max(K, K2)
+    n, den = 0, 1
+    for L in range(top - 1, min(top, _factorial_above(top + abs(c - c2))), -1):
+        n *= L + 1
+        for v, sign, bound in (u, 1, K), (u2, -1, K2):
+            if L < bound:
+                d = v(L)
+                n, den = n * d.denominator + sign * d.numerator * den, den * d.denominator
+        if abs(n) * L >= 5 * den:
+            return 1 if n > 0 else -1
+    return None
+
+
+def _reading(u, reads, tag):
+    def v(m):
+        reads.append((tag, m))
+        return u(m)
+    return v
+
+
+def _answer_and_reads(compare, u, K, c, u2, K2, c2):
+    reads = []
+    v = _reading(u, reads, 0)
+    return compare(v, K, c, v if u is u2 else _reading(u2, reads, 1), K2, c2), reads
+
+
+# Each w at a factorial bound: m! - 1, m! and m! + 1 for m <= 12, and 170! - 1
+# and 170!, past which nothing is decided.
+EDGES = sorted({w for m in range(13) for w in (factorial(m) - 1, factorial(m), factorial(m) + 1)}
+               | {factorial(170) - 1, factorial(170)})
+THREE_HALVES = Fraction(3, 2)
+# Pairs of distinct profiles: equal values, so the scan reads every digit up
+# to its bound; a difference at every digit; a difference at digit 9 alone.
+PAIRS = [(lambda m: THREE_HALVES, lambda m: THREE_HALVES),
+         (lambda m: THREE_HALVES, lambda m: THREE_HALVES + Fraction(1, 10 ** 9)),
+         (lambda m: THREE_HALVES, lambda m: THREE_HALVES + (Fraction(1, 7) if m == 9 else 0))]
+
+
+def test_compare_endpoints_reads_the_digits_a_bisection_read_at_every_bound():
+    """One profile: |c - c2| at each edge, min(K, K2) on either side of the
+    edge's m and at the 170! cap, and K = K2. Two profiles: max(K, K2) +
+    |c - c2| at each edge, from scans that start at L <= 1 up to scans past
+    170, so a comparator that reads one digit too many or too few, or
+    answers where the table says not to, differs here."""
+    u = PAIRS[0][0]
+    lows = [*range(15), 169, 170, 171, 172]
+    for w in EDGES:
+        for low in lows:
+            for K, K2 in (low, low), (low, low + 1), (low + 1, low):
+                for c, c2 in (w, 0), (3, w + 3):
+                    case = (u, K, c, u, K2, c2)
+                    assert (_answer_and_reads(compare_endpoints, *case)
+                            == _answer_and_reads(_bisecting_compare, *case)), case[1:]
+    tops = [0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 14, 170, 171, 172]
+    for w in EDGES:
+        for top in (t for t in tops if t <= w):
+            for K, K2 in {(top, top), (top, max(top - 1, 0)), (max(top - 1, 0), top)}:
+                for c, c2 in (w - top, 0), (0, w - top):
+                    for u, u2 in PAIRS:
+                        case = (u, K, c, u2, K2, c2)
+                        assert (_answer_and_reads(compare_endpoints, *case)
+                                == _answer_and_reads(_bisecting_compare, *case)), case[1:]
+
+
+# Program 76, DECJZ 1 0, never halts and never changes a register.
+LOOP = 76
+
+
+def test_the_budget_gate_passes_where_a_bisection_passed():
+    """A non-total record of block k whose program never halts is passed
+    past the prefix exactly when (k - 1)! > budget, capped at 170!: at
+    budgets (k - 1)! - 1, (k - 1)! and (k - 1)! + 1, and at the cap."""
+    family, _ = constant_family()
+    coded, state = CodedFamily(family), ConstructionState()
+    for k in [*range(15), 169, 170, 171, 172, 200]:
+        for budget in {factorial(max(k - 1, 0)) + d for d in (-1, 0, 1)} | {
+                factorial(170) - 1, factorial(170), factorial(170) + 1}:
+            if budget < 1:
+                continue
+            record = StageRecord(0, LOOP, 0, 1, k, BRANCH_NON_TOTAL, 0, None, None, None,
+                                 budget, k)
+            passes = k - 1 >= _factorial_above(budget)
+            assert _passes_past_prefix(coded, state, record, {}) == passes, (k, budget)
 
 
 @pytest.mark.parametrize("e, k", [(COUNT_DOWN, 5), (0, 8)])
@@ -267,6 +379,11 @@ def test_a_memoized_rerun_fails_the_records_it_does_not_fit(run):
 # make 300, 150, 1 200 and 400 calls without the memo.
 RERUNS = {"rationals-e50": 51, "antichain-e25": 28, "antichain-e200": 203,
           "combined-full-prefix": 29}
+# compare_endpoints calls in one pass of each run, and the profile values
+# they read: the comparator reads m! from a table, so these do not depend on
+# how it finds a bound.
+COMPARISONS = {"rationals-e50": (1196, 911), "antichain-e25": (588, 441),
+               "antichain-e200": (4608, 3411), "combined-full-prefix": (1596, 1209)}
 
 
 def test_a_pass_reruns_each_program_and_offset_once(run, request, monkeypatch):
@@ -285,6 +402,23 @@ def test_a_pass_reruns_each_program_and_offset_once(run, request, monkeypatch):
                                       config.k_max)
         assert cert.verdict == PASS
         assert len(calls) == passes * RERUNS[request.node.callspec.params["run"]]
+
+
+def test_a_pass_makes_the_same_comparisons_and_reads(run, request, monkeypatch):
+    config, coded, schedule, records, _, state = run
+    calls, reads = [], []
+    compare = verify.compare_endpoints
+
+    def counting(*case):
+        answer, read = _answer_and_reads(compare, *case)
+        calls.append(case[1:])
+        reads.extend(read)
+        return answer
+
+    monkeypatch.setattr(verify, "compare_endpoints", counting)
+    cert, _ = check_stage_records(coded, state, schedule, records, config.budget, config.k_max)
+    assert cert.verdict == PASS
+    assert (len(calls), len(reads)) == COMPARISONS[request.node.callspec.params["run"]]
 
 
 @given(e=st.integers(0, 3999), budget=st.integers(1, 200), data=st.data())
