@@ -35,12 +35,12 @@ from .verify import (
     INCOMPLETE,
     Certificate,
     check_bfo_equivalence,
+    check_collapse_autoreduction,
     check_defeat_bundle,
     check_embedding_matrix,
     check_positive_reduction,
     check_stage_records,
     check_transcript_replay,
-    target_walk,
 )
 
 
@@ -252,36 +252,6 @@ def _identity_device_certificate(transcript, state, faults) -> Certificate:
     return cert
 
 
-def _collapse_certificate(coded, state) -> Certificate:
-    """Block collapse is a self-reduction of the constructed prefix."""
-    k_hi = min(state.frontier, 9)
-    cert = Certificate("CollapseAutoreduction", {"k_hi": k_hi})
-    if k_hi < 2:
-        cert.incomplete("frontier", {"frontier": state.frontier})
-        return cert
-    # Collapse sends every x of target block k to a_k, in the same block, so
-    # both sides of the self-reduction read block k's bit: the scan walks the
-    # blocks and checks the production geometry and collapse at their ends.
-    for k, (_, a, a_next) in zip(range(k_hi + 1), target_walk()):
-        if coded.targets.endpoint(k) != a:
-            cert.fail("reference_geometry", {"k": k, "map": "targets.endpoint"})
-            return cert
-        if coded.collapse(a) != a or coded.collapse(a_next - 1) != a:
-            cert.fail("reference_geometry", {"k": k, "map": "collapse"})
-            return cert
-    cert.ok("self_reduction", {"scanned": a_next})
-    moved = []
-    for k in range(2, k_hi + 1):
-        lo, hi = coded.targets.block(k)
-        if any(coded.collapse(x) != x for x in (lo + 1, hi - 1)):
-            moved.append(k)
-    if len(moved) == k_hi - 1:
-        cert.ok("not_eventually_identity", {"blocks": moved})
-    else:
-        cert.fail("not_eventually_identity", {"blocks": moved})
-    return cert
-
-
 def _construction_certificates(config, coded, schedule, transcript):
     """The certificate suite for one run, derived from the transcript alone."""
     state = reconstruct_state(transcript.records)
@@ -321,7 +291,7 @@ def _construction_certificates(config, coded, schedule, transcript):
         certs.extend(check_bfo_equivalence(coded, state, i, config.k_max) for i in span)
         if config.kind == "combined":
             certs.append(_identity_device_certificate(transcript, state, faults))
-            certs.append(_collapse_certificate(coded, state))
+            certs.append(check_collapse_autoreduction(coded, state))
 
     certs.append(stage_checks)
     return certs

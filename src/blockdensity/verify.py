@@ -1,15 +1,17 @@
 """Certificate checking over transcripts and constructed prefixes.
 
-Positive claims (reductions, equivalences) are certified exactly over a
-number of blocks, source blocks 0 .. blocks - 1 for a reduction and target
-blocks 0 .. blocks - 1 for a coupling, each in one pass. The pass does not use
-the production geometry: it walks the blocks by running sums (block_walk: k!,
-a_k, b_k and |K_k| = floor(u(k) * k!) from the profile alone, nothing from
-blocks.py or maps.py). At every block it compares the walk with the
-production endpoints and lengths, checks the block identity on the walk's
-values, and compares the production maps with the walk at the block's two
-ends and (for couplings) at sampled offsets, up to the first disagreement, a
-reference_geometry FAIL: the certificates test that geometry, not trust it.
+Positive claims (reductions, equivalences, block collapse) are certified
+exactly over a number of blocks, source blocks 0 .. blocks - 1 for a
+reduction and target blocks 0 .. blocks - 1 for a coupling or collapse, each
+in one pass over one reference walk (_reference_walk). The walk does not use
+the production geometry: it sums the blocks (target_walk and block_walk: k!,
+a_k, b_k and |K_k| = floor(u(k) * k!) from the profiles alone, nothing from
+blocks.py or maps.py), and at every block compares them with the production
+target endpoints and sizes, then each profile's endpoints and lengths. Each
+certificate checks its block identity on the walk's values and compares the
+production maps with the walk at the block's two ends and (for couplings) at
+sampled offsets, up to the first disagreement, a reference_geometry FAIL:
+the certificates test that geometry, not trust it.
 
 The block identity settles every element of the block, so no element is
 checked one by one. Inside block k, with 0 <= r < |K_k| (|K_k^i| for a
@@ -51,13 +53,15 @@ as h_i sends source block k onto target block k, compressed_targets
 follows. An _Anchored value is truthy, + and - keep its anchor and < 0 is
 False, so the interpreter never branches on the anchor: the rerun's outcome
 depends on (program, offset, budget) alone, and a pass, of one budget, keeps
-it by (e, dx) in a dict freed with the pass. A record this fails or leaves
-undecided, and every non-injective one (past the budget two witnesses
-follow one path and never collide), takes the concrete checks, which name
-its fault. The transcript is read against its replay in one forward pass
-(Transcript.read_jsonl): a record read as its replayed line is that
-replayed record, and check_transcript_replay reports the first record that
-is not.
+it by (e, dx) in a dict freed with the pass. A record whose placements this
+passes but whose rerun disagrees fails rerun_value (rerun_diverges if
+non-total), as the concrete checks would name it, with no geometry read. A
+record it leaves undecided, and every non-injective one (past the budget two
+witnesses follow one path and never collide), takes the concrete checks,
+which name its fault. The transcript is read against its replay in one
+forward pass (Transcript.read_jsonl): a record read as its replayed line is
+that replayed record, and check_transcript_replay reports the first record
+that is not.
 INCOMPLETE names what is missing (stages or records); FAIL means a check was
 run and refuted. Report lines are json.dumps's bytes.
 """
@@ -67,7 +71,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import factorial, inf
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from .construction import (
     BRANCH_DIAGONALIZED, BRANCH_NON_INJECTIVE, BRANCH_NON_TOTAL, BRANCHES,
@@ -146,35 +150,47 @@ def block_walk(
     k!)) with its least element the least preimage, and the translation to
     another profile's partition is b_k + r -> b'_k + r.
     """
-    b = 0
-    for k, (fact, a, a_next) in enumerate(target_walk()):
-        u = profile(k)
-        ln = u.numerator * fact // u.denominator
-        yield fact, a, a_next, b, ln
-        b += ln
+    fact, a, b, k = 1, 0, 0, 0
+    while True:
+        p, q = profile(k).as_integer_ratio()
+        ln = p * fact // q
+        yield fact, a, a + fact, b, ln
+        a, b, k = a + fact, b + ln, k + 1
+        fact *= k
 
 
-def _geometry_mismatch(
-    coded: CodedFamily, i: int, k: int, fact: int, a: int, b: int, ln: int
-) -> str | None:
-    """The first production geometry value at block k that the walk refutes."""
-    targets, src = coded.targets, coded.source(i)
-    return ("targets.endpoint" if targets.endpoint(k) != a
-            else "targets.size" if targets.size(k) != fact
-            else "source.endpoint" if src.endpoint(k) != b
-            else "source.length" if src.length(k) != ln else None)
-
-
-def _short_of_frontier(cert: Certificate, state: ConstructionState, blocks: int) -> bool:
-    """Mark cert INCOMPLETE if block blocks - 1 lies beyond the frontier."""
-    if blocks - 1 <= state.frontier:
-        return False
-    cert.incomplete(
-        "frontier",
-        {"needed_block": blocks - 1, "frontier": state.frontier,
-         "hint": "run stages until the frontier reaches the needed block"},
-    )
-    return True
+def _reference_walk(
+    cert: Certificate, coded: CodedFamily, state: ConstructionState, blocks: int, *indices: int
+) -> Iterator[tuple]:
+    """The zip of target_walk and each index's block_walk over blocks
+    0 .. blocks - 1, each block as (k, target_walk's tuple, block_walk's per
+    index) once it agrees with targets.endpoint and targets.size, then each
+    index's source.endpoint and source.length; else cert fails
+    reference_geometry there. An empty range fails cert and a last block past
+    the frontier leaves it INCOMPLETE: the walk ends with cert not PASS."""
+    if blocks < 1:
+        cert.fail("range", {"reason": "empty range"})
+        return
+    if blocks - 1 > state.frontier:
+        cert.incomplete("frontier", {
+            "needed_block": blocks - 1, "frontier": state.frontier,
+            "hint": "run stages until the frontier reaches the needed block"})
+        return
+    targets = coded.targets
+    sources = [(n, coded.source(i)) for n, i in enumerate(indices, 2)]
+    walks = [block_walk(coded.family.profile(i)) for i in indices]
+    for block in zip(range(blocks), target_walk(), *walks):
+        k, (fact, a, _) = block[0], block[1]
+        name = ("targets.endpoint" if targets.endpoint(k) != a
+                else "targets.size" if targets.size(k) != fact else None)
+        for n, src in sources:   # block[n] is src's block_walk tuple
+            _, _, _, b, ln = block[n]
+            name = name or ("source.endpoint" if src.endpoint(k) != b
+                            else "source.length" if src.length(k) != ln else None)
+        if name is not None:
+            cert.fail("reference_geometry", {"k": k, "map": name})
+            return
+        yield block
 
 
 def check_positive_reduction(
@@ -183,26 +199,14 @@ def check_positive_reduction(
     """Certify the blockwise translation as a one-one reduction on source
     blocks 0 .. blocks - 1 of i.
 
-    One pass over the walk's blocks. At each block the walk must agree with
-    the production geometry, |K_k^i| <= |K_k^j| must hold
-    (pointwise_domination, the identity that makes the translation injective
-    and commuting on the whole block), and the production maps must agree
-    with the walk at the block's two ends.
+    One pass over the reference walk of i and j (_reference_walk). At each
+    block |K_k^i| <= |K_k^j| must hold (pointwise_domination, the identity
+    that makes the translation injective and commuting on the whole block),
+    and the production maps must agree with the walk at the block's two ends.
     """
     cert = Certificate("PositiveReduction", {"i": i, "j": j, "blocks": blocks})
-    if blocks < 1:
-        cert.fail("range", {"reason": "empty range"})
-        return cert
-    if _short_of_frontier(cert, state, blocks):
-        return cert
-    profile_i, profile_j = coded.family.profile(i), coded.family.profile(j)
-    walks = zip(range(blocks), block_walk(profile_i), block_walk(profile_j))
-    for k, (fact, a, _, b_i, ln_i), (_, _, _, b_j, ln_j) in walks:
-        name = (_geometry_mismatch(coded, i, k, fact, a, b_i, ln_i)
-                or _geometry_mismatch(coded, j, k, fact, a, b_j, ln_j))
-        if name is not None:
-            cert.fail("reference_geometry", {"k": k, "map": name})
-            return cert
+    walk = _reference_walk(cert, coded, state, blocks, i, j)
+    for k, (fact, a, _), (_, _, _, b_i, ln_i), (_, _, _, b_j, ln_j) in walk:
         # The reduction lemma of the module docstring needs only this.
         if ln_i > ln_j:
             cert.fail(
@@ -218,7 +222,8 @@ def check_positive_reduction(
             if name is not None:
                 cert.fail("reference_geometry", {"k": k, "map": name})
                 return cert
-    cert.ok("blockwise_exact", {"blocks": blocks})
+    if cert.verdict == PASS:
+        cert.ok("blockwise_exact", {"blocks": blocks})
     return cert
 
 
@@ -230,28 +235,17 @@ def check_bfo_equivalence(
     Fibers of the compression map stay within size two, the least-preimage
     map is injective, and base membership equals coded membership of the
     least preimage, over target blocks 0 .. blocks - 1. One pass over the
-    walk's blocks as in check_positive_reduction, with the length band
+    reference walk of i as in check_positive_reduction, with the length band
     k! <= |K_k| < 2 * k! as the block identity and the maps also compared at
     every floor(k! / 7)-th offset.
     """
     cert = Certificate("BfoEquivalence", {"i": i, "blocks": blocks})
-    if blocks < 1:
-        cert.fail("range", {"reason": "empty range"})
-        return cert
-    if _short_of_frontier(cert, state, blocks):
-        return cert
-    walk = zip(range(blocks), block_walk(coded.family.profile(i)))
-    for k, (fact, a, _, b, ln) in walk:
-        name = _geometry_mismatch(coded, i, k, fact, a, b, ln)
-        if name is not None:
-            cert.fail("reference_geometry", {"k": k, "map": name})
-            return cert
+    for k, (fact, a, _), (_, _, _, b, ln) in _reference_walk(cert, coded, state, blocks, i):
         # The coupling lemma of the module docstring needs only this.
         if not fact <= ln < 2 * fact:
             cert.fail("length_band", {"k": k, "len": str(ln), "size": str(fact)})
             return cert
-        step = max(1, fact // 7)
-        for q in sorted({fact - 1, *range(0, fact, step)}):
+        for q in (*range(0, fact - 1, fact // 7 or 1), fact - 1):
             y = a + q
             fiber = coded.h_fibers(i, y)
             if not 1 <= len(fiber) <= 2:
@@ -268,7 +262,38 @@ def check_bfo_equivalence(
             if name is not None:
                 cert.fail("reference_geometry", {"k": k, "map": name})
                 return cert
-    cert.ok("blockwise_exact", {"blocks": blocks})
+    if cert.verdict == PASS:
+        cert.ok("blockwise_exact", {"blocks": blocks})
+    return cert
+
+
+def check_collapse_autoreduction(coded: CodedFamily, state: ConstructionState) -> Certificate:
+    """Certify block collapse as a self-reduction of the constructed prefix,
+    over target blocks 0 .. min(frontier, 9), that is not eventually the
+    identity. Collapse sends every x of target block k to a_k, in the same
+    block, so both sides read block k's bit: the reference walk of the
+    targets checks collapse at each block's two ends."""
+    k_hi = min(state.frontier, 9)
+    cert = Certificate("CollapseAutoreduction", {"k_hi": k_hi})
+    if k_hi < 2:
+        cert.incomplete("frontier", {"frontier": state.frontier})
+        return cert
+    for k, (_, a, a_next) in _reference_walk(cert, coded, state, k_hi + 1):
+        if coded.collapse(a) != a or coded.collapse(a_next - 1) != a:
+            cert.fail("reference_geometry", {"k": k, "map": "collapse"})
+            return cert
+    if cert.verdict != PASS:
+        return cert
+    cert.ok("self_reduction", {"scanned": a_next})
+    moved = []
+    for k in range(2, k_hi + 1):
+        lo, hi = coded.targets.block(k)
+        if any(coded.collapse(x) != x for x in (lo + 1, hi - 1)):
+            moved.append(k)
+    if len(moved) == k_hi - 1:
+        cert.ok("not_eventually_identity", {"blocks": moved})
+    else:
+        cert.fail("not_eventually_identity", {"blocks": moved})
     return cert
 
 
@@ -337,11 +362,13 @@ class _Anchored(NamedTuple):
         return False
 
 
-def _passes_past_prefix(coded: CodedFamily, state: ConstructionState,
-                        record: StageRecord, reruns: dict) -> bool:
-    """Whether comparisons and an _Anchored rerun, kept in reruns by (e, dx),
-    prove that a record passes its branch's checks, else False. A collision
-    never passes: witnesses past the budget follow one control path."""
+def _passes_past_prefix(coded: CodedFamily, state: ConstructionState, record: StageRecord,
+                        reruns: dict) -> tuple[str, dict] | None | Literal[False]:
+    """None if comparisons and an _Anchored rerun, kept in reruns by (e, dx),
+    prove that a record passes its branch's checks; the rerun's fault, named
+    as the concrete checks name it, if they place every witness and only the
+    rerun disagrees; else False, undecided. A collision is undecided:
+    witnesses past the budget follow one control path."""
     _, e, i, j, k, branch, dx, _, dy, ell, budget, m_after = record
     if branch == BRANCH_NON_INJECTIVE or k < 1 or budget >= _FACTS[k - 1 if k < 171 else 170]:
         return False
@@ -361,8 +388,10 @@ def _passes_past_prefix(coded: CodedFamily, state: ConstructionState,
         reruns[e, dx] = run_program(decode(e), _Anchored(None, dx), budget)
     outcome = reruns[e, dx]
     if branch == BRANCH_NON_TOTAL:
-        return isinstance(outcome, OutOfBudget)
-    return isinstance(outcome, Halted) and outcome.value.offset == dy
+        return None if isinstance(outcome, OutOfBudget) else ("rerun_diverges", {"dx": str(dx)})
+    if isinstance(outcome, Halted) and outcome.value.offset == dy:
+        return None
+    return "rerun_value", {"dx": str(dx)}
 
 
 def check_diag_witness(
@@ -415,7 +444,8 @@ def _record_fault(
 ) -> tuple[str, dict] | None:
     """The first check the stage n record of a run of the given step budget
     fails past the given frontier, as (name, detail), or None; from k_max on
-    a record _passes_past_prefix passes with the pass's reruns is passed.
+    a record _passes_past_prefix decides with the pass's reruns takes its
+    answer.
 
     The requirement, the budget and k come first, before a program is
     decoded or any geometry read, as those costs grow with e, i, the budget
@@ -437,8 +467,10 @@ def _record_fault(
     for name in _WITNESSES[branch]:
         if getattr(record, name) is None:
             return "witness_fields", {"field": name, "value": None}
-    if k >= k_max and _passes_past_prefix(coded, state, record, reruns):
-        return None
+    if k >= k_max:
+        fault = _passes_past_prefix(coded, state, record, reruns)
+        if fault is not False:
+            return fault
     # ConstructionState.apply moves the frontier to M_after on trust, so it
     # must be ell for a diagonalized record and k otherwise.
     if branch == BRANCH_DIAGONALIZED:
@@ -468,6 +500,22 @@ def _record_fault(
     return None
 
 
+def _reach(coded: CodedFamily, i: int, j: int, k: int, budget: int, k_max: float) -> int:
+    """max(k, the block of j that holds b_i(k + 1) + budget - 1), by
+    compare_endpoints from k_max on, reading endpoints only where it is
+    undecided."""
+    u_i, u_j = coded.family.profile(i), coded.family.profile(j)
+    m = k
+    while True:   # m is the answer once b_j(m + 1) > b_i(k + 1) + budget - 1
+        sign = compare_endpoints(u_j, m + 1, 0, u_i, k + 1, budget - 1) if k >= k_max else None
+        if sign is None:
+            end = coded.source(i).endpoint(k + 1) + budget - 1
+            sign = coded.source(j).endpoint(m + 1) - end
+        if sign > 0:
+            return m
+        m += 1
+
+
 def check_stage_records(
     coded: CodedFamily,
     state: ConstructionState,
@@ -487,10 +535,11 @@ def check_stage_records(
     failing record it moves by the schedule alone, never by the record: to
     the block k the honest stage picks past the frontier (domination_search
     for the requirement at stage n), or further, to the last block the image
-    of an element of block k can reach within the budget, which the honest
-    M_after does not pass. So a failing record neither raises a later bound
-    beyond the honest stage's reach nor lowers one below an honest k, and no
-    geometry is read past the honest block's reach. The certificate counts
+    of an element of block k can reach within the budget (_reach, by the
+    comparator from k_max on), which the honest M_after does not pass. So a
+    failing record neither raises a later bound beyond the honest stage's
+    reach nor lowers one below an honest k, and no geometry is read past the
+    honest block's reach. The certificate counts
     the records of each branch, or names each failing record by stage and
     check; a record whose image block lies past the frontier leaves it
     INCOMPLETE.
@@ -514,8 +563,7 @@ def check_stage_records(
         # the frontier, and the last block its image y <= x + budget reaches.
         _, i, j = schedule.requirement(n)
         k = domination_search(coded, schedule.cert, i, j, frontier, schedule.cert.k0(i, j))
-        end = coded.source(i).endpoint(k + 1) + budget - 1
-        frontier = max(k, coded.source(j).locate(end)[0])
+        frontier = _reach(coded, i, j, k, budget, k_max)
     if cert.verdict == PASS:
         cert.ok("all_records", counts)
     return cert, faults

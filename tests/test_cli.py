@@ -390,9 +390,9 @@ def test_readme_defaults_run_in_one_gigabyte(argv, tmp_path):
     assert (child.returncode, child.stderr) == (0, "")
 
 
-# _SCENARIO_THEN_VERIFY, printing at exit the largest block index whose
-# endpoint any block table has cached, as the geometry_reach fixture reads it.
-_REACH_OF_SCENARIO_THEN_VERIFY = """
+# Prints at exit the largest block index whose endpoint any block table has
+# cached, as the geometry_reach fixture reads it.
+_REACH = """
 import atexit
 from blockdensity import blocks
 reach, real = [0], blocks.SourceBlocks._extend
@@ -401,7 +401,25 @@ def extend(self, *args, **kwargs):
     reach[0] = max(reach[0], len(self._ends) - 1)
 blocks.SourceBlocks._extend = extend
 atexit.register(lambda: print(reach[0]))
-""" + _SCENARIO_THEN_VERIFY
+"""
+_REACH_OF_SCENARIO_THEN_VERIFY = _REACH + _SCENARIO_THEN_VERIFY
+# The command line of its arguments, exiting with its code.
+_VERIFY_ARGV = """
+import sys
+from blockdensity.cli import main
+sys.exit(main())
+"""
+
+
+def _reach_bound(outdir):
+    """max(K*, k_max) + 2 for the run in outdir, K* the largest of its
+    pairs', past which the construction reads no geometry."""
+    config = ScenarioConfig.from_json(json.loads((outdir / "config.json").read_text()))
+    cert = prepare(config)[1].cert
+    k_b = next(k for k in range(1, 100) if math.factorial(k - 1) > config.budget + 1)
+    records = [json.loads(line) for line in (outdir / "transcript.jsonl").open()]
+    k_star = max(max(cert.k0(r["i"], r["j"]), k_b) for r in records)
+    return max(k_star, config.k_max) + 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -425,12 +443,39 @@ def test_readme_and_benchmark_configs_verify_in_one_gigabyte_within_the_prefix(
         preexec_fn=_cap_address_space,
     )
     assert (child.returncode, child.stderr) == (0, "")
-    config = ScenarioConfig.from_json(json.loads((tmp_path / "config.json").read_text()))
-    cert = prepare(config)[1].cert
-    k_b = next(k for k in range(1, 100) if math.factorial(k - 1) > config.budget + 1)
-    records = [json.loads(line) for line in (tmp_path / "transcript.jsonl").open()]
-    k_star = max(max(cert.k0(r["i"], r["j"]), k_b) for r in records)
-    assert int(child.stdout.splitlines()[-1]) <= max(k_star, config.k_max) + 2
+    assert int(child.stdout.splitlines()[-1]) <= _reach_bound(tmp_path)
+
+
+def test_a_tampered_frontier_record_fails_in_one_gigabyte_within_the_prefix(
+        tmp_path, capsys):
+    """dy moved by one on the last record of full-order antichain --n 3
+    (k = 55 262) fails rerun_value from the profiles' factorial digits and
+    the anchored rerun: verify exits 1 in a child process whose address
+    space is capped at 1 GiB, and no block table passes block
+    max(K*, k_max) + 2, as on the honest transcript."""
+    assert main(["scenario", "antichain", "--n", "3", "--schedule", "full",
+                 "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    transcript_path, report_path = tmp_path / "transcript.jsonl", tmp_path / "r.jsonl"
+    records = [json.loads(line) for line in transcript_path.read_text().splitlines()]
+    last = records[-1]
+    assert last["branch"] == "diagonalized" and last["k"] > 50_000
+    last["dy"] = hex(int(last["dy"], 16) + 1)
+    transcript_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", _REACH + _VERIFY_ARGV,
+         "verify", "--config", str(tmp_path / "config.json"),
+         "--transcript", str(transcript_path), "--report", str(report_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert (child.returncode, child.stderr) == (1, "")
+    report = {c["kind"]: c for c in map(json.loads, report_path.read_text().splitlines())}
+    assert report["StageChecks"]["checks"] == [
+        {"check": "rerun_value", "ok": False, "stage": len(records) - 1,
+         "dx": str(int(last["dx"], 16))}]
+    assert int(child.stdout.splitlines()[-1]) <= _reach_bound(tmp_path)
 
 
 def test_usage_error_exit_code(capsys):

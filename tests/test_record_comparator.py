@@ -4,15 +4,16 @@ verify.compare_endpoints decides sign(b(K) + c - b2(K2) - c2) from the top
 factorial digits of the profiles, or leaves it undecided. Where it decides it
 must give the exact sign, computed here from verify.block_walk's running
 sums. The record checks use it at k >= k_max: a record it passes is passed,
-any other takes the concrete checks. So on every record of four runs, honest
-and tampered, the checks with the prefix at k_max must name the same fault as
-the checks with every record concrete, and every honest record at or past
-k_max must be passed by the comparator alone. Past the prefix a pass reruns
-each (program, offset) once, from an anchor the run never branches on, so a
-record that shares an earlier record's rerun must still fail as it would
-concretely. The comparator reads m! from a table: at the edges of every
-factorial bound it must read the profile values a bisection of that table
-read, and answer as it did.
+one whose placements it passes and whose rerun fails is named from the
+rerun, and any other takes the concrete checks. So on every record of four
+runs, honest and tampered, the checks with the prefix at k_max must name the
+same fault as the checks with every record concrete, and every honest record
+at or past k_max must be passed by the comparator alone. Past the prefix a
+pass reruns each (program, offset) once, from an anchor the run never
+branches on, so a record that shares an earlier record's rerun must still
+fail as it would concretely. The comparator reads m! from a table: at the
+edges of every factorial bound it must read the profile values a bisection
+of that table read, and answer as it did.
 """
 
 import random
@@ -216,8 +217,9 @@ def test_the_budget_gate_passes_where_a_bisection_passed():
                 continue
             record = StageRecord(0, LOOP, 0, 1, k, BRANCH_NON_TOTAL, 0, None, None, None,
                                  budget, k)
-            passes = k - 1 >= _factorial_above(budget)
-            assert _passes_past_prefix(coded, state, record, {}) == passes, (k, budget)
+            # None, a pass, where the gate opens, else False, undecided.
+            expected = None if k - 1 >= _factorial_above(budget) else False
+            assert _passes_past_prefix(coded, state, record, {}) == expected, (k, budget)
 
 
 @pytest.mark.parametrize("e, k", [(COUNT_DOWN, 5), (0, 8)])
@@ -250,7 +252,7 @@ def test_an_image_block_not_past_k_is_never_passed():
     record = StageRecord(0, 0, 1, 0, k, BRANCH_DIAGONALIZED, dx, None, dx, k - 1, 1000, k - 1)
     assert check_diag_witness(coded, state, record) == (
         "image_block", {"expected": k - 1, "located": k - 1})
-    assert not _passes_past_prefix(coded, state, record, {})
+    assert _passes_past_prefix(coded, state, record, {}) is False
 
 
 # The runs the record checks are compared on: (config, stages or None).
@@ -278,7 +280,7 @@ def test_comparator_passes_every_honest_record_past_the_prefix(run):
     past = [r for r in records if r.k >= config.k_max]
     assert past
     reruns = {}
-    assert all(_passes_past_prefix(coded, state, r, reruns) for r in past)
+    assert all(_passes_past_prefix(coded, state, r, reruns) is None for r in past)
 
 
 def _tampers(coded, record, k_other):

@@ -23,7 +23,6 @@ from blockdensity.scenarios import (
     DEFAULT_E,
     DEFAULT_KMAX,
     ScenarioConfig,
-    _collapse_certificate,
     _identity_device_certificate,
     build_family,
     prepare,
@@ -33,7 +32,9 @@ from blockdensity.scenarios import (
     verify_transcript,
     write_outputs,
 )
-from blockdensity.verify import FAIL, INCOMPLETE, PASS, Certificate
+from blockdensity.verify import (
+    FAIL, INCOMPLETE, PASS, Certificate, check_collapse_autoreduction,
+)
 
 
 def test_config_validation_messages():
@@ -194,10 +195,10 @@ COLLAPSE_FAULTS = {
 def test_collapse_certificate_refuses_a_faulty_collapse(name):
     fault, frontier, verdict, checks = COLLAPSE_FAULTS[name]
     coded = CodedFamily(constant_family()[0])
-    assert _collapse_certificate(coded, _frontier(9)).verdict == PASS
+    assert check_collapse_autoreduction(coded, _frontier(9)).verdict == PASS
     if fault is not None:
         fault(coded)
-    cert = _collapse_certificate(coded, _frontier(frontier))
+    cert = check_collapse_autoreduction(coded, _frontier(frontier))
     assert cert.verdict == verdict
     assert cert.checks == checks
 

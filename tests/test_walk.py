@@ -168,8 +168,10 @@ GATE = ScenarioConfig(kind="rationals", count=3, e_bound=3, k_max=8)
 
 
 def failing_checks(certs):
+    """(kind, check, k, map) of each failing check, k and map None where the
+    check names none."""
     return {
-        (cert.kind, check["check"])
+        (cert.kind, check["check"], check.get("k"), check.get("map"))
         for cert in certs
         for check in cert.checks
         if not check["ok"]
@@ -226,30 +228,39 @@ def fibers_of_three(real):
     return h_fibers
 
 
-# name -> (mutation, config, the failing (kind, check) pairs)
+def size_high_at_2(real):
+    """TargetBlocks.size one too large at block 2 only."""
+    def size(self, k):
+        return real(self, k) + (k == 2)
+    return size
+
+
+# name -> (mutation, config, the failing (kind, check, k, map) quadruples)
 MUTATIONS = {
     "h_apply_rounding": (
         lambda mp: mp.setattr(CodedFamily, "h_apply", h_apply_ceil),
         GATE,
-        {("BfoEquivalence", "fiber_membership"),
-         ("PositiveReduction", "reference_geometry")},
+        {("BfoEquivalence", "fiber_membership", 2, None),
+         ("BfoEquivalence", "fiber_membership", 3, None),
+         ("PositiveReduction", "reference_geometry", 2, "h_apply")},
     ),
     "source_length_from_5": (
         lambda mp: mp.setattr(SourceBlocks, "_extend", extend_long_from(5)),
         GATE,
-        {("BfoEquivalence", "reference_geometry"),
-         ("PositiveReduction", "reference_geometry")},
+        {("BfoEquivalence", "reference_geometry", 5, "source.length"),
+         ("PositiveReduction", "reference_geometry", 5, "source.length")},
     ),
     "source_length_from_6_unscanned": (
         lambda mp: mp.setattr(SourceBlocks, "_extend", extend_long_from(6)),
         GATE,
-        {("BfoEquivalence", "reference_geometry"),
-         ("PositiveReduction", "reference_geometry")},
+        {("BfoEquivalence", "reference_geometry", 6, "source.length"),
+         ("PositiveReduction", "reference_geometry", 6, "source.length")},
     ),
     "h_fibers_third_element": (
         lambda mp: mp.setattr(CodedFamily, "h_fibers", fibers_of_three(CodedFamily.h_fibers)),
         GATE,
-        {("BfoEquivalence", "fiber_bound_sampled")},
+        {("BfoEquivalence", "fiber_bound_sampled", 2, None),
+         ("BfoEquivalence", "fiber_bound_sampled", 3, None)},
     ),
     "positive_reduction_offset": (
         lambda mp: mp.setattr(
@@ -257,13 +268,22 @@ MUTATIONS = {
             positive_reduction_shifted(CodedFamily.positive_reduction),
         ),
         GATE,
-        {("PositiveReduction", "reference_geometry")},
+        {("PositiveReduction", "reference_geometry", 0, "positive_reduction")},
     ),
     "walk_floor_from_5": (
         lambda mp: mp.setattr(verify, "block_walk", walk_long_from_5(block_walk)),
         GATE,
-        {("BfoEquivalence", "reference_geometry"),
-         ("PositiveReduction", "reference_geometry")},
+        {("BfoEquivalence", "reference_geometry", 5, "source.length"),
+         ("PositiveReduction", "reference_geometry", 5, "source.length")},
+    ),
+    # Every walk-based certificate, collapse's too, compares the target sizes
+    # first, in one order.
+    "target_size_at_2": (
+        lambda mp: mp.setattr(TargetBlocks, "size", size_high_at_2(TargetBlocks.size)),
+        GATE._replace(kind="combined", count=4),
+        {("BfoEquivalence", "reference_geometry", 2, "targets.size"),
+         ("CollapseAutoreduction", "reference_geometry", 2, "targets.size"),
+         ("PositiveReduction", "reference_geometry", 2, "targets.size")},
     ),
 }
 
