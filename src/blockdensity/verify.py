@@ -29,39 +29,39 @@ reduction from i) and 0 <= q < k!:
 
 Negative claims are explicitly budget-qualified: a defeat bundle says that no
 scheduled program below the index bound is a total injective reduction on the
-constructed prefix within the step budget, never more. Every stage record is
-checked once, in one forward pass that makes one StageChecks certificate and
-gives the defeat bundles their per-stage results (check_stage_records). A
-record must hold the requirement the schedule puts at its position and the
-run's budget, and its k is bounded by the last block the domination search
-could pick past the frontier, s(i, j, max(frontier + 1, K0)) as s(t) >= t,
-before any geometry is read at k. Its witnesses, offsets from anchors
+constructed prefix within the step budget, never more. One forward pass checks
+every stage record once (check_stage_records). A record must sit at its stage,
+hold the requirement the schedule puts there and the run's budget, and have k
+at most s(i, j, max(frontier + 1, K0)), the last block the domination search
+could pick, before any geometry is read. Its witnesses, offsets from anchors
 (construction's module docstring), are placed in their blocks and rerun
-literally within the budget by run_program, not by the tail lemma. The
-concrete checks place them by the production endpoints and locate y. From
-k_max on, compare_endpoints places them first: sign(b(K) + c - b'(K') - c')
-for source endpoints of profiles u, u' valued in (1, 2). As |K_m| =
-u(m) * m! - f(m), 0 <= f(m) < 1, the difference is A_L * L! + R_L - F +
-c - c', with A_M = 0 at M = max(K, K'), A_L = d(L) + (L + 1) * A_{L+1} for
-d(m) the difference of the values present at m, |R_L| < 2 * a_L <=
+literally within the budget, not by the tail lemma. Below k_max, or where
+(k - 1)! <= budget, the concrete checks place them by the production
+endpoints. Past that prefix no production geometry is read: a placement is
+sign(b(K) + c - b'(K') - c') for source endpoints of profiles u, u' valued
+in (1, 2), which compare_endpoints reads from the top factorial digits. As
+|K_m| = u(m) * m! - f(m), 0 <= f(m) < 1, the difference is A_L * L! + R_L -
+F + c - c', with A_M = 0 at M = max(K, K'), A_L = d(L) + (L + 1) * A_{L+1}
+for d(m) the difference of the values present at m, |R_L| < 2 * a_L <=
 4 * (L - 1)! and |F| < M: it has A_L's sign once |A_L| * L >= 5 and
 (L - 1)! > M + |c - c'|. On one profile all below min(K, K') cancels and
 |K_m| >= m!, so K = K' gives sign(c - c') and |c - c'| < min(K, K')! gives
-sign(K - K'). Where also x >= b_i(k) >= (k - 1)! > budget, a rerun never
-brings register 0 to zero and holds it as an _Anchored anchor + offset, and
-as h_i sends source block k onto target block k, compressed_targets
-follows. An _Anchored value is truthy, + and - keep its anchor and < 0 is
-False, so the interpreter never branches on the anchor: the rerun's outcome
-depends on (program, offset, budget) alone, and a pass, of one budget, keeps
-it by (e, dx) in a dict freed with the pass. A record whose placements this
-passes but whose rerun disagrees fails rerun_value (rerun_diverges if
-non-total), as the concrete checks would name it, with no geometry read. A
-record it leaves undecided, and every non-injective one (past the budget two
-witnesses follow one path and never collide), takes the concrete checks,
-which name its fault. The transcript is read against its replay in one
-forward pass (Transcript.read_jsonl): a record read as its replayed line is
-that replayed record, and check_transcript_replay reports the first record
-that is not.
+sign(K - K'). Past 170! the bit length n of w settles w < m! against
+log2(m!) = lgamma(m + 1) / ln 2 where n < log2(m!) - 1 or n >= log2(m!) + 2.
+Offsets of a block's size are settled by exact endpoints, from a cursor
+(m, b(m), m!) per profile that the pass moves block by block, and negative
+witnesses, named by their offset field, mostly by (K - 1)! <= b(K) <
+4 * (K - 1)!. As x >= (k - 1)! > budget, a rerun never brings register 0 to
+zero: it holds an _Anchored anchor + offset, which is truthy, keeps its
+anchor under + and - and is not < 0, so the outcome depends on (program,
+offset, budget) alone and the pass keeps it by (e, dx). Two collision
+witnesses there follow one control path and end x2 - x apart, so a
+non-injective record placed in block k fails rerun_collides, unrun. As h_i
+sends source block k onto target block k, compressed_targets follows, and a
+record fails as the concrete checks name it; y, and past a failing record
+the frontier, are located by walking j's blocks from k + 1. The transcript
+is read against its replay in one forward pass (Transcript.read_jsonl), and
+check_transcript_replay reports the first record that is not its replay's.
 INCOMPLETE names what is missing (stages or records); FAIL means a check was
 run and refuted. Report lines are json.dumps's bytes.
 """
@@ -70,8 +70,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import factorial, inf
-from typing import Callable, Iterator, Literal, Mapping, NamedTuple, Sequence
+from math import factorial, inf, lgamma, log
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .construction import (
     BRANCH_DIAGONALIZED, BRANCH_NON_INJECTIVE, BRANCH_NON_TOTAL, BRANCHES,
@@ -310,8 +310,16 @@ def _negative(witnesses: dict) -> tuple[str, dict] | None:
     return None
 
 
-# m! for m <= 170; an offset past 170! is left undecided.
+# m! for m <= 170, past which _below_factorial reads bit lengths.
 _FACTS = [factorial(m) for m in range(171)]
+_LN2 = log(2)
+
+
+def _below_factorial(w: int, m: int) -> bool:
+    """w < m! for naturals w and m, exactly, by bit lengths where they
+    decide (module docstring)."""
+    bits, n = lgamma(m + 1) / _LN2, w.bit_length()
+    return n < bits - 1 or n < bits + 2 and w < factorial(m)
 
 
 def compare_endpoints(u: Callable[[int], Fraction], K: int, c: int,
@@ -326,11 +334,14 @@ def compare_endpoints(u: Callable[[int], Fraction], K: int, c: int,
         if K == K2:
             return (c > c2) - (c < c2)
         low = K if K < K2 else K2
-        return None if w >= _FACTS[low if low < 170 else 170] else 1 if K > K2 else -1
+        if w < _FACTS[low if low < 170 else 170] or low > 170 and _below_factorial(w, low):
+            return 1 if K > K2 else -1
+        return None
     top = K if K > K2 else K2
     w += top
     n, den, L = 0, 1, top - 1   # A_L = n / den, for L from top - 1 down while (L - 1)! > w
-    while 0 < L and w < _FACTS[L - 1 if L < 171 else 170]:
+    while 0 < L and (w < _FACTS[L - 1 if L < 171 else 170]
+                     or L > 171 and _below_factorial(w, L - 1)):
         n *= L + 1
         if L < K:
             p, q = u(L).as_integer_ratio()
@@ -342,6 +353,44 @@ def compare_endpoints(u: Callable[[int], Fraction], K: int, c: int,
             return 1 if n > 0 else -1
         L -= 1
     return None
+
+
+def _endpoint(u: Callable[[int], Fraction], K: int, memo: dict) -> int:
+    """b(K) for profile u, by its cursor (m, b(m), m!) in a pass's memo."""
+    m, b, f = memo.get(u, (0, 0, 1))
+    while m < K:
+        p, q = u(m).as_integer_ratio()
+        b += p * f // q
+        m += 1
+        f *= m
+    while m > K:
+        f //= m
+        m -= 1
+        p, q = u(m).as_integer_ratio()
+        b -= p * f // q
+    memo[u] = m, b, f
+    return b
+
+
+def _sign(u: Callable[[int], Fraction], K: int, c: int,
+          u2: Callable[[int], Fraction], K2: int, c2: int, memo: dict) -> int:
+    """compare_endpoints' sign, or where it is undecided the exact one."""
+    sign = compare_endpoints(u, K, c, u2, K2, c2)
+    if sign is None:
+        d = _endpoint(u, K, memo) + c - _endpoint(u2, K2, memo) - c2
+        sign = (d > 0) - (d < 0)
+    return sign
+
+
+def _block_of(u: Callable[[int], Fraction], u2: Callable[[int], Fraction], K: int, c: int,
+              m: int, memo: dict) -> int:
+    """The block of profile u that holds the natural b2(K) + c, walking u's
+    blocks by _sign from block m, down and then up."""
+    while m > 0 and _sign(u, m, 0, u2, K, c, memo) > 0:
+        m -= 1
+    while _sign(u, m + 1, 0, u2, K, c, memo) <= 0:
+        m += 1
+    return m
 
 
 class _Anchored(NamedTuple):
@@ -362,36 +411,54 @@ class _Anchored(NamedTuple):
         return False
 
 
+def _membership(state: ConstructionState, k: int, ell: int) -> tuple[str, dict] | None:
+    """The fault of a state that does not put block k in the set and block
+    ell out of it, or of one whose frontier stops short of either, or None."""
+    try:
+        if state.block_bit(k) != 1 or state.block_bit(ell) != 0:
+            return "membership_split", {}
+    except FrontierUndefined as exc:
+        return "frontier", {"needed_block": exc.block, "frontier": exc.frontier}
+    return None
+
+
 def _passes_past_prefix(coded: CodedFamily, state: ConstructionState, record: StageRecord,
-                        reruns: dict) -> tuple[str, dict] | None | Literal[False]:
-    """None if comparisons and an _Anchored rerun, kept in reruns by (e, dx),
-    prove that a record passes its branch's checks; the rerun's fault, named
-    as the concrete checks name it, if they place every witness and only the
-    rerun disagrees; else False, undecided. A collision is undecided:
-    witnesses past the budget follow one control path."""
-    _, e, i, j, k, branch, dx, _, dy, ell, budget, m_after = record
-    if branch == BRANCH_NON_INJECTIVE or k < 1 or budget >= _FACTS[k - 1 if k < 171 else 170]:
-        return False
+                        memo: dict) -> tuple[str, dict] | None:
+    """The first check a record past the prefix fails after its record
+    fields, or None, with the pass's memo (module docstring)."""
+    _, e, i, j, k, branch, dx, dx2, dy, ell, budget, _ = record
     u_i, u_j = coded.family.profile(i), coded.family.profile(j)
-    if branch == BRANCH_NON_TOTAL:
-        if not (m_after == k and dx >= 0
-                and compare_endpoints(u_i, k, dx, u_i, k + 1, 0) == -1):
-            return False
-    elif not (k < ell == m_after <= state.frontier
-              and state.block_bit(k) == 1 and state.block_bit(ell) == 0
-              and compare_endpoints(u_j, k + 1, dx, u_i, k, 0) in (0, 1)
-              and compare_endpoints(u_j, k + 1, dx, u_i, k + 1, 0) == -1
-              and compare_endpoints(u_j, k + 1, dy, u_j, ell, 0) in (0, 1)
-              and compare_endpoints(u_j, k + 1, dy, u_j, ell + 1, 0) == -1):
-        return False
-    if (e, dx) not in reruns:
-        reruns[e, dx] = run_program(decode(e), _Anchored(None, dx), budget)
-    outcome = reruns[e, dx]
+    diag = branch == BRANCH_DIAGONALIZED
+    for name, c in (("dx", dx), ("dy", dy) if diag else ("dx2", dx2)):
+        # The anchor b(K) has (K - 1)! <= b(K) < 4 * (K - 1)! and (K - 1)! >
+        # budget: bit lengths and then the cursor settle an offset below -budget.
+        if c is not None and c < -budget:
+            u, K = (u_j, k + 1) if diag else (u_i, k)
+            n, bits = c.bit_length(), lgamma(K) / _LN2   # |c| < 2^n, log2((K - 1)!)
+            if n >= bits - 1 and (n >= bits + 4 or _endpoint(u, K, memo) + c < 0):
+                return "witness_fields", {"field": name, "value": str(c)}
+    if not diag:
+        if not all(d >= 0 and _sign(u_i, k, d, u_i, k + 1, 0, memo) < 0
+                   for d in (dx, dx2) if d is not None):
+            return "witness_block", {"expected": k}
+        if branch == BRANCH_NON_INJECTIVE:
+            return "rerun_collides", {"dx": str(dx), "dx2": str(dx2)}
+    elif not (_sign(u_j, k + 1, dx, u_i, k, 0, memo) >= 0
+              and _sign(u_j, k + 1, dx, u_i, k + 1, 0, memo) < 0):
+        return "witness_block", {"expected": k}
+    if (e, dx) not in memo:
+        memo[e, dx] = run_program(decode(e), _Anchored(None, dx), budget)
+    outcome = memo[e, dx]
     if branch == BRANCH_NON_TOTAL:
         return None if isinstance(outcome, OutOfBudget) else ("rerun_diverges", {"dx": str(dx)})
-    if isinstance(outcome, Halted) and outcome.value.offset == dy:
-        return None
-    return "rerun_value", {"dx": str(dx)}
+    if not isinstance(outcome, Halted) or outcome.value.offset != dy:
+        return "rerun_value", {"dx": str(dx)}
+    if not (k < ell and _sign(u_j, k + 1, dy, u_j, ell, 0, memo) >= 0
+            and _sign(u_j, k + 1, dy, u_j, ell + 1, 0, memo) < 0):
+        located = _block_of(u_j, u_j, k + 1, dy, k + 1, memo)
+        return "image_block", {"expected": ell, "located": located}
+    # h_i and h_j send source blocks k and ell onto target blocks k and ell.
+    return _membership(state, k, ell)
 
 
 def check_diag_witness(
@@ -419,16 +486,10 @@ def check_diag_witness(
     located, _ = src_j.locate(y)
     if located != ell or ell <= k:
         return "image_block", {"expected": ell, "located": located}
-    try:
-        a, h = coded.targets.endpoint, coded.h_apply
-        if not (a(k) <= h(i, x) < a(k + 1) and a(ell) <= h(j, y) < a(ell + 1)):
-            return "compressed_targets", {}
-        # h(x) and h(y) lie in target blocks k and ell, as just checked.
-        if state.block_bit(k) != 1 or state.block_bit(ell) != 0:
-            return "membership_split", {}
-    except FrontierUndefined as exc:
-        return "frontier", {"needed_block": exc.block, "frontier": exc.frontier}
-    return None
+    a, h = coded.targets.endpoint, coded.h_apply
+    if not (a(k) <= h(i, x) < a(k + 1) and a(ell) <= h(j, y) < a(ell + 1)):
+        return "compressed_targets", {}
+    return _membership(state, k, ell)
 
 
 def _record_fault(
@@ -440,21 +501,19 @@ def _record_fault(
     budget: int,
     frontier: int,
     k_max: float,
-    reruns: dict,
+    memo: dict,
 ) -> tuple[str, dict] | None:
     """The first check the stage n record of a run of the given step budget
-    fails past the given frontier, as (name, detail), or None; from k_max on
-    a record _passes_past_prefix decides with the pass's reruns takes its
-    answer.
-
-    The requirement, the budget and k come first, before a program is
-    decoded or any geometry read, as those costs grow with e, i, the budget
-    and k: k is at most s(i, j, max(frontier + 1, K0)), the last block the
-    domination search can pick past the frontier, as s(t) >= t. A non-total
-    record's x lies in block k and reruns out of budget; a non-injective
-    record's two witnesses lie in block k and rerun to one value.
-    """
-    _, e, i, j, k, branch, dx, dx2, _, ell, _, m_after = record
+    fails past the given frontier, as (name, detail), or None. The record
+    fields come first, before a program is decoded or any geometry read, as
+    those costs grow with e, i, the budget and k. Then from k_max on, where
+    (k - 1)! > budget, _passes_past_prefix decides with the pass's memo;
+    below, a non-total record's x lies in block k and reruns out of budget,
+    and a non-injective record's two witnesses lie in block k and rerun to
+    one value."""
+    stage, e, i, j, k, branch, dx, dx2, _, ell, _, m_after = record
+    if stage != n:
+        return "stage_field", {"value": stage}
     req = schedule.requirement(n)
     if (e, i, j) != req:
         return "schedule_mismatch", req._asdict()
@@ -467,25 +526,22 @@ def _record_fault(
     for name in _WITNESSES[branch]:
         if getattr(record, name) is None:
             return "witness_fields", {"field": name, "value": None}
-    if k >= k_max:
-        fault = _passes_past_prefix(coded, state, record, reruns)
-        if fault is not False:
-            return fault
     # ConstructionState.apply moves the frontier to M_after on trust, so it
     # must be ell for a diagonalized record and k otherwise.
+    if branch == BRANCH_DIAGONALIZED and ell < 0:
+        return _negative({"ell": ell})
+    if m_after != (ell if branch == BRANCH_DIAGONALIZED else k):
+        return "m_after", {"m_after": m_after}
+    if k >= k_max and 0 < k and (budget < _FACTS[k - 1 if k < 171 else 170]
+                                 or k > 171 and _below_factorial(budget, k - 1)):
+        return _passes_past_prefix(coded, state, record, memo)
     if branch == BRANCH_DIAGONALIZED:
-        if ell < 0:
-            return _negative({"ell": ell})
-        if m_after != ell:
-            return "m_after", {"m_after": m_after}
         return check_diag_witness(coded, state, record)
     lo = coded.source(i).endpoint(k)
     x, x2 = lo + dx, None if dx2 is None else lo + dx2
     fault = _negative({"x": x, "x2": x2})
     if fault is not None:
         return fault
-    if m_after != k:
-        return "m_after", {"m_after": m_after}
     if not all(0 <= d < coded.source(i).length(k) for d in (dx, dx2) if d is not None):
         return "witness_block", {"expected": k}
     program = decode(e)
@@ -500,22 +556,6 @@ def _record_fault(
     return None
 
 
-def _reach(coded: CodedFamily, i: int, j: int, k: int, budget: int, k_max: float) -> int:
-    """max(k, the block of j that holds b_i(k + 1) + budget - 1), by
-    compare_endpoints from k_max on, reading endpoints only where it is
-    undecided."""
-    u_i, u_j = coded.family.profile(i), coded.family.profile(j)
-    m = k
-    while True:   # m is the answer once b_j(m + 1) > b_i(k + 1) + budget - 1
-        sign = compare_endpoints(u_j, m + 1, 0, u_i, k + 1, budget - 1) if k >= k_max else None
-        if sign is None:
-            end = coded.source(i).endpoint(k + 1) + budget - 1
-            sign = coded.source(j).endpoint(m + 1) - end
-        if sign > 0:
-            return m
-        m += 1
-
-
 def check_stage_records(
     coded: CodedFamily,
     state: ConstructionState,
@@ -527,19 +567,13 @@ def check_stage_records(
     """Check every stage record in one forward pass: (the StageChecks
     certificate, the name of each record's first failing check or None).
 
-    Record n must be the record of the requirement the schedule puts at stage
-    n, carry the run's step budget, have k within the schedule's bound past
-    the frontier and pass its branch's checks (_record_fault), by the
-    comparator first at k >= k_max (by default at no k). The frontier
-    is -1 before stage 0 and moves to each passing record's M_after. Past a
-    failing record it moves by the schedule alone, never by the record: to
-    the block k the honest stage picks past the frontier (domination_search
-    for the requirement at stage n), or further, to the last block the image
-    of an element of block k can reach within the budget (_reach, by the
-    comparator from k_max on), which the honest M_after does not pass. So a
-    failing record neither raises a later bound beyond the honest stage's
-    reach nor lowers one below an honest k, and no geometry is read past the
-    honest block's reach. The certificate counts
+    Each record takes _record_fault, past the prefix from k_max on (by
+    default at no k). The frontier is -1 before stage 0 and moves to each
+    passing record's M_after; past a failing record, by the schedule alone,
+    to the last block the image of an element of the block the honest stage
+    picks can reach within the budget, which the honest M_after does not
+    pass. So a failing record neither raises a later bound beyond the honest
+    stage's reach nor lowers one below an honest k. The certificate counts
     the records of each branch, or names each failing record by stage and
     check; a record whose image block lies past the frontier leaves it
     INCOMPLETE.
@@ -548,9 +582,9 @@ def check_stage_records(
     counts = dict.fromkeys(BRANCHES, 0)
     faults: list[str | None] = []
     frontier = -1
-    reruns: dict = {}
+    memo: dict = {}
     for n, record in enumerate(records):
-        fault = _record_fault(coded, state, schedule, n, record, budget, frontier, k_max, reruns)
+        fault = _record_fault(coded, state, schedule, n, record, budget, frontier, k_max, memo)
         if fault is None:
             frontier = record.m_after
             counts[record.branch] += 1
@@ -559,11 +593,13 @@ def check_stage_records(
         name, detail = fault
         (cert.incomplete if name == "frontier" else cert.fail)(name, {"stage": n, **detail})
         faults.append(name)
-        # The record is untrusted: take the block the honest stage picks past
-        # the frontier, and the last block its image y <= x + budget reaches.
+        # The record is untrusted: take the block k the honest stage picks
+        # past the frontier, and the last block its image y <= x + budget
+        # reaches, past k as block k dominates.
         _, i, j = schedule.requirement(n)
         k = domination_search(coded, schedule.cert, i, j, frontier, schedule.cert.k0(i, j))
-        frontier = _reach(coded, i, j, k, budget, k_max)
+        u_i, u_j = coded.family.profile(i), coded.family.profile(j)
+        frontier = _block_of(u_j, u_i, k + 1, budget - 1, k + 1, memo)
     if cert.verdict == PASS:
         cert.ok("all_records", counts)
     return cert, faults

@@ -411,13 +411,14 @@ sys.exit(main())
 """
 
 
-def _reach_bound(outdir):
-    """max(K*, k_max) + 2 for the run in outdir, K* the largest of its
-    pairs', past which the construction reads no geometry."""
-    config = ScenarioConfig.from_json(json.loads((outdir / "config.json").read_text()))
+def _reach_bound(config_path, transcript_path):
+    """max(K*, k_max) + 2 for the run of the config at config_path whose
+    transcript is at transcript_path, K* the largest of its records' pairs',
+    past which the construction reads no geometry."""
+    config = ScenarioConfig.from_json(json.loads(config_path.read_text()))
     cert = prepare(config)[1].cert
     k_b = next(k for k in range(1, 100) if math.factorial(k - 1) > config.budget + 1)
-    records = [json.loads(line) for line in (outdir / "transcript.jsonl").open()]
+    records = [json.loads(line) for line in transcript_path.open()]
     k_star = max(max(cert.k0(r["i"], r["j"]), k_b) for r in records)
     return max(k_star, config.k_max) + 2
 
@@ -443,7 +444,8 @@ def test_readme_and_benchmark_configs_verify_in_one_gigabyte_within_the_prefix(
         preexec_fn=_cap_address_space,
     )
     assert (child.returncode, child.stderr) == (0, "")
-    assert int(child.stdout.splitlines()[-1]) <= _reach_bound(tmp_path)
+    assert int(child.stdout.splitlines()[-1]) <= _reach_bound(tmp_path / "config.json",
+                                                               tmp_path / "transcript.jsonl")
 
 
 def test_a_tampered_frontier_record_fails_in_one_gigabyte_within_the_prefix(
@@ -475,7 +477,89 @@ def test_a_tampered_frontier_record_fails_in_one_gigabyte_within_the_prefix(
     assert report["StageChecks"]["checks"] == [
         {"check": "rerun_value", "ok": False, "stage": len(records) - 1,
          "dx": str(int(last["dx"], 16))}]
-    assert int(child.stdout.splitlines()[-1]) <= _reach_bound(tmp_path)
+    assert int(child.stdout.splitlines()[-1]) <= _reach_bound(tmp_path / "config.json",
+                                                               tmp_path / "transcript.jsonl")
+
+
+@pytest.fixture(scope="module")
+def full_order_e20(tmp_path_factory):
+    """The directory and records of scenario antichain --n 3 --E 20
+    --schedule full, whose last record lies at k = 2 974."""
+    outdir = tmp_path_factory.mktemp("full_e20")
+    assert main(["scenario", "antichain", "--n", "3", "--E", "20", "--schedule", "full",
+                 "--outdir", str(outdir)]) == 0
+    return outdir, [json.loads(line) for line in (outdir / "transcript.jsonl").open()]
+
+
+def _moved(record, field, shift):
+    return hex(int(record[field], 16) + shift)
+
+
+# Thirteen rewrites of a full-order run's last, diagonalized record, given
+# the record and log2((k - 1)!): the two large offsets, 2^200 and 2^300 000
+# at k = 55 262 of E = 50, keep their share of that bit length.
+FRONTIER_TAMPERS = {
+    "dx_plus_1": lambda r, bits: {"dx": _moved(r, "dx", 1)},
+    "dx_minus_1": lambda r, bits: {"dx": _moved(r, "dx", -1)},
+    "dy_plus_1": lambda r, bits: {"dy": _moved(r, "dy", 1)},
+    "dx_plus_2_200": lambda r, bits: {"dx": _moved(r, "dx", 1 << round(bits * 200 / 790_866))},
+    "e_plus_1": lambda r, bits: {"e": r["e"] + 1},
+    "ell_plus_1": lambda r, bits: {"ell": _moved(r, "ell", 1), "M_after": r["M_after"] + 1},
+    "ell_minus_1": lambda r, bits: {"ell": _moved(r, "ell", -1), "M_after": r["M_after"] - 1},
+    "ell_plus_1000": lambda r, bits: {"ell": _moved(r, "ell", 1000),
+                                      "M_after": r["M_after"] + 1000},
+    "k_plus_1": lambda r, bits: {"k": r["k"] + 1},
+    "k_minus_1": lambda r, bits: {"k": r["k"] - 1},
+    "non_injective": lambda r, bits: {"branch": "non_injective", "dx2": _moved(r, "dx", 1)},
+    "non_total": lambda r, bits: {"branch": "non_total_under_budget"},
+    "dx_minus_2_300000": lambda r, bits: {
+        "dx": _moved(r, "dx", -(1 << round(bits * 300_000 / 790_866)))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONTIER_TAMPERS))
+def test_every_frontier_tamper_fails_within_the_prefix(name, full_order_e20, tmp_path, capsys,
+                                                       geometry_reach):
+    """Each tamper of the last record fails StageChecks there, so verify
+    exits 1, and no block table passes block max(K*, k_max) + 2: past
+    k_max every record is placed, reran and located by comparison."""
+    outdir, records = full_order_e20
+    last = records[-1]
+    assert (len(records), last["k"], last["branch"]) == (332, 2974, "diagonalized")
+    change = FRONTIER_TAMPERS[name](last, math.lgamma(last["k"]) / math.log(2))
+    transcript_path = tmp_path / "t.jsonl"
+    transcript_path.write_text("".join(json.dumps(r) + "\n"
+                                       for r in [*records[:-1], dict(last, **change)]))
+    geometry_reach[0] = 0
+    report_path = tmp_path / "r.jsonl"
+    code, _ = run_cli(capsys, "verify", "--config", str(outdir / "config.json"),
+                      "--transcript", str(transcript_path), "--report", str(report_path))
+    assert code == 1
+    [stage_checks] = [c for c in map(json.loads, report_path.read_text().splitlines())
+                      if c["kind"] == "StageChecks"]
+    assert stage_checks["checks"][-1]["stage"] == len(records) - 1
+    assert geometry_reach[0] <= _reach_bound(outdir / "config.json", transcript_path)
+
+
+def test_a_stage_field_off_its_line_fails_its_record(tmp_path, capsys):
+    """Record 40 of antichain --n 3 --E 25 with its stage field set to 41
+    fails stage_field, before any other check, and so does the bundle that
+    holds it, besides the replay."""
+    outdir = tmp_path / "run"
+    assert run_cli(capsys, "scenario", "antichain", "--n", "3", "--E", "25",
+                   "--outdir", str(outdir))[0] == 0
+    records = [json.loads(line) for line in (outdir / "transcript.jsonl").open()]
+    records[40]["stage"] = 41
+    report = _verify_tampered(capsys, tmp_path, outdir, records)
+    assert report["StageChecks"][0]["checks"] == [
+        {"check": "stage_field", "ok": False, "stage": 40, "value": 41}]
+    assert [(c["subject"]["i"], c["subject"]["j"], c["checks"])
+            for c in report["DefeatBundle"] if c["verdict"] != "PASS"] == [
+        (records[40]["i"], records[40]["j"],
+         [{"check": "defeat_record", "ok": False, "e": records[40]["e"], "stage": 40,
+           "reason": "stage_field"}])]
+    assert report["TranscriptReplay"][0]["checks"] == [
+        {"check": "bit_exact", "ok": False, "first_divergence_stage": 40}]
 
 
 def test_usage_error_exit_code(capsys):
@@ -1008,13 +1092,15 @@ def _anchor(config_path, record):
     return coded.source(record["j"]).endpoint(record["k"] + 1)
 
 
-# name -> (field, its tampered value given the anchor, the field or witness
-# the report names and the value it gives); each must fail StageChecks on
-# record 1's witness_fields check, never crash or read as a usage error.
+# name -> (field, its tampered value given the anchor, the field the report
+# names and the value it gives, given the anchor); each must fail StageChecks on record 1's
+# witness_fields check, never crash or read as a usage error. Record 1 lies
+# past the prefix (k >= k_max = 8 and (k - 1)! > budget), where a negative
+# witness is named by its offset field.
 WITNESS_TAMPERS = {
-    "x_null": ("dx", lambda anchor: None, "dx", None),
-    "x_negative": ("dx", lambda anchor: hex(-anchor - 3), "x", "-3"),
-    "y_negative": ("dy", lambda anchor: hex(-anchor - 3), "y", "-3"),
+    "x_null": ("dx", lambda anchor: None, "dx", lambda anchor: None),
+    "x_negative": ("dx", lambda anchor: hex(-anchor - 3), "dx", lambda anchor: str(-anchor - 3)),
+    "y_negative": ("dy", lambda anchor: hex(-anchor - 3), "dy", lambda anchor: str(-anchor - 3)),
 }
 
 
@@ -1039,13 +1125,14 @@ def _verify_with_record_1_set(constructed, tmp_path, capsys, field, value):
 def test_verify_bad_witness_fails_its_certificate(name, constructed, tmp_path, capsys):
     field, value, witness, reported = WITNESS_TAMPERS[name]
     config_path, records = constructed
+    anchor = _anchor(config_path, records[1])
     code, stage_checks = _verify_with_record_1_set(
-        constructed, tmp_path, capsys, field, value(_anchor(config_path, records[1])))
+        constructed, tmp_path, capsys, field, value(anchor))
     assert code == 1
     assert stage_checks["verdict"] == "FAIL"
     assert stage_checks["checks"] == [
         {"check": "witness_fields", "ok": False, "stage": 1, "field": witness,
-         "value": reported}
+         "value": reported(anchor)}
     ]
 
 
@@ -1114,14 +1201,14 @@ def test_verify_k_past_the_selector_bound_fails_before_geometry(constructed, tmp
     [check] = stage_checks["checks"]
     assert (check["check"], check["stage"], check["k"]) == ("k_bound", 1, 10**6)
     assert records[1]["k"] <= check["bound"] < 10**6
-    assert geometry_reach[0] <= max(r["k"] for r in records) + 2
+    assert geometry_reach[0] <= _reach_bound(config_path, tmp_path / "t.jsonl")
 
 
 def test_verify_oversized_offset_fails_its_block_without_growing_geometry(
         tmp_path, capsys, geometry_reach):
     """An offset that puts x far past its block fails witness_block by
     comparison with the block's endpoints: x is never located, so the block
-    geometry stops at block k + 2 of the records' largest k."""
+    geometry stops at block max(K*, k_max) + 2."""
     outdir = tmp_path / "run"
     assert run_cli(capsys, "scenario", "rationals", "--count", "2", "--E", "4",
                    "--outdir", str(outdir))[0] == 0
@@ -1138,7 +1225,7 @@ def test_verify_oversized_offset_fails_its_block_without_growing_geometry(
     report = {c["kind"]: c for c in map(json.loads, report_path.read_text().splitlines())}
     assert report["StageChecks"]["checks"] == [
         {"check": "witness_block", "ok": False, "stage": 1, "expected": records[1]["k"]}]
-    assert geometry_reach[0] <= max(r["k"] for r in records) + 2
+    assert geometry_reach[0] <= _reach_bound(outdir / "config.json", transcript_path)
 
 
 def test_failed_record_does_not_raise_later_k_bounds(tmp_path, capsys, geometry_reach):

@@ -1,19 +1,20 @@
 """The record checks past the concrete prefix against the concrete checks.
 
 verify.compare_endpoints decides sign(b(K) + c - b2(K2) - c2) from the top
-factorial digits of the profiles, or leaves it undecided. Where it decides it
+factorial digits of the profiles, or leaves it undecided, and verify._sign
+settles what it leaves from the top block down. Where either decides it
 must give the exact sign, computed here from verify.block_walk's running
-sums. The record checks use it at k >= k_max: a record it passes is passed,
-one whose placements it passes and whose rerun fails is named from the
-rerun, and any other takes the concrete checks. So on every record of four
-runs, honest and tampered, the checks with the prefix at k_max must name the
-same fault as the checks with every record concrete, and every honest record
-at or past k_max must be passed by the comparator alone. Past the prefix a
-pass reruns each (program, offset) once, from an anchor the run never
-branches on, so a record that shares an earlier record's rerun must still
-fail as it would concretely. The comparator reads m! from a table: at the
-edges of every factorial bound it must read the profile values a bisection
-of that table read, and answer as it did.
+sums. The record checks use them at k >= k_max, where (k - 1)! > budget:
+every such record is passed or named there, with no production geometry.
+So on every record of four runs, honest and tampered, the checks with the
+prefix at k_max must name the same fault as the checks with every record
+concrete, and every honest record at or past k_max must be passed by the
+comparator alone. Past the prefix a pass reruns each (program, offset)
+once, from an anchor the run never branches on, so a record that shares an
+earlier record's rerun must still fail as it would concretely. The
+comparator reads m! from a table up to 170! and past it compares bit
+lengths: at the edges of every factorial bound it must read the profile
+values a bisection of the factorials read, and answer as it did.
 """
 
 import random
@@ -28,16 +29,16 @@ from hypothesis import given, strategies as st
 
 from blockdensity import verify
 from blockdensity.construction import (
-    BRANCH_DIAGONALIZED, BRANCH_NON_TOTAL, ConstructionState, RequirementSchedule, StageRecord,
-    reconstruct_state,
+    BRANCH_DIAGONALIZED, BRANCH_NON_INJECTIVE, BRANCH_NON_TOTAL, ConstructionState,
+    RequirementSchedule, StageRecord, reconstruct_state,
 )
 from blockdensity.machine import Halted, decode, run_program
 from blockdensity.maps import CodedFamily
 from blockdensity.profiles import constant_family
 from blockdensity.scenarios import ScenarioConfig, construct
 from blockdensity.verify import (
-    PASS, _Anchored, _passes_past_prefix, _record_fault, block_walk, check_diag_witness,
-    check_stage_records, compare_endpoints,
+    PASS, _Anchored, _below_factorial, _block_of, _passes_past_prefix, _record_fault, _sign,
+    block_walk, check_diag_witness, check_stage_records, compare_endpoints,
 )
 from _oracles import FAMILIES
 
@@ -46,7 +47,7 @@ from _oracles import FAMILIES
 COUNT_DOWN = 230857
 
 
-def _sign(value):
+def _sign_of(value):
     return (value > 0) - (value < 0)
 
 
@@ -69,7 +70,7 @@ def test_compare_endpoints_gives_the_exact_sign_where_it_decides(kind):
         sign = compare_endpoints(profiles[p], K, c, profiles[p2], K2, c2)
         if sign is not None:
             decided += 1
-            assert sign == _sign(ends[p][K] + c - ends[p2][K2] - c2), (p, K, c, p2, K2, c2)
+            assert sign == _sign_of(ends[p][K] + c - ends[p2][K2] - c2), (p, K, c, p2, K2, c2)
     assert decided > 1000
 
 
@@ -109,7 +110,7 @@ def test_compare_endpoints_on_random_short_profiles():
         exact = sum(v.numerator * factorial(m) // v.denominator for m, v in enumerate(t[:K]))
         exact -= sum(v.numerator * factorial(m) // v.denominator for m, v in enumerate(t2[:K2]))
         sign = compare_endpoints(t.__getitem__, K, c, t2.__getitem__, K2, c2)
-        assert sign in (None, _sign(exact + c - c2)), (t, t2, K, c, K2, c2)
+        assert sign in (None, _sign_of(exact + c - c2)), (t, t2, K, c, K2, c2)
 
 
 @pytest.mark.parametrize("K, K2, same", [(-3, 5, False), (5, -3, False), (-2, -2, True),
@@ -121,17 +122,63 @@ def test_compare_endpoints_refuses_a_negative_block_index(K, K2, same):
         compare_endpoints(u0, K, 0, u0 if same else u1, K2, 0)
 
 
-_FACTS = [factorial(m) for m in range(171)]
+_FACTS = [factorial(m) for m in range(401)]
+
+
+@pytest.mark.parametrize("m", [*range(165, 260), 1000, 2973, 4803])
+def test_below_factorial_is_exact_past_the_table(m):
+    """w < m! at w = m! - 1, m!, m! + 1 and at w one bit either side of m!:
+    past 170! the bit lengths decide only with a margin, and the factorial
+    settles the rest."""
+    f = factorial(m)
+    for w in (f - 1, f, f + 1, f >> 1, f << 1, (f >> 2) - 1, (f << 2) + 1):
+        assert _below_factorial(w, m) == (w < f), (m, w - f)
+
+
+def test_compare_endpoints_decides_past_the_factorial_table():
+    """Offsets from 170! up to just below min(K, K2)! or (L - 1)!, where the
+    m! table ends, are decided by the bit lengths, with the exact sign."""
+    for kind in ("constant", "combined"):
+        family, indices = FAMILIES[kind]
+        u, u2 = (family.profile(s) for s in indices)
+        ends = {v: [b for _, _, _, b, _ in islice(block_walk(v), 260)] for v in (u, u2)}
+        for K, K2, w in ((200, 230, factorial(199) - 4), (240, 200, factorial(180)),
+                         (250, 250, factorial(200))):
+            for v, v2 in ((u, u), (u, u2)):
+                for c, c2 in ((w, 0), (0, w), (-w, 3)):
+                    assert compare_endpoints(v, K, c, v2, K2, c2) == _sign_of(
+                        ends[v][K] + c - ends[v2][K2] - c2), (kind, K, K2, c, c2)
+
+
+def test_sign_settles_what_the_comparator_leaves():
+    """Endpoints one unit apart, with offsets the size of a block, and
+    endpoints far apart: verify._sign gives the exact sign with one memo,
+    its cursors moving up and down."""
+    rng = random.Random(20261023)
+    for kind in sorted(FAMILIES):
+        family, indices = FAMILIES[kind]
+        profiles = [family.profile(s) for s in indices]
+        ends = [[b for _, _, _, b, _ in islice(block_walk(u), 61)] for u in profiles]
+        memo = {}
+        for _ in range(300):
+            p, p2 = rng.randrange(len(profiles)), rng.randrange(len(profiles))
+            K, K2 = rng.randrange(61), rng.randrange(61)
+            c2 = rng.randrange(-50, 50)
+            c = ends[p2][K2] - ends[p][K] + c2 + rng.choice((-1, 0, 1, rng.randrange(-10**9, 10**9)))
+            assert _sign(profiles[p], K, c, profiles[p2], K2, c2, memo) == _sign_of(
+                ends[p][K] + c - ends[p2][K2] - c2), (kind, p, K, c, p2, K2, c2)
+
+
 
 
 def _factorial_above(w):
-    """The least m with m! > w, for a natural w below 170!, else inf."""
-    m = bisect_right(_FACTS, w)
-    return m if m < len(_FACTS) else inf
+    """The least m with m! > w, for a natural w below 400!."""
+    return bisect_right(_FACTS, w)
 
 
 def _bisecting_compare(u, K, c, u2, K2, c2):
-    """compare_endpoints as it stood when it bisected the factorial table."""
+    """compare_endpoints as it stood when it bisected the factorial table,
+    with the table run on to 400!."""
     if u is u2:
         if K == K2:
             return (c > c2) - (c < c2)
@@ -162,10 +209,10 @@ def _answer_and_reads(compare, u, K, c, u2, K2, c2):
     return compare(v, K, c, v if u is u2 else _reading(u2, reads, 1), K2, c2), reads
 
 
-# Each w at a factorial bound: m! - 1, m! and m! + 1 for m <= 12, and 170! - 1
-# and 170!, past which nothing is decided.
+# Each w at a factorial bound: m! - 1, m! and m! + 1 for m <= 12, and at
+# 170!, where the m! table ends, and 180!, past it.
 EDGES = sorted({w for m in range(13) for w in (factorial(m) - 1, factorial(m), factorial(m) + 1)}
-               | {factorial(170) - 1, factorial(170)})
+               | {w for m in (170, 180) for w in (factorial(m) - 1, factorial(m))})
 THREE_HALVES = Fraction(3, 2)
 # Pairs of distinct profiles: equal values, so the scan reads every digit up
 # to its bound; a difference at every digit; a difference at digit 9 alone.
@@ -176,12 +223,12 @@ PAIRS = [(lambda m: THREE_HALVES, lambda m: THREE_HALVES),
 
 def test_compare_endpoints_reads_the_digits_a_bisection_read_at_every_bound():
     """One profile: |c - c2| at each edge, min(K, K2) on either side of the
-    edge's m and at the 170! cap, and K = K2. Two profiles: max(K, K2) +
-    |c - c2| at each edge, from scans that start at L <= 1 up to scans past
-    170, so a comparator that reads one digit too many or too few, or
-    answers where the table says not to, differs here."""
+    edge's m and of the table's end at 170!, and K = K2. Two profiles:
+    max(K, K2) + |c - c2| at each edge, from scans that start at L <= 1 up to
+    scans past 182, so a comparator that reads one digit too many or too few,
+    or answers where the factorials say not to, differs here."""
     u = PAIRS[0][0]
-    lows = [*range(15), 169, 170, 171, 172]
+    lows = [*range(15), 169, 170, 171, 172, 179, 180, 181]
     for w in EDGES:
         for low in lows:
             for K, K2 in (low, low), (low, low + 1), (low + 1, low):
@@ -189,7 +236,7 @@ def test_compare_endpoints_reads_the_digits_a_bisection_read_at_every_bound():
                     case = (u, K, c, u, K2, c2)
                     assert (_answer_and_reads(compare_endpoints, *case)
                             == _answer_and_reads(_bisecting_compare, *case)), case[1:]
-    tops = [0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 14, 170, 171, 172]
+    tops = [0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 14, 170, 171, 172, 181, 182, 183]
     for w in EDGES:
         for top in (t for t in tops if t <= w):
             for K, K2 in {(top, top), (top, max(top - 1, 0)), (max(top - 1, 0), top)}:
@@ -204,22 +251,33 @@ def test_compare_endpoints_reads_the_digits_a_bisection_read_at_every_bound():
 LOOP = 76
 
 
-def test_the_budget_gate_passes_where_a_bisection_passed():
-    """A non-total record of block k whose program never halts is passed
-    past the prefix exactly when (k - 1)! > budget, capped at 170!: at
-    budgets (k - 1)! - 1, (k - 1)! and (k - 1)! + 1, and at the cap."""
-    family, _ = constant_family()
+def test_the_budget_gate_passes_where_a_bisection_passed(monkeypatch):
+    """A non-total record of block k whose program never halts is passed,
+    and from k_max = 0 on it is checked past the prefix exactly when
+    (k - 1)! > budget: at budgets (k - 1)! - 1, (k - 1)! and (k - 1)! + 1,
+    and about 170!, where the m! table ends."""
+    family, cert = constant_family()
     coded, state = CodedFamily(family), ConstructionState()
+    schedule = RequirementSchedule(cert, [(0, 1)])
+    past = []
+
+    def passes(*args):
+        past.append(args[2])
+        return _passes_past_prefix(*args)
+
+    monkeypatch.setattr(verify, "_passes_past_prefix", passes)
     for k in [*range(15), 169, 170, 171, 172, 200]:
         for budget in {factorial(max(k - 1, 0)) + d for d in (-1, 0, 1)} | {
                 factorial(170) - 1, factorial(170), factorial(170) + 1}:
             if budget < 1:
                 continue
-            record = StageRecord(0, LOOP, 0, 1, k, BRANCH_NON_TOTAL, 0, None, None, None,
+            record = StageRecord(LOOP, LOOP, 0, 1, k, BRANCH_NON_TOTAL, 0, None, None, None,
                                  budget, k)
-            # None, a pass, where the gate opens, else False, undecided.
-            expected = None if k - 1 >= _factorial_above(budget) else False
-            assert _passes_past_prefix(coded, state, record, {}) == expected, (k, budget)
+            past.clear()
+            assert _record_fault(coded, state, schedule, LOOP, record, budget, k - 1, 0,
+                                 {}) is None, (k, budget)
+            assert past == ([record] if k >= 1 and k - 1 >= _factorial_above(budget)
+                            else []), (k, budget)
 
 
 @pytest.mark.parametrize("e, k", [(COUNT_DOWN, 5), (0, 8)])
@@ -252,7 +310,8 @@ def test_an_image_block_not_past_k_is_never_passed():
     record = StageRecord(0, 0, 1, 0, k, BRANCH_DIAGONALIZED, dx, None, dx, k - 1, 1000, k - 1)
     assert check_diag_witness(coded, state, record) == (
         "image_block", {"expected": k - 1, "located": k - 1})
-    assert _passes_past_prefix(coded, state, record, {}) is False
+    assert _passes_past_prefix(coded, state, record, {}) == check_diag_witness(
+        coded, state, record)
 
 
 # The runs the record checks are compared on: (config, stages or None).
@@ -437,3 +496,138 @@ def test_an_anchored_rerun_does_not_depend_on_its_anchor(e, budget, data):
     if isinstance(a, Halted):
         assert a.steps == b.steps == literal.steps
         assert a.value.offset == b.value.offset == literal.value - 2 * budget - 1
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of verify's name from now on, in a one-item list."""
+    calls, real = [0], getattr(verify, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_non_injective_records_past_the_prefix_fail_with_no_rerun(run, monkeypatch,
+                                                                 no_digit_limit):
+    """The honest construction writes no collision past (k - 1)! > budget.
+    There a non-injective record fails as with every record concrete:
+    witness_block for a witness outside block k, else rerun_collides, with
+    no rerun, as its two witnesses follow one control path."""
+    config, coded, schedule, records, frontiers, state = run
+    past = [n for n, r in enumerate(records) if r.k >= config.k_max]
+    reruns = _counting(monkeypatch, "run_program")
+    names = set()
+    for n in past[:: max(1, len(past) // 8)]:
+        record, memo = records[n], {}
+        length = coded.source(record.i).length(record.k)
+        for dx, dx2 in ((0, 1), (1, 0), (0, 0), (-1, 0), (0, -5), (length - 1, length),
+                        (length - 2, length - 1), (7, length + 3)):
+            tampered = record._replace(branch=BRANCH_NON_INJECTIVE, dx=dx, dx2=dx2, dy=None,
+                                       ell=None, m_after=record.k)
+            concrete = _record_fault(coded, state, schedule, n, tampered, config.budget,
+                                     frontiers[n], inf, {})
+            before = reruns[0]
+            assert _record_fault(coded, state, schedule, n, tampered, config.budget,
+                                 frontiers[n], config.k_max, memo) == concrete, (n, dx, dx2)
+            assert reruns[0] == before
+            names.add(concrete[0])
+    assert names == {"witness_block", "rerun_collides"}
+
+
+def test_a_negative_witness_past_the_prefix_is_named_by_its_offset(run, no_digit_limit):
+    """An offset that puts its witness below 0 fails witness_fields, past
+    the prefix named by the offset field, and any other offset fails as with
+    every record concrete: offsets down to -(K - 1)! of the anchor b(K) are
+    natural at once, offsets below -4 * (K - 1)! negative at once, and the
+    endpoint cursor settles those between."""
+    config, coded, schedule, records, frontiers, state = run
+    for n, record in enumerate(records):
+        if record.k < config.k_max:
+            continue
+        diagonal = record.ell is not None
+        K = record.k + diagonal
+        src = coded.source(record.j if diagonal else record.i)
+        anchor = src.endpoint(K)
+        for name in ("dx", "dy") if diagonal else ("dx",):
+            for c in (-anchor - 1, -anchor, -anchor + 1, -factorial(K - 1),
+                      -4 * factorial(K - 1), -4 * factorial(K - 1) - 1, -(anchor << 3)):
+                tampered = record._replace(**{name: c})
+                concrete = _record_fault(coded, state, schedule, n, tampered, config.budget,
+                                         frontiers[n], inf, {})
+                fault = _record_fault(coded, state, schedule, n, tampered, config.budget,
+                                      frontiers[n], config.k_max, {})
+                if anchor + c < 0:
+                    assert concrete == ("witness_fields", {"field": name[1:], "value": str(anchor + c)})
+                    assert fault == ("witness_fields", {"field": name, "value": str(c)})
+                else:
+                    assert fault == concrete, (n, name, c)
+        if n > 60:
+            break
+
+
+def test_an_image_block_fault_walks_from_block_k_plus_1(run, monkeypatch):
+    """ell moved by one on a diagonalized record past the prefix fails
+    image_block, and the walk that locates y makes one comparison for block
+    k + 1 and one for each block up to y's block, ell: with two comparisons
+    to place x, and one or two to place y in the moved block."""
+    config, coded, schedule, records, frontiers, state = run
+    compares = _counting(monkeypatch, "compare_endpoints")
+    moved = 0
+    for n, record in enumerate(records):
+        if record.k < config.k_max or record.ell is None:
+            continue
+        k, ell = record.k, record.ell
+        for shift in (1, -1):
+            tampered = record._replace(ell=ell + shift, m_after=ell + shift)
+            before = compares[0]
+            fault = _passes_past_prefix(coded, state, tampered, {})
+            assert fault == ("image_block", {"expected": ell + shift, "located": ell}), n
+            placing_y = 0 if ell + shift <= k else 1 if shift == 1 else 2
+            assert compares[0] - before == 2 + placing_y + 1 + (ell - k), (n, shift)
+            moved += 1
+    assert moved
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_the_walk_locates_every_block_start(kind):
+    """verify._block_of from any start block returns the block that holds
+    b2(K) + c, as SourceBlocks.locate does, at each block start of u and one
+    either side of it."""
+    family, indices = FAMILIES[kind]
+    u, u2 = family.profile(indices[0]), family.profile(indices[-1])
+    coded = CodedFamily(family)
+    src, src2 = coded.source(indices[0]), coded.source(indices[-1])
+    memo = {}
+    for K in (14, 20, 30):
+        for m in range(8, 34):
+            for d in (-1, 0, 1):
+                c = src.endpoint(m) + d - src2.endpoint(K)
+                located = src.locate(src2.endpoint(K) + c)[0]
+                for start in (0, 9, K, K + 1, 40):
+                    assert _block_of(u, u2, K, c, start, memo) == located, (K, m, d, start)
+
+
+def test_the_frontier_past_a_failing_record_walks_from_block_k_plus_1(run, monkeypatch):
+    """dy moved by one on the first diagonalized record past the prefix
+    fails rerun_value after two placements, and the frontier moves to the
+    block r of j that holds b_i(k + 1) + budget - 1: one comparison for
+    block k + 1 and one for each block up to r, every other record making
+    the comparisons of the honest pass."""
+    config, coded, schedule, records, _, state = run
+    n, record = next((n, r) for n, r in enumerate(records)
+                     if r.k >= config.k_max and r.ell is not None)
+    k, i, j = record.k, record.i, record.j
+    r = coded.source(j).locate(coded.source(i).endpoint(k + 1) + config.budget - 1)[0]
+    compares = _counting(monkeypatch, "compare_endpoints")
+    cert, faults = check_stage_records(coded, state, schedule, records, config.budget,
+                                       config.k_max)
+    honest = compares[0]
+    tampered = [*records[:n], record._replace(dy=record.dy + 1), *records[n + 1:]]
+    compares[0] = 0
+    cert, faults = check_stage_records(coded, state, schedule, tampered, config.budget,
+                                       config.k_max)
+    assert [f for f in faults if f is not None] == ["rerun_value"]
+    assert compares[0] == honest - 4 + 2 + 1 + (r - k)

@@ -321,9 +321,10 @@ def test_defeat_record_without_natural_witness_fails(constant_run, branch, field
     coded, _, schedule, transcript, state = constant_run
     stage = schedule.stage_of(0, 0, 1)
     record = transcript.records[stage]
-    # A defeat record's witnesses are offsets from b_i(k): x, x2 = b_i(k), b_i(k) + 1.
+    # A defeat record's witnesses are offsets from b_i(k): x, x2 = b_i(k), b_i(k) + 1,
+    # and its M_after is k.
     anchor = coded.source(record.i).endpoint(record.k)
-    fields = {"branch": branch, "dx": 0, "dx2": 1,
+    fields = {"branch": branch, "dx": 0, "dx2": 1, "m_after": record.k,
               "d" + field: None if value is None else value - anchor}
     records = list(transcript.records)
     records[stage] = record._replace(**fields)
